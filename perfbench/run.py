@@ -7,8 +7,9 @@ Run from the repository root:
     python3 perfbench/run.py --workload all --seed 1 --seconds 20
 
 A run imports uptail from ./src, draws its inputs from --seed, times complete
-passes over the workload's fixed op list until --seconds have elapsed (closed
-loop, one op at a time), checks every output, and prints as its last line a
+passes over the workload's fixed op list until --seconds have elapsed (and
+at least three passes on dense-solve; closed loop, one op at a time), checks
+every output, and prints as its last line a
 JSON object with the keys correct, attempted, failed and metrics: the
 end-to-end metrics with --trace 0, the per-layer metrics with --trace 1.
 The line before it is a JSON record of the environment, the per-entry op
@@ -83,8 +84,6 @@ PER_LAYER = [  # (metric, unit)
 
 def load_uptail():
     """Import uptail from this checkout's src/, never from elsewhere."""
-    if not (SRC / "uptail" / "__init__.py").is_file():
-        sys.exit(f"perfbench: no uptail package under {SRC}; run from a repository checkout")
     sys.path.insert(0, str(SRC))
     import uptail
 
@@ -452,7 +451,8 @@ def run_workload(args):
     print(json.dumps(record))
     for name, m in metrics.items():
         print(f"# {args.workload} {name} = {m['value']:.6g} {m['unit']}")
-    print(f"# {args.workload} ops attempted {len(all_ops)} failed {len(failed)}; "
+    print(f"# {args.workload} ops attempted {len(all_ops)} ({len(records)} timed, "
+          f"{len(verify)} verify) failed {len(failed)}; "
           f"probes attempted {len(probes)} failed {probe_failed} (known failures)")
     result = {"correct": not failed, "attempted": len(all_ops), "failed": len(failed),
               "metrics": metrics}
@@ -479,8 +479,9 @@ def run_all(args):
         record, result = json.loads(lines[0]), json.loads(lines[-1])
         summary[name] = result
         print(f"{name}: correct={result['correct']} attempted={result['attempted']} "
-              f"failed={result['failed']}; known-failure probes attempted "
-              f"{record['probes']['attempted']} failed {record['probes']['failed']}")
+              f"({record['ops']['timed']} timed ops) failed={result['failed']}; "
+              f"known-failure probes attempted {record['probes']['attempted']} "
+              f"failed {record['probes']['failed']}")
         for metric, m in result["metrics"].items():
             print(f"  {metric:38s} {m['value']:>14.6g} {m['unit']}")
     print(json.dumps(summary))
