@@ -46,8 +46,9 @@ def _emit(doc: dict, fmt: str):
         print(",".join(keys))
         print(",".join(_csv_cell(flat[k]) for k in keys))
     else:  # human
-        for k in sorted(_flatten(doc)):
-            print(f"{k}: {_flatten(doc)[k]}")
+        flat = _flatten(doc)
+        for k in sorted(flat):
+            print(f"{k}: {flat[k]}")
 
 
 def _flatten(doc, prefix=""):
@@ -318,7 +319,7 @@ def cmd_check(args):
         lower = max(n ** (2.0 / l - 1.0), logn ** (l / (2.0 * l - 4.0)) / math.sqrt(n))
         kind = f"cycle:{l}"
     else:
-        ds = float(rates.delta_star(used) if used.edge_count else 1.0)
+        ds = float(graphs.delta_star(used) if used.edge_count else 1.0)
         lower = n ** (-1.0 / (2 * ds)) * logn ** (1.0 / (2 * ds))
         kind = "general"
     in_range = (p >= lower) and (p <= 0.5)
@@ -351,7 +352,7 @@ def build_parser():
     ap.add_argument("--format", choices=("json", "csv", "human"), default="json")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, graph_repeat=False):
+    def common(p):
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=1)
 

@@ -1,11 +1,15 @@
 """Random-graph ensembles, tail-probability Monte Carlo, and the tilted
 (planted) importance sampler.
 
-All independent-edge ensembles draw through one per-pair uniform routine, so
-an importance run with tilt == base consumes the stream identically to direct
-Monte Carlo.  Worker streams derive from (master_seed, worker_index) with a
-counter-based generator; reductions happen in worker order, making estimates
-reproducible for any thread count.
+Every ensemble draws through one stack routine, `_draw_stack`, which returns
+a (batch, n, n) 0/1 adjacency stack: independent-edge ensembles through one
+per-pair uniform routine, uniform and regular graphs one draw after another
+in stream order.  Monte Carlo counts hits on these stacks with the batched
+hom; `sample` is row 0 of a one-graph stack.  An importance run with
+tilt == base consumes the stream identically to direct Monte Carlo.  Worker
+streams derive from (master_seed, worker_index) with a counter-based
+generator; reductions happen in worker order, making estimates reproducible
+for any thread count.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ import numpy as np
 from .blocks import BlockSpec
 from .errors import DomainError, SamplingError
 from .graphs import Graph
-from .homs import batched_hom_normalized, hom_normalized
+# hom_normalized is unused here but stays bound: perfbench's traced run
+# patches uptail.ensembles.hom_normalized by name
+from .homs import DP_CELL_CAP, batched_hom_normalized, hom_normalized  # noqa: F401
 from .rates import BlockModelParams, scale_anp
 
 CONFIG_MODEL_RETRY_CAP = 20_000
@@ -176,70 +182,37 @@ def _configuration_model(n, d, rng) -> np.ndarray:
         a = a + a.T
         return a
     raise SamplingError(
-        "configuration-model retry budget exceeded; "
-        "use the switching sampler (sample_regular_switching) for this degree"
+        f"configuration model for n={n}, d={d} drew no simple graph "
+        f"in {CONFIG_MODEL_RETRY_CAP} trials"
     )
 
 
-def _circulant_regular(n, d) -> np.ndarray:
-    a = np.zeros((n, n), dtype=np.int8)
-    half = d // 2
-    for k in range(1, half + 1):
-        idx = np.arange(n)
-        a[idx, (idx + k) % n] = 1
-        a[(idx + k) % n, idx] = 1
-    if d % 2 == 1:
-        idx = np.arange(n // 2)
-        a[idx, idx + n // 2] = 1
-        a[idx + n // 2, idx] = 1
+def _draw_stack(spec: EnsembleSpec, batch: int, rng) -> np.ndarray:
+    """`batch` graphs from the ensemble as a (batch, n, n) 0/1 int8 stack."""
+    if spec.kind not in ("uniform", "regular"):
+        return _sample_adjacency_batch(spec.probability_matrix(), batch, rng)
+    a = np.empty((batch, spec.n, spec.n), dtype=np.int8)
+    for i in range(batch):
+        if spec.kind == "uniform":
+            a[i] = _sample_uniform_m(spec.n, spec.m, rng)
+        else:
+            a[i] = _configuration_model(spec.n, spec.d, rng)
+    if spec.kind == "regular":
+        assert (a.sum(axis=-1) == spec.d).all(), "regular sampler degree violation"
     return a
 
 
-def sample_regular_switching(n, d, rng, burn_in=None) -> np.ndarray:
-    """Approximate uniform d-regular sampler: circulant start plus a burn-in
-    of random 3-edge switchings (replace {uw, u1w1, u2w2} by {wu1, w1u2, w2u}
-    whenever the result stays simple).  Flagged approximate by its caller."""
-    if (n * d) % 2 != 0:
-        raise DomainError("n*d must be even")
-    a = _circulant_regular(n, d)
-    if burn_in is None:
-        burn_in = 20 * n * d
-    edges = np.argwhere(np.triu(a, 1) == 1)
-    done = 0
-    while done < burn_in:
-        picks = rng.integers(0, len(edges), size=3)
-        (u, w), (u1, w1), (u2, w2) = edges[picks[0]], edges[picks[1]], edges[picks[2]]
-        if rng.random() < 0.5:
-            u, w = w, u
-        if rng.random() < 0.5:
-            u1, w1 = w1, u1
-        if rng.random() < 0.5:
-            u2, w2 = w2, u2
-        done += 1
-        verts = {u, w, u1, w1, u2, w2}
-        if len(verts) != 6:
-            continue
-        if a[w, u1] or a[w1, u2] or a[w2, u]:
-            continue
-        for x, y in ((u, w), (u1, w1), (u2, w2)):
-            a[x, y] = a[y, x] = 0
-        for x, y in ((w, u1), (w1, u2), (w2, u)):
-            a[x, y] = a[y, x] = 1
-        edges = np.argwhere(np.triu(a, 1) == 1)
-    return a
+def _chunk_sizes(n, count, chunk):
+    """Split `count` draws into chunks of at most `chunk` graphs and at most
+    DP_CELL_CAP adjacency cells."""
+    size = max(1, min(chunk, DP_CELL_CAP // (n * n)))
+    for lo in range(0, count, size):
+        yield min(size, count - lo)
 
 
 def sample(spec: EnsembleSpec, rng) -> Graph:
     """One graph from the ensemble; regular output is asserted d-regular."""
-    if spec.kind in ("er", "block", "planted"):
-        a = _sample_adjacency_batch(spec.probability_matrix(), 1, rng)[0]
-    elif spec.kind == "uniform":
-        a = _sample_uniform_m(spec.n, spec.m, rng)
-    elif spec.kind == "regular":
-        a = _configuration_model(spec.n, spec.d, rng)
-        assert (a.sum(axis=1) == spec.d).all(), "regular sampler degree violation"
-    else:
-        raise DomainError(f"unknown ensemble kind {spec.kind!r}")
+    a = _draw_stack(spec, 1, rng)[0]
     iu = np.triu_indices(spec.n, 1)
     return _pairs_to_graph(spec.n, iu, a[iu] > 0)
 
@@ -403,60 +376,26 @@ def _count_hits(spec, h_list, thresholds, count, rng, p, chunk,
                 progress=None, progress_base=0, total_hits_before=0):
     hits = 0
     done = 0
-
-    def report():
-        if progress and done:
+    for b in _chunk_sizes(spec.n, count, chunk):
+        a = _draw_stack(spec, b, rng)
+        hits += int(_hom_hits_for_batch(a, h_list, thresholds, p).sum())
+        done += b
+        if progress:
             total_done = progress_base + done
             progress(total_done, (total_hits_before + hits) / total_done)
-
-    if spec.kind in ("er", "block", "planted"):
-        probs = spec.probability_matrix()
-        left = count
-        while left > 0:
-            b = min(chunk, left)
-            a = _sample_adjacency_batch(probs, b, rng)
-            hits += int(_hom_hits_for_batch(a, h_list, thresholds, p).sum())
-            left -= b
-            done += b
-            report()
-        return hits
-    for _ in range(count):
-        g = sample(spec, rng)
-        ok = all(
-            hom_normalized(h, g.adjacency().astype(float), p) >= t
-            for h, t in zip(h_list, thresholds)
-        )
-        hits += bool(ok)
-        done += 1
-        if done % max(1, chunk // 8) == 0:
-            report()
-    report()
     return hits
 
 
 def _empirical_hom_means(spec, h_list, num_samples, seed, workers, chunk):
     sums = np.zeros(len(h_list))
-    total = 0
+    p = spec.sparsity()
     for w, count in enumerate(_worker_counts(num_samples, workers)):
         rng = rng_stream(seed, 10_000 + w)  # separate pass, separate streams
-        p = spec.sparsity()
-        if spec.kind in ("er", "block", "planted"):
-            probs = spec.probability_matrix()
-            left = count
-            while left > 0:
-                b = min(chunk, left)
-                a = _sample_adjacency_batch(probs, b, rng)
-                for i, h in enumerate(h_list):
-                    sums[i] += batched_hom_normalized(h, a, p).sum()
-                left -= b
-            total += count
-        else:
-            for _ in range(count):
-                g = sample(spec, rng)
-                for i, h in enumerate(h_list):
-                    sums[i] += hom_normalized(h, g.adjacency().astype(float), p)
-            total += count
-    return sums / total
+        for b in _chunk_sizes(spec.n, count, chunk):
+            a = _draw_stack(spec, b, rng)
+            for i, h in enumerate(h_list):
+                sums[i] += batched_hom_normalized(h, a, p).sum()
+    return sums / num_samples
 
 
 def importance_tail(
@@ -495,10 +434,6 @@ def importance_tail(
     bad = ((tp <= 0) & (bp > 0)) | ((tp >= 1) & (bp < 1) & (tp > 1))
     if bad.any():
         raise DomainError("tilt assigns zero mass where the base does not")
-    if ((tp == 0) & (bp > 0)).any():
-        raise DomainError(
-            "tilt entry 0 where base probability is positive: event mass lost"
-        )
     p = spec.sparsity()
 
     # log weight pieces; tilt entries of exactly 1 force the edge (log p term)
@@ -510,18 +445,12 @@ def importance_tail(
     def _one_worker(w, count, report_chunks=False, progress_base=0):
         rng = rng_stream(seed, w)
         lw_parts, hit_parts = [], []
-        left = count
         done = 0
-        while left > 0:
-            b = min(chunk, left)
-            u = rng.random((b, iu[0].size))
-            hit_pairs = u < tp
-            a = np.zeros((b, spec.n, spec.n), dtype=np.int8)
-            a[:, iu[0], iu[1]] = hit_pairs
-            a = a + a.transpose(0, 2, 1)
+        for b in _chunk_sizes(spec.n, count, chunk):
+            a = _sample_adjacency_batch(tilt_m, b, rng)
+            hit_pairs = a[:, iu[0], iu[1]] > 0
             lw_parts.append(hit_pairs @ lw_edge + (~hit_pairs) @ lw_noedge)
             hit_parts.append(_hom_hits_for_batch(a, h_list, t_list, p))
-            left -= b
             done += b
             if report_chunks and progress:
                 lw = np.concatenate(lw_parts)

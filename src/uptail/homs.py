@@ -3,12 +3,15 @@
 Two engines: a flat full-grid reference (broadcast product over all n^v maps)
 and an elimination-order dynamic program (greedy min-width, einsum per step).
 Both count labeled homomorphisms; the zero diagonal of weight matrices kills
-maps that repeat adjacent vertices.
+maps that repeat adjacent vertices.  The DP's plan also runs on a leading
+batch axis, so single matrices, the gradient's pinned sums and batched 0/1
+adjacency stacks all contract in the same elimination order.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import string
 
 import numpy as np
@@ -19,6 +22,7 @@ from .graphs import Graph
 WIDTH_CAP = 5          # elimination width (treewidth) limit for the DP
 BRUTE_CELL_CAP = 30_000_000   # n^v entries for the flat-grid engine
 DP_CELL_CAP = 140_000_000     # entries of any single DP intermediate
+BATCH_CELLS = 1 << 16         # target intermediate entries per batched sub-batch
 
 
 def check_weight_matrix(x, tol=1e-9):
@@ -76,12 +80,15 @@ def _elimination_order(h: Graph):
     return order, width
 
 
-def _build_plan(h: Graph, pinned):
+def _build_plan(h: Graph, pinned, batch_prefix):
     """Symbolic contraction plan for the elimination DP (n-independent).
 
     Steps reference factor slots; slot 'W' is the weight matrix, 'ONES' a
-    length-n ones vector.  Cached per (pattern, pinned) so repeated solver
-    evaluations skip all the plan-building overhead.
+    length-n ones vector.  Every operand's subscript starts with
+    `batch_prefix`: '' for a single matrix, '...' for a (..., n, n) stack
+    (einsum parses an ellipsis more slowly, so single matrices skip it).
+    Cached per (pattern, pinned, prefix) so repeated evaluations skip all the
+    plan building.
     """
     order, width = _elimination_order(h)
     if width > WIDTH_CAP:
@@ -96,93 +103,81 @@ def _build_plan(h: Graph, pinned):
     for v in range(h.vertex_count):
         if deg[v] == 0 and v not in pinned:
             factors.append(((v,), "ONES"))
-    steps = []  # (subscript, slots, out_vars, scalar_flag)
 
+    def subscript(facs, sym, out_vars):
+        sub = ",".join(batch_prefix + "".join(sym[u] for u in f[0]) for f in facs)
+        return f"{sub}->{batch_prefix}" + "".join(sym[u] for u in out_vars)
+
+    steps = []  # (subscript, slots, out arity)
     for v in order:
         if v in pinned:
             continue
         touching = [f for f in factors if v in f[0]]
-        rest = [f for f in factors if v not in f[0]]
         if not touching:
             continue
+        factors = [f for f in factors if v not in f[0]]
         all_vars = sorted(set(itertools.chain.from_iterable(f[0] for f in touching)))
         out_vars = tuple(u for u in all_vars if u != v)
         sym = {u: letters[i] for i, u in enumerate(all_vars)}
-        sub = ",".join("".join(sym[u] for u in f[0]) for f in touching)
-        out = "".join(sym[u] for u in out_vars)
-        steps.append((f"{sub}->{out}", tuple(f[1] for f in touching), len(out_vars)))
+        steps.append((subscript(touching, sym, out_vars),
+                      tuple(f[1] for f in touching), len(out_vars)))
         if out_vars:
-            rest.append((out_vars, len(steps) - 1))
-        factors = rest
+            factors.append((out_vars, len(steps) - 1))
 
+    # with pins, the factors left over hold only pinned vertices
     pins = tuple(sorted(pinned))
     final = None
-    if pins:
+    if pins and factors:
         sym = {u: letters[i] for i, u in enumerate(pins)}
-        if factors:
-            sub = ",".join("".join(sym[u] for u in f[0]) for f in factors)
-            out = "".join(sym[u] for u in pins)
-            final = (f"{sub}->{out}", tuple(f[1] for f in factors))
-        else:
-            final = None
-    else:
-        # leftovers are scalar-free factors already reduced; none expected
-        final = None
-    return steps, factors, pins, final
+        final = (subscript(factors, sym, pins), tuple(f[1] for f in factors))
+    return steps, pins, final
 
 
 _PLAN_CACHE = {}
 
 
-def _get_plan(h: Graph, pinned):
-    key = (h.vertex_count, h.edges, tuple(sorted(pinned)))
+def _get_plan(h: Graph, pinned, batched=False):
+    batch_prefix = "..." if batched else ""
+    key = (h.vertex_count, h.edges, tuple(sorted(pinned)), batch_prefix)
     plan = _PLAN_CACHE.get(key)
     if plan is None:
-        plan = _build_plan(h, pinned)
+        plan = _build_plan(h, pinned, batch_prefix)
         _PLAN_CACHE[key] = plan
     return plan
 
 
 def _dp_sum(h: Graph, w: np.ndarray, pinned=()):
-    """Elimination-order DP.  Returns a scalar, or an ndarray over the pinned
-    pattern vertices (axes in sorted pin order) when `pinned` is nonempty."""
-    n = w.shape[0]
-    steps, leftovers, pins, final = _get_plan(h, pinned)
-    ones = None
+    """Elimination-order DP over w of shape (..., n, n).  Returns one value
+    per matrix, or an array over the pinned pattern vertices (trailing axes
+    in sorted pin order) when `pinned` is nonempty."""
+    n = w.shape[-1]
+    batch = w.shape[:-2]
+    graphs = math.prod(batch)
+    steps, pins, final = _get_plan(h, pinned, batched=bool(batch))
+    ones = np.ones(n, dtype=w.dtype)
     results = []
 
-    def fetch(slot):
-        nonlocal ones
-        if slot == "W":
-            return w
-        if slot == "ONES":
-            if ones is None:
-                ones = np.ones(n, dtype=w.dtype)
-            return ones
-        return results[slot]
+    def contract(sub, slots):
+        ops = [w if s == "W" else ones if s == "ONES" else results[s] for s in slots]
+        opt = bool(batch) or len(slots) > 2 or n >= 128
+        return np.einsum(sub, *ops, optimize=opt)
 
     scalar = w.dtype.type(1)
     for sub, slots, out_arity in steps:
-        if n ** out_arity > DP_CELL_CAP:
+        if graphs * n ** out_arity > DP_CELL_CAP:
             raise ResourceError(
-                f"DP intermediate of n^{out_arity} entries exceeds memory cap"
+                f"DP intermediate of {graphs} x n^{out_arity} entries exceeds memory cap"
             )
-        opt = True if (len(slots) > 2 or n >= 128) else False
-        merged = np.einsum(sub, *[fetch(s) for s in slots], optimize=opt)
+        merged = contract(sub, slots)
         results.append(merged)
         if out_arity == 0:
             scalar = scalar * merged
 
     if not pins:
         return scalar
-
-    if final is not None:
-        sub, slots = final
-        opt = True if (len(slots) > 2 or n >= 128) else False
-        result = np.einsum(sub, *[fetch(s) for s in slots], optimize=opt)
-    else:
-        result = np.ones((n,) * len(pins), dtype=w.dtype)
-    return scalar * result
+    if final is None:
+        return scalar * np.ones(batch + (n,) * len(pins), dtype=w.dtype)
+    return scalar * contract(*final)
 
 
 def _hom_sum(h: Graph, w: np.ndarray, engine="auto"):
@@ -256,15 +251,17 @@ def hom_gradient(h: Graph, x, engine="auto") -> np.ndarray:
 
 
 def batched_hom_normalized(h: Graph, a_stack: np.ndarray, p: float) -> np.ndarray:
-    """hom(h, .) for a batch of 0/1 adjacency matrices, shape (B, n, n)."""
+    """hom(h, .) for a batch of 0/1 adjacency matrices, shape (B, n, n).
+
+    Runs the DP plan on sub-batches of BATCH_CELLS intermediate entries; each
+    counts on 0/1 floats, so the counts are exact integers before scaling."""
     if not (0 < p < 1):
         raise DomainError(f"p must be in (0,1), got {p}")
     b, n, _ = a_stack.shape
-    v, e = h.vertex_count, h.edge_count
-    letters = string.ascii_lowercase
-    sym = {u: letters[u] for u in range(v)}
-    subs = ",".join("z" + sym[i] + sym[j] for i, j in h.edges)
-    free = [u for u in range(v) if all(u not in edge for edge in h.edges)]
-    counts = np.einsum(f"{subs}->z", *[a_stack.astype(float)] * e, optimize=True)
-    scale = float(n) ** len(free)
-    return counts * scale / (float(n) ** v * p ** e)
+    steps = _get_plan(h, (), batched=True)[0]
+    per_graph = n ** max([2] + [arity for _sub, _slots, arity in steps])
+    size = max(1, BATCH_CELLS // per_graph)
+    counts = np.empty(b)
+    for lo in range(0, b, size):
+        counts[lo:lo + size] = _dp_sum(h, a_stack[lo:lo + size].astype(float))
+    return counts / (float(n) ** h.vertex_count * p ** h.edge_count)

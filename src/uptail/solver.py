@@ -336,10 +336,6 @@ def _hom_grads(problem, x):
     return [hom_gradient(h, x) / p ** h.edge_count for h, _t in problem.targets]
 
 
-def _hom_and_grads(problem, x):
-    return _hom_vals(problem, x), _hom_grads(problem, x)
-
-
 DENSE_N_CAP = 2000
 
 
@@ -360,7 +356,7 @@ def solve_phi(problem: SolveProblem, threads: int = 1) -> SolveResult:
     if (targets <= 1.0).all():
         # constant base is the optimum up to the documented O(1/n) slack
         x0 = project_ensemble(problem.base_matrix(), problem.ensemble)
-        vals, _ = _hom_and_grads(problem, x0)
+        vals = _hom_vals(problem, x0)
         res = [max(0.0, t - v) for t, v in zip(targets, vals)]
         return SolveResult(
             x=x0,
@@ -400,7 +396,7 @@ def solve_phi(problem: SolveProblem, threads: int = 1) -> SolveResult:
             "no feasible point found within budget from any seed"
         )
     value, x, name, _ = best
-    vals, _ = _hom_and_grads(problem, x)
+    vals = _hom_vals(problem, x)
     return SolveResult(
         x=x,
         value=value,

@@ -160,6 +160,16 @@ def test_solve_schema():
     assert doc["residuals"][0] <= 1e-6
 
 
+@pytest.mark.parametrize("pattern", ["cycle:3", "clique:4", "star:3",
+                                     "complete_bipartite:2:3"])
+def test_check_every_pattern_family(pattern):
+    proc = run_cli("check", "--graph", pattern, "--n", "1000", "--p", "0.05")
+    assert proc.returncode in (0, 1, 3)
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 0:
+        check_schema(json.loads(proc.stdout), "check")
+
+
 def test_check_schema_and_warning():
     proc = run_cli("check", "--graph", "cycle:3", "--n", "1000", "--p", "0.02")
     doc = json.loads(proc.stdout)

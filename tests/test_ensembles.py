@@ -106,13 +106,6 @@ def test_block_model_densities():
         assert abs(hits / pairs - prob) <= 3 * se
 
 
-def test_switching_sampler_stays_regular():
-    rng = E.rng_stream(23)
-    a = E.sample_regular_switching(20, 6, rng, burn_in=2000)
-    assert (a.sum(axis=1) == 6).all()
-    assert (a == a.T).all() and np.diag(a).max() == 0
-
-
 # ---------------------------------------------------------------------------
 # direct Monte Carlo
 # ---------------------------------------------------------------------------
@@ -147,6 +140,25 @@ def test_mc_empirical_threshold_mode():
 def test_mc_regular_base():
     est = E.mc_upper_tail(E.regular(16, 4), [K3], [1.0], 300, seed=5)
     assert 0.0 <= est.point <= 1.0
+
+
+@pytest.mark.parametrize("spec, thresholds", [
+    (E.uniform(12, 20), [0.6, 2.0]),
+    (E.regular(12, 4), [0.5, 1.65]),
+])
+def test_mc_fixed_count_matches_per_sample_loop(spec, thresholds):
+    # the stack path must count the same hits as drawing one graph at a time
+    # from the same stream and evaluating each with the single-matrix hom
+    hs, samples, seed = [K3, G.cycle(4)], 300, 3
+    est = E.mc_upper_tail(spec, hs, thresholds, samples, seed=seed, chunk=64)
+    rng = E.rng_stream(seed)
+    p = spec.sparsity()
+    hits = 0
+    for _ in range(samples):
+        a = E.sample(spec, rng).adjacency().astype(float)
+        hits += all(H.hom_normalized(h, a, p) >= t for h, t in zip(hs, thresholds))
+    assert 0 < hits < samples
+    assert est.hits == hits
 
 
 # ---------------------------------------------------------------------------

@@ -213,12 +213,16 @@ def test_generalized_hoelder(h):
 
 def test_batched_matches_single():
     rng = np.random.default_rng(13)
-    stack = (rng.random((40, 9, 9)) < 0.4).astype(np.int8)
+    n = 12
+    stack = (rng.random((100, n, n)) < 0.4).astype(np.int8)
     stack = np.triu(stack, 1)
     stack = stack + stack.transpose(0, 2, 1)
-    for h in (K3, C4):
+    # K4's DP holds n^3 entries per graph, so this stack spans several sub-batches
+    assert len(stack) > H.BATCH_CELLS // n ** 3
+    isolated = G.Graph(4, ((0, 1), (1, 2), (0, 2)))
+    for h in (K3, C4, K4, G.parse_graph("star:3"), isolated):
         batch = H.batched_hom_normalized(h, stack, 0.35)
         single = np.array(
-            [H.hom_normalized(h, a.astype(float), 0.35) for a in stack]
+            [H.hom_normalized(h, a.astype(float), 0.35, engine="brute") for a in stack]
         )
         assert np.allclose(batch, single, rtol=1e-12)
