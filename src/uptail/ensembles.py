@@ -3,9 +3,12 @@
 
 Every ensemble draws through one stack routine, `_draw_stack`, which returns
 a (batch, n, n) 0/1 adjacency stack: independent-edge ensembles through one
-per-pair uniform routine, uniform and regular graphs one draw after another
-in stream order.  Monte Carlo counts hits on these stacks with the batched
-hom; `sample` is row 0 of a one-graph stack.  An importance run with
+per-pair uniform routine, uniform and regular graphs through block samplers
+that consume the stream exactly as drawing one graph after another would
+(one `choice` per uniform graph; blocks of configuration-model trials whose
+rows replay `permutation` calls).  Monte Carlo counts hits on these stacks
+with the batched hom and reports a Wilson score interval; `sample` is row 0
+of a one-graph stack.  An importance run with
 tilt == base consumes the stream identically to direct Monte Carlo.  Worker
 streams derive from (master_seed, worker_index) with a counter-based
 generator; reductions happen in worker order, making estimates reproducible
@@ -24,7 +27,7 @@ from .errors import DomainError, SamplingError
 from .graphs import Graph
 # hom_normalized is unused here but stays bound: perfbench's traced run
 # patches uptail.ensembles.hom_normalized by name
-from .homs import DP_CELL_CAP, batched_hom_normalized, hom_normalized  # noqa: F401
+from .homs import BATCH_CELLS, DP_CELL_CAP, batched_hom_normalized, hom_normalized  # noqa: F401
 from .rates import BlockModelParams, scale_anp
 
 CONFIG_MODEL_RETRY_CAP = 20_000
@@ -155,51 +158,88 @@ def _sample_adjacency_batch(probs: np.ndarray, batch: int, rng) -> np.ndarray:
     return a
 
 
-def _sample_uniform_m(n, m, rng) -> np.ndarray:
+def _uniform_stack(n, m, batch, rng) -> np.ndarray:
+    """`batch` uniform(n, m) graphs: one `rng.choice` of m pairs per graph, in
+    stream order, then one fill of the whole stack."""
     iu = np.triu_indices(n, 1)
-    pick = rng.choice(iu[0].size, size=m, replace=False)
-    a = np.zeros((n, n), dtype=np.int8)
-    a[iu[0][pick], iu[1][pick]] = 1
-    return a + a.T
+    picks = np.array([rng.choice(iu[0].size, size=m, replace=False) for _ in range(batch)])
+    rows = np.arange(batch)[:, None]
+    u, v = iu[0][picks], iu[1][picks]
+    a = np.zeros((batch, n, n), dtype=np.int8)
+    a[rows, u, v] = 1
+    a[rows, v, u] = 1
+    return a
 
 
-def _configuration_model(n, d, rng) -> np.ndarray:
-    """Uniform d-regular sample: pair half-edge stubs, reject non-simple."""
+def _simple_rows(trials, n) -> np.ndarray:
+    """Indices of the trials (rows of paired stubs) that give simple graphs."""
+    u, v = trials[:, 0::2], trials[:, 1::2]
+    # a loop fails most trials, so only loop-free rows have their pairs sorted
+    rows = np.flatnonzero(~(u == v).any(axis=1))
+    u, v = u[rows], v[rows]
+    keys = np.minimum(u, v) * n + np.maximum(u, v)
+    keys.sort(axis=1)
+    return rows[~(keys[:, 1:] == keys[:, :-1]).any(axis=1)]
+
+
+def _regular_stack(n, d, batch, rng) -> np.ndarray:
+    """`batch` uniform d-regular graphs from the configuration model
+    (Bollobás 1980): pair half-edge stubs at random, reject graphs with a loop
+    or a repeated edge.
+
+    Trials run in blocks: row i of `rng.permuted(stubs broadcast to t rows,
+    axis=1)` makes the same draws as the i-th `rng.permutation(stubs)`.  A
+    block starts at the number of graphs still needed and doubles, up to
+    BATCH_CELLS stub cells.  The block where sampling stops is redrawn up to
+    its last used row, so the stream ends where a draw-by-draw loop would.
+    """
     stubs = np.repeat(np.arange(n), d)
-    for _ in range(CONFIG_MODEL_RETRY_CAP):
-        perm = rng.permutation(stubs)
-        a_pairs = perm.reshape(-1, 2)
-        u, v = a_pairs[:, 0], a_pairs[:, 1]
-        if (u == v).any():
-            continue
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        keys = lo * n + hi
-        if np.unique(keys).size != keys.size:
-            continue
-        a = np.zeros((n, n), dtype=np.int8)
-        a[lo, hi] = 1
-        a = a + a.T
-        return a
-    raise SamplingError(
-        f"configuration model for n={n}, d={d} drew no simple graph "
-        f"in {CONFIG_MODEL_RETRY_CAP} trials"
-    )
+    cap = max(1, BATCH_CELLS // stubs.size)
+    a = np.zeros((batch, n, n), dtype=np.int8)
+    got, failed_run, t = 0, 0, min(batch, cap)
+
+    def draw(rows):
+        return rng.permuted(np.broadcast_to(stubs, (rows, stubs.size)), axis=1)
+
+    while True:
+        state = rng.bit_generator.state
+        trials = draw(t)
+        ok = _simple_rows(trials, n)[:batch - got]
+        # rows that end a run of failed trials: each accepted row, and the
+        # block's end while graphs are still missing
+        ends = ok if ok.size == batch - got else np.append(ok, t)
+        starts = np.concatenate(([-failed_run - 1], ends[:-1]))
+        over = np.flatnonzero(ends - starts - 1 >= CONFIG_MODEL_RETRY_CAP)
+        if over.size:
+            rng.bit_generator.state = state
+            draw(int(starts[over[0]]) + CONFIG_MODEL_RETRY_CAP + 1)
+            raise SamplingError(
+                f"configuration model for n={n}, d={d} drew no simple graph "
+                f"in {CONFIG_MODEL_RETRY_CAP} trials"
+            )
+        rows = np.arange(got, got + ok.size)[:, None]
+        u, v = trials[ok, 0::2], trials[ok, 1::2]
+        a[rows, u, v] = 1
+        a[rows, v, u] = 1
+        got += ok.size
+        if got == batch:
+            if ok[-1] + 1 < t:
+                rng.bit_generator.state = state
+                draw(int(ok[-1]) + 1)
+            return a
+        failed_run = t - 1 - int(starts[-1])
+        t = min(2 * t, cap)
 
 
 def _draw_stack(spec: EnsembleSpec, batch: int, rng) -> np.ndarray:
     """`batch` graphs from the ensemble as a (batch, n, n) 0/1 int8 stack."""
-    if spec.kind not in ("uniform", "regular"):
-        return _sample_adjacency_batch(spec.probability_matrix(), batch, rng)
-    a = np.empty((batch, spec.n, spec.n), dtype=np.int8)
-    for i in range(batch):
-        if spec.kind == "uniform":
-            a[i] = _sample_uniform_m(spec.n, spec.m, rng)
-        else:
-            a[i] = _configuration_model(spec.n, spec.d, rng)
+    if spec.kind == "uniform":
+        return _uniform_stack(spec.n, spec.m, batch, rng)
     if spec.kind == "regular":
+        a = _regular_stack(spec.n, spec.d, batch, rng)
         assert (a.sum(axis=-1) == spec.d).all(), "regular sampler degree violation"
-    return a
+        return a
+    return _sample_adjacency_batch(spec.probability_matrix(), batch, rng)
 
 
 def _chunk_sizes(n, count, chunk):
@@ -277,6 +317,16 @@ def _norm_const(spec, h_list):
     return scale_anp(spec.n, p, dmax)
 
 
+def _wilson_interval(hits, n, z=1.96):
+    """Wilson score interval for a binomial proportion: about 95% coverage at
+    z = 1.96, with both ends inside [0, 1] at any hit count."""
+    p = hits / n
+    zz = z * z / n
+    center = (p + zz / 2) / (1 + zz)
+    half = z * math.sqrt(p * (1 - p) / n + zz / (4 * n)) / (1 + zz)
+    return center - half, center + half
+
+
 def _worker_counts(num_samples, workers):
     base = num_samples // workers
     out = [base] * workers
@@ -352,11 +402,11 @@ def mc_upper_tail(
             done += count
 
     point = hits / num_samples
-    se = math.sqrt(max(point * (1 - point), 0.0) / num_samples)
+    ci_low, ci_high = _wilson_interval(hits, num_samples)
     est = TailEstimate(
         point=point,
-        ci_low=point - 1.96 * se,
-        ci_high=point + 1.96 * se,
+        ci_low=ci_low,
+        ci_high=ci_high,
         samples=num_samples,
         hits=float(hits),
         method=f"direct_mc[{threshold}]",
@@ -396,6 +446,22 @@ def _empirical_hom_means(spec, h_list, num_samples, seed, workers, chunk):
             for i, h in enumerate(h_list):
                 sums[i] += batched_hom_normalized(h, a, p).sum()
     return sums / num_samples
+
+
+def _unshift(x, shift):
+    """x * e^shift: a mean of weights shifted by the largest log-weight, back
+    on the probability scale.  Past exp's range it is taken in log space and
+    capped at 1, which bounds every probability."""
+    if shift < 709.0:
+        return float(x * math.exp(shift))
+    return math.exp(min(math.log(x) + shift, 0.0)) if x > 0 else 0.0
+
+
+def _weighted_point(logw, hits):
+    """The importance estimate mean(e^logw * hits), shifted so that no weight
+    overflows or underflows."""
+    shift = logw.max()
+    return _unshift((np.exp(logw - shift) * hits).mean(), shift)
 
 
 def importance_tail(
@@ -453,9 +519,8 @@ def importance_tail(
             hit_parts.append(_hom_hits_for_batch(a, h_list, t_list, p))
             done += b
             if report_chunks and progress:
-                lw = np.concatenate(lw_parts)
-                ht = np.concatenate(hit_parts)
-                progress(progress_base + done, float(np.mean(np.exp(lw) * ht)))
+                progress(progress_base + done,
+                         _weighted_point(np.concatenate(lw_parts), np.concatenate(hit_parts)))
         return np.concatenate(lw_parts), np.concatenate(hit_parts)
 
     counts = _worker_counts(num_samples, workers)
@@ -470,9 +535,8 @@ def importance_tail(
                 parts.append(f.result())
                 done += count
                 if progress and count:
-                    lw = np.concatenate([pt[0] for pt in parts])
-                    ht = np.concatenate([pt[1] for pt in parts])
-                    progress(done, float(np.mean(np.exp(lw) * ht)))
+                    progress(done, _weighted_point(np.concatenate([pt[0] for pt in parts]),
+                                                   np.concatenate([pt[1] for pt in parts])))
     else:
         parts = [
             _one_worker(w, c, report_chunks=True, progress_base=0)
@@ -485,13 +549,12 @@ def importance_tail(
     contrib = wts * hits
     mean = contrib.mean()
     se = contrib.std(ddof=1) / math.sqrt(num_samples) if num_samples > 1 else 0.0
-    scale = math.exp(shift)
-    point = float(mean * scale)
+    point = _unshift(mean, shift)
     ess = float(wts.sum() ** 2 / (wts ** 2).sum()) if wts.sum() > 0 else 0.0
     est = TailEstimate(
         point=point,
-        ci_low=float((mean - 1.96 * se) * scale),
-        ci_high=float((mean + 1.96 * se) * scale),
+        ci_low=_unshift(mean - 1.96 * se, shift),
+        ci_high=_unshift(mean + 1.96 * se, shift),
         samples=num_samples,
         hits=ess,
         method="importance",

@@ -101,7 +101,7 @@ def _build_plan(h: Graph, pinned, batch_prefix):
     for a, b in h.edges:
         factors.append(((a, b), "W"))
     for v in range(h.vertex_count):
-        if deg[v] == 0 and v not in pinned:
+        if deg[v] == 0:  # pinned too: a removed edge can isolate a pin
             factors.append(((v,), "ONES"))
 
     def subscript(facs, sym, out_vars):
@@ -124,10 +124,11 @@ def _build_plan(h: Graph, pinned, batch_prefix):
         if out_vars:
             factors.append((out_vars, len(steps) - 1))
 
-    # with pins, the factors left over hold only pinned vertices
+    # with pins, the factors left over hold only pinned vertices, and every
+    # pin keeps at least one factor
     pins = tuple(sorted(pinned))
     final = None
-    if pins and factors:
+    if pins:
         sym = {u: letters[i] for i, u in enumerate(pins)}
         final = (subscript(factors, sym, pins), tuple(f[1] for f in factors))
     return steps, pins, final
@@ -175,8 +176,6 @@ def _dp_sum(h: Graph, w: np.ndarray, pinned=()):
 
     if not pins:
         return scalar
-    if final is None:
-        return scalar * np.ones(batch + (n,) * len(pins), dtype=w.dtype)
     return scalar * contract(*final)
 
 

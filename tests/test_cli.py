@@ -170,6 +170,26 @@ def test_check_every_pattern_family(pattern):
         check_schema(json.loads(proc.stdout), "check")
 
 
+SMOKE_COMMANDS = {
+    "rate": ["rate", "--delta", "1"],
+    "joint-rate": ["joint-rate", "--delta", "1"],
+    "solve": ["solve", "--t", "1.3", "--n", "12", "--p", "0.3"],
+    "tail-mc-uniform": ["tail-mc", "--model", "uniform", "--n", "12", "--m", "20",
+                        "--t", "1.0", "--samples", "50", "--seed", "1"],
+    "tail-mc-regular": ["tail-mc", "--model", "regular", "--n", "12", "--d", "4",
+                        "--t", "1.0", "--samples", "50", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("pattern", ["cycle:3", "clique:4", "star:3", "path:4",
+                                     "complete_bipartite:2:3"])
+@pytest.mark.parametrize("command", list(SMOKE_COMMANDS))
+def test_every_subcommand_every_pattern_family(command, pattern):
+    proc = run_cli(*SMOKE_COMMANDS[command], "--graph", pattern)
+    assert proc.returncode in (0, 1, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_check_schema_and_warning():
     proc = run_cli("check", "--graph", "cycle:3", "--n", "1000", "--p", "0.02")
     doc = json.loads(proc.stdout)

@@ -12,7 +12,7 @@ from uptail import ensembles as E
 from uptail import graphs as G
 from uptail import homs as H
 from uptail import rates as R
-from uptail.errors import DomainError
+from uptail.errors import DomainError, SamplingError
 
 K3 = G.clique(3)
 
@@ -66,6 +66,65 @@ def test_regular_five_cycle_uniform():
     assert len(counts) == 12
     _stat, pval = stats.chisquare(list(counts.values()))
     assert pval > 0.01
+
+
+def test_regular_six_three_uniform():
+    # the full support of 3-regular graphs on 6 labeled vertices has 70
+    # members; one 7000-graph stack spans several doubled trial blocks
+    a = E._draw_stack(E.regular(6, 3), 7000, E.rng_stream(17))
+    iu = np.triu_indices(6, 1)
+    counts = Counter(row.tobytes() for row in a[:, iu[0], iu[1]])
+    assert len(counts) == 70
+    _stat, pval = stats.chisquare(list(counts.values()))
+    assert pval > 0.01
+
+
+def _reference_stack(spec, batch, rng):
+    """The draw-by-draw loop: one `choice` per uniform graph, one
+    `permutation` per configuration-model trial."""
+    n = spec.n
+    iu = np.triu_indices(n, 1)
+    out = np.zeros((batch, n, n), dtype=np.int8)
+    for i in range(batch):
+        if spec.kind == "uniform":
+            pick = rng.choice(iu[0].size, size=spec.m, replace=False)
+            lo, hi = iu[0][pick], iu[1][pick]
+        else:
+            stubs = np.repeat(np.arange(n), spec.d)
+            while True:
+                u, v = rng.permutation(stubs).reshape(-1, 2).T
+                lo, hi = np.minimum(u, v), np.maximum(u, v)
+                if (u != v).all() and np.unique(lo * n + hi).size == lo.size:
+                    break
+        out[i, lo, hi] = 1
+        out[i, hi, lo] = 1
+    return out
+
+
+@pytest.mark.parametrize("spec", [E.uniform(40, 300), E.regular(40, 4),
+                                  E.regular(40, 5), E.regular(5, 2)],
+                         ids=["uniform-40-300", "regular-40-4", "regular-40-5",
+                              "regular-5-2"])
+@pytest.mark.parametrize("batch", [1, 3, 90])
+def test_stack_replays_draw_by_draw_stream(spec, batch):
+    rng, ref_rng = E.rng_stream(8, 1), E.rng_stream(8, 1)
+    stack = E._draw_stack(spec, batch, rng)
+    assert stack.dtype == np.int8
+    assert np.array_equal(stack, _reference_stack(spec, batch, ref_rng))
+    assert np.array_equal(rng.random(4), ref_rng.random(4))
+
+
+def test_regular_retry_budget(monkeypatch):
+    # at d = 6 nearly every trial fails, so a budget of 5 runs out on the
+    # first draw, after exactly 5 trials of the stream
+    monkeypatch.setattr(E, "CONFIG_MODEL_RETRY_CAP", 5)
+    rng, ref_rng = E.rng_stream(4), E.rng_stream(4)
+    with pytest.raises(SamplingError, match=r"n=40, d=6 .* in 5 trials"):
+        E._draw_stack(E.regular(40, 6), 3, rng)
+    stubs = np.repeat(np.arange(40), 6)
+    for _ in range(5):
+        ref_rng.permutation(stubs)
+    assert np.array_equal(rng.random(4), ref_rng.random(4))
 
 
 def test_uniform_pair_marginals():
@@ -123,6 +182,20 @@ def test_mc_joint_at_mean():
 def test_mc_zero_hits_flag():
     est = E.mc_upper_tail(E.er(10, 0.1), [K3], [50.0], 300, seed=3)
     assert est.zero_hits and est.point == 0.0 and est.ci_high > 0
+
+
+def test_mc_wilson_interval(monkeypatch):
+    # one hit in 1000 samples: the Wald interval's lower end would be
+    # negative; the Wilson score interval stays above zero
+    monkeypatch.setattr(E, "_count_hits", lambda *a, **k: 1)
+    est = E.mc_upper_tail(E.er(10, 0.1), [K3], [5.0], 1000, seed=3)
+    n, z, p = 1000, 1.96, 0.001
+    center = (p + z * z / (2 * n)) / (1 + z * z / n)
+    half = z / (1 + z * z / n) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+    assert est.point == p and est.ci_low > 0
+    assert est.ci_low == pytest.approx(center - half, rel=1e-12)
+    assert est.ci_high == pytest.approx(center + half, rel=1e-12)
+    assert (est.ci_low, est.ci_high) == pytest.approx((1.765e-4, 5.643e-3), rel=1e-3)
 
 
 def test_mc_workers_deterministic_reduction():
@@ -184,6 +257,24 @@ def test_is_agrees_with_direct():
     weighted = E.importance_tail(E.er(n, p), tilt, [K3], [1.5], 10_000, seed=22)
     assert weighted.overlaps(direct)
     assert weighted.hits >= 100  # effective sample size
+
+
+def test_is_progress_survives_extreme_log_weights():
+    # a tilt of 1e-3 against a base of 0.9 puts every log-weight near -1800,
+    # where the unshifted weights underflow to zero
+    n = 40
+    tilt = np.full((n, n), 1e-3)
+    np.fill_diagonal(tilt, 0.0)
+    seen = []
+    est = E.importance_tail(E.er(n, 0.9), tilt, [G.clique(2)], [0.0], 600, seed=2,
+                            chunk=100, progress=lambda done, val: seen.append(val))
+    assert len(seen) == 6 and all(math.isfinite(v) for v in seen)
+    assert seen[-1] == est.point
+    # past +709 the unshifted weights overflow: the estimate caps at 1
+    logw, hits = np.array([800.0, -800.0, 0.0]), np.array([True, False, True])
+    assert E._weighted_point(logw, hits) == 1.0
+    logw, hits = np.array([-700.0, -750.0]), np.array([True, True])
+    assert E._weighted_point(logw, hits) == pytest.approx(math.exp(-700) / 2, rel=1e-12)
 
 
 def test_is_rejects_mass_losing_tilt():

@@ -178,6 +178,33 @@ def test_gradient_finite_differences(h):
             assert abs(fd - grad[u, v]) <= 1e-5
 
 
+PENDANT = G.Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))   # triangle plus a pendant edge
+TWO_EDGES = G.Graph(4, ((0, 1), (2, 3)))
+
+
+@pytest.mark.parametrize(
+    "h", [G.parse_graph("star:3"), G.parse_graph("path:4"), PENDANT, TWO_EDGES],
+    ids=["star3", "path4", "pendant", "two-edges"],
+)
+def test_gradient_degree_one_vertices(h):
+    # removing an edge at a degree-1 vertex leaves that pinned vertex isolated
+    rng = np.random.default_rng(21)
+    n, eps = 6, 1e-6
+    x = _random_weight(rng, n, 0.05, 0.9)
+    grad = H.hom_gradient(h, x)
+    fd = np.zeros((n, n))
+    for u in range(n):
+        for v in range(u + 1, n):
+            xp, xm = x.copy(), x.copy()
+            xp[u, v] = xp[v, u] = x[u, v] + eps
+            xm[u, v] = xm[v, u] = x[u, v] - eps
+            fd[u, v] = fd[v, u] = (
+                H.hom_density_t(h, xp, engine="brute")
+                - H.hom_density_t(h, xm, engine="brute")
+            ) / (2 * eps)
+    assert np.allclose(grad, fd, rtol=0, atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # generalized Hoelder bound
 # ---------------------------------------------------------------------------
