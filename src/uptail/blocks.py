@@ -257,6 +257,39 @@ def build_clique_block(n: int, d: int, delta: float, h: Graph) -> BlockSpec:
     )
 
 
+def build_plant(n: int, p: float, x: float, y: float, delta: int) -> BlockSpec:
+    """Hub of round(x p^Delta n) rows fully joined to everything and a clique
+    block of round(y p^{Delta/2} n) vertices, planted on a constant-p
+    background.  Values are exact: Fraction(p) materializes back to p."""
+    s1 = round(x * p ** delta * n)
+    s2 = round(y * p ** (delta / 2.0) * n)
+    if x > 0 and s1 < 1:
+        raise ConstructionError("hub size rounds to 0; x too small at this scale")
+    if y > 0 and s2 < 2:
+        raise ConstructionError("clique size rounds below 2; y too small at this scale")
+    if s1 + s2 >= n:
+        raise ConstructionError(f"planted size s={s1 + s2} >= n")
+    one, bg = Fraction(1), Fraction(p)
+    rows = ((s1, (one, one, one)), (s2, (one, one, bg)), (n - s1 - s2, (one, bg, bg)))
+    kept = [a for a, (size, _row) in enumerate(rows) if size]
+    return BlockSpec(
+        tuple(rows[a][0] for a in kept),
+        tuple(tuple(rows[a][1][b] for b in kept) for a in kept),
+    )
+
+
+def fill_total_weight(spec: BlockSpec, m) -> BlockSpec:
+    """Set every block value below 1 to the one q that makes the unordered
+    weight sum exactly m."""
+    ones = tuple(tuple(Fraction(v == 1) for v in row) for row in spec.values)
+    ones_pairs = BlockSpec(spec.sizes, ones).total_weight_exact()
+    n_e = spec.n * (spec.n - 1) // 2
+    q = _require_unit("q", Fraction(Fraction(m) - ones_pairs, n_e - ones_pairs))
+    return BlockSpec(spec.sizes, tuple(
+        tuple(v if v == 1 else q for v in row) for row in spec.values
+    ))
+
+
 def build_clique_hub(n: int, m: int, x: float, y: float, delta: int) -> BlockSpec:
     """Hub of size ~ x p^Delta n fully joined to everything, clique block of
     size ~ y p^{Delta/2} n, background q absorbing the total-weight residual
@@ -268,40 +301,7 @@ def build_clique_hub(n: int, m: int, x: float, y: float, delta: int) -> BlockSpe
     n_e = n * (n - 1) // 2
     if not (0 < m < n_e):
         raise DomainError("need 0 < m < n(n-1)/2")
-    p = m / n_e
-    s1 = round(x * p ** delta * n)
-    s = round(y * p ** (delta / 2.0) * n) + s1
-    if x > 0 and s1 < 1:
-        raise ConstructionError("hub size rounds to 0; x too small at this scale")
-    if y > 0 and s - s1 < 2:
-        raise ConstructionError("clique size rounds below 2; y too small at this scale")
-    if s >= n:
-        raise ConstructionError(f"planted size s={s} >= n")
-
-    ones_pairs = s * (s - 1) // 2 + s1 * (n - s)
-    q = Fraction(m - ones_pairs, n_e - ones_pairs)
-    _require_unit("q", q)
-
-    sizes = []
-    kinds = []  # "hub", "clique", "bg"
-    if s1 > 0:
-        sizes.append(s1)
-        kinds.append("hub")
-    if s - s1 > 0:
-        sizes.append(s - s1)
-        kinds.append("clique")
-    sizes.append(n - s)
-    kinds.append("bg")
-    k = len(sizes)
-    one, vals = Fraction(1), [[Fraction(0)] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            pair = {kinds[a], kinds[b]}
-            if pair <= {"hub", "clique"} or pair == {"hub", "bg"}:
-                vals[a][b] = one
-            elif kinds[a] == kinds[b] == "bg" or pair == {"clique", "bg"}:
-                vals[a][b] = q
-    return BlockSpec(tuple(sizes), tuple(tuple(row) for row in vals))
+    return fill_total_weight(build_plant(n, m / n_e, x, y, delta), m)
 
 
 def build_irregular_dreg(n: int, d: int, h: Graph, x: float) -> BlockSpec:

@@ -457,10 +457,16 @@ def _unshift(x, shift):
     return math.exp(min(math.log(x) + shift, 0.0)) if x > 0 else 0.0
 
 
+def _log_shift(logw):
+    """The largest log-weight, or 0 when every weight is 0 (log-weight -inf)."""
+    top = logw.max()
+    return top if top > -np.inf else 0.0
+
+
 def _weighted_point(logw, hits):
     """The importance estimate mean(e^logw * hits), shifted so that no weight
     overflows or underflows."""
-    shift = logw.max()
+    shift = _log_shift(logw)
     return _unshift((np.exp(logw - shift) * hits).mean(), shift)
 
 
@@ -502,8 +508,10 @@ def importance_tail(
         raise DomainError("tilt assigns zero mass where the base does not")
     p = spec.sparsity()
 
-    # log weight pieces; tilt entries of exactly 1 force the edge (log p term)
-    with np.errstate(divide="ignore"):
+    # log weight pieces; tilt entries of exactly 1 force the edge (log p term).
+    # Infinite or nan pieces belong to outcomes of base or tilt probability 0,
+    # so each sample sums only the terms it realized (0 * inf would be nan).
+    with np.errstate(divide="ignore", invalid="ignore"):
         lw_edge = np.log(bp) - np.log(tp)
         lw_noedge = np.log1p(-bp) - np.log1p(-tp)
     lw_noedge = np.where(tp >= 1.0, 0.0, lw_noedge)  # never sampled
@@ -515,7 +523,7 @@ def importance_tail(
         for b in _chunk_sizes(spec.n, count, chunk):
             a = _sample_adjacency_batch(tilt_m, b, rng)
             hit_pairs = a[:, iu[0], iu[1]] > 0
-            lw_parts.append(hit_pairs @ lw_edge + (~hit_pairs) @ lw_noedge)
+            lw_parts.append(np.where(hit_pairs, lw_edge, lw_noedge).sum(axis=1))
             hit_parts.append(_hom_hits_for_batch(a, h_list, t_list, p))
             done += b
             if report_chunks and progress:
@@ -544,7 +552,7 @@ def importance_tail(
         ]
     logw = np.concatenate([pt[0] for pt in parts])
     hits = np.concatenate([pt[1] for pt in parts])
-    shift = logw.max() if logw.size else 0.0
+    shift = _log_shift(logw)
     wts = np.exp(logw - shift)
     contrib = wts * hits
     mean = contrib.mean()

@@ -180,14 +180,10 @@ def _dp_sum(h: Graph, w: np.ndarray, pinned=()):
 
 
 def _hom_sum(h: Graph, w: np.ndarray, engine="auto"):
+    """The DP for engine "auto" or "dp"; the full-grid reference for "brute"."""
     if engine == "brute":
         return _brute_sum(h, w)
-    if engine == "dp":
-        return _dp_sum(h, w)
-    try:
-        return _dp_sum(h, w)
-    except ResourceError:
-        return _brute_sum(h, w)
+    return _dp_sum(h, w)
 
 
 # ---------------------------------------------------------------------------

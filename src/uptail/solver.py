@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import BlockSpec, build_clique_block, build_cycle_blocks
+from .blocks import (
+    BlockSpec,
+    build_clique_block,
+    build_cycle_blocks,
+    build_plant,
+    fill_total_weight,
+)
 from .errors import ConstructionError, DomainError, NumericError, ResourceError
 from .graphs import Graph
 from .homs import hom_gradient, hom_normalized
@@ -241,60 +247,53 @@ def ensemble_residual(x, constraint) -> float:
 # seeds
 # ---------------------------------------------------------------------------
 
-def _er_plant_seed(n, p, x_level, y_level, dmax):
-    """Hub + clique planted on a constant-p background (no weight repair)."""
-    s1 = round(x_level * p ** dmax * n)
-    s2 = round(y_level * p ** (dmax / 2.0) * n)
-    if s1 + s2 >= n or (s1 == 0 and s2 == 0):
-        raise ConstructionError("seed blocks round to nothing at this scale")
-    x = np.full((n, n), p)
-    if s1:
-        x[:s1, :] = 1.0
-        x[:, :s1] = 1.0
-    if s2:
-        x[s1:s1 + s2, s1:s1 + s2] = 1.0
-    np.fill_diagonal(x, 0.0)
-    return x
+def ladder(problem: SolveProblem, delta: float):
+    """The planted constructions at excess level delta, as (tag, BlockSpec)
+    pairs: degree-exact cycle or clique blocks under row sums; otherwise
+    hub, clique and both planted on the constant-p background, per pattern."""
+    n, p = problem.n, problem.hom_p()
+    kind = problem.ensemble[0] if problem.ensemble else None
+    out = []
+    for h, _t in problem.targets:
+        try:
+            if kind == "row_sums":
+                d = int(round(problem.ensemble[1]))
+                if h.max_degree() == 2:
+                    spec = build_cycle_blocks(n, d, delta, h.vertex_count)
+                elif h.is_regular():
+                    spec = build_clique_block(n, d, delta, h)
+                else:
+                    continue
+                # one tag for both: it names the seed in seed_provenance
+                out.append(("cycle_blocks", spec))
+                continue
+            xh = theta_root(h, delta)
+        except (ConstructionError, DomainError):
+            continue
+        plants = [("hub", xh, 0.0)]
+        if h.is_regular():
+            yc = delta ** (1.0 / h.vertex_count)
+            plants += [("clique", 0.0, yc), ("both", xh, yc)]
+        for tag, x, y in plants:
+            try:
+                out.append((f"plant_{tag}", build_plant(n, p, x, y, h.max_degree())))
+            except ConstructionError:
+                pass
+    return out
 
 
 def default_seeds(problem: SolveProblem):
-    """Constant base plus block constructions at an inflated-delta ladder."""
-    n = problem.n
-    p = problem.hom_p()
+    """Constant base plus the materialized ladder at inflated delta levels."""
     seeds = [("constant", problem.base_matrix())]
-    dmaxes = {h.max_degree() for h, _ in problem.targets}
-    dmax = min(dmaxes)
     tmax = max(t for _, t in problem.targets)
     if tmax <= 1:
         return seeds
-    kind = problem.ensemble[0] if problem.ensemble else None
     for mult in (1.0, 1.5, 2.0, 3.0, 5.0, 8.0):
-        delta = (tmax - 1.0) * mult
-        label = f"delta_x{mult:g}"
-        for h, _ in problem.targets:
-            try:
-                if kind == "row_sums":
-                    d = problem.ensemble[1]
-                    if h.max_degree() == 2:
-                        spec = build_cycle_blocks(n, int(round(d)), delta, h.vertex_count)
-                    elif h.is_regular():
-                        spec = build_clique_block(n, int(round(d)), delta, h)
-                    else:
-                        continue
-                    seeds.append((f"cycle_blocks_{label}", spec.materialize()))
-                else:
-                    xh = theta_root(h, delta)
-                    yc = delta ** (1.0 / h.vertex_count) if h.is_regular() else 0.0
-                    for (xl, yl, tag) in ((xh, 0.0, "hub"), (0.0, yc, "clique"), (xh, yc, "both")):
-                        try:
-                            seed = _er_plant_seed(n, p, xl, yl, h.max_degree())
-                        except ConstructionError:
-                            continue
-                        if kind == "total_weight":
-                            seed = _project_total_weight(seed, problem.ensemble[1])
-                        seeds.append((f"plant_{tag}_{label}", seed))
-            except (ConstructionError, DomainError):
-                continue
+        for tag, spec in ladder(problem, (tmax - 1.0) * mult):
+            x = spec.materialize()
+            if problem.ensemble and problem.ensemble[0] == "total_weight":
+                x = _project_total_weight(x, problem.ensemble[1])
+            seeds.append((f"{tag}_delta_x{mult:g}", x))
     # dedupe by fingerprint
     out, seen = [], set()
     for name, s in seeds:
@@ -421,52 +420,6 @@ def _normalize(problem, value):
 # block-parameterized solve (large n)
 # ---------------------------------------------------------------------------
 
-def _block_candidates(problem, delta):
-    """Construction-shaped BlockSpecs targeting excess level delta."""
-    from fractions import Fraction
-
-    n = problem.n
-    p = problem.hom_p()
-    kind = problem.ensemble[0] if problem.ensemble else None
-    out = []
-    for h, _t in problem.targets:
-        dmax = h.max_degree()
-        if kind == "row_sums":
-            d = int(round(problem.ensemble[1]))
-            try:
-                if dmax == 2:
-                    out.append(build_cycle_blocks(n, d, delta, h.vertex_count))
-                elif h.is_regular():
-                    out.append(build_clique_block(n, d, delta, h))
-            except (ConstructionError, DomainError):
-                pass
-            continue
-        if kind == "total_weight":
-            from .blocks import build_clique_hub
-
-            m = int(round(problem.ensemble[1]))
-            xh = theta_root(h, delta)
-            yc = delta ** (1.0 / h.vertex_count) if h.is_regular() else 0.0
-            for xl, yl in ((xh, 0.0), (0.0, yc), (xh, yc)):
-                try:
-                    out.append(build_clique_hub(n, m, xl, yl, dmax))
-                except (ConstructionError, DomainError):
-                    pass
-            continue
-        # unconstrained: hub rows / clique block on a constant-p background
-        pfr = Fraction(p).limit_denominator(10 ** 12)
-        one = Fraction(1)
-        xh = theta_root(h, delta)
-        s1 = round(xh * p ** dmax * n)
-        if s1 >= 1 and s1 < n:
-            out.append(BlockSpec((s1, n - s1), ((one, one), (one, pfr))))
-        if h.is_regular():
-            s2 = round(delta ** (1.0 / h.vertex_count) * p ** (dmax / 2.0) * n)
-            if s2 >= 2 and s2 < n:
-                out.append(BlockSpec((s2, n - s2), ((one, pfr), (pfr, pfr))))
-    return out
-
-
 def solve_phi_blocks(problem: SolveProblem) -> SolveResult:
     """Coordinate search over construction-shaped block matrices: scan the
     planted excess level on a coarse-to-fine ladder, keep the cheapest
@@ -477,6 +430,7 @@ def solve_phi_blocks(problem: SolveProblem) -> SolveResult:
     tmax = max(t for _, t in targets)
     if tmax <= 1.0:
         raise DomainError("block solve expects a target above 1")
+    kind, val = problem.ensemble or (None, None)
 
     def feasible(spec):
         return all(
@@ -492,7 +446,12 @@ def solve_phi_blocks(problem: SolveProblem) -> SolveResult:
     levels = [(tmax - 1.0) * m for m in (1.0, 1.25, 1.6, 2.0, 3.0, 5.0, 8.0)]
     for _round in range(3):
         for delta in levels:
-            for spec in _block_candidates(problem, delta):
+            for _tag, spec in ladder(problem, delta):
+                if kind == "total_weight":
+                    try:
+                        spec = fill_total_weight(spec, val)
+                    except ConstructionError:
+                        continue
                 evaluations += 1
                 if feasible(spec):
                     v = value(spec)
@@ -507,14 +466,12 @@ def solve_phi_blocks(problem: SolveProblem) -> SolveResult:
         raise ResourceError("no feasible block construction found on the ladder")
     v, spec, _delta = best
     residuals = [max(0.0, t - spec.hom_normalized(h, p)) for h, t in targets]
-    if problem.ensemble is None:
-        ens_res = 0.0
+    if kind == "row_sums":
+        ens_res = float(max(abs(rs - val) for rs in spec.row_sums_exact()))
+    elif kind == "total_weight":
+        ens_res = float(abs(spec.total_weight_exact() - val))
     else:
-        kind, val = problem.ensemble
-        if kind == "row_sums":
-            ens_res = float(max(abs(rs - val) for rs in spec.row_sums_exact()))
-        else:
-            ens_res = float(abs(spec.total_weight_exact() - val))
+        ens_res = 0.0
     return SolveResult(
         x=spec,
         value=v,

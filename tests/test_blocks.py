@@ -157,6 +157,24 @@ def test_clique_block_size_window():
 # clique + hub
 # ---------------------------------------------------------------------------
 
+def test_plant_materializes_exact_background():
+    # Fraction(p) is exact, so the planted spec materializes to p bit for bit
+    n, p, s1, s2 = 30, 0.3, 5, 13
+    spec = B.build_plant(n, p, x=2.0, y=1.5, delta=2)
+    assert spec.sizes == (s1, s2, n - s1 - s2)
+    x = np.full((n, n), p)
+    x[:s1, :] = x[:, :s1] = 1.0
+    x[s1:s1 + s2, s1:s1 + s2] = 1.0
+    np.fill_diagonal(x, 0.0)
+    assert np.array_equal(spec.materialize(), x)
+    with pytest.raises(ConstructionError, match="hub size"):
+        B.build_plant(n, p, x=0.1, y=0.0, delta=2)
+    with pytest.raises(ConstructionError, match="clique size"):
+        B.build_plant(n, p, x=0.0, y=0.1, delta=2)
+    with pytest.raises(ConstructionError, match=r"planted size s=\d+ >= n"):
+        B.build_clique_hub(n, 130, x=0.0, y=100.0, delta=2)
+
+
 def test_clique_hub_total_weight_exact():
     n = 5000
     m = round(0.1 * n * (n - 1) / 2)

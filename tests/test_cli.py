@@ -171,23 +171,81 @@ def test_check_every_pattern_family(pattern):
 
 
 SMOKE_COMMANDS = {
-    "rate": ["rate", "--delta", "1"],
-    "joint-rate": ["joint-rate", "--delta", "1"],
-    "solve": ["solve", "--t", "1.3", "--n", "12", "--p", "0.3"],
+    "rate": ["rate", "--delta", "1", "--graph", "{pattern}"],
+    "joint-rate": ["joint-rate", "--delta", "1", "--graph", "{pattern}"],
+    "solve": ["solve", "--t", "1.3", "--n", "12", "--p", "0.3", "--graph", "{pattern}"],
     "tail-mc-uniform": ["tail-mc", "--model", "uniform", "--n", "12", "--m", "20",
-                        "--t", "1.0", "--samples", "50", "--seed", "1"],
+                        "--t", "1.0", "--samples", "50", "--seed", "1",
+                        "--graph", "{pattern}"],
     "tail-mc-regular": ["tail-mc", "--model", "regular", "--n", "12", "--d", "4",
-                        "--t", "1.0", "--samples", "50", "--seed", "1"],
+                        "--t", "1.0", "--samples", "50", "--seed", "1",
+                        "--graph", "{pattern}"],
+    "hom-graph-file": ["hom", "--pattern", "{pattern}", "--graph-file", "{graph_file}"],
+    "hom-matrix-csv": ["hom", "--pattern", "{pattern}", "--matrix-csv", "{matrix_csv}",
+                       "--p", "0.3"],
+    "construct-clique-block": ["construct", "--type", "clique-block", "--n", "2000",
+                               "--d", "200", "--delta", "1.5", "--graph", "{pattern}"],
+    "construct-irregular-dreg": ["construct", "--type", "irregular-dreg", "--n", "2000",
+                                 "--d", "200", "--x", "0.5", "--graph", "{pattern}"],
+    "construct-clique-hub": ["construct", "--type", "clique-hub", "--n", "200",
+                             "--m", "2000", "--x", "0.5", "--y", "0.5", "--graph",
+                             "{pattern}"],
+    "tail-is": ["tail-is", "--model", "er", "--n", "12", "--p", "0.3", "--t", "1.0",
+                "--samples", "50", "--seed", "1", "--tilt-file", "{tilt_csv}",
+                "--graph", "{pattern}"],
 }
 
 
+@pytest.fixture(scope="module")
+def smoke_files(tmp_path_factory):
+    """A 6-vertex graph file, a 12 x 12 weight matrix and a 12 x 12 tilt."""
+    root = tmp_path_factory.mktemp("smoke")
+    k6 = "".join(f"{u} {v}\n" for u in range(6) for v in range(u + 1, 6))
+    (root / "k6.txt").write_text(k6)
+    x = np.full((12, 12), 0.3)
+    np.fill_diagonal(x, 0.0)
+    np.savetxt(root / "x.csv", x, delimiter=",")
+    x[:4, :4] = 0.8
+    np.fill_diagonal(x, 0.0)
+    np.savetxt(root / "tilt.csv", x, delimiter=",")
+    return {"graph_file": root / "k6.txt", "matrix_csv": root / "x.csv",
+            "tilt_csv": root / "tilt.csv"}
+
+
 @pytest.mark.parametrize("pattern", ["cycle:3", "clique:4", "star:3", "path:4",
-                                     "complete_bipartite:2:3"])
+                                     "complete_bipartite:2:3", "clique:7"])
 @pytest.mark.parametrize("command", list(SMOKE_COMMANDS))
-def test_every_subcommand_every_pattern_family(command, pattern):
-    proc = run_cli(*SMOKE_COMMANDS[command], "--graph", pattern)
+def test_every_subcommand_every_pattern_family(command, pattern, smoke_files):
+    argv = [a.format(pattern=pattern, **smoke_files) for a in SMOKE_COMMANDS[command]]
+    proc = run_cli(*argv)
     assert proc.returncode in (0, 1, 3), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+SAMPLE_MODELS = {
+    "er": ["--p", "0.3"],
+    "uniform": ["--m", "20"],
+    "regular": ["--d", "4"],
+    "block": ["--p", "0.3", "--alpha", "0.5,0.5", "--kernel", "[[1.0,0.5],[0.5,1.0]]"],
+    "planted": ["--tilt-file", "{tilt_csv}"],
+}
+
+
+@pytest.mark.parametrize("model", list(SAMPLE_MODELS))
+def test_sample_every_model(model, smoke_files):
+    argv = [a.format(**smoke_files) for a in SAMPLE_MODELS[model]]
+    proc = run_cli("sample", "--model", model, "--n", "12", "--seed", "1", *argv)
+    assert proc.returncode == 0, proc.stderr
+    check_schema(json.loads(proc.stdout), "sample")
+
+
+@pytest.mark.parametrize("source", ["graph-file", "matrix-csv"])
+def test_hom_past_width_cap_exits_3(source, smoke_files):
+    # clique:7 needs elimination width 6; no input falls back to another engine
+    path = smoke_files[source.replace("-", "_")]
+    proc = run_cli("hom", "--pattern", "clique:7", f"--{source}", str(path))
+    assert proc.returncode == 3
+    assert "width" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_check_schema_and_warning():

@@ -277,6 +277,24 @@ def test_is_progress_survives_extreme_log_weights():
     assert E._weighted_point(logw, hits) == pytest.approx(math.exp(-700) / 2, rel=1e-12)
 
 
+def test_is_block_base_with_zero_kernel_entries():
+    # base and tilt both 0 across the two blocks: those pairs never carry an
+    # edge, and their log-weight pieces must not reach any sample's weight
+    spec = E.block_model(12, R.BlockModelParams((0.5, 0.5), ((1.0, 0.0), (0.0, 1.0)), 0.4))
+    tilt = spec.probability_matrix()
+    direct = E.mc_upper_tail(spec, [K3], [0.1], 200, seed=1)
+    weighted = E.importance_tail(spec, tilt, [K3], [0.1], 200, seed=1)
+    assert direct.point > 0.5
+    assert weighted.point == pytest.approx(direct.point, abs=1e-12)
+    # forcing a cross-block edge gives every sample base probability 0
+    tilt[0, 11] = tilt[11, 0] = 1.0
+    seen = []
+    forced = E.importance_tail(spec, tilt, [K3], [0.1], 200, seed=1, chunk=50,
+                               progress=lambda done, val: seen.append(val))
+    assert forced.point == 0.0 and forced.hits == 0.0
+    assert seen == [0.0] * 4
+
+
 def test_is_rejects_mass_losing_tilt():
     n, p = 10, 0.3
     tilt = np.full((n, n), p)

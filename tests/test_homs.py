@@ -5,7 +5,7 @@ import pytest
 
 from uptail import graphs as G
 from uptail import homs as H
-from uptail.errors import DomainError
+from uptail.errors import DomainError, ResourceError
 
 K3, C4, K4 = G.clique(3), G.cycle(4), G.clique(4)
 
@@ -41,6 +41,14 @@ def test_hom_count_examples():
 def test_hom_count_single_vertex():
     g = _random_graph(np.random.default_rng(0), 6)
     assert H.hom_count(G.Graph(1, ()), g) == 6
+
+
+def test_auto_engine_reports_width_cap():
+    # "auto" runs the DP and reports its cap; only "brute" runs the full grid
+    k6 = G.clique(6)
+    with pytest.raises(ResourceError, match="width"):
+        H.hom_count(G.clique(7), k6)
+    assert H.hom_count(G.clique(7), k6, engine="brute") == 0
 
 
 def test_trace_identity_cycles():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from uptail import blocks as B
+from uptail import ensembles as E
 from uptail import graphs as G
 from uptail import rates as R
 from uptail import solver as S
@@ -212,6 +214,39 @@ def test_block_solve_threads_consistent():
     b = S.solve_phi(prob, threads=4)
     assert a.value == pytest.approx(b.value, rel=1e-12)
     assert a.seed_provenance == b.seed_provenance
+
+
+@pytest.mark.parametrize("delta", [0.3, 1.5, 2.4])
+def test_ladder_specs_are_exact_members(delta):
+    # every construction the ladder plants meets its ensemble with zero
+    # deviation: row sums as built, total weight after fill_total_weight
+    n, d = 2000, 200
+    hs = (K3, G.clique(4), G.cycle(5), G.star(3))
+    rows = S.SolveProblem(targets=tuple((h, 2.0) for h in hs), n=n, base=d / n,
+                          ensemble=("row_sums", d))
+    specs = [spec for _tag, spec in S.ladder(rows, delta)]
+    assert specs
+    for spec in specs:
+        assert B.validate_membership(spec, E.regular(n, d)).deviation == 0.0
+    m = n * d // 2
+    total = S.SolveProblem(targets=tuple((h, 2.0) for h in hs), n=n,
+                           base=m / (n * (n - 1) / 2), ensemble=("total_weight", m))
+    tags = [tag for tag, _spec in S.ladder(total, delta)]
+    assert {"plant_hub", "plant_clique", "plant_both"} <= set(tags)
+    for _tag, spec in S.ladder(total, delta):
+        filled = B.fill_total_weight(spec, m)
+        assert B.validate_membership(filled, E.uniform(n, m)).deviation == 0.0
+
+
+@pytest.mark.parametrize("ensemble", [None, ("row_sums", 18)])
+def test_dense_never_worse_than_block(ensemble):
+    # the dense solve starts from the materialized ladder, so it can only
+    # improve on the block search over the same constructions
+    n = 40 if ensemble is None else 60
+    prob = S.SolveProblem(targets=((K3, 1.3),), n=n, base=0.3, ensemble=ensemble)
+    dense = S.solve_phi(prob)
+    block = S.solve_phi_blocks(prob)
+    assert dense.value <= block.value * (1 + 1e-9)
 
 
 # ---------------------------------------------------------------------------
