@@ -284,6 +284,12 @@ def fill_total_weight(spec: BlockSpec, m) -> BlockSpec:
     ones = tuple(tuple(Fraction(v == 1) for v in row) for row in spec.values)
     ones_pairs = BlockSpec(spec.sizes, ones).total_weight_exact()
     n_e = spec.n * (spec.n - 1) // 2
+    if ones_pairs == n_e:
+        if m != n_e:
+            raise ConstructionError(
+                f"planted blocks cover all {n_e} pairs, so the weight cannot be {m}"
+            )
+        return spec
     q = _require_unit("q", Fraction(Fraction(m) - ones_pairs, n_e - ones_pairs))
     return BlockSpec(spec.sizes, tuple(
         tuple(v if v == 1 else q for v in row) for row in spec.values

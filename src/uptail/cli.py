@@ -239,16 +239,16 @@ def cmd_solve(args):
         budget=args.budget,
         hom_scale=hom_scale,
     )
+    if args.matrix_out and args.n > 2000:
+        raise ResourceError("matrix CSV output capped at n = 2000")
     if args.n > solver.DENSE_N_CAP:
         result = solver.solve_phi_blocks(problem)
         doc = result.to_json()
         doc["blockspec"] = result.x.to_json()
         return doc
-    result = solver.solve_phi(problem, threads=args.threads)
+    result = solver.solve_phi(problem)
     doc = result.to_json()
     if args.matrix_out:
-        if args.n > 2000:
-            raise ResourceError("matrix CSV output capped at n = 2000")
         np.savetxt(args.matrix_out, result.x, delimiter=",", fmt="%.17g")
         doc["matrix_out"] = args.matrix_out
     return doc
@@ -352,10 +352,6 @@ def build_parser():
     ap.add_argument("--format", choices=("json", "csv", "human"), default="json")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
-
     p = sub.add_parser("hom", help="homomorphism counts and densities")
     p.add_argument("--pattern", required=True)
     p.add_argument("--graph")
@@ -409,7 +405,7 @@ def build_parser():
     p.add_argument("--kernel")
     p.add_argument("--budget", type=int, default=500)
     p.add_argument("--matrix-out")
-    common(p)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("sample", help="draw one graph from an ensemble")
@@ -422,7 +418,7 @@ def build_parser():
     p.add_argument("--alpha")
     p.add_argument("--kernel")
     p.add_argument("--tilt-file")
-    common(p)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("tail-mc", help="direct Monte Carlo tail estimate")
@@ -437,7 +433,8 @@ def build_parser():
     p.add_argument("--t", type=float, action="append", required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--threshold", choices=("analytic", "empirical"), default="analytic")
-    common(p)
+    p.add_argument("--threads", type=int, default=1)  # Monte Carlo workers
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_tail_mc)
 
     p = sub.add_parser("tail-is", help="importance-sampled tail estimate")
@@ -451,7 +448,8 @@ def build_parser():
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--tilt-file", required=True)
     p.add_argument("--tilt-blend", type=float, default=None)
-    common(p)
+    p.add_argument("--threads", type=int, default=1)  # Monte Carlo workers
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_tail_is)
 
     p = sub.add_parser("check", help="advisory sparsity-range check")

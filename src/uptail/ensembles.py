@@ -8,11 +8,14 @@ that consume the stream exactly as drawing one graph after another would
 (one `choice` per uniform graph; blocks of configuration-model trials whose
 rows replay `permutation` calls).  Monte Carlo counts hits on these stacks
 with the batched hom and reports a Wilson score interval; `sample` is row 0
-of a one-graph stack.  An importance run with
-tilt == base consumes the stream identically to direct Monte Carlo.  Worker
-streams derive from (master_seed, worker_index) with a counter-based
-generator; reductions happen in worker order, making estimates reproducible
-for any thread count.
+of a one-graph stack.
+
+Direct Monte Carlo, its empirical-mean pass and importance sampling share
+one worker loop, `_run_workers`: worker w draws its share of the samples in
+chunks from the counter-based stream (master_seed, w), on a thread pool when
+there is more than one worker, and results reduce in (worker, chunk) order.
+So an estimate is reproducible for a fixed worker count, and an importance
+run with tilt == base consumes the stream identically to direct Monte Carlo.
 """
 
 from __future__ import annotations
@@ -328,10 +331,43 @@ def _wilson_interval(hits, n, z=1.96):
 
 
 def _worker_counts(num_samples, workers):
-    base = num_samples // workers
-    out = [base] * workers
-    for i in range(num_samples - base * workers):
-        out[i] += 1
+    """num_samples split into `workers` shares, the first ones larger by 1."""
+    if workers < 1:
+        raise DomainError("workers must be >= 1")
+    base, extra = divmod(num_samples, workers)
+    return [base + (w < extra) for w in range(workers)]
+
+
+def _run_workers(n, num_samples, seed, workers, chunk, score, report=None, stream=0):
+    """The Monte Carlo worker loop.  Worker w draws its share of num_samples
+    from rng_stream(seed, stream + w) in `_chunk_sizes` chunks, passing each
+    chunk size and the stream to score(b, rng).  Returns the chunk scores in
+    (worker, chunk) order; several workers run on a thread pool.
+    report(done, scores so far) follows every chunk of a single worker, or
+    every nonempty worker, in worker order."""
+    counts = _worker_counts(num_samples, workers)
+
+    def run(w, count, report_chunks=None):
+        rng = rng_stream(seed, stream + w)
+        scores, done = [], 0
+        for b in _chunk_sizes(n, count, chunk):
+            scores.append(score(b, rng))
+            done += b
+            if report_chunks:
+                report_chunks(done, scores)
+        return scores
+
+    if workers == 1:
+        return run(0, num_samples, report)
+    from concurrent.futures import ThreadPoolExecutor
+
+    out, done = [], 0
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for scores, count in zip(pool.map(run, range(workers), counts), counts):
+            out += scores
+            done += count
+            if report and count:
+                report(done, out)
     return out
 
 
@@ -376,31 +412,14 @@ def mc_upper_tail(
     elif threshold != "analytic":
         raise DomainError("threshold mode must be 'analytic' or 'empirical'")
 
-    counts = _worker_counts(num_samples, workers)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    def report(done, scores):
+        progress(done, sum(scores) / done)
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_count_hits, spec, h_list, thresholds, count,
-                            rng_stream(seed, w), p, chunk)
-                for w, count in enumerate(counts)
-            ]
-            hits, done = 0, 0
-            for f, count in zip(futures, counts):  # worker-order reduction
-                hits += f.result()
-                done += count
-                if progress and count:
-                    progress(done, hits / done)
-    else:
-        hits, done = 0, 0
-        for w, count in enumerate(counts):
-            hits += _count_hits(
-                spec, h_list, thresholds, count, rng_stream(seed, w), p, chunk,
-                progress=progress, progress_base=done, total_hits_before=hits,
-            )
-            done += count
-
+    hits = sum(_run_workers(
+        spec.n, num_samples, seed, workers, chunk,
+        lambda b, rng: _count_hits(spec, h_list, thresholds, b, rng, p),
+        report if progress else None,
+    ))
     point = hits / num_samples
     ci_low, ci_high = _wilson_interval(hits, num_samples)
     est = TailEstimate(
@@ -422,29 +441,24 @@ def mc_upper_tail(
     return est
 
 
-def _count_hits(spec, h_list, thresholds, count, rng, p, chunk,
-                progress=None, progress_base=0, total_hits_before=0):
-    hits = 0
-    done = 0
-    for b in _chunk_sizes(spec.n, count, chunk):
-        a = _draw_stack(spec, b, rng)
-        hits += int(_hom_hits_for_batch(a, h_list, thresholds, p).sum())
-        done += b
-        if progress:
-            total_done = progress_base + done
-            progress(total_done, (total_hits_before + hits) / total_done)
-    return hits
+def _count_hits(spec, h_list, thresholds, b, rng, p):
+    """Hits among `b` fresh draws from the ensemble."""
+    a = _draw_stack(spec, b, rng)
+    return int(_hom_hits_for_batch(a, h_list, thresholds, p).sum())
 
 
 def _empirical_hom_means(spec, h_list, num_samples, seed, workers, chunk):
-    sums = np.zeros(len(h_list))
     p = spec.sparsity()
-    for w, count in enumerate(_worker_counts(num_samples, workers)):
-        rng = rng_stream(seed, 10_000 + w)  # separate pass, separate streams
-        for b in _chunk_sizes(spec.n, count, chunk):
-            a = _draw_stack(spec, b, rng)
-            for i, h in enumerate(h_list):
-                sums[i] += batched_hom_normalized(h, a, p).sum()
+
+    def chunk_sums(b, rng):
+        a = _draw_stack(spec, b, rng)
+        return [batched_hom_normalized(h, a, p).sum() for h in h_list]
+
+    sums = np.zeros(len(h_list))
+    # a separate pass on separate streams; sums add in (worker, chunk) order
+    for s in _run_workers(spec.n, num_samples, seed, workers, chunk, chunk_sums,
+                          stream=10_000):
+        sums += s
     return sums / num_samples
 
 
@@ -516,42 +530,21 @@ def importance_tail(
         lw_noedge = np.log1p(-bp) - np.log1p(-tp)
     lw_noedge = np.where(tp >= 1.0, 0.0, lw_noedge)  # never sampled
 
-    def _one_worker(w, count, report_chunks=False, progress_base=0):
-        rng = rng_stream(seed, w)
-        lw_parts, hit_parts = [], []
-        done = 0
-        for b in _chunk_sizes(spec.n, count, chunk):
-            a = _sample_adjacency_batch(tilt_m, b, rng)
-            hit_pairs = a[:, iu[0], iu[1]] > 0
-            lw_parts.append(np.where(hit_pairs, lw_edge, lw_noedge).sum(axis=1))
-            hit_parts.append(_hom_hits_for_batch(a, h_list, t_list, p))
-            done += b
-            if report_chunks and progress:
-                progress(progress_base + done,
-                         _weighted_point(np.concatenate(lw_parts), np.concatenate(hit_parts)))
-        return np.concatenate(lw_parts), np.concatenate(hit_parts)
+    def score(b, rng):
+        a = _sample_adjacency_batch(tilt_m, b, rng)
+        hit_pairs = a[:, iu[0], iu[1]] > 0
+        return (np.where(hit_pairs, lw_edge, lw_noedge).sum(axis=1),
+                _hom_hits_for_batch(a, h_list, t_list, p))
 
-    counts = _worker_counts(num_samples, workers)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    def stacked(scores):
+        return np.concatenate([s[0] for s in scores]), np.concatenate([s[1] for s in scores])
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_one_worker, w, c) for w, c in enumerate(counts)]
-            parts = []
-            done = 0
-            for f, count in zip(futures, counts):  # worker-order reduction
-                parts.append(f.result())
-                done += count
-                if progress and count:
-                    progress(done, _weighted_point(np.concatenate([pt[0] for pt in parts]),
-                                                   np.concatenate([pt[1] for pt in parts])))
-    else:
-        parts = [
-            _one_worker(w, c, report_chunks=True, progress_base=0)
-            for w, c in enumerate(counts)
-        ]
-    logw = np.concatenate([pt[0] for pt in parts])
-    hits = np.concatenate([pt[1] for pt in parts])
+    def report(done, scores):
+        progress(done, _weighted_point(*stacked(scores)))
+
+    logw, hits = stacked(_run_workers(
+        spec.n, num_samples, seed, workers, chunk, score, report if progress else None,
+    ))
     shift = _log_shift(logw)
     wts = np.exp(logw - shift)
     contrib = wts * hits

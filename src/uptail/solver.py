@@ -338,13 +338,13 @@ def _hom_grads(problem, x):
 DENSE_N_CAP = 2000
 
 
-def solve_phi(problem: SolveProblem, threads: int = 1) -> SolveResult:
+def solve_phi(problem: SolveProblem) -> SolveResult:
     """Multi-start augmented-Lagrangian solve; returns the best feasible
     point found (a certified upper bound on the infimum).
 
     Dense iterates cap at n = 2000; use solve_phi_blocks beyond that.
-    Multi-start seeds run independently (optionally on a thread pool) and
-    reduce by minimum value, deterministically."""
+    Multi-start seeds run one after another in seed order and reduce by
+    minimum value, the first seed winning ties."""
     n = problem.n
     if n > DENSE_N_CAP:
         raise ResourceError(
@@ -375,26 +375,19 @@ def solve_phi(problem: SolveProblem, threads: int = 1) -> SolveResult:
         mat = s.materialize() if isinstance(s, BlockSpec) else np.asarray(s, dtype=float)
         seed_list.append((f"user_{i}", mat))
 
-    best = None  # (value, x, name, iters)
+    best = None  # (value, x, name)
     total_iters = 0
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_al_single, problem, s, targets) for _n, s in seed_list]
-            candidates = [f.result() for f in futures]  # reduced in seed order
-    else:
-        candidates = [_al_single(problem, s, targets) for _n, s in seed_list]
-    for (name, _seed), cand in zip(seed_list, candidates):
-        total_iters += cand[3]
-        if cand[0] is not None and (best is None or cand[0] < best[0]):
-            best = (cand[0], cand[1], name, cand[3])
+    for name, seed in seed_list:
+        value, x, iters = _al_single(problem, seed, targets)
+        total_iters += iters
+        if value is not None and (best is None or value < best[0]):
+            best = (value, x, name)
 
     if best is None:
         raise ResourceError(
             "no feasible point found within budget from any seed"
         )
-    value, x, name, _ = best
+    value, x, name = best
     vals = _hom_vals(problem, x)
     return SolveResult(
         x=x,
@@ -424,7 +417,12 @@ def solve_phi_blocks(problem: SolveProblem) -> SolveResult:
     """Coordinate search over construction-shaped block matrices: scan the
     planted excess level on a coarse-to-fine ladder, keep the cheapest
     feasible candidate.  Entropy and homomorphism values use the exact
-    blockwise closed forms, so n can reach construction scale (10^5+)."""
+    blockwise closed forms, so n can reach construction scale (10^5+).
+    The constructions plant on a constant-p background, so a matrix base
+    (the block model) is refused rather than scored against the wrong p."""
+    if np.ndim(problem.base) > 0:
+        raise DomainError("block solve needs a scalar base p; a block-model base "
+                          f"is only solved densely, at n <= {DENSE_N_CAP}")
     targets = [(h, float(t)) for h, t in problem.targets]
     p = problem.hom_p()
     tmax = max(t for _, t in targets)
@@ -487,7 +485,7 @@ def solve_phi_blocks(problem: SolveProblem) -> SolveResult:
 
 
 def _al_single(problem, seed, targets):
-    """One augmented-Lagrangian run; returns (best_value, best_x, ok, iters)."""
+    """One augmented-Lagrangian run; returns (best_value, best_x, iters)."""
     feas_tol = problem.feasibility_tol
     x = project_ensemble(np.asarray(seed, dtype=float), problem.ensemble, strict=False)
     k = len(targets)
@@ -548,7 +546,7 @@ def _al_single(problem, seed, targets):
             )
             if res_new > feas_tol and res_new > 0.99 * res_old and val_stuck:
                 break
-    return best_val, best_x, best_val is not None, iters
+    return best_val, best_x, iters
 
 
 def _inner_pg(problem, x, targets, lam, rho, max_steps=60):

@@ -195,6 +195,17 @@ def test_clique_hub_degenerate_blocks():
         B.build_clique_hub(n, m, x=0.0, y=0.0, delta=2)
 
 
+def test_fill_total_weight_when_plant_covers_every_pair():
+    # a hub of n-1 rows leaves no pair below 1: only m = n(n-1)/2 is reachable
+    plant = B.build_plant(10, 40 / 45, 1.14, 0.0, 2)
+    assert plant.sizes == (9, 1) and plant.total_weight_exact() == 45
+    assert B.fill_total_weight(plant, 45) == plant
+    with pytest.raises(ConstructionError):
+        B.fill_total_weight(plant, 40)
+    with pytest.raises(ConstructionError):
+        B.build_clique_hub(10, 40, x=1.14, y=0.0, delta=2)
+
+
 def test_clique_hub_entropy_near_rate():
     n, p = 10_000, 0.05
     m = round(p * n * (n - 1) / 2)

@@ -190,10 +190,15 @@ SMOKE_COMMANDS = {
     "construct-clique-hub": ["construct", "--type", "clique-hub", "--n", "200",
                              "--m", "2000", "--x", "0.5", "--y", "0.5", "--graph",
                              "{pattern}"],
+    # a hub of 9 of the 10 vertices covers every pair: no weight is left to fill
+    "construct-clique-hub-all-pairs": ["construct", "--type", "clique-hub", "--n", "10",
+                                       "--m", "40", "--x", "1.14", "--y", "0",
+                                       "--dmax", "2", "--graph", "{pattern}"],
     "tail-is": ["tail-is", "--model", "er", "--n", "12", "--p", "0.3", "--t", "1.0",
                 "--samples", "50", "--seed", "1", "--tilt-file", "{tilt_csv}",
                 "--graph", "{pattern}"],
 }
+SMOKE_EXIT_CODES = {"construct-clique-hub-all-pairs": (1,)}
 
 
 @pytest.fixture(scope="module")
@@ -218,7 +223,7 @@ def smoke_files(tmp_path_factory):
 def test_every_subcommand_every_pattern_family(command, pattern, smoke_files):
     argv = [a.format(pattern=pattern, **smoke_files) for a in SMOKE_COMMANDS[command]]
     proc = run_cli(*argv)
-    assert proc.returncode in (0, 1, 3), proc.stderr
+    assert proc.returncode in SMOKE_EXIT_CODES.get(command, (0, 1, 3)), proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -337,6 +342,27 @@ def test_solve_large_n_block_path():
     assert "blockspec" in doc
 
 
+def test_block_model_solve_past_dense_cap_exits_1():
+    # the block search plants on a constant-p background, not the block base
+    proc = run_cli(
+        "solve", "--model", "block", "--n", "2001", "--alpha", "0.5,0.5",
+        "--kernel", "[[2,1],[1,0.5]]", "--p", "0.05", "--graph", "cycle:3", "--t", "1.5",
+    )
+    assert proc.returncode == 1
+    assert "scalar base" in proc.stderr and proc.stdout == ""
+
+
+def test_solve_matrix_out_past_cap_exits_3(tmp_path):
+    out = tmp_path / "x.csv"
+    proc = run_cli(
+        "solve", "--graph", "cycle:3", "--t", "2.0", "--n", "5000", "--p", "0.02",
+        "--matrix-out", str(out),
+    )
+    assert proc.returncode == 3
+    assert "matrix CSV output capped at n = 2000" in proc.stderr
+    assert not out.exists()
+
+
 def test_tail_mc_streams_progress():
     proc = run_cli(
         "tail-mc", "--model", "er", "--n", "10", "--p", "0.3",
@@ -354,6 +380,8 @@ def test_tail_mc_threads_flag():
     )
     a, b = run_cli(*args), run_cli(*args)
     assert a.returncode == 0 and a.stdout == b.stdout
+    zero = run_cli(*args[:-1], "0")
+    assert zero.returncode == 1 and "Traceback" not in zero.stderr
 
 
 def test_construct_missing_params_exit_code():

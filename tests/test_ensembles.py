@@ -199,9 +199,25 @@ def test_mc_wilson_interval(monkeypatch):
 
 
 def test_mc_workers_deterministic_reduction():
-    a = E.mc_upper_tail(E.er(12, 0.3), [K3], [1.3], 4000, seed=9, workers=1)
-    b = E.mc_upper_tail(E.er(12, 0.3), [K3], [1.3], 4000, seed=9, workers=1)
+    a = E.mc_upper_tail(E.er(12, 0.3), [K3], [1.3], 4000, seed=9, workers=3)
+    b = E.mc_upper_tail(E.er(12, 0.3), [K3], [1.3], 4000, seed=9, workers=3)
     assert a.point == b.point
+
+
+def test_progress_per_chunk_or_per_worker():
+    # one worker reports after every chunk, several after each worker in order;
+    # the last report is the final estimate
+    spec, n = E.er(12, 0.3), 300
+    for workers, dones in ((1, [64, 128, 192, 256, 300]), (3, [100, 200, 300])):
+        seen = []
+        est = E.mc_upper_tail(spec, [K3], [1.3], n, seed=9, workers=workers, chunk=64,
+                              progress=lambda done, val: seen.append((done, val)))
+        assert [d for d, _ in seen] == dones and seen[-1][1] == est.point
+        seen = []
+        est = E.importance_tail(spec, spec.probability_matrix(), [K3], [1.3], n, seed=9,
+                                workers=workers, chunk=64,
+                                progress=lambda done, val: seen.append((done, val)))
+        assert [d for d, _ in seen] == dones and seen[-1][1] == est.point
 
 
 def test_mc_empirical_threshold_mode():
@@ -221,17 +237,21 @@ def test_mc_regular_base():
 ])
 def test_mc_fixed_count_matches_per_sample_loop(spec, thresholds):
     # the stack path must count the same hits as drawing one graph at a time
-    # from the same stream and evaluating each with the single-matrix hom
+    # from each worker's stream and evaluating each with the single-matrix hom;
+    # three workers run on the thread pool
     hs, samples, seed = [K3, G.cycle(4)], 300, 3
-    est = E.mc_upper_tail(spec, hs, thresholds, samples, seed=seed, chunk=64)
-    rng = E.rng_stream(seed)
     p = spec.sparsity()
-    hits = 0
-    for _ in range(samples):
-        a = E.sample(spec, rng).adjacency().astype(float)
-        hits += all(H.hom_normalized(h, a, p) >= t for h, t in zip(hs, thresholds))
-    assert 0 < hits < samples
-    assert est.hits == hits
+    for shares in ([300], [100, 100, 100]):
+        est = E.mc_upper_tail(spec, hs, thresholds, samples, seed=seed, chunk=64,
+                              workers=len(shares))
+        hits = 0
+        for w, share in enumerate(shares):
+            rng = E.rng_stream(seed, w)
+            for _ in range(share):
+                a = E.sample(spec, rng).adjacency().astype(float)
+                hits += all(H.hom_normalized(h, a, p) >= t for h, t in zip(hs, thresholds))
+        assert 0 < hits < samples
+        assert est.hits == hits
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +262,12 @@ def test_is_tilt_equals_base_reproduces_direct():
     n, p = 18, 0.35
     tilt = np.full((n, n), p)
     np.fill_diagonal(tilt, 0.0)
-    direct = E.mc_upper_tail(E.er(n, p), [K3], [1.5], 4000, seed=11)
-    weighted = E.importance_tail(E.er(n, p), tilt, [K3], [1.5], 4000, seed=11)
-    assert weighted.point == pytest.approx(direct.point, abs=1e-12)
-    assert weighted.hits == pytest.approx(4000, rel=1e-9)  # all weights one
+    for workers in (1, 2):
+        direct = E.mc_upper_tail(E.er(n, p), [K3], [1.5], 4000, seed=11, workers=workers)
+        weighted = E.importance_tail(E.er(n, p), tilt, [K3], [1.5], 4000, seed=11,
+                                     workers=workers)
+        assert weighted.point == pytest.approx(direct.point, abs=1e-12)
+        assert weighted.hits == pytest.approx(4000, rel=1e-9)  # all weights one
 
 
 def test_is_agrees_with_direct():
