@@ -32,7 +32,11 @@ def check_weight_matrix(x, tol=1e-9):
         raise DomainError("weight matrix must be square")
     if np.abs(np.diag(x)).max(initial=0.0) > tol:
         raise DomainError("weight matrix must have zero diagonal")
-    if not np.allclose(x, x.T, atol=tol, rtol=0):
+    with np.errstate(invalid="ignore"):
+        asym = np.abs(x - x.T).max(initial=0.0)
+    # inf - inf and NaN make `asym` NaN; those matrices take allclose's rule
+    # (non-finite entries are close only when equal), so messages stay as they were
+    if not asym <= tol and not np.allclose(x, x.T, atol=tol, rtol=0):
         raise DomainError("weight matrix must be symmetric")
     if x.min(initial=0.0) < -tol or x.max(initial=0.0) > 1 + tol:
         raise DomainError("weight matrix entries must lie in [0,1]")
@@ -87,6 +91,8 @@ def _build_plan(h: Graph, pinned, batch_prefix):
     length-n ones vector.  Every operand's subscript starts with
     `batch_prefix`: '' for a single matrix, '...' for a (..., n, n) stack
     (einsum parses an ellipsis more slowly, so single matrices skip it).
+    Each step also records its number of distinct indices, which picks its
+    einsum `optimize` setting.
     Cached per (pattern, pinned, prefix) so repeated evaluations skip all the
     plan building.
     """
@@ -108,7 +114,7 @@ def _build_plan(h: Graph, pinned, batch_prefix):
         sub = ",".join(batch_prefix + "".join(sym[u] for u in f[0]) for f in facs)
         return f"{sub}->{batch_prefix}" + "".join(sym[u] for u in out_vars)
 
-    steps = []  # (subscript, slots, out arity)
+    steps = []  # (subscript, slots, out arity, distinct indices)
     for v in order:
         if v in pinned:
             continue
@@ -120,7 +126,7 @@ def _build_plan(h: Graph, pinned, batch_prefix):
         out_vars = tuple(u for u in all_vars if u != v)
         sym = {u: letters[i] for i, u in enumerate(all_vars)}
         steps.append((subscript(touching, sym, out_vars),
-                      tuple(f[1] for f in touching), len(out_vars)))
+                      tuple(f[1] for f in touching), len(out_vars), len(all_vars)))
         if out_vars:
             factors.append((out_vars, len(steps) - 1))
 
@@ -130,7 +136,7 @@ def _build_plan(h: Graph, pinned, batch_prefix):
     final = None
     if pins:
         sym = {u: letters[i] for i, u in enumerate(pins)}
-        final = (subscript(factors, sym, pins), tuple(f[1] for f in factors))
+        final = (subscript(factors, sym, pins), tuple(f[1] for f in factors), len(pins))
     return steps, pins, final
 
 
@@ -158,18 +164,20 @@ def _dp_sum(h: Graph, w: np.ndarray, pinned=()):
     ones = np.ones(n, dtype=w.dtype)
     results = []
 
-    def contract(sub, slots):
+    def contract(sub, slots, indices):
         ops = [w if s == "W" else ones if s == "ONES" else results[s] for s in slots]
-        opt = bool(batch) or len(slots) > 2 or n >= 128
+        # one operand is a plain axis sum; a single matrix's step on at most 3
+        # indices (K4's `ab,ac,abc->bc`) runs faster unoptimized below n = 128
+        opt = len(slots) > 1 and (bool(batch) or indices > 3 or n >= 128)
         return np.einsum(sub, *ops, optimize=opt)
 
     scalar = w.dtype.type(1)
-    for sub, slots, out_arity in steps:
+    for sub, slots, out_arity, indices in steps:
         if graphs * n ** out_arity > DP_CELL_CAP:
             raise ResourceError(
                 f"DP intermediate of {graphs} x n^{out_arity} entries exceeds memory cap"
             )
-        merged = contract(sub, slots)
+        merged = contract(sub, slots, indices)
         results.append(merged)
         if out_arity == 0:
             scalar = scalar * merged
@@ -183,7 +191,72 @@ def _hom_sum(h: Graph, w: np.ndarray, engine="auto"):
     """The DP for engine "auto" or "dp"; the full-grid reference for "brute"."""
     if engine == "brute":
         return _brute_sum(h, w)
+    if engine not in ("auto", "dp"):
+        raise DomainError(f"unknown hom engine {engine!r}; expected auto, dp or brute")
     return _dp_sum(h, w)
+
+
+def _extends_to_automorphism(adj, deg, forced):
+    """Whether some automorphism of the pattern (neighbour sets `adj`,
+    degrees `deg`) extends the partial vertex map `forced`.
+
+    Backtracks over images in breadth-first order from the forced vertices,
+    pruning by degree and by adjacency to every vertex already mapped, and
+    stops at the first complete map.
+    """
+    v = len(adj)
+    order, i = list(forced), 0
+    while len(order) < v:
+        if i == len(order):  # a new component
+            order.append(min(set(range(v)) - set(order)))
+        order.extend(sorted(adj[order[i]] - set(order)))
+        i += 1
+
+    def candidates(u):
+        return iter((forced[u],) if u in forced else range(v))
+
+    image, used, tries = {}, set(), [candidates(order[0])]
+    while tries:
+        u = order[len(tries) - 1]
+        if u in image:
+            used.discard(image.pop(u))
+        for t in tries[-1]:
+            if (t not in used and deg[t] == deg[u]
+                    and all((w in adj[u]) == (s in adj[t]) for w, s in image.items())):
+                image[u] = t
+                used.add(t)
+                break
+        else:
+            tries.pop()
+            continue
+        if len(tries) == v:
+            return True
+        tries.append(candidates(order[len(tries)]))
+    return False
+
+
+_ORBIT_CACHE = {}
+
+
+def _edge_orbits(h: Graph):
+    """The edge orbits of Aut(h) as [(representative edge, orbit size)], in
+    order of each orbit's first edge.  Each remaining edge is compared with
+    the representative by searching for one automorphism that maps the
+    representative onto it; the group itself is never listed.  Cached per
+    pattern, keyed like `_PLAN_CACHE`."""
+    key = (h.vertex_count, h.edges)
+    orbits = _ORBIT_CACHE.get(key)
+    if orbits is None:
+        adj, deg = h.neighbors(), h.degrees()
+        orbits, rest = [], list(h.edges)
+        while rest:
+            (a, b), others = rest[0], rest[1:]
+            rest = [e for e in others if not any(
+                _extends_to_automorphism(adj, deg, {a: c, b: d}) for c, d in (e, e[::-1])
+            )]
+            orbits.append(((a, b), len(others) - len(rest) + 1))
+        _ORBIT_CACHE[key] = orbits
+    return orbits
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +303,22 @@ def cycle_hom_spectral(l: int, x, p: float) -> float:
 def hom_gradient(h: Graph, x, engine="auto") -> np.ndarray:
     """d t(h, X) / d x_uv, treating x_uv = x_vu as one variable.
 
-    For each pattern edge (a,b), sums the density of maps pinning
-    {phi(a), phi(b)} = {u, v}; symmetric with zero diagonal.
+    Sums, over pattern edges (a,b), the density of maps pinning
+    {phi(a), phi(b)} = {u, v}; symmetric with zero diagonal.  One pinned DP
+    pass runs per edge orbit of Aut(h), scaled by the orbit's size: an
+    automorphism carrying one edge onto another carries its pinned sum onto
+    the other's or its transpose.  Only the DP engine has a gradient.
     """
+    if engine not in ("auto", "dp"):
+        raise DomainError(f"hom_gradient runs only the DP engine (auto or dp), got {engine!r}")
     x = check_weight_matrix(x)
     n = x.shape[0]
     v = h.vertex_count
     grad = np.zeros((n, n))
-    for a, b in h.edges:
+    for (a, b), size in _edge_orbits(h):
         rest = Graph(v, tuple(e for e in h.edges if e != (a, b)))
         q = _dp_sum(rest, x, pinned=(a, b))
-        grad += q + q.T
+        grad += size * (q + q.T)
     np.fill_diagonal(grad, 0.0)
     return grad / float(n) ** v
 
@@ -254,7 +332,7 @@ def batched_hom_normalized(h: Graph, a_stack: np.ndarray, p: float) -> np.ndarra
         raise DomainError(f"p must be in (0,1), got {p}")
     b, n, _ = a_stack.shape
     steps = _get_plan(h, (), batched=True)[0]
-    per_graph = n ** max([2] + [arity for _sub, _slots, arity in steps])
+    per_graph = n ** max([2] + [arity for _sub, _slots, arity, _indices in steps])
     size = max(1, BATCH_CELLS // per_graph)
     counts = np.empty(b)
     for lo in range(0, b, size):

@@ -1,5 +1,9 @@
 """Homomorphism engine: counts, densities, spectral identity, gradient."""
 
+import re
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -211,6 +215,115 @@ def test_gradient_degree_one_vertices(h):
                 - H.hom_density_t(h, xm, engine="brute")
             ) / (2 * eps)
     assert np.allclose(grad, fd, rtol=0, atol=1e-9)
+
+
+ORBIT_PATTERNS = {
+    "path4": G.parse_graph("path:4"),
+    "star3": G.parse_graph("star:3"),
+    "pendant": PENDANT,
+    "K23": G.parse_graph("complete_bipartite:2:3"),
+    "K4": K4,
+    "C5": G.cycle(5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_PATTERNS))
+def test_orbit_gradient_equals_per_edge_sum(name):
+    # the orbit gradient against one pinned DP pass per pattern edge
+    h = ORBIT_PATTERNS[name]
+    rng = np.random.default_rng(5)
+    n, v = 9, h.vertex_count
+    x = _random_weight(rng, n, 0.05, 0.9)
+    per_edge = np.zeros((n, n))
+    for a, b in h.edges:
+        rest = G.Graph(v, tuple(e for e in h.edges if e != (a, b)))
+        q = H._dp_sum(rest, x, pinned=(a, b))
+        per_edge += q + q.T
+    np.fill_diagonal(per_edge, 0.0)
+    per_edge /= float(n) ** v
+    grad = H.hom_gradient(h, x)
+    assert np.abs(grad - per_edge).max() <= 1e-13 * np.abs(per_edge).max()
+
+
+def test_edge_orbits():
+    sizes = {
+        "K4": (K4, [6]),
+        "C5": (G.cycle(5), [5]),
+        "pendant": (PENDANT, [1, 2, 1]),
+        "path4": (G.parse_graph("path:4"), [2, 1]),
+        "K23": (G.parse_graph("complete_bipartite:2:3"), [6]),
+        "two-edges": (TWO_EDGES, [2]),
+        "path10": (G.parse_graph("path:10"), [2, 2, 2, 2, 1]),
+        "star9": (G.parse_graph("star:9"), [9]),
+    }
+    for name, (h, expect) in sizes.items():
+        H._ORBIT_CACHE.pop((h.vertex_count, h.edges), None)
+        start = time.perf_counter()
+        orbits = H._edge_orbits(h)
+        assert time.perf_counter() - start < 0.1, name
+        assert [size for _edge, size in orbits] == expect, name
+        assert all(edge in h.edges for edge, _size in orbits), name
+    assert H._edge_orbits(PENDANT)[1][0] == (0, 2)
+
+
+def test_engine_names_checked():
+    x = _random_weight(np.random.default_rng(6), 6)
+    g = _random_graph(np.random.default_rng(6), 6)
+    with pytest.raises(DomainError, match="unknown hom engine"):
+        H.hom_normalized(K3, x, 0.3, engine="brutte")
+    with pytest.raises(DomainError, match="unknown hom engine"):
+        H.hom_count(K3, g, engine="")
+    with pytest.raises(DomainError, match="unknown hom engine"):
+        H.hom_density_t(K3, x, engine="DP")
+    with pytest.raises(DomainError, match="only the DP engine"):
+        H.hom_gradient(K3, x, engine="brute")
+    with pytest.raises(DomainError, match="only the DP engine"):
+        H.hom_gradient(K3, x, engine="brutte")
+    assert np.array_equal(H.hom_gradient(K3, x, engine="dp"), H.hom_gradient(K3, x))
+    for engine in ("auto", "dp", "brute"):
+        assert H.hom_count(K3, g, engine=engine) == H.hom_count(K3, g)
+
+
+# ---------------------------------------------------------------------------
+# weight-matrix check
+# ---------------------------------------------------------------------------
+
+def test_check_weight_matrix_rejections():
+    base = _random_weight(np.random.default_rng(9), 5, 0.1, 0.9)
+
+    def with_entries(*cells):
+        x = base.copy()
+        for i, j, val in cells:
+            x[i, j] = val
+        return x
+
+    sym = "weight matrix must be symmetric"
+    diag = "weight matrix must have zero diagonal"
+    rng01 = "weight matrix entries must lie in [0,1]"
+    cases = [
+        (with_entries((0, 1, np.nan)), sym),
+        (with_entries((0, 1, np.nan), (1, 0, np.nan)), sym),
+        (with_entries((2, 2, np.nan)), sym),
+        (with_entries((0, 1, np.inf)), sym),
+        (with_entries((0, 1, np.inf), (1, 0, np.inf)), rng01),
+        (with_entries((0, 1, -np.inf), (1, 0, -np.inf)), rng01),
+        (with_entries((0, 1, np.inf), (1, 0, -np.inf)), sym),
+        (with_entries((3, 3, np.inf)), diag),
+        (with_entries((0, 1, base[0, 1] + 2e-9)), sym),
+        (with_entries((1, 1, 1e-6)), diag),
+        (with_entries((0, 1, 1.5), (1, 0, 1.5)), rng01),
+        (with_entries((0, 1, -0.1), (1, 0, -0.1)), rng01),
+        (np.zeros((3, 4)), "weight matrix must be square"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, message in cases:
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                H.check_weight_matrix(x)
+        # an asymmetry inside the tolerance passes
+        ok = with_entries((0, 1, base[0, 1] + 5e-10))
+        assert H.check_weight_matrix(ok) is not None
+        H.check_weight_matrix(np.zeros((0, 0)))
 
 
 # ---------------------------------------------------------------------------
