@@ -3,9 +3,11 @@
 Minimize half the relative entropy over symmetric [0,1] matrices with zero
 diagonal, subject to normalized homomorphism counts meeting their targets,
 optionally restricted to fixed total weight or fixed row sums.  Augmented
-Lagrangian outer loop, projected gradient inner loop, multi-start from the
-block constructions.  Results are certified upper bounds with witnesses;
-no global-optimality claim is made.
+Lagrangian outer loop; its inner loop is nonmonotone spectral projected
+gradient with Barzilai-Borwein steps (SPG2 of Birgin, Martinez & Raydan,
+SIAM J. Optim. 10, 2000); multi-start from the block constructions.
+Results are certified upper bounds with witnesses; no global-optimality
+claim is made.
 """
 
 from __future__ import annotations
@@ -49,8 +51,12 @@ class SolveProblem:
         for h, t in self.targets:
             if not isinstance(h, Graph):
                 raise DomainError("targets must pair Graph with a threshold")
+            if not math.isfinite(t):
+                raise DomainError(f"target must be finite, got {t}")
             if self.n < h.vertex_count:
                 raise DomainError("n must be at least the pattern order")
+        if self.budget < 0:
+            raise DomainError(f"budget must be >= 0, got {self.budget}")
         if self.ensemble is not None and self.ensemble[0] not in ("total_weight", "row_sums"):
             raise DomainError(f"unknown ensemble constraint {self.ensemble!r}")
         base_is_matrix = not (np.isscalar(self.base) or np.asarray(self.base).ndim == 0)
@@ -491,33 +497,36 @@ def _al_single(problem, seed, targets):
     k = len(targets)
     lam = np.zeros(k)
     rho = 10.0
+    step = 1.0  # spectral step, carried from one inner loop to the next
     best_val, best_x = None, None
     history = []
     iters = 0
 
-    def consider(xc):
+    def consider(xc, vals):
+        """Keep xc as the incumbent if it is feasible and cheaper; `vals` are
+        its hom values, taken again after an ensemble's strict projection."""
         nonlocal best_val, best_x
         if problem.ensemble is not None:
             try:  # certify the ensemble constraint tightly before accepting
                 xc = project_ensemble(xc, problem.ensemble, strict=True)
             except NumericError:
-                return _hom_vals(problem, xc)
-        vals = _hom_vals(problem, xc)
+                return
+            vals = _hom_vals(problem, xc)
         if all(v >= t - feas_tol for v, t in zip(vals, targets)):
             val = _entropy_value(xc, problem.base)
             if best_val is None or val < best_val:
                 best_val, best_x = val, xc.copy()
-        return vals
 
-    vals = consider(x)
+    vals = _hom_vals(problem, x)
+    consider(x, vals)
     prev_residual = float(np.max(np.maximum(targets - vals, 0.0)))
     res_history = [prev_residual]
 
     for outer in range(problem.budget):
         iters += 1
-        x, vals = _inner_pg(problem, x, targets, lam, rho)
+        x, vals, step = _inner_pg(problem, x, vals, targets, lam, rho, step)
         residual = float(np.max(np.maximum(targets - vals, 0.0)))
-        consider(x)
+        consider(x, vals)
         g = targets - vals
         lam = np.maximum(0.0, lam + rho * g)
         if residual > 0.7 * prev_residual and residual > feas_tol:
@@ -549,8 +558,17 @@ def _al_single(problem, seed, targets):
     return best_val, best_x, iters
 
 
-def _inner_pg(problem, x, targets, lam, rho, max_steps=60):
-    """Projected gradient with Armijo backtracking on the AL objective."""
+def _inner_pg(problem, x, vals, targets, lam, rho, step, max_steps=60):
+    """Nonmonotone spectral projected gradient (SPG2 of Birgin, Martinez &
+    Raydan, SIAM J. Optim. 10, 2000) on the AL objective at fixed (lam, rho).
+
+    `vals` are the hom values at x and `step` the Barzilai-Borwein step from
+    the previous call.  Each step projects once, d = P(x - step*g) - x, and
+    halves t along the feasible segment x + t*d until f falls below the
+    largest of the last 10 values by 1e-4 * t * g.d.  The loop stops once
+    -g.d is within f's roundoff, 1e-12 * (1 + |f|): no step along d could
+    then be seen to decrease f.  Returns (x, vals, step).
+    """
 
     def al_value(xc, vals):
         pen = np.maximum(0.0, lam / rho + (targets - vals))
@@ -558,31 +576,38 @@ def _inner_pg(problem, x, targets, lam, rho, max_steps=60):
             (pen ** 2 - (lam / rho) ** 2).sum()
         )
 
-    vals = _hom_vals(problem, x)
-    f = al_value(x, vals)
-    step = 1.0
-    for _ in range(max_steps):
+    def al_grad(xc, vals):
         mult = rho * np.maximum(0.0, lam / rho + (targets - vals))
-        grad = _entropy_grad(x, problem.base)
-        grads = _hom_grads(problem, x)
-        for m, gh in zip(mult, grads):
+        grad = _entropy_grad(xc, problem.base)
+        for m, gh in zip(mult, _hom_grads(problem, xc)):
             if m > 0:
                 grad = grad - m * gh
-        moved = False
+        return grad
+
+    f = al_value(x, vals)
+    recent = [f]
+    grad = al_grad(x, vals)
+    for _ in range(max_steps):
+        d = project_ensemble(x - step * grad, problem.ensemble, strict=False) - x
+        # both gradients are per unordered pair; each pair sits twice in d
+        slope = 0.5 * float((grad * d).sum())
+        if slope >= -1e-12 * (1.0 + abs(f)):
+            break
+        f_ref = max(recent[-10:])
+        t = 1.0
         for _bt in range(40):
-            xn = project_ensemble(x - step * grad, problem.ensemble, strict=False)
-            diff = xn - x
-            sq = float((diff * diff).sum())
-            if sq <= 1e-22 * x.size:
-                break
+            xn = x + t * d
             vals_n = _hom_vals(problem, xn)
             fn = al_value(xn, vals_n)
-            if fn <= f - 1e-4 * sq / max(step, 1e-12):
-                x, vals, f = xn, vals_n, fn
-                moved = True
-                step = min(step * 1.3, 1e3)
+            if fn <= f_ref + 1e-4 * t * slope:
                 break
-            step *= 0.5
-        if not moved:
+            t *= 0.5
+        else:
             break
-    return x, vals
+        grad_n = al_grad(xn, vals_n)
+        s, y = xn - x, grad_n - grad
+        sy = float((s * y).sum())
+        step = min(max(float((s * s).sum()) / sy, 1e-10), 1e3) if sy > 0 else 1e3
+        x, vals, f, grad = xn, vals_n, fn, grad_n
+        recent.append(f)
+    return x, vals, step

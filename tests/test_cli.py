@@ -16,13 +16,13 @@ REPO = Path(__file__).resolve().parent.parent
 SCHEMAS = REPO / "schemas"
 
 
-def run_cli(*argv, env_seed=None):
+def run_cli(*argv, env_seed=None, module="uptail.cli"):
     env = dict(os.environ)
     env.pop("UPTAIL_SEED", None)
     if env_seed is not None:
         env["UPTAIL_SEED"] = str(env_seed)
     proc = subprocess.run(
-        [sys.executable, "-m", "uptail.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -174,6 +174,12 @@ SMOKE_COMMANDS = {
     "rate": ["rate", "--delta", "1", "--graph", "{pattern}"],
     "joint-rate": ["joint-rate", "--delta", "1", "--graph", "{pattern}"],
     "solve": ["solve", "--t", "1.3", "--n", "12", "--p", "0.3", "--graph", "{pattern}"],
+    "solve-nan-target": ["solve", "--t", "nan", "--n", "12", "--p", "0.3",
+                         "--graph", "{pattern}"],
+    "solve-inf-target": ["solve", "--t", "inf", "--n", "12", "--p", "0.3",
+                         "--graph", "{pattern}"],
+    "solve-negative-budget": ["solve", "--t", "1.3", "--n", "12", "--p", "0.3",
+                              "--budget", "-3", "--graph", "{pattern}"],
     "tail-mc-uniform": ["tail-mc", "--model", "uniform", "--n", "12", "--m", "20",
                         "--t", "1.0", "--samples", "50", "--seed", "1",
                         "--graph", "{pattern}"],
@@ -198,7 +204,8 @@ SMOKE_COMMANDS = {
                 "--samples", "50", "--seed", "1", "--tilt-file", "{tilt_csv}",
                 "--graph", "{pattern}"],
 }
-SMOKE_EXIT_CODES = {"construct-clique-hub-all-pairs": (1,)}
+SMOKE_EXIT_CODES = {"construct-clique-hub-all-pairs": (1,), "solve-nan-target": (1,),
+                    "solve-inf-target": (1,), "solve-negative-budget": (1,)}
 
 
 @pytest.fixture(scope="module")
@@ -265,6 +272,13 @@ def test_exit_code_domain_error():
     proc = run_cli("rate", "--graph", "path:4", "--delta", "1", "--model", "regular")
     assert proc.returncode == 1
     assert "error" in proc.stderr
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = run_cli("rate", "--graph", "cycle:3", "--delta", "1", "--model", "er",
+                   module="uptail")
+    assert proc.returncode == 0, proc.stderr
+    check_schema(json.loads(proc.stdout), "rate")
 
 
 def test_exit_code_usage_error():

@@ -168,6 +168,11 @@ def test_problem_validation():
         S.SolveProblem(targets=((K3, 1.0),), n=2, base=0.3)
     with pytest.raises(DomainError):
         S.SolveProblem(targets=((K3, 1.0),), n=10, base=0.3, ensemble=("bogus", 1))
+    for t in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError, match="finite"):
+            S.SolveProblem(targets=((K3, t),), n=10, base=0.3)
+    with pytest.raises(DomainError, match="budget"):
+        S.SolveProblem(targets=((K3, 1.3),), n=10, base=0.3, budget=-3)
 
 
 def test_block_model_base_with_hom_scale():
@@ -241,6 +246,70 @@ def test_dense_never_worse_than_block(ensemble):
     dense = S.solve_phi(prob)
     block = S.solve_phi_blocks(prob)
     assert dense.value <= block.value * (1 + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# inner loop: spectral projected gradient
+# ---------------------------------------------------------------------------
+
+def _record_calls(monkeypatch, name, seen=None):
+    """Wrap solver.<name>; the list gets seen(x), or None, per call."""
+    calls = []
+    inner = getattr(S, name)
+
+    def counted(problem, x):
+        calls.append(None if seen is None else seen(x))
+        return inner(problem, x)
+
+    monkeypatch.setattr(S, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("h, n, ensemble", [
+    (K3, 30, None),
+    (K3, 30, ("total_weight", 130)),
+    (G.clique(4), 20, None),
+])
+def test_about_one_hom_value_per_gradient(monkeypatch, h, n, ensemble):
+    # spectral steps are mostly accepted at t = 1, so each gradient is
+    # followed by about one trial point; trial-and-halve stepping spent
+    # 2.3-9.1 hom values per gradient on these problems
+    base = 130 / 435 if ensemble else 0.3
+    vals = _record_calls(monkeypatch, "_hom_vals")
+    grads = _record_calls(monkeypatch, "_hom_grads")
+    S.solve_phi(S.SolveProblem(targets=((h, 1.3),), n=n, base=base, ensemble=ensemble))
+    assert grads
+    assert len(vals) <= 1.5 * len(grads)
+
+
+def test_inner_loop_stops_at_its_own_fixed_point(monkeypatch):
+    # once the directional derivative is below f's roundoff, a call returns
+    # without searching along a step that cannot decrease f
+    h, n = G.clique(4), 20
+    prob = S.SolveProblem(targets=((h, 1.3),), n=n, base=0.3)
+    targets = np.array([1.3])
+    lam, rho = np.array([10.0]), 10.0
+    x = prob.base_matrix()
+    vals, step = S._hom_vals(prob, x), 1.0
+    calls = _record_calls(monkeypatch, "_hom_vals")
+    x, vals, step = S._inner_pg(prob, x, vals, targets, lam, rho, step, max_steps=2000)
+    assert len(calls) < 100  # converged, not out of steps
+    calls.clear()
+    S._inner_pg(prob, x, vals, targets, lam, rho, step)
+    assert len(calls) <= 1
+
+
+def test_total_weight_iterates_stay_on_the_constraint(monkeypatch):
+    # a backtrack moves along the segment between two feasible points, so
+    # every point the solver evaluates keeps its total weight
+    n, m = 30, 130
+    residuals = _record_calls(
+        monkeypatch, "_hom_vals",
+        seen=lambda x: S.ensemble_residual(x, ("total_weight", m)))
+    S.solve_phi(S.SolveProblem(targets=((K3, 1.3),), n=n, base=m / 435,
+                               ensemble=("total_weight", m)))
+    assert residuals
+    assert max(residuals) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
