@@ -194,8 +194,8 @@ def build_cycle_blocks(n: int, d: int, delta: float, l: int) -> BlockSpec:
     border r and background q solving the row-sum equations exactly."""
     if l < 3:
         raise DomainError("cycle length must be >= 3")
-    if delta <= 0:
-        raise DomainError("delta must be > 0")
+    if not (math.isfinite(delta) and delta > 0):
+        raise DomainError(f"delta must be finite and > 0, got {delta}")
     if d < 2 or d >= n:
         raise DomainError("need 2 <= d < n")
     whole = math.floor(delta)
@@ -239,8 +239,8 @@ def build_clique_block(n: int, d: int, delta: float, h: Graph) -> BlockSpec:
     Delta-regular pattern with Delta >= 3, row sums exactly d."""
     if not (h.is_regular() and h.max_degree() >= 3):
         raise DomainError("pattern must be Delta-regular with Delta >= 3")
-    if delta <= 0:
-        raise DomainError("delta must be > 0")
+    if not (math.isfinite(delta) and delta > 0):
+        raise DomainError(f"delta must be finite and > 0, got {delta}")
     p = d / n
     s1 = round(delta ** (1.0 / h.vertex_count) * n * p ** (h.max_degree() / 2.0))
     if not (2 <= s1 <= d // 2):
@@ -365,6 +365,26 @@ class MembershipReport:
         }
 
 
+def ensemble_residual(x, constraint) -> float:
+    """Deviation of a matrix or BlockSpec from an ensemble constraint:
+    ("row_sums", d) gives the largest row-sum deviation, ("total_weight", m)
+    the deviation of the sum over i<j from m, None gives 0.  A BlockSpec is
+    measured exactly, in rational arithmetic."""
+    if constraint is None:
+        return 0.0
+    kind, val = constraint
+    exact = isinstance(x, BlockSpec)
+    if kind == "row_sums":
+        if exact:
+            return float(max(abs(rs - val) for rs in x.row_sums_exact()))
+        return float(np.abs(np.asarray(x, dtype=float).sum(axis=1) - val).max())
+    if kind == "total_weight":
+        if exact:
+            return float(abs(x.total_weight_exact() - val))
+        return abs(float(np.triu(np.asarray(x, dtype=float), 1).sum()) - val)
+    raise DomainError(f"unknown constraint {kind!r}")
+
+
 def validate_membership(x, ensemble) -> MembershipReport:
     """Check a matrix or BlockSpec against an ensemble's defining constraints.
 
@@ -374,29 +394,18 @@ def validate_membership(x, ensemble) -> MembershipReport:
     when the constraints hold identically.
     """
     kind = ensemble.kind
-    if kind == "regular":
-        d = ensemble.d
-        if isinstance(x, BlockSpec):
-            dev = max(abs(rs - d) for rs in x.row_sums_exact())
-            deviation = float(dev)
-        else:
-            xm = np.asarray(x, dtype=float)
-            deviation = float(np.abs(xm.sum(axis=1) - d).max())
-        return MembershipReport("regular", deviation, deviation <= 1e-9,
-                                f"target row sum {d}")
-    if kind == "uniform":
-        m = ensemble.m
-        if isinstance(x, BlockSpec):
-            deviation = float(abs(x.total_weight_exact() - m))
-        else:
-            xm = np.asarray(x, dtype=float)
-            deviation = abs(float(np.triu(xm, 1).sum()) - m)
-        return MembershipReport("uniform", deviation, deviation <= 1e-9,
-                                f"target total weight {m} over unordered pairs")
     if kind in ("er", "block", "planted"):
         xm = x.materialize() if isinstance(x, BlockSpec) else np.asarray(x, dtype=float)
         low, high = float(xm.min()), float(xm.max())
         deviation = max(0.0, -low) + max(0.0, high - 1.0)
         return MembershipReport(kind, deviation, deviation <= 1e-9,
                                 "entry-range check only")
-    raise DomainError(f"unknown ensemble kind {kind!r}")
+    if kind == "regular":
+        constraint, detail = ("row_sums", ensemble.d), f"target row sum {ensemble.d}"
+    elif kind == "uniform":
+        constraint = ("total_weight", ensemble.m)
+        detail = f"target total weight {ensemble.m} over unordered pairs"
+    else:
+        raise DomainError(f"unknown ensemble kind {kind!r}")
+    deviation = ensemble_residual(x, constraint)
+    return MembershipReport(kind, deviation, deviation <= 1e-9, detail)

@@ -309,6 +309,8 @@ def cmd_check(args):
     """Advisory sparsity-range check; warns (never blocks) when outside."""
     h = _load_graph(args.graph)
     n, p = args.n, args.p
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     core, _ = graphs.two_core(h)
     used = core if core.vertex_count else h
     deg = used.degrees()
@@ -405,7 +407,6 @@ def build_parser():
     p.add_argument("--kernel")
     p.add_argument("--budget", type=int, default=500)
     p.add_argument("--matrix-out")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("sample", help="draw one graph from an ensemble")

@@ -379,6 +379,14 @@ def _hom_hits_for_batch(a_batch, h_list, t_list, p):
     return hits
 
 
+def _finite_thresholds(t_list):
+    t_list = [float(t) for t in t_list]
+    for t in t_list:
+        if not math.isfinite(t):
+            raise DomainError(f"threshold must be finite, got {t}")
+    return t_list
+
+
 def mc_upper_tail(
     spec: EnsembleSpec,
     h_list,
@@ -400,7 +408,7 @@ def mc_upper_tail(
     if num_samples < 1:
         raise DomainError("num_samples must be >= 1")
     h_list = list(h_list)
-    t_list = [float(t) for t in t_list]
+    t_list = _finite_thresholds(t_list)
     if len(h_list) != len(t_list):
         raise DomainError("need one threshold per pattern")
     p = spec.sparsity()
@@ -508,7 +516,7 @@ def importance_tail(
     if num_samples < 1:
         raise DomainError("num_samples must be >= 1")
     h_list = list(h_list)
-    t_list = [float(t) for t in t_list]
+    t_list = _finite_thresholds(t_list)
     base = spec.probability_matrix()
     tilt_m = (
         tilt.materialize() if isinstance(tilt, BlockSpec) else np.asarray(tilt, dtype=float)

@@ -171,10 +171,14 @@ def block_sizes(alpha, n: int):
 # theta and the closed forms
 # ---------------------------------------------------------------------------
 
+def _require_delta(delta):
+    if not (math.isfinite(delta) and delta >= 0):
+        raise DomainError(f"delta must be finite and >= 0, got {delta}")
+
+
 def theta_root(h: Graph, delta: float) -> float:
     """Unique positive root of P_{H*}(theta) = 1 + delta (bisection)."""
-    if delta < 0:
-        raise DomainError("delta must be >= 0")
+    _require_delta(delta)
     return theta_root_from_poly(independence_polynomial(h_star(h)), delta)
 
 
@@ -186,8 +190,7 @@ def c_er(h: Graph, delta: float) -> RateReport:
     """
     if not h.is_connected() or h.max_degree() < 2:
         raise DomainError("pattern must be connected with max degree >= 2")
-    if delta < 0:
-        raise DomainError("delta must be >= 0")
+    _require_delta(delta)
     if delta == 0:
         return RateReport(0.0, "hub", (0.0, 0.0))
     theta = theta_root(h, delta)
@@ -206,8 +209,7 @@ def c_reg(h: Graph, delta: float) -> RateReport:
         raise DomainError("pattern must be connected")
     if h.min_degree() < 2:
         raise DomainError("pattern has degree-1 vertices; reduce to its 2-core first")
-    if delta < 0:
-        raise DomainError("delta must be >= 0")
+    _require_delta(delta)
     if delta == 0:
         return RateReport(0.0, "hub", (0.0, 0.0))
     v = h.vertex_count
@@ -233,8 +235,8 @@ def _joint_setup(h_list, delta_list):
     for h in h_list:
         if not h.is_connected():
             raise DomainError("patterns must be connected")
-    if any(d < 0 for d in delta_list):
-        raise DomainError("deltas must be >= 0")
+    for d in delta_list:
+        _require_delta(d)
     # regular patterns first (reorder internally)
     order = sorted(range(len(h_list)), key=lambda i: not h_list[i].is_regular())
     entries = []

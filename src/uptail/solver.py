@@ -22,9 +22,10 @@ from .blocks import (
     build_clique_block,
     build_cycle_blocks,
     build_plant,
+    ensemble_residual,
     fill_total_weight,
 )
-from .errors import ConstructionError, DomainError, NumericError, ResourceError
+from .errors import ConstructionError, DomainError, ResourceError
 from .graphs import Graph
 from .homs import hom_gradient, hom_normalized
 from .rates import entropy_matrix, scale_anp, theta_root
@@ -166,7 +167,7 @@ def _shift_clip(vals, m):
     return clipped
 
 
-def _project_total_weight(x, m, tol=1e-10):
+def _project_total_weight(x, m):
     """Projection onto {sum_{i<j} x = m} within the box: shift and clip."""
     n = x.shape[0]
     iu = np.triu_indices(n, 1)
@@ -176,10 +177,7 @@ def _project_total_weight(x, m, tol=1e-10):
     clipped = _shift_clip(vals, m)
     out = np.zeros_like(x)
     out[iu] = clipped
-    out = out + out.T
-    if abs(np.triu(out, 1).sum() - m) > max(tol, 1e-9 * max(1.0, m)):
-        raise NumericError("total-weight projection did not converge")
-    return out
+    return out + out.T
 
 
 def _project_rows_affine(x, d):
@@ -193,17 +191,15 @@ def _project_rows_affine(x, d):
     return y
 
 
-def _project_row_sums(x, d, tol=1e-11, max_iter=5000, strict=True):
+def _project_row_sums(x, d, tol=1e-11, max_iter=5000):
     """Dykstra alternation between the box and the row-sum affine set.
 
-    strict=False returns the best clipped iterate without certifying the
-    row residual (cheap inexact projections for inner line searches).
+    Returns the box-clipped last iterate; the row residual is certified by
+    the caller, on the point it keeps.
     """
     n = x.shape[0]
     if not (0 < d <= n - 1):
         raise DomainError("row-sum target must be in (0, n-1]")
-    if not strict:
-        max_iter = min(max_iter, 400)
     y = x.copy()
     inc_box = np.zeros_like(y)
     inc_aff = np.zeros_like(y)
@@ -219,13 +215,10 @@ def _project_row_sums(x, d, tol=1e-11, max_iter=5000, strict=True):
             and np.abs(y.sum(axis=1) - d).max() < tol
         ):
             break
-    out = _box(y)
-    if strict and np.abs(out.sum(axis=1) - d).max() >= 1e-10:
-        raise NumericError("row-sum projection did not converge")
-    return out
+    return _box(y)
 
 
-def project_ensemble(x, constraint, strict=True):
+def project_ensemble(x, constraint):
     """Project onto the box intersected with the ensemble's affine set."""
     x = np.asarray(x, dtype=float)
     if constraint is None:
@@ -234,18 +227,7 @@ def project_ensemble(x, constraint, strict=True):
     if kind == "total_weight":
         return _project_total_weight(_box(x), val)
     if kind == "row_sums":
-        return _project_row_sums(x, val, strict=strict)
-    raise DomainError(f"unknown constraint {kind!r}")
-
-
-def ensemble_residual(x, constraint) -> float:
-    if constraint is None:
-        return 0.0
-    kind, val = constraint
-    if kind == "total_weight":
-        return abs(float(np.triu(x, 1).sum()) - val)
-    if kind == "row_sums":
-        return float(np.abs(x.sum(axis=1) - val).max())
+        return _project_row_sums(x, val)
     raise DomainError(f"unknown constraint {kind!r}")
 
 
@@ -296,10 +278,7 @@ def default_seeds(problem: SolveProblem):
         return seeds
     for mult in (1.0, 1.5, 2.0, 3.0, 5.0, 8.0):
         for tag, spec in ladder(problem, (tmax - 1.0) * mult):
-            x = spec.materialize()
-            if problem.ensemble and problem.ensemble[0] == "total_weight":
-                x = _project_total_weight(x, problem.ensemble[1])
-            seeds.append((f"{tag}_delta_x{mult:g}", x))
+            seeds.append((f"{tag}_delta_x{mult:g}", spec.materialize()))
     # dedupe by fingerprint
     out, seen = [], set()
     for name, s in seeds:
@@ -361,20 +340,9 @@ def solve_phi(problem: SolveProblem) -> SolveResult:
     if (targets <= 1.0).all():
         # constant base is the optimum up to the documented O(1/n) slack
         x0 = project_ensemble(problem.base_matrix(), problem.ensemble)
-        vals = _hom_vals(problem, x0)
-        res = [max(0.0, t - v) for t, v in zip(targets, vals)]
-        return SolveResult(
-            x=x0,
-            value=_entropy_value(x0, problem.base),
-            normalized=_normalize(problem, _entropy_value(x0, problem.base)),
-            residuals=res,
-            ensemble_residual=ensemble_residual(x0, problem.ensemble),
-            seed_provenance="constant",
-            iterations=0,
-            n=problem.n,
-            p=problem.hom_p(),
-            notes=["targets <= 1: constant base accepted with O(1/n) slack"],
-        )
+        return _result(problem, x0, _entropy_value(x0, problem.base),
+                       _hom_vals(problem, x0), "constant", 0,
+                       ["targets <= 1: constant base accepted with O(1/n) slack"])
 
     seed_list = list(default_seeds(problem))
     for i, s in enumerate(problem.seeds):
@@ -394,18 +362,23 @@ def solve_phi(problem: SolveProblem) -> SolveResult:
             "no feasible point found within budget from any seed"
         )
     value, x, name = best
-    vals = _hom_vals(problem, x)
+    return _result(problem, x, value, _hom_vals(problem, x), name, total_iters, [])
+
+
+def _result(problem, x, value, vals, provenance, iterations, notes):
+    """The SolveResult for witness x (a matrix or a BlockSpec) of entropy
+    value `value` and hom values `vals`."""
     return SolveResult(
         x=x,
         value=value,
         normalized=_normalize(problem, value),
-        residuals=[max(0.0, t - v) for t, v in zip(targets, vals)],
+        residuals=[max(0.0, t - v) for (_h, t), v in zip(problem.targets, vals)],
         ensemble_residual=ensemble_residual(x, problem.ensemble),
-        seed_provenance=name,
-        iterations=total_iters,
+        seed_provenance=provenance,
+        iterations=iterations,
         n=problem.n,
         p=problem.hom_p(),
-        notes=[],
+        notes=notes,
     )
 
 
@@ -469,31 +442,18 @@ def solve_phi_blocks(problem: SolveProblem) -> SolveResult:
     if best is None:
         raise ResourceError("no feasible block construction found on the ladder")
     v, spec, _delta = best
-    residuals = [max(0.0, t - spec.hom_normalized(h, p)) for h, t in targets]
-    if kind == "row_sums":
-        ens_res = float(max(abs(rs - val) for rs in spec.row_sums_exact()))
-    elif kind == "total_weight":
-        ens_res = float(abs(spec.total_weight_exact() - val))
-    else:
-        ens_res = 0.0
-    return SolveResult(
-        x=spec,
-        value=v,
-        normalized=_normalize(problem, v),
-        residuals=residuals,
-        ensemble_residual=ens_res,
-        seed_provenance="block_search",
-        iterations=evaluations,
-        n=problem.n,
-        p=problem.hom_p(),
-        notes=["block-parameterized search: witness is a BlockSpec"],
-    )
+    return _result(problem, spec, v, [spec.hom_normalized(h, p) for h, _t in targets],
+                   "block_search", evaluations,
+                   ["block-parameterized search: witness is a BlockSpec"])
 
 
 def _al_single(problem, seed, targets):
     """One augmented-Lagrangian run; returns (best_value, best_x, iters)."""
     feas_tol = problem.feasibility_tol
-    x = project_ensemble(np.asarray(seed, dtype=float), problem.ensemble, strict=False)
+    kind, bound = problem.ensemble or (None, 0.0)
+    # certificate tolerance on the ensemble residual of a kept point
+    ens_tol = max(1e-10, 1e-9 * max(1.0, bound)) if kind == "total_weight" else 1e-10
+    x = project_ensemble(np.asarray(seed, dtype=float), problem.ensemble)
     k = len(targets)
     lam = np.zeros(k)
     rho = 10.0
@@ -503,15 +463,11 @@ def _al_single(problem, seed, targets):
     iters = 0
 
     def consider(xc, vals):
-        """Keep xc as the incumbent if it is feasible and cheaper; `vals` are
-        its hom values, taken again after an ensemble's strict projection."""
+        """Keep xc as the incumbent if it is feasible, within ens_tol of the
+        ensemble's set and cheaper; `vals` are its hom values."""
         nonlocal best_val, best_x
-        if problem.ensemble is not None:
-            try:  # certify the ensemble constraint tightly before accepting
-                xc = project_ensemble(xc, problem.ensemble, strict=True)
-            except NumericError:
-                return
-            vals = _hom_vals(problem, xc)
+        if ensemble_residual(xc, problem.ensemble) > ens_tol:
+            return
         if all(v >= t - feas_tol for v, t in zip(vals, targets)):
             val = _entropy_value(xc, problem.base)
             if best_val is None or val < best_val:
@@ -588,7 +544,7 @@ def _inner_pg(problem, x, vals, targets, lam, rho, step, max_steps=60):
     recent = [f]
     grad = al_grad(x, vals)
     for _ in range(max_steps):
-        d = project_ensemble(x - step * grad, problem.ensemble, strict=False) - x
+        d = project_ensemble(x - step * grad, problem.ensemble) - x
         # both gradients are per unordered pair; each pair sits twice in d
         slope = 0.5 * float((grad * d).sum())
         if slope >= -1e-12 * (1.0 + abs(f)):

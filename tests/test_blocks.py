@@ -11,6 +11,7 @@ from uptail import ensembles as E
 from uptail import graphs as G
 from uptail import homs as H
 from uptail import rates as R
+from uptail import solver as S
 from uptail.errors import ConstructionError, DomainError
 
 K3, C3, K4 = G.clique(3), G.cycle(3), G.clique(4)
@@ -148,6 +149,14 @@ def test_clique_block_requires_regular_high_degree():
         B.build_clique_block(1000, 100, 1.0, DIAMOND)  # irregular
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0])
+def test_builders_need_finite_positive_delta(delta):
+    with pytest.raises(DomainError):
+        B.build_cycle_blocks(2000, 200, delta, 3)
+    with pytest.raises(DomainError):
+        B.build_clique_block(2000, 200, delta, K4)
+
+
 def test_clique_block_size_window():
     with pytest.raises(ConstructionError):
         B.build_clique_block(100, 30, 1.0, K4)  # s1 > d/2 at this scale
@@ -270,6 +279,44 @@ def test_validate_er_range_only():
     x = np.full((10, 10), 0.4)
     np.fill_diagonal(x, 0.0)
     assert B.validate_membership(x, E.er(10, 0.4)).passes
+
+
+def _ladder_specs():
+    """Every ladder spec of K3, K4 and C5 over a few excess levels, under row
+    sums and under total weight (raw, and filled to the exact weight)."""
+    out = []
+    for h in (K3, K4, G.cycle(5)):
+        rows = S.SolveProblem(((h, 1.3),), n=120, base=0.1, ensemble=("row_sums", 12))
+        total = S.SolveProblem(((h, 1.3),), n=30, base=130 / 435,
+                               ensemble=("total_weight", 130))
+        for delta in (0.3, 0.6, 1.5, 2.4):
+            out += [(spec, E.regular(120, 12)) for _t, spec in S.ladder(rows, delta)]
+            for _t, spec in S.ladder(total, delta):
+                out.append((spec, E.uniform(30, 130)))
+                try:
+                    out.append((B.fill_total_weight(spec, 130), E.uniform(30, 130)))
+                except ConstructionError:
+                    pass
+    return out
+
+
+def test_ensemble_residual_exact_on_every_ladder_spec():
+    specs = _ladder_specs()
+    assert {ens.kind for _spec, ens in specs} == {"regular", "uniform"}
+    assert any(B.ensemble_residual(spec, ("total_weight", 130)) > 1.0
+               for spec, ens in specs if ens.kind == "uniform")
+    for spec, ens in specs:
+        constraint = ("row_sums", ens.d) if ens.kind == "regular" else ("total_weight", ens.m)
+        exact = B.ensemble_residual(spec, constraint)
+        assert exact == pytest.approx(B.ensemble_residual(spec.materialize(), constraint),
+                                      abs=1e-9)
+        assert B.validate_membership(spec, ens).deviation == exact
+
+
+def test_ensemble_residual_rejects_unknown_constraint():
+    assert B.ensemble_residual(np.zeros((3, 3)), None) == 0.0
+    with pytest.raises(DomainError):
+        B.ensemble_residual(np.zeros((3, 3)), ("degree", 2))
 
 
 def test_entropy_trend_toward_constant():

@@ -203,9 +203,37 @@ SMOKE_COMMANDS = {
     "tail-is": ["tail-is", "--model", "er", "--n", "12", "--p", "0.3", "--t", "1.0",
                 "--samples", "50", "--seed", "1", "--tilt-file", "{tilt_csv}",
                 "--graph", "{pattern}"],
+    # non-finite deltas and thresholds, and n < 1: each exits 1 with a message
+    "rate-nan-delta": ["rate", "--delta", "nan", "--graph", "{pattern}"],
+    "rate-regular-inf-delta": ["rate", "--model", "regular", "--delta", "inf",
+                               "--graph", "{pattern}"],
+    "rate-regular-nan-delta": ["rate", "--model", "regular", "--delta", "nan",
+                               "--graph", "{pattern}"],
+    "joint-rate-nan-delta": ["joint-rate", "--graph", "{pattern}", "--graph", "star:2",
+                             "--delta", "nan", "--delta", "1"],
+    "construct-cycle-blocks-nan-delta": ["construct", "--type", "cycle-blocks", "--n",
+                                         "2000", "--d", "200", "--delta", "nan", "--l",
+                                         "3", "--graph", "{pattern}"],
+    "construct-clique-block-nan-delta": ["construct", "--type", "clique-block", "--n",
+                                         "2000", "--d", "200", "--delta", "nan",
+                                         "--graph", "{pattern}"],
+    "check-n-zero": ["check", "--n", "0", "--p", "0.05", "--graph", "{pattern}"],
+    "check-n-negative": ["check", "--n", "-3", "--p", "0.05", "--graph", "{pattern}"],
+    "tail-mc-nan-threshold": ["tail-mc", "--model", "er", "--n", "12", "--p", "0.3",
+                              "--t", "nan", "--samples", "50", "--seed", "1",
+                              "--graph", "{pattern}"],
+    "tail-is-nan-threshold": ["tail-is", "--model", "er", "--n", "12", "--p", "0.3",
+                              "--t", "nan", "--samples", "50", "--seed", "1",
+                              "--tilt-file", "{tilt_csv}", "--graph", "{pattern}"],
 }
-SMOKE_EXIT_CODES = {"construct-clique-hub-all-pairs": (1,), "solve-nan-target": (1,),
-                    "solve-inf-target": (1,), "solve-negative-budget": (1,)}
+SMOKE_EXIT_CODES = {
+    "construct-clique-hub-all-pairs": (1,), "solve-nan-target": (1,),
+    "solve-inf-target": (1,), "solve-negative-budget": (1,), "rate-nan-delta": (1,),
+    "rate-regular-inf-delta": (1,), "rate-regular-nan-delta": (1,),
+    "joint-rate-nan-delta": (1,), "construct-cycle-blocks-nan-delta": (1,),
+    "construct-clique-block-nan-delta": (1,), "check-n-zero": (1,),
+    "check-n-negative": (1,), "tail-mc-nan-threshold": (1,), "tail-is-nan-threshold": (1,),
+}
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +312,14 @@ def test_python_dash_m_runs_the_cli():
 def test_exit_code_usage_error():
     proc = run_cli("rate", "--graph", "cycle:3")  # missing --delta
     assert proc.returncode == 2
+
+
+def test_solve_takes_no_seed():
+    # solve_phi is deterministic: solve has no --seed, as it has no --threads
+    for flag in ("--seed", "--threads"):
+        proc = run_cli("solve", "--graph", "cycle:3", "--t", "1.3", "--n", "12",
+                       "--p", "0.3", flag, "1")
+        assert proc.returncode == 2 and "unrecognized arguments" in proc.stderr
 
 
 def test_exit_code_resource_error():

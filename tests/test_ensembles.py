@@ -34,6 +34,16 @@ def test_spec_validation():
     assert E.regular(10, 4).sparsity() == pytest.approx(0.4)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_tail_estimators_reject_nonfinite_thresholds(t):
+    spec = E.er(10, 0.3)
+    for mode in ("analytic", "empirical"):
+        with pytest.raises(DomainError):
+            E.mc_upper_tail(spec, [K3], [t], 20, threshold=mode)
+    with pytest.raises(DomainError):
+        E.importance_tail(spec, spec.probability_matrix(), [K3], [t], 20)
+
+
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------

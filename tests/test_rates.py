@@ -223,6 +223,15 @@ def test_c_joint_witness_feasible():
         assert all(s >= -1e-9 for s in slacks)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf])
+def test_nonfinite_delta_rejected(delta):
+    for fn in (lambda: R.theta_root(K3, delta), lambda: R.c_er(K3, delta),
+               lambda: R.c_reg(K3, delta), lambda: R.c_reg(G.clique(4), delta),
+               lambda: R.c_joint([K3, K12], [delta, 1.0])):
+        with pytest.raises(DomainError):
+            fn()
+
+
 def test_c_joint_rejects_mixed_degrees():
     with pytest.raises(DomainError):
         R.c_joint([K3, G.clique(4)], [1.0, 1.0])

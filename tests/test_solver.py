@@ -8,7 +8,7 @@ from uptail import ensembles as E
 from uptail import graphs as G
 from uptail import rates as R
 from uptail import solver as S
-from uptail.errors import DomainError
+from uptail.errors import DomainError, ResourceError
 
 K3 = G.clique(3)
 
@@ -339,3 +339,33 @@ def test_trend_window(trend_values):
     c = R.c_er(K3, 1.0).constant
     for v in trend_values:
         assert 0.8 * c <= v <= 2.5 * c
+
+
+@pytest.mark.parametrize("ensemble, shift, kept", [
+    (("row_sums", 9), 1e-12, True),         # row residual 2.9e-11 <= 1e-10
+    (("row_sums", 9), 1e-11, False),        # 2.9e-10
+    (("total_weight", 130), 1e-10, True),   # total residual 4.4e-8 <= 1.3e-7
+    (("total_weight", 130), 5e-10, False),  # 2.2e-7
+])
+def test_incumbents_kept_by_measured_residual(monkeypatch, ensemble, shift, kept):
+    # every projection lands `shift` above the set in each entry, and so does
+    # every point on a segment between two of them; the solver keeps a point
+    # only when its own residual is within tolerance, without projecting it
+    n = 30
+    project = S.project_ensemble
+
+    def off_the_set(x, constraint):
+        y = project(x, constraint) + shift
+        np.fill_diagonal(y, 0.0)
+        return y
+
+    monkeypatch.setattr(S, "project_ensemble", off_the_set)
+    base = 130 / 435 if ensemble[0] == "total_weight" else 0.3
+    prob = S.SolveProblem(targets=((K3, 1.3),), n=n, base=base, ensemble=ensemble)
+    if kept:
+        res = S.solve_phi(prob)
+        assert res.residuals[0] <= 1e-6
+        assert 0 < res.ensemble_residual <= 1.3e-7
+    else:
+        with pytest.raises(ResourceError):
+            S.solve_phi(prob)
