@@ -125,6 +125,11 @@ class BlockSpec:
         return BlockSpec(tuple(int(s) for s in obj["sizes"]), values)
 
 
+def as_matrix(x) -> np.ndarray:
+    """A BlockSpec materialized, anything else as a float ndarray."""
+    return x.materialize() if isinstance(x, BlockSpec) else np.asarray(x, dtype=float)
+
+
 def _independent_group_partitions(h: Graph):
     """Set partitions of V(h) whose groups are independent sets in h."""
     adj = h.neighbors()
@@ -261,6 +266,8 @@ def build_plant(n: int, p: float, x: float, y: float, delta: int) -> BlockSpec:
     """Hub of round(x p^Delta n) rows fully joined to everything and a clique
     block of round(y p^{Delta/2} n) vertices, planted on a constant-p
     background.  Values are exact: Fraction(p) materializes back to p."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"x and y must be finite, got x={x}, y={y}")
     s1 = round(x * p ** delta * n)
     s2 = round(y * p ** (delta / 2.0) * n)
     if x > 0 and s1 < 1:
@@ -320,8 +327,8 @@ def build_irregular_dreg(n: int, d: int, h: Graph, x: float) -> BlockSpec:
         raise DomainError("pattern must have min degree >= 2 (apply two_core)")
     if h.is_regular() or h.max_degree() < 3:
         raise DomainError("pattern must be irregular with Delta >= 3 (use build_clique_block otherwise)")
-    if x <= 0:
-        raise DomainError("x must be > 0")
+    if not (math.isfinite(x) and x > 0):
+        raise DomainError(f"x must be finite and > 0, got {x}")
     p = d / n
     f = float(f_exponent(h))
     s1 = round(x * n * p ** (f - 1.0))
@@ -393,19 +400,15 @@ def validate_membership(x, ensemble) -> MembershipReport:
     BlockSpec inputs use exact rational arithmetic and report deviation 0
     when the constraints hold identically.
     """
-    kind = ensemble.kind
-    if kind in ("er", "block", "planted"):
-        xm = x.materialize() if isinstance(x, BlockSpec) else np.asarray(x, dtype=float)
+    constraint = ensemble.constraint()
+    if constraint is None:
+        xm = as_matrix(x)
         low, high = float(xm.min()), float(xm.max())
         deviation = max(0.0, -low) + max(0.0, high - 1.0)
-        return MembershipReport(kind, deviation, deviation <= 1e-9,
+        return MembershipReport(ensemble.kind, deviation, deviation <= 1e-9,
                                 "entry-range check only")
-    if kind == "regular":
-        constraint, detail = ("row_sums", ensemble.d), f"target row sum {ensemble.d}"
-    elif kind == "uniform":
-        constraint = ("total_weight", ensemble.m)
-        detail = f"target total weight {ensemble.m} over unordered pairs"
-    else:
-        raise DomainError(f"unknown ensemble kind {kind!r}")
+    kind, val = constraint
+    detail = (f"target row sum {val}" if kind == "row_sums"
+              else f"target total weight {val} over unordered pairs")
     deviation = ensemble_residual(x, constraint)
-    return MembershipReport(kind, deviation, deviation <= 1e-9, detail)
+    return MembershipReport(ensemble.kind, deviation, deviation <= 1e-9, detail)

@@ -119,32 +119,33 @@ def cmd_joint_rate(args):
     return doc
 
 
-def _require_opts(args, kind, names):
+def _require_opts(args, who, names):
     for name in names:
         value = getattr(args, name.replace("-", "_"))
         if value is None or value == []:
-            raise DomainError(f"construct --type {kind} needs --{name}")
+            raise DomainError(f"{who} needs --{name}")
 
 
 def cmd_construct(args):
     kind = args.type
+    who = f"construct --type {kind}"
     if kind == "cycle-blocks":
-        _require_opts(args, kind, ("d", "delta", "l"))
+        _require_opts(args, who, ("d", "delta", "l"))
         spec = blocks.build_cycle_blocks(args.n, args.d, args.delta[0], args.l)
         pattern = graphs.cycle(args.l)
         p = args.d / args.n
     elif kind == "clique-block":
-        _require_opts(args, kind, ("d", "delta", "graph"))
+        _require_opts(args, who, ("d", "delta", "graph"))
         pattern = _load_graph(args.graph)
         spec = blocks.build_clique_block(args.n, args.d, args.delta[0], pattern)
         p = args.d / args.n
     elif kind == "clique-hub":
-        _require_opts(args, kind, ("m", "x", "y"))
+        _require_opts(args, who, ("m", "x", "y"))
         spec = blocks.build_clique_hub(args.n, args.m, args.x, args.y, args.dmax)
         pattern = _load_graph(args.graph) if args.graph else None
         p = args.m / (args.n * (args.n - 1) / 2)
     elif kind == "irregular-dreg":
-        _require_opts(args, kind, ("d", "graph", "x"))
+        _require_opts(args, who, ("d", "graph", "x"))
         pattern = _load_graph(args.graph)
         spec = blocks.build_irregular_dreg(args.n, args.d, pattern, args.x)
         p = args.d / args.n
@@ -164,37 +165,43 @@ def cmd_construct(args):
         np.savetxt(args.matrix_out, spec.materialize(), delimiter=",", fmt="%.17g")
         doc["matrix_out"] = args.matrix_out
     if args.validate:
-        ens = _ensemble_from_args(args, allow_planted=False)
+        ens = _ensemble_from_args(args)
         doc["membership"] = blocks.validate_membership(spec, ens).to_json()
     return doc
 
 
-def _ensemble_from_args(args, allow_planted=True):
+# The flags each --model needs.  The parser declares them from this table and
+# _ensemble_from_args checks them against it.
+MODEL_FLAGS = {
+    "er": ("p",),
+    "uniform": ("m",),
+    "regular": ("d",),
+    "block": ("p", "alpha", "kernel"),
+    "planted": ("tilt-file",),
+}
+_FLAG_TYPES = {"p": float, "m": int, "d": int}  # the rest are strings
+
+
+def _ensemble_from_args(args):
     model = args.model
+    _require_opts(args, f"{model} model", MODEL_FLAGS[model])
     if model == "er":
-        if args.p is None:
-            raise DomainError("er model needs --p")
         return ensembles.er(args.n, args.p)
     if model == "uniform":
-        if args.m is None:
-            raise DomainError("uniform model needs --m")
         return ensembles.uniform(args.n, args.m)
     if model == "regular":
-        if args.d is None:
-            raise DomainError("regular model needs --d")
         return ensembles.regular(args.n, args.d)
-    if model == "block":
-        if not (args.alpha and args.kernel and args.p is not None):
-            raise DomainError("block model needs --alpha, --kernel, --p")
+    if model == "planted":
+        return ensembles.planted(_load_tilt(args.tilt_file, args.n))
+    try:
         alpha = tuple(float(s) for s in args.alpha.split(","))
         kernel = tuple(tuple(float(v) for v in row) for row in json.loads(args.kernel))
-        params = rates.BlockModelParams(alpha, kernel, args.p)
-        return ensembles.block_model(args.n, params)
-    if model == "planted" and allow_planted:
-        if not args.tilt_file:
-            raise DomainError("planted model needs --tilt-file")
-        return ensembles.planted(_load_tilt(args.tilt_file, args.n))
-    raise DomainError(f"unknown model {model!r}")
+    except (TypeError, ValueError) as exc:
+        raise DomainError(
+            "block model needs --alpha as comma-separated numbers and --kernel "
+            f"as a JSON matrix of numbers ({exc})"
+        ) from exc
+    return ensembles.block_model(args.n, rates.BlockModelParams(alpha, kernel, args.p))
 
 
 def _load_tilt(path, n):
@@ -212,30 +219,19 @@ def cmd_solve(args):
     ts = args.t
     if len(ts) != len(hs):
         raise DomainError("need one --t per --graph")
-    ensemble = None
-    base = args.p
+    spec = _ensemble_from_args(args)
+    base = spec.sparsity() if args.p is None else args.p
     hom_scale = None
-    if args.model == "uniform":
-        ensemble = ("total_weight", args.m)
-        base = args.m / (args.n * (args.n - 1) / 2) if args.p is None else args.p
-    elif args.model == "regular":
-        ensemble = ("row_sums", args.d)
-        base = args.d / args.n if args.p is None else args.p
-    elif args.model == "block":
-        spec = _ensemble_from_args(args)
+    if spec.kind == "block":
         base = spec.probability_matrix()
         hom_scale = spec.block.p
         # block-model targets are multiples of the mean constant b_H
         ts = [t * rates.b_h(h, spec.block) for h, t in zip(hs, ts)]
-    elif args.model != "er":
-        raise DomainError("solve supports er, uniform, regular, block")
-    if base is None:
-        raise DomainError("solve needs --p (or --m/--d to imply it)")
     problem = solver.SolveProblem(
         targets=tuple((h, t) for h, t in zip(hs, ts)),
         n=args.n,
         base=base,
-        ensemble=ensemble,
+        ensemble=spec.constraint(),
         budget=args.budget,
         hom_scale=hom_scale,
     )
@@ -287,13 +283,14 @@ def cmd_tail_mc(args):
 
 
 def cmd_tail_is(args):
-    spec = _ensemble_from_args(args, allow_planted=False)
+    spec = _ensemble_from_args(args)
     hs = [_load_graph(s) for s in args.graph]
     tilt = _load_tilt(args.tilt_file, args.n)
     if args.tilt_blend is not None:
         rho = args.tilt_blend
-        tilt_m = tilt.materialize() if isinstance(tilt, blocks.BlockSpec) else tilt
-        tilt = rho * tilt_m + (1 - rho) * spec.probability_matrix()
+        if not (0 <= rho <= 1):
+            raise DomainError(f"--tilt-blend must be in [0, 1], got {rho}")
+        tilt = rho * blocks.as_matrix(tilt) + (1 - rho) * spec.probability_matrix()
         np.fill_diagonal(tilt, 0.0)
     est = ensembles.importance_tail(
         spec, tilt, hs, args.t, args.samples,
@@ -311,6 +308,8 @@ def cmd_check(args):
     n, p = args.n, args.p
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    if not (0 < p < 1):
+        raise DomainError(f"p must be in (0,1), got {p}")
     core, _ = graphs.two_core(h)
     used = core if core.vertex_count else h
     deg = used.degrees()
@@ -346,6 +345,15 @@ def cmd_check(args):
 # parser
 # ---------------------------------------------------------------------------
 
+def _add_model_args(p, models, default=None):
+    """--model over `models` (required unless it has a default), --n, and
+    every flag those models take, from MODEL_FLAGS."""
+    p.add_argument("--model", choices=models, default=default, required=default is None)
+    p.add_argument("--n", type=int, required=True)
+    for flag in dict.fromkeys(f for m in models for f in MODEL_FLAGS[m]):
+        p.add_argument(f"--{flag}", type=_FLAG_TYPES.get(flag))
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="uptail",
@@ -378,9 +386,7 @@ def build_parser():
     p = sub.add_parser("construct", help="block-matrix optimizers")
     p.add_argument("--type", required=True,
                    choices=("cycle-blocks", "clique-block", "clique-hub", "irregular-dreg"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--m", type=int)
+    _add_model_args(p, ("er", "uniform", "regular", "block"), "regular")
     p.add_argument("--delta", type=float, action="append", default=[])
     p.add_argument("--l", type=int)
     p.add_argument("--x", type=float)
@@ -389,47 +395,23 @@ def build_parser():
     p.add_argument("--graph")
     p.add_argument("--matrix-out")
     p.add_argument("--validate", action="store_true")
-    p.add_argument("--model", choices=("er", "uniform", "regular", "block"), default="regular")
-    p.add_argument("--p", type=float)
-    p.add_argument("--alpha")
-    p.add_argument("--kernel")
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("solve", help="numerical variational solve")
     p.add_argument("--graph", action="append", required=True)
     p.add_argument("--t", type=float, action="append", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--model", choices=("er", "uniform", "regular", "block"), default="er")
-    p.add_argument("--alpha")
-    p.add_argument("--kernel")
+    _add_model_args(p, ("er", "uniform", "regular", "block"), "er")
     p.add_argument("--budget", type=int, default=500)
     p.add_argument("--matrix-out")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("sample", help="draw one graph from an ensemble")
-    p.add_argument("--model", choices=("er", "uniform", "regular", "block", "planted"),
-                   required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--alpha")
-    p.add_argument("--kernel")
-    p.add_argument("--tilt-file")
+    _add_model_args(p, tuple(MODEL_FLAGS))
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("tail-mc", help="direct Monte Carlo tail estimate")
-    p.add_argument("--model", choices=("er", "uniform", "regular", "block"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--alpha")
-    p.add_argument("--kernel")
+    _add_model_args(p, ("er", "uniform", "regular", "block"))
     p.add_argument("--graph", action="append", required=True)
     p.add_argument("--t", type=float, action="append", required=True)
     p.add_argument("--samples", type=int, required=True)
@@ -439,11 +421,7 @@ def build_parser():
     p.set_defaults(fn=cmd_tail_mc)
 
     p = sub.add_parser("tail-is", help="importance-sampled tail estimate")
-    p.add_argument("--model", choices=("er", "block"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float)
-    p.add_argument("--alpha")
-    p.add_argument("--kernel")
+    _add_model_args(p, ("er", "block"))
     p.add_argument("--graph", action="append", required=True)
     p.add_argument("--t", type=float, action="append", required=True)
     p.add_argument("--samples", type=int, required=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import BlockSpec
+from .blocks import BlockSpec, as_matrix
 from .errors import DomainError, SamplingError
 from .graphs import Graph
 # hom_normalized is unused here but stays bound: perfbench's traced run
@@ -101,11 +101,7 @@ class EnsembleSpec:
         elif self.kind == "block":
             x = self.block.edge_probability_matrix(self.n)
         elif self.kind == "planted":
-            x = (
-                self.planted.materialize()
-                if isinstance(self.planted, BlockSpec)
-                else np.asarray(self.planted, dtype=float)
-            )
+            x = as_matrix(self.planted)
             if x.shape != (self.n, self.n):
                 raise DomainError("planted matrix shape mismatch")
         else:
@@ -113,6 +109,16 @@ class EnsembleSpec:
         x = x.copy()
         np.fill_diagonal(x, 0.0)
         return x
+
+    def constraint(self):
+        """The matrix constraint of this ensemble, as the solver and
+        `validate_membership` take it: ("row_sums", d) for regular,
+        ("total_weight", m) for uniform, None for the independent-edge kinds."""
+        if self.kind == "regular":
+            return ("row_sums", self.d)
+        if self.kind == "uniform":
+            return ("total_weight", self.m)
+        return None
 
 
 def er(n, p):
@@ -518,15 +524,14 @@ def importance_tail(
     h_list = list(h_list)
     t_list = _finite_thresholds(t_list)
     base = spec.probability_matrix()
-    tilt_m = (
-        tilt.materialize() if isinstance(tilt, BlockSpec) else np.asarray(tilt, dtype=float)
-    )
+    tilt_m = as_matrix(tilt)
     if tilt_m.shape != base.shape:
         raise DomainError("tilt shape must match the base ensemble")
     iu = np.triu_indices(spec.n, 1)
     bp, tp = base[iu], tilt_m[iu]
-    bad = ((tp <= 0) & (bp > 0)) | ((tp >= 1) & (bp < 1) & (tp > 1))
-    if bad.any():
+    if not ((tp >= 0) & (tp <= 1)).all():  # NaN fails both comparisons
+        raise DomainError("tilt entries must be finite and in [0, 1]")
+    if ((tp == 0) & (bp > 0)).any():
         raise DomainError("tilt assigns zero mass where the base does not")
     p = spec.sparsity()
 

@@ -125,7 +125,7 @@ class BlockModelParams:
     def __post_init__(self):
         if abs(sum(self.alpha) - 1.0) > 1e-12:
             raise DomainError("block fractions must sum to 1")
-        if any(a <= 0 for a in self.alpha):
+        if not all(a > 0 for a in self.alpha):  # NaN fails too
             raise DomainError("block fractions must be positive")
         if not (0 < self.p < 1):
             raise DomainError("p must be in (0,1)")
@@ -134,7 +134,7 @@ class BlockModelParams:
             raise DomainError("kernel must be square of the same order as alpha")
         for r in range(k):
             for s in range(k):
-                if self.kernel[r][s] < 0:
+                if not self.kernel[r][s] >= 0:
                     raise DomainError("kernel entries must be nonnegative")
                 if abs(self.kernel[r][s] - self.kernel[s][r]) > 1e-12:
                     raise DomainError("kernel must be symmetric")

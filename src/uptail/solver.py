@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import (
-    BlockSpec,
+    as_matrix,
     build_clique_block,
     build_cycle_blocks,
     build_plant,
@@ -346,8 +346,7 @@ def solve_phi(problem: SolveProblem) -> SolveResult:
 
     seed_list = list(default_seeds(problem))
     for i, s in enumerate(problem.seeds):
-        mat = s.materialize() if isinstance(s, BlockSpec) else np.asarray(s, dtype=float)
-        seed_list.append((f"user_{i}", mat))
+        seed_list.append((f"user_{i}", as_matrix(s)))
 
     best = None  # (value, x, name)
     total_iters = 0

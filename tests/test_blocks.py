@@ -157,6 +157,24 @@ def test_builders_need_finite_positive_delta(delta):
         B.build_clique_block(2000, 200, delta, K4)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_builders_need_finite_x_y(bad):
+    for x, y in ((bad, 0.5), (0.5, bad)):
+        with pytest.raises(DomainError, match="finite"):
+            B.build_plant(200, 0.1, x, y, 2)
+        with pytest.raises(DomainError, match="finite"):
+            B.build_clique_hub(200, 2000, x, y, 2)
+    with pytest.raises(DomainError, match="finite"):
+        B.build_irregular_dreg(2000, 200, G.parse_graph("complete_bipartite:2:3"), bad)
+
+
+def test_as_matrix_materializes_block_specs():
+    spec = B.build_clique_hub(200, 2000, 0.5, 0.5, 2)
+    assert np.array_equal(B.as_matrix(spec), spec.materialize())
+    x = B.as_matrix([[0, 1], [1, 0]])
+    assert x.dtype == float and np.array_equal(x, [[0.0, 1.0], [1.0, 0.0]])
+
+
 def test_clique_block_size_window():
     with pytest.raises(ConstructionError):
         B.build_clique_block(100, 30, 1.0, K4)  # s1 > d/2 at this scale
@@ -306,7 +324,7 @@ def test_ensemble_residual_exact_on_every_ladder_spec():
     assert any(B.ensemble_residual(spec, ("total_weight", 130)) > 1.0
                for spec, ens in specs if ens.kind == "uniform")
     for spec, ens in specs:
-        constraint = ("row_sums", ens.d) if ens.kind == "regular" else ("total_weight", ens.m)
+        constraint = ens.constraint()
         exact = B.ensemble_residual(spec, constraint)
         assert exact == pytest.approx(B.ensemble_residual(spec.materialize(), constraint),
                                       abs=1e-9)

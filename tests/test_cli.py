@@ -1,6 +1,7 @@
 """CLI contract: outputs validate against the shipped schemas, byte-identical
 reruns, documented exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -11,6 +12,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+
+from uptail import cli
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMAS = REPO / "schemas"
@@ -438,3 +441,138 @@ def test_construct_missing_params_exit_code():
     proc = run_cli("construct", "--type", "clique-hub", "--n", "100")
     assert proc.returncode == 1
     assert "needs --m" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the ensemble front end, run in-process through cli.main
+# ---------------------------------------------------------------------------
+
+def run_main(capsys, *argv):
+    code = cli.main([str(a) for a in argv])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# each subcommand's option strings; adding or dropping one changes the CLI contract
+OPTION_STRINGS = {
+    "hom": "--graph --graph-file --matrix-csv --p --pattern",
+    "rate": "--delta --graph --model --n --p",
+    "joint-rate": "--delta --graph",
+    "construct": "--alpha --d --delta --dmax --graph --kernel --l --m --matrix-out "
+                 "--model --n --p --type --validate --x --y",
+    "solve": "--alpha --budget --d --graph --kernel --m --matrix-out --model --n --p --t",
+    "sample": "--alpha --d --kernel --m --model --n --p --seed --tilt-file",
+    "tail-mc": "--alpha --d --graph --kernel --m --model --n --p --samples --seed --t "
+               "--threads --threshold",
+    "tail-is": "--alpha --graph --kernel --model --n --p --samples --seed --t --threads "
+               "--tilt-blend --tilt-file",
+    "check": "--graph --n --p",
+}
+
+
+def test_subcommand_option_strings_pinned():
+    ap = cli.build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+           for name, p in sub.choices.items()}
+    assert got == {name: set(opts.split()) for name, opts in OPTION_STRINGS.items()}
+
+
+# subcommand: (argv without --model and its flags, models, the subcommand's own
+# flags that a model may share)
+MODEL_SUBCOMMANDS = {
+    "sample": ("sample --n 12 --seed 1", tuple(SAMPLE_MODELS), {}),
+    "tail-mc": ("tail-mc --n 12 --graph cycle:3 --t 1.0 --samples 50 --seed 1",
+                ("er", "uniform", "regular", "block"), {}),
+    "tail-is": ("tail-is --n 12 --graph cycle:3 --t 1.0 --samples 50 --seed 1 "
+                "--tilt-file {tilt_csv}", ("er", "block"), {}),
+    "solve": ("solve --n 12 --graph cycle:3 --t 0.9", ("er", "uniform", "regular", "block"),
+              {}),
+    "construct": ("construct --type clique-hub --n 12 --x 1 --y 0.6 --validate",
+                  ("er", "uniform", "regular", "block"), {"--m": "20"}),
+}
+MODEL_CASES = [
+    (sub, model, dropped)
+    for sub, (_argv, models, _own) in MODEL_SUBCOMMANDS.items()
+    for model in models
+    for dropped in (None, *SAMPLE_MODELS[model][0::2])
+]
+
+
+@pytest.mark.parametrize("sub,model,dropped", MODEL_CASES)
+def test_every_model_flag_is_required(sub, model, dropped, smoke_files, capsys):
+    argv, _models, own = MODEL_SUBCOMMANDS[sub]
+    flags = {**own, **dict(zip(SAMPLE_MODELS[model][0::2], SAMPLE_MODELS[model][1::2]))}
+    flags.pop(dropped, None)
+    argv = argv.split() + ["--model", model] + [a for kv in flags.items() for a in kv]
+    code, _out, err = run_main(capsys, *(a.format(**smoke_files) for a in argv))
+    if dropped is None:
+        assert code == 0, err
+    else:
+        assert code == 1 and f"needs {dropped}" in err, err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--alpha", "0.5,x", "block model needs"), ("--kernel", "5", "block model needs"),
+    ("--kernel", '[[1,"a"],[2,1]]', "block model needs"),
+    ("--alpha", "nan,0.5", "fractions must be positive"),
+    ("--kernel", "[[NaN,0.5],[0.5,1.0]]", "entries must be nonnegative"),
+])
+def test_bad_block_flags_exit_1(flag, value, message, capsys):
+    flags = {"--alpha": "0.5,0.5", "--kernel": "[[1.0,0.5],[0.5,1.0]]", flag: value}
+    code, _out, err = run_main(capsys, "sample", "--model", "block", "--n", "12",
+                               "--p", "0.3", *(a for kv in flags.items() for a in kv))
+    assert code == 1 and message in err
+
+
+@pytest.mark.parametrize("sub", ["solve", "sample", "tail-mc"])
+@pytest.mark.parametrize("n,d,message", [
+    (31, 3, "must be even"), (30, 1, "2 <= d <= n-2"), (30, 29, "2 <= d <= n-2"),
+])
+def test_regular_model_rejected_alike(sub, n, d, message, capsys):
+    argv = {"solve": ["solve", "--t", "1.3"], "sample": ["sample"],
+            "tail-mc": ["tail-mc", "--t", "1.3", "--samples", "50"]}[sub]
+    if sub != "sample":
+        argv += ["--graph", "cycle:3"]
+    code, out, err = run_main(capsys, *argv, "--model", "regular", "--n", n, "--d", d)
+    assert code == 1 and message in err and out == ""
+
+
+@pytest.mark.parametrize("model,flag", [("uniform", "--m"), ("regular", "--d")])
+def test_solve_fixed_count_model_needs_its_flag(model, flag, capsys):
+    # --p sets the base but not the constraint: before, this ended in a TypeError
+    code, _out, err = run_main(capsys, "solve", "--model", model, "--n", "30", "--p", "0.3",
+                               "--graph", "cycle:3", "--t", "1.3")
+    assert code == 1 and f"needs {flag}" in err
+
+
+@pytest.mark.parametrize("blend", ["nan", "1.5", "-0.5"])
+def test_tail_is_blend_outside_unit_interval_exits_1(blend, smoke_files, capsys):
+    code, out, err = run_main(capsys, "tail-is", "--model", "er", "--n", "12", "--p", "0.3",
+                              "--graph", "cycle:3", "--t", "1.0", "--samples", "50",
+                              "--tilt-file", smoke_files["tilt_csv"], "--tilt-blend", blend)
+    assert code == 1 and "--tilt-blend" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "--type clique-hub --n 200 --m 2000 --x {v} --y 0.5",
+    "--type clique-hub --n 200 --m 2000 --x 0.5 --y {v}",
+    "--type irregular-dreg --n 2000 --d 200 --x {v} --graph complete_bipartite:2:3",
+])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_construct_nonfinite_x_y_exit_1(argv, value, capsys):
+    code, out, err = run_main(capsys, "construct", *argv.format(v=value).split())
+    assert code == 1 and "finite" in err and out == ""
+
+
+@pytest.mark.parametrize("p", ["nan", "-1", "0", "1"])
+def test_check_p_outside_unit_interval_exits_1(p, capsys):
+    code, out, err = run_main(capsys, "check", "--graph", "cycle:3", "--n", "100", "--p", p)
+    assert code == 1 and "p must be in (0,1)" in err and out == ""
+
+
+def test_check_p_above_guideline_only_warns(capsys):
+    code, out, err = run_main(capsys, "check", "--graph", "cycle:3", "--n", "100",
+                              "--p", "0.7")
+    assert code == 0 and "warning" in err
+    assert json.loads(out)["in_range"] is False

@@ -34,6 +34,15 @@ def test_spec_validation():
     assert E.regular(10, 4).sparsity() == pytest.approx(0.4)
 
 
+def test_spec_constraint_per_kind():
+    params = R.BlockModelParams((0.5, 0.5), ((1.0, 0.5), (0.5, 1.0)), 0.3)
+    assert E.regular(10, 4).constraint() == ("row_sums", 4)
+    assert E.uniform(10, 20).constraint() == ("total_weight", 20)
+    assert E.er(10, 0.3).constraint() is None
+    assert E.block_model(10, params).constraint() is None
+    assert E.planted(np.full((4, 4), 0.5)).constraint() is None
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_tail_estimators_reject_nonfinite_thresholds(t):
     spec = E.er(10, 0.3)
@@ -333,6 +342,16 @@ def test_is_rejects_mass_losing_tilt():
     tilt[0, 1] = tilt[1, 0] = 0.0
     np.fill_diagonal(tilt, 0.0)
     with pytest.raises(DomainError):
+        E.importance_tail(E.er(n, p), tilt, [K3], [1.2], 100, seed=1)
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, 1.5, -0.2])
+def test_is_rejects_tilt_outside_unit_interval(entry):
+    n, p = 10, 0.3
+    tilt = np.full((n, n), p)
+    tilt[0, 1] = tilt[1, 0] = entry
+    np.fill_diagonal(tilt, 0.0)
+    with pytest.raises(DomainError, match="finite and in"):
         E.importance_tail(E.er(n, p), tilt, [K3], [1.2], 100, seed=1)
 
 
