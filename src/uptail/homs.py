@@ -300,27 +300,39 @@ def cycle_hom_spectral(l: int, x, p: float) -> float:
     return float(np.sum((lam / (n * p)) ** l))
 
 
-def hom_gradient(h: Graph, x, engine="auto") -> np.ndarray:
-    """d t(h, X) / d x_uv, treating x_uv = x_vu as one variable.
+def hom_value_and_gradient(h: Graph, x, p: float):
+    """hom(h, X) and its gradient in x_uv, treating x_uv = x_vu as one
+    variable; p = 1 gives t(h, X) and its gradient.
 
-    Sums, over pattern edges (a,b), the density of maps pinning
-    {phi(a), phi(b)} = {u, v}; symmetric with zero diagonal.  One pinned DP
-    pass runs per edge orbit of Aut(h), scaled by the orbit's size: an
-    automorphism carrying one edge onto another carries its pinned sum onto
-    the other's or its transpose.  Only the DP engine has a gradient.
+    Runs on w = X/p under `hom_normalized`'s width cap.  One pinned DP pass
+    runs per edge orbit of Aut(h), scaled by the orbit's size: an automorphism
+    carrying one edge onto another carries its pinned sum onto the other's or
+    its transpose.  The first orbit's pinned sum q with its edge put back,
+    sum_uv w_uv q_uv, is the value.
     """
-    if engine not in ("auto", "dp"):
-        raise DomainError(f"hom_gradient runs only the DP engine (auto or dp), got {engine!r}")
+    if not (0 < p <= 1):
+        raise DomainError(f"p must be in (0,1], got {p}")
+    _get_plan(h, ())  # the whole pattern's width cap, though pinned passes may fit
     x = check_weight_matrix(x)
     n = x.shape[0]
     v = h.vertex_count
-    grad = np.zeros((n, n))
-    for (a, b), size in _edge_orbits(h):
+    w, value, grad = x / p, 1.0, np.zeros((n, n))
+    for i, ((a, b), size) in enumerate(_edge_orbits(h)):
         rest = Graph(v, tuple(e for e in h.edges if e != (a, b)))
-        q = _dp_sum(rest, x, pinned=(a, b))
+        q = _dp_sum(rest, w, pinned=(a, b))
+        if i == 0:
+            value = float((w * q).sum()) / float(n) ** v
         grad += size * (q + q.T)
     np.fill_diagonal(grad, 0.0)
-    return grad / float(n) ** v
+    return value, grad / (p * float(n) ** v)
+
+
+def hom_gradient(h: Graph, x, engine="auto") -> np.ndarray:
+    """d t(h, X) / d x_uv: the gradient of `hom_value_and_gradient` at p = 1.
+    Only the DP engine has a gradient."""
+    if engine not in ("auto", "dp"):
+        raise DomainError(f"hom_gradient runs only the DP engine (auto or dp), got {engine!r}")
+    return hom_value_and_gradient(h, x, 1.0)[1]
 
 
 def batched_hom_normalized(h: Graph, a_stack: np.ndarray, p: float) -> np.ndarray:

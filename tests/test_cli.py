@@ -33,6 +33,12 @@ def run_cli(*argv, env_seed=None, module="uptail.cli"):
     return proc
 
 
+def run_main(capsys, *argv):
+    code = cli.main([str(a) for a in argv])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
 def check_schema(doc, name):
     schema = json.loads((SCHEMAS / f"{name}.schema.json").read_text())
     jsonschema.validate(doc, schema)
@@ -258,11 +264,14 @@ def smoke_files(tmp_path_factory):
 @pytest.mark.parametrize("pattern", ["cycle:3", "clique:4", "star:3", "path:4",
                                      "complete_bipartite:2:3", "clique:7"])
 @pytest.mark.parametrize("command", list(SMOKE_COMMANDS))
-def test_every_subcommand_every_pattern_family(command, pattern, smoke_files):
+def test_every_subcommand_every_pattern_family(command, pattern, smoke_files, capsys,
+                                              monkeypatch):
+    # in-process: an exception that escapes cli.main fails the test outright
+    monkeypatch.delenv("UPTAIL_SEED", raising=False)
     argv = [a.format(pattern=pattern, **smoke_files) for a in SMOKE_COMMANDS[command]]
-    proc = run_cli(*argv)
-    assert proc.returncode in SMOKE_EXIT_CODES.get(command, (0, 1, 3)), proc.stderr
-    assert "Traceback" not in proc.stderr
+    code, _out, err = run_main(capsys, *argv)
+    assert code in SMOKE_EXIT_CODES.get(command, (0, 1, 3)), err
+    assert "Traceback" not in err
 
 
 SAMPLE_MODELS = {
@@ -372,6 +381,17 @@ def test_solve_block_model_scales_targets():
     assert doc["residuals"][0] <= 1e-6
 
 
+def test_solve_block_base_meets_its_scaled_target(capsys):
+    # t * b_H <= 1 here; the block base's own hom value is below it
+    code, out, err = run_main(capsys, "solve", "--model", "block", "--n", "12", "--p", "0.3",
+                              "--alpha", "0.5,0.5", "--kernel", "[[1,0.5],[0.5,1]]",
+                              "--graph", "cycle:3", "--t", "1.3")
+    assert code == 0, err
+    doc = json.loads(out)
+    check_schema(doc, "solve")
+    assert doc["residuals"][0] <= 1e-6 and doc["value"] > 0
+
+
 def test_solve_uniform_model():
     proc = run_cli(
         "solve", "--graph", "cycle:3", "--t", "1.2", "--n", "40",
@@ -446,12 +466,6 @@ def test_construct_missing_params_exit_code():
 # ---------------------------------------------------------------------------
 # the ensemble front end, run in-process through cli.main
 # ---------------------------------------------------------------------------
-
-def run_main(capsys, *argv):
-    code = cli.main([str(a) for a in argv])
-    out = capsys.readouterr()
-    return code, out.out, out.err
-
 
 # each subcommand's option strings; adding or dropping one changes the CLI contract
 OPTION_STRINGS = {

@@ -245,6 +245,69 @@ def test_orbit_gradient_equals_per_edge_sum(name):
     assert np.abs(grad - per_edge).max() <= 1e-13 * np.abs(per_edge).max()
 
 
+VALUE_GRADIENT_PATTERNS = {
+    "K3": K3,
+    "C5": G.cycle(5),
+    "K4": K4,
+    "path3": G.parse_graph("path:3"),
+    "star3": G.parse_graph("star:3"),
+    "K23": G.parse_graph("complete_bipartite:2:3"),
+    "two-edges": TWO_EDGES,                               # disconnected
+    "K3-isolated": G.Graph(4, ((0, 1), (0, 2), (1, 2))),  # vertex 3 isolated
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_GRADIENT_PATTERNS))
+def test_hom_value_and_gradient(name):
+    # the value from the first orbit's pinned sum against both engines' full
+    # sums; the gradient against central differences of hom_normalized
+    h = VALUE_GRADIENT_PATTERNS[name]
+    rng = np.random.default_rng(11)
+    n, p, eps = 7, 0.37, 1e-6
+    x = _random_weight(rng, n, 0.05, 0.9)
+    value, grad = H.hom_value_and_gradient(h, x, p)
+    for engine in ("dp", "brute"):
+        assert value == pytest.approx(H.hom_normalized(h, x, p, engine=engine), rel=1e-12)
+    fd = np.zeros((n, n))
+    for u in range(n):
+        for v in range(u + 1, n):
+            xp, xm = x.copy(), x.copy()
+            xp[u, v] = xp[v, u] = x[u, v] + eps
+            xm[u, v] = xm[v, u] = x[u, v] - eps
+            fd[u, v] = fd[v, u] = (H.hom_normalized(h, xp, p)
+                                   - H.hom_normalized(h, xm, p)) / (2 * eps)
+    assert np.abs(grad - fd).max() <= 1e-7 * np.abs(fd).max()
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_GRADIENT_PATTERNS))
+def test_hom_gradient_is_the_orbit_loop_on_x(name):
+    # p = 1 divides by nothing: the same floats as the orbit loop run on x
+    h = VALUE_GRADIENT_PATTERNS[name]
+    n, v = 9, h.vertex_count
+    x = _random_weight(np.random.default_rng(12), n, 0.05, 0.9)
+    ref = np.zeros((n, n))
+    for (a, b), size in H._edge_orbits(h):
+        rest = G.Graph(v, tuple(e for e in h.edges if e != (a, b)))
+        q = H._dp_sum(rest, x, pinned=(a, b))
+        ref += size * (q + q.T)
+    np.fill_diagonal(ref, 0.0)
+    assert np.array_equal(H.hom_gradient(h, x), ref / float(n) ** v)
+
+
+def test_hom_value_and_gradient_edge_cases():
+    x = _random_weight(np.random.default_rng(13), 5)
+    value, grad = H.hom_value_and_gradient(G.Graph(3, ()), x, 0.3)
+    assert value == 1.0 and np.array_equal(grad, np.zeros((5, 5)))
+    for p in (0.0, 1.5, float("nan")):
+        with pytest.raises(DomainError, match="p must be in"):
+            H.hom_value_and_gradient(K3, x, p)
+    with pytest.raises(DomainError, match="symmetric"):
+        H.hom_value_and_gradient(K3, np.triu(x), 0.3)
+    # K7 minus an edge fits the width cap, K7 does not: neither value is given
+    with pytest.raises(ResourceError, match="width"):
+        H.hom_value_and_gradient(G.clique(7), x, 0.3)
+
+
 def test_edge_orbits():
     sizes = {
         "K4": (K4, [6]),

@@ -190,6 +190,22 @@ def test_block_model_base_with_hom_scale():
         S.solve_phi_blocks(prob)  # plants on constant p, not on the block base
 
 
+def test_matrix_base_below_its_targets_is_solved():
+    # targets <= 1 in units of p^e: a matrix base's own hom value is not near
+    # 1, so the constant-base shortcut must not accept it unmeasured
+    params = R.BlockModelParams((0.5, 0.5), ((1.0, 0.5), (0.5, 1.0)), 0.3)
+    n = 12
+    pm = params.edge_probability_matrix(n)
+    target = 1.3 * R.b_h(K3, params)
+    assert target <= 1
+    res = S.solve_phi(S.SolveProblem(targets=((K3, target),), n=n, base=pm, hom_scale=0.3))
+    assert res.residuals[0] <= 1e-6 and res.value > 0 and not res.notes
+    # a matrix base that meets its targets is still accepted as it stands
+    low = 0.5 * R.b_h(K3, params)
+    res = S.solve_phi(S.SolveProblem(targets=((K3, low),), n=n, base=pm, hom_scale=0.3))
+    assert res.value == 0.0 and res.residuals[0] == 0.0 and res.iterations == 0
+
+
 def test_dense_cap_directs_to_block_path():
     with pytest.raises(Exception) as err:
         S.solve_phi(S.SolveProblem(targets=((K3, 1.3),), n=5000, base=0.1))
@@ -253,13 +269,13 @@ def test_dense_never_worse_than_block(ensemble):
 # ---------------------------------------------------------------------------
 
 def _record_calls(monkeypatch, name, seen=None):
-    """Wrap solver.<name>; the list gets seen(x), or None, per call."""
+    """Wrap solver.<name>; the list gets seen(*args), or None, per call."""
     calls = []
     inner = getattr(S, name)
 
-    def counted(problem, x):
-        calls.append(None if seen is None else seen(x))
-        return inner(problem, x)
+    def counted(*args, **kwargs):
+        calls.append(None if seen is None else seen(*args))
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(S, name, counted)
     return calls
@@ -271,32 +287,39 @@ def _record_calls(monkeypatch, name, seen=None):
     (G.clique(4), 20, None),
 ])
 def test_about_one_hom_value_per_gradient(monkeypatch, h, n, ensemble):
-    # spectral steps are mostly accepted at t = 1, so each gradient is
-    # followed by about one trial point; trial-and-halve stepping spent
-    # 2.3-9.1 hom values per gradient on these problems
+    # spectral steps are mostly accepted at t = 1, and an accepted point's
+    # evaluation is carried into the next step and the next inner call, so
+    # each accepted step costs about one evaluation.  Every step projects
+    # once; an inner call's last projection may accept nothing, and each run
+    # projects its seed once, so accepted steps number at least
+    # projections - inner calls - runs.
     base = 130 / 435 if ensemble else 0.3
-    vals = _record_calls(monkeypatch, "_hom_vals")
-    grads = _record_calls(monkeypatch, "_hom_grads")
+    evals = _record_calls(monkeypatch, "_evaluate")
+    projections = _record_calls(monkeypatch, "project_ensemble")
+    inner_calls = _record_calls(monkeypatch, "_inner_pg")
+    runs = _record_calls(monkeypatch, "_al_single")
     S.solve_phi(S.SolveProblem(targets=((h, 1.3),), n=n, base=base, ensemble=ensemble))
-    assert grads
-    assert len(vals) <= 1.5 * len(grads)
+    accepted = len(projections) - len(inner_calls) - len(runs)
+    assert accepted > 0
+    assert len(evals) <= 1.5 * accepted
 
 
 def test_inner_loop_stops_at_its_own_fixed_point(monkeypatch):
     # once the directional derivative is below f's roundoff, a call returns
-    # without searching along a step that cannot decrease f
+    # without searching along a step that cannot decrease f; a second call
+    # there takes the carried evaluation and evaluates nothing
     h, n = G.clique(4), 20
     prob = S.SolveProblem(targets=((h, 1.3),), n=n, base=0.3)
     targets = np.array([1.3])
     lam, rho = np.array([10.0]), 10.0
     x = prob.base_matrix()
-    vals, step = S._hom_vals(prob, x), 1.0
-    calls = _record_calls(monkeypatch, "_hom_vals")
-    x, vals, step = S._inner_pg(prob, x, vals, targets, lam, rho, step, max_steps=2000)
+    ev, step = S._evaluate(prob, x), 1.0
+    calls = _record_calls(monkeypatch, "_evaluate")
+    x, ev, step = S._inner_pg(prob, x, ev, targets, lam, rho, step, max_steps=2000)
     assert len(calls) < 100  # converged, not out of steps
     calls.clear()
-    S._inner_pg(prob, x, vals, targets, lam, rho, step)
-    assert len(calls) <= 1
+    S._inner_pg(prob, x, ev, targets, lam, rho, step)
+    assert len(calls) == 0
 
 
 def test_total_weight_iterates_stay_on_the_constraint(monkeypatch):
@@ -304,8 +327,8 @@ def test_total_weight_iterates_stay_on_the_constraint(monkeypatch):
     # every point the solver evaluates keeps its total weight
     n, m = 30, 130
     residuals = _record_calls(
-        monkeypatch, "_hom_vals",
-        seen=lambda x: S.ensemble_residual(x, ("total_weight", m)))
+        monkeypatch, "_evaluate",
+        seen=lambda _problem, x: S.ensemble_residual(x, ("total_weight", m)))
     S.solve_phi(S.SolveProblem(targets=((K3, 1.3),), n=n, base=m / 435,
                                ensemble=("total_weight", m)))
     assert residuals
