@@ -70,7 +70,9 @@ from .rates import (
     entropy_matrix,
     lemma_floor_bound,
     log_gn_regular,
+    rate_scale,
     scale_anp,
+    scale_pattern,
     theta_root,
 )
 from .solver import (

@@ -18,6 +18,8 @@ import numpy as np
 from . import blocks, ensembles, graphs, homs, rates, solver
 from .errors import DomainError, ResourceError, UptailError
 
+MATRIX_CSV_N_CAP = 2000  # largest n that --matrix-out writes
+
 
 def _load_graph(text_or_path: str) -> graphs.Graph:
     if text_or_path.startswith("@"):
@@ -86,28 +88,34 @@ def cmd_hom(args):
     raise DomainError("hom needs --graph/--graph-file or --matrix-csv")
 
 
+def _one_delta(args, who):
+    """The one --delta of `rate` or `construct`; only joint-rate takes several."""
+    if len(args.delta) > 1:
+        raise DomainError(f"{who} takes one --delta, got {len(args.delta)}")
+    return args.delta[0] if args.delta else None
+
+
 def cmd_rate(args):
     h = _load_graph(args.graph)
+    delta = _one_delta(args, "rate")
+    regular = args.model == "regular"
+    core = rates.scale_pattern(h, regular)
     doc = {}
-    if args.model == "er":
-        report = rates.c_er(h, args.delta[0])
-    elif args.model == "regular":
-        core, kept = graphs.two_core(h)
+    if regular:
         if core.vertex_count == 0:
             raise DomainError("pattern is a tree: its 2-core is empty")
         doc["h_used"] = {
             "vertex_count": core.vertex_count,
             "edges": [list(e) for e in core.edges],
         }
-        report = rates.c_reg(core, args.delta[0])
-    else:
-        raise DomainError("rate supports --model er or regular")
+    report = (rates.c_reg if regular else rates.c_er)(core, delta)
     doc.update(report.to_json())
-    doc["delta"] = args.delta[0]
+    doc["delta"] = delta
     if args.n and args.p:
-        dmax = h.max_degree()
         doc["n"], doc["p"] = args.n, args.p
-        doc["a_np"] = rates.scale_anp(args.n, args.p, dmax)
+        doc["a_np"] = rates.rate_scale(args.n, args.p, [h], regular)
+        if doc["a_np"] is None:  # c_er and c_reg already required Delta >= 2
+            raise DomainError(f"p must be in (0,1), got {args.p}")
     return doc
 
 
@@ -129,15 +137,16 @@ def _require_opts(args, who, names):
 def cmd_construct(args):
     kind = args.type
     who = f"construct --type {kind}"
+    delta = _one_delta(args, "construct")
     if kind == "cycle-blocks":
         _require_opts(args, who, ("d", "delta", "l"))
-        spec = blocks.build_cycle_blocks(args.n, args.d, args.delta[0], args.l)
+        spec = blocks.build_cycle_blocks(args.n, args.d, delta, args.l)
         pattern = graphs.cycle(args.l)
         p = args.d / args.n
     elif kind == "clique-block":
         _require_opts(args, who, ("d", "delta", "graph"))
         pattern = _load_graph(args.graph)
-        spec = blocks.build_clique_block(args.n, args.d, args.delta[0], pattern)
+        spec = blocks.build_clique_block(args.n, args.d, delta, pattern)
         p = args.d / args.n
     elif kind == "clique-hub":
         _require_opts(args, who, ("m", "x", "y"))
@@ -160,8 +169,8 @@ def cmd_construct(args):
             2 * rates.scale_anp(args.n, p, dmax)
         )
     if args.matrix_out:
-        if spec.n > 2000:
-            raise ResourceError("matrix CSV output capped at n = 2000")
+        if spec.n > MATRIX_CSV_N_CAP:
+            raise ResourceError(f"matrix CSV output capped at n = {MATRIX_CSV_N_CAP}")
         np.savetxt(args.matrix_out, spec.materialize(), delimiter=",", fmt="%.17g")
         doc["matrix_out"] = args.matrix_out
     if args.validate:
@@ -235,8 +244,8 @@ def cmd_solve(args):
         budget=args.budget,
         hom_scale=hom_scale,
     )
-    if args.matrix_out and args.n > 2000:
-        raise ResourceError("matrix CSV output capped at n = 2000")
+    if args.matrix_out and args.n > MATRIX_CSV_N_CAP:
+        raise ResourceError(f"matrix CSV output capped at n = {MATRIX_CSV_N_CAP}")
     if args.n > solver.DENSE_N_CAP:
         result = solver.solve_phi_blocks(problem)
         doc = result.to_json()

@@ -31,7 +31,7 @@ from .graphs import Graph
 # hom_normalized is unused here but stays bound: perfbench's traced run
 # patches uptail.ensembles.hom_normalized by name
 from .homs import BATCH_CELLS, DP_CELL_CAP, batched_hom_normalized, hom_normalized  # noqa: F401
-from .rates import BlockModelParams, scale_anp
+from .rates import BlockModelParams, rate_scale
 
 CONFIG_MODEL_RETRY_CAP = 20_000
 
@@ -77,6 +77,12 @@ class EnsembleSpec:
         elif k == "planted":
             if self.planted is None:
                 raise DomainError("planted ensemble needs a weight matrix")
+            if not isinstance(self.planted, BlockSpec):  # a BlockSpec checks its values
+                x = as_matrix(self.planted)
+                if x.shape != (self.n, self.n):
+                    raise DomainError("planted matrix shape mismatch")
+                if not ((x >= 0) & (x <= 1)).all():  # NaN fails both comparisons
+                    raise DomainError("planted matrix entries must be finite and in [0, 1]")
         else:
             raise DomainError(f"unknown ensemble kind {k!r}")
 
@@ -102,8 +108,6 @@ class EnsembleSpec:
             x = self.block.edge_probability_matrix(self.n)
         elif self.kind == "planted":
             x = as_matrix(self.planted)
-            if x.shape != (self.n, self.n):
-                raise DomainError("planted matrix shape mismatch")
         else:
             raise DomainError(f"{self.kind} is not an independent-edge ensemble")
         x = x.copy()
@@ -140,7 +144,7 @@ def block_model(n, params):
 def planted(x):
     if isinstance(x, BlockSpec):
         return EnsembleSpec("planted", x.n, planted=x)
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float, ndmin=2)
     return EnsembleSpec("planted", x.shape[0], planted=x)
 
 
@@ -316,16 +320,6 @@ def _neg_log(point):
     return math.inf if point <= 0 else -math.log(point)
 
 
-def _norm_const(spec, h_list):
-    dmax = min(h.max_degree() for h in h_list)
-    if dmax < 2:
-        return None
-    p = spec.sparsity()
-    if not (0 < p < 1):
-        return None
-    return scale_anp(spec.n, p, dmax)
-
-
 def _wilson_interval(hits, n, z=1.96):
     """Wilson score interval for a binomial proportion: about 95% coverage at
     z = 1.96, with both ends inside [0, 1] at any hit count."""
@@ -385,12 +379,22 @@ def _hom_hits_for_batch(a_batch, h_list, t_list, p):
     return hits
 
 
-def _finite_thresholds(t_list):
-    t_list = [float(t) for t in t_list]
+def _tail_setup(spec, h_list, t_list, num_samples):
+    """Check a tail estimate's inputs (at least one sample and one pattern,
+    one finite threshold per pattern); return the patterns and thresholds as
+    lists, the sparsity p and a_{n,p} (None where the ensemble has no scale)."""
+    if num_samples < 1:
+        raise DomainError("num_samples must be >= 1")
+    h_list, t_list = list(h_list), [float(t) for t in t_list]
     for t in t_list:
         if not math.isfinite(t):
             raise DomainError(f"threshold must be finite, got {t}")
-    return t_list
+    if len(h_list) != len(t_list):
+        raise DomainError("need one threshold per pattern")
+    if not h_list:
+        raise DomainError("need at least one pattern")
+    p = spec.sparsity()
+    return h_list, t_list, p, rate_scale(spec.n, p, h_list, spec.kind == "regular")
 
 
 def mc_upper_tail(
@@ -411,17 +415,10 @@ def mc_upper_tail(
     t_i * (empirical mean of Hom).  `progress(done, estimate)` is invoked as
     worker batches complete.
     """
-    if num_samples < 1:
-        raise DomainError("num_samples must be >= 1")
-    h_list = list(h_list)
-    t_list = _finite_thresholds(t_list)
-    if len(h_list) != len(t_list):
-        raise DomainError("need one threshold per pattern")
-    p = spec.sparsity()
-
+    h_list, t_list, p, a_np = _tail_setup(spec, h_list, t_list, num_samples)
     thresholds = t_list
     if threshold == "empirical":
-        means = _empirical_hom_means(spec, h_list, num_samples, seed, workers, chunk)
+        means = _empirical_hom_means(spec, h_list, p, num_samples, seed, workers, chunk)
         thresholds = [t * mu for t, mu in zip(t_list, means)]
     elif threshold != "analytic":
         raise DomainError("threshold mode must be 'analytic' or 'empirical'")
@@ -444,14 +441,12 @@ def mc_upper_tail(
         hits=float(hits),
         method=f"direct_mc[{threshold}]",
         neg_log_point=_neg_log(point),
+        neg_log_normalized=_neg_log(point) / a_np if a_np else None,
         zero_hits=(hits == 0),
     )
     if hits == 0:
         est.ci_high = 1.0 - 0.05 ** (1.0 / num_samples)  # one-sided bound
         est.notes.append("zero hits: one-sided 95% upper bound")
-    a_np = _norm_const(spec, h_list)
-    if a_np:
-        est.neg_log_normalized = est.neg_log_point / a_np
     return est
 
 
@@ -461,9 +456,7 @@ def _count_hits(spec, h_list, thresholds, b, rng, p):
     return int(_hom_hits_for_batch(a, h_list, thresholds, p).sum())
 
 
-def _empirical_hom_means(spec, h_list, num_samples, seed, workers, chunk):
-    p = spec.sparsity()
-
+def _empirical_hom_means(spec, h_list, p, num_samples, seed, workers, chunk):
     def chunk_sums(b, rng):
         a = _draw_stack(spec, b, rng)
         return [batched_hom_normalized(h, a, p).sum() for h in h_list]
@@ -519,21 +512,14 @@ def importance_tail(
     """
     if spec.kind not in ("er", "block"):
         raise DomainError("importance sampling supports er and block bases")
-    if num_samples < 1:
-        raise DomainError("num_samples must be >= 1")
-    h_list = list(h_list)
-    t_list = _finite_thresholds(t_list)
-    base = spec.probability_matrix()
-    tilt_m = as_matrix(tilt)
-    if tilt_m.shape != base.shape:
+    h_list, t_list, p, a_np = _tail_setup(spec, h_list, t_list, num_samples)
+    tilted = planted(as_matrix(tilt))  # materialized once, not per chunk
+    if tilted.n != spec.n:
         raise DomainError("tilt shape must match the base ensemble")
     iu = np.triu_indices(spec.n, 1)
-    bp, tp = base[iu], tilt_m[iu]
-    if not ((tp >= 0) & (tp <= 1)).all():  # NaN fails both comparisons
-        raise DomainError("tilt entries must be finite and in [0, 1]")
+    bp, tp = spec.probability_matrix()[iu], tilted.probability_matrix()[iu]
     if ((tp == 0) & (bp > 0)).any():
         raise DomainError("tilt assigns zero mass where the base does not")
-    p = spec.sparsity()
 
     # log weight pieces; tilt entries of exactly 1 force the edge (log p term).
     # Infinite or nan pieces belong to outcomes of base or tilt probability 0,
@@ -544,7 +530,7 @@ def importance_tail(
     lw_noedge = np.where(tp >= 1.0, 0.0, lw_noedge)  # never sampled
 
     def score(b, rng):
-        a = _sample_adjacency_batch(tilt_m, b, rng)
+        a = _draw_stack(tilted, b, rng)
         hit_pairs = a[:, iu[0], iu[1]] > 0
         return (np.where(hit_pairs, lw_edge, lw_noedge).sum(axis=1),
                 _hom_hits_for_batch(a, h_list, t_list, p))
@@ -565,7 +551,7 @@ def importance_tail(
     se = contrib.std(ddof=1) / math.sqrt(num_samples) if num_samples > 1 else 0.0
     point = _unshift(mean, shift)
     ess = float(wts.sum() ** 2 / (wts ** 2).sum()) if wts.sum() > 0 else 0.0
-    est = TailEstimate(
+    return TailEstimate(
         point=point,
         ci_low=_unshift(mean - 1.96 * se, shift),
         ci_high=_unshift(mean + 1.96 * se, shift),
@@ -573,12 +559,9 @@ def importance_tail(
         hits=ess,
         method="importance",
         neg_log_point=_neg_log(point),
+        neg_log_normalized=_neg_log(point) / a_np if a_np else None,
         zero_hits=not bool(hits.any()),
     )
-    a_np = _norm_const(spec, h_list)
-    if a_np:
-        est.neg_log_normalized = est.neg_log_point / a_np
-    return est
 
 
 def pittel_check(n, m, event, num_samples, seed: int = 0):

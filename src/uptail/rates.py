@@ -15,10 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .graphs import Graph, h_star, independence_polynomial
-
-THETA_TOL = 1e-12
-
+from .graphs import Graph, h_star, independence_polynomial, two_core
 
 # ---------------------------------------------------------------------------
 # entropies and the scale
@@ -79,6 +76,24 @@ def scale_anp(n: int, p: float, delta: int) -> float:
     return n * n * p ** delta * math.log(1.0 / p)
 
 
+def scale_pattern(h: Graph, regular: bool) -> Graph:
+    """The pattern whose rate and scale an ensemble sees: under the regular
+    ensemble its 2-core, since each pendant tree multiplies hom(H, G) by a
+    fixed power of d; otherwise H itself (Delta of G(n,p) is H's own)."""
+    return two_core(h)[0] if regular else h
+
+
+def rate_scale(n: int, p: float, patterns, regular: bool = False, delta_floor: int = 0):
+    """a_{n,p} of a pattern set, at Delta = the smallest maximum degree of
+    their `scale_pattern`s, raised to `delta_floor` when below it.  None when
+    Delta < 2 or p is outside (0, 1)."""
+    delta = min((scale_pattern(h, regular).max_degree() for h in patterns), default=0)
+    delta = max(delta, delta_floor)
+    if delta < 2 or not (0 < p < 1):
+        return None
+    return scale_anp(n, p, delta)
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -91,7 +106,6 @@ class RateReport:
     constant: float
     branch: str
     witness: tuple | None = None          # (x, y) or (floor(delta), frac(delta))
-    normalization: dict | None = None     # {n, p, delta, a_np} when attached
 
     def __post_init__(self):
         if self.branch not in BRANCHES:
@@ -109,8 +123,6 @@ class RateReport:
         if self.witness is not None:
             out["witness_x"] = self.witness[0]
             out["witness_y"] = self.witness[1]
-        if self.normalization:
-            out.update(self.normalization)
         return out
 
 
@@ -237,15 +249,10 @@ def _joint_setup(h_list, delta_list):
             raise DomainError("patterns must be connected")
     for d in delta_list:
         _require_delta(d)
-    # regular patterns first (reorder internally)
-    order = sorted(range(len(h_list)), key=lambda i: not h_list[i].is_regular())
-    entries = []
-    for i in order:
-        h = h_list[i]
-        entries.append(
-            (independence_polynomial(h_star(h)), h.vertex_count, h.is_regular(), delta_list[i])
-        )
-    return entries
+    return [
+        (independence_polynomial(h_star(h)), h.vertex_count, h.is_regular(), d)
+        for h, d in zip(h_list, delta_list)
+    ]
 
 
 def _joint_y_required(entries, x: float) -> float:

@@ -29,7 +29,7 @@ from .errors import ConstructionError, DomainError, ResourceError
 from .graphs import Graph
 # hom_gradient stays bound: perfbench's traced run patches it here by name
 from .homs import hom_gradient, hom_normalized, hom_value_and_gradient  # noqa: F401
-from .rates import entropy_matrix, scale_anp, theta_root
+from .rates import entropy_matrix, rate_scale, scale_anp, scale_pattern, theta_root
 
 EPS = 1e-12
 
@@ -42,7 +42,6 @@ class SolveProblem:
     ensemble: tuple | None = None     # None, ("total_weight", m), ("row_sums", d)
     seeds: tuple = ()                 # extra starting points (ndarray or BlockSpec)
     feasibility_tol: float = 1e-6
-    value_tol: float = 1e-4
     budget: int = 500
     hom_scale: float | None = None    # sparsity p for hom normalization when
                                       # base is a matrix (block model)
@@ -114,7 +113,7 @@ class SolveResult:
 
 def normalized_phi(result: SolveResult, dmax: int) -> float:
     """Solve value rescaled by n^2 p^Delta log(1/p) at a caller-chosen Delta
-    (use the 2-core's maximum degree)."""
+    (`rates.rate_scale` gives the scale each ensemble uses)."""
     if dmax < 2:
         raise DomainError("Delta must be >= 2 (take the 2-core's max degree)")
     if result.value == 0.0:
@@ -238,8 +237,9 @@ def project_ensemble(x, constraint):
 
 def ladder(problem: SolveProblem, delta: float):
     """The planted constructions at excess level delta, as (tag, BlockSpec)
-    pairs: degree-exact cycle or clique blocks under row sums; otherwise
-    hub, clique and both planted on the constant-p background, per pattern."""
+    pairs: degree-exact cycle or clique blocks for each pattern's 2-core
+    under row sums; otherwise hub, clique and both planted on the
+    constant-p background, per pattern."""
     n, p = problem.n, problem.hom_p()
     kind = problem.ensemble[0] if problem.ensemble else None
     out = []
@@ -247,10 +247,11 @@ def ladder(problem: SolveProblem, delta: float):
         try:
             if kind == "row_sums":
                 d = int(round(problem.ensemble[1]))
-                if h.max_degree() == 2:
-                    spec = build_cycle_blocks(n, d, delta, h.vertex_count)
-                elif h.is_regular():
-                    spec = build_clique_block(n, d, delta, h)
+                core = scale_pattern(h, regular=True)
+                if core.max_degree() == 2:
+                    spec = build_cycle_blocks(n, d, delta, core.vertex_count)
+                elif core.is_regular():
+                    spec = build_clique_block(n, d, delta, core)
                 else:
                     continue
                 # one tag for both: it names the seed in seed_provenance
@@ -373,11 +374,14 @@ def solve_phi(problem: SolveProblem) -> SolveResult:
 
 def _result(problem, x, value, vals, provenance, iterations, notes):
     """The SolveResult for witness x (a matrix or a BlockSpec) of entropy
-    value `value` and hom values `vals`."""
+    value `value` and hom values `vals`; `normalized` takes Delta >= 2."""
+    kind, _ = problem.ensemble or (None, None)
+    a_np = rate_scale(problem.n, problem.hom_p(), [h for h, _t in problem.targets],
+                      kind == "row_sums", delta_floor=2)
     return SolveResult(
         x=x,
         value=value,
-        normalized=_normalize(problem, value),
+        normalized=value / a_np,
         residuals=[max(0.0, t - v) for (_h, t), v in zip(problem.targets, vals)],
         ensemble_residual=ensemble_residual(x, problem.ensemble),
         seed_provenance=provenance,
@@ -386,12 +390,6 @@ def _result(problem, x, value, vals, provenance, iterations, notes):
         p=problem.hom_p(),
         notes=notes,
     )
-
-
-def _normalize(problem, value):
-    dmax = min(h.max_degree() for h, _ in problem.targets)
-    dmax = max(dmax, 2)
-    return value / scale_anp(problem.n, problem.hom_p(), dmax)
 
 
 # ---------------------------------------------------------------------------

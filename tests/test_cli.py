@@ -22,6 +22,9 @@ SCHEMAS = REPO / "schemas"
 def run_cli(*argv, env_seed=None, module="uptail.cli"):
     env = dict(os.environ)
     env.pop("UPTAIL_SEED", None)
+    # the child imports uptail from this checkout, installed or not
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                      env.get("PYTHONPATH")]))
     if env_seed is not None:
         env["UPTAIL_SEED"] = str(env_seed)
     proc = subprocess.run(
@@ -590,3 +593,84 @@ def test_check_p_above_guideline_only_warns(capsys):
                               "--p", "0.7")
     assert code == 0 and "warning" in err
     assert json.loads(out)["in_range"] is False
+
+
+# ---------------------------------------------------------------------------
+# one rate scale: under the regular ensemble a_{n,p} and the row-sum ladder
+# take the 2-core, so a pendant tree changes nothing
+# ---------------------------------------------------------------------------
+
+PENDANT_TRIANGLE = "0 1\n0 2\n1 2\n2 3"   # the triangle with a pendant edge
+
+
+def test_rate_regular_a_np_uses_two_core(capsys):
+    docs = []
+    for pattern in (PENDANT_TRIANGLE, "cycle:3"):
+        code, out, _err = run_main(capsys, "rate", "--model", "regular", "--delta", "1",
+                                   "--n", "1000", "--p", "0.01", "--graph", pattern)
+        assert code == 0
+        docs.append(json.loads(out))
+    assert docs[0] == docs[1]
+    assert docs[0]["a_np"] == 460.51701859880916
+    # G(n,p) keeps the pattern's own Delta
+    code, out, _err = run_main(capsys, "rate", "--delta", "1", "--n", "1000", "--p", "0.01",
+                               "--graph", PENDANT_TRIANGLE)
+    assert code == 0 and json.loads(out)["a_np"] == pytest.approx(4.605170185988092)
+
+
+def test_tail_mc_regular_pendant_tree_prints_as_its_core(capsys):
+    outs = []
+    for pattern in (PENDANT_TRIANGLE, "cycle:3"):
+        code, out, _err = run_main(capsys, "tail-mc", "--model", "regular", "--n", "40",
+                                   "--d", "4", "--t", "0.6", "--samples", "500", "--seed", "3",
+                                   "--graph", pattern)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["hits"] == 93.0
+
+
+def test_solve_regular_pendant_tree_solves_as_its_core(capsys):
+    docs = []
+    for pattern in (PENDANT_TRIANGLE, "cycle:3"):
+        code, out, err = run_main(capsys, "solve", "--model", "regular", "--n", "60",
+                                  "--d", "18", "--t", "1.3", "--graph", pattern)
+        assert code == 0, err
+        docs.append(json.loads(out))
+    assert docs[0]["value"] == docs[1]["value"] == 229.5498582185865
+    assert docs[0]["normalized"] == docs[1]["normalized"]
+    assert docs[0]["residuals"] == [0.0]
+
+
+def test_tail_is_pattern_without_threshold_exits_1(smoke_files, capsys):
+    code, out, err = run_main(capsys, "tail-is", "--model", "er", "--n", "12", "--p", "0.3",
+                              "--graph", "cycle:3", "--graph", "clique:4", "--t", "1.0",
+                              "--samples", "100", "--tilt-file", smoke_files["matrix_csv"])
+    assert code == 1 and "one threshold per pattern" in err and out == ""
+
+
+def test_sample_planted_bad_tilt_exits_1(tmp_path, capsys):
+    tilt = np.full((6, 6), 0.3)
+    np.fill_diagonal(tilt, 0.0)
+    tilt[0, 1] = tilt[1, 0] = 1.5
+    tilt[2, 3] = tilt[3, 2] = np.nan
+    path = tmp_path / "bad.csv"
+    np.savetxt(path, tilt, delimiter=",")
+    code, out, err = run_main(capsys, "sample", "--model", "planted", "--n", "6",
+                              "--tilt-file", path, "--seed", "1")
+    assert code == 1 and "finite and in [0, 1]" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "rate --graph cycle:3 --delta 1 --delta 5",
+    "construct --type cycle-blocks --n 200 --d 20 --delta 1 --delta 2 --l 3",
+])
+def test_repeated_delta_exits_1(argv, capsys):
+    code, out, err = run_main(capsys, *argv.split())
+    assert code == 1 and "one --delta" in err and out == ""
+
+
+def test_joint_rate_still_takes_several_deltas(capsys):
+    code, out, _err = run_main(capsys, "joint-rate", "--graph", "cycle:3", "--graph", "star:2",
+                               "--delta", "10", "--delta", "1")
+    assert code == 0 and json.loads(out)["deltas"] == [10.0, 1.0]

@@ -405,3 +405,61 @@ def test_pittel_trivial_events():
     assert rep["ratio"] == pytest.approx(1.0) and not rep["violated"]
     rep = E.pittel_check(12, 20, lambda g: False, 200, seed=53)
     assert rep["vacuous"] and not rep["violated"]
+
+
+# ---------------------------------------------------------------------------
+# the inputs both tail estimators share
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("h_list,t_list,samples,message", [
+    ([], [], 10, "at least one pattern"),
+    ([K3, G.clique(4)], [1.0], 10, "one threshold per pattern"),
+    ([K3], [1.0, 1.2], 10, "one threshold per pattern"),
+    ([K3], [1.0], 0, "num_samples"),
+])
+def test_tail_estimators_check_inputs_alike(h_list, t_list, samples, message):
+    spec = E.er(6, 0.3)
+    with pytest.raises(DomainError, match=message):
+        E.mc_upper_tail(spec, h_list, t_list, samples)
+    with pytest.raises(DomainError, match=message):
+        E.importance_tail(spec, spec.probability_matrix(), h_list, t_list, samples)
+
+
+@pytest.mark.parametrize("entry", [math.nan, 1.5, -0.2])
+def test_planted_matrix_checked_once(entry):
+    x = np.full((6, 6), 0.3)
+    x[0, 1] = x[1, 0] = entry
+    with pytest.raises(DomainError, match="finite and in"):
+        E.planted(x)
+    with pytest.raises(DomainError, match="shape"):
+        E.EnsembleSpec("planted", 5, planted=np.full((6, 6), 0.3))
+
+
+@pytest.mark.parametrize("tilt", [0.5, [0.5] * 6, np.full((5, 6), 0.3), np.full((5, 5), 0.3)])
+def test_importance_rejects_a_tilt_of_the_wrong_shape(tilt):
+    with pytest.raises(DomainError, match="shape"):
+        E.importance_tail(E.er(6, 0.3), tilt, [K3], [1.0], 10)
+
+
+def test_importance_draws_its_tilt_as_a_planted_ensemble():
+    # the importance sampler draws the tilt through the planted ensemble's
+    # own stack, so its graphs are the planted ensemble's on the same stream
+    n, p = 10, 0.3
+    tilt = np.full((n, n), p)
+    tilt[:4, :4] = 0.9
+    np.fill_diagonal(tilt, 0.0)
+    est = E.importance_tail(E.er(n, p), tilt, [K3], [-1.0], 50, seed=4)
+    a = E._draw_stack(E.planted(tilt), 50, E.rng_stream(4, 0))
+    iu = np.triu_indices(n, 1)
+    lw = np.where(a[:, iu[0], iu[1]] > 0, np.log(p / tilt[iu]),
+                  np.log((1 - p) / (1 - tilt[iu]))).sum(axis=1)
+    assert est.point == pytest.approx(float(np.exp(lw).mean()), rel=1e-12)
+
+
+def test_regular_neg_log_normalized_uses_two_core():
+    pendant = G.Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+    spec = E.regular(40, 4)
+    a = E.mc_upper_tail(spec, [pendant], [0.6], 200, seed=3)
+    b = E.mc_upper_tail(spec, [K3], [0.6], 200, seed=3)
+    assert a.to_json() == b.to_json()
+    assert a.neg_log_normalized == pytest.approx(a.neg_log_point / R.scale_anp(40, 0.1, 2))

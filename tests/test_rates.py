@@ -334,3 +334,38 @@ def test_lemma_floor_bound_random():
         xs = rng.uniform(0.0, 1.0, size=n)
         _f1, fb, bound = R.lemma_floor_bound(xs, beta)
         assert fb >= bound - 1e-9
+
+
+PENDANT_TRIANGLE = G.Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+
+
+def test_rate_scale_takes_the_two_core_under_regular():
+    assert R.scale_pattern(PENDANT_TRIANGLE, regular=True) == K3
+    assert R.scale_pattern(PENDANT_TRIANGLE, regular=False) is PENDANT_TRIANGLE
+    assert R.rate_scale(1000, 0.01, [PENDANT_TRIANGLE], regular=True) == R.scale_anp(1000, 0.01, 2)
+    assert R.rate_scale(1000, 0.01, [PENDANT_TRIANGLE]) == R.scale_anp(1000, 0.01, 3)
+    # the smallest Delta of the set
+    assert R.rate_scale(50, 0.2, [G.clique(4), K3]) == R.scale_anp(50, 0.2, 2)
+
+
+def test_rate_scale_none_below_delta_2_or_outside_unit_p():
+    assert R.rate_scale(50, 0.2, [G.clique(2)]) is None
+    assert R.rate_scale(50, 0.2, [G.path(4)], regular=True) is None   # empty 2-core
+    assert R.rate_scale(50, 0.2, []) is None
+    for p in (0.0, 1.0, math.nan):
+        assert R.rate_scale(50, p, [K3]) is None
+    # a floor raises a small Delta instead
+    assert R.rate_scale(50, 0.2, [G.clique(2)], delta_floor=2) == R.scale_anp(50, 0.2, 2)
+    assert R.rate_scale(50, 0.2, [G.clique(4)], delta_floor=2) == R.scale_anp(50, 0.2, 3)
+
+
+def test_joint_residuals_follow_caller_order():
+    hs, ds = [G.path(3), K3], [1.0, 10.0]
+    slacks = R.joint_feasibility_residuals(hs, ds, 1.0, 2.0)
+    assert slacks == R.joint_feasibility_residuals(hs[::-1], ds[::-1], 1.0, 2.0)[::-1]
+    p3 = G.independence_polynomial(G.h_star(G.path(3)))
+    assert slacks[0] == p3(1.0) - 2.0
+    assert R.c_joint(hs, ds) == R.c_joint(hs[::-1], ds[::-1])
+    assert R.c_joint(hs, ds).to_json() == {
+        "constant": 2.8296528550114854, "branch": "mixed",
+        "witness_x": 0.9999999999999999, "witness_y": 1.912931182772389}

@@ -392,3 +392,38 @@ def test_incumbents_kept_by_measured_residual(monkeypatch, ensemble, shift, kept
     else:
         with pytest.raises(ResourceError):
             S.solve_phi(prob)
+
+
+def test_row_sum_ladder_builds_from_the_two_core():
+    # on a d-regular graph a pendant edge multiplies hom by d, so the
+    # triangle with a pendant edge is planted as its 2-core, the triangle
+    pendant = G.Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+    diamond_tail = G.Graph(5, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 4)))
+
+    def rungs(h, ensemble):
+        prob = S.SolveProblem(targets=((h, 1.3),), n=60, base=0.3, ensemble=ensemble)
+        return S.ladder(prob, 0.6)
+
+    rows = ("row_sums", 18)
+    assert rungs(pendant, rows) == rungs(K3, rows) != []
+    assert rungs(G.path(4), rows) == []          # a tree has an empty 2-core
+    assert rungs(diamond_tail, rows) == []       # an irregular 2-core has no rung
+    # off the regular ensemble the pattern is planted as it is
+    assert rungs(pendant, None) != rungs(K3, None)
+
+
+def test_normalized_takes_delta_of_the_two_core_under_row_sums():
+    pendant = G.Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+    prob = S.SolveProblem(targets=((pendant, 1.0),), n=30, base=0.3,
+                          ensemble=("row_sums", 9))
+    res = S.solve_phi(prob)
+    assert res.normalized == res.value / R.scale_anp(30, 0.3, 2)
+    # off the regular ensemble Delta is the pattern's own
+    total = ("total_weight", 140)
+    free = S.solve_phi(S.SolveProblem(targets=((pendant, 1.0),), n=30, base=0.3,
+                                      ensemble=total))
+    assert free.value > 0 and free.normalized == free.value / R.scale_anp(30, 0.3, 3)
+    # a pattern of Delta < 2 is normalized at the floor Delta = 2
+    edge = S.solve_phi(S.SolveProblem(targets=((G.clique(2), 1.0),), n=30, base=0.3,
+                                      ensemble=total))
+    assert edge.value > 0 and edge.normalized == edge.value / R.scale_anp(30, 0.3, 2)
