@@ -214,28 +214,13 @@ def build_cycle_blocks(n: int, d: int, delta: float, l: int) -> BlockSpec:
     if s > n // 2:
         raise ConstructionError(f"planted blocks of total size {s} exceed n/2")
 
-    sizes = [d + 1] * whole
-    values_dim = whole
-    if s1 > 0:
-        sizes.append(s1)
-        values_dim += 1
-    sizes.append(n - s)
+    sizes = [d + 1] * whole + [s1] * (s1 > 0) + [n - s]  # background block last
     k = len(sizes)
-    vals = [[Fraction(0)] * k for _ in range(k)]
-    for a in range(values_dim):
-        vals[a][a] = Fraction(1)
-    # background block: index k-1
-    if s1 > 0:
-        r = Fraction(d - s1 + 1, n - s)
-        _require_unit("r", r)
-        q = (Fraction(d) - s1 * r) / (n - s - 1)
-        _require_unit("q", q)
-        vals[values_dim - 1][k - 1] = r
-        vals[k - 1][values_dim - 1] = r
-    else:
-        q = Fraction(d, n - s - 1)
-        _require_unit("q", q)
+    r, q = _fill_row_sums(n, d, s1, s)
+    vals = [[Fraction(a == b) for b in range(k)] for a in range(k)]
     vals[k - 1][k - 1] = q
+    if s1 > 0:
+        vals[k - 2][k - 1] = vals[k - 1][k - 2] = r
     return BlockSpec(tuple(sizes), tuple(tuple(row) for row in vals))
 
 
@@ -252,10 +237,7 @@ def build_clique_block(n: int, d: int, delta: float, h: Graph) -> BlockSpec:
         raise ConstructionError(
             f"clique size s1={s1} outside [2, d/2]; parameters out of regime"
         )
-    r = Fraction(d - s1 + 1, n - s1)
-    _require_unit("r", r)
-    q = (Fraction(d) - s1 * r) / (n - s1 - 1)
-    _require_unit("q", q)
+    r, q = _fill_row_sums(n, d, s1, s1)
     return BlockSpec(
         (s1, n - s1),
         ((Fraction(1), r), (r, q)),
@@ -303,6 +285,16 @@ def fill_total_weight(spec: BlockSpec, m) -> BlockSpec:
     ))
 
 
+def _fill_row_sums(n: int, d: int, s1: int, planted: int):
+    """The exact border r and background q that make every row sum d when
+    `planted` vertices sit in cliques, all but the last of row sum d and the
+    last, of size s1, joined to the n - planted background at r:
+    r = (d - s1 + 1) / (n - planted), q = (d - s1 r) / (n - planted - 1)."""
+    r = _require_unit("r", Fraction(d - s1 + 1, n - planted))
+    q = _require_unit("q", (Fraction(d) - s1 * r) / (n - planted - 1))
+    return r, q
+
+
 def build_clique_hub(n: int, m: int, x: float, y: float, delta: int) -> BlockSpec:
     """Hub of size ~ x p^Delta n fully joined to everything, clique block of
     size ~ y p^{Delta/2} n, background q absorbing the total-weight residual
@@ -339,10 +331,8 @@ def build_irregular_dreg(n: int, d: int, h: Graph, x: float) -> BlockSpec:
     s3 = n - d - 1
     if s3 <= 2:
         raise ConstructionError("background block too small")
-    r = Fraction(d - s1, n - s1 - 1)
-    _require_unit("r", r)
-    q = (Fraction(d) - r * s2) / (s3 - 1)
-    _require_unit("q", q)
+    r = _require_unit("r", Fraction(d - s1, n - s1 - 1))
+    q = _require_unit("q", (Fraction(d) - r * s2) / (s3 - 1))
     one, zero = Fraction(1), Fraction(0)
     vals = (
         (one, one, zero),

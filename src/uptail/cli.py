@@ -142,24 +142,21 @@ def cmd_construct(args):
         _require_opts(args, who, ("d", "delta", "l"))
         spec = blocks.build_cycle_blocks(args.n, args.d, delta, args.l)
         pattern = graphs.cycle(args.l)
-        p = args.d / args.n
     elif kind == "clique-block":
         _require_opts(args, who, ("d", "delta", "graph"))
         pattern = _load_graph(args.graph)
         spec = blocks.build_clique_block(args.n, args.d, delta, pattern)
-        p = args.d / args.n
     elif kind == "clique-hub":
         _require_opts(args, who, ("m", "x", "y"))
         spec = blocks.build_clique_hub(args.n, args.m, args.x, args.y, args.dmax)
         pattern = _load_graph(args.graph) if args.graph else None
-        p = args.m / (args.n * (args.n - 1) / 2)
     elif kind == "irregular-dreg":
         _require_opts(args, who, ("d", "graph", "x"))
         pattern = _load_graph(args.graph)
         spec = blocks.build_irregular_dreg(args.n, args.d, pattern, args.x)
-        p = args.d / args.n
     else:
         raise DomainError(f"unknown construction type {kind!r}")
+    p = args.m / (args.n * (args.n - 1) / 2) if kind == "clique-hub" else args.d / args.n
     doc = {"blockspec": spec.to_json(), "p": p}
     if pattern is not None:
         doc["hom_normalized"] = spec.hom_normalized(pattern, p)
@@ -174,13 +171,13 @@ def cmd_construct(args):
         np.savetxt(args.matrix_out, spec.materialize(), delimiter=",", fmt="%.17g")
         doc["matrix_out"] = args.matrix_out
     if args.validate:
-        ens = _ensemble_from_args(args)
+        ens = _ensemble_from_args(args, strict=False)  # the builders share --d, --m
         doc["membership"] = blocks.validate_membership(spec, ens).to_json()
     return doc
 
 
-# The flags each --model needs.  The parser declares them from this table and
-# _ensemble_from_args checks them against it.
+# The flags each --model needs, and the only model flags it takes.  The parser
+# declares them from this table and _ensemble_from_args checks them against it.
 MODEL_FLAGS = {
     "er": ("p",),
     "uniform": ("m",),
@@ -191,9 +188,14 @@ MODEL_FLAGS = {
 _FLAG_TYPES = {"p": float, "m": int, "d": int}  # the rest are strings
 
 
-def _ensemble_from_args(args):
+def _ensemble_from_args(args, strict=True):
+    """The EnsembleSpec of --model.  A flag it needs and lacks exits 1; under
+    `strict`, so does a model flag of the subcommand that this model does not take."""
     model = args.model
     _require_opts(args, f"{model} model", MODEL_FLAGS[model])
+    for flag in args.model_flags if strict else ():
+        if flag not in MODEL_FLAGS[model] and getattr(args, flag.replace("-", "_")) is not None:
+            raise DomainError(f"{model} model does not take --{flag}")
     if model == "er":
         return ensembles.er(args.n, args.p)
     if model == "uniform":
@@ -225,19 +227,12 @@ def _load_tilt(path, n):
 
 def cmd_solve(args):
     hs = [_load_graph(s) for s in args.graph]
-    ts = args.t
-    if len(ts) != len(hs):
+    if len(args.t) != len(hs):
         raise DomainError("need one --t per --graph")
     spec = _ensemble_from_args(args)
-    base = spec.sparsity() if args.p is None else args.p
-    hom_scale = None
-    if spec.kind == "block":
-        base = spec.probability_matrix()
-        hom_scale = spec.block.p
-        # block-model targets are multiples of the mean constant b_H
-        ts = [t * rates.b_h(h, spec.block) for h, t in zip(hs, ts)]
+    base, hom_scale = spec.solve_base()
     problem = solver.SolveProblem(
-        targets=tuple((h, t) for h, t in zip(hs, ts)),
+        targets=tuple((h, t * spec.threshold_unit(h)) for h, t in zip(hs, args.t)),
         n=args.n,
         base=base,
         ensemble=spec.constraint(),
@@ -359,8 +354,10 @@ def _add_model_args(p, models, default=None):
     every flag those models take, from MODEL_FLAGS."""
     p.add_argument("--model", choices=models, default=default, required=default is None)
     p.add_argument("--n", type=int, required=True)
-    for flag in dict.fromkeys(f for m in models for f in MODEL_FLAGS[m]):
+    flags = tuple(dict.fromkeys(f for m in models for f in MODEL_FLAGS[m]))
+    for flag in flags:
         p.add_argument(f"--{flag}", type=_FLAG_TYPES.get(flag))
+    p.set_defaults(model_flags=flags)
 
 
 def build_parser():

@@ -31,9 +31,10 @@ from .graphs import Graph
 # hom_normalized is unused here but stays bound: perfbench's traced run
 # patches uptail.ensembles.hom_normalized by name
 from .homs import BATCH_CELLS, DP_CELL_CAP, batched_hom_normalized, hom_normalized  # noqa: F401
-from .rates import BlockModelParams, rate_scale
+from .rates import BlockModelParams, b_h, rate_scale
 
 CONFIG_MODEL_RETRY_CAP = 20_000
+MAX_WORKERS = 64  # Monte Carlo worker threads, one per worker
 
 
 def rng_stream(seed: int, worker: int = 0) -> np.random.Generator:
@@ -114,6 +115,19 @@ class EnsembleSpec:
         np.fill_diagonal(x, 0.0)
         return x
 
+    def threshold_unit(self, h) -> float:
+        """The unit of a threshold t on h in the tail estimates and `solve`:
+        the event is hom_normalized(h, G) >= t * unit, and the unit is the mean
+        normalized count, b_H under the block model and 1 otherwise."""
+        return b_h(h, self.block) if self.kind == "block" else 1.0
+
+    def solve_base(self):
+        """(base, hom_scale) of `SolveProblem` for this ensemble: the block
+        model's probability matrix and p, else the scalar sparsity and None."""
+        if self.kind == "block":
+            return self.probability_matrix(), self.block.p
+        return self.sparsity(), None
+
     def constraint(self):
         """The matrix constraint of this ensemble, as the solver and
         `validate_membership` take it: ("row_sums", d) for regular,
@@ -151,13 +165,6 @@ def planted(x):
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
-
-def _pairs_to_graph(n, iu, mask) -> Graph:
-    edges = tuple(
-        (int(u), int(v)) for u, v, keep in zip(iu[0], iu[1], mask) if keep
-    )
-    return Graph(n, edges)
-
 
 def _sample_adjacency_batch(probs: np.ndarray, batch: int, rng) -> np.ndarray:
     """Independent-edge samples as a (batch, n, n) 0/1 stack."""
@@ -265,9 +272,8 @@ def _chunk_sizes(n, count, chunk):
 
 def sample(spec: EnsembleSpec, rng) -> Graph:
     """One graph from the ensemble; regular output is asserted d-regular."""
-    a = _draw_stack(spec, 1, rng)[0]
-    iu = np.triu_indices(spec.n, 1)
-    return _pairs_to_graph(spec.n, iu, a[iu] > 0)
+    u, v = np.nonzero(np.triu(_draw_stack(spec, 1, rng)[0], 1))
+    return Graph(spec.n, tuple(zip(u.tolist(), v.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +338,8 @@ def _wilson_interval(hits, n, z=1.96):
 
 def _worker_counts(num_samples, workers):
     """num_samples split into `workers` shares, the first ones larger by 1."""
-    if workers < 1:
-        raise DomainError("workers must be >= 1")
+    if not (1 <= workers <= MAX_WORKERS):
+        raise DomainError(f"--threads (workers) must be in [1, {MAX_WORKERS}], got {workers}")
     base, extra = divmod(num_samples, workers)
     return [base + (w < extra) for w in range(workers)]
 
@@ -379,10 +385,11 @@ def _hom_hits_for_batch(a_batch, h_list, t_list, p):
     return hits
 
 
-def _tail_setup(spec, h_list, t_list, num_samples):
+def _tail_setup(spec, h_list, t_list, num_samples, in_units=True):
     """Check a tail estimate's inputs (at least one sample and one pattern,
-    one finite threshold per pattern); return the patterns and thresholds as
-    lists, the sparsity p and a_{n,p} (None where the ensemble has no scale)."""
+    one finite threshold per pattern); return the patterns and the thresholds
+    as lists, each threshold times its `threshold_unit` when `in_units`, the
+    sparsity p and a_{n,p} (None where the ensemble has no scale)."""
     if num_samples < 1:
         raise DomainError("num_samples must be >= 1")
     h_list, t_list = list(h_list), [float(t) for t in t_list]
@@ -393,6 +400,8 @@ def _tail_setup(spec, h_list, t_list, num_samples):
         raise DomainError("need one threshold per pattern")
     if not h_list:
         raise DomainError("need at least one pattern")
+    if in_units:
+        t_list = [t * spec.threshold_unit(h) for h, t in zip(h_list, t_list)]
     p = spec.sparsity()
     return h_list, t_list, p, rate_scale(spec.n, p, h_list, spec.kind == "regular")
 
@@ -410,18 +419,18 @@ def mc_upper_tail(
 ) -> TailEstimate:
     """Direct Monte Carlo estimate of P(all hom(H_i, G) >= t_i).
 
-    threshold="analytic" compares normalized counts against t_i directly;
-    "empirical" runs two passes and thresholds raw counts against
-    t_i * (empirical mean of Hom).  `progress(done, estimate)` is invoked as
-    worker batches complete.
+    threshold="analytic" compares normalized counts against t_i in the
+    ensemble's `threshold_unit`; "empirical" runs two passes and thresholds
+    raw counts against t_i * (empirical mean of Hom).  `progress(done,
+    estimate)` is invoked as worker batches complete.
     """
-    h_list, t_list, p, a_np = _tail_setup(spec, h_list, t_list, num_samples)
-    thresholds = t_list
+    if threshold not in ("analytic", "empirical"):
+        raise DomainError("threshold mode must be 'analytic' or 'empirical'")
+    h_list, thresholds, p, a_np = _tail_setup(spec, h_list, t_list, num_samples,
+                                              in_units=threshold == "analytic")
     if threshold == "empirical":
         means = _empirical_hom_means(spec, h_list, p, num_samples, seed, workers, chunk)
-        thresholds = [t * mu for t, mu in zip(t_list, means)]
-    elif threshold != "analytic":
-        raise DomainError("threshold mode must be 'analytic' or 'empirical'")
+        thresholds = [t * mu for t, mu in zip(thresholds, means)]
 
     def report(done, scores):
         progress(done, sum(scores) / done)
@@ -502,8 +511,9 @@ def importance_tail(
     chunk: int = 4096,
     progress=None,
 ) -> TailEstimate:
-    """Importance-sampled tail estimate: draw from the planted measure given
-    by `tilt`, weight by the per-pair likelihood ratio in log space.
+    """Importance-sampled tail estimate of P(all hom(H_i, G) >= t_i), t_i in
+    the base's `threshold_unit`: draw from the planted measure given by
+    `tilt`, weight by the per-pair likelihood ratio in log space.
 
     Unbiased for the base-measure probability when tilt entries stay inside
     (0,1) wherever the base probability does; a tilt entry of exactly 1 is

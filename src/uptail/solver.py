@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
 from .blocks import (
+    BlockSpec,
     as_matrix,
     build_clique_block,
     build_cycle_blocks,
@@ -41,7 +44,7 @@ class SolveProblem:
     base: object                      # scalar p or (n, n) matrix
     ensemble: tuple | None = None     # None, ("total_weight", m), ("row_sums", d)
     seeds: tuple = ()                 # extra starting points (ndarray or BlockSpec)
-    feasibility_tol: float = 1e-6
+    feasibility_tol: ClassVar[float] = 1e-6
     budget: int = 500
     hom_scale: float | None = None    # sparsity p for hom normalization when
                                       # base is a matrix (block model)
@@ -60,14 +63,13 @@ class SolveProblem:
             raise DomainError(f"budget must be >= 0, got {self.budget}")
         if self.ensemble is not None and self.ensemble[0] not in ("total_weight", "row_sums"):
             raise DomainError(f"unknown ensemble constraint {self.ensemble!r}")
-        base_is_matrix = not (np.isscalar(self.base) or np.asarray(self.base).ndim == 0)
         if self.hom_scale is not None and not (0 < self.hom_scale < 1):
             raise DomainError("hom_scale must be in (0,1)")
-        if base_is_matrix and self.hom_scale is None:
+        if np.ndim(self.base) > 0 and self.hom_scale is None:
             raise DomainError("matrix base needs hom_scale (the block model's p)")
 
     def base_matrix(self) -> np.ndarray:
-        if np.isscalar(self.base) or np.asarray(self.base).ndim == 0:
+        if np.ndim(self.base) == 0:
             p = float(self.base)
             if not (0 < p < 1):
                 raise DomainError("base p must be in (0,1)")
@@ -302,12 +304,8 @@ def _entropy_value(x, base):
 def _entropy_grad(x, base):
     """d/dx_uv of sum_{u<v} I(x_uv): the log-odds ratio, entrywise."""
     xc = np.clip(x, EPS, 1 - EPS)
-    if np.isscalar(base) or np.asarray(base).ndim == 0:
-        p = float(base)
-        g = np.log(xc * (1 - p)) - np.log(p * (1 - xc))
-    else:
-        pm = np.clip(np.asarray(base, dtype=float), EPS, 1 - EPS)
-        g = np.log(xc * (1 - pm)) - np.log(pm * (1 - xc))
+    pm = np.clip(np.asarray(base, dtype=float), EPS, 1 - EPS)  # scalar or matrix
+    g = np.log(xc * (1 - pm)) - np.log(pm * (1 - xc))
     np.fill_diagonal(g, 0.0)
     return g
 
@@ -326,7 +324,19 @@ def _evaluate(problem, x):
             _entropy_grad(x, problem.base))
 
 
+def _refuse_trees(problem):
+    """Both solvers' first step: under row sums d a forest's count is
+    n^c d^(v-c) on every matrix, normalized 1 at base d/n, so no target above
+    1 can be met."""
+    if problem.ensemble and problem.ensemble[0] == "row_sums" and any(
+            t > 1 and scale_pattern(h, regular=True).vertex_count == 0
+            for h, t in problem.targets):
+        raise DomainError("pattern is a tree: its 2-core is empty, so under "
+                          "row sums its normalized count is 1, below t")
+
+
 DENSE_N_CAP = 2000
+CONSTANT_NOTE = "targets <= 1: constant base accepted with O(1/n) slack"
 
 
 def solve_phi(problem: SolveProblem) -> SolveResult:
@@ -341,6 +351,7 @@ def solve_phi(problem: SolveProblem) -> SolveResult:
         raise ResourceError(
             f"dense solve capped at n = {DENSE_N_CAP}; use solve_phi_blocks"
         )
+    _refuse_trees(problem)
     targets = np.array([t for _, t in problem.targets], dtype=float)
 
     if (targets <= 1.0).all():
@@ -349,8 +360,7 @@ def solve_phi(problem: SolveProblem) -> SolveResult:
         vals = _hom_vals(problem, x0)
         if np.ndim(problem.base) == 0 or (vals >= targets - problem.feasibility_tol).all():
             return _result(problem, x0, _entropy_value(x0, problem.base), vals,
-                           "constant", 0,
-                           ["targets <= 1: constant base accepted with O(1/n) slack"])
+                           "constant", 0, [CONSTANT_NOTE])
 
     seed_list = list(default_seeds(problem))
     for i, s in enumerate(problem.seeds):
@@ -402,27 +412,32 @@ def solve_phi_blocks(problem: SolveProblem) -> SolveResult:
     feasible candidate.  Entropy and homomorphism values use the exact
     blockwise closed forms, so n can reach construction scale (10^5+).
     The constructions plant on a constant-p background, so a matrix base
-    (the block model) is refused rather than scored against the wrong p."""
+    (the block model) is refused rather than scored against the wrong p.
+    Targets <= 1 get the constant witness, as in `solve_phi`: p, d/(n-1)
+    under row sums, or the exact total weight."""
     if np.ndim(problem.base) > 0:
         raise DomainError("block solve needs a scalar base p; a block-model base "
                           f"is only solved densely, at n <= {DENSE_N_CAP}")
+    if problem.seeds:
+        raise DomainError("block solve takes no seeds; they start solve_phi only")
+    _refuse_trees(problem)
     targets = [(h, float(t)) for h, t in problem.targets]
     p = problem.hom_p()
     tmax = max(t for _, t in targets)
-    if tmax <= 1.0:
-        raise DomainError("block solve expects a target above 1")
     kind, val = problem.ensemble or (None, None)
 
-    def feasible(spec):
-        return all(
-            spec.hom_normalized(h, p) >= t - problem.feasibility_tol
-            for h, t in targets
-        )
+    def result(spec, provenance, evaluations, note):
+        return _result(problem, spec, 0.5 * spec.entropy(p),
+                       [spec.hom_normalized(h, p) for h, _t in targets],
+                       provenance, evaluations, [note])
 
-    def value(spec):
-        return 0.5 * spec.entropy(p)
+    if tmax <= 1.0:
+        level = Fraction(val) / (problem.n - 1) if kind == "row_sums" else Fraction(p)
+        spec = BlockSpec((problem.n,), ((level,),))
+        spec = fill_total_weight(spec, val) if kind == "total_weight" else spec
+        return result(spec, "constant", 0, CONSTANT_NOTE)
 
-    best = None  # (value, spec, delta)
+    best = (math.inf, None, None)  # (value, spec, delta)
     evaluations = 0
     levels = [(tmax - 1.0) * m for m in (1.0, 1.25, 1.6, 2.0, 3.0, 5.0, 8.0)]
     for _round in range(3):
@@ -434,21 +449,15 @@ def solve_phi_blocks(problem: SolveProblem) -> SolveResult:
                     except ConstructionError:
                         continue
                 evaluations += 1
-                if feasible(spec):
-                    v = value(spec)
-                    if best is None or v < best[0]:
-                        best = (v, spec, delta)
-        if best is None:
-            break
-        centre = best[2]
-        levels = [centre * f for f in (0.85, 0.93, 1.0, 1.08, 1.18)]
-
-    if best is None:
-        raise ResourceError("no feasible block construction found on the ladder")
-    v, spec, _delta = best
-    return _result(problem, spec, v, [spec.hom_normalized(h, p) for h, _t in targets],
-                   "block_search", evaluations,
-                   ["block-parameterized search: witness is a BlockSpec"])
+                v = 0.5 * spec.entropy(p)
+                if v < best[0] and all(spec.hom_normalized(h, p) >= t - problem.feasibility_tol
+                                       for h, t in targets):
+                    best = (v, spec, delta)
+        if best[1] is None:
+            raise ResourceError("no feasible block construction found on the ladder")
+        levels = [best[2] * f for f in (0.85, 0.93, 1.0, 1.08, 1.18)]
+    return result(best[1], "block_search", evaluations,
+                  "block-parameterized search: witness is a BlockSpec")
 
 
 def _al_single(problem, seed, targets):
@@ -505,15 +514,9 @@ def _al_single(problem, seed, targets):
         # value moved over the last 30 multiplier updates
         if len(res_history) > 30:
             res_old, res_new = res_history[-31], res_history[-1]
-            val_window = history[-30:]
-            val_stuck = (
-                not math.isfinite(val_window[0])
-                and not math.isfinite(val_window[-1])
-            ) or (
-                math.isfinite(val_window[0])
-                and abs(val_window[0] - val_window[-1])
-                <= 1e-6 * (1.0 + abs(val_window[-1]))
-            )
+            v_old, v_new = history[-30], history[-1]
+            val_stuck = (not math.isfinite(v_old) and not math.isfinite(v_new)) or (
+                math.isfinite(v_old) and abs(v_old - v_new) <= 1e-6 * (1.0 + abs(v_new)))
             if res_new > feas_tol and res_new > 0.99 * res_old and val_stuck:
                 break
     return best_val, best_x, iters

@@ -349,3 +349,14 @@ def test_entropy_trend_toward_constant():
         ratio = spec.entropy(d / n) / (2 * R.scale_anp(n, d / n, 2))
         devs.append(abs(ratio - c))
     assert devs[0] > devs[1] > devs[2]
+
+
+def test_fill_row_sums_is_exact():
+    # one 11-clique of row sum 10, then a 4-clique joined to the background
+    n, d, s1, planted = 100, 10, 4, 15
+    r, q = B._fill_row_sums(n, d, s1, planted)
+    assert (s1 - 1) + r * (n - planted) == d
+    assert s1 * r + q * (n - planted - 1) == d
+    spec = B.build_cycle_blocks(n, d, 1 + (s1 / d) ** 3, 3)
+    assert spec.sizes == (11, 4, 85)
+    assert (spec.values[1][2], spec.values[2][2]) == (r, q)

@@ -674,3 +674,116 @@ def test_joint_rate_still_takes_several_deltas(capsys):
     code, out, _err = run_main(capsys, "joint-rate", "--graph", "cycle:3", "--graph", "star:2",
                                "--delta", "10", "--delta", "1")
     assert code == 0 and json.loads(out)["deltas"] == [10.0, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# one event per model: the ensemble alone sets the unit of --t and the base
+# ---------------------------------------------------------------------------
+
+BLOCK_B = ("--model block --n 30 --p 0.2 --alpha 0.5,0.5 --kernel [[2,0.5],[0.5,2]] "
+           "--graph cycle:3 --t 1.0 --samples 2000 --seed 1").split()
+
+
+def _block_b_hits_on_stream():
+    """Samples of the stream (seed 1, worker 0) with hom(K3, G) >= b_H n^3 p^3,
+    counted with the trace of A^3; b_H(K3) = 2.375 under BLOCK_B."""
+    from uptail import ensembles, graphs, rates
+    params = rates.BlockModelParams((0.5, 0.5), ((2.0, 0.5), (0.5, 2.0)), 0.2)
+    spec = ensembles.block_model(30, params)
+    assert rates.b_h(graphs.clique(3), params) == 2.375
+    rng, hits = ensembles.rng_stream(1, 0), 0
+    for b in ensembles._chunk_sizes(30, 2000, 4096):
+        a = ensembles._draw_stack(spec, b, rng).astype(float)
+        hom = np.einsum("bij,bjk,bki->b", a, a, a)
+        hits += int((hom >= 2.375 * 30 ** 3 * 0.2 ** 3).sum())
+    return spec, hits
+
+
+def test_block_tail_estimators_count_hom_above_t_times_b_h(tmp_path, capsys):
+    spec, hits = _block_b_hits_on_stream()
+    assert hits != 1979  # the count of hom >= 1.0, which both reported before
+    code, out, err = run_main(capsys, "tail-mc", *BLOCK_B)
+    assert code == 0, err
+    assert json.loads(out)["hits"] == hits
+    base = tmp_path / "base.csv"
+    np.savetxt(base, spec.probability_matrix(), delimiter=",", fmt="%.17g")
+    code, out, err = run_main(capsys, "tail-is", *BLOCK_B, "--tilt-file", base)
+    assert code == 0, err
+    assert json.loads(out)["point"] == hits / 2000  # tilt == base: every weight is 1
+
+
+@pytest.mark.parametrize("argv,flag", [
+    ("solve --model regular --n 60 --d 18 --p 0.1 --graph cycle:3 --t 1.3", "--p"),
+    ("tail-mc --model regular --n 40 --d 4 --p 0.9 --graph cycle:3 --t 0.6 "
+     "--samples 50 --seed 1", "--p"),
+    ("solve --model uniform --n 40 --m 240 --p 0.3 --graph cycle:3 --t 1.2", "--p"),
+    ("solve --model er --n 30 --p 0.3 --d 4 --graph cycle:3 --t 1.2", "--d"),
+    ("sample --model planted --n 12 --tilt-file {tilt_csv} --p 0.3", "--p"),
+    ("sample --model er --n 12 --p 0.3 --alpha 0.5,0.5", "--alpha"),
+    ("tail-is --model er --n 12 --p 0.3 --kernel [[1]] --graph cycle:3 --t 1.0 "
+     "--samples 50 --tilt-file {tilt_csv}", "--kernel"),
+])
+def test_flag_of_another_model_exits_1(argv, flag, smoke_files, capsys):
+    code, out, err = run_main(capsys, *argv.format(**smoke_files).split())
+    assert code == 1 and f"does not take {flag}" in err and out == ""
+
+
+def test_missing_flag_is_named_before_a_foreign_one(capsys):
+    code, _out, err = run_main(capsys, "solve", "--model", "regular", "--n", "60",
+                               "--p", "0.3", "--graph", "cycle:3", "--t", "1.3")
+    assert code == 1 and "needs --d" in err
+
+
+@pytest.mark.parametrize("n,p", [(3000, "0.01"), (60, "0.3")])
+def test_solve_target_at_most_one_is_constant_on_both_paths(n, p, capsys):
+    code, out, err = run_main(capsys, "solve", "--graph", "cycle:3", "--t", "1.0",
+                              "--n", n, "--p", p)
+    assert code == 0, err
+    doc = json.loads(out)
+    check_schema(doc, "solve")
+    assert (doc["value"], doc["seed_provenance"], doc["iterations"]) == (0.0, "constant", 0)
+    assert doc["notes"] == ["targets <= 1: constant base accepted with O(1/n) slack"]
+
+
+@pytest.mark.parametrize("n,d", [(60, 18), (3000, 30)])
+def test_solve_regular_tree_above_one_exits_1(n, d, capsys):
+    code, out, err = run_main(capsys, "solve", "--model", "regular", "--n", n, "--d", d,
+                              "--graph", "star:3", "--t", "1.3")
+    assert code == 1 and "pattern is a tree: its 2-core is empty" in err and out == ""
+
+
+def test_threads_above_the_cap_exits_1_without_a_thread(monkeypatch, capsys):
+    import concurrent.futures
+
+    def no_pool(*_a, **_k):
+        raise AssertionError("a thread pool was built")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    code, out, err = run_main(capsys, "tail-mc", "--model", "er", "--n", "10", "--p", "0.3",
+                              "--graph", "cycle:3", "--t", "1.2", "--samples", "100",
+                              "--threads", "65")
+    assert code == 1 and "--threads" in err and out == ""
+
+
+def _readme_commands():
+    """The `uptail ...` lines of README.md, continuation lines joined and
+    trailing comments dropped."""
+    text = (REPO / "README.md").read_text().replace("\\\n", " ")
+    return [line.split("#")[0].split()[1:] for line in text.splitlines()
+            if line.startswith("uptail ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("UPTAIL_SEED", raising=False)
+    (tmp_path / "g.txt").write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    tilt = np.full((18, 18), 0.35)
+    tilt[:5, :5] = 0.9
+    np.fill_diagonal(tilt, 0.0)
+    np.savetxt(tmp_path / "tilt.csv", tilt, delimiter=",")
+    for argv in commands:
+        code, out, err = run_main(capsys, *argv)
+        assert code == 0, (argv, err)
+        json.loads(out)

@@ -463,3 +463,35 @@ def test_regular_neg_log_normalized_uses_two_core():
     b = E.mc_upper_tail(spec, [K3], [0.6], 200, seed=3)
     assert a.to_json() == b.to_json()
     assert a.neg_log_normalized == pytest.approx(a.neg_log_point / R.scale_anp(40, 0.1, 2))
+
+
+# ---------------------------------------------------------------------------
+# the unit of a threshold, and the worker cap
+# ---------------------------------------------------------------------------
+
+def test_threshold_unit_is_b_h_under_block_only():
+    params = R.BlockModelParams((0.5, 0.5), ((2.0, 0.5), (0.5, 2.0)), 0.2)
+    assert E.block_model(30, params).threshold_unit(K3) == R.b_h(K3, params) == 2.375
+    for spec in (E.er(12, 0.3), E.uniform(12, 20), E.regular(12, 4),
+                 E.planted(np.full((6, 6), 0.3))):
+        assert spec.threshold_unit(K3) == 1.0
+
+
+def test_block_analytic_threshold_in_units_of_b_h_empirical_unchanged(monkeypatch):
+    spec = E.block_model(20, R.BlockModelParams((0.5, 0.5), ((2.0, 0.5), (0.5, 2.0)), 0.3))
+
+    def both():
+        return [E.mc_upper_tail(spec, [K3], [1.0], 300, seed=4, threshold=mode).point
+                for mode in ("analytic", "empirical")]
+    analytic, empirical = both()
+    monkeypatch.setattr(E.EnsembleSpec, "threshold_unit", lambda self, h: 1.0)
+    unitless, empirical_unitless = both()
+    assert analytic < unitless  # hom >= 2.375 is rarer than hom >= 1
+    assert empirical == empirical_unitless  # the sample mean is that mode's unit
+
+
+def test_worker_count_capped():
+    assert len(E._worker_counts(100, E.MAX_WORKERS)) == E.MAX_WORKERS == 64
+    for workers in (0, E.MAX_WORKERS + 1):
+        with pytest.raises(DomainError, match="--threads"):
+            E._worker_counts(100, workers)

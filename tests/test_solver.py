@@ -1,11 +1,15 @@
 """Variational solver: projections, feasibility contracts, nesting, trends."""
 
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from uptail import blocks as B
 from uptail import ensembles as E
 from uptail import graphs as G
+from uptail import homs as H
 from uptail import rates as R
 from uptail import solver as S
 from uptail.errors import DomainError, ResourceError
@@ -427,3 +431,71 @@ def test_normalized_takes_delta_of_the_two_core_under_row_sums():
     edge = S.solve_phi(S.SolveProblem(targets=((G.clique(2), 1.0),), n=30, base=0.3,
                                       ensemble=total))
     assert edge.value > 0 and edge.normalized == edge.value / R.scale_anp(30, 0.3, 2)
+
+
+# ---------------------------------------------------------------------------
+# both paths: targets <= 1, trees under row sums, seeds, constants
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ensemble,level", [
+    (None, Fraction(0.01)),
+    (("row_sums", 30), Fraction(30, 2999)),
+    (("total_weight", 44985), Fraction(1, 100)),
+])
+def test_block_solve_targets_at_most_one_give_the_constant_witness(ensemble, level):
+    n = 3000
+    prob = S.SolveProblem(((K3, 1.0), (G.cycle(5), 0.8)), n=n, base=0.01, ensemble=ensemble)
+    res = S.solve_phi_blocks(prob)
+    assert res.x.sizes == (n,) and res.x.values == ((level,),)
+    assert (res.seed_provenance, res.iterations, res.notes) == ("constant", 0, [S.CONSTANT_NOTE])
+    assert res.ensemble_residual == 0.0
+    assert res.value == 0.5 * res.x.entropy(0.01)
+    assert res.residuals[0] <= 3.0 / n  # the documented O(1/n) slack at t = 1
+
+
+@pytest.mark.parametrize("ensemble", [None, ("row_sums", 18), ("total_weight", 531)])
+def test_both_paths_answer_targets_at_most_one_alike(ensemble):
+    prob = S.SolveProblem(((K3, 1.0),), n=60, base=0.3, ensemble=ensemble)
+    dense, block = S.solve_phi(prob), S.solve_phi_blocks(prob)
+    assert (dense.seed_provenance, dense.iterations, dense.notes) == (
+        block.seed_provenance, block.iterations, block.notes)
+    assert block.value == pytest.approx(dense.value, rel=1e-9, abs=1e-12)
+    assert block.residuals == pytest.approx(dense.residuals, rel=1e-9)
+
+
+def test_block_solve_refuses_seeds():
+    prob = S.SolveProblem(((K3, 2.0),), n=3000, base=0.02, seeds=(np.zeros((3, 3)),))
+    with pytest.raises(DomainError, match="seeds"):
+        S.solve_phi_blocks(prob)
+
+
+@pytest.mark.parametrize("solve", [S.solve_phi, S.solve_phi_blocks])
+def test_tree_above_one_under_row_sums_refused_before_any_seed(solve, monkeypatch):
+    def no_seed(*_a, **_k):
+        raise AssertionError("a seed was built")
+
+    monkeypatch.setattr(S, "ladder", no_seed)
+    monkeypatch.setattr(S, "default_seeds", no_seed)
+    for h in (G.star(3), G.path(4)):
+        prob = S.SolveProblem(((h, 1.3),), n=60, base=0.3, ensemble=("row_sums", 18))
+        with pytest.raises(DomainError, match="2-core is empty"):
+            solve(prob)
+    # the reason: a tree's count is 1 on every matrix of row sums d, at base d/n
+    x = B.build_cycle_blocks(60, 18, 1.0, 3).materialize()
+    assert H.hom_normalized(G.star(3), x, 0.3) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_entropy_grad_one_formula_for_scalar_and_matrix_bases():
+    x = np.random.default_rng(3).random((8, 8))
+    x = 0.5 * (x + x.T)
+    p = 0.3
+    xc = np.clip(x, S.EPS, 1 - S.EPS)
+    expect = np.log(xc * (1 - p)) - np.log(p * (1 - xc))
+    np.fill_diagonal(expect, 0.0)
+    assert np.array_equal(S._entropy_grad(x, p), expect)
+    assert np.array_equal(S._entropy_grad(x, np.full((8, 8), p)), expect)
+
+
+def test_feasibility_tol_is_a_constant():
+    assert "feasibility_tol" not in {f.name for f in dataclasses.fields(S.SolveProblem)}
+    assert S.SolveProblem(((K3, 1.3),), n=10, base=0.3).feasibility_tol == 1e-6
