@@ -78,7 +78,6 @@ from .rates import (
 from .solver import (
     SolveProblem,
     SolveResult,
-    normalized_phi,
     project_ensemble,
     solve_phi,
     solve_phi_blocks,

@@ -111,7 +111,9 @@ def cmd_rate(args):
     report = (rates.c_reg if regular else rates.c_er)(core, delta)
     doc.update(report.to_json())
     doc["delta"] = delta
-    if args.n and args.p:
+    if (args.n is None) != (args.p is None):
+        raise DomainError("rate takes --n and --p together, for a_np")
+    if args.n is not None:
         doc["n"], doc["p"] = args.n, args.p
         doc["a_np"] = rates.rate_scale(args.n, args.p, [h], regular)
         if doc["a_np"] is None:  # c_er and c_reg already required Delta >= 2

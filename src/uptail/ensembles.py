@@ -35,6 +35,7 @@ from .rates import BlockModelParams, b_h, rate_scale
 
 CONFIG_MODEL_RETRY_CAP = 20_000
 MAX_WORKERS = 64  # Monte Carlo worker threads, one per worker
+CHUNK = 4096      # most graphs drawn and scored at once by one worker
 
 
 def rng_stream(seed: int, worker: int = 0) -> np.random.Generator:
@@ -262,10 +263,10 @@ def _draw_stack(spec: EnsembleSpec, batch: int, rng) -> np.ndarray:
     return _sample_adjacency_batch(spec.probability_matrix(), batch, rng)
 
 
-def _chunk_sizes(n, count, chunk):
-    """Split `count` draws into chunks of at most `chunk` graphs and at most
+def _chunk_sizes(n, count):
+    """Split `count` draws into chunks of at most CHUNK graphs and at most
     DP_CELL_CAP adjacency cells."""
-    size = max(1, min(chunk, DP_CELL_CAP // (n * n)))
+    size = max(1, min(CHUNK, DP_CELL_CAP // (n * n)))
     for lo in range(0, count, size):
         yield min(size, count - lo)
 
@@ -344,7 +345,7 @@ def _worker_counts(num_samples, workers):
     return [base + (w < extra) for w in range(workers)]
 
 
-def _run_workers(n, num_samples, seed, workers, chunk, score, report=None, stream=0):
+def _run_workers(n, num_samples, seed, workers, score, report=None, stream=0):
     """The Monte Carlo worker loop.  Worker w draws its share of num_samples
     from rng_stream(seed, stream + w) in `_chunk_sizes` chunks, passing each
     chunk size and the stream to score(b, rng).  Returns the chunk scores in
@@ -356,7 +357,7 @@ def _run_workers(n, num_samples, seed, workers, chunk, score, report=None, strea
     def run(w, count, report_chunks=None):
         rng = rng_stream(seed, stream + w)
         scores, done = [], 0
-        for b in _chunk_sizes(n, count, chunk):
+        for b in _chunk_sizes(n, count):
             scores.append(score(b, rng))
             done += b
             if report_chunks:
@@ -414,7 +415,6 @@ def mc_upper_tail(
     seed: int = 0,
     threshold: str = "analytic",
     workers: int = 1,
-    chunk: int = 4096,
     progress=None,
 ) -> TailEstimate:
     """Direct Monte Carlo estimate of P(all hom(H_i, G) >= t_i).
@@ -429,14 +429,14 @@ def mc_upper_tail(
     h_list, thresholds, p, a_np = _tail_setup(spec, h_list, t_list, num_samples,
                                               in_units=threshold == "analytic")
     if threshold == "empirical":
-        means = _empirical_hom_means(spec, h_list, p, num_samples, seed, workers, chunk)
+        means = _empirical_hom_means(spec, h_list, p, num_samples, seed, workers)
         thresholds = [t * mu for t, mu in zip(thresholds, means)]
 
     def report(done, scores):
         progress(done, sum(scores) / done)
 
     hits = sum(_run_workers(
-        spec.n, num_samples, seed, workers, chunk,
+        spec.n, num_samples, seed, workers,
         lambda b, rng: _count_hits(spec, h_list, thresholds, b, rng, p),
         report if progress else None,
     ))
@@ -465,15 +465,14 @@ def _count_hits(spec, h_list, thresholds, b, rng, p):
     return int(_hom_hits_for_batch(a, h_list, thresholds, p).sum())
 
 
-def _empirical_hom_means(spec, h_list, p, num_samples, seed, workers, chunk):
+def _empirical_hom_means(spec, h_list, p, num_samples, seed, workers):
     def chunk_sums(b, rng):
         a = _draw_stack(spec, b, rng)
         return [batched_hom_normalized(h, a, p).sum() for h in h_list]
 
     sums = np.zeros(len(h_list))
     # a separate pass on separate streams; sums add in (worker, chunk) order
-    for s in _run_workers(spec.n, num_samples, seed, workers, chunk, chunk_sums,
-                          stream=10_000):
+    for s in _run_workers(spec.n, num_samples, seed, workers, chunk_sums, stream=10_000):
         sums += s
     return sums / num_samples
 
@@ -508,7 +507,6 @@ def importance_tail(
     num_samples: int,
     seed: int = 0,
     workers: int = 1,
-    chunk: int = 4096,
     progress=None,
 ) -> TailEstimate:
     """Importance-sampled tail estimate of P(all hom(H_i, G) >= t_i), t_i in
@@ -552,7 +550,7 @@ def importance_tail(
         progress(done, _weighted_point(*stacked(scores)))
 
     logw, hits = stacked(_run_workers(
-        spec.n, num_samples, seed, workers, chunk, score, report if progress else None,
+        spec.n, num_samples, seed, workers, score, report if progress else None,
     ))
     shift = _log_shift(logw)
     wts = np.exp(logw - shift)

@@ -242,29 +242,28 @@ def _check_cap(h: Graph, what: str):
         )
 
 
-def _neighbor_masks(h: Graph):
+def _independent_tuples(h: Graph, what: str):
+    """Every independent vertex set of h (the empty set first) as an
+    increasing tuple, in depth-first order; refused above ENUM_CAP."""
+    _check_cap(h, what)
     masks = [0] * h.vertex_count
     for u, v in h.edges:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    return masks
+
+    def extend(current, mask, start):
+        yield current
+        for v in range(start, h.vertex_count):
+            if not mask & (1 << v):
+                yield from extend(current + (v,), mask | masks[v], v + 1)
+
+    return extend((), 0, 0)
 
 
 def independent_sets(h: Graph):
     """All independent vertex sets (the empty set included), size-then-lex order."""
-    _check_cap(h, "independent_sets")
-    masks = _neighbor_masks(h)
-    out = [frozenset()]
-
-    def extend(current, mask, start):
-        for v in range(start, h.vertex_count):
-            if mask & (1 << v):
-                continue
-            out.append(frozenset(current + (v,)))
-            extend(current + (v,), mask | masks[v], v + 1)
-
-    extend((), 0, 0)
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    tuples = _independent_tuples(h, "independent_sets")
+    return [frozenset(s) for s in sorted(tuples, key=lambda s: (len(s), s))]
 
 
 @dataclass(frozen=True)
@@ -279,25 +278,11 @@ class IndependencePolynomial:
             total = total * x + c
         return total
 
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
-
 
 def independence_polynomial(h: Graph) -> IndependencePolynomial:
-    _check_cap(h, "independence_polynomial")
-    masks = _neighbor_masks(h)
     counts = [0] * (h.vertex_count + 1)
-    counts[0] = 1
-
-    def extend(size, mask, start):
-        for v in range(start, h.vertex_count):
-            if mask & (1 << v):
-                continue
-            counts[size + 1] += 1
-            extend(size + 1, mask | masks[v], v + 1)
-
-    extend(0, 0, 0)
+    for s in _independent_tuples(h, "independence_polynomial"):
+        counts[len(s)] += 1
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
     return IndependencePolynomial(tuple(counts))

@@ -23,22 +23,23 @@ WIDTH_CAP = 5          # elimination width (treewidth) limit for the DP
 BRUTE_CELL_CAP = 30_000_000   # n^v entries for the flat-grid engine
 DP_CELL_CAP = 140_000_000     # entries of any single DP intermediate
 BATCH_CELLS = 1 << 16         # target intermediate entries per batched sub-batch
+WEIGHT_TOL = 1e-9             # slack of check_weight_matrix's diagonal, symmetry, range
 
 
-def check_weight_matrix(x, tol=1e-9):
-    """Validate a symmetric [0,1] matrix with zero diagonal."""
+def check_weight_matrix(x):
+    """Validate a symmetric [0,1] matrix with zero diagonal, to WEIGHT_TOL."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise DomainError("weight matrix must be square")
-    if np.abs(np.diag(x)).max(initial=0.0) > tol:
+    if np.abs(np.diag(x)).max(initial=0.0) > WEIGHT_TOL:
         raise DomainError("weight matrix must have zero diagonal")
     with np.errstate(invalid="ignore"):
         asym = np.abs(x - x.T).max(initial=0.0)
     # inf - inf and NaN make `asym` NaN; those matrices take allclose's rule
     # (non-finite entries are close only when equal), so messages stay as they were
-    if not asym <= tol and not np.allclose(x, x.T, atol=tol, rtol=0):
+    if not asym <= WEIGHT_TOL and not np.allclose(x, x.T, atol=WEIGHT_TOL, rtol=0):
         raise DomainError("weight matrix must be symmetric")
-    if x.min(initial=0.0) < -tol or x.max(initial=0.0) > 1 + tol:
+    if x.min(initial=0.0) < -WEIGHT_TOL or x.max(initial=0.0) > 1 + WEIGHT_TOL:
         raise DomainError("weight matrix entries must lie in [0,1]")
     return x
 
@@ -327,11 +328,8 @@ def hom_value_and_gradient(h: Graph, x, p: float):
     return value, grad / (p * float(n) ** v)
 
 
-def hom_gradient(h: Graph, x, engine="auto") -> np.ndarray:
-    """d t(h, X) / d x_uv: the gradient of `hom_value_and_gradient` at p = 1.
-    Only the DP engine has a gradient."""
-    if engine not in ("auto", "dp"):
-        raise DomainError(f"hom_gradient runs only the DP engine (auto or dp), got {engine!r}")
+def hom_gradient(h: Graph, x) -> np.ndarray:
+    """d t(h, X) / d x_uv: the gradient of `hom_value_and_gradient` at p = 1."""
     return hom_value_and_gradient(h, x, 1.0)[1]
 
 

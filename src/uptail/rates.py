@@ -157,11 +157,9 @@ class BlockModelParams:
     def num_blocks(self):
         return len(self.alpha)
 
-    def edge_probability_matrix(self, n: int, sizes=None) -> np.ndarray:
+    def edge_probability_matrix(self, n: int) -> np.ndarray:
         """Per-pair probability matrix on n vertices (blocks of near-equal size)."""
-        if sizes is None:
-            sizes = block_sizes(self.alpha, n)
-        labels = np.repeat(np.arange(self.num_blocks), sizes)
+        labels = np.repeat(np.arange(self.num_blocks), block_sizes(self.alpha, n))
         ker = np.asarray(self.kernel, dtype=float)
         pm = ker[labels[:, None], labels[None, :]] * self.p
         np.fill_diagonal(pm, 0.0)

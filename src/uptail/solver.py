@@ -32,7 +32,7 @@ from .errors import ConstructionError, DomainError, ResourceError
 from .graphs import Graph
 # hom_gradient stays bound: perfbench's traced run patches it here by name
 from .homs import hom_gradient, hom_normalized, hom_value_and_gradient  # noqa: F401
-from .rates import entropy_matrix, rate_scale, scale_anp, scale_pattern, theta_root
+from .rates import entropy_matrix, rate_scale, scale_pattern, theta_root
 
 EPS = 1e-12
 
@@ -97,8 +97,6 @@ class SolveResult:
     ensemble_residual: float
     seed_provenance: str
     iterations: int
-    n: int = 0
-    p: float = 0.0            # sparsity used for hom normalization
     notes: list = field(default_factory=list)
 
     def to_json(self):
@@ -111,16 +109,6 @@ class SolveResult:
             "iterations": self.iterations,
             "notes": self.notes,
         }
-
-
-def normalized_phi(result: SolveResult, dmax: int) -> float:
-    """Solve value rescaled by n^2 p^Delta log(1/p) at a caller-chosen Delta
-    (`rates.rate_scale` gives the scale each ensemble uses)."""
-    if dmax < 2:
-        raise DomainError("Delta must be >= 2 (take the 2-core's max degree)")
-    if result.value == 0.0:
-        return 0.0
-    return result.value / scale_anp(result.n, result.p, dmax)
 
 
 # ---------------------------------------------------------------------------
@@ -275,22 +263,19 @@ def ladder(problem: SolveProblem, delta: float):
 
 
 def default_seeds(problem: SolveProblem):
-    """Constant base plus the materialized ladder at inflated delta levels."""
+    """Constant base plus the ladder at inflated delta levels, each distinct
+    BlockSpec materialized once, under the tag of its first level."""
     seeds = [("constant", problem.base_matrix())]
     tmax = max(t for _, t in problem.targets)
     if tmax <= 1:
         return seeds
+    seen = set()
     for mult in (1.0, 1.5, 2.0, 3.0, 5.0, 8.0):
         for tag, spec in ladder(problem, (tmax - 1.0) * mult):
-            seeds.append((f"{tag}_delta_x{mult:g}", spec.materialize()))
-    # dedupe by fingerprint
-    out, seen = [], set()
-    for name, s in seeds:
-        key = (round(float(s.sum()), 6), round(float((s * s).sum()), 6))
-        if key not in seen:
-            seen.add(key)
-            out.append((name, s))
-    return out
+            if spec not in seen:
+                seen.add(spec)
+                seeds.append((f"{tag}_delta_x{mult:g}", spec.materialize()))
+    return seeds
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +381,6 @@ def _result(problem, x, value, vals, provenance, iterations, notes):
         ensemble_residual=ensemble_residual(x, problem.ensemble),
         seed_provenance=provenance,
         iterations=iterations,
-        n=problem.n,
-        p=problem.hom_p(),
         notes=notes,
     )
 
@@ -473,7 +456,6 @@ def _al_single(problem, seed, targets):
     step = 1.0  # spectral step, carried from one inner loop to the next
     best_val, best_x = None, None
     history = []
-    iters = 0
 
     def consider(xc, ev):
         """Keep xc as the incumbent if it is feasible, within ens_tol of the
@@ -488,20 +470,17 @@ def _al_single(problem, seed, targets):
 
     ev = _evaluate(problem, x)
     consider(x, ev)
-    prev_residual = float(np.max(np.maximum(targets - ev[0], 0.0)))
-    res_history = [prev_residual]
+    res_history = [float(np.max(np.maximum(targets - ev[0], 0.0)))]
 
-    for outer in range(problem.budget):
-        iters += 1
+    for _outer in range(problem.budget):
         x, ev, step = _inner_pg(problem, x, ev, targets, lam, rho, step)
         vals = ev[0]
         residual = float(np.max(np.maximum(targets - vals, 0.0)))
         consider(x, ev)
         g = targets - vals
         lam = np.maximum(0.0, lam + rho * g)
-        if residual > 0.7 * prev_residual and residual > feas_tol:
+        if residual > 0.7 * res_history[-1] and residual > feas_tol:
             rho = min(rho * 2.0, 1e12)
-        prev_residual = residual
         history.append(best_val if best_val is not None else math.inf)
         res_history.append(residual)
         if residual <= feas_tol and len(history) >= 5:
@@ -519,7 +498,7 @@ def _al_single(problem, seed, targets):
                 math.isfinite(v_old) and abs(v_old - v_new) <= 1e-6 * (1.0 + abs(v_new)))
             if res_new > feas_tol and res_new > 0.99 * res_old and val_stuck:
                 break
-    return best_val, best_x, iters
+    return best_val, best_x, len(history)
 
 
 def _inner_pg(problem, x, ev, targets, lam, rho, step, max_steps=60):

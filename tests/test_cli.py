@@ -595,6 +595,20 @@ def test_check_p_above_guideline_only_warns(capsys):
     assert json.loads(out)["in_range"] is False
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--n", "100", "--p", "0"), "p must be in (0,1)"),
+    (("--n", "100", "--p", "1.5"), "p must be in (0,1)"),
+    (("--n", "0", "--p", "0.1"), "n must be >= 1"),
+    (("--n", "-5", "--p", "0.1"), "n must be >= 1"),
+    (("--n", "100"), "--n and --p together"),
+    (("--p", "0.1"), "--n and --p together"),
+])
+def test_rate_a_np_flags_checked_not_dropped(argv, message, capsys):
+    # a_np needs both flags, each in range; none is silently dropped
+    code, out, err = run_main(capsys, "rate", "--graph", "cycle:3", "--delta", "1", *argv)
+    assert code == 1 and message in err and out == ""
+
+
 # ---------------------------------------------------------------------------
 # one rate scale: under the regular ensemble a_{n,p} and the row-sum ladder
 # take the 2-core, so a pendant tree changes nothing
@@ -692,7 +706,7 @@ def _block_b_hits_on_stream():
     spec = ensembles.block_model(30, params)
     assert rates.b_h(graphs.clique(3), params) == 2.375
     rng, hits = ensembles.rng_stream(1, 0), 0
-    for b in ensembles._chunk_sizes(30, 2000, 4096):
+    for b in ensembles._chunk_sizes(30, 2000):
         a = ensembles._draw_stack(spec, b, rng).astype(float)
         hom = np.einsum("bij,bjk,bki->b", a, a, a)
         hits += int((hom >= 2.375 * 30 ** 3 * 0.2 ** 3).sum())

@@ -223,18 +223,19 @@ def test_mc_workers_deterministic_reduction():
     assert a.point == b.point
 
 
-def test_progress_per_chunk_or_per_worker():
+def test_progress_per_chunk_or_per_worker(monkeypatch):
     # one worker reports after every chunk, several after each worker in order;
     # the last report is the final estimate
+    monkeypatch.setattr(E, "CHUNK", 64)
     spec, n = E.er(12, 0.3), 300
     for workers, dones in ((1, [64, 128, 192, 256, 300]), (3, [100, 200, 300])):
         seen = []
-        est = E.mc_upper_tail(spec, [K3], [1.3], n, seed=9, workers=workers, chunk=64,
+        est = E.mc_upper_tail(spec, [K3], [1.3], n, seed=9, workers=workers,
                               progress=lambda done, val: seen.append((done, val)))
         assert [d for d, _ in seen] == dones and seen[-1][1] == est.point
         seen = []
         est = E.importance_tail(spec, spec.probability_matrix(), [K3], [1.3], n, seed=9,
-                                workers=workers, chunk=64,
+                                workers=workers,
                                 progress=lambda done, val: seen.append((done, val)))
         assert [d for d, _ in seen] == dones and seen[-1][1] == est.point
 
@@ -254,14 +255,15 @@ def test_mc_regular_base():
     (E.uniform(12, 20), [0.6, 2.0]),
     (E.regular(12, 4), [0.5, 1.65]),
 ])
-def test_mc_fixed_count_matches_per_sample_loop(spec, thresholds):
+def test_mc_fixed_count_matches_per_sample_loop(spec, thresholds, monkeypatch):
     # the stack path must count the same hits as drawing one graph at a time
     # from each worker's stream and evaluating each with the single-matrix hom;
     # three workers run on the thread pool
     hs, samples, seed = [K3, G.cycle(4)], 300, 3
     p = spec.sparsity()
+    monkeypatch.setattr(E, "CHUNK", 64)
     for shares in ([300], [100, 100, 100]):
-        est = E.mc_upper_tail(spec, hs, thresholds, samples, seed=seed, chunk=64,
+        est = E.mc_upper_tail(spec, hs, thresholds, samples, seed=seed,
                               workers=len(shares))
         hits = 0
         for w, share in enumerate(shares):
@@ -300,15 +302,16 @@ def test_is_agrees_with_direct():
     assert weighted.hits >= 100  # effective sample size
 
 
-def test_is_progress_survives_extreme_log_weights():
+def test_is_progress_survives_extreme_log_weights(monkeypatch):
     # a tilt of 1e-3 against a base of 0.9 puts every log-weight near -1800,
     # where the unshifted weights underflow to zero
     n = 40
     tilt = np.full((n, n), 1e-3)
     np.fill_diagonal(tilt, 0.0)
     seen = []
+    monkeypatch.setattr(E, "CHUNK", 100)
     est = E.importance_tail(E.er(n, 0.9), tilt, [G.clique(2)], [0.0], 600, seed=2,
-                            chunk=100, progress=lambda done, val: seen.append(val))
+                            progress=lambda done, val: seen.append(val))
     assert len(seen) == 6 and all(math.isfinite(v) for v in seen)
     assert seen[-1] == est.point
     # past +709 the unshifted weights overflow: the estimate caps at 1
@@ -318,7 +321,7 @@ def test_is_progress_survives_extreme_log_weights():
     assert E._weighted_point(logw, hits) == pytest.approx(math.exp(-700) / 2, rel=1e-12)
 
 
-def test_is_block_base_with_zero_kernel_entries():
+def test_is_block_base_with_zero_kernel_entries(monkeypatch):
     # base and tilt both 0 across the two blocks: those pairs never carry an
     # edge, and their log-weight pieces must not reach any sample's weight
     spec = E.block_model(12, R.BlockModelParams((0.5, 0.5), ((1.0, 0.0), (0.0, 1.0)), 0.4))
@@ -330,7 +333,8 @@ def test_is_block_base_with_zero_kernel_entries():
     # forcing a cross-block edge gives every sample base probability 0
     tilt[0, 11] = tilt[11, 0] = 1.0
     seen = []
-    forced = E.importance_tail(spec, tilt, [K3], [0.1], 200, seed=1, chunk=50,
+    monkeypatch.setattr(E, "CHUNK", 50)
+    forced = E.importance_tail(spec, tilt, [K3], [0.1], 200, seed=1,
                                progress=lambda done, val: seen.append(val))
     assert forced.point == 0.0 and forced.hits == 0.0
     assert seen == [0.0] * 4

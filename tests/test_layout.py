@@ -1,0 +1,36 @@
+"""Source layout: every module-level private function or class of the
+package is used somewhere in the package outside its own definition, so
+no dead helper survives a refactor.  Standard library only."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "uptail"
+
+
+def _names_used(node):
+    """Names, attributes and imported names referenced anywhere in node."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def test_every_private_helper_is_referenced():
+    statements = [(path.name, node) for path in sorted(SRC.glob("*.py"))
+                  for node in ast.parse(path.read_text()).body]
+    unused = []
+    for module, node in statements:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_") or node.name.startswith("__"):
+            continue
+        if not any(node.name in _names_used(other)
+                   for _m, other in statements if other is not node):
+            unused.append(f"{module}:{node.lineno} {node.name}")
+    assert not unused, unused

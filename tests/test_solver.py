@@ -154,15 +154,7 @@ def test_normalized_scale():
     assert res.normalized == pytest.approx(
         res.value / R.scale_anp(60, 0.3, 2), rel=1e-12
     )
-    assert S.normalized_phi(res, 2) == pytest.approx(res.normalized, rel=1e-12)
-    # rescaling at a different Delta: value / (n^2 p^Delta log(1/p))
-    assert S.normalized_phi(res, 3) == pytest.approx(
-        res.value / R.scale_anp(60, 0.3, 3), rel=1e-12
-    )
-    zero = _solve(K3, 1.0, 30, 0.3)
-    assert S.normalized_phi(zero, 2) == 0.0
-    with pytest.raises(DomainError):
-        S.normalized_phi(res, 1)
+    assert _solve(K3, 1.0, 30, 0.3).normalized == 0.0
 
 
 def test_problem_validation():
@@ -255,6 +247,22 @@ def test_ladder_specs_are_exact_members(delta):
     for _tag, spec in S.ladder(total, delta):
         filled = B.fill_total_weight(spec, m)
         assert B.validate_membership(filled, E.uniform(n, m)).deviation == 0.0
+
+
+def test_default_seeds_dedupe_by_construction_not_fingerprint():
+    # plant_hub_delta_x8, sizes (2, 28), and plant_both_delta_x2, sizes
+    # (1, 8, 21), are distinct seeds with equal sums and sums of squares
+    # (114 one-entries each)
+    prob = S.SolveProblem(((K3, 1.3),), n=30, base=130 / 435,
+                          ensemble=("total_weight", 130))
+    seeds = S.default_seeds(prob)
+    names = [name for name, _x in seeds]
+    assert "plant_hub_delta_x8" in names and "plant_both_delta_x2" in names
+    for i, (_a, x) in enumerate(seeds):
+        assert not any(np.array_equal(x, y) for _b, y in seeds[i + 1:])
+    res = S.solve_phi(prob)
+    assert res.value == 37.06758510266653
+    assert res.seed_provenance == "plant_clique_delta_x3"
 
 
 @pytest.mark.parametrize("ensemble", [None, ("row_sums", 18)])
