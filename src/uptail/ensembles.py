@@ -379,10 +379,20 @@ def _run_workers(n, num_samples, seed, workers, score, report=None, stream=0):
 
 
 def _hom_hits_for_batch(a_batch, h_list, t_list, p):
-    hits = np.ones(a_batch.shape[0], dtype=bool)
+    """Which graphs of the stack have hom(H_i, G) >= t_i for every i.
+
+    Pattern i+1 is counted only on the graphs that met patterns 1..i, and
+    counting stops once none is left: the hits are those of counting every
+    pattern on every graph, at a fraction of the cost on joint events.
+    """
+    hits = np.zeros(a_batch.shape[0], dtype=bool)
+    rows = np.arange(a_batch.shape[0])
     for h, t in zip(h_list, t_list):
-        vals = batched_hom_normalized(h, a_batch, p)
-        hits &= vals >= t
+        if not rows.size:
+            break
+        keep = batched_hom_normalized(h, a_batch, p) >= t
+        rows, a_batch = rows[keep], a_batch[keep]
+    hits[rows] = True
     return hits
 
 

@@ -5,7 +5,11 @@ and an elimination-order dynamic program (greedy min-width, einsum per step).
 Both count labeled homomorphisms; the zero diagonal of weight matrices kills
 maps that repeat adjacent vertices.  The DP's plan also runs on a leading
 batch axis, so single matrices, the gradient's pinned sums and batched 0/1
-adjacency stacks all contract in the same elimination order.
+adjacency stacks all contract in the same elimination order.  On a stack, a
+step that is one matrix product per graph (two factors sharing only the
+eliminated vertex, as every step along a cycle) runs as a batched `np.matmul`
+on BLAS, and the other two-factor steps run einsum unoptimized; single
+matrices, and so the dense solver, run einsum on every step.
 """
 
 from __future__ import annotations
@@ -93,7 +97,9 @@ def _build_plan(h: Graph, pinned, batch_prefix):
     `batch_prefix`: '' for a single matrix, '...' for a (..., n, n) stack
     (einsum parses an ellipsis more slowly, so single matrices skip it).
     Each step also records its number of distinct indices, which picks its
-    einsum `optimize` setting.
+    einsum `optimize` setting, and the operand swaps of a matmul step (None
+    for an einsum step; only batched plans have matmul steps, see
+    `_matmul_order`).
     Cached per (pattern, pinned, prefix) so repeated evaluations skip all the
     plan building.
     """
@@ -115,7 +121,7 @@ def _build_plan(h: Graph, pinned, batch_prefix):
         sub = ",".join(batch_prefix + "".join(sym[u] for u in f[0]) for f in facs)
         return f"{sub}->{batch_prefix}" + "".join(sym[u] for u in out_vars)
 
-    steps = []  # (subscript, slots, out arity, distinct indices)
+    steps = []  # (subscript, slots, out arity, distinct indices, matmul swaps)
     for v in order:
         if v in pinned:
             continue
@@ -125,9 +131,14 @@ def _build_plan(h: Graph, pinned, batch_prefix):
         factors = [f for f in factors if v not in f[0]]
         all_vars = sorted(set(itertools.chain.from_iterable(f[0] for f in touching)))
         out_vars = tuple(u for u in all_vars if u != v)
+        matmul = _matmul_order(touching, v) if batch_prefix else None
+        swaps = None
+        if matmul is not None:
+            touching, swaps = matmul
+            out_vars = tuple(u for f in touching for u in f[0] if u != v)
         sym = {u: letters[i] for i, u in enumerate(all_vars)}
-        steps.append((subscript(touching, sym, out_vars),
-                      tuple(f[1] for f in touching), len(out_vars), len(all_vars)))
+        steps.append((subscript(touching, sym, out_vars), tuple(f[1] for f in touching),
+                      len(out_vars), len(all_vars), swaps))
         if out_vars:
             factors.append((out_vars, len(steps) - 1))
 
@@ -139,6 +150,28 @@ def _build_plan(h: Graph, pinned, batch_prefix):
         sym = {u: letters[i] for i, u in enumerate(pins)}
         final = (subscript(factors, sym, pins), tuple(f[1] for f in factors), len(pins))
     return steps, pins, final
+
+
+def _matmul_order(touching, v):
+    """How to eliminate v from the factors `touching` as one matrix product
+    per graph, sum_v L[u1, v] R[v, u2]: ((left, right), (swap left, swap
+    right)), or None unless there are two factors on two vertices each,
+    sharing only v.  W is symmetric, so it is never swapped; an intermediate
+    is swapped (read as a strided view, which matmul runs slower) only when v
+    sits on the wrong side.  Of L R and R L, the one with fewer swaps wins,
+    then the one whose output keeps its vertices in sorted order.
+    """
+    if len(touching) != 2 or any(len(f[0]) != 2 for f in touching):
+        return None
+    if len(set(touching[0][0]) | set(touching[1][0])) != 3:
+        return None
+
+    def arrange(left, right):
+        swaps = (left[1] != "W" and left[0][1] != v, right[1] != "W" and right[0][0] != v)
+        kept = [u for f in (left, right) for u in f[0] if u != v]
+        return (sum(swaps), kept[0] > kept[1]), ((left, right), swaps)
+
+    return min(arrange(*touching), arrange(*touching[::-1]), key=lambda c: c[0])[1]
 
 
 _PLAN_CACHE = {}
@@ -165,20 +198,26 @@ def _dp_sum(h: Graph, w: np.ndarray, pinned=()):
     ones = np.ones(n, dtype=w.dtype)
     results = []
 
-    def contract(sub, slots, indices):
+    def contract(sub, slots, indices, swaps=None):
         ops = [w if s == "W" else ones if s == "ONES" else results[s] for s in slots]
-        # one operand is a plain axis sum; a single matrix's step on at most 3
-        # indices (K4's `ab,ac,abc->bc`) runs faster unoptimized below n = 128
-        opt = len(slots) > 1 and (bool(batch) or indices > 3 or n >= 128)
+        if swaps is not None:
+            return np.matmul(*(x.swapaxes(-1, -2) if s else x for x, s in zip(ops, swaps)))
+        # one operand is a plain axis sum; a stack's two-operand step, and a
+        # single matrix's step on at most 3 indices (K4's `ab,ac,abc->bc`)
+        # below n = 128, run faster unoptimized
+        if batch:
+            opt = len(slots) > 2
+        else:
+            opt = len(slots) > 1 and (indices > 3 or n >= 128)
         return np.einsum(sub, *ops, optimize=opt)
 
     scalar = w.dtype.type(1)
-    for sub, slots, out_arity, indices in steps:
+    for sub, slots, out_arity, indices, swaps in steps:
         if graphs * n ** out_arity > DP_CELL_CAP:
             raise ResourceError(
                 f"DP intermediate of {graphs} x n^{out_arity} entries exceeds memory cap"
             )
-        merged = contract(sub, slots, indices)
+        merged = contract(sub, slots, indices, swaps)
         results.append(merged)
         if out_arity == 0:
             scalar = scalar * merged
@@ -336,13 +375,17 @@ def hom_gradient(h: Graph, x) -> np.ndarray:
 def batched_hom_normalized(h: Graph, a_stack: np.ndarray, p: float) -> np.ndarray:
     """hom(h, .) for a batch of 0/1 adjacency matrices, shape (B, n, n).
 
-    Runs the DP plan on sub-batches of BATCH_CELLS intermediate entries; each
-    counts on 0/1 floats, so the counts are exact integers before scaling."""
+    Runs the batched DP plan on sub-batches of BATCH_CELLS intermediate
+    entries: matrix-product steps as `np.matmul`, the rest as einsum (see
+    `_dp_sum`).  BLAS and einsum add in different orders, but on 0/1 floats
+    every partial sum is a count of partial maps, an integer of at most n^v,
+    so while n^v <= 2^53 each count is exact and the same in any order, and
+    only the final scaling rounds."""
     if not (0 < p < 1):
         raise DomainError(f"p must be in (0,1), got {p}")
     b, n, _ = a_stack.shape
     steps = _get_plan(h, (), batched=True)[0]
-    per_graph = n ** max([2] + [arity for _sub, _slots, arity, _indices in steps])
+    per_graph = n ** max([2] + [step[2] for step in steps])
     size = max(1, BATCH_CELLS // per_graph)
     counts = np.empty(b)
     for lo in range(0, b, size):

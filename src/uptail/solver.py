@@ -229,11 +229,14 @@ def ladder(problem: SolveProblem, delta: float):
     """The planted constructions at excess level delta, as (tag, BlockSpec)
     pairs: degree-exact cycle or clique blocks for each pattern's 2-core
     under row sums; otherwise hub, clique and both planted on the
-    constant-p background, per pattern."""
+    constant-p background, per pattern.  With two or more targets, each tag
+    ends in the position of the pattern it was built for (`_h1` for the
+    first), so that every seed of `default_seeds` has its own name."""
     n, p = problem.n, problem.hom_p()
     kind = problem.ensemble[0] if problem.ensemble else None
     out = []
-    for h, _t in problem.targets:
+    for i, (h, _t) in enumerate(problem.targets, 1):
+        pos = f"_h{i}" if len(problem.targets) > 1 else ""
         try:
             if kind == "row_sums":
                 d = int(round(problem.ensemble[1]))
@@ -245,7 +248,7 @@ def ladder(problem: SolveProblem, delta: float):
                 else:
                     continue
                 # one tag for both: it names the seed in seed_provenance
-                out.append(("cycle_blocks", spec))
+                out.append((f"cycle_blocks{pos}", spec))
                 continue
             xh = theta_root(h, delta)
         except (ConstructionError, DomainError):
@@ -256,7 +259,7 @@ def ladder(problem: SolveProblem, delta: float):
             plants += [("clique", 0.0, yc), ("both", xh, yc)]
         for tag, x, y in plants:
             try:
-                out.append((f"plant_{tag}", build_plant(n, p, x, y, h.max_degree())))
+                out.append((f"plant_{tag}{pos}", build_plant(n, p, x, y, h.max_degree())))
             except ConstructionError:
                 pass
     return out

@@ -275,6 +275,33 @@ def test_mc_fixed_count_matches_per_sample_loop(spec, thresholds, monkeypatch):
         assert est.hits == hits
 
 
+@pytest.mark.parametrize("spec", [E.er(14, 0.4), E.uniform(14, 36), E.regular(14, 4)],
+                         ids=["er", "uniform", "regular"])
+def test_joint_hits_count_later_patterns_on_survivors_only(spec, monkeypatch):
+    a = E._draw_stack(spec, 300, E.rng_stream(3))
+    p = spec.sparsity()
+    hs = [K3, G.cycle(4), G.cycle(5)]
+    vals = [H.batched_hom_normalized(h, a, p) for h in hs]
+    ts = [float(np.quantile(v, 0.4)) for v in vals]
+    full = [v >= t for v, t in zip(vals, ts)]
+    seen = []
+
+    def counting(h, stack, p):
+        seen.append(stack.shape[0])
+        return H.batched_hom_normalized(h, stack, p)
+
+    monkeypatch.setattr(E, "batched_hom_normalized", counting)
+    hits = E._hom_hits_for_batch(a, hs, ts, p)
+    assert np.array_equal(hits, full[0] & full[1] & full[2])
+    assert seen == [300, full[0].sum(), (full[0] & full[1]).sum()]
+    assert 300 > seen[1] >= seen[2] >= hits.sum() > 0
+    # no graph meets the first pattern: the later ones are never counted
+    seen.clear()
+    hits = E._hom_hits_for_batch(a, hs, [vals[0].max() + 1.0] + ts[1:], p)
+    assert not hits.any() and hits.shape == (300,)
+    assert seen == [300]
+
+
 # ---------------------------------------------------------------------------
 # importance sampling
 # ---------------------------------------------------------------------------

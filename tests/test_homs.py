@@ -432,3 +432,60 @@ def test_batched_matches_single():
             [H.hom_normalized(h, a.astype(float), 0.35, engine="brute") for a in stack]
         )
         assert np.allclose(batch, single, rtol=1e-12)
+
+
+# a pattern whose batched plan multiplies two stored intermediates that both
+# hold the eliminated vertex first, so one of them is read transposed; that
+# one is not symmetric, so reading it untransposed changes the counts
+SWAPPED = G.Graph(8, ((0, 3), (0, 4), (0, 6), (1, 2), (1, 4), (2, 4), (2, 5), (3, 4),
+                      (5, 6), (5, 7)))
+EXACT_FAMILIES = {
+    "K3": K3, "C4": C4, "C5": G.cycle(5), "C6": G.cycle(6), "K4": K4,
+    "star3": G.parse_graph("star:3"), "path4": G.parse_graph("path:4"),
+    "K23": G.parse_graph("complete_bipartite:2:3"),
+    "K3+isolated": G.Graph(4, ((0, 1), (1, 2), (0, 2))),
+    "2K2": G.Graph(4, ((0, 1), (2, 3))),
+    "swapped": SWAPPED,
+}
+
+
+@pytest.mark.parametrize("h", list(EXACT_FAMILIES.values()), ids=list(EXACT_FAMILIES))
+def test_batched_counts_are_exact_integers(h):
+    # with n = 8 and p = 1/2 the scale n^v p^e is a power of two, so scaling
+    # back is exact and the batched counts must equal the integer counts bit
+    # for bit (brute force; the int64 DP on the 8-vertex pattern, past the
+    # brute-force grid); 37 distinct graphs, tiled past every sub-batch
+    # boundary, catch a count written to the wrong row
+    rng = np.random.default_rng(21)
+    n, p = 8, 0.5
+    graphs = [_random_graph(rng, n) for _ in range(37)]
+    engine = "dp" if h is SWAPPED else "brute"
+    want = np.array([H.hom_count(h, g, engine=engine) for g in graphs], dtype=float)
+    adj = np.array([g.adjacency() for g in graphs], dtype=np.int8)
+    scale = float(n) ** h.vertex_count * p ** h.edge_count
+    big = 1 + H.BATCH_CELLS // n ** 2  # more graphs than any sub-batch holds
+    for size in (0, 1, big):
+        idx = np.arange(size) % len(graphs)
+        got = H.batched_hom_normalized(h, adj[idx], p) * scale
+        assert got.shape == (size,)
+        assert np.array_equal(got, want[idx])
+
+
+def test_batched_plan_steps_that_become_matmuls():
+    def kinds(h, batched=True):
+        return [swaps for *_rest, swaps in H._get_plan(h, (), batched=batched)[0]]
+
+    no_swap = (False, False)
+    # C5: three path extensions, then the closing product and the final sum
+    assert kinds(G.cycle(5)) == [no_swap] * 3 + [None, None]
+    # K2,3: the two `ac,bc->ab` products of W with itself; the three-operand
+    # step keeps einsum
+    assert kinds(G.parse_graph("complete_bipartite:2:3")) == [no_swap] * 2 + [None] * 3
+    assert (True, False) in kinds(SWAPPED)
+    # single matrices (the dense solver) keep einsum on every step
+    for h in EXACT_FAMILIES.values():
+        assert set(kinds(h, batched=False)) == {None}
+        # W is symmetric, so it is never read transposed
+        for _sub, slots, *_rest, swaps in H._get_plan(h, (), batched=True)[0]:
+            if swaps is not None:
+                assert not any(s for slot, s in zip(slots, swaps) if slot == "W")

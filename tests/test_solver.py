@@ -1,6 +1,7 @@
 """Variational solver: projections, feasibility contracts, nesting, trends."""
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -243,7 +244,7 @@ def test_ladder_specs_are_exact_members(delta):
     total = S.SolveProblem(targets=tuple((h, 2.0) for h in hs), n=n,
                            base=m / (n * (n - 1) / 2), ensemble=("total_weight", m))
     tags = [tag for tag, _spec in S.ladder(total, delta)]
-    assert {"plant_hub", "plant_clique", "plant_both"} <= set(tags)
+    assert {"plant_hub_h1", "plant_clique_h1", "plant_both_h1"} <= set(tags)
     for _tag, spec in S.ladder(total, delta):
         filled = B.fill_total_weight(spec, m)
         assert B.validate_membership(filled, E.uniform(n, m)).deviation == 0.0
@@ -404,6 +405,30 @@ def test_incumbents_kept_by_measured_residual(monkeypatch, ensemble, shift, kept
     else:
         with pytest.raises(ResourceError):
             S.solve_phi(prob)
+
+
+@pytest.mark.parametrize("ensemble", [None, ("row_sums", 9)])
+def test_default_seed_names_unique_on_multi_pattern_problems(ensemble):
+    # each ladder tag ends in the position of the pattern its construction
+    # was built for; without it K3's and C5's plants shared names such as
+    # plant_clique_delta_x1 (cycle_blocks_delta_x1 under row sums)
+    c5 = G.cycle(5)
+    prob = S.SolveProblem(((K3, 1.2), (c5, 1.3)), n=30, base=0.3, ensemble=ensemble)
+    names = [name for name, _x in S.default_seeds(prob)]
+    assert len(names) == len(set(names))
+    assert {re.search(r"_(h\d)_delta", name).group(1) for name in names[1:]} == {"h1", "h2"}
+    plain = [re.sub(r"_h\d", "", name) for name in names]
+    assert len(set(plain)) < len(plain)
+    # a single pattern keeps the plain tags
+    k3 = [name for name, _x in S.default_seeds(S.SolveProblem(((K3, 1.3),), n=30, base=0.3))]
+    assert k3 == ["constant", "plant_clique_delta_x1", "plant_clique_delta_x1.5",
+                  "plant_hub_delta_x2", "plant_clique_delta_x2", "plant_both_delta_x2",
+                  "plant_clique_delta_x3", "plant_both_delta_x3", "plant_clique_delta_x5",
+                  "plant_both_delta_x5", "plant_hub_delta_x8", "plant_clique_delta_x8",
+                  "plant_both_delta_x8"]
+    rows = S.SolveProblem(((c5, 1.3),), n=30, base=0.3, ensemble=("row_sums", 9))
+    assert [name for name, _x in S.default_seeds(rows)] == [
+        "constant", "cycle_blocks_delta_x1", "cycle_blocks_delta_x1.5", "cycle_blocks_delta_x3"]
 
 
 def test_row_sum_ladder_builds_from_the_two_core():
