@@ -16,6 +16,7 @@ from .blocks import (
     build_clique_hub,
     build_cycle_blocks,
     build_irregular_dreg,
+    build_whole_cliques,
     validate_membership,
 )
 from .ensembles import (

@@ -64,10 +64,7 @@ class BlockSpec:
             raise ResourceError(
                 f"refusing to materialize n={self.n} > {MATERIALIZE_CAP}"
             )
-        labels = np.repeat(np.arange(self.num_blocks), self.sizes)
-        x = self.value_matrix()[labels[:, None], labels[None, :]]
-        np.fill_diagonal(x, 0.0)
-        return x
+        return blow_up(self.sizes, self.value_matrix())
 
     def row_sums_exact(self):
         """Row sum per block, as Fractions (one value per block by symmetry)."""
@@ -101,7 +98,7 @@ class BlockSpec:
     def hom_density(self, h: Graph) -> float:
         """Exact t(h, .) on the block matrix: partitions of V(h) into
         independent groups (coincident images), falling factorials per block."""
-        return _block_hom_density(h, self.sizes, self.value_matrix())
+        return terms_value_and_gradient(hom_terms(h, self.sizes), self.value_matrix())[0]
 
     def hom_normalized(self, h: Graph, p: float) -> float:
         if not (0 < p < 1):
@@ -150,35 +147,81 @@ def _independent_group_partitions(h: Graph):
     yield from rec(0, [])
 
 
-def _block_hom_density(h: Graph, sizes, values: np.ndarray) -> float:
-    v = h.vertex_count
-    n = sum(sizes)
-    k = len(sizes)
-    total = 0.0
-    for groups in _independent_group_partitions(h):
-        gindex = {}
-        for gi, g in enumerate(groups):
-            for u in g:
-                gindex[u] = gi
-        qedges = [(gindex[a], gindex[b]) for a, b in h.edges]
-        for assign in itertools.product(range(k), repeat=len(groups)):
-            # falling factorial: each group consumes one distinct block vertex
-            w = 1.0
-            used = [0] * k
-            for r in assign:
-                w *= sizes[r] - used[r]
-                used[r] += 1
-                if w == 0.0:
-                    break
-            if w == 0.0:
-                continue
-            for (ga, gb) in qedges:
-                w *= values[assign[ga], assign[gb]]
-                if w == 0.0:
-                    break
-            if w != 0.0:
-                total += w
-    return total / float(n) ** v
+_TERM_CACHE = {}
+
+
+def _hom_table(h: Graph, k: int):
+    """t(h, .) on k blocks as a polynomial in the block values, compiled once
+    per (pattern, k).  On a zero diagonal, a map of V(h) counts only when the
+    vertices it sends to one point are independent, so it is a partition of
+    V(h) into independent groups, each sent to its own vertex in some block.
+    One term collects the placements of groups in blocks that put every edge
+    on the same block pair and the same number of groups in each block.
+    Returns (pairs, counts, mult): per term, the flat index a * k + b
+    (a <= b) of each edge's block pair, the number of groups in each block,
+    and how many placements it merges."""
+    key = (h.vertex_count, h.edges, k)
+    table = _TERM_CACHE.get(key)
+    if table is None:
+        terms = {}
+        for groups in _independent_group_partitions(h):
+            gindex = {u: gi for gi, g in enumerate(groups) for u in g}
+            qedges = [(gindex[a], gindex[b]) for a, b in h.edges]
+            for assign in itertools.product(range(k), repeat=len(groups)):
+                pairs = tuple(sorted(min(assign[ga], assign[gb]) * k + max(assign[ga], assign[gb])
+                                     for ga, gb in qedges))
+                counts = tuple(assign.count(a) for a in range(k))
+                terms[pairs, counts] = terms.get((pairs, counts), 0) + 1
+        table = (np.array([pairs for pairs, _c in terms], dtype=np.intp).reshape(
+                     len(terms), h.edge_count),
+                 np.array([counts for _p, counts in terms], dtype=np.intp).reshape(len(terms), k),
+                 np.array(list(terms.values()), dtype=float))
+        _TERM_CACHE[key] = table
+    return table
+
+
+def hom_terms(h: Graph, sizes):
+    """`_hom_table` on these block sizes: (pairs, weights, mirror), each term
+    weighted by its multiplicity times the falling factorials
+    (s_a)_(groups in a) over n^v, so that sum(weights * prod(values[pairs]))
+    = t(h, .); mirror[a, b] is the flat index of the pair (min, max)."""
+    pairs, counts, mult = _hom_table(h, len(sizes))
+    s = np.asarray(sizes, dtype=float)
+    k = len(s)
+    # falling[a, c] = s_a (s_a - 1) ... (s_a - c + 1)
+    falling = np.cumprod(np.hstack([np.ones((k, 1)),
+                                    s[:, None] - np.arange(h.vertex_count)]), axis=1)
+    weights = mult * falling[np.arange(k), counts].prod(axis=1)
+    a, b = np.indices((k, k))
+    return pairs, weights / s.sum() ** h.vertex_count, np.minimum(a, b) * k + np.maximum(a, b)
+
+
+def terms_value_and_gradient(terms, values):
+    """The polynomial `hom_terms` at the symmetric k x k `values`, and its
+    gradient in each unordered block-pair value (one variable for (a, b) and
+    (b, a)), as a symmetric k x k array."""
+    pairs, weights, mirror = terms
+    if not pairs.shape[1]:
+        return float(weights.sum()), np.zeros(mirror.shape)
+    factors = values.take(pairs)
+    # the product of every factor but the j-th, from prefix and suffix products
+    before = np.ones_like(factors)
+    after = np.ones_like(factors)
+    np.cumprod(factors[:, :-1], axis=1, out=before[:, 1:])
+    np.cumprod(factors[:, :0:-1], axis=1, out=after[:, -2::-1])
+    value = float(weights @ (before[:, -1] * factors[:, -1]))
+    grad = np.bincount(pairs.ravel(), (weights[:, None] * before * after).ravel(),
+                       minlength=mirror.size)
+    return value, grad.take(mirror)
+
+
+def blow_up(sizes, values) -> np.ndarray:
+    """The n x n matrix of block values `values` on blocks of `sizes`, with
+    zero diagonal."""
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    x = np.asarray(values, dtype=float)[labels[:, None], labels[None, :]]
+    np.fill_diagonal(x, 0.0)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +253,50 @@ def build_cycle_blocks(n: int, d: int, delta: float, l: int) -> BlockSpec:
         raise ConstructionError(
             f"fractional clique size rounds to {s1}; d too small for delta={delta}"
         )
+    return _whole_cliques(n, d, whole, s1)
+
+
+def build_whole_cliques(n: int, d: int, delta: float, h: Graph) -> BlockSpec:
+    """The shape of `build_cycle_blocks` for any pattern h, sized by its
+    exact hom rather than by frac(delta)^{1/l}: the least planted size
+    (whole (d+1)-cliques, then the last clique's size) at which hom(h) at
+    p = d/n reaches 1 + delta, found by bisection, as the count grows with
+    the planted size."""
+    if not (math.isfinite(delta) and delta > 0):
+        raise DomainError(f"delta must be finite and > 0, got {delta}")
+    if d < 2 or d >= n:
+        raise DomainError("need 2 <= d < n")
+    # (whole, s1) by planted size; a last clique has at least 2 vertices
+    shapes = [(whole, s1) for whole in range((n // 2) // (d + 1) + 1)
+              for s1 in [0] + list(range(2, d + 1))
+              if 0 < whole * (d + 1) + s1 <= n // 2]
+
+    def spec_if_met(i):
+        try:
+            spec = _whole_cliques(n, d, *shapes[i])
+        except ConstructionError:
+            return None
+        return spec if spec.hom_normalized(h, d / n) >= 1.0 + delta else None
+
+    lo, hi = -1, len(shapes) - 1  # shapes[hi] meets the target, shapes[lo] does not
+    if not shapes or spec_if_met(hi) is None:
+        raise ConstructionError(f"no whole-clique construction reaches hom 1 + {delta:g}")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if spec_if_met(mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    return spec_if_met(hi)
+
+
+def _whole_cliques(n: int, d: int, whole: int, s1: int) -> BlockSpec:
+    """`whole` maximal (d+1)-cliques, a last clique of s1 vertices (none at
+    0), and the background, with border r and background q solving the
+    row-sum equations exactly."""
     s = whole * (d + 1) + s1
     if s > n // 2:
         raise ConstructionError(f"planted blocks of total size {s} exceed n/2")
-
     sizes = [d + 1] * whole + [s1] * (s1 > 0) + [n - s]  # background block last
     k = len(sizes)
     r, q = _fill_row_sums(n, d, s1, s)

@@ -8,6 +8,16 @@ gradient with Barzilai-Borwein steps (SPG2 of Birgin, Martinez & Raydan,
 SIAM J. Optim. 10, 2000); multi-start from the block constructions.
 Results are certified upper bounds with witnesses; no global-optimality
 claim is made.
+
+The AL runs in one of two spaces with the same five operations (evaluate,
+project, inner product, ensemble residual, materialize).  Under a scalar
+base, the constant seed, every `ladder` seed and a BlockSpec user seed run
+on their k x k block values, with hom values from `blocks`' compiled
+independent-group expansion; every step of the n x n solver keeps a
+block-constant matrix block-constant, so this is the same run at k x k
+cost.  Matrix bases, ndarray user seeds and a BlockSpec too large for its
+expansion (`_space_for`) run on the n x n matrix, which is also the tests'
+oracle.  Only the winning point is materialized.
 """
 
 from __future__ import annotations
@@ -22,17 +32,26 @@ import numpy as np
 from .blocks import (
     BlockSpec,
     as_matrix,
+    blow_up,
     build_clique_block,
     build_cycle_blocks,
     build_plant,
+    build_whole_cliques,
     ensemble_residual,
     fill_total_weight,
+    hom_terms,
+    terms_value_and_gradient,
 )
 from .errors import ConstructionError, DomainError, ResourceError
 from .graphs import Graph
 # hom_gradient stays bound: perfbench's traced run patches it here by name
-from .homs import hom_gradient, hom_normalized, hom_value_and_gradient  # noqa: F401
-from .rates import entropy_matrix, rate_scale, scale_pattern, theta_root
+from .homs import (  # noqa: F401
+    BATCH_CELLS,
+    hom_gradient,
+    hom_normalized,
+    hom_value_and_gradient,
+)
+from .rates import _entropy_array, entropy_matrix, rate_scale, scale_pattern, theta_root
 
 EPS = 1e-12
 
@@ -67,13 +86,20 @@ class SolveProblem:
             raise DomainError("hom_scale must be in (0,1)")
         if np.ndim(self.base) > 0 and self.hom_scale is None:
             raise DomainError("matrix base needs hom_scale (the block model's p)")
-
-    def base_matrix(self) -> np.ndarray:
         if np.ndim(self.base) == 0:
             p = float(self.base)
             if not (0 < p < 1):
                 raise DomainError("base p must be in (0,1)")
-            x = np.full((self.n, self.n), p)
+            # the regular ensemble's base is d/n, which `_refuse_trees` and
+            # the row-sum ladder take for granted
+            if self.ensemble and self.ensemble[0] == "row_sums" and not (
+                    abs(p - self.ensemble[1] / self.n) <= 1e-12 * self.ensemble[1] / self.n):
+                raise DomainError(f"row sums {self.ensemble[1]} fix the base at d/n = "
+                                  f"{self.ensemble[1] / self.n:.17g}, got {p!r}")
+
+    def base_matrix(self) -> np.ndarray:
+        if np.ndim(self.base) == 0:
+            x = np.full((self.n, self.n), float(self.base))
         else:
             x = np.asarray(self.base, dtype=float).copy()
             if x.shape != (self.n, self.n):
@@ -122,8 +148,12 @@ def _box(x):
     return y
 
 
-def _shift_clip(vals, m):
-    """Exact solve of sum clip(v + lam, 0, 1) = m via the sorted breakpoints."""
+def _shift_clip(vals, m, weights):
+    """Exact solve of sum weights * clip(v + lam, 0, 1) = m via the sorted
+    breakpoints: the projection onto a weighted sum within the box, in the
+    metric those weights define (each value stands for `weights` pairs)."""
+    if not (0 <= m <= weights.sum()):
+        raise DomainError("total weight target outside [0, n(n-1)/2]")
     lo = np.sort(-vals)          # lambda where each entry leaves 0
     hi = np.sort(1.0 - vals)     # lambda where each entry saturates at 1
     # total(lam) is piecewise linear nondecreasing; binary search on breakpoints
@@ -131,7 +161,7 @@ def _shift_clip(vals, m):
     bps.sort(kind="mergesort")
 
     def total(lam):
-        return float(np.clip(vals + lam, 0.0, 1.0).sum())
+        return float((weights * np.clip(vals + lam, 0.0, 1.0)).sum())
 
     i, j = 0, len(bps) - 1
     if total(bps[0]) >= m:
@@ -149,10 +179,10 @@ def _shift_clip(vals, m):
         lam0 = bps[i] if t_j == t_i else bps[i] + (m - t_i) * (bps[j] - bps[i]) / (t_j - t_i)
     clipped = np.clip(vals + lam0, 0.0, 1.0)
     # absorb float residue on strictly interior entries
-    r = m - clipped.sum()
+    r = m - (weights * clipped).sum()
     interior = (clipped > 1e-9) & (clipped < 1 - 1e-9)
     if interior.any():
-        clipped[interior] += r / interior.sum()
+        clipped[interior] += r / weights[interior].sum()
         clipped = np.clip(clipped, 0.0, 1.0)
     return clipped
 
@@ -162,9 +192,7 @@ def _project_total_weight(x, m):
     n = x.shape[0]
     iu = np.triu_indices(n, 1)
     vals = x[iu]
-    if not (0 <= m <= vals.size):
-        raise DomainError("total weight target outside [0, n(n-1)/2]")
-    clipped = _shift_clip(vals, m)
+    clipped = _shift_clip(vals, m, np.ones_like(vals))
     out = np.zeros_like(x)
     out[iu] = clipped
     return out + out.T
@@ -181,31 +209,33 @@ def _project_rows_affine(x, d):
     return y
 
 
-def _project_row_sums(x, d, tol=1e-11, max_iter=5000):
-    """Dykstra alternation between the box and the row-sum affine set.
+def _project_row_sums(x, d):
+    """Dykstra alternation between the box and the row-sum affine set."""
+    return _dykstra(x, d, x.shape[0], _box, _project_rows_affine, lambda y: y.sum(axis=1))
+
+
+def _dykstra(x, d, n, box, affine, rows, tol=1e-11, max_iter=5000):
+    """Dykstra's alternating projections between `box` and `affine(., d)`,
+    the set where every row sum (`rows`) is d, until the iterate is within
+    tol of both.
 
     Returns the box-clipped last iterate; the row residual is certified by
     the caller, on the point it keeps.
     """
-    n = x.shape[0]
     if not (0 < d <= n - 1):
         raise DomainError("row-sum target must be in (0, n-1]")
     y = x.copy()
     inc_box = np.zeros_like(y)
     inc_aff = np.zeros_like(y)
     for it in range(max_iter):
-        z = _box(y + inc_box)
+        z = box(y + inc_box)
         inc_box = (y + inc_box) - z
-        y2 = _project_rows_affine(z + inc_aff, d)
+        y2 = affine(z + inc_aff, d)
         inc_aff = (z + inc_aff) - y2
         y = y2
-        if (
-            y.min() >= -tol
-            and y.max() <= 1 + tol
-            and np.abs(y.sum(axis=1) - d).max() < tol
-        ):
+        if y.min() >= -tol and y.max() <= 1 + tol and np.abs(rows(y) - d).max() < tol:
             break
-    return _box(y)
+    return box(y)
 
 
 def project_ensemble(x, constraint):
@@ -227,11 +257,13 @@ def project_ensemble(x, constraint):
 
 def ladder(problem: SolveProblem, delta: float):
     """The planted constructions at excess level delta, as (tag, BlockSpec)
-    pairs: degree-exact cycle or clique blocks for each pattern's 2-core
-    under row sums; otherwise hub, clique and both planted on the
-    constant-p background, per pattern.  With two or more targets, each tag
-    ends in the position of the pattern it was built for (`_h1` for the
-    first), so that every seed of `default_seeds` has its own name."""
+    pairs: under row sums, for each pattern's 2-core, degree-exact cycle
+    blocks if it is a cycle, and if it is another regular graph one clique
+    block and the whole (d+1)-cliques sized by its exact hom; otherwise hub,
+    clique and both planted on the constant-p background, per pattern.
+    With two or more targets, each tag ends in the position of the pattern
+    it was built for (`_h1` for the first), so that every seed of
+    `default_seeds` has its own name."""
     n, p = problem.n, problem.hom_p()
     kind = problem.ensemble[0] if problem.ensemble else None
     out = []
@@ -242,13 +274,17 @@ def ladder(problem: SolveProblem, delta: float):
                 d = int(round(problem.ensemble[1]))
                 core = scale_pattern(h, regular=True)
                 if core.max_degree() == 2:
-                    spec = build_cycle_blocks(n, d, delta, core.vertex_count)
+                    builders = [("cycle_blocks", build_cycle_blocks, core.vertex_count)]
                 elif core.is_regular():
-                    spec = build_clique_block(n, d, delta, core)
+                    builders = [("clique_block", build_clique_block, core),
+                                ("whole_cliques", build_whole_cliques, core)]
                 else:
                     continue
-                # one tag for both: it names the seed in seed_provenance
-                out.append((f"cycle_blocks{pos}", spec))
+                for tag, build, shape in builders:
+                    try:
+                        out.append((f"{tag}{pos}", build(n, d, delta, shape)))
+                    except ConstructionError:
+                        pass
                 continue
             xh = theta_root(h, delta)
         except (ConstructionError, DomainError):
@@ -265,10 +301,15 @@ def ladder(problem: SolveProblem, delta: float):
     return out
 
 
-def default_seeds(problem: SolveProblem):
-    """Constant base plus the ladder at inflated delta levels, each distinct
-    BlockSpec materialized once, under the tag of its first level."""
-    seeds = [("constant", problem.base_matrix())]
+def _seed_specs(problem: SolveProblem):
+    """The seeds of `default_seeds` before they are materialized: under a
+    scalar base the constant is a one-block BlockSpec, under a matrix base
+    the base matrix itself."""
+    if np.ndim(problem.base) == 0:
+        constant = BlockSpec((problem.n,), ((Fraction(float(problem.base)),),))
+    else:
+        constant = problem.base_matrix()
+    seeds = [("constant", constant)]
     tmax = max(t for _, t in problem.targets)
     if tmax <= 1:
         return seeds
@@ -277,23 +318,34 @@ def default_seeds(problem: SolveProblem):
         for tag, spec in ladder(problem, (tmax - 1.0) * mult):
             if spec not in seen:
                 seen.add(spec)
-                seeds.append((f"{tag}_delta_x{mult:g}", spec.materialize()))
+                seeds.append((f"{tag}_delta_x{mult:g}", spec))
     return seeds
 
 
+def default_seeds(problem: SolveProblem):
+    """Constant base plus the ladder at inflated delta levels, each distinct
+    BlockSpec materialized once, under the tag of its first level."""
+    return [(name, as_matrix(seed)) for name, seed in _seed_specs(problem)]
+
+
 # ---------------------------------------------------------------------------
-# the solver
+# the two spaces the AL runs in
 # ---------------------------------------------------------------------------
 
 def _entropy_value(x, base):
     return 0.5 * entropy_matrix(x, base)
 
 
-def _entropy_grad(x, base):
-    """d/dx_uv of sum_{u<v} I(x_uv): the log-odds ratio, entrywise."""
+def _log_odds(x, base):
+    """d/dx I_p(x) = log(x (1 - p) / (p (1 - x))), entrywise, x kept off 0 and 1."""
     xc = np.clip(x, EPS, 1 - EPS)
     pm = np.clip(np.asarray(base, dtype=float), EPS, 1 - EPS)  # scalar or matrix
-    g = np.log(xc * (1 - pm)) - np.log(pm * (1 - xc))
+    return np.log(xc * (1 - pm)) - np.log(pm * (1 - xc))
+
+
+def _entropy_grad(x, base):
+    """d/dx_uv of sum_{u<v} I(x_uv): the log-odds ratio, entrywise."""
+    g = _log_odds(x, base)
     np.fill_diagonal(g, 0.0)
     return g
 
@@ -303,13 +355,126 @@ def _hom_vals(problem, x):
     return np.array([hom_normalized(h, x, p) for h, _t in problem.targets])
 
 
-def _evaluate(problem, x):
-    """(hom values, hom gradients, entropy value, entropy gradient) at x: all
-    the inner loop needs, each hom pair from one pinned DP pass per orbit."""
-    p = problem.hom_p()
-    vals, grads = zip(*(hom_value_and_gradient(h, x, p) for h, _t in problem.targets))
-    return (np.array(vals), grads, _entropy_value(x, problem.base),
-            _entropy_grad(x, problem.base))
+class _DenseSpace:
+    """The AL on n x n matrices: any seed, any base.  Gradients are per
+    unordered vertex pair, laid out symmetric, so sums run over ordered
+    pairs."""
+
+    def __init__(self, problem):
+        self.problem = problem
+
+    def evaluate(self, x):
+        """(hom values, hom gradients, entropy value, entropy gradient) at x:
+        all the inner loop needs, each hom pair from one pinned DP pass per
+        orbit."""
+        problem = self.problem
+        p = problem.hom_p()
+        vals, grads = zip(*(hom_value_and_gradient(h, x, p) for h, _t in problem.targets))
+        return (np.array(vals), grads, _entropy_value(x, problem.base),
+                _entropy_grad(x, problem.base))
+
+    def project(self, x):
+        return project_ensemble(x, self.problem.ensemble)
+
+    @staticmethod
+    def dot(a, b):
+        return float((a * b).sum())
+
+    def residual(self, x):
+        return ensemble_residual(x, self.problem.ensemble)
+
+    @staticmethod
+    def materialize(x):
+        return x
+
+
+class _BlockSpace:
+    """The AL on the k x k values of one block partition, under a scalar
+    base.  Each dense step (hom and entropy gradients, box, total-weight
+    shift, row-sum Dykstra) maps a block-constant matrix to a block-constant
+    one, so from a block-constant seed this space takes the dense steps at
+    k x k cost.  A value stands for w_ab = s_a s_b - [a = b] s_a ordered
+    vertex pairs: sums over the matrix become sums weighted by w, and each
+    gradient stays the one of a single vertex pair.  A one-vertex block's
+    diagonal holds no pair and stays 0."""
+
+    def __init__(self, problem, sizes):
+        self.problem = problem
+        self.sizes = sizes
+        self.s = np.asarray(sizes, dtype=float)
+        self.n = problem.n
+        self.w = np.outer(self.s, self.s) - np.diag(self.s)
+        self.live = self.w > 0
+        self.upper = np.triu_indices(len(sizes))
+        # a block pair's hom gradient in y / p, shared out over its unordered
+        # vertex pairs, is one vertex pair's gradient in x
+        unordered = self.w - 0.5 * np.diag(np.diag(self.w))
+        with np.errstate(divide="ignore"):
+            self.share = np.where(self.live, 1.0 / (problem.hom_p() * unordered), 0.0)
+        self.unordered = unordered[self.upper]
+        self.terms = [hom_terms(h, sizes) for h, _t in problem.targets]
+
+    def evaluate(self, y):
+        """`_DenseSpace.evaluate` at the blow-up of y, on the block values:
+        the hom values from the compiled independent-group expansion."""
+        problem = self.problem
+        p, base = problem.hom_p(), float(problem.base)
+        vals, grads = zip(*(terms_value_and_gradient(terms, y / p) for terms in self.terms))
+        entropy = 0.5 * float((self.w * _entropy_array(y, base)).sum())
+        return (np.array(vals), [g * self.share for g in grads], entropy,
+                np.where(self.live, _log_odds(y, base), 0.0))
+
+    def _box(self, y):
+        y = np.clip(y, 0.0, 1.0)
+        return np.where(self.live, 0.5 * (y + y.T), 0.0)
+
+    def _rows(self, y):
+        """The row sum of a vertex in each block."""
+        return y @ self.s - np.diag(y)
+
+    def _rows_affine(self, y, d):
+        """`_project_rows_affine` on the blow-up of y."""
+        n, r = self.n, self._rows(y)
+        shift = (n * d - float(self.s @ r)) / (2.0 * (n - 1))
+        mu = (d - r - shift) / (n - 2.0)
+        return np.where(self.live, y + mu[:, None] + mu[None, :], 0.0)
+
+    def project(self, y):
+        """`project_ensemble` on the blow-up of y."""
+        kind, val = self.problem.ensemble or (None, None)
+        if kind == "total_weight":
+            out = np.zeros_like(y)
+            out[self.upper] = _shift_clip(self._box(y)[self.upper], val, self.unordered)
+            return np.where(self.live, out + np.triu(out, 1).T, 0.0)
+        if kind == "row_sums":
+            return _dykstra(y, val, self.n, self._box, self._rows_affine, self._rows)
+        return self._box(y)
+
+    def dot(self, a, b):
+        return float((self.w * a * b).sum())
+
+    def residual(self, y):
+        kind, val = self.problem.ensemble or (None, None)
+        if kind == "row_sums":
+            return float(np.abs(self._rows(y) - val).max())
+        if kind == "total_weight":
+            return abs(0.5 * float((self.w * y).sum()) - val)
+        return 0.0
+
+    def materialize(self, y):
+        return blow_up(self.sizes, y)
+
+
+def _space_for(problem, seed):
+    """(space, start): a BlockSpec seed of n vertices under a scalar base
+    runs on its block values, unless some pattern's expansion would place
+    its v vertices in more than BATCH_CELLS ways (k^v); every other seed
+    runs on its n x n matrix."""
+    if (isinstance(seed, BlockSpec) and np.ndim(problem.base) == 0 and seed.n == problem.n
+            and all(seed.num_blocks ** h.vertex_count <= BATCH_CELLS
+                    for h, _t in problem.targets)):
+        return _BlockSpace(problem, seed.sizes), seed.value_matrix()
+    return _DenseSpace(problem), as_matrix(seed)
 
 
 def _refuse_trees(problem):
@@ -333,7 +498,9 @@ def solve_phi(problem: SolveProblem) -> SolveResult:
 
     Dense iterates cap at n = 2000; use solve_phi_blocks beyond that.
     Multi-start seeds run one after another in seed order and reduce by
-    minimum value, the first seed winning ties."""
+    minimum value, the first seed winning ties.  Each seed runs in the space
+    `_space_for` picks; the winner is materialized, and its value and hom
+    values are measured on that n x n matrix."""
     n = problem.n
     if n > DENSE_N_CAP:
         raise ResourceError(
@@ -350,24 +517,26 @@ def solve_phi(problem: SolveProblem) -> SolveResult:
             return _result(problem, x0, _entropy_value(x0, problem.base), vals,
                            "constant", 0, [CONSTANT_NOTE])
 
-    seed_list = list(default_seeds(problem))
-    for i, s in enumerate(problem.seeds):
-        seed_list.append((f"user_{i}", as_matrix(s)))
+    seed_list = _seed_specs(problem) + [
+        (f"user_{i}", seed) for i, seed in enumerate(problem.seeds)]
 
-    best = None  # (value, x, name)
+    best = None  # (value, x, name, space)
     total_iters = 0
     for name, seed in seed_list:
-        value, x, iters = _al_single(problem, seed, targets)
+        space, x0 = _space_for(problem, seed)
+        value, x, iters = _al_single(problem, space, x0, targets)
         total_iters += iters
         if value is not None and (best is None or value < best[0]):
-            best = (value, x, name)
+            best = (value, x, name, space)
 
     if best is None:
         raise ResourceError(
             "no feasible point found within budget from any seed"
         )
-    value, x, name = best
-    return _result(problem, x, value, _hom_vals(problem, x), name, total_iters, [])
+    _value, x, name, space = best
+    x = space.materialize(x)
+    return _result(problem, x, _entropy_value(x, problem.base), _hom_vals(problem, x),
+                   name, total_iters, [])
 
 
 def _result(problem, x, value, vals, provenance, iterations, notes):
@@ -446,13 +615,14 @@ def solve_phi_blocks(problem: SolveProblem) -> SolveResult:
                   "block-parameterized search: witness is a BlockSpec")
 
 
-def _al_single(problem, seed, targets):
-    """One augmented-Lagrangian run; returns (best_value, best_x, iters)."""
+def _al_single(problem, space, seed, targets):
+    """One augmented-Lagrangian run from `seed`, a point of `space`; returns
+    (best_value, best_x, iters), best_x in the space's coordinates."""
     feas_tol = problem.feasibility_tol
     kind, bound = problem.ensemble or (None, 0.0)
     # certificate tolerance on the ensemble residual of a kept point
     ens_tol = max(1e-10, 1e-9 * max(1.0, bound)) if kind == "total_weight" else 1e-10
-    x = project_ensemble(np.asarray(seed, dtype=float), problem.ensemble)
+    x = space.project(np.asarray(seed, dtype=float))
     k = len(targets)
     lam = np.zeros(k)
     rho = 10.0
@@ -462,21 +632,21 @@ def _al_single(problem, seed, targets):
 
     def consider(xc, ev):
         """Keep xc as the incumbent if it is feasible, within ens_tol of the
-        ensemble's set and cheaper; `ev` is its `_evaluate` tuple."""
+        ensemble's set and cheaper; `ev` is its `space.evaluate` tuple."""
         nonlocal best_val, best_x
         vals, _, val, _ = ev
-        if ensemble_residual(xc, problem.ensemble) > ens_tol:
+        if space.residual(xc) > ens_tol:
             return
         if all(v >= t - feas_tol for v, t in zip(vals, targets)):
             if best_val is None or val < best_val:
                 best_val, best_x = val, xc.copy()
 
-    ev = _evaluate(problem, x)
+    ev = space.evaluate(x)
     consider(x, ev)
     res_history = [float(np.max(np.maximum(targets - ev[0], 0.0)))]
 
     for _outer in range(problem.budget):
-        x, ev, step = _inner_pg(problem, x, ev, targets, lam, rho, step)
+        x, ev, step = _inner_pg(space, x, ev, targets, lam, rho, step)
         vals = ev[0]
         residual = float(np.max(np.maximum(targets - vals, 0.0)))
         consider(x, ev)
@@ -504,11 +674,11 @@ def _al_single(problem, seed, targets):
     return best_val, best_x, len(history)
 
 
-def _inner_pg(problem, x, ev, targets, lam, rho, step, max_steps=60):
+def _inner_pg(space, x, ev, targets, lam, rho, step, max_steps=60):
     """Nonmonotone spectral projected gradient (SPG2 of Birgin, Martinez &
     Raydan, SIAM J. Optim. 10, 2000) on the AL objective at fixed (lam, rho).
 
-    `ev` is the `_evaluate` tuple at x and `step` the Barzilai-Borwein step
+    `ev` is the `space.evaluate` tuple at x and `step` the Barzilai-Borwein step
     from the previous call; both come back for the point returned, so each
     point is evaluated once.  Each step projects once, d = P(x - step*g) - x,
     and halves t along the feasible segment x + t*d until f falls below the
@@ -534,16 +704,16 @@ def _inner_pg(problem, x, ev, targets, lam, rho, step, max_steps=60):
     recent = [f]
     grad = al_grad(ev)
     for _ in range(max_steps):
-        d = project_ensemble(x - step * grad, problem.ensemble) - x
+        d = space.project(x - step * grad) - x
         # both gradients are per unordered pair; each pair sits twice in d
-        slope = 0.5 * float((grad * d).sum())
+        slope = 0.5 * space.dot(grad, d)
         if slope >= -1e-12 * (1.0 + abs(f)):
             break
         f_ref = max(recent[-10:])
         t = 1.0
         for _bt in range(40):
             xn = x + t * d
-            ev_n = _evaluate(problem, xn)
+            ev_n = space.evaluate(xn)
             fn = al_value(ev_n)
             if fn <= f_ref + 1e-4 * t * slope:
                 break
@@ -552,8 +722,8 @@ def _inner_pg(problem, x, ev, targets, lam, rho, step, max_steps=60):
             break
         grad_n = al_grad(ev_n)
         s, y = xn - x, grad_n - grad
-        sy = float((s * y).sum())
-        step = min(max(float((s * s).sum()) / sy, 1e-10), 1e3) if sy > 0 else 1e3
+        sy = space.dot(s, y)
+        step = min(max(space.dot(s, s) / sy, 1e-10), 1e3) if sy > 0 else 1e3
         x, ev, f, grad = xn, ev_n, fn, grad_n
         recent.append(f)
     return x, ev, step

@@ -114,6 +114,27 @@ def test_cycle_blocks_hom_lower_bound():
     assert hom >= (1 + delta) * 0.98
 
 
+def test_whole_cliques_sized_by_exact_hom():
+    # the shape of build_cycle_blocks, at the least planted size whose hom
+    # reaches 1 + delta: one size smaller falls short
+    n, d = 40, 12
+    for h, delta in ((K4, 0.3), (K4, 2.4), (K4, 10.0), (K4, 10.5),
+                     (G.complete_bipartite(3, 3), 0.5)):
+        spec = B.build_whole_cliques(n, d, delta, h)
+        assert all(rs == d for rs in spec.row_sums_exact())
+        assert spec.hom_normalized(h, d / n) >= 1 + delta
+        whole = sum(1 for s in spec.sizes[:-1] if s == d + 1)
+        last = sum(spec.sizes[:-1]) - whole * (d + 1)
+        smaller = (whole, last - 1) if last > 2 else (whole - 1, 0 if last else d)
+        if smaller[0] >= 0 and sum(smaller) > 0:
+            below = B._whole_cliques(n, d, *smaller)
+            assert below.hom_normalized(h, d / n) < 1 + delta
+    # cycles keep their frac^{1/l} sizing in build_cycle_blocks
+    assert B.build_cycle_blocks(40, 12, 0.3, 4).sizes == (9, 31)
+    with pytest.raises(ConstructionError, match="reaches"):
+        B.build_whole_cliques(n, d, 1e6, K4)
+
+
 # ---------------------------------------------------------------------------
 # single clique (Delta >= 3)
 # ---------------------------------------------------------------------------

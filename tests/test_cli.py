@@ -651,7 +651,7 @@ def test_solve_regular_pendant_tree_solves_as_its_core(capsys):
                                   "--d", "18", "--t", "1.3", "--graph", pattern)
         assert code == 0, err
         docs.append(json.loads(out))
-    assert docs[0]["value"] == docs[1]["value"] == 229.5498582185865
+    assert docs[0]["value"] == docs[1]["value"] == 229.54985821858656
     assert docs[0]["normalized"] == docs[1]["normalized"]
     assert docs[0]["residuals"] == [0.0]
 

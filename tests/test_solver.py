@@ -129,12 +129,17 @@ def test_monotone_in_target():
     assert v2 >= v1 - 1e-4 * (1 + v1)
 
 
-def test_nesting_of_ensembles():
+def test_nesting_of_ensembles(monkeypatch):
     n, p = 60, 0.3
     d = 18
     m = n * d // 2
+    spaces = _run_on(monkeypatch, S._BlockSpace)
     res_d = _solve(K3, 1.3, n, p, ensemble=("row_sums", d))
+    assert set(spaces) == {S._BlockSpace}
+    spaces.clear()
     res_m = _solve(K3, 1.3, n, p, ensemble=("total_weight", m), seeds=[res_d.x])
+    # the ladder runs on block values, the matrix seed n x n
+    assert set(spaces[:-1]) == {S._BlockSpace} and spaces[-1] is S._DenseSpace
     res_0 = _solve(K3, 1.3, n, p, seeds=[res_m.x])
     tol_m = 1e-4 * (1 + res_m.value)
     tol_0 = 1e-4 * (1 + res_0.value)
@@ -148,6 +153,24 @@ def test_user_seed_provenance():
     np.fill_diagonal(x, 0.0)
     res = _solve(K3, 1.2, n, p, seeds=[x])
     assert res.residuals[0] <= 1e-6
+
+
+def test_blockspec_user_seed_runs_on_block_values(monkeypatch):
+    # a BlockSpec seed runs on its k x k values, and wins as it would n x n
+    n, p = 40, 0.3
+    spec = B.BlockSpec((5, 35), ((Fraction(1), Fraction(3, 10)), (Fraction(3, 10), Fraction(3, 10))))
+    spaces = _run_on(monkeypatch, S._BlockSpace)
+    res = _solve(K3, 1.2, n, p, seeds=[spec])
+    assert spaces[-1] is S._BlockSpace
+    dense = _solve(K3, 1.2, n, p, seeds=[spec.materialize()])
+    assert spaces[-1] is S._DenseSpace
+    assert res.value == pytest.approx(dense.value, rel=1e-9)
+    assert res.seed_provenance == dense.seed_provenance
+    # under a matrix base a BlockSpec seed runs n x n
+    pm = np.full((n, n), p)
+    np.fill_diagonal(pm, 0.0)
+    S.solve_phi(S.SolveProblem(((K3, 1.2),), n=n, base=pm, hom_scale=p, seeds=(spec,)))
+    assert spaces[-1] is S._DenseSpace
 
 
 def test_normalized_scale():
@@ -281,17 +304,31 @@ def test_dense_never_worse_than_block(ensemble):
 # inner loop: spectral projected gradient
 # ---------------------------------------------------------------------------
 
-def _record_calls(monkeypatch, name, seen=None):
-    """Wrap solver.<name>; the list gets seen(*args), or None, per call."""
+def _record_calls(monkeypatch, name, seen=None, owner=S):
+    """Wrap owner.<name> (a solver function by default, or a space's
+    method); the list gets seen(*args), or None, per call."""
     calls = []
-    inner = getattr(S, name)
+    inner = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(None if seen is None else seen(*args))
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(S, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+SPACES = (S._BlockSpace, S._DenseSpace)
+
+
+def _run_on(mp, space):
+    """Make every seed of a scalar-base solve run on `space`: the block
+    space takes the BlockSpec seeds as solve_phi picks it, the n x n space is
+    forced.  Returns the list of each `_al_single` run's space class."""
+    if space is S._DenseSpace:
+        mp.setattr(S, "_space_for",
+                   lambda problem, seed: (S._DenseSpace(problem), B.as_matrix(seed)))
+    return _record_calls(mp, "_al_single", seen=lambda _pr, sp, *_a: type(sp))
 
 
 @pytest.mark.parametrize("h, n, ensemble", [
@@ -307,14 +344,17 @@ def test_about_one_hom_value_per_gradient(monkeypatch, h, n, ensemble):
     # projects its seed once, so accepted steps number at least
     # projections - inner calls - runs.
     base = 130 / 435 if ensemble else 0.3
-    evals = _record_calls(monkeypatch, "_evaluate")
-    projections = _record_calls(monkeypatch, "project_ensemble")
-    inner_calls = _record_calls(monkeypatch, "_inner_pg")
-    runs = _record_calls(monkeypatch, "_al_single")
-    S.solve_phi(S.SolveProblem(targets=((h, 1.3),), n=n, base=base, ensemble=ensemble))
-    accepted = len(projections) - len(inner_calls) - len(runs)
-    assert accepted > 0
-    assert len(evals) <= 1.5 * accepted
+    for space in SPACES:
+        with monkeypatch.context() as mp:
+            runs = _run_on(mp, space)
+            evals = _record_calls(mp, "evaluate", owner=space)
+            projections = _record_calls(mp, "project", owner=space)
+            inner_calls = _record_calls(mp, "_inner_pg")
+            S.solve_phi(S.SolveProblem(targets=((h, 1.3),), n=n, base=base, ensemble=ensemble))
+        assert set(runs) == {space}
+        accepted = len(projections) - len(inner_calls) - len(runs)
+        assert accepted > 0
+        assert len(evals) <= 1.5 * accepted
 
 
 def test_inner_loop_stops_at_its_own_fixed_point(monkeypatch):
@@ -325,27 +365,87 @@ def test_inner_loop_stops_at_its_own_fixed_point(monkeypatch):
     prob = S.SolveProblem(targets=((h, 1.3),), n=n, base=0.3)
     targets = np.array([1.3])
     lam, rho = np.array([10.0]), 10.0
-    x = prob.base_matrix()
-    ev, step = S._evaluate(prob, x), 1.0
-    calls = _record_calls(monkeypatch, "_evaluate")
-    x, ev, step = S._inner_pg(prob, x, ev, targets, lam, rho, step, max_steps=2000)
-    assert len(calls) < 100  # converged, not out of steps
-    calls.clear()
-    S._inner_pg(prob, x, ev, targets, lam, rho, step)
-    assert len(calls) == 0
+    for space, seed in ((S._BlockSpace, S._seed_specs(prob)[0][1]),
+                        (S._DenseSpace, prob.base_matrix())):
+        sp, x = S._space_for(prob, seed)
+        assert type(sp) is space
+        ev, step = sp.evaluate(x), 1.0
+        with monkeypatch.context() as mp:
+            calls = _record_calls(mp, "evaluate", owner=type(sp))
+            x, ev, step = S._inner_pg(sp, x, ev, targets, lam, rho, step, max_steps=2000)
+            assert len(calls) < 100  # converged, not out of steps
+            calls.clear()
+            S._inner_pg(sp, x, ev, targets, lam, rho, step)
+            assert len(calls) == 0
 
 
 def test_total_weight_iterates_stay_on_the_constraint(monkeypatch):
     # a backtrack moves along the segment between two feasible points, so
     # every point the solver evaluates keeps its total weight
     n, m = 30, 130
-    residuals = _record_calls(
-        monkeypatch, "_evaluate",
-        seen=lambda _problem, x: S.ensemble_residual(x, ("total_weight", m)))
-    S.solve_phi(S.SolveProblem(targets=((K3, 1.3),), n=n, base=m / 435,
-                               ensemble=("total_weight", m)))
-    assert residuals
-    assert max(residuals) <= 1e-9
+    for space in SPACES:
+        with monkeypatch.context() as mp:
+            runs = _run_on(mp, space)
+            residuals = _record_calls(
+                mp, "evaluate", owner=space,
+                seen=lambda sp, x: S.ensemble_residual(sp.materialize(x), ("total_weight", m)))
+            S.solve_phi(S.SolveProblem(targets=((K3, 1.3),), n=n, base=m / 435,
+                                       ensemble=("total_weight", m)))
+        assert set(runs) == {space}
+        assert residuals
+        assert max(residuals) <= 1e-9
+
+
+# the dense-solve benchmark's five problems, at their central targets
+DENSE_SOLVE_PROBLEMS = [
+    S.SolveProblem(((K3, 1.3),), n=60, base=0.3),
+    S.SolveProblem(((K3, 1.3),), n=60, base=0.3, ensemble=("row_sums", 18)),
+    S.SolveProblem(((K3, 1.3),), n=30, base=130 / 435, ensemble=("total_weight", 130)),
+    S.SolveProblem(((G.clique(4), 1.3),), n=30, base=0.3),
+    S.SolveProblem(((G.cycle(5), 1.3),), n=40, base=0.3),
+]
+
+
+@pytest.mark.parametrize("prob", DENSE_SOLVE_PROBLEMS)
+def test_block_space_runs_match_their_materialized_seeds(prob):
+    # the n x n space is the oracle: from every default seed, the AL run on
+    # block values ends where the run on the materialized seed ends
+    targets = np.array([t for _h, t in prob.targets])
+    feasible = []
+    for _name, spec in S._seed_specs(prob):
+        block = S._al_single(prob, S._BlockSpace(prob, spec.sizes), spec.value_matrix(), targets)
+        dense = S._al_single(prob, S._DenseSpace(prob), spec.materialize(), targets)
+        assert (block[0] is None) == (dense[0] is None)
+        if dense[0] is not None:
+            feasible.append(dense[0])
+            assert block[0] == pytest.approx(dense[0], rel=1e-9)
+            assert np.abs(B.blow_up(spec.sizes, block[1]) - dense[1]).max() <= 1e-6
+    assert feasible
+
+
+def test_block_space_steps_are_the_dense_steps_restricted():
+    # evaluate, project, dot and residual on block values agree with the
+    # n x n space on the blow-up, for every ensemble and a one-vertex block
+    rng = np.random.default_rng(5)
+    sizes = (1, 4, 7, 12)
+    n = sum(sizes)
+    y = rng.random((4, 4))
+    y = 0.5 * (y + y.T)
+    y[0, 0] = 0.0
+    for ensemble, base in ((None, 0.3), (("row_sums", 7), 7 / n), (("total_weight", 90), 0.3)):
+        prob = S.SolveProblem(((K3, 1.3), (G.cycle(5), 1.2)), n=n, base=base, ensemble=ensemble)
+        blocks, dense = S._BlockSpace(prob, sizes), S._DenseSpace(prob)
+        x = B.blow_up(sizes, y)
+        (bv, bg, be, beg), (dv, dg, de, deg) = blocks.evaluate(y), dense.evaluate(x)
+        assert bv == pytest.approx(dv, rel=1e-12) and be == pytest.approx(de, rel=1e-12)
+        for b, d in zip(bg, dg):
+            assert np.allclose(B.blow_up(sizes, b), d, rtol=1e-12, atol=0)
+        assert np.allclose(B.blow_up(sizes, beg), deg, rtol=1e-12, atol=0)
+        step = y - 0.4 * beg
+        assert np.allclose(B.blow_up(sizes, blocks.project(step)),
+                           dense.project(B.blow_up(sizes, step)), rtol=0, atol=1e-12)
+        assert blocks.dot(y, beg) == pytest.approx(dense.dot(x, deg), rel=1e-12)
+        assert blocks.residual(y) == pytest.approx(dense.residual(x), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -384,27 +484,33 @@ def test_trend_window(trend_values):
     (("total_weight", 130), 5e-10, False),  # 2.2e-7
 ])
 def test_incumbents_kept_by_measured_residual(monkeypatch, ensemble, shift, kept):
-    # every projection lands `shift` above the set in each entry, and so does
-    # every point on a segment between two of them; the solver keeps a point
-    # only when its own residual is within tolerance, without projecting it
+    # every projection lands `shift` above the set on each vertex pair, and
+    # so does every point on a segment between two of them; the solver keeps
+    # a point only when its own residual is within tolerance, without
+    # projecting it
     n = 30
-    project = S.project_ensemble
-
-    def off_the_set(x, constraint):
-        y = project(x, constraint) + shift
-        np.fill_diagonal(y, 0.0)
-        return y
-
-    monkeypatch.setattr(S, "project_ensemble", off_the_set)
     base = 130 / 435 if ensemble[0] == "total_weight" else 0.3
     prob = S.SolveProblem(targets=((K3, 1.3),), n=n, base=base, ensemble=ensemble)
-    if kept:
-        res = S.solve_phi(prob)
-        assert res.residuals[0] <= 1e-6
-        assert 0 < res.ensemble_residual <= 1.3e-7
-    else:
-        with pytest.raises(ResourceError):
-            S.solve_phi(prob)
+    for space in SPACES:
+        project = space.project
+
+        def off_the_set(self, x):
+            y = project(self, x) + shift
+            if y.shape == (n, n):  # a matrix keeps its zero diagonal
+                np.fill_diagonal(y, 0.0)
+            return y
+
+        with monkeypatch.context() as mp:
+            runs = _run_on(mp, space)
+            mp.setattr(space, "project", off_the_set)
+            if kept:
+                res = S.solve_phi(prob)
+                assert res.residuals[0] <= 1e-6
+                assert 0 < res.ensemble_residual <= 1.3e-7
+            else:
+                with pytest.raises(ResourceError):
+                    S.solve_phi(prob)
+        assert set(runs) == {space}
 
 
 @pytest.mark.parametrize("ensemble", [None, ("row_sums", 9)])
@@ -429,6 +535,31 @@ def test_default_seed_names_unique_on_multi_pattern_problems(ensemble):
     rows = S.SolveProblem(((c5, 1.3),), n=30, base=0.3, ensemble=("row_sums", 9))
     assert [name for name, _x in S.default_seeds(rows)] == [
         "constant", "cycle_blocks_delta_x1", "cycle_blocks_delta_x1.5", "cycle_blocks_delta_x3"]
+
+
+def test_row_sum_ladder_reaches_k4():
+    # build_clique_block caps its clique at d/2 = 6, below hom 1.3; the
+    # whole-clique shape sized by the exact hom reaches it
+    k4 = G.clique(4)
+    prob = S.SolveProblem(((k4, 1.3),), n=40, base=0.3, ensemble=("row_sums", 12))
+    tags = [tag for tag, _spec in S.ladder(prob, 0.3)]
+    assert tags == ["clique_block", "whole_cliques"]
+    res = S.solve_phi(prob)
+    assert res.value <= 70.09
+    assert res.residuals[0] <= 1e-6 and res.ensemble_residual <= 1e-9
+    assert res.seed_provenance.startswith("whole_cliques_delta_x")
+
+
+def test_row_sums_fix_the_base_at_d_over_n():
+    with pytest.raises(DomainError, match="d/n"):
+        S.SolveProblem(((K3, 1.3),), n=60, base=0.1, ensemble=("row_sums", 18))
+    with pytest.raises(DomainError, match="d/n"):
+        S.SolveProblem(((K3, 1.3),), n=60, base=0.3 * (1 + 1e-11), ensemble=("row_sums", 18))
+    assert _solve(K3, 1.3, 60, 0.3, ensemble=("row_sums", 18)).residuals[0] <= 1e-6
+    # total weight keeps its base as posed: m / C(n, 2) = 0.305 at base 0.3
+    S.SolveProblem(((K3, 1.3),), n=60, base=0.3, ensemble=("total_weight", 540))
+    with pytest.raises(DomainError, match=r"\(0,1\)"):
+        S.SolveProblem(((K3, 1.3),), n=60, base=1.0)
 
 
 def test_row_sum_ladder_builds_from_the_two_core():
