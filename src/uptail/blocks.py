@@ -8,6 +8,7 @@ k x k grid of block pairs; materialization is only needed for modest n.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -95,10 +96,39 @@ class BlockSpec:
                 total += pairs * entropy_ip(float(self.values[a][b]), p)
         return total
 
+    def parts(self):
+        """The blocks split into groups that no nonzero value joins, each
+        as a sub-BlockSpec with its blocks in order."""
+        left = set(range(self.num_blocks))
+        out = []
+        while left:
+            part = [min(left)]
+            left.discard(part[0])
+            for a in part:  # grows as blocks joined to it are found
+                joined = sorted(b for b in left if self.values[a][b] != 0)
+                left.difference_update(joined)
+                part.extend(joined)
+            part.sort()
+            out.append(BlockSpec(tuple(self.sizes[a] for a in part),
+                                 tuple(tuple(self.values[a][b] for b in part) for a in part)))
+        return out
+
     def hom_density(self, h: Graph) -> float:
-        """Exact t(h, .) on the block matrix: partitions of V(h) into
-        independent groups (coincident images), falling factorials per block."""
-        return terms_value_and_gradient(hom_terms(h, self.sizes), self.value_matrix())[0]
+        """Exact t(h, .) on the block matrix.  No edge of h runs between two
+        `parts`, so a connected component of h maps into one part: its hom
+        count is the sum over parts, and h's the product over components.
+        Equal parts (the whole cliques of the row-sum builders) are counted
+        once, and each runs the independent-group expansion (`hom_terms`)
+        on its own blocks only."""
+        parts = collections.Counter(self.parts())
+        density = 1.0
+        for vertices in h.components():
+            c = h.induced(vertices)
+            density *= sum(
+                count * (part.n / self.n) ** c.vertex_count * terms_value_and_gradient(
+                    hom_terms(c, part.sizes), part.value_matrix())[0]
+                for part, count in parts.items())
+        return density
 
     def hom_normalized(self, h: Graph, p: float) -> float:
         if not (0 < p < 1):

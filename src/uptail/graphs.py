@@ -80,19 +80,27 @@ class Graph:
             a[v, u] = 1
         return a
 
-    def is_connected(self):
-        if self.vertex_count <= 1:
-            return True
+    def components(self):
+        """The connected components, each as a sorted list of vertices."""
         adj = self.neighbors()
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertex_count
+        seen = set()
+        out = []
+        for root in range(self.vertex_count):
+            if root in seen:
+                continue
+            seen.add(root)
+            comp, stack = [root], [root]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+                        stack.append(w)
+            out.append(sorted(comp))
+        return out
+
+    def is_connected(self):
+        return len(self.components()) <= 1
 
     def induced(self, vertices):
         """Subgraph induced on `vertices`, relabeled 0..k-1 in sorted order."""

@@ -15,9 +15,9 @@ base, the constant seed, every `ladder` seed and a BlockSpec user seed run
 on their k x k block values, with hom values from `blocks`' compiled
 independent-group expansion; every step of the n x n solver keeps a
 block-constant matrix block-constant, so this is the same run at k x k
-cost.  Matrix bases, ndarray user seeds and a BlockSpec too large for its
-expansion (`_space_for`) run on the n x n matrix, which is also the tests'
-oracle.  Only the winning point is materialized.
+cost.  Matrix bases, ndarray user seeds and a BlockSpec whose expansion
+passes a compile-size cap (`_space_for`) run on the n x n matrix, which is
+also the tests' oracle.  Only the winning point is materialized.
 """
 
 from __future__ import annotations
@@ -301,10 +301,12 @@ def ladder(problem: SolveProblem, delta: float):
     return out
 
 
-def _seed_specs(problem: SolveProblem):
-    """The seeds of `default_seeds` before they are materialized: under a
-    scalar base the constant is a one-block BlockSpec, under a matrix base
-    the base matrix itself."""
+def default_seeds(problem: SolveProblem):
+    """Constant base plus the ladder at inflated delta levels, as (name,
+    seed) pairs, each distinct BlockSpec once, under the tag of its first
+    level.  Under a scalar base the constant is a one-block BlockSpec,
+    under a matrix base the base matrix itself (`as_matrix` gives every
+    seed as a matrix)."""
     if np.ndim(problem.base) == 0:
         constant = BlockSpec((problem.n,), ((Fraction(float(problem.base)),),))
     else:
@@ -320,12 +322,6 @@ def _seed_specs(problem: SolveProblem):
                 seen.add(spec)
                 seeds.append((f"{tag}_delta_x{mult:g}", spec))
     return seeds
-
-
-def default_seeds(problem: SolveProblem):
-    """Constant base plus the ladder at inflated delta levels, each distinct
-    BlockSpec materialized once, under the tag of its first level."""
-    return [(name, as_matrix(seed)) for name, seed in _seed_specs(problem)]
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +463,11 @@ class _BlockSpace:
 
 def _space_for(problem, seed):
     """(space, start): a BlockSpec seed of n vertices under a scalar base
-    runs on its block values, unless some pattern's expansion would place
-    its v vertices in more than BATCH_CELLS ways (k^v); every other seed
-    runs on its n x n matrix."""
+    runs on its block values; every other seed runs on its n x n matrix.
+    BATCH_CELLS caps the size of the compiled expansion; it is not a
+    measured crossover of the two spaces' costs.  A pattern of v vertices
+    on k blocks compiles about k^v placements in Python, so a seed past
+    k^v = BATCH_CELLS runs n x n."""
     if (isinstance(seed, BlockSpec) and np.ndim(problem.base) == 0 and seed.n == problem.n
             and all(seed.num_blocks ** h.vertex_count <= BATCH_CELLS
                     for h, _t in problem.targets)):
@@ -517,7 +515,7 @@ def solve_phi(problem: SolveProblem) -> SolveResult:
             return _result(problem, x0, _entropy_value(x0, problem.base), vals,
                            "constant", 0, [CONSTANT_NOTE])
 
-    seed_list = _seed_specs(problem) + [
+    seed_list = default_seeds(problem) + [
         (f"user_{i}", seed) for i, seed in enumerate(problem.seeds)]
 
     best = None  # (value, x, name, space)

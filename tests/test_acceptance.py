@@ -161,7 +161,8 @@ def test_criterion_05_solver_sanity():
     c.check(res.residuals[0] <= 1e-6, f"feasibility residual {res.residuals[0]:.2e}")
 
     seed_entropies = []
-    for _name, seed in S.default_seeds(prob):
+    for _name, spec in S.default_seeds(prob):
+        seed = B.as_matrix(spec)
         if H.hom_normalized(K3, seed, p) >= t - 1e-6:
             seed_entropies.append(0.5 * R.entropy_matrix(seed, p))
     c.check(bool(seed_entropies), "no feasible seed in the ladder")

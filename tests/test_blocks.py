@@ -56,6 +56,36 @@ def test_block_hom_matches_materialized():
             assert closed == pytest.approx(direct, rel=1e-9)
 
 
+def test_block_hom_sums_over_parts_and_multiplies_over_components():
+    # whole cliques, a last clique joined to the background, an isolated
+    # zero block: five parts, three of them equal; patterns connected or not
+    two_triangles = G.Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+    one, r, q, z = Fraction(1), Fraction(1, 5), Fraction(1, 7), Fraction(0)
+    spec = B.BlockSpec((9, 9, 9, 4, 3, 26), (
+        (one, z, z, z, z, z), (z, one, z, z, z, z), (z, z, one, z, z, z),
+        (z, z, z, one, z, r), (z, z, z, z, z, z), (z, z, z, r, z, q)))
+    assert [part.sizes for part in spec.parts()] == [(9,), (9,), (9,), (4, 26), (3,)]
+    x = spec.materialize()
+    for h in (K3, K4, G.cycle(5), two_triangles, G.Graph(3, ((0, 1),)), G.Graph(2, ())):
+        assert spec.hom_density(h) == pytest.approx(H.hom_density_t(h, x), rel=1e-12)
+
+
+def test_whole_cliques_expand_one_part_at_a_time(monkeypatch):
+    # up to 49 whole cliques and a last one at n = 100000, d = 1000: each
+    # expansion runs on one clique or on the last clique and the background,
+    # never on all 51 blocks
+    monkeypatch.setattr(B, "_TERM_CACHE", {})
+    spec = B._whole_cliques(100_000, 1000, 49, 0)
+    assert spec.num_blocks == 50
+    assert spec.hom_normalized(K4, 0.01) == pytest.approx(
+        49 * 1001 * 1000 * 999 * 998 / (100_000 ** 4 * 0.01 ** 6)
+        + B.BlockSpec(spec.sizes[-1:], ((spec.values[-1][-1],),)).hom_density(K4)
+        * (spec.sizes[-1] / 100_000) ** 4 / 0.01 ** 6, rel=1e-12)
+    for h in (K4, G.complete_bipartite(3, 3)):
+        B.build_whole_cliques(100_000, 1000, 0.3, h)
+    assert max(k for _v, _e, k in B._TERM_CACHE) <= 2
+
+
 def test_block_entropy_matches_materialized():
     spec = B.build_cycle_blocks(300, 30, 2.5, 3)
     x = spec.materialize()

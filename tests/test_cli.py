@@ -418,6 +418,20 @@ def test_solve_large_n_block_path():
     assert "blockspec" in doc
 
 
+def test_solve_regular_k4_at_construction_scale():
+    # the row-sum ladder's whole-clique seeds reach 51 blocks here; their
+    # hom is expanded one part at a time, so the solve stays small
+    proc = run_cli(
+        "solve", "--graph", "clique:4", "--t", "1.3", "--n", "100000",
+        "--model", "regular", "--d", "1000",
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    check_schema(doc, "solve")
+    assert doc["residuals"] == [0.0] and doc["ensemble_residual"] == 0.0
+    assert doc["blockspec"]["sizes"] == [76, 99924]
+
+
 def test_block_model_solve_past_dense_cap_exits_1():
     # the block search plants on a constant-p background, not the block base
     proc = run_cli(

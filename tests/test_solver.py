@@ -114,9 +114,10 @@ def test_feasibility_and_seed_dominance():
     p = 0.3
     from uptail.homs import hom_normalized
 
+    mats = [B.as_matrix(seed) for _name, seed in seeds]
     feas_vals = [
         0.5 * R.entropy_matrix(x, p)
-        for _name, x in seeds
+        for x in mats
         if hom_normalized(K3, x, p) >= 1.3 - 1e-6
     ]
     assert feas_vals, "seed ladder must contain a feasible start"
@@ -282,8 +283,9 @@ def test_default_seeds_dedupe_by_construction_not_fingerprint():
     seeds = S.default_seeds(prob)
     names = [name for name, _x in seeds]
     assert "plant_hub_delta_x8" in names and "plant_both_delta_x2" in names
-    for i, (_a, x) in enumerate(seeds):
-        assert not any(np.array_equal(x, y) for _b, y in seeds[i + 1:])
+    mats = [B.as_matrix(seed) for _name, seed in seeds]
+    for i, x in enumerate(mats):
+        assert not any(np.array_equal(x, y) for y in mats[i + 1:])
     res = S.solve_phi(prob)
     assert res.value == 37.06758510266653
     assert res.seed_provenance == "plant_clique_delta_x3"
@@ -365,7 +367,7 @@ def test_inner_loop_stops_at_its_own_fixed_point(monkeypatch):
     prob = S.SolveProblem(targets=((h, 1.3),), n=n, base=0.3)
     targets = np.array([1.3])
     lam, rho = np.array([10.0]), 10.0
-    for space, seed in ((S._BlockSpace, S._seed_specs(prob)[0][1]),
+    for space, seed in ((S._BlockSpace, S.default_seeds(prob)[0][1]),
                         (S._DenseSpace, prob.base_matrix())):
         sp, x = S._space_for(prob, seed)
         assert type(sp) is space
@@ -412,7 +414,7 @@ def test_block_space_runs_match_their_materialized_seeds(prob):
     # block values ends where the run on the materialized seed ends
     targets = np.array([t for _h, t in prob.targets])
     feasible = []
-    for _name, spec in S._seed_specs(prob):
+    for _name, spec in S.default_seeds(prob):
         block = S._al_single(prob, S._BlockSpace(prob, spec.sizes), spec.value_matrix(), targets)
         dense = S._al_single(prob, S._DenseSpace(prob), spec.materialize(), targets)
         assert (block[0] is None) == (dense[0] is None)
