@@ -126,9 +126,14 @@ class BlockSpec:
             c = h.induced(vertices)
             density *= sum(
                 count * (part.n / self.n) ** c.vertex_count * terms_value_and_gradient(
-                    hom_terms(c, part.sizes), part.value_matrix())[0]
+                    hom_terms(c, part.sizes), part.packed_values())[0]
                 for part, count in parts.items())
         return density
+
+    def packed_values(self) -> np.ndarray:
+        """The values of the live block pairs, in `block_pairs` order."""
+        a, b, _pairs = block_pairs(self.sizes)
+        return self.value_matrix()[a, b]
 
     def hom_normalized(self, h: Graph, p: float) -> float:
         if not (0 < p < 1):
@@ -210,11 +215,23 @@ def _hom_table(h: Graph, k: int):
     return table
 
 
+def block_pairs(sizes):
+    """The unordered block pairs a <= b that hold a vertex pair, row by row:
+    (a, b, pairs), pairs being s_a s_b, or s_a (s_a - 1) / 2 within a block
+    (so a one-vertex block's own pair is left out)."""
+    s = np.asarray(sizes, dtype=float)
+    a, b = np.triu_indices(len(s))
+    pairs = s[a] * s[b] - (a == b) * 0.5 * s[a] * (s[a] + 1)
+    live = pairs > 0
+    return a[live], b[live], pairs[live]
+
+
 def hom_terms(h: Graph, sizes):
-    """`_hom_table` on these block sizes: (pairs, weights, mirror), each term
-    weighted by its multiplicity times the falling factorials
-    (s_a)_(groups in a) over n^v, so that sum(weights * prod(values[pairs]))
-    = t(h, .); mirror[a, b] is the flat index of the pair (min, max)."""
+    """`_hom_table` on these block sizes, on the `block_pairs` values packed
+    in one vector: (pairs, weights), each term weighted by its multiplicity
+    times the falling factorials (s_a)_(groups in a) over n^v, so that
+    sum(weights * prod(values[pairs])) = t(h, .).  Terms of weight 0 (every
+    one with an edge inside a one-vertex block among them) are dropped."""
     pairs, counts, mult = _hom_table(h, len(sizes))
     s = np.asarray(sizes, dtype=float)
     k = len(s)
@@ -222,17 +239,18 @@ def hom_terms(h: Graph, sizes):
     falling = np.cumprod(np.hstack([np.ones((k, 1)),
                                     s[:, None] - np.arange(h.vertex_count)]), axis=1)
     weights = mult * falling[np.arange(k), counts].prod(axis=1)
-    a, b = np.indices((k, k))
-    return pairs, weights / s.sum() ** h.vertex_count, np.minimum(a, b) * k + np.maximum(a, b)
+    a, b, _pairs = block_pairs(sizes)
+    packed = np.zeros(k * k, dtype=np.intp)
+    packed[a * k + b] = np.arange(len(a))
+    kept = weights > 0
+    return packed[pairs[kept]], weights[kept] / s.sum() ** h.vertex_count
 
 
 def terms_value_and_gradient(terms, values):
-    """The polynomial `hom_terms` at the symmetric k x k `values`, and its
-    gradient in each unordered block-pair value (one variable for (a, b) and
-    (b, a)), as a symmetric k x k array."""
-    pairs, weights, mirror = terms
+    """The polynomial `hom_terms` and its gradient at the packed `values`."""
+    pairs, weights = terms
     if not pairs.shape[1]:
-        return float(weights.sum()), np.zeros(mirror.shape)
+        return float(weights.sum()), np.zeros(values.size)
     factors = values.take(pairs)
     # the product of every factor but the j-th, from prefix and suffix products
     before = np.ones_like(factors)
@@ -241,8 +259,8 @@ def terms_value_and_gradient(terms, values):
     np.cumprod(factors[:, :0:-1], axis=1, out=after[:, -2::-1])
     value = float(weights @ (before[:, -1] * factors[:, -1]))
     grad = np.bincount(pairs.ravel(), (weights[:, None] * before * after).ravel(),
-                       minlength=mirror.size)
-    return value, grad.take(mirror)
+                       minlength=values.size)
+    return value, grad
 
 
 def blow_up(sizes, values) -> np.ndarray:
@@ -467,12 +485,7 @@ class MembershipReport:
     detail: str = ""
 
     def to_json(self):
-        return {
-            "kind": self.kind,
-            "deviation": self.deviation,
-            "passes": self.passes,
-            "detail": self.detail,
-        }
+        return dict(vars(self))
 
 
 def ensemble_residual(x, constraint) -> float:

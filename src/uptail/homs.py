@@ -377,10 +377,11 @@ def batched_hom_normalized(h: Graph, a_stack: np.ndarray, p: float) -> np.ndarra
 
     Runs the batched DP plan on sub-batches of BATCH_CELLS intermediate
     entries: matrix-product steps as `np.matmul`, the rest as einsum (see
-    `_dp_sum`).  BLAS and einsum add in different orders, but on 0/1 floats
-    every partial sum is a count of partial maps, an integer of at most n^v,
-    so while n^v <= 2^53 each count is exact and the same in any order, and
-    only the final scaling rounds."""
+    `_dp_sum`), or graph by graph on the single-matrix plan where one graph
+    fills a sub-batch.  BLAS and einsum add in different orders, but on 0/1
+    floats every partial sum is a count of partial maps, an integer of at
+    most n^v, so while n^v <= 2^53 each count is exact and the same in any
+    order, and only the final scaling rounds."""
     if not (0 < p < 1):
         raise DomainError(f"p must be in (0,1), got {p}")
     b, n, _ = a_stack.shape
@@ -389,5 +390,6 @@ def batched_hom_normalized(h: Graph, a_stack: np.ndarray, p: float) -> np.ndarra
     size = max(1, BATCH_CELLS // per_graph)
     counts = np.empty(b)
     for lo in range(0, b, size):
-        counts[lo:lo + size] = _dp_sum(h, a_stack[lo:lo + size].astype(float))
+        batch = a_stack[lo:lo + size] if size > 1 else a_stack[lo]
+        counts[lo:lo + size] = _dp_sum(h, batch.astype(float))
     return counts / (float(n) ** h.vertex_count * p ** h.edge_count)

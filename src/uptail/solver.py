@@ -12,12 +12,13 @@ claim is made.
 The AL runs in one of two spaces with the same five operations (evaluate,
 project, inner product, ensemble residual, materialize).  Under a scalar
 base, the constant seed, every `ladder` seed and a BlockSpec user seed run
-on their k x k block values, with hom values from `blocks`' compiled
-independent-group expansion; every step of the n x n solver keeps a
-block-constant matrix block-constant, so this is the same run at k x k
-cost.  Matrix bases, ndarray user seeds and a BlockSpec whose expansion
-passes a compile-size cap (`_space_for`) run on the n x n matrix, which is
-also the tests' oracle.  Only the winning point is materialized.
+on one vector of their live block-pair values, with hom values from
+`blocks`' compiled independent-group expansion; every step of the n x n
+solver keeps a block-constant matrix block-constant, so this is the same
+run at the cost of a few values.  Matrix bases, ndarray user seeds and a
+BlockSpec whose expansion passes a compile-size cap (`_space_for`) run on
+the n x n matrix, which is also the tests' oracle.  Only the winning point
+is materialized.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 from .blocks import (
     BlockSpec,
     as_matrix,
+    block_pairs,
     blow_up,
     build_clique_block,
     build_cycle_blocks,
@@ -51,7 +53,7 @@ from .homs import (  # noqa: F401
     hom_normalized,
     hom_value_and_gradient,
 )
-from .rates import _entropy_array, entropy_matrix, rate_scale, scale_pattern, theta_root
+from .rates import entropy_matrix, rate_scale, scale_pattern, theta_root
 
 EPS = 1e-12
 
@@ -84,6 +86,9 @@ class SolveProblem:
             raise DomainError(f"unknown ensemble constraint {self.ensemble!r}")
         if self.hom_scale is not None and not (0 < self.hom_scale < 1):
             raise DomainError("hom_scale must be in (0,1)")
+        sizes = {seed.n if isinstance(seed, BlockSpec) else np.shape(seed) for seed in self.seeds}
+        if not sizes <= {self.n, (self.n, self.n)}:
+            raise DomainError(f"every seed must be an n x n matrix or a BlockSpec of n = {self.n}")
         if np.ndim(self.base) > 0 and self.hom_scale is None:
             raise DomainError("matrix base needs hom_scale (the block model's p)")
         if np.ndim(self.base) == 0:
@@ -126,64 +131,57 @@ class SolveResult:
     notes: list = field(default_factory=list)
 
     def to_json(self):
-        return {
-            "value": self.value,
-            "normalized": self.normalized,
-            "residuals": self.residuals,
-            "ensemble_residual": self.ensemble_residual,
-            "seed_provenance": self.seed_provenance,
-            "iterations": self.iterations,
-            "notes": self.notes,
-        }
+        return {k: v for k, v in vars(self).items() if k != "x"}
 
 
 # ---------------------------------------------------------------------------
 # projections
 # ---------------------------------------------------------------------------
 
+def _unit(x):
+    """x clipped into [0, 1]: `np.clip` without its Python wrappers."""
+    return np.minimum(np.maximum(x, 0.0), 1.0)
+
+
 def _box(x):
-    y = np.clip(x, 0.0, 1.0)
+    y = _unit(x)
     y = 0.5 * (y + y.T)
     np.fill_diagonal(y, 0.0)
     return y
 
 
 def _shift_clip(vals, m, weights):
-    """Exact solve of sum weights * clip(v + lam, 0, 1) = m via the sorted
-    breakpoints: the projection onto a weighted sum within the box, in the
-    metric those weights define (each value stands for `weights` pairs)."""
+    """Exact solve of sum weights * clip(v + lam, 0, 1) = m for vals in
+    [0, 1]: the projection onto a weighted sum within the box, in the metric
+    those weights define (each value stands for `weights` pairs).
+
+    total(lam) is piecewise linear and nondecreasing.  No entry reaches 1
+    below lam = 0, and none sits at 0 above it, so with the values sorted
+    in decreasing order and W_j, V_j the sums of w and w v through the j-th,
+    total(-v_j) = V_j - v_j W_j and total(1 - v_j) = W - v_j (W - W_j) +
+    V - V_j.  These breakpoints, on m's side of total(0) = V, bracket m;
+    the bracket's two ends are evaluated exactly and interpolated."""
     if not (0 <= m <= weights.sum()):
         raise DomainError("total weight target outside [0, n(n-1)/2]")
-    lo = np.sort(-vals)          # lambda where each entry leaves 0
-    hi = np.sort(1.0 - vals)     # lambda where each entry saturates at 1
-    # total(lam) is piecewise linear nondecreasing; binary search on breakpoints
-    bps = np.concatenate([lo, hi])
-    bps.sort(kind="mergesort")
-
-    def total(lam):
-        return float((weights * np.clip(vals + lam, 0.0, 1.0)).sum())
-
-    i, j = 0, len(bps) - 1
-    if total(bps[0]) >= m:
-        lam0 = bps[0]
-    elif total(bps[-1]) <= m:
-        lam0 = bps[-1]
+    order = (-vals).argsort()
+    v, w = vals.take(order), weights.take(order)
+    cw, cwv = w.cumsum(), (w * v).cumsum()
+    if m <= cwv[-1]:
+        bps, totals = np.append(-v, 0.0), np.append(cwv - v * cw, cwv[-1])
     else:
-        while j - i > 1:
-            k = (i + j) // 2
-            if total(bps[k]) < m:
-                i = k
-            else:
-                j = k
-        t_i, t_j = total(bps[i]), total(bps[j])
-        lam0 = bps[i] if t_j == t_i else bps[i] + (m - t_i) * (bps[j] - bps[i]) / (t_j - t_i)
-    clipped = np.clip(vals + lam0, 0.0, 1.0)
+        bps = np.append(0.0, 1.0 - v)
+        totals = np.append(cwv[-1], cw[-1] - v * (cw[-1] - cw) + (cwv[-1] - cwv))
+    i = min(max(int(totals.searchsorted(m)), 1), len(bps) - 1)
+    lo, hi = bps[i - 1], bps[i]
+    t_lo, t_hi = (float((weights * _unit(vals + lam)).sum()) for lam in (lo, hi))
+    lam0 = lo if m <= t_lo else hi if m >= t_hi else lo + (m - t_lo) * (hi - lo) / (t_hi - t_lo)
+    clipped = _unit(vals + lam0)
     # absorb float residue on strictly interior entries
     r = m - (weights * clipped).sum()
     interior = (clipped > 1e-9) & (clipped < 1 - 1e-9)
     if interior.any():
         clipped[interior] += r / weights[interior].sum()
-        clipped = np.clip(clipped, 0.0, 1.0)
+        clipped = _unit(clipped)
     return clipped
 
 
@@ -207,11 +205,6 @@ def _project_rows_affine(x, d):
     y = x + mu[:, None] + mu[None, :]
     np.fill_diagonal(y, 0.0)
     return y
-
-
-def _project_row_sums(x, d):
-    """Dykstra alternation between the box and the row-sum affine set."""
-    return _dykstra(x, d, x.shape[0], _box, _project_rows_affine, lambda y: y.sum(axis=1))
 
 
 def _dykstra(x, d, n, box, affine, rows, tol=1e-11, max_iter=5000):
@@ -247,7 +240,7 @@ def project_ensemble(x, constraint):
     if kind == "total_weight":
         return _project_total_weight(_box(x), val)
     if kind == "row_sums":
-        return _project_row_sums(x, val)
+        return _dykstra(x, val, x.shape[0], _box, _project_rows_affine, lambda y: y.sum(axis=1))
     raise DomainError(f"unknown constraint {kind!r}")
 
 
@@ -332,16 +325,12 @@ def _entropy_value(x, base):
     return 0.5 * entropy_matrix(x, base)
 
 
-def _log_odds(x, base):
-    """d/dx I_p(x) = log(x (1 - p) / (p (1 - x))), entrywise, x kept off 0 and 1."""
+def _entropy_grad(x, base):
+    """d/dx_uv of sum_{u<v} I(x_uv): the log-odds ratio
+    log(x (1 - p) / (p (1 - x))), entrywise, x kept off 0 and 1."""
     xc = np.clip(x, EPS, 1 - EPS)
     pm = np.clip(np.asarray(base, dtype=float), EPS, 1 - EPS)  # scalar or matrix
-    return np.log(xc * (1 - pm)) - np.log(pm * (1 - xc))
-
-
-def _entropy_grad(x, base):
-    """d/dx_uv of sum_{u<v} I(x_uv): the log-odds ratio, entrywise."""
-    g = _log_odds(x, base)
+    g = np.log(xc * (1 - pm)) - np.log(pm * (1 - xc))
     np.fill_diagonal(g, 0.0)
     return g
 
@@ -385,80 +374,75 @@ class _DenseSpace:
 
 
 class _BlockSpace:
-    """The AL on the k x k values of one block partition, under a scalar
-    base.  Each dense step (hom and entropy gradients, box, total-weight
-    shift, row-sum Dykstra) maps a block-constant matrix to a block-constant
-    one, so from a block-constant seed this space takes the dense steps at
-    k x k cost.  A value stands for w_ab = s_a s_b - [a = b] s_a ordered
-    vertex pairs: sums over the matrix become sums weighted by w, and each
-    gradient stays the one of a single vertex pair.  A one-vertex block's
-    diagonal holds no pair and stays 0."""
+    """The AL on one vector of the live unordered block-pair values of a
+    block partition (`blocks.block_pairs`), under a scalar base.  Each dense
+    step (hom and entropy gradients, box, total-weight shift, row-sum
+    Dykstra) maps a block-constant matrix to a block-constant one, so from a
+    block-constant seed this space takes the dense steps at the cost of a
+    few values.  A value stands for its c unordered vertex pairs: entropy,
+    total weight and shift-and-clip weigh it by c, the inner product (over
+    ordered pairs) by 2c, and a gradient stays one vertex pair's.  Row sums
+    are a k x values operator; Dykstra's affine step adds the shifts of a
+    pair's two blocks through their incidence (2 on a block's own pair)."""
 
     def __init__(self, problem, sizes):
         self.problem = problem
         self.sizes = sizes
-        self.s = np.asarray(sizes, dtype=float)
         self.n = problem.n
-        self.w = np.outer(self.s, self.s) - np.diag(self.s)
-        self.live = self.w > 0
-        self.upper = np.triu_indices(len(sizes))
-        # a block pair's hom gradient in y / p, shared out over its unordered
-        # vertex pairs, is one vertex pair's gradient in x
-        unordered = self.w - 0.5 * np.diag(np.diag(self.w))
-        with np.errstate(divide="ignore"):
-            self.share = np.where(self.live, 1.0 / (problem.hom_p() * unordered), 0.0)
-        self.unordered = unordered[self.upper]
+        a, b, self.pairs = block_pairs(sizes)
+        self.index, self.s = (a, b), np.asarray(sizes, dtype=float)
+        in_a, in_b = np.arange(len(sizes))[:, None] == a, np.arange(len(sizes))[:, None] == b
+        # the row sum of a vertex in block a: sum_b s_b y_ab - y_aa
+        self.rows_op = in_a * (self.s[b] - (a == b)) + in_b * self.s[a] * (a != b)
+        self.incidence = in_a + in_b * 1.0
+        # a pair's hom gradient in y / p, shared out over its vertex pairs, is
+        # one vertex pair's gradient in x
+        self.share = 1.0 / (problem.hom_p() * self.pairs)
         self.terms = [hom_terms(h, sizes) for h, _t in problem.targets]
 
     def evaluate(self, y):
-        """`_DenseSpace.evaluate` at the blow-up of y, on the block values:
-        the hom values from the compiled independent-group expansion."""
-        problem = self.problem
-        p, base = problem.hom_p(), float(problem.base)
+        """`_DenseSpace.evaluate` at the blow-up of y: hom values from the
+        compiled independent-group expansion, the entropy and its log-odds
+        gradient from one pair of logs, kept off 0 and 1 (where 0 log 0 = 0)."""
+        p, base = self.problem.hom_p(), float(self.problem.base)
         vals, grads = zip(*(terms_value_and_gradient(terms, y / p) for terms in self.terms))
-        entropy = 0.5 * float((self.w * _entropy_array(y, base)).sum())
-        return (np.array(vals), [g * self.share for g in grads], entropy,
-                np.where(self.live, _log_odds(y, base), 0.0))
-
-    def _box(self, y):
-        y = np.clip(y, 0.0, 1.0)
-        return np.where(self.live, 0.5 * (y + y.T), 0.0)
-
-    def _rows(self, y):
-        """The row sum of a vertex in each block."""
-        return y @ self.s - np.diag(y)
+        q = 1.0 - y
+        up = np.log(np.maximum(y, EPS) / base)
+        down = np.log(np.maximum(q, EPS) / (1 - base))
+        return (np.array(vals), [g * self.share for g in grads],
+                float(self.pairs @ (y * up + q * down)), up - down)
 
     def _rows_affine(self, y, d):
         """`_project_rows_affine` on the blow-up of y."""
-        n, r = self.n, self._rows(y)
+        n, r = self.n, self.rows_op @ y
         shift = (n * d - float(self.s @ r)) / (2.0 * (n - 1))
         mu = (d - r - shift) / (n - 2.0)
-        return np.where(self.live, y + mu[:, None] + mu[None, :], 0.0)
+        return y + mu @ self.incidence
 
     def project(self, y):
         """`project_ensemble` on the blow-up of y."""
         kind, val = self.problem.ensemble or (None, None)
         if kind == "total_weight":
-            out = np.zeros_like(y)
-            out[self.upper] = _shift_clip(self._box(y)[self.upper], val, self.unordered)
-            return np.where(self.live, out + np.triu(out, 1).T, 0.0)
+            return _shift_clip(_unit(y), val, self.pairs)
         if kind == "row_sums":
-            return _dykstra(y, val, self.n, self._box, self._rows_affine, self._rows)
-        return self._box(y)
+            return _dykstra(y, val, self.n, _unit, self._rows_affine, self.rows_op.__matmul__)
+        return _unit(y)
 
     def dot(self, a, b):
-        return float((self.w * a * b).sum())
+        return 2.0 * float(self.pairs @ (a * b))
 
     def residual(self, y):
         kind, val = self.problem.ensemble or (None, None)
         if kind == "row_sums":
-            return float(np.abs(self._rows(y) - val).max())
+            return float(np.abs(self.rows_op @ y - val).max())
         if kind == "total_weight":
-            return abs(0.5 * float((self.w * y).sum()) - val)
+            return abs(float(self.pairs @ y) - val)
         return 0.0
 
     def materialize(self, y):
-        return blow_up(self.sizes, y)
+        values = np.zeros((len(self.sizes),) * 2)
+        values[self.index] = values[self.index[::-1]] = y
+        return blow_up(self.sizes, values)
 
 
 def _space_for(problem, seed):
@@ -468,10 +452,10 @@ def _space_for(problem, seed):
     measured crossover of the two spaces' costs.  A pattern of v vertices
     on k blocks compiles about k^v placements in Python, so a seed past
     k^v = BATCH_CELLS runs n x n."""
-    if (isinstance(seed, BlockSpec) and np.ndim(problem.base) == 0 and seed.n == problem.n
+    if (isinstance(seed, BlockSpec) and np.ndim(problem.base) == 0
             and all(seed.num_blocks ** h.vertex_count <= BATCH_CELLS
                     for h, _t in problem.targets)):
-        return _BlockSpace(problem, seed.sizes), seed.value_matrix()
+        return _BlockSpace(problem, seed.sizes), seed.packed_values()
     return _DenseSpace(problem), as_matrix(seed)
 
 
@@ -685,22 +669,23 @@ def _inner_pg(space, x, ev, targets, lam, rho, step, max_steps=60):
     then be seen to decrease f.  Returns (x, ev, step).
     """
 
-    def al_value(ev):
-        vals, _, entropy, _ = ev
-        pen = np.maximum(0.0, lam / rho + (targets - vals))
-        return entropy + 0.5 * rho * float((pen ** 2 - (lam / rho) ** 2).sum())
+    lam_rho = lam / rho
+    lam_rho_sq = lam_rho ** 2
 
-    def al_grad(ev):
-        vals, hom_grads, _, grad = ev
-        mult = rho * np.maximum(0.0, lam / rho + (targets - vals))
-        for m, gh in zip(mult, hom_grads):
+    def al_value(ev):
+        pen = np.maximum(0.0, lam_rho + (targets - ev[0]))
+        return ev[2] + 0.5 * rho * float((pen ** 2 - lam_rho_sq).sum()), pen
+
+    def al_grad(ev, pen):
+        grad = ev[3]
+        for m, gh in zip((rho * pen).tolist(), ev[1]):
             if m > 0:
                 grad = grad - m * gh
         return grad
 
-    f = al_value(ev)
+    f, pen = al_value(ev)
     recent = [f]
-    grad = al_grad(ev)
+    grad = al_grad(ev, pen)
     for _ in range(max_steps):
         d = space.project(x - step * grad) - x
         # both gradients are per unordered pair; each pair sits twice in d
@@ -712,13 +697,13 @@ def _inner_pg(space, x, ev, targets, lam, rho, step, max_steps=60):
         for _bt in range(40):
             xn = x + t * d
             ev_n = space.evaluate(xn)
-            fn = al_value(ev_n)
+            fn, pen = al_value(ev_n)
             if fn <= f_ref + 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
             break
-        grad_n = al_grad(ev_n)
+        grad_n = al_grad(ev_n, pen)
         s, y = xn - x, grad_n - grad
         sy = space.dot(s, y)
         step = min(max(space.dot(s, s) / sy, 1e-10), 1e3) if sy > 0 else 1e3

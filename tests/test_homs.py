@@ -471,6 +471,23 @@ def test_batched_counts_are_exact_integers(h):
         assert np.array_equal(got, want[idx])
 
 
+def test_batched_runs_a_lone_graph_on_the_single_matrix_plan(monkeypatch):
+    # at n = 41 one graph's n^3 cells of K4 fill a sub-batch, so each graph
+    # runs the single-matrix plan; its counts are the exact integer counts
+    rng = np.random.default_rng(8)
+    n, p = 41, 0.3
+    graphs = [_random_graph(rng, n) for _ in range(3)]
+    adj = np.array([g.adjacency() for g in graphs], dtype=np.int8)
+    assert H.BATCH_CELLS // n ** 3 == 0
+    want = np.array([H.hom_count(K4, g) for g in graphs], dtype=float)
+    shapes = []
+    dp_sum = H._dp_sum
+    monkeypatch.setattr(H, "_dp_sum", lambda h, w, *a: shapes.append(w.shape) or dp_sum(h, w, *a))
+    got = H.batched_hom_normalized(K4, adj, p)
+    assert shapes == [(n, n)] * len(graphs)
+    assert np.array_equal(got, want / (float(n) ** 4 * p ** 6))
+
+
 def test_batched_plan_steps_that_become_matmuls():
     def kinds(h, batched=True):
         return [swaps for *_rest, swaps in H._get_plan(h, (), batched=batched)[0]]

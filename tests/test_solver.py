@@ -196,6 +196,18 @@ def test_problem_validation():
         S.SolveProblem(targets=((K3, 1.3),), n=10, base=0.3, budget=-3)
 
 
+def test_seeds_must_have_n_vertices():
+    # a seed of another size would be scored, and could win, as a bound for n
+    n = 40
+    small = np.full((20, 20), 0.9)
+    np.fill_diagonal(small, 0.0)
+    spec = B.BlockSpec((5, 15), ((Fraction(1), Fraction(3, 10)), (Fraction(3, 10), Fraction(3, 10))))
+    for seed in (small, np.full((n, n - 1), 0.3), spec, [0.3] * n):
+        with pytest.raises(DomainError, match="seed"):
+            S.SolveProblem(((K3, 1.2),), n=n, base=0.3, seeds=(seed,))
+    S.SolveProblem(((K3, 1.2),), n=20, base=0.3, seeds=(small, spec))
+
+
 def test_block_model_base_with_hom_scale():
     params = R.BlockModelParams((0.5, 0.5), ((2.0, 1.0), (1.0, 0.5)), 0.2)
     n = 30
@@ -408,6 +420,27 @@ DENSE_SOLVE_PROBLEMS = [
 ]
 
 
+# each problem's (value, iterations, seed_provenance) from the solver on
+# k x k block values; a change in how the solver computes, not in what it
+# solves, keeps them
+DENSE_SOLVE_RESULTS = [
+    (4.499572893578081, 459, "constant"),
+    (229.54985821858656, 150, "cycle_blocks_delta_x2"),
+    (37.06758510266653, 390, "plant_clique_delta_x3"),
+    (0.6114452942024133, 46, "constant"),
+    (1.0778281949676773, 159, "plant_clique_delta_x3"),
+]
+
+
+@pytest.mark.parametrize("prob, pinned", zip(DENSE_SOLVE_PROBLEMS, DENSE_SOLVE_RESULTS))
+def test_dense_solve_problems_keep_their_results(prob, pinned):
+    # the value to roundoff, every iteration and the winning seed
+    res = S.solve_phi(prob)
+    value, iterations, provenance = pinned
+    assert res.value == pytest.approx(value, rel=1e-12, abs=0)
+    assert (res.iterations, res.seed_provenance) == (iterations, provenance)
+
+
 @pytest.mark.parametrize("prob", DENSE_SOLVE_PROBLEMS)
 def test_block_space_runs_match_their_materialized_seeds(prob):
     # the n x n space is the oracle: from every default seed, the AL run on
@@ -415,39 +448,79 @@ def test_block_space_runs_match_their_materialized_seeds(prob):
     targets = np.array([t for _h, t in prob.targets])
     feasible = []
     for _name, spec in S.default_seeds(prob):
-        block = S._al_single(prob, S._BlockSpace(prob, spec.sizes), spec.value_matrix(), targets)
+        space, start = S._space_for(prob, spec)
+        assert type(space) is S._BlockSpace
+        block = S._al_single(prob, space, start, targets)
         dense = S._al_single(prob, S._DenseSpace(prob), spec.materialize(), targets)
         assert (block[0] is None) == (dense[0] is None)
         if dense[0] is not None:
             feasible.append(dense[0])
             assert block[0] == pytest.approx(dense[0], rel=1e-9)
-            assert np.abs(B.blow_up(spec.sizes, block[1]) - dense[1]).max() <= 1e-6
+            assert np.abs(space.materialize(block[1]) - dense[1]).max() <= 1e-6
     assert feasible
 
 
 def test_block_space_steps_are_the_dense_steps_restricted():
-    # evaluate, project, dot and residual on block values agree with the
-    # n x n space on the blow-up, for every ensemble and a one-vertex block
+    # evaluate, project, dot and residual on the packed block-pair values
+    # agree with the n x n space on the blow-up, for every ensemble; the
+    # one-vertex block's own pair holds no vertex pair and is not stored
     rng = np.random.default_rng(5)
     sizes = (1, 4, 7, 12)
     n = sum(sizes)
-    y = rng.random((4, 4))
-    y = 0.5 * (y + y.T)
-    y[0, 0] = 0.0
     for ensemble, base in ((None, 0.3), (("row_sums", 7), 7 / n), (("total_weight", 90), 0.3)):
         prob = S.SolveProblem(((K3, 1.3), (G.cycle(5), 1.2)), n=n, base=base, ensemble=ensemble)
         blocks, dense = S._BlockSpace(prob, sizes), S._DenseSpace(prob)
-        x = B.blow_up(sizes, y)
+        y = rng.random(9)
+        assert blocks.pairs.sum() == n * (n - 1) / 2 and len(blocks.pairs) == len(y)
+        x = blocks.materialize(y)
         (bv, bg, be, beg), (dv, dg, de, deg) = blocks.evaluate(y), dense.evaluate(x)
         assert bv == pytest.approx(dv, rel=1e-12) and be == pytest.approx(de, rel=1e-12)
         for b, d in zip(bg, dg):
-            assert np.allclose(B.blow_up(sizes, b), d, rtol=1e-12, atol=0)
-        assert np.allclose(B.blow_up(sizes, beg), deg, rtol=1e-12, atol=0)
+            assert np.allclose(blocks.materialize(b), d, rtol=1e-12, atol=0)
+        assert np.allclose(blocks.materialize(beg), deg, rtol=1e-12, atol=0)
         step = y - 0.4 * beg
-        assert np.allclose(B.blow_up(sizes, blocks.project(step)),
-                           dense.project(B.blow_up(sizes, step)), rtol=0, atol=1e-12)
+        assert np.allclose(blocks.materialize(blocks.project(step)),
+                           dense.project(blocks.materialize(step)), rtol=0, atol=1e-12)
         assert blocks.dot(y, beg) == pytest.approx(dense.dot(x, deg), rel=1e-12)
         assert blocks.residual(y) == pytest.approx(dense.residual(x), rel=1e-12)
+
+
+def _assert_shift_clip_kkt(vals, m, weights, tol=1e-9):
+    """clip(vals + lam) for one lam, of weighted sum m: every entry strictly
+    inside (0, 1) moved by lam, every entry at 0 had v + lam <= 0, every
+    entry at 1 had v + lam >= 1."""
+    x = S._shift_clip(vals, m, weights)
+    assert x.min() >= 0.0 and x.max() <= 1.0
+    assert abs(float(weights @ x) - m) <= tol * max(1.0, m)
+    inner = (x > tol) & (x < 1 - tol)
+    shifts = x[inner] - vals[inner]
+    below = np.concatenate([shifts, 1.0 - vals[x >= 1 - tol]]).max(initial=-np.inf)
+    above = np.concatenate([shifts, -vals[x <= tol]]).min(initial=np.inf)
+    assert below <= above + tol
+    return x
+
+
+@pytest.mark.parametrize("size", [6, 435])
+def test_shift_clip_meets_the_kkt_conditions(size):
+    # block size (pair counts as weights, ties among the values) and n x n
+    # size (unit weights), from m = 0 through the sum of the weights
+    rng = np.random.default_rng(size)
+    for trial in range(20):
+        vals = rng.random(size)
+        vals[: size // 3] = vals[0]  # ties
+        vals[-1] = float(trial % 2)  # an entry already at 0 or 1
+        weights = rng.integers(1, 200, size).astype(float) if size < 10 else np.ones(size)
+        total = float(weights.sum())
+        for m in (rng.uniform(0, total), float(weights @ vals)):
+            _assert_shift_clip_kkt(vals, m, weights)
+        assert np.all(_assert_shift_clip_kkt(vals, 0.0, weights) == 0.0)
+        assert np.all(_assert_shift_clip_kkt(vals, total, weights) == 1.0)
+    # a single value takes the whole weight
+    for m in (0.0, 7.0, 10.0):
+        x = _assert_shift_clip_kkt(np.array([0.9]), m, np.array([10.0]))
+        assert x[0] == pytest.approx(m / 10.0, abs=1e-12)
+    with pytest.raises(DomainError):
+        S._shift_clip(np.array([0.5]), 10.5, np.array([10.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +703,8 @@ def test_both_paths_answer_targets_at_most_one_alike(ensemble):
 
 
 def test_block_solve_refuses_seeds():
-    prob = S.SolveProblem(((K3, 2.0),), n=3000, base=0.02, seeds=(np.zeros((3, 3)),))
+    seed = B.BlockSpec((3000,), ((Fraction(1, 50),),))
+    prob = S.SolveProblem(((K3, 2.0),), n=3000, base=0.02, seeds=(seed,))
     with pytest.raises(DomainError, match="seeds"):
         S.solve_phi_blocks(prob)
 
