@@ -3,12 +3,17 @@
 
 Every ensemble draws through one stack routine, `_draw_stack`, which returns
 a (batch, n, n) 0/1 adjacency stack: independent-edge ensembles through one
-per-pair uniform routine, uniform and regular graphs through block samplers
+per-pair routine, uniform and regular graphs through block samplers
 that consume the stream exactly as drawing one graph after another would
 (one `choice` per uniform graph; blocks of configuration-model trials whose
 rows replay `permutation` calls).  Monte Carlo counts hits on these stacks
 with the batched hom and reports a Wilson score interval; `sample` is row 0
 of a one-graph stack.
+
+The per-pair routine compares the stream's raw 64-bit words against integer
+thresholds, ceil(q * 2^53) on w >> 11.  `Generator.random` makes its double
+from the same word as (w >> 11) * 2^-53, so the words give the same edges as
+`random() < q` and leave the stream where `random` would.
 
 Direct Monte Carlo, its empirical-mean pass and importance sampling share
 one worker loop, `_run_workers`: worker w draws its share of the samples in
@@ -167,16 +172,32 @@ def planted(x):
 # sampling
 # ---------------------------------------------------------------------------
 
-def _sample_adjacency_batch(probs: np.ndarray, batch: int, rng) -> np.ndarray:
-    """Independent-edge samples as a (batch, n, n) 0/1 stack."""
-    n = probs.shape[0]
+def _pair_bits(q, batch, rng) -> np.ndarray:
+    """Independent-edge draws for vertex pairs of probabilities q: a
+    (batch, pairs + 1) bool array whose entry (g, i) is rng.random() < q[i]
+    over the stream's doubles in (graph, pair) order, found from the raw
+    words (see the module docstring) in pieces of at most BATCH_CELLS.  The
+    last column is False: the diagonal's entry in `_symmetric_stack`."""
+    pairs = q.size
+    limit = np.ceil(q * 2.0 ** 53).astype(np.uint64)
+    bits = np.zeros((batch, pairs + 1), dtype=bool)
+    rows, cols = max(1, BATCH_CELLS // pairs), min(pairs, BATCH_CELLS)
+    for g in range(0, batch, rows):
+        for c in range(0, pairs, cols):
+            w = rng.bit_generator.random_raw((min(rows, batch - g), min(cols, pairs - c)))
+            w >>= 11
+            np.less(w, limit[c:c + w.shape[1]], out=bits[g:g + w.shape[0], c:c + w.shape[1]])
+    return bits
+
+
+def _symmetric_stack(bits, n) -> np.ndarray:
+    """The (batch, n, n) 0/1 int8 adjacency stack of `_pair_bits` draws, in
+    one gather: cell (u, v) reads pair {u, v}, and the diagonal reads the
+    last, False, column."""
     iu = np.triu_indices(n, 1)
-    u = rng.random((batch, iu[0].size))
-    hit = (u < probs[iu]).astype(np.int8)
-    a = np.zeros((batch, n, n), dtype=np.int8)
-    a[:, iu[0], iu[1]] = hit
-    a = a + a.transpose(0, 2, 1)
-    return a
+    index = np.full((n, n), iu[0].size)
+    index[iu] = index[iu[::-1]] = np.arange(iu[0].size)
+    return bits.view(np.int8).take(index, axis=1)
 
 
 def _uniform_stack(n, m, batch, rng) -> np.ndarray:
@@ -260,7 +281,8 @@ def _draw_stack(spec: EnsembleSpec, batch: int, rng) -> np.ndarray:
         a = _regular_stack(spec.n, spec.d, batch, rng)
         assert (a.sum(axis=-1) == spec.d).all(), "regular sampler degree violation"
         return a
-    return _sample_adjacency_batch(spec.probability_matrix(), batch, rng)
+    q = spec.probability_matrix()[np.triu_indices(spec.n, 1)]
+    return _symmetric_stack(_pair_bits(q, batch, rng), spec.n)
 
 
 def _chunk_sizes(n, count):
@@ -548,10 +570,14 @@ def importance_tail(
     lw_noedge = np.where(tp >= 1.0, 0.0, lw_noedge)  # never sampled
 
     def score(b, rng):
-        a = _draw_stack(tilted, b, rng)
-        hit_pairs = a[:, iu[0], iu[1]] > 0
+        # `_draw_stack(tilted, b, rng)`, keeping the pair bits for the weights.
+        # In Fortran order each graph's log-weight sums one pair at a time in
+        # pair order, not by pairwise summation: the order the pinned
+        # estimates (tests/test_ensembles.py) hold
+        bits = _pair_bits(tp, b, rng)
+        hit_pairs = np.asfortranarray(bits[:, :-1])
         return (np.where(hit_pairs, lw_edge, lw_noedge).sum(axis=1),
-                _hom_hits_for_batch(a, h_list, t_list, p))
+                _hom_hits_for_batch(_symmetric_stack(bits, spec.n), h_list, t_list, p))
 
     def stacked(scores):
         return np.concatenate([s[0] for s in scores]), np.concatenate([s[1] for s in scores])

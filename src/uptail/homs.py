@@ -9,7 +9,10 @@ adjacency stacks all contract in the same elimination order.  On a stack, a
 step that is one matrix product per graph (two factors sharing only the
 eliminated vertex, as every step along a cycle) runs as a batched `np.matmul`
 on BLAS, and the other two-factor steps run einsum unoptimized; single
-matrices, and so the dense solver, run einsum on every step.
+matrices, and so the dense solver, run einsum on every step.  A stack of
+integer or bool 0/1 entries contracts in float32 while n^v <= 2^24 (every
+partial count is then an integer float32 holds exactly) and in float64
+otherwise, so its counts are exact either way.
 """
 
 from __future__ import annotations
@@ -372,6 +375,13 @@ def hom_gradient(h: Graph, x) -> np.ndarray:
     return hom_value_and_gradient(h, x, 1.0)[1]
 
 
+def dp_cells(h: Graph, n: int) -> int:
+    """Entries of the largest array h's DP holds for one n x n matrix: the
+    matrix itself or an intermediate, n^2 or n^(out arity).  The batched plan
+    eliminates in the same order, so it holds as many per graph."""
+    return n ** max([2] + [step[2] for step in _get_plan(h, ())[0]])
+
+
 def batched_hom_normalized(h: Graph, a_stack: np.ndarray, p: float) -> np.ndarray:
     """hom(h, .) for a batch of 0/1 adjacency matrices, shape (B, n, n).
 
@@ -379,17 +389,19 @@ def batched_hom_normalized(h: Graph, a_stack: np.ndarray, p: float) -> np.ndarra
     entries: matrix-product steps as `np.matmul`, the rest as einsum (see
     `_dp_sum`), or graph by graph on the single-matrix plan where one graph
     fills a sub-batch.  BLAS and einsum add in different orders, but on 0/1
-    floats every partial sum is a count of partial maps, an integer of at
-    most n^v, so while n^v <= 2^53 each count is exact and the same in any
-    order, and only the final scaling rounds."""
+    entries every partial sum is a count of partial maps, an integer of at
+    most n^v.  A stack of integer or bool dtype contracts in float32 while
+    n^v <= 2^24, where float32 holds every such integer exactly; any other
+    stack contracts in float64, exact while n^v <= 2^53.  So each count is
+    the same in any order, and only the final scaling, in float64, rounds."""
     if not (0 < p < 1):
         raise DomainError(f"p must be in (0,1), got {p}")
     b, n, _ = a_stack.shape
-    steps = _get_plan(h, (), batched=True)[0]
-    per_graph = n ** max([2] + [step[2] for step in steps])
-    size = max(1, BATCH_CELLS // per_graph)
+    size = max(1, BATCH_CELLS // dp_cells(h, n))
+    exact32 = a_stack.dtype.kind in "biu" and n ** h.vertex_count <= 1 << 24
+    dtype = np.float32 if exact32 else np.float64
     counts = np.empty(b)
     for lo in range(0, b, size):
         batch = a_stack[lo:lo + size] if size > 1 else a_stack[lo]
-        counts[lo:lo + size] = _dp_sum(h, batch.astype(float))
+        counts[lo:lo + size] = _dp_sum(h, batch.astype(dtype))
     return counts / (float(n) ** h.vertex_count * p ** h.edge_count)

@@ -432,6 +432,17 @@ def test_solve_regular_k4_at_construction_scale():
     assert doc["blockspec"]["sizes"] == [76, 99924]
 
 
+def test_solve_regular_k4_past_the_dense_dp_cap(capsys):
+    # below DENSE_N_CAP, but the n x n K4 witness would need an n^3 DP
+    # intermediate past DP_CELL_CAP, so the block solver takes it
+    code, out, err = run_main(capsys, "solve", "--graph", "clique:4", "--t", "1.3",
+                              "--n", "2000", "--model", "regular", "--d", "20")
+    assert code == 0, err
+    doc = json.loads(out)
+    check_schema(doc, "solve")
+    assert "blockspec" in doc and doc["residuals"] == [0.0]
+
+
 def test_block_model_solve_past_dense_cap_exits_1():
     # the block search plants on a constant-p background, not the block base
     proc = run_cli(

@@ -15,6 +15,7 @@ from uptail import rates as R
 from uptail.errors import DomainError, SamplingError
 
 K3 = G.clique(3)
+K4 = G.clique(4)
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +100,17 @@ def test_regular_six_three_uniform():
 
 
 def _reference_stack(spec, batch, rng):
-    """The draw-by-draw loop: one `choice` per uniform graph, one
-    `permutation` per configuration-model trial."""
+    """The draw-by-draw loop: one `random() < q` over the pairs of each
+    independent-edge graph, one `choice` per uniform graph, one `permutation`
+    per configuration-model trial."""
     n = spec.n
     iu = np.triu_indices(n, 1)
     out = np.zeros((batch, n, n), dtype=np.int8)
     for i in range(batch):
-        if spec.kind == "uniform":
+        if spec.kind in ("er", "block", "planted"):
+            edge = rng.random(iu[0].size) < spec.probability_matrix()[iu]
+            lo, hi = iu[0][edge], iu[1][edge]
+        elif spec.kind == "uniform":
             pick = rng.choice(iu[0].size, size=spec.m, replace=False)
             lo, hi = iu[0][pick], iu[1][pick]
         else:
@@ -120,10 +125,26 @@ def _reference_stack(spec, batch, rng):
     return out
 
 
-@pytest.mark.parametrize("spec", [E.uniform(40, 300), E.regular(40, 4),
-                                  E.regular(40, 5), E.regular(5, 2)],
-                         ids=["uniform-40-300", "regular-40-4", "regular-40-5",
-                              "regular-5-2"])
+def _boundary_tilt(n):
+    """A planted tilt on a 0.3 background with entries 1, 0 and 0.5; 0.5 * 2^53
+    is an integer, so there u = q is an exact boundary of the word comparison."""
+    x = np.full((n, n), 0.3)
+    x[:6, :6] = 1.0
+    x[6:20, 6:20] = 0.5
+    x[30:, :] = x[:, 30:] = 0.0
+    np.fill_diagonal(x, 0.0)
+    return x
+
+
+# independent-edge graphs draw their words in pieces of at most BATCH_CELLS:
+# 90 graphs of 780 pairs span two pieces, and one graph of 79,800 pairs spans two
+@pytest.mark.parametrize("spec", [
+    E.uniform(40, 300), E.regular(40, 4), E.regular(40, 5), E.regular(5, 2),
+    E.er(40, 0.3),
+    E.block_model(40, R.BlockModelParams((0.5, 0.5), ((2.0, 1.0), (1.0, 0.5)), 0.2)),
+    E.planted(_boundary_tilt(40)), E.er(400, 0.01),
+], ids=["uniform-40-300", "regular-40-4", "regular-40-5", "regular-5-2", "er-40",
+        "block-40", "planted-40", "er-400"])
 @pytest.mark.parametrize("batch", [1, 3, 90])
 def test_stack_replays_draw_by_draw_stream(spec, batch):
     rng, ref_rng = E.rng_stream(8, 1), E.rng_stream(8, 1)
@@ -485,6 +506,116 @@ def test_importance_draws_its_tilt_as_a_planted_ensemble():
     lw = np.where(a[:, iu[0], iu[1]] > 0, np.log(p / tilt[iu]),
                   np.log((1 - p) / (1 - tilt[iu]))).sum(axis=1)
     assert est.point == pytest.approx(float(np.exp(lw).mean()), rel=1e-12)
+
+
+def _hub_tilt(spec, hub, blend):
+    """A planted hub of `hub` rows of 1, blended with the base."""
+    base = spec.probability_matrix()
+    planted = base.copy()
+    planted[:hub, :] = planted[:, :hub] = 1.0
+    tilt = blend * planted + (1.0 - blend) * base
+    np.fill_diagonal(tilt, 0.0)
+    return tilt
+
+
+_ER18 = E.er(18, 0.35)
+_FORCED = np.full((12, 12), 0.4)
+_FORCED[:4, :4] = 1.0
+np.fill_diagonal(_FORCED, 0.0)
+_PINNED_RUNS = {
+    "er-k3": lambda w: E.mc_upper_tail(_ER18, [K3], [1.5], 1000, seed=5, workers=w),
+    "er-k3k4": lambda w: E.mc_upper_tail(_ER18, [K3, K4], [1.2, 1.3], 300, seed=6,
+                                         workers=w),
+    "block-k3": lambda w: E.mc_upper_tail(
+        E.block_model(16, R.BlockModelParams((0.5, 0.5), ((2.0, 1.0), (1.0, 0.5)), 0.2)),
+        [K3], [1.2], 600, seed=7, workers=w),
+    "is-hub": lambda w: E.importance_tail(_ER18, _hub_tilt(_ER18, 2, 0.5), [K3], [1.8],
+                                          1000, seed=8, workers=w),
+    "is-forced": lambda w: E.importance_tail(E.er(12, 0.4), _FORCED, [K3], [1.3], 600,
+                                             seed=9, workers=w),
+}
+# `to_json()` of each run, at chunks of 64 graphs; a change to how stacks are
+# drawn or counted must leave every one of them byte-identical.  The hub tilt
+# is the mc-batched benchmark's; the forced tilt has entries of 1.
+_PINNED = {
+    ("er-k3", 1): {
+        "point": 0.03, "ci_low": 0.021093603189697094, "ci_high": 0.04250368148151,
+        "samples": 1000, "hits": 30.0, "method": "direct_mc[analytic]",
+        "neg_log_point": 3.506557897319982, "neg_log_ci_low": 3.1581645837089765,
+        "neg_log_ci_high": 3.8587854508293953, "zero_hits": False,
+        "neg_log_normalized": 0.08415582735842328,
+    },
+    ("er-k3", 2): {
+        "point": 0.022, "ci_low": 0.014572598673771597, "ci_high": 0.03308591637481774,
+        "samples": 1000, "hits": 22.0, "method": "direct_mc[analytic]",
+        "neg_log_point": 3.816712825623821, "neg_log_ci_low": 3.408647574310096,
+        "neg_log_ci_high": 4.228612316835956, "zero_hits": False,
+        "neg_log_normalized": 0.09159940746318955,
+    },
+    ("er-k3k4", 1): {
+        "point": 0.07666666666666666, "ci_low": 0.05162723750301175,
+        "ci_high": 0.11241086656173778, "samples": 300, "hits": 23.0,
+        "method": "direct_mc[analytic]", "neg_log_point": 2.5682882587270512,
+        "neg_log_ci_low": 2.185594668599992, "neg_log_ci_high": 2.963705887177457,
+        "zero_hits": False, "neg_log_normalized": 0.06163777403284561,
+    },
+    ("er-k3k4", 2): {
+        "point": 0.07666666666666666, "ci_low": 0.05162723750301175,
+        "ci_high": 0.11241086656173778, "samples": 300, "hits": 23.0,
+        "method": "direct_mc[analytic]", "neg_log_point": 2.5682882587270512,
+        "neg_log_ci_low": 2.185594668599992, "neg_log_ci_high": 2.963705887177457,
+        "zero_hits": False, "neg_log_normalized": 0.06163777403284561,
+    },
+    ("block-k3", 1): {
+        "point": 0.15666666666666668, "ci_low": 0.12977647813148935,
+        "ci_high": 0.187925382753882, "samples": 600, "hits": 94.0,
+        "method": "direct_mc[analytic]", "neg_log_point": 1.8536348729461425,
+        "neg_log_ci_low": 1.671710295183246, "neg_log_ci_high": 2.0419417073780988,
+        "zero_hits": False, "neg_log_normalized": 0.11247344750775447,
+    },
+    ("block-k3", 2): {
+        "point": 0.16833333333333333, "ci_low": 0.14052506464395745,
+        "ci_high": 0.2003616844637556, "samples": 600, "hits": 101.0,
+        "method": "direct_mc[analytic]", "neg_log_point": 1.7818091383748869,
+        "neg_log_ci_low": 1.6076311233422178, "neg_log_ci_high": 1.9623694100766165,
+        "zero_hits": False, "neg_log_normalized": 0.10811526019432408,
+    },
+    ("is-hub", 1): {
+        "point": 0.0052196109162649836, "ci_low": 0.0, "ci_high": 0.01231289194883234,
+        "samples": 1000, "hits": 2.861998178188273, "method": "importance",
+        "neg_log_point": 5.2553324169796065, "neg_log_ci_low": 4.397108439582899,
+        "neg_log_ci_high": math.inf, "zero_hits": False,
+        "neg_log_normalized": 0.12612563674835658,
+    },
+    ("is-hub", 2): {
+        "point": 0.002015635869870924, "ci_low": 0.0008355131025232533,
+        "ci_high": 0.003195758637218595, "samples": 1000, "hits": 7.147127979309597,
+        "method": "importance", "neg_log_point": 6.206820565190498,
+        "neg_log_ci_low": 5.745930774199434, "neg_log_ci_high": 7.0874645277977475,
+        "zero_hits": False, "neg_log_normalized": 0.14896092841589778,
+    },
+    ("is-forced", 1): {
+        "point": 0.001761280000000001, "ci_low": 0.0015988843979025758,
+        "ci_high": 0.0019236756020974263, "samples": 600, "hits": 600.0,
+        "method": "importance", "neg_log_point": 6.341714461539459,
+        "neg_log_ci_low": 6.2535175469326765, "neg_log_ci_high": 6.438449144240038,
+        "zero_hits": False, "neg_log_normalized": 0.3003937657879963,
+    },
+    ("is-forced", 2): {
+        "point": 0.0017476266666666678, "ci_low": 0.0015853894220931052,
+        "ci_high": 0.0019098639112402303, "samples": 600, "hits": 600.0,
+        "method": "importance", "neg_log_point": 6.349496601981514,
+        "neg_log_ci_low": 6.2607232901216125, "neg_log_ci_high": 6.446925209657966,
+        "zero_hits": False, "neg_log_normalized": 0.3007623895233375,
+    },
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", list(_PINNED_RUNS))
+def test_estimates_pinned(name, workers, monkeypatch):
+    monkeypatch.setattr(E, "CHUNK", 64)
+    assert _PINNED_RUNS[name](workers).to_json() == _PINNED[(name, workers)]
 
 
 def test_regular_neg_log_normalized_uses_two_core():

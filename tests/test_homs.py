@@ -417,12 +417,18 @@ def test_generalized_hoelder(h):
 # batched evaluation
 # ---------------------------------------------------------------------------
 
-def test_batched_matches_single():
+def _random_stack(rng, b, n, p):
+    stack = np.triu((rng.random((b, n, n)) < p).astype(np.int8), 1)
+    return stack + stack.transpose(0, 2, 1)
+
+
+def test_batched_matches_single(monkeypatch):
+    dtypes = []  # the dtype of every contraction
+    dp_sum = H._dp_sum
+    monkeypatch.setattr(H, "_dp_sum", lambda h, w: dtypes.append(w.dtype) or dp_sum(h, w))
     rng = np.random.default_rng(13)
     n = 12
-    stack = (rng.random((100, n, n)) < 0.4).astype(np.int8)
-    stack = np.triu(stack, 1)
-    stack = stack + stack.transpose(0, 2, 1)
+    stack = _random_stack(rng, 100, n, 0.4)
     # K4's DP holds n^3 entries per graph, so this stack spans several sub-batches
     assert len(stack) > H.BATCH_CELLS // n ** 3
     isolated = G.Graph(4, ((0, 1), (1, 2), (0, 2)))
@@ -432,6 +438,27 @@ def test_batched_matches_single():
             [H.hom_normalized(h, a.astype(float), 0.35, engine="brute") for a in stack]
         )
         assert np.allclose(batch, single, rtol=1e-12)
+    assert set(dtypes) == {np.dtype(np.float32)}
+    # a float stack stays in float64, with the same counts
+    dtypes.clear()
+    as_float = H.batched_hom_normalized(K4, stack.astype(float), 0.35)
+    assert set(dtypes) == {np.dtype(np.float64)}
+    assert np.array_equal(as_float, H.batched_hom_normalized(K4, stack, 0.35))
+
+    # counts are exact on both sides of float32's n^v <= 2^24: K3 on the
+    # complete graph is n(n-1)(n-2), scaled by n^3 / 8 at p = 1/2
+    for n, dtype in ((256, np.float32), (257, np.float64)):
+        dtypes.clear()
+        complete = (1 - np.eye(n, dtype=np.int8))[None]
+        count = H.batched_hom_normalized(K3, complete, 0.5)[0]
+        assert count == n * (n - 1) * (n - 2) / (float(n) ** 3 * 0.5 ** 3)
+        assert dtypes == [dtype]
+
+    # K4 at n = 18 (float32), against the flat grid's count
+    stack = _random_stack(rng, 40, 18, 0.35)
+    counts = [H._hom_sum(K4, a.astype(float), engine="brute") for a in stack]
+    assert np.array_equal(H.batched_hom_normalized(K4, stack, 0.35),
+                          np.array(counts) / (18.0 ** 4 * 0.35 ** 6))
 
 
 # a pattern whose batched plan multiplies two stored intermediates that both
