@@ -81,7 +81,6 @@ from .solver import (
     SolveResult,
     project_ensemble,
     solve_phi,
-    solve_phi_blocks,
 )
 
 __version__ = "0.1.0"

@@ -243,18 +243,12 @@ def cmd_solve(args):
     )
     if args.matrix_out and args.n > MATRIX_CSV_N_CAP:
         raise ResourceError(f"matrix CSV output capped at n = {MATRIX_CSV_N_CAP}")
-    # the dense solve measures its witness by an n x n hom DP; a scalar-base
-    # problem whose DP would pass its cap goes to the block solver as well
-    if args.n > solver.DENSE_N_CAP or (np.ndim(base) == 0 and any(
-            homs.dp_cells(h, args.n) > homs.DP_CELL_CAP for h in hs)):
-        result = solver.solve_phi_blocks(problem)
-        doc = result.to_json()
-        doc["blockspec"] = result.x.to_json()
-        return doc
     result = solver.solve_phi(problem)
     doc = result.to_json()
+    if isinstance(result.x, blocks.BlockSpec):
+        doc["blockspec"] = result.x.to_json()
     if args.matrix_out:
-        np.savetxt(args.matrix_out, result.x, delimiter=",", fmt="%.17g")
+        np.savetxt(args.matrix_out, blocks.as_matrix(result.x), delimiter=",", fmt="%.17g")
         doc["matrix_out"] = args.matrix_out
     return doc
 

@@ -2,12 +2,12 @@
 
 Minimize half the relative entropy over symmetric [0,1] matrices with zero
 diagonal, subject to normalized homomorphism counts meeting their targets,
-optionally restricted to fixed total weight or fixed row sums.  Augmented
-Lagrangian outer loop; its inner loop is nonmonotone spectral projected
-gradient with Barzilai-Borwein steps (SPG2 of Birgin, Martinez & Raydan,
-SIAM J. Optim. 10, 2000); multi-start from the block constructions.
-Results are certified upper bounds with witnesses; no global-optimality
-claim is made.
+optionally restricted to fixed total weight or fixed row sums.  `solve_phi`
+picks its method (`_dense_witness`): where the witness can be n x n, a
+multi-start augmented Lagrangian (AL) with a spectral projected gradient
+inner loop (SPG2 of Birgin, Martinez & Raydan, SIAM J. Optim. 10, 2000),
+elsewhere a scan of the ladder's excess level (`_level_search`).  Results
+are certified upper bounds with witnesses; no global-optimality claim is made.
 
 The AL runs in one of two spaces with the same five operations (evaluate,
 project, inner product, ensemble residual, materialize).  Under a scalar
@@ -49,6 +49,8 @@ from .graphs import Graph
 # hom_gradient stays bound: perfbench's traced run patches it here by name
 from .homs import (  # noqa: F401
     BATCH_CELLS,
+    DP_CELL_CAP,
+    dp_cells,
     hom_gradient,
     hom_normalized,
     hom_value_and_gradient,
@@ -121,7 +123,7 @@ class SolveProblem:
 
 @dataclass
 class SolveResult:
-    x: object                 # ndarray witness, or BlockSpec from the block path
+    x: object                 # ndarray witness, or BlockSpec from the level search
     value: float
     normalized: float
     residuals: list
@@ -460,9 +462,9 @@ def _space_for(problem, seed):
 
 
 def _refuse_trees(problem):
-    """Both solvers' first step: under row sums d a forest's count is
-    n^c d^(v-c) on every matrix, normalized 1 at base d/n, so no target above
-    1 can be met."""
+    """`solve_phi`'s first step, before either method: under row sums d a
+    forest's count is n^c d^(v-c) on every matrix, normalized 1 at base d/n,
+    so no target above 1 can be met."""
     if problem.ensemble and problem.ensemble[0] == "row_sums" and any(
             t > 1 and scale_pattern(h, regular=True).vertex_count == 0
             for h, t in problem.targets):
@@ -474,30 +476,37 @@ DENSE_N_CAP = 2000
 CONSTANT_NOTE = "targets <= 1: constant base accepted with O(1/n) slack"
 
 
-def solve_phi(problem: SolveProblem) -> SolveResult:
-    """Multi-start augmented-Lagrangian solve; returns the best feasible
-    point found (a certified upper bound on the infimum).
-
-    Dense iterates cap at n = 2000; use solve_phi_blocks beyond that.
-    Multi-start seeds run one after another in seed order and reduce by
-    minimum value, the first seed winning ties.  Each seed runs in the space
-    `_space_for` picks; the winner is materialized, and its value and hom
-    values are measured on that n x n matrix."""
+def _dense_witness(problem):
+    """`solve_phi`'s one routing rule: can the witness be an n x n matrix?
+    Yes while n <= DENSE_N_CAP and every target's hom DP on it fits in
+    DP_CELL_CAP.  A matrix base, which has no block witness, is refused past
+    the DP cap here and past DENSE_N_CAP by the level search."""
     n = problem.n
-    if n > DENSE_N_CAP:
-        raise ResourceError(
-            f"dense solve capped at n = {DENSE_N_CAP}; use solve_phi_blocks"
-        )
+    dp_fits = all(dp_cells(h, n) <= DP_CELL_CAP for h, _t in problem.targets)
+    if np.ndim(problem.base) > 0 and n <= DENSE_N_CAP and not dp_fits:
+        raise ResourceError(f"block-model base: the hom DP at n = {n} exceeds its memory cap")
+    return n <= DENSE_N_CAP and dp_fits
+
+
+def solve_phi(problem: SolveProblem) -> SolveResult:
+    """The best feasible point found, a certified upper bound on the infimum.
+
+    Where `_dense_witness` allows, a multi-start AL: seeds run one after
+    another in seed order and reduce by minimum value, the first seed
+    winning ties.  Each runs in the space `_space_for` picks; the winner is
+    materialized and measured on its n x n matrix.  Elsewhere the witness is
+    the BlockSpec of `_level_search`, measured blockwise."""
     _refuse_trees(problem)
+    if not _dense_witness(problem):
+        return _level_search(problem)
     targets = np.array([t for _, t in problem.targets], dtype=float)
 
     if (targets <= 1.0).all():
         # a constant base meets targets <= 1 up to O(1/n); a matrix base only if measured
         x0 = project_ensemble(problem.base_matrix(), problem.ensemble)
-        vals = _hom_vals(problem, x0)
-        if np.ndim(problem.base) == 0 or (vals >= targets - problem.feasibility_tol).all():
-            return _result(problem, x0, _entropy_value(x0, problem.base), vals,
-                           "constant", 0, [CONSTANT_NOTE])
+        constant = _result(problem, x0, "constant", 0, [CONSTANT_NOTE])
+        if np.ndim(problem.base) == 0 or max(constant.residuals) <= problem.feasibility_tol:
+            return constant
 
     seed_list = default_seeds(problem) + [
         (f"user_{i}", seed) for i, seed in enumerate(problem.seeds)]
@@ -517,13 +526,17 @@ def solve_phi(problem: SolveProblem) -> SolveResult:
         )
     _value, x, name, space = best
     x = space.materialize(x)
-    return _result(problem, x, _entropy_value(x, problem.base), _hom_vals(problem, x),
-                   name, total_iters, [])
+    return _result(problem, x, name, total_iters, [])
 
 
-def _result(problem, x, value, vals, provenance, iterations, notes):
-    """The SolveResult for witness x (a matrix or a BlockSpec) of entropy
-    value `value` and hom values `vals`; `normalized` takes Delta >= 2."""
+def _result(problem, x, provenance, iterations, notes):
+    """The SolveResult for witness x, a matrix or (measured by its exact
+    closed forms) a BlockSpec; `normalized` takes Delta >= 2."""
+    if isinstance(x, BlockSpec):
+        p = problem.hom_p()
+        value, vals = 0.5 * x.entropy(p), [x.hom_normalized(h, p) for h, _t in problem.targets]
+    else:
+        value, vals = _entropy_value(x, problem.base), _hom_vals(problem, x)
     kind, _ = problem.ensemble or (None, None)
     a_np = rate_scale(problem.n, problem.hom_p(), [h for h, _t in problem.targets],
                       kind == "row_sums", delta_floor=2)
@@ -540,39 +553,32 @@ def _result(problem, x, value, vals, provenance, iterations, notes):
 
 
 # ---------------------------------------------------------------------------
-# block-parameterized solve (large n)
+# level search: the method where the witness cannot be n x n
 # ---------------------------------------------------------------------------
 
-def solve_phi_blocks(problem: SolveProblem) -> SolveResult:
+def _level_search(problem: SolveProblem) -> SolveResult:
     """Coordinate search over construction-shaped block matrices: scan the
     planted excess level on a coarse-to-fine ladder, keep the cheapest
     feasible candidate.  Entropy and homomorphism values use the exact
     blockwise closed forms, so n can reach construction scale (10^5+).
     The constructions plant on a constant-p background, so a matrix base
     (the block model) is refused rather than scored against the wrong p.
-    Targets <= 1 get the constant witness, as in `solve_phi`: p, d/(n-1)
-    under row sums, or the exact total weight."""
+    Targets <= 1 get the constant witness, as on the n x n path: p,
+    d/(n-1) under row sums, or the exact total weight."""
     if np.ndim(problem.base) > 0:
         raise DomainError("block solve needs a scalar base p; a block-model base "
                           f"is only solved densely, at n <= {DENSE_N_CAP}")
     if problem.seeds:
-        raise DomainError("block solve takes no seeds; they start solve_phi only")
-    _refuse_trees(problem)
-    targets = [(h, float(t)) for h, t in problem.targets]
+        raise DomainError("seeds start the n x n solve only; the level search takes none")
     p = problem.hom_p()
-    tmax = max(t for _, t in targets)
+    tmax = max(t for _, t in problem.targets)
     kind, val = problem.ensemble or (None, None)
-
-    def result(spec, provenance, evaluations, note):
-        return _result(problem, spec, 0.5 * spec.entropy(p),
-                       [spec.hom_normalized(h, p) for h, _t in targets],
-                       provenance, evaluations, [note])
 
     if tmax <= 1.0:
         level = Fraction(val) / (problem.n - 1) if kind == "row_sums" else Fraction(p)
         spec = BlockSpec((problem.n,), ((level,),))
         spec = fill_total_weight(spec, val) if kind == "total_weight" else spec
-        return result(spec, "constant", 0, CONSTANT_NOTE)
+        return _result(problem, spec, "constant", 0, [CONSTANT_NOTE])
 
     best = (math.inf, None, None)  # (value, spec, delta)
     evaluations = 0
@@ -588,13 +594,13 @@ def solve_phi_blocks(problem: SolveProblem) -> SolveResult:
                 evaluations += 1
                 v = 0.5 * spec.entropy(p)
                 if v < best[0] and all(spec.hom_normalized(h, p) >= t - problem.feasibility_tol
-                                       for h, t in targets):
+                                       for h, t in problem.targets):
                     best = (v, spec, delta)
         if best[1] is None:
             raise ResourceError("no feasible block construction found on the ladder")
         levels = [best[2] * f for f in (0.85, 0.93, 1.0, 1.08, 1.18)]
-    return result(best[1], "block_search", evaluations,
-                  "block-parameterized search: witness is a BlockSpec")
+    return _result(problem, best[1], "block_search", evaluations,
+                   ["block-parameterized search: witness is a BlockSpec"])
 
 
 def _al_single(problem, space, seed, targets):

@@ -13,7 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from uptail import cli
+from uptail import cli, rates
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMAS = REPO / "schemas"
@@ -434,13 +434,60 @@ def test_solve_regular_k4_at_construction_scale():
 
 def test_solve_regular_k4_past_the_dense_dp_cap(capsys):
     # below DENSE_N_CAP, but the n x n K4 witness would need an n^3 DP
-    # intermediate past DP_CELL_CAP, so the block solver takes it
+    # intermediate past DP_CELL_CAP, so solve_phi takes the level search
     code, out, err = run_main(capsys, "solve", "--graph", "clique:4", "--t", "1.3",
                               "--n", "2000", "--model", "regular", "--d", "20")
     assert code == 0, err
     doc = json.loads(out)
     check_schema(doc, "solve")
     assert "blockspec" in doc and doc["residuals"] == [0.0]
+
+
+# Each side of solve_phi's routing boundaries, pinned byte for byte: n x n
+# AL up to n = 2000, level search past it (the 14x jump in value on one
+# problem is the two methods' gap), and the level search below n = 2000
+# where K4's n x n DP would pass DP_CELL_CAP.
+BOUNDARY_SOLVES = {
+    "al_at_n_2000": (
+        ("--graph", "cycle:3", "--t", "1.3", "--p", "0.05", "--n", "2000"),
+        '{"ensemble_residual": 0.0, "iterations": 510, "normalized": 0.014430930862891015, '
+        '"notes": [], "residuals": [9.197433938901156e-07], '
+        '"seed_provenance": "plant_clique_delta_x8", "value": 432.3120532338896}\n'),
+    "level_search_at_n_2001": (
+        ("--graph", "cycle:3", "--t", "1.3", "--p", "0.05", "--n", "2001"),
+        '{"blockspec": {"sizes": [1, 2000], "values": [[1.0, 1.0], [1.0, 0.05]]}, '
+        '"ensemble_residual": 0.0, "iterations": 43, "normalized": 0.19980014990006242, '
+        '"notes": ["block-parameterized search: witness is a BlockSpec"], "residuals": [0.0], '
+        '"seed_provenance": "block_search", "value": 5991.464547107982}\n'),
+    "level_search_past_dp_cap": (
+        ("--graph", "clique:4", "--t", "1.3", "--n", "520", "--p", "0.1"),
+        '{"blockspec": {"sizes": [13, 507], "values": [[1.0, 0.1], [0.1, 0.1]]}, '
+        '"ensemble_residual": 0.0, "iterations": 17, "normalized": 0.2884615384615384, '
+        '"notes": ["block-parameterized search: witness is a BlockSpec"], "residuals": [0.0], '
+        '"seed_provenance": "block_search", "value": 179.60163725353559}\n'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_SOLVES))
+def test_solve_routing_boundaries_keep_their_stdout(case, capsys):
+    argv, stdout = BOUNDARY_SOLVES[case]
+    code, out, err = run_main(capsys, "solve", *argv)
+    assert code == 0, err
+    assert out == stdout
+
+
+def test_solve_matrix_out_on_the_level_search(tmp_path, capsys):
+    # the level search's BlockSpec witness is written materialized
+    path = tmp_path / "x.csv"
+    argv, stdout = BOUNDARY_SOLVES["level_search_past_dp_cap"]
+    code, out, err = run_main(capsys, "solve", *argv, "--matrix-out", path)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc.pop("matrix_out") == str(path)
+    assert doc == json.loads(stdout)
+    x = np.loadtxt(path, delimiter=",")
+    assert x.shape == (520, 520)
+    assert 0.5 * rates.entropy_matrix(x, 0.1) == pytest.approx(doc["value"], rel=1e-12)
 
 
 def test_block_model_solve_past_dense_cap_exits_1():

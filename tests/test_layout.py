@@ -1,6 +1,7 @@
 """Source layout: every module-level private function or class of the
 package is used somewhere in the package outside its own definition, so
-no dead helper survives a refactor.  Standard library only."""
+no dead helper survives a refactor, and the README names every export.
+Standard library only."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,14 @@ def test_every_private_helper_is_referenced():
                    for _m, other in statements if other is not node):
             unused.append(f"{module}:{node.lineno} {node.name}")
     assert not unused, unused
+
+
+def test_readme_names_every_export():
+    """Every name `uptail/__init__.py` imports appears in backticks in the
+    README, so a removed or added export shows up in the docs."""
+    readme = (SRC.parents[1] / "README.md").read_text()
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    missing = sorted(name for name in exported if f"`{name}`" not in readme)
+    assert not missing, missing

@@ -220,7 +220,7 @@ def test_block_model_base_with_hom_scale():
     with pytest.raises(DomainError):
         S.SolveProblem(targets=((K3, 1.0),), n=n, base=pm)  # missing hom_scale
     with pytest.raises(DomainError, match="scalar base"):
-        S.solve_phi_blocks(prob)  # plants on constant p, not on the block base
+        S._level_search(prob)  # plants on constant p, not on the block base
 
 
 def test_matrix_base_below_its_targets_is_solved():
@@ -240,16 +240,36 @@ def test_matrix_base_below_its_targets_is_solved():
 
 
 def test_dense_cap_directs_to_block_path():
-    with pytest.raises(Exception) as err:
-        S.solve_phi(S.SolveProblem(targets=((K3, 1.3),), n=5000, base=0.1))
-    assert "solve_phi_blocks" in str(err.value)
+    res = S.solve_phi(S.SolveProblem(targets=((K3, 1.3),), n=5000, base=0.1))
+    assert isinstance(res.x, B.BlockSpec) and res.x.n == 5000
+    assert res.seed_provenance == "block_search"
+
+
+def test_dp_cap_directs_to_block_path_before_any_seed(monkeypatch):
+    # n <= DENSE_N_CAP, but K4's n x n DP would hold n^3 entries, past
+    # DP_CELL_CAP: the level search answers, as `uptail solve` does
+    def no_al(*_a, **_k):
+        raise AssertionError("the AL ran")
+
+    monkeypatch.setattr(S, "_al_single", no_al)
+    prob = S.SolveProblem(((G.clique(4), 1.3),), n=2000, base=0.01, ensemble=("row_sums", 20))
+    res = S.solve_phi(prob)
+    assert isinstance(res.x, B.BlockSpec) and res.seed_provenance == "block_search"
+    assert res.value == 28.571144731629513
+    # a block-model base has no block witness: refused before any seed
+    monkeypatch.setattr(S, "default_seeds", no_al)
+    params = R.BlockModelParams((0.5, 0.5), ((1.0, 0.5), (0.5, 1.0)), 0.1)
+    prob = S.SolveProblem(((G.clique(4), 1.3),), n=520, base=params.edge_probability_matrix(520),
+                          hom_scale=0.1)
+    with pytest.raises(ResourceError, match="hom DP"):
+        S.solve_phi(prob)
 
 
 def test_block_solve_row_sums_large_n():
     prob = S.SolveProblem(
         targets=((K3, 2.5),), n=100_000, base=0.01, ensemble=("row_sums", 1000)
     )
-    res = S.solve_phi_blocks(prob)
+    res = S.solve_phi(prob)
     assert res.residuals[0] == 0.0
     assert res.ensemble_residual == 0.0
     # normalized value sits above the asymptotic constant (finite-size excess)
@@ -258,7 +278,7 @@ def test_block_solve_row_sums_large_n():
 
 def test_block_solve_free_matches_theory_scale():
     prob = S.SolveProblem(targets=((K3, 2.0),), n=50_000, base=0.02)
-    res = S.solve_phi_blocks(prob)
+    res = S.solve_phi(prob)
     c = R.c_er(K3, 1.0).constant
     assert res.residuals[0] <= 1e-6
     assert 0.9 * c <= res.normalized <= 2.0 * c
@@ -310,7 +330,7 @@ def test_dense_never_worse_than_block(ensemble):
     n = 40 if ensemble is None else 60
     prob = S.SolveProblem(targets=((K3, 1.3),), n=n, base=0.3, ensemble=ensemble)
     dense = S.solve_phi(prob)
-    block = S.solve_phi_blocks(prob)
+    block = S._level_search(prob)
     assert dense.value <= block.value * (1 + 1e-9)
 
 
@@ -684,7 +704,7 @@ def test_normalized_takes_delta_of_the_two_core_under_row_sums():
 def test_block_solve_targets_at_most_one_give_the_constant_witness(ensemble, level):
     n = 3000
     prob = S.SolveProblem(((K3, 1.0), (G.cycle(5), 0.8)), n=n, base=0.01, ensemble=ensemble)
-    res = S.solve_phi_blocks(prob)
+    res = S.solve_phi(prob)
     assert res.x.sizes == (n,) and res.x.values == ((level,),)
     assert (res.seed_provenance, res.iterations, res.notes) == ("constant", 0, [S.CONSTANT_NOTE])
     assert res.ensemble_residual == 0.0
@@ -695,7 +715,7 @@ def test_block_solve_targets_at_most_one_give_the_constant_witness(ensemble, lev
 @pytest.mark.parametrize("ensemble", [None, ("row_sums", 18), ("total_weight", 531)])
 def test_both_paths_answer_targets_at_most_one_alike(ensemble):
     prob = S.SolveProblem(((K3, 1.0),), n=60, base=0.3, ensemble=ensemble)
-    dense, block = S.solve_phi(prob), S.solve_phi_blocks(prob)
+    dense, block = S.solve_phi(prob), S._level_search(prob)
     assert (dense.seed_provenance, dense.iterations, dense.notes) == (
         block.seed_provenance, block.iterations, block.notes)
     assert block.value == pytest.approx(dense.value, rel=1e-9, abs=1e-12)
@@ -705,21 +725,26 @@ def test_both_paths_answer_targets_at_most_one_alike(ensemble):
 def test_block_solve_refuses_seeds():
     seed = B.BlockSpec((3000,), ((Fraction(1, 50),),))
     prob = S.SolveProblem(((K3, 2.0),), n=3000, base=0.02, seeds=(seed,))
-    with pytest.raises(DomainError, match="seeds"):
-        S.solve_phi_blocks(prob)
+    for solve in (S.solve_phi, S._level_search):
+        with pytest.raises(DomainError, match="seeds"):
+            solve(prob)
 
 
-@pytest.mark.parametrize("solve", [S.solve_phi, S.solve_phi_blocks])
-def test_tree_above_one_under_row_sums_refused_before_any_seed(solve, monkeypatch):
+@pytest.mark.parametrize("n,d", [pytest.param(60, 18, id="solve_phi"),
+                                 pytest.param(3000, 30, id="level_search")])
+def test_tree_above_one_under_row_sums_refused_before_any_seed(n, d, monkeypatch):
+    # solve_phi refuses first, on either method: n x n at n = 60, the level
+    # search at n = 3000
     def no_seed(*_a, **_k):
         raise AssertionError("a seed was built")
 
     monkeypatch.setattr(S, "ladder", no_seed)
     monkeypatch.setattr(S, "default_seeds", no_seed)
     for h in (G.star(3), G.path(4)):
-        prob = S.SolveProblem(((h, 1.3),), n=60, base=0.3, ensemble=("row_sums", 18))
+        prob = S.SolveProblem(((h, 1.3),), n=n, base=d / n, ensemble=("row_sums", d))
+        assert S._dense_witness(prob) == (n == 60)
         with pytest.raises(DomainError, match="2-core is empty"):
-            solve(prob)
+            S.solve_phi(prob)
     # the reason: a tree's count is 1 on every matrix of row sums d, at base d/n
     x = B.build_cycle_blocks(60, 18, 1.0, 3).materialize()
     assert H.hom_normalized(G.star(3), x, 0.3) == pytest.approx(1.0, rel=1e-12)
