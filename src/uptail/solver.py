@@ -478,14 +478,11 @@ CONSTANT_NOTE = "targets <= 1: constant base accepted with O(1/n) slack"
 
 def _dense_witness(problem):
     """`solve_phi`'s one routing rule: can the witness be an n x n matrix?
-    Yes while n <= DENSE_N_CAP and every target's hom DP on it fits in
-    DP_CELL_CAP.  A matrix base, which has no block witness, is refused past
-    the DP cap here and past DENSE_N_CAP by the level search."""
+    Yes while n <= DENSE_N_CAP and every target's hom DP fits in DP_CELL_CAP.
+    n goes first: past it no DP plan is built, so a pattern over the DP's
+    width cap, which `dp_cells` refuses, still reaches the level search."""
     n = problem.n
-    dp_fits = all(dp_cells(h, n) <= DP_CELL_CAP for h, _t in problem.targets)
-    if np.ndim(problem.base) > 0 and n <= DENSE_N_CAP and not dp_fits:
-        raise ResourceError(f"block-model base: the hom DP at n = {n} exceeds its memory cap")
-    return n <= DENSE_N_CAP and dp_fits
+    return n <= DENSE_N_CAP and all(dp_cells(h, n) <= DP_CELL_CAP for h, _t in problem.targets)
 
 
 def solve_phi(problem: SolveProblem) -> SolveResult:
@@ -495,9 +492,11 @@ def solve_phi(problem: SolveProblem) -> SolveResult:
     another in seed order and reduce by minimum value, the first seed
     winning ties.  Each runs in the space `_space_for` picks; the winner is
     materialized and measured on its n x n matrix.  Elsewhere the witness is
-    the BlockSpec of `_level_search`, measured blockwise."""
+    `_level_search`'s BlockSpec, measured blockwise; a block-model base has none."""
     _refuse_trees(problem)
     if not _dense_witness(problem):
+        if np.ndim(problem.base) > 0 and problem.n <= DENSE_N_CAP:
+            raise ResourceError(f"block-model base: its hom DP at n = {problem.n} passes the cap")
         return _level_search(problem)
     targets = np.array([t for _, t in problem.targets], dtype=float)
 

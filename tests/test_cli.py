@@ -445,8 +445,9 @@ def test_solve_regular_k4_past_the_dense_dp_cap(capsys):
 
 # Each side of solve_phi's routing boundaries, pinned byte for byte: n x n
 # AL up to n = 2000, level search past it (the 14x jump in value on one
-# problem is the two methods' gap), and the level search below n = 2000
-# where K4's n x n DP would pass DP_CELL_CAP.
+# problem is the two methods' gap), the level search below n = 2000 where
+# K4's n x n DP would pass DP_CELL_CAP, and past n = 2000 for K7, whose
+# elimination width the DP refuses.
 BOUNDARY_SOLVES = {
     "al_at_n_2000": (
         ("--graph", "cycle:3", "--t", "1.3", "--p", "0.05", "--n", "2000"),
@@ -465,6 +466,12 @@ BOUNDARY_SOLVES = {
         '"ensemble_residual": 0.0, "iterations": 17, "normalized": 0.2884615384615384, '
         '"notes": ["block-parameterized search: witness is a BlockSpec"], "residuals": [0.0], '
         '"seed_provenance": "block_search", "value": 179.60163725353559}\n'),
+    "level_search_past_dp_width_cap": (
+        ("--graph", "clique:7", "--t", "1.5", "--n", "3000", "--p", "0.3"),
+        '{"blockspec": {"sizes": [73, 2927], "values": [[1.0, 0.3], [0.3, 0.3]]}, '
+        '"ensemble_residual": 0.0, "iterations": 21, "normalized": 0.4005486968449933, '
+        '"notes": ["block-parameterized search: witness is a BlockSpec"], "residuals": [0.0], '
+        '"seed_provenance": "block_search", "value": 3164.04052976856}\n'),
 }
 
 
@@ -498,6 +505,16 @@ def test_block_model_solve_past_dense_cap_exits_1():
     )
     assert proc.returncode == 1
     assert "scalar base" in proc.stderr and proc.stdout == ""
+
+
+def test_block_model_solve_past_dense_cap_exits_1_whatever_the_pattern(capsys):
+    # past n = 2000 the DP's width cap is not consulted: K7 is refused for its
+    # block-model base, as cycle:3 is
+    code, out, err = run_main(capsys, "solve", "--model", "block", "--n", "2001",
+                              "--alpha", "0.5,0.5", "--kernel", "[[2,1],[1,0.5]]",
+                              "--p", "0.05", "--graph", "clique:7", "--t", "1.5")
+    assert code == 1
+    assert "scalar base" in err and out == ""
 
 
 def test_solve_matrix_out_past_cap_exits_3(tmp_path):

@@ -265,6 +265,16 @@ def test_dp_cap_directs_to_block_path_before_any_seed(monkeypatch):
         S.solve_phi(prob)
 
 
+def test_pattern_past_the_dp_width_cap_reaches_the_level_search():
+    # K7's elimination width is past the hom DP's WIDTH_CAP; past DENSE_N_CAP
+    # no DP plan is built, so the level search answers from its closed forms
+    with pytest.raises(ResourceError, match="width"):
+        H.dp_cells(G.clique(7), 3000)
+    res = S.solve_phi(S.SolveProblem(((G.clique(7), 1.5),), n=3000, base=0.3))
+    assert isinstance(res.x, B.BlockSpec) and res.seed_provenance == "block_search"
+    assert res.value == 3164.04052976856
+
+
 def test_block_solve_row_sums_large_n():
     prob = S.SolveProblem(
         targets=((K3, 2.5),), n=100_000, base=0.01, ensemble=("row_sums", 1000)
