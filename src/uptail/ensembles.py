@@ -2,18 +2,26 @@
 (planted) importance sampler.
 
 Every ensemble draws through one stack routine, `_draw_stack`, which returns
-a (batch, n, n) 0/1 adjacency stack: independent-edge ensembles through one
-per-pair routine, uniform and regular graphs through block samplers
-that consume the stream exactly as drawing one graph after another would
-(one `choice` per uniform graph; blocks of configuration-model trials whose
-rows replay `permutation` calls).  Monte Carlo counts hits on these stacks
-with the batched hom and reports a Wilson score interval; `sample` is row 0
-of a one-graph stack.
+a (batch, n, n) 0/1 adjacency stack and consumes the stream exactly as drawing
+one graph after another would.  Monte Carlo counts hits on these stacks with
+the batched hom and reports a Wilson score interval; `sample` is row 0 of a
+one-graph stack.
 
-The per-pair routine compares the stream's raw 64-bit words against integer
-thresholds, ceil(q * 2^53) on w >> 11.  `Generator.random` makes its double
-from the same word as (w >> 11) * 2^-53, so the words give the same edges as
-`random() < q` and leave the stream where `random` would.
+Independent-edge ensembles compare the stream's raw 64-bit words w against
+integer thresholds, ceil(q * 2^53) on w >> 11.  `Generator.random` makes its
+double from the same word as (w >> 11) * 2^-53, so the words give the edges
+of `random() < q` and leave the stream where `random` would.
+
+Uniform and regular graphs come from one primitive, `_shuffled_tags`.  A
+trial orders L tags: the C(n, 2) vertex pairs (uniform(n, m) keeps the first
+m) or the n·d stubs of the configuration model, tagged with their vertex.  It
+reads L keys from a fixed number of raw words, puts each tag in its key's low
+b = bit_length(max tag) bits and sorts the keys.  A trial in which two keys
+share their random high part is rejected; otherwise those parts are distinct
+i.i.d. uniform values, their order is a uniform permutation, and the sampler
+is exact.  Keys are 32 bits, two to a word, or 64 bits, one word each, where
+C(L, 2) · 2^(b - 32) > 1/8 (a union bound on a 32-bit tie): the width follows
+from (n, m) or (n, d) alone.
 
 Direct Monte Carlo, its empirical-mean pass and importance sampling share
 one worker loop, `_run_workers`: worker w draws its share of the samples in
@@ -191,98 +199,100 @@ def _pair_bits(q, batch, rng) -> np.ndarray:
 
 
 def _symmetric_stack(bits, n) -> np.ndarray:
-    """The (batch, n, n) 0/1 int8 adjacency stack of `_pair_bits` draws, in
-    one gather: cell (u, v) reads pair {u, v}, and the diagonal reads the
-    last, False, column."""
+    """The (batch, n, n) 0/1 int8 adjacency stack of (batch, pairs + 1)
+    pair bits, in one gather: cell (u, v) reads pair {u, v}, and the
+    diagonal reads the last, False, column."""
     iu = np.triu_indices(n, 1)
     index = np.full((n, n), iu[0].size)
     index[iu] = index[iu[::-1]] = np.arange(iu[0].size)
     return bits.view(np.int8).take(index, axis=1)
 
 
-def _uniform_stack(n, m, batch, rng) -> np.ndarray:
-    """`batch` uniform(n, m) graphs: one `rng.choice` of m pairs per graph, in
-    stream order, then one fill of the whole stack."""
-    iu = np.triu_indices(n, 1)
-    picks = np.array([rng.choice(iu[0].size, size=m, replace=False) for _ in range(batch)])
-    rows = np.arange(batch)[:, None]
-    u, v = iu[0][picks], iu[1][picks]
-    a = np.zeros((batch, n, n), dtype=np.int8)
-    a[rows, u, v] = 1
-    a[rows, v, u] = 1
-    return a
+def _shuffled_tags(tags, batch, rng, accept, failure) -> np.ndarray:
+    """`batch` accepted trials (see the module docstring): rows of `tags` in
+    uniform random order, in the key width's dtype.  A trial whose keys tie or
+    whose order `accept` refuses is rejected; CONFIG_MODEL_RETRY_CAP
+    rejections in a row raise SamplingError.  Trials run in blocks of at most
+    BATCH_CELLS keys, sized by the acceptance so far (doubling while there is
+    none); the stream ends after the words of the last trial used."""
+    size = tags.size
+    bits = int(tags.max(initial=0)).bit_length()
+    wide = size * (size - 1) << bits > 1 << 30
+    dtype = np.uint64 if wide else np.uint32
+    words = size if wide else (size + 1) // 2
+    mask = dtype((1 << bits) - 1)
+    tags = tags.astype(dtype)
+    cap = max(1, BATCH_CELLS // max(size, 1))
+    out = np.empty((batch, size), dtype=dtype)
+    got, drawn, failed_run, t = 0, 0, 0, min(batch, cap)
 
+    def skip(rows):
+        rng.bit_generator.state = state
+        rng.bit_generator.random_raw(rows * words)
 
-def _simple_rows(trials, n) -> np.ndarray:
-    """Indices of the trials (rows of paired stubs) that give simple graphs."""
-    u, v = trials[:, 0::2], trials[:, 1::2]
-    # a loop fails most trials, so only loop-free rows have their pairs sorted
-    rows = np.flatnonzero(~(u == v).any(axis=1))
-    u, v = u[rows], v[rows]
-    keys = np.minimum(u, v) * n + np.maximum(u, v)
-    keys.sort(axis=1)
-    return rows[~(keys[:, 1:] == keys[:, :-1]).any(axis=1)]
-
-
-def _regular_stack(n, d, batch, rng) -> np.ndarray:
-    """`batch` uniform d-regular graphs from the configuration model
-    (Bollobás 1980): pair half-edge stubs at random, reject graphs with a loop
-    or a repeated edge.
-
-    Trials run in blocks: row i of `rng.permuted(stubs broadcast to t rows,
-    axis=1)` makes the same draws as the i-th `rng.permutation(stubs)`.  A
-    block starts at the number of graphs still needed and doubles, up to
-    BATCH_CELLS stub cells.  The block where sampling stops is redrawn up to
-    its last used row, so the stream ends where a draw-by-draw loop would.
-    """
-    stubs = np.repeat(np.arange(n), d)
-    cap = max(1, BATCH_CELLS // stubs.size)
-    a = np.zeros((batch, n, n), dtype=np.int8)
-    got, failed_run, t = 0, 0, min(batch, cap)
-
-    def draw(rows):
-        return rng.permuted(np.broadcast_to(stubs, (rows, stubs.size)), axis=1)
-
-    while True:
+    while got < batch:
         state = rng.bit_generator.state
-        trials = draw(t)
-        ok = _simple_rows(trials, n)[:batch - got]
-        # rows that end a run of failed trials: each accepted row, and the
-        # block's end while graphs are still missing
-        ends = ok if ok.size == batch - got else np.append(ok, t)
+        keys = rng.bit_generator.random_raw((t, words)).view(dtype)[:, :size]
+        keys &= ~mask
+        keys |= tags
+        keys.sort(axis=1)
+        # ties are checked last, on the orders `accept` keeps (gathered only then)
+        ok = np.arange(t) if accept is None else np.flatnonzero(accept(keys & mask))
+        kept = keys if accept is None else keys[ok]
+        ok = ok[((kept[:, 1:] ^ kept[:, :-1]) > mask).all(axis=1)][:batch - got]
+        # rows that end a run of rejected trials: each accepted row, and the
+        # block's end while trials are still missing
+        ends = ok if got + ok.size == batch else np.append(ok, t)
         starts = np.concatenate(([-failed_run - 1], ends[:-1]))
         over = np.flatnonzero(ends - starts - 1 >= CONFIG_MODEL_RETRY_CAP)
         if over.size:
-            rng.bit_generator.state = state
-            draw(int(starts[over[0]]) + CONFIG_MODEL_RETRY_CAP + 1)
-            raise SamplingError(
-                f"configuration model for n={n}, d={d} drew no simple graph "
-                f"in {CONFIG_MODEL_RETRY_CAP} trials"
-            )
-        rows = np.arange(got, got + ok.size)[:, None]
-        u, v = trials[ok, 0::2], trials[ok, 1::2]
-        a[rows, u, v] = 1
-        a[rows, v, u] = 1
+            skip(int(starts[over[0]]) + CONFIG_MODEL_RETRY_CAP + 1)
+            raise SamplingError(f"{failure} in {CONFIG_MODEL_RETRY_CAP} trials")
+        out[got:got + ok.size] = keys[ok] & mask
         got += ok.size
-        if got == batch:
-            if ok[-1] + 1 < t:
-                rng.bit_generator.state = state
-                draw(int(ok[-1]) + 1)
-            return a
+        if got == batch and ok[-1] + 1 < t:
+            skip(int(ok[-1]) + 1)
         failed_run = t - 1 - int(starts[-1])
-        t = min(2 * t, cap)
+        drawn += t
+        t = min(cap, 2 * t if not got else -(-(batch - got) * drawn // got))
+    return out
+
+
+def _simple(trials, n) -> np.ndarray:
+    """Which trials (rows of paired stubs) give simple graphs.  A loop fails
+    most trials, so only loop-free rows have their pairs sorted."""
+    u, v = trials[:, 0::2], trials[:, 1::2]
+    simple = ~(u == v).any(axis=1)
+    u, v = u[simple], v[simple]
+    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v), axis=1)
+    simple[simple] = ~(keys[:, 1:] == keys[:, :-1]).any(axis=1)
+    return simple
 
 
 def _draw_stack(spec: EnsembleSpec, batch: int, rng) -> np.ndarray:
-    """`batch` graphs from the ensemble as a (batch, n, n) 0/1 int8 stack."""
+    """`batch` graphs from the ensemble as a (batch, n, n) 0/1 int8 stack, in
+    the stream order of drawing them one at a time.  uniform(n, m) keeps the
+    first m pairs of a uniform order of all pairs; regular(n, d) is the
+    configuration model (Bollobás 1980): stubs 2i and 2i + 1 of an order with
+    no loop or repeated pair are joined."""
+    n = spec.n
     if spec.kind == "uniform":
-        return _uniform_stack(spec.n, spec.m, batch, rng)
+        order = _shuffled_tags(np.arange(n * (n - 1) // 2), batch, rng, None,
+                               f"uniform sampler for n={n}, m={spec.m} drew no untied order")
+        bits = np.zeros((batch, order.shape[1] + 1), dtype=bool)
+        np.put_along_axis(bits, order[:, :spec.m], True, axis=1)
+        return _symmetric_stack(bits, n)
     if spec.kind == "regular":
-        a = _regular_stack(spec.n, spec.d, batch, rng)
+        stubs = _shuffled_tags(np.repeat(np.arange(n), spec.d), batch, rng,
+                               lambda t: _simple(t, n),
+                               f"configuration model for n={n}, d={spec.d} drew no simple graph")
+        rows, u, v = np.arange(batch)[:, None], stubs[:, 0::2], stubs[:, 1::2]
+        a = np.zeros((batch, n, n), dtype=np.int8)
+        a[rows, u, v] = a[rows, v, u] = 1
         assert (a.sum(axis=-1) == spec.d).all(), "regular sampler degree violation"
         return a
-    q = spec.probability_matrix()[np.triu_indices(spec.n, 1)]
-    return _symmetric_stack(_pair_bits(q, batch, rng), spec.n)
+    q = spec.probability_matrix()[np.triu_indices(n, 1)]
+    return _symmetric_stack(_pair_bits(q, batch, rng), n)
 
 
 def _chunk_sizes(n, count):

@@ -446,8 +446,8 @@ def test_solve_regular_k4_past_the_dense_dp_cap(capsys):
 # Each side of solve_phi's routing boundaries, pinned byte for byte: n x n
 # AL up to n = 2000, level search past it (the 14x jump in value on one
 # problem is the two methods' gap), the level search below n = 2000 where
-# K4's n x n DP would pass DP_CELL_CAP, and past n = 2000 for K7, whose
-# elimination width the DP refuses.
+# K4's n x n DP would pass DP_CELL_CAP, and K7, whose elimination width the
+# DP refuses, on both sides of n = 2000.
 BOUNDARY_SOLVES = {
     "al_at_n_2000": (
         ("--graph", "cycle:3", "--t", "1.3", "--p", "0.05", "--n", "2000"),
@@ -466,6 +466,12 @@ BOUNDARY_SOLVES = {
         '"ensemble_residual": 0.0, "iterations": 17, "normalized": 0.2884615384615384, '
         '"notes": ["block-parameterized search: witness is a BlockSpec"], "residuals": [0.0], '
         '"seed_provenance": "block_search", "value": 179.60163725353559}\n'),
+    "level_search_past_dp_width_cap_at_n_2000": (
+        ("--graph", "clique:7", "--t", "1.3", "--n", "2000", "--p", "0.3"),
+        '{"blockspec": {"sizes": [46, 1954], "values": [[1.0, 0.3], [0.3, 0.3]]}, '
+        '"ensemble_residual": 0.0, "iterations": 17, "normalized": 0.35493827160493835, '
+        '"notes": ["block-parameterized search: witness is a BlockSpec"], "residuals": [0.0], '
+        '"seed_provenance": "block_search", "value": 1246.111852477344}\n'),
     "level_search_past_dp_width_cap": (
         ("--graph", "clique:7", "--t", "1.5", "--n", "3000", "--p", "0.3"),
         '{"blockspec": {"sizes": [73, 2927], "values": [[1.0, 0.3], [0.3, 0.3]]}, '
@@ -481,6 +487,21 @@ def test_solve_routing_boundaries_keep_their_stdout(case, capsys):
     code, out, err = run_main(capsys, "solve", *argv)
     assert code == 0, err
     assert out == stdout
+
+
+def test_pattern_past_the_dp_width_cap_gets_the_level_search_answer(capsys):
+    # K7 at n <= 2000 exited 3 on the DP's width error; the level search now
+    # answers, here with its own refusal (no ladder clique reaches 7 vertices
+    # at n p^3 = 2), and a block-model base gets its refusal
+    code, out, err = run_main(capsys, "solve", "--graph", "clique:7", "--t", "1.3",
+                              "--n", "2000", "--p", "0.1")
+    assert code == 3 and out == ""
+    assert "no feasible block construction found on the ladder" in err
+    code, out, err = run_main(capsys, "solve", "--model", "block", "--n", "600",
+                              "--alpha", "0.5,0.5", "--kernel", "[[2,1],[1,0.5]]",
+                              "--p", "0.05", "--graph", "clique:7", "--t", "1.5")
+    assert code == 3 and out == ""
+    assert "block-model base" in err and "width" not in err
 
 
 def test_solve_matrix_out_on_the_level_search(tmp_path, capsys):
@@ -730,7 +751,7 @@ def test_tail_mc_regular_pendant_tree_prints_as_its_core(capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
-    assert json.loads(outs[0])["hits"] == 93.0
+    assert json.loads(outs[0])["hits"] == 82.0
 
 
 def test_solve_regular_pendant_tree_solves_as_its_core(capsys):

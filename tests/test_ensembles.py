@@ -1,6 +1,7 @@
 """Samplers, Monte Carlo tails, importance sampling, Pittel comparison."""
 
 import math
+import types
 from collections import Counter
 
 import numpy as np
@@ -99,10 +100,29 @@ def test_regular_six_three_uniform():
     assert pval > 0.01
 
 
+def _trial(tags, rng):
+    """One fixed-count trial drawn on its own: the tags in the order of their
+    keys' random parts, or None when two keys tie.  The keys are the low and
+    high 32-bit halves of (L + 1) // 2 raw words, or L whole words where
+    C(L, 2) * 2^(b - 32) > 1/8, with b = bit_length(max tag)."""
+    size = tags.size
+    bits = int(tags.max(initial=0)).bit_length()
+    if size * (size - 1) * 2 ** bits > 2 ** 30:
+        keys = rng.bit_generator.random_raw(size)
+    else:
+        words = rng.bit_generator.random_raw((size + 1) // 2)
+        keys = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).reshape(-1)[:size]
+    random = keys >> bits
+    if np.unique(random).size < size:
+        return None
+    return tags[np.argsort(random)]
+
+
 def _reference_stack(spec, batch, rng):
     """The draw-by-draw loop: one `random() < q` over the pairs of each
-    independent-edge graph, one `choice` per uniform graph, one `permutation`
-    per configuration-model trial."""
+    independent-edge graph; one `_trial` of the pairs per uniform graph,
+    repeated on a tie; `_trial`s of the stubs per regular graph, until one
+    pairs them with no loop or repeated pair."""
     n = spec.n
     iu = np.triu_indices(n, 1)
     out = np.zeros((batch, n, n), dtype=np.int8)
@@ -111,12 +131,17 @@ def _reference_stack(spec, batch, rng):
             edge = rng.random(iu[0].size) < spec.probability_matrix()[iu]
             lo, hi = iu[0][edge], iu[1][edge]
         elif spec.kind == "uniform":
-            pick = rng.choice(iu[0].size, size=spec.m, replace=False)
-            lo, hi = iu[0][pick], iu[1][pick]
+            order = None
+            while order is None:
+                order = _trial(np.arange(iu[0].size), rng)
+            lo, hi = iu[0][order[:spec.m]], iu[1][order[:spec.m]]
         else:
             stubs = np.repeat(np.arange(n), spec.d)
             while True:
-                u, v = rng.permutation(stubs).reshape(-1, 2).T
+                order = _trial(stubs, rng)
+                if order is None:
+                    continue
+                u, v = order.reshape(-1, 2).T
                 lo, hi = np.minimum(u, v), np.maximum(u, v)
                 if (u != v).all() and np.unique(lo * n + hi).size == lo.size:
                     break
@@ -137,14 +162,15 @@ def _boundary_tilt(n):
 
 
 # independent-edge graphs draw their words in pieces of at most BATCH_CELLS:
-# 90 graphs of 780 pairs span two pieces, and one graph of 79,800 pairs spans two
+# 90 graphs of 780 pairs span two pieces, and one graph of 79,800 pairs spans two.
+# uniform(60, 500) and regular(500, 3) draw 64-bit keys, the others 32-bit keys
 @pytest.mark.parametrize("spec", [
     E.uniform(40, 300), E.regular(40, 4), E.regular(40, 5), E.regular(5, 2),
-    E.er(40, 0.3),
+    E.uniform(60, 500), E.regular(500, 3), E.er(40, 0.3),
     E.block_model(40, R.BlockModelParams((0.5, 0.5), ((2.0, 1.0), (1.0, 0.5)), 0.2)),
     E.planted(_boundary_tilt(40)), E.er(400, 0.01),
-], ids=["uniform-40-300", "regular-40-4", "regular-40-5", "regular-5-2", "er-40",
-        "block-40", "planted-40", "er-400"])
+], ids=["uniform-40-300", "regular-40-4", "regular-40-5", "regular-5-2",
+        "uniform-60-500", "regular-500-3", "er-40", "block-40", "planted-40", "er-400"])
 @pytest.mark.parametrize("batch", [1, 3, 90])
 def test_stack_replays_draw_by_draw_stream(spec, batch):
     rng, ref_rng = E.rng_stream(8, 1), E.rng_stream(8, 1)
@@ -163,8 +189,84 @@ def test_regular_retry_budget(monkeypatch):
         E._draw_stack(E.regular(40, 6), 3, rng)
     stubs = np.repeat(np.arange(40), 6)
     for _ in range(5):
-        ref_rng.permutation(stubs)
+        _trial(stubs, ref_rng)
     assert np.array_equal(rng.random(4), ref_rng.random(4))
+
+
+class _ZeroedWords:
+    """A bit generator giving the words of `inner`, except that the first
+    `zeroed` words of its stream are 0, so every key drawn from them ties."""
+
+    def __init__(self, inner, zeroed):
+        self.inner, self.zeroed, self.pos = inner, zeroed, 0
+
+    @property
+    def state(self):
+        return self.inner.state, self.pos
+
+    @state.setter
+    def state(self, value):
+        self.inner.state, self.pos = value
+
+    def random_raw(self, size):
+        words = self.inner.random_raw(size)
+        words.reshape(-1)[:max(0, self.zeroed - self.pos)] = 0
+        self.pos += words.size
+        return words
+
+
+# words per trial: C(5, 2) = 10 pair keys and 5 * 2 = 10 stub keys, two to a word
+@pytest.mark.parametrize("spec, failure", [
+    (E.uniform(5, 4), r"uniform sampler for n=5, m=4 drew no untied order in 7 trials"),
+    (E.regular(5, 2), r"configuration model for n=5, d=2 drew no simple graph in 7 trials"),
+], ids=["uniform", "regular"])
+def test_tied_keys_are_rejected(spec, failure, monkeypatch):
+    # every key ties: the draw fails after the budget, 7 trials into the stream
+    bits = _ZeroedWords(E.rng_stream(6).bit_generator, 1 << 62)
+    with monkeypatch.context() as patch, pytest.raises(SamplingError, match=failure):
+        patch.setattr(E, "CONFIG_MODEL_RETRY_CAP", 7)
+        E._draw_stack(spec, 3, types.SimpleNamespace(bit_generator=bits))
+    ref = E.rng_stream(6).bit_generator
+    ref.random_raw(7 * 5)
+    assert np.array_equal(bits.inner.random_raw(4), ref.random_raw(4))
+    # only the first trial ties: the stack starts at the second trial
+    bits = _ZeroedWords(E.rng_stream(6).bit_generator, 5)
+    stack = E._draw_stack(spec, 3, types.SimpleNamespace(bit_generator=bits))
+    ref_rng = E.rng_stream(6)
+    ref_rng.bit_generator.random_raw(5)
+    assert np.array_equal(stack, _reference_stack(spec, 3, ref_rng))
+    assert np.array_equal(bits.inner.random_raw(4), ref_rng.bit_generator.random_raw(4))
+
+
+@pytest.mark.parametrize("m", [0, 15])
+def test_uniform_empty_and_complete_stacks(m):
+    # no pair and every pair: a trial's order still takes its words
+    rng, ref_rng = E.rng_stream(3), E.rng_stream(3)
+    stack = E._draw_stack(E.uniform(6, m), 5, rng)
+    assert np.array_equal(stack, np.broadcast_to(m // 15 * (1 - np.eye(6, dtype=np.int8)),
+                                                 (5, 6, 6)))
+    assert np.array_equal(stack, _reference_stack(E.uniform(6, m), 5, ref_rng))
+    assert np.array_equal(rng.random(4), ref_rng.random(4))
+
+
+def test_regular_seven_two_triangle_law():
+    # the 465 labelled 2-regular graphs on 7 vertices are 360 seven-cycles
+    # and 105 triangle-plus-square graphs
+    a = E._draw_stack(E.regular(7, 2), 20_000, E.rng_stream(23)).astype(np.int64)
+    iu = np.triu_indices(7, 1)
+    assert len({row.tobytes() for row in a[:, iu[0], iu[1]]}) == 465
+    triangles = int((np.einsum("gij,gjk,gki->g", a, a, a) > 0).sum())
+    assert stats.binomtest(triangles, a.shape[0], 105 / 465).pvalue > 0.01
+
+
+def test_uniform_five_four_uniform():
+    # uniform(5, 4) is uniform over the C(10, 4) = 210 edge sets
+    a = E._draw_stack(E.uniform(5, 4), 21_000, E.rng_stream(29))
+    iu = np.triu_indices(5, 1)
+    counts = Counter(row.tobytes() for row in a[:, iu[0], iu[1]])
+    assert len(counts) == 210
+    _stat, pval = stats.chisquare(list(counts.values()))
+    assert pval > 0.01
 
 
 def test_uniform_pair_marginals():

@@ -275,6 +275,24 @@ def test_pattern_past_the_dp_width_cap_reaches_the_level_search():
     assert res.value == 3164.04052976856
 
 
+def test_pattern_past_the_dp_width_cap_does_not_fit_at_any_n(monkeypatch):
+    # at n <= DENSE_N_CAP too, a pattern the DP refuses for its width routes
+    # to the level search instead of raising the DP's width error
+    def no_al(*_a, **_k):
+        raise AssertionError("the AL ran")
+
+    monkeypatch.setattr(S, "default_seeds", no_al)
+    res = S.solve_phi(S.SolveProblem(((G.clique(7), 1.3),), n=2000, base=0.3))
+    assert isinstance(res.x, B.BlockSpec) and res.seed_provenance == "block_search"
+    assert res.value == 1246.111852477344
+    # a block-model base has no block witness: refused before any seed
+    params = R.BlockModelParams((0.5, 0.5), ((1.0, 0.5), (0.5, 1.0)), 0.1)
+    prob = S.SolveProblem(((G.clique(7), 1.3),), n=600, base=params.edge_probability_matrix(600),
+                          hom_scale=0.1)
+    with pytest.raises(ResourceError, match="block-model base"):
+        S.solve_phi(prob)
+
+
 def test_block_solve_row_sums_large_n():
     prob = S.SolveProblem(
         targets=((K3, 2.5),), n=100_000, base=0.01, ensemble=("row_sums", 1000)
