@@ -7,21 +7,8 @@ one graph after another would.  Monte Carlo counts hits on these stacks with
 the batched hom and reports a Wilson score interval; `sample` is row 0 of a
 one-graph stack.
 
-Independent-edge ensembles compare the stream's raw 64-bit words w against
-integer thresholds, ceil(q * 2^53) on w >> 11.  `Generator.random` makes its
-double from the same word as (w >> 11) * 2^-53, so the words give the edges
-of `random() < q` and leave the stream where `random` would.
-
-Uniform and regular graphs come from one primitive, `_shuffled_tags`.  A
-trial orders L tags: the C(n, 2) vertex pairs (uniform(n, m) keeps the first
-m) or the n·d stubs of the configuration model, tagged with their vertex.  It
-reads L keys from a fixed number of raw words, puts each tag in its key's low
-b = bit_length(max tag) bits and sorts the keys.  A trial in which two keys
-share their random high part is rejected; otherwise those parts are distinct
-i.i.d. uniform values, their order is a uniform permutation, and the sampler
-is exact.  Keys are 32 bits, two to a word, or 64 bits, one word each, where
-C(L, 2) · 2^(b - 32) > 1/8 (a union bound on a 32-bit tie): the width follows
-from (n, m) or (n, d) alone.
+Uniform and regular graphs order their pairs or stubs exactly by sorting
+tagged random keys, `_shuffled_tags`; large uniform(n, m) draws `choice`s.
 
 Direct Monte Carlo, its empirical-mean pass and importance sampling share
 one worker loop, `_run_workers`: worker w draws its share of the samples in
@@ -183,9 +170,11 @@ def planted(x):
 def _pair_bits(q, batch, rng) -> np.ndarray:
     """Independent-edge draws for vertex pairs of probabilities q: a
     (batch, pairs + 1) bool array whose entry (g, i) is rng.random() < q[i]
-    over the stream's doubles in (graph, pair) order, found from the raw
-    words (see the module docstring) in pieces of at most BATCH_CELLS.  The
-    last column is False: the diagonal's entry in `_symmetric_stack`."""
+    over the stream's doubles in (graph, pair) order.  `random` makes its
+    double from a raw word w as (w >> 11) * 2^-53, so w >> 11 < ceil(q * 2^53)
+    gives its edges and leaves the stream where `random` would; the words are
+    read in pieces of at most BATCH_CELLS.  The last column is False: the
+    diagonal's entry in `_symmetric_stack`."""
     pairs = q.size
     limit = np.ceil(q * 2.0 ** 53).astype(np.uint64)
     bits = np.zeros((batch, pairs + 1), dtype=bool)
@@ -208,20 +197,28 @@ def _symmetric_stack(bits, n) -> np.ndarray:
     return bits.view(np.int8).take(index, axis=1)
 
 
+def _few_ties(size, bits, width) -> bool:
+    """Whether `size` keys of `width` bits, with a tag in their low `bits`,
+    expect at most half a tie: C(size, 2) · 2^(bits - width) <= 1/2."""
+    return size * (size - 1) << bits <= 1 << width
+
+
 def _shuffled_tags(tags, batch, rng, accept, failure) -> np.ndarray:
-    """`batch` accepted trials (see the module docstring): rows of `tags` in
-    uniform random order, in the key width's dtype.  A trial whose keys tie or
-    whose order `accept` refuses is rejected; CONFIG_MODEL_RETRY_CAP
-    rejections in a row raise SamplingError.  Trials run in blocks of at most
-    BATCH_CELLS keys, sized by the acceptance so far (doubling while there is
-    none); the stream ends after the words of the last trial used."""
-    size = tags.size
-    bits = int(tags.max(initial=0)).bit_length()
-    wide = size * (size - 1) << bits > 1 << 30
-    dtype = np.uint64 if wide else np.uint32
-    words = size if wide else (size + 1) // 2
-    mask = dtype((1 << bits) - 1)
-    tags = tags.astype(dtype)
+    """`batch` accepted trials: rows of `tags` in uniform random order.  A
+    trial reads a key per tag from a fixed number of raw words, writes the tag
+    into the key's low b = bit_length(max tag) bits and sorts the row; it is
+    rejected if two keys share their random part, so an accepted order is
+    exactly uniform.  Keys are 32 bits, two to a word, while `_few_ties` holds
+    (past it 64-bit keys, one word each, were measured faster); tags too many
+    for 64 bits are refused.  A trial `accept` refuses is rejected too, and
+    CONFIG_MODEL_RETRY_CAP rejections in a row raise SamplingError.  Blocks of
+    at most BATCH_CELLS keys are sized by the acceptance so far; the stream
+    ends after the words of the last trial used."""
+    size, bits = tags.size, int(tags.max(initial=0)).bit_length()
+    if not _few_ties(size, bits, 64):
+        raise SamplingError(f"{failure}: its {size} keys would tie too often even at 64 bits")
+    dtype, words = (np.uint32, (size + 1) // 2) if _few_ties(size, bits, 32) else (np.uint64, size)
+    mask, tags = dtype((1 << bits) - 1), tags.astype(dtype)
     cap = max(1, BATCH_CELLS // max(size, 1))
     out = np.empty((batch, size), dtype=dtype)
     got, drawn, failed_run, t = 0, 0, 0, min(batch, cap)
@@ -259,8 +256,7 @@ def _shuffled_tags(tags, batch, rng, accept, failure) -> np.ndarray:
 
 
 def _simple(trials, n) -> np.ndarray:
-    """Which trials (rows of paired stubs) give simple graphs.  A loop fails
-    most trials, so only loop-free rows have their pairs sorted."""
+    """Which stub-pair rows are simple; loops fail most, so only loop-free ones are sorted."""
     u, v = trials[:, 0::2], trials[:, 1::2]
     simple = ~(u == v).any(axis=1)
     u, v = u[simple], v[simple]
@@ -272,27 +268,32 @@ def _simple(trials, n) -> np.ndarray:
 def _draw_stack(spec: EnsembleSpec, batch: int, rng) -> np.ndarray:
     """`batch` graphs from the ensemble as a (batch, n, n) 0/1 int8 stack, in
     the stream order of drawing them one at a time.  uniform(n, m) keeps the
-    first m pairs of a uniform order of all pairs; regular(n, d) is the
-    configuration model (Bollobás 1980): stubs 2i and 2i + 1 of an order with
-    no loop or repeated pair are joined."""
-    n = spec.n
-    if spec.kind == "uniform":
-        order = _shuffled_tags(np.arange(n * (n - 1) // 2), batch, rng, None,
+    first m pairs of a uniform order, or takes a `choice` of m where pair keys
+    would need 64 bits (measured faster); regular(n, d) is the configuration
+    model (Bollobás 1980): stubs 2i, 2i + 1 of an order with no loop or repeat join."""
+    n, pairs = spec.n, spec.n * (spec.n - 1) // 2
+    if spec.kind == "uniform" and _few_ties(pairs, (pairs - 1).bit_length(), 32):
+        order = _shuffled_tags(np.arange(pairs), batch, rng, None,
                                f"uniform sampler for n={n}, m={spec.m} drew no untied order")
-        bits = np.zeros((batch, order.shape[1] + 1), dtype=bool)
+        bits = np.zeros((batch, pairs + 1), dtype=bool)
         np.put_along_axis(bits, order[:, :spec.m], True, axis=1)
         return _symmetric_stack(bits, n)
-    if spec.kind == "regular":
-        stubs = _shuffled_tags(np.repeat(np.arange(n), spec.d), batch, rng,
-                               lambda t: _simple(t, n),
+    if spec.kind == "uniform":  # the n x n gather would cost more than m scattered edges
+        iu = np.triu_indices(n, 1)
+        picks = np.array([rng.choice(pairs, spec.m, replace=False) for _ in range(batch)])
+        u, v = iu[0][picks], iu[1][picks]
+    elif spec.kind == "regular":
+        stubs = _shuffled_tags(np.repeat(np.arange(n), spec.d), batch, rng, lambda t: _simple(t, n),
                                f"configuration model for n={n}, d={spec.d} drew no simple graph")
-        rows, u, v = np.arange(batch)[:, None], stubs[:, 0::2], stubs[:, 1::2]
-        a = np.zeros((batch, n, n), dtype=np.int8)
-        a[rows, u, v] = a[rows, v, u] = 1
+        u, v = stubs[:, 0::2], stubs[:, 1::2]
+    else:
+        q = spec.probability_matrix()[np.triu_indices(n, 1)]
+        return _symmetric_stack(_pair_bits(q, batch, rng), n)
+    rows, a = np.arange(batch)[:, None], np.zeros((batch, n, n), dtype=np.int8)
+    a[rows, u, v] = a[rows, v, u] = 1
+    if spec.kind == "regular":
         assert (a.sum(axis=-1) == spec.d).all(), "regular sampler degree violation"
-        return a
-    q = spec.probability_matrix()[np.triu_indices(n, 1)]
-    return _symmetric_stack(_pair_bits(q, batch, rng), n)
+    return a
 
 
 def _chunk_sizes(n, count):
@@ -625,31 +626,18 @@ def pittel_check(n, m, event, num_samples, seed: int = 0):
     n_e = n * (n - 1) // 2
     if not (0 < m < n_e):
         raise DomainError("need 0 < m < n(n-1)/2")
-    p = m / n_e
-    rng_u = rng_stream(seed, 0)
-    rng_p = rng_stream(seed, 1)
+    rng_u, rng_p = rng_stream(seed, 0), rng_stream(seed, 1)
     hits_u = sum(bool(event(sample(uniform(n, m), rng_u))) for _ in range(num_samples))
-    hits_p = sum(bool(event(sample(er(n, p), rng_p))) for _ in range(num_samples))
+    hits_p = sum(bool(event(sample(er(n, m / n_e), rng_p))) for _ in range(num_samples))
     pu, pp = hits_u / num_samples, hits_p / num_samples
     bound = 3.0 * math.sqrt(m)
-    out = {
-        "p_uniform": pu,
-        "p_binomial": pp,
-        "bound": bound,
-        "samples": num_samples,
-    }
-    if hits_u == 0 and hits_p == 0:
-        out.update(ratio=None, violated=False, vacuous=True)
-        return out
-    if hits_p == 0:
-        out.update(ratio=math.inf, violated=True, vacuous=False)
+    out = {"p_uniform": pu, "p_binomial": pp, "bound": bound, "samples": num_samples}
+    if hits_p == 0:  # vacuous with no hit on either side, else violated
+        out.update(ratio=math.inf if hits_u else None, violated=hits_u > 0, vacuous=hits_u == 0)
         return out
     ratio = pu / pp
     # flag only when the ratio beats the bound by more than 3 standard errors
-    se_u = math.sqrt(pu * (1 - pu) / num_samples)
-    se_p = math.sqrt(pp * (1 - pp) / num_samples)
-    rel_se = ratio * math.sqrt(
-        (se_u / pu) ** 2 + (se_p / pp) ** 2
-    ) if pu > 0 else 0.0
+    se_u, se_p = math.sqrt(pu * (1 - pu) / num_samples), math.sqrt(pp * (1 - pp) / num_samples)
+    rel_se = ratio * math.sqrt((se_u / pu) ** 2 + (se_p / pp) ** 2) if pu > 0 else 0.0
     out.update(ratio=ratio, violated=bool(ratio > bound + 3 * rel_se), vacuous=False)
     return out

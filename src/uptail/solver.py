@@ -478,9 +478,8 @@ CONSTANT_NOTE = "targets <= 1: constant base accepted with O(1/n) slack"
 
 def _dense_witness(problem):
     """`solve_phi`'s one routing rule: can the witness be an n x n matrix?
-    Yes while n <= DENSE_N_CAP and every target's hom DP fits in DP_CELL_CAP.
-    A pattern past the DP's width cap, which `dp_cells` refuses, does not
-    fit at any n."""
+    Yes while n <= DENSE_N_CAP and every target's hom DP fits in DP_CELL_CAP;
+    a pattern past the DP's width cap, which `dp_cells` refuses, fits at no n."""
     n = problem.n
     try:
         return n <= DENSE_N_CAP and all(dp_cells(h, n) <= DP_CELL_CAP for h, _t in problem.targets)

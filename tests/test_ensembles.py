@@ -100,14 +100,19 @@ def test_regular_six_three_uniform():
     assert pval > 0.01
 
 
+def _wide_keys(size, max_tag):
+    """Whether `size` tags up to `max_tag` take 64-bit keys."""
+    return size * (size - 1) * 2 ** int(max_tag).bit_length() > 2 ** 32
+
+
 def _trial(tags, rng):
     """One fixed-count trial drawn on its own: the tags in the order of their
     keys' random parts, or None when two keys tie.  The keys are the low and
     high 32-bit halves of (L + 1) // 2 raw words, or L whole words where
-    C(L, 2) * 2^(b - 32) > 1/8, with b = bit_length(max tag)."""
+    C(L, 2) * 2^(b - 32) > 1/2, with b = bit_length(max tag)."""
     size = tags.size
     bits = int(tags.max(initial=0)).bit_length()
-    if size * (size - 1) * 2 ** bits > 2 ** 30:
+    if _wide_keys(size, tags.max(initial=0)):
         keys = rng.bit_generator.random_raw(size)
     else:
         words = rng.bit_generator.random_raw((size + 1) // 2)
@@ -121,8 +126,9 @@ def _trial(tags, rng):
 def _reference_stack(spec, batch, rng):
     """The draw-by-draw loop: one `random() < q` over the pairs of each
     independent-edge graph; one `_trial` of the pairs per uniform graph,
-    repeated on a tie; `_trial`s of the stubs per regular graph, until one
-    pairs them with no loop or repeated pair."""
+    repeated on a tie, or one `choice` of m pairs where the pairs' keys would
+    be 64 bits; `_trial`s of the stubs per regular graph, until one pairs
+    them with no loop or repeated pair."""
     n = spec.n
     iu = np.triu_indices(n, 1)
     out = np.zeros((batch, n, n), dtype=np.int8)
@@ -130,6 +136,9 @@ def _reference_stack(spec, batch, rng):
         if spec.kind in ("er", "block", "planted"):
             edge = rng.random(iu[0].size) < spec.probability_matrix()[iu]
             lo, hi = iu[0][edge], iu[1][edge]
+        elif spec.kind == "uniform" and _wide_keys(iu[0].size, iu[0].size - 1):
+            order = rng.choice(iu[0].size, spec.m, replace=False)
+            lo, hi = iu[0][order], iu[1][order]
         elif spec.kind == "uniform":
             order = None
             while order is None:
@@ -163,14 +172,17 @@ def _boundary_tilt(n):
 
 # independent-edge graphs draw their words in pieces of at most BATCH_CELLS:
 # 90 graphs of 780 pairs span two pieces, and one graph of 79,800 pairs spans two.
-# uniform(60, 500) and regular(500, 3) draw 64-bit keys, the others 32-bit keys
+# Fixed-count graphs draw 32-bit keys up to C(L, 2) * 2^(b - 32) = 1/2: uniform(54, 700)
+# (0.49) and regular(500, 3) (0.13) inside it; past it uniform(55, 700) draws one
+# `choice` per graph and regular(700, 3) (0.53) 64-bit keys
 @pytest.mark.parametrize("spec", [
     E.uniform(40, 300), E.regular(40, 4), E.regular(40, 5), E.regular(5, 2),
-    E.uniform(60, 500), E.regular(500, 3), E.er(40, 0.3),
+    E.uniform(54, 700), E.uniform(55, 700), E.regular(500, 3), E.regular(700, 3), E.er(40, 0.3),
     E.block_model(40, R.BlockModelParams((0.5, 0.5), ((2.0, 1.0), (1.0, 0.5)), 0.2)),
     E.planted(_boundary_tilt(40)), E.er(400, 0.01),
-], ids=["uniform-40-300", "regular-40-4", "regular-40-5", "regular-5-2",
-        "uniform-60-500", "regular-500-3", "er-40", "block-40", "planted-40", "er-400"])
+], ids=["uniform-40-300", "regular-40-4", "regular-40-5", "regular-5-2", "uniform-54-700",
+        "uniform-55-700", "regular-500-3", "regular-700-3", "er-40", "block-40", "planted-40",
+        "er-400"])
 @pytest.mark.parametrize("batch", [1, 3, 90])
 def test_stack_replays_draw_by_draw_stream(spec, batch):
     rng, ref_rng = E.rng_stream(8, 1), E.rng_stream(8, 1)
@@ -246,6 +258,27 @@ def test_uniform_empty_and_complete_stacks(m):
     assert np.array_equal(stack, np.broadcast_to(m // 15 * (1 - np.eye(6, dtype=np.int8)),
                                                  (5, 6, 6)))
     assert np.array_equal(stack, _reference_stack(E.uniform(6, m), 5, ref_rng))
+    assert np.array_equal(rng.random(4), ref_rng.random(4))
+
+
+def test_large_sparse_uniform_draws_one_choice():
+    # C(4000, 2) pair keys would tie even at 64 bits; the graph is one
+    # `choice` of m pairs, and the stream ends after it
+    n, m = 4000, 20_000
+    rng, ref_rng = E.rng_stream(5), E.rng_stream(5)
+    g = E.sample(E.uniform(n, m), rng)
+    u, v = np.array(g.edges).T
+    pairs = u * n - u * (u + 1) // 2 + v - u - 1
+    assert g.edge_count == m
+    assert np.array_equal(np.sort(pairs), np.sort(ref_rng.choice(n * (n - 1) // 2, m, replace=False)))
+    assert np.array_equal(rng.random(4), ref_rng.random(4))
+
+
+def test_regular_past_64_bit_keys_is_refused():
+    # 2^22 stubs tagged with 21 bits expect about one tie among 64-bit keys
+    rng, ref_rng = E.rng_stream(5), E.rng_stream(5)
+    with pytest.raises(SamplingError, match=r"n=2097152, d=2 .* would tie too often even at 64 bits"):
+        E._draw_stack(E.regular(2 ** 21, 2), 1, rng)
     assert np.array_equal(rng.random(4), ref_rng.random(4))
 
 
