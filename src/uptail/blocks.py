@@ -67,6 +67,11 @@ class BlockSpec:
             )
         return blow_up(self.sizes, self.value_matrix())
 
+    def __array__(self, dtype=None, copy=None):
+        """`np.asarray(spec)` is the materialized n x n matrix."""
+        x = self.materialize()
+        return x if dtype is None else x.astype(dtype, copy=False)
+
     def row_sums_exact(self):
         """Row sum per block, as Fractions (one value per block by symmetry)."""
         out = []
@@ -155,11 +160,6 @@ class BlockSpec:
             for row in obj["values"]
         )
         return BlockSpec(tuple(int(s) for s in obj["sizes"]), values)
-
-
-def as_matrix(x) -> np.ndarray:
-    """A BlockSpec materialized, anything else as a float ndarray."""
-    return x.materialize() if isinstance(x, BlockSpec) else np.asarray(x, dtype=float)
 
 
 def _independent_group_partitions(h: Graph):
@@ -518,7 +518,7 @@ def validate_membership(x, ensemble) -> MembershipReport:
     """
     constraint = ensemble.constraint()
     if constraint is None:
-        xm = as_matrix(x)
+        xm = np.asarray(x, dtype=float)
         low, high = float(xm.min()), float(xm.max())
         deviation = max(0.0, -low) + max(0.0, high - 1.0)
         return MembershipReport(ensemble.kind, deviation, deviation <= 1e-9,

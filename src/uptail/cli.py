@@ -248,7 +248,7 @@ def cmd_solve(args):
     if isinstance(result.x, blocks.BlockSpec):
         doc["blockspec"] = result.x.to_json()
     if args.matrix_out:
-        np.savetxt(args.matrix_out, blocks.as_matrix(result.x), delimiter=",", fmt="%.17g")
+        np.savetxt(args.matrix_out, np.asarray(result.x, dtype=float), delimiter=",", fmt="%.17g")
         doc["matrix_out"] = args.matrix_out
     return doc
 
@@ -293,7 +293,7 @@ def cmd_tail_is(args):
         rho = args.tilt_blend
         if not (0 <= rho <= 1):
             raise DomainError(f"--tilt-blend must be in [0, 1], got {rho}")
-        tilt = rho * blocks.as_matrix(tilt) + (1 - rho) * spec.probability_matrix()
+        tilt = rho * np.asarray(tilt, dtype=float) + (1 - rho) * spec.probability_matrix()
         np.fill_diagonal(tilt, 0.0)
     est = ensembles.importance_tail(
         spec, tilt, hs, args.t, args.samples,

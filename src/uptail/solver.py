@@ -9,16 +9,17 @@ inner loop (SPG2 of Birgin, Martinez & Raydan, SIAM J. Optim. 10, 2000),
 elsewhere a scan of the ladder's excess level (`_level_search`).  Results
 are certified upper bounds with witnesses; no global-optimality claim is made.
 
-The AL runs in one of two spaces with the same five operations (evaluate,
-project, inner product, ensemble residual, materialize).  Under a scalar
-base, the constant seed, every `ladder` seed and a BlockSpec user seed run
-on one vector of their live block-pair values, with hom values from
-`blocks`' compiled independent-group expansion; every step of the n x n
-solver keeps a block-constant matrix block-constant, so this is the same
-run at the cost of a few values.  Matrix bases, ndarray user seeds and a
-BlockSpec whose expansion passes a compile-size cap (`_space_for`) run on
-the n x n matrix, which is also the tests' oracle.  Only the winning point
-is materialized.
+The AL runs its seeds as a stack, one seed to a row, in lockstep
+(`_al_stack`), in one of two spaces with the same operations (evaluate,
+project, inner product, ensemble residual, witness), each row by row.
+Under a scalar base, the constant seed, every `ladder` seed and a BlockSpec
+user seed run together as one stack of their live block-pair values, with
+hom values from `blocks`' compiled independent-group expansion; every step
+of the n x n solver keeps a block-constant matrix block-constant, so this
+is the same run at the cost of a few values.  Matrix bases, ndarray user
+seeds and a BlockSpec whose expansion passes a compile-size cap
+(`_fits_blocks`) run on the n x n matrix, one seed to a stack; that space
+is also the tests' oracle.  A block-value winner stays a BlockSpec.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 
 from .blocks import (
     BlockSpec,
-    as_matrix,
     block_pairs,
     blow_up,
     build_clique_block,
@@ -123,7 +123,9 @@ class SolveProblem:
 
 @dataclass
 class SolveResult:
-    x: object                 # ndarray witness, or BlockSpec from the level search
+    x: object                 # BlockSpec witness (a block-value run or the level
+                              # search) or ndarray (an n x n run); np.asarray(x)
+                              # is the n x n matrix of either
     value: float
     normalized: float
     residuals: list
@@ -137,7 +139,7 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# projections
+# projections, row by row on stacks
 # ---------------------------------------------------------------------------
 
 def _unit(x):
@@ -145,105 +147,137 @@ def _unit(x):
     return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
+def _rowsum(a):
+    """Sums along the last axis, added in order.  Zeros padded at the end of
+    a row then leave its sum unchanged bit for bit, which a pairwise or BLAS
+    sum does not promise."""
+    return a.cumsum(axis=-1)[..., -1]
+
+
+def _rows_of(v, like):
+    """Per-row values `v` shaped to broadcast over a stack like `like`."""
+    return v.reshape((-1,) + (1,) * (like.ndim - 1))
+
+
+def _zero_diagonal(x):
+    i = np.arange(x.shape[-1])
+    x[..., i, i] = 0.0
+    return x
+
+
 def _box(x):
     y = _unit(x)
-    y = 0.5 * (y + y.T)
-    np.fill_diagonal(y, 0.0)
-    return y
+    return _zero_diagonal(0.5 * (y + np.swapaxes(y, -1, -2)))
 
 
 def _shift_clip(vals, m, weights):
-    """Exact solve of sum weights * clip(v + lam, 0, 1) = m for vals in
-    [0, 1]: the projection onto a weighted sum within the box, in the metric
-    those weights define (each value stands for `weights` pairs).
+    """Row by row, the exact solve of sum weights * clip(v + lam, 0, 1) = m
+    for rows of values in [0, 1]: the projection onto a weighted sum within
+    the box, in the metric those weights define (each value stands for
+    `weights` pairs).  A value of weight 0 is padding: it comes back 0.
 
     total(lam) is piecewise linear and nondecreasing.  No entry reaches 1
-    below lam = 0, and none sits at 0 above it, so with the values sorted
-    in decreasing order and W_j, V_j the sums of w and w v through the j-th,
-    total(-v_j) = V_j - v_j W_j and total(1 - v_j) = W - v_j (W - W_j) +
-    V - V_j.  These breakpoints, on m's side of total(0) = V, bracket m;
-    the bracket's two ends are evaluated exactly and interpolated."""
-    if not (0 <= m <= weights.sum()):
+    below lam = 0, and none sits at 0 above it, so with a row sorted in
+    decreasing order (stably) and W_j, V_j the sums of w and w v through the
+    j-th, total(-v_j) = V_j - v_j W_j and total(1 - v_j) = W - v_j (W - W_j)
+    + V - V_j.  These breakpoints, on m's side of total(0) = V, bracket m;
+    the bracket's two ends are evaluated exactly and interpolated.  Padding
+    sorts last, and its breakpoints repeat the last one's total (V below, W
+    above), so it moves no row's bracket."""
+    weights = np.broadcast_to(weights, vals.shape)
+    if not (0 <= m <= _rowsum(weights).min()):
         raise DomainError("total weight target outside [0, n(n-1)/2]")
-    order = (-vals).argsort()
-    v, w = vals.take(order), weights.take(order)
-    cw, cwv = w.cumsum(), (w * v).cumsum()
-    if m <= cwv[-1]:
-        bps, totals = np.append(-v, 0.0), np.append(cwv - v * cw, cwv[-1])
-    else:
-        bps = np.append(0.0, 1.0 - v)
-        totals = np.append(cwv[-1], cw[-1] - v * (cw[-1] - cw) + (cwv[-1] - cwv))
-    i = min(max(int(totals.searchsorted(m)), 1), len(bps) - 1)
-    lo, hi = bps[i - 1], bps[i]
-    t_lo, t_hi = (float((weights * _unit(vals + lam)).sum()) for lam in (lo, hi))
-    lam0 = lo if m <= t_lo else hi if m >= t_hi else lo + (m - t_lo) * (hi - lo) / (t_hi - t_lo)
+    order = (-vals).argsort(axis=-1, kind="stable")
+    v, w = np.take_along_axis(vals, order, -1), np.take_along_axis(weights, order, -1)
+    cw, cwv = w.cumsum(-1), (w * v).cumsum(-1)
+    big, heavy, zero = cwv[:, -1:], cw[:, -1:], np.zeros_like(cwv[:, :1])
+    low = m <= big
+    bps = np.where(low, np.hstack([-v, zero]), np.hstack([zero, 1.0 - v]))
+    totals = np.where(low, np.hstack([cwv - v * cw, big]),
+                      np.hstack([big, heavy - v * (heavy - cw) + (big - cwv)]))
+    i = np.clip((totals < m).sum(-1, keepdims=True), 1, bps.shape[-1] - 1)
+    lo, hi = np.take_along_axis(bps, i - 1, -1), np.take_along_axis(bps, i, -1)
+    t_lo, t_hi = (_rowsum(weights * _unit(vals + lam))[:, None] for lam in (lo, hi))
+    span = np.where(t_hi > t_lo, t_hi - t_lo, 1.0)
+    lam0 = np.where(m <= t_lo, lo, np.where(m >= t_hi, hi, lo + (m - t_lo) * (hi - lo) / span))
     clipped = _unit(vals + lam0)
     # absorb float residue on strictly interior entries
-    r = m - (weights * clipped).sum()
-    interior = (clipped > 1e-9) & (clipped < 1 - 1e-9)
-    if interior.any():
-        clipped[interior] += r / weights[interior].sum()
-        clipped = _unit(clipped)
-    return clipped
+    r = m - _rowsum(weights * clipped)
+    interior = (clipped > 1e-9) & (clipped < 1 - 1e-9) & (weights > 0)
+    w_in = _rowsum(np.where(interior, weights, 0.0))
+    clipped = np.where(interior, clipped + (r / np.where(w_in > 0, w_in, 1.0))[:, None], clipped)
+    return np.where(weights > 0, _unit(clipped), 0.0)
 
 
 def _project_total_weight(x, m):
-    """Projection onto {sum_{i<j} x = m} within the box: shift and clip."""
-    n = x.shape[0]
-    iu = np.triu_indices(n, 1)
-    vals = x[iu]
-    clipped = _shift_clip(vals, m, np.ones_like(vals))
+    """Projection of a stack of matrices onto {sum_{i<j} x = m} within the
+    box: shift and clip."""
+    iu = np.triu_indices(x.shape[-1], 1)
     out = np.zeros_like(x)
-    out[iu] = clipped
-    return out + out.T
+    out[..., iu[0], iu[1]] = _shift_clip(x[..., iu[0], iu[1]], m, np.ones(iu[0].size))
+    return out + np.swapaxes(out, -1, -2)
 
 
 def _project_rows_affine(x, d):
-    """Euclidean projection onto {X sym, zero diag, row sums = d} (no box)."""
-    n = x.shape[0]
-    r = x.sum(axis=1)
-    s = (n * d - r.sum()) / (2.0 * (n - 1))
-    mu = (d - r - s) / (n - 2.0)
-    y = x + mu[:, None] + mu[None, :]
-    np.fill_diagonal(y, 0.0)
-    return y
+    """Euclidean projection of a stack of matrices onto {X sym, zero diag,
+    row sums = d} (no box)."""
+    n = x.shape[-1]
+    r = x.sum(axis=-1)
+    s = (n * d - r.sum(axis=-1)) / (2.0 * (n - 1))
+    mu = (d - r - s[..., None]) / (n - 2.0)
+    return _zero_diagonal(x + mu[..., :, None] + mu[..., None, :])
 
 
-def _dykstra(x, d, n, box, affine, rows, tol=1e-11, max_iter=5000):
+def _row_deviation(x, d):
+    return np.abs(x.sum(axis=-1) - d).max(axis=-1)
+
+
+def _dykstra(x, d, n, box, affine, deviation, on=None, tol=1e-11, max_iter=5000):
     """Dykstra's alternating projections between `box` and `affine(., d)`,
-    the set where every row sum (`rows`) is d, until the iterate is within
-    tol of both.
+    the set where every row sum is d, row by row on a stack: a row stops once
+    its iterate is within tol of both (`deviation` gives each row's largest
+    row-sum deviation), and rows outside `on` never start.
 
-    Returns the box-clipped last iterate; the row residual is certified by
+    Returns the box-clipped last iterates; the row residual is certified by
     the caller, on the point it keeps.
     """
     if not (0 < d <= n - 1):
         raise DomainError("row-sum target must be in (0, n-1]")
+    run = np.ones(len(x), dtype=bool) if on is None else on.copy()
     y = x.copy()
     inc_box = np.zeros_like(y)
     inc_aff = np.zeros_like(y)
-    for it in range(max_iter):
-        z = box(y + inc_box)
-        inc_box = (y + inc_box) - z
-        y2 = affine(z + inc_aff, d)
-        inc_aff = (z + inc_aff) - y2
-        y = y2
-        if y.min() >= -tol and y.max() <= 1 + tol and np.abs(rows(y) - d).max() < tol:
+    for _it in range(max_iter):
+        if not run.any():
             break
+        z = box(y + inc_box)
+        y2 = affine(z + inc_aff, d)
+        new_box, new_aff = (y + inc_box) - z, (z + inc_aff) - y2
+        stopped = ~run
+        if stopped.any():
+            y2[stopped] = y[stopped]
+            new_box[stopped], new_aff[stopped] = inc_box[stopped], inc_aff[stopped]
+        y, inc_box, inc_aff = y2, new_box, new_aff
+        flat = y.reshape(len(y), -1)
+        run &= (flat.min(axis=1) < -tol) | (flat.max(axis=1) > 1 + tol) | (deviation(y, d) >= tol)
     return box(y)
 
 
-def project_ensemble(x, constraint):
-    """Project onto the box intersected with the ensemble's affine set."""
-    x = np.asarray(x, dtype=float)
+def _project(x, constraint, on=None):
+    """`project_ensemble` on a stack of matrices."""
     if constraint is None:
         return _box(x)
     kind, val = constraint
     if kind == "total_weight":
         return _project_total_weight(_box(x), val)
     if kind == "row_sums":
-        return _dykstra(x, val, x.shape[0], _box, _project_rows_affine, lambda y: y.sum(axis=1))
+        return _dykstra(x, val, x.shape[-1], _box, _project_rows_affine, _row_deviation, on)
     raise DomainError(f"unknown constraint {kind!r}")
+
+
+def project_ensemble(x, constraint):
+    """Project onto the box intersected with the ensemble's affine set."""
+    return _project(np.asarray(x, dtype=float)[None], constraint)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +334,7 @@ def default_seeds(problem: SolveProblem):
     """Constant base plus the ladder at inflated delta levels, as (name,
     seed) pairs, each distinct BlockSpec once, under the tag of its first
     level.  Under a scalar base the constant is a one-block BlockSpec,
-    under a matrix base the base matrix itself (`as_matrix` gives every
+    under a matrix base the base matrix itself (`np.asarray` gives every
     seed as a matrix)."""
     if np.ndim(problem.base) == 0:
         constant = BlockSpec((problem.n,), ((Fraction(float(problem.base)),),))
@@ -332,9 +366,7 @@ def _entropy_grad(x, base):
     log(x (1 - p) / (p (1 - x))), entrywise, x kept off 0 and 1."""
     xc = np.clip(x, EPS, 1 - EPS)
     pm = np.clip(np.asarray(base, dtype=float), EPS, 1 - EPS)  # scalar or matrix
-    g = np.log(xc * (1 - pm)) - np.log(pm * (1 - xc))
-    np.fill_diagonal(g, 0.0)
-    return g
+    return _zero_diagonal(np.log(xc * (1 - pm)) - np.log(pm * (1 - xc)))
 
 
 def _hom_vals(problem, x):
@@ -343,122 +375,188 @@ def _hom_vals(problem, x):
 
 
 class _DenseSpace:
-    """The AL on n x n matrices: any seed, any base.  Gradients are per
-    unordered vertex pair, laid out symmetric, so sums run over ordered
-    pairs."""
+    """The AL on a stack of n x n matrices: any seed, any base.  Gradients
+    are per unordered vertex pair, laid out symmetric, so sums run over
+    ordered pairs.  `solve_phi` gives it one seed at a time, so that a stack
+    holds no more matrices than a single run does."""
 
     def __init__(self, problem):
         self.problem = problem
 
+    @staticmethod
+    def pack(seeds):
+        return np.stack([np.asarray(seed, dtype=float) for seed in seeds])
+
     def evaluate(self, x):
-        """(hom values, hom gradients, entropy value, entropy gradient) at x:
-        all the inner loop needs, each hom pair from one pinned DP pass per
-        orbit."""
+        """(hom values, hom gradients, entropy values, entropy gradients) of
+        each matrix: all the inner loop needs, each hom pair from one pinned
+        DP pass per orbit."""
         problem = self.problem
         p = problem.hom_p()
-        vals, grads = zip(*(hom_value_and_gradient(h, x, p) for h, _t in problem.targets))
-        return (np.array(vals), grads, _entropy_value(x, problem.base),
+        vals, grads = zip(*(hom_value_and_gradient(h, xi, p)
+                            for xi in x for h, _t in problem.targets))
+        k = len(problem.targets)
+        return (np.reshape(vals, (len(x), k)), [np.stack(grads[j::k]) for j in range(k)],
+                np.array([_entropy_value(xi, problem.base) for xi in x]),
                 _entropy_grad(x, problem.base))
 
-    def project(self, x):
-        return project_ensemble(x, self.problem.ensemble)
+    def project(self, x, on=None):
+        return _project(x, self.problem.ensemble, on)
 
     @staticmethod
     def dot(a, b):
-        return float((a * b).sum())
+        return (a * b).sum(axis=(-2, -1))
 
     def residual(self, x):
-        return ensemble_residual(x, self.problem.ensemble)
+        return np.array([ensemble_residual(xi, self.problem.ensemble) for xi in x])
 
     @staticmethod
-    def materialize(x):
-        return x
+    def witness(x, row):
+        return x[row]
 
 
 class _BlockSpace:
-    """The AL on one vector of the live unordered block-pair values of a
-    block partition (`blocks.block_pairs`), under a scalar base.  Each dense
-    step (hom and entropy gradients, box, total-weight shift, row-sum
+    """The AL on a stack of block seeds under a scalar base, one row each of
+    the seed's live unordered block-pair values (`blocks.block_pairs`).  Each
+    dense step (hom and entropy gradients, box, total-weight shift, row-sum
     Dykstra) maps a block-constant matrix to a block-constant one, so from a
-    block-constant seed this space takes the dense steps at the cost of a
-    few values.  A value stands for its c unordered vertex pairs: entropy,
-    total weight and shift-and-clip weigh it by c, the inner product (over
-    ordered pairs) by 2c, and a gradient stays one vertex pair's.  Row sums
-    are a k x values operator; Dykstra's affine step adds the shifts of a
-    pair's two blocks through their incidence (2 on a block's own pair)."""
+    block-constant seed this space takes the dense steps at the cost of a few
+    values.  A value stands for its c unordered vertex pairs: entropy, total
+    weight and shift-and-clip weigh it by c, the inner product (over ordered
+    pairs) by 2c, and a gradient stays one vertex pair's.  Row sums are a
+    blocks x values operator per seed; Dykstra's affine step adds the shifts
+    of a pair's two blocks through their incidence (2 on a block's own pair).
+
+    Seeds differ in their numbers of blocks, values and hom terms, so every
+    per-seed array is padded to the widest seed: a padded value has weight,
+    incidence and gradient 0 and stays 0, a padded term has weight 0, and a
+    padded block is left out of the row sums' residual.  Sums over a row run
+    in order (`_rowsum`), so a seed's row takes the same steps in any stack."""
 
     def __init__(self, problem, sizes):
-        self.problem = problem
-        self.sizes = sizes
-        self.n = problem.n
-        a, b, self.pairs = block_pairs(sizes)
-        self.index, self.s = (a, b), np.asarray(sizes, dtype=float)
-        in_a, in_b = np.arange(len(sizes))[:, None] == a, np.arange(len(sizes))[:, None] == b
-        # the row sum of a vertex in block a: sum_b s_b y_ab - y_aa
-        self.rows_op = in_a * (self.s[b] - (a == b)) + in_b * self.s[a] * (a != b)
-        self.incidence = in_a + in_b * 1.0
+        self.problem, self.n, self.sizes = problem, problem.n, list(sizes)
+        packs = [block_pairs(s) for s in self.sizes]
+        rows, k, width = len(packs), max(map(len, self.sizes)), max(len(a) for a, _b, _c in packs)
+        self.pairs, self.s = np.zeros((rows, width)), np.zeros((rows, k))
+        self.rows_op, self.incidence = np.zeros((2, rows, k, width))
+        for i, (a, b, pairs) in enumerate(packs):
+            s = np.asarray(self.sizes[i], dtype=float)
+            in_a, in_b = np.arange(len(s))[:, None] == a, np.arange(len(s))[:, None] == b
+            # the row sum of a vertex in block a: sum_b s_b y_ab - y_aa
+            self.rows_op[i, :len(s), :len(a)] = in_a * (s[b] - (a == b)) + in_b * s[a] * (a != b)
+            self.incidence[i, :len(s), :len(a)] = in_a + in_b * 1.0
+            self.pairs[i, :len(a)], self.s[i, :len(s)] = pairs, s
+        self.live, self.blocks = self.pairs > 0, self.s > 0
         # a pair's hom gradient in y / p, shared out over its vertex pairs, is
         # one vertex pair's gradient in x
-        self.share = 1.0 / (problem.hom_p() * self.pairs)
-        self.terms = [hom_terms(h, sizes) for h, _t in problem.targets]
+        self.share = np.divide(1.0, problem.hom_p() * self.pairs,
+                               out=np.zeros_like(self.pairs), where=self.live)
+        self.terms = [self._stack_terms([hom_terms(h, s) for s in self.sizes])
+                      for h, _t in problem.targets]
+
+    def _stack_terms(self, terms):
+        """One pattern's terms of every seed, padded to the most terms: (flat
+        value index into the whole stack, weights), the index (seeds, terms,
+        edges)."""
+        rows, width = self.pairs.shape
+        most = max(1, max(len(w) for _p, w in terms))
+        index = np.zeros((rows, most, terms[0][0].shape[1]), dtype=np.intp)
+        weights = np.zeros((rows, most))
+        for i, (pairs, w) in enumerate(terms):
+            index[i, :len(w)], weights[i, :len(w)] = pairs, w
+        return index + width * np.arange(rows)[:, None, None], weights
+
+    def pack(self, specs):
+        y = np.zeros(self.pairs.shape)
+        for i, spec in enumerate(specs):
+            values = spec.packed_values()
+            y[i, :values.size] = values
+        return y
 
     def evaluate(self, y):
-        """`_DenseSpace.evaluate` at the blow-up of y: hom values from the
-        compiled independent-group expansion, the entropy and its log-odds
-        gradient from one pair of logs, kept off 0 and 1 (where 0 log 0 = 0)."""
+        """`_DenseSpace.evaluate` at the blow-up of each row: hom values from
+        the compiled independent-group expansion (the product of a term's
+        factors, and each factor's gradient from prefix and suffix products),
+        the entropy and its log-odds gradient from one pair of logs, kept off
+        0 and 1 (where 0 log 0 = 0)."""
         p, base = self.problem.hom_p(), float(self.problem.base)
-        vals, grads = zip(*(terms_value_and_gradient(terms, y / p) for terms in self.terms))
+        scaled = (y / p).ravel()
+        vals, grads = [], []
+        for index, weights in self.terms:
+            if not index.shape[-1]:  # a pattern with no edges
+                vals.append(_rowsum(weights))
+                grads.append(np.zeros_like(y))
+                continue
+            factors = scaled.take(index)
+            before, after = np.ones_like(factors), np.ones_like(factors)
+            np.cumprod(factors[..., :-1], axis=-1, out=before[..., 1:])
+            np.cumprod(factors[..., :0:-1], axis=-1, out=after[..., -2::-1])
+            vals.append(_rowsum(weights * (before[..., -1] * factors[..., -1])))
+            grads.append(np.bincount(index.ravel(), (weights[..., None] * before * after).ravel(),
+                                     minlength=y.size).reshape(y.shape) * self.share)
         q = 1.0 - y
         up = np.log(np.maximum(y, EPS) / base)
         down = np.log(np.maximum(q, EPS) / (1 - base))
-        return (np.array(vals), [g * self.share for g in grads],
-                float(self.pairs @ (y * up + q * down)), up - down)
+        return (np.stack(vals, axis=1), grads, _rowsum(self.pairs * (y * up + q * down)),
+                (up - down) * self.live)
+
+    def _row_sums(self, y):
+        return _rowsum(self.rows_op * y[:, None, :])
+
+    def _deviation(self, y, d):
+        return np.where(self.blocks, np.abs(self._row_sums(y) - d), 0.0).max(axis=1)
 
     def _rows_affine(self, y, d):
-        """`_project_rows_affine` on the blow-up of y."""
-        n, r = self.n, self.rows_op @ y
-        shift = (n * d - float(self.s @ r)) / (2.0 * (n - 1))
-        mu = (d - r - shift) / (n - 2.0)
-        return y + mu @ self.incidence
+        """`_project_rows_affine` on the blow-up of each row."""
+        n, r = self.n, self._row_sums(y)
+        shift = (n * d - _rowsum(self.s * r)) / (2.0 * (n - 1))
+        mu = (d - r - shift[:, None]) / (n - 2.0)
+        return y + np.matmul(mu[:, None, :], self.incidence)[:, 0]
 
-    def project(self, y):
-        """`project_ensemble` on the blow-up of y."""
+    def project(self, y, on=None):
+        """`project_ensemble` on the blow-up of each row; a row-sum
+        projection iterates only the rows in `on`."""
         kind, val = self.problem.ensemble or (None, None)
         if kind == "total_weight":
             return _shift_clip(_unit(y), val, self.pairs)
         if kind == "row_sums":
-            return _dykstra(y, val, self.n, _unit, self._rows_affine, self.rows_op.__matmul__)
+            return _dykstra(y, val, self.n, _unit, self._rows_affine, self._deviation, on)
         return _unit(y)
 
     def dot(self, a, b):
-        return 2.0 * float(self.pairs @ (a * b))
+        return 2.0 * _rowsum(self.pairs * (a * b))
 
     def residual(self, y):
         kind, val = self.problem.ensemble or (None, None)
         if kind == "row_sums":
-            return float(np.abs(self.rows_op @ y - val).max())
+            return self._deviation(y, val)
         if kind == "total_weight":
-            return abs(float(self.pairs @ y) - val)
-        return 0.0
+            return np.abs(_rowsum(self.pairs * y) - val)
+        return np.zeros(len(y))
 
-    def materialize(self, y):
-        values = np.zeros((len(self.sizes),) * 2)
-        values[self.index] = values[self.index[::-1]] = y
-        return blow_up(self.sizes, values)
+    def witness(self, y, row):
+        """Row `row` as its seed's BlockSpec, each value the Fraction of its
+        float, which a step keeps in [0, 1] (clipped, should roundoff ever
+        leave it); a one-vertex block's own pair, which holds no vertex
+        pair, is 0."""
+        sizes = self.sizes[row]
+        values = [[Fraction(0)] * len(sizes) for _ in sizes]
+        a, b, _pairs = block_pairs(sizes)
+        for i, j, v in zip(a.tolist(), b.tolist(), _unit(y[row]).tolist()):
+            values[i][j] = values[j][i] = Fraction(v)
+        return BlockSpec(tuple(sizes), tuple(map(tuple, values)))
 
 
-def _space_for(problem, seed):
-    """(space, start): a BlockSpec seed of n vertices under a scalar base
-    runs on its block values; every other seed runs on its n x n matrix.
-    BATCH_CELLS caps the size of the compiled expansion; it is not a
-    measured crossover of the two spaces' costs.  A pattern of v vertices
-    on k blocks compiles about k^v placements in Python, so a seed past
-    k^v = BATCH_CELLS runs n x n."""
-    if (isinstance(seed, BlockSpec) and np.ndim(problem.base) == 0
+def _fits_blocks(problem, seed):
+    """Whether a seed runs on block values: a BlockSpec of n vertices under a
+    scalar base; every other seed runs on its n x n matrix.  BATCH_CELLS
+    caps the size of the compiled expansion; it is not a measured crossover
+    of the two spaces' costs.  A pattern of v vertices on k blocks compiles
+    about k^v placements in Python, so a seed past k^v = BATCH_CELLS runs
+    n x n."""
+    return (isinstance(seed, BlockSpec) and np.ndim(problem.base) == 0
             and all(seed.num_blocks ** h.vertex_count <= BATCH_CELLS
-                    for h, _t in problem.targets)):
-        return _BlockSpace(problem, seed.sizes), seed.packed_values()
-    return _DenseSpace(problem), as_matrix(seed)
+                    for h, _t in problem.targets))
 
 
 def _refuse_trees(problem):
@@ -490,44 +588,46 @@ def _dense_witness(problem):
 def solve_phi(problem: SolveProblem) -> SolveResult:
     """The best feasible point found, a certified upper bound on the infimum.
 
-    Where `_dense_witness` allows, a multi-start AL: seeds run one after
-    another in seed order and reduce by minimum value, the first seed
-    winning ties.  Each runs in the space `_space_for` picks; the winner is
-    materialized and measured on its n x n matrix.  Elsewhere the witness is
-    `_level_search`'s BlockSpec, measured blockwise; a block-model base has none."""
+    Where `_dense_witness` allows, a multi-start AL.  The seeds that
+    `_fits_blocks` run in lockstep as one stack of block values, every other
+    seed as a stack of its own n x n matrix; they reduce by minimum value,
+    the first seed winning ties.  A block-value winner is the BlockSpec of
+    its seed's blocks, with the Fractions of its float values, measured
+    by its closed forms; an n x n winner is measured on its matrix.
+    Elsewhere the witness is `_level_search`'s BlockSpec, measured
+    blockwise; a block-model base has none."""
     _refuse_trees(problem)
     if not _dense_witness(problem):
         if np.ndim(problem.base) > 0 and problem.n <= DENSE_N_CAP:
             raise ResourceError(f"block-model base: its hom DP at n = {problem.n} passes the cap")
         return _level_search(problem)
-    targets = np.array([t for _, t in problem.targets], dtype=float)
-
-    if (targets <= 1.0).all():
+    if all(t <= 1.0 for _h, t in problem.targets):
         # a constant base meets targets <= 1 up to O(1/n); a matrix base only if measured
         x0 = project_ensemble(problem.base_matrix(), problem.ensemble)
         constant = _result(problem, x0, "constant", 0, [CONSTANT_NOTE])
         if np.ndim(problem.base) == 0 or max(constant.residuals) <= problem.feasibility_tol:
             return constant
 
-    seed_list = default_seeds(problem) + [
-        (f"user_{i}", seed) for i, seed in enumerate(problem.seeds)]
+    seeds = default_seeds(problem) + [(f"user_{i}", seed) for i, seed in enumerate(problem.seeds)]
+    fits = [_fits_blocks(problem, seed) for _name, seed in seeds]
+    block = [i for i, on_blocks in enumerate(fits) if on_blocks]
+    stacks = [(_BlockSpace(problem, [seeds[i][1].sizes for i in block]), block)] if block else []
+    stacks += [(_DenseSpace(problem), [i]) for i, on_blocks in enumerate(fits) if not on_blocks]
 
-    best = None  # (value, x, name, space)
-    total_iters = 0
-    for name, seed in seed_list:
-        space, x0 = _space_for(problem, seed)
-        value, x, iters = _al_single(problem, space, x0, targets)
-        total_iters += iters
-        if value is not None and (best is None or value < best[0]):
-            best = (value, x, name, space)
-
+    best = None  # (value, seed index, space, points, row)
+    iterations = 0
+    for space, index in stacks:
+        values, points, iters = _al_stack(problem, space, space.pack([seeds[i][1] for i in index]))
+        iterations += int(iters.sum())
+        for row, i in enumerate(index):
+            if values[row] < math.inf and (best is None or (values[row], i) < best[:2]):
+                best = (values[row], i, space, points, row)
     if best is None:
         raise ResourceError(
             "no feasible point found within budget from any seed"
         )
-    _value, x, name, space = best
-    x = space.materialize(x)
-    return _result(problem, x, name, total_iters, [])
+    _value, i, space, points, row = best
+    return _result(problem, space.witness(points, row), seeds[i][0], iterations, [])
 
 
 def _result(problem, x, provenance, iterations, notes):
@@ -604,116 +704,149 @@ def _level_search(problem: SolveProblem) -> SolveResult:
                    ["block-parameterized search: witness is a BlockSpec"])
 
 
-def _al_single(problem, space, seed, targets):
-    """One augmented-Lagrangian run from `seed`, a point of `space`; returns
-    (best_value, best_x, iters), best_x in the space's coordinates."""
+def _al_stack(problem, space, x0):
+    """The augmented-Lagrangian runs from a stack of seeds, points of `space`
+    one to a row, in lockstep.  Each row keeps its own multipliers, penalty,
+    spectral step, incumbent and stall histories, and masks hold each row's
+    place in the loops, so a row takes the steps it would take alone.
+    Returns (best values, best points, outer iterations), one per row, the
+    value inf where a row kept no feasible point."""
     feas_tol = problem.feasibility_tol
     kind, bound = problem.ensemble or (None, 0.0)
     # certificate tolerance on the ensemble residual of a kept point
     ens_tol = max(1e-10, 1e-9 * max(1.0, bound)) if kind == "total_weight" else 1e-10
-    x = space.project(np.asarray(seed, dtype=float))
-    k = len(targets)
-    lam = np.zeros(k)
-    rho = 10.0
-    step = 1.0  # spectral step, carried from one inner loop to the next
-    best_val, best_x = None, None
-    history = []
+    targets = np.array([t for _h, t in problem.targets], dtype=float)
+    x = space.project(np.asarray(x0, dtype=float))
+    lam = np.zeros((len(x), len(targets)))
+    rho = np.full(len(x), 10.0)
+    step = np.ones(len(x))  # spectral steps, carried from one inner loop to the next
+    best_val, best_x = np.full(len(x), math.inf), x.copy()
 
-    def consider(xc, ev):
-        """Keep xc as the incumbent if it is feasible, within ens_tol of the
-        ensemble's set and cheaper; `ev` is its `space.evaluate` tuple."""
-        nonlocal best_val, best_x
+    def consider(x, ev):
+        """Keep each row of x as its incumbent if it is feasible, within
+        ens_tol of the ensemble's set and cheaper; `ev` is its `space.evaluate`
+        tuple.  A row that has stopped offers the point it stopped at again,
+        which changes nothing."""
         vals, _, val, _ = ev
-        if space.residual(xc) > ens_tol:
-            return
-        if all(v >= t - feas_tol for v, t in zip(vals, targets)):
-            if best_val is None or val < best_val:
-                best_val, best_x = val, xc.copy()
+        keep = ((space.residual(x) <= ens_tol) & (vals >= targets - feas_tol).all(axis=1)
+                & (val < best_val))
+        best_val[keep] = val[keep]
+        best_x[keep] = x[keep]
 
     ev = space.evaluate(x)
     consider(x, ev)
-    res_history = [float(np.max(np.maximum(targets - ev[0], 0.0)))]
+    res_history = [np.maximum(targets - ev[0], 0.0).max(axis=1)]
+    history = []  # incumbent values, inf before the first
+    running = np.ones(len(x), dtype=bool)
+    iterations = np.zeros(len(x), dtype=int)
 
     for _outer in range(problem.budget):
-        x, ev, step = _inner_pg(space, x, ev, targets, lam, rho, step)
+        x, ev, step = _spg(space, x, ev, targets, lam, rho, step, running)
         vals = ev[0]
-        residual = float(np.max(np.maximum(targets - vals, 0.0)))
+        residual = np.maximum(targets - vals, 0.0).max(axis=1)
         consider(x, ev)
-        g = targets - vals
-        lam = np.maximum(0.0, lam + rho * g)
-        if residual > 0.7 * res_history[-1] and residual > feas_tol:
-            rho = min(rho * 2.0, 1e12)
-        history.append(best_val if best_val is not None else math.inf)
+        lam = np.maximum(0.0, lam + rho[:, None] * (targets - vals))
+        rho = np.where((residual > 0.7 * res_history[-1]) & (residual > feas_tol),
+                       np.minimum(rho * 2.0, 1e12), rho)
+        history.append(best_val.copy())
         res_history.append(residual)
-        if residual <= feas_tol and len(history) >= 5:
-            recent = history[-5:]
-            if all(math.isfinite(v) for v in recent):
-                spread = (max(recent) - min(recent)) / (1.0 + abs(recent[-1]))
-                if spread <= 1e-6:
-                    break
+        iterations += running
+        stop = np.zeros(len(x), dtype=bool)
+        if len(history) >= 5:
+            recent = np.array(history[-5:])
+            with np.errstate(invalid="ignore"):  # inf - inf before an incumbent
+                spread = (recent.max(axis=0) - recent.min(axis=0)) / (1.0 + np.abs(recent[-1]))
+            stop |= (residual <= feas_tol) & np.isfinite(recent).all(axis=0) & (spread <= 1e-6)
         # bail out of a stalled run: neither the residual nor the incumbent
         # value moved over the last 30 multiplier updates
         if len(res_history) > 30:
-            res_old, res_new = res_history[-31], res_history[-1]
             v_old, v_new = history[-30], history[-1]
-            val_stuck = (not math.isfinite(v_old) and not math.isfinite(v_new)) or (
-                math.isfinite(v_old) and abs(v_old - v_new) <= 1e-6 * (1.0 + abs(v_new)))
-            if res_new > feas_tol and res_new > 0.99 * res_old and val_stuck:
-                break
-    return best_val, best_x, len(history)
+            seen = np.isfinite(v_old)  # then v_new is finite too
+            with np.errstate(invalid="ignore"):
+                kept = np.abs(v_old - v_new) <= 1e-6 * (1.0 + np.abs(v_new))
+            val_stuck = seen & kept | ~seen & ~np.isfinite(v_new)
+            stop |= (residual > feas_tol) & (residual > 0.99 * res_history[-31]) & val_stuck
+        running &= ~stop
+        if not running.any():
+            break
+    return best_val, best_x, iterations
 
 
-def _inner_pg(space, x, ev, targets, lam, rho, step, max_steps=60):
+def _spg(space, x, ev, targets, lam, rho, step, on, max_steps=60):
     """Nonmonotone spectral projected gradient (SPG2 of Birgin, Martinez &
-    Raydan, SIAM J. Optim. 10, 2000) on the AL objective at fixed (lam, rho).
+    Raydan, SIAM J. Optim. 10, 2000) on each row's AL objective at its fixed
+    (lam, rho), for the rows in `on`; the others come back as they are.
 
-    `ev` is the `space.evaluate` tuple at x and `step` the Barzilai-Borwein step
-    from the previous call; both come back for the point returned, so each
-    point is evaluated once.  Each step projects once, d = P(x - step*g) - x,
-    and halves t along the feasible segment x + t*d until f falls below the
-    largest of the last 10 values by 1e-4 * t * g.d.  The loop stops once
-    -g.d is within f's roundoff, 1e-12 * (1 + |f|): no step along d could
-    then be seen to decrease f.  Returns (x, ev, step).
+    `ev` is the `space.evaluate` tuple at x and `step` each row's
+    Barzilai-Borwein step from its previous call; both come back for the
+    points returned, so each point is evaluated once.  Each step projects
+    once, d = P(x - step*g) - x, and halves t along the feasible segment
+    x + t*d until f falls below the largest of the row's last 10 values by
+    1e-4 * t * g.d.  A row stops once -g.d is within f's roundoff,
+    1e-12 * (1 + |f|): no step along d could then be seen to decrease f.
+    Returns (x, ev, step).
     """
-
-    lam_rho = lam / rho
+    lam_rho = lam / rho[:, None]
     lam_rho_sq = lam_rho ** 2
 
     def al_value(ev):
         pen = np.maximum(0.0, lam_rho + (targets - ev[0]))
-        return ev[2] + 0.5 * rho * float((pen ** 2 - lam_rho_sq).sum()), pen
+        return ev[2] + 0.5 * rho * (pen ** 2 - lam_rho_sq).sum(axis=1), pen
 
     def al_grad(ev, pen):
         grad = ev[3]
-        for m, gh in zip((rho * pen).tolist(), ev[1]):
-            if m > 0:
-                grad = grad - m * gh
+        for m, gh in zip((rho[:, None] * pen).T, ev[1]):
+            if m.any():
+                grad = grad - _rows_of(m, gh) * gh
         return grad
 
+    def take(rows, new, old):
+        """`new` on `rows`, `old` elsewhere, through nested tuples and lists."""
+        if isinstance(new, (tuple, list)):
+            return type(new)(take(rows, a, b) for a, b in zip(new, old))
+        return np.where(_rows_of(rows, new), new, old)
+
     f, pen = al_value(ev)
-    recent = [f]
+    recent = np.full((len(x), 10), -math.inf)  # each row's last 10 values, a ring
+    recent[:, 0] = f
+    count = np.ones(len(x), dtype=int)
     grad = al_grad(ev, pen)
+    inner = on.copy()
     for _ in range(max_steps):
-        d = space.project(x - step * grad) - x
+        d = space.project(x - _rows_of(step, x) * grad, inner) - x
         # both gradients are per unordered pair; each pair sits twice in d
         slope = 0.5 * space.dot(grad, d)
-        if slope >= -1e-12 * (1.0 + abs(f)):
+        inner &= slope < -1e-12 * (1.0 + np.abs(f))
+        if not inner.any():
             break
-        f_ref = max(recent[-10:])
-        t = 1.0
-        for _bt in range(40):
-            xn = x + t * d
-            ev_n = space.evaluate(xn)
-            fn, pen = al_value(ev_n)
-            if fn <= f_ref + 1e-4 * t * slope:
+        # a row out of the loop takes the zero step: its trial point is its
+        # point, which evaluates to its own values bit for bit
+        d = take(inner, d, 0.0)
+        f_ref = recent.max(axis=1)
+        t = np.ones(len(x))
+        search = inner.copy()
+        for bt in range(40):
+            xt = x + _rows_of(t, x) * d
+            ev_t = space.evaluate(xt)
+            ft, pen_t = al_value(ev_t)
+            ok = search & (ft <= f_ref + 1e-4 * t * slope)
+            if bt == 0:  # rows that backtrack are replaced when they accept
+                xn, ev_n, fn, pen_n = xt, ev_t, ft, pen_t
+            elif ok.any():
+                xn, ev_n, fn, pen_n = take(ok, (xt, ev_t, ft, pen_t), (xn, ev_n, fn, pen_n))
+            search &= ~ok
+            if not search.any():
                 break
-            t *= 0.5
-        else:
-            break
-        grad_n = al_grad(ev_n, pen)
+            t = np.where(search, t * 0.5, t)
+        if search.any():  # a row that found no decrease in 40 halvings stops
+            inner &= ~search
+            xn, ev_n, fn, pen_n = take(search, (x, ev, f, pen), (xn, ev_n, fn, pen_n))
+        grad_n = al_grad(ev_n, pen_n)
         s, y = xn - x, grad_n - grad
         sy = space.dot(s, y)
-        step = min(max(space.dot(s, s) / sy, 1e-10), 1e3) if sy > 0 else 1e3
-        x, ev, f, grad = xn, ev_n, fn, grad_n
-        recent.append(f)
+        bb = np.minimum(np.maximum(space.dot(s, s) / np.where(sy > 0, sy, 1.0), 1e-10), 1e3)
+        step = np.where(inner, np.where(sy > 0, bb, 1e3), step)
+        x, ev, f, pen, grad = xn, ev_n, fn, pen_n, grad_n
+        recent[inner, count[inner] % 10] = f[inner]
+        count += inner
     return x, ev, step

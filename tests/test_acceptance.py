@@ -162,7 +162,7 @@ def test_criterion_05_solver_sanity():
 
     seed_entropies = []
     for _name, spec in S.default_seeds(prob):
-        seed = B.as_matrix(spec)
+        seed = np.asarray(spec, dtype=float)
         if H.hom_normalized(K3, seed, p) >= t - 1e-6:
             seed_entropies.append(0.5 * R.entropy_matrix(seed, p))
     c.check(bool(seed_entropies), "no feasible seed in the ladder")

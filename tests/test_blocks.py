@@ -12,7 +12,7 @@ from uptail import graphs as G
 from uptail import homs as H
 from uptail import rates as R
 from uptail import solver as S
-from uptail.errors import ConstructionError, DomainError
+from uptail.errors import ConstructionError, DomainError, ResourceError
 
 K3, C3, K4 = G.clique(3), G.cycle(3), G.clique(4)
 DIAMOND = G.Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)))
@@ -219,11 +219,15 @@ def test_builders_need_finite_x_y(bad):
         B.build_irregular_dreg(2000, 200, G.parse_graph("complete_bipartite:2:3"), bad)
 
 
-def test_as_matrix_materializes_block_specs():
+def test_asarray_materializes_block_specs():
+    # np.asarray reads a BlockSpec as its n x n matrix, in any dtype, and
+    # refuses past MATERIALIZE_CAP as materialize does
     spec = B.build_clique_hub(200, 2000, 0.5, 0.5, 2)
-    assert np.array_equal(B.as_matrix(spec), spec.materialize())
-    x = B.as_matrix([[0, 1], [1, 0]])
-    assert x.dtype == float and np.array_equal(x, [[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(np.asarray(spec), spec.materialize())
+    x = np.asarray(spec, dtype=np.float32)
+    assert x.dtype == np.float32 and np.array_equal(x, spec.materialize().astype(np.float32))
+    with pytest.raises(ResourceError, match="materialize"):
+        np.asarray(B.BlockSpec((B.MATERIALIZE_CAP + 1,), ((Fraction(1, 2),),)))
 
 
 def test_clique_block_size_window():

@@ -443,17 +443,20 @@ def test_solve_regular_k4_past_the_dense_dp_cap(capsys):
     assert "blockspec" in doc and doc["residuals"] == [0.0]
 
 
-# Each side of solve_phi's routing boundaries, pinned byte for byte: n x n
-# AL up to n = 2000, level search past it (the 14x jump in value on one
-# problem is the two methods' gap), the level search below n = 2000 where
-# K4's n x n DP would pass DP_CELL_CAP, and K7, whose elimination width the
-# DP refuses, on both sides of n = 2000.
+# Each side of solve_phi's routing boundaries, pinned byte for byte: the AL
+# up to n = 2000 (its block-value winner printed as `blockspec`), level
+# search past it (the 14x jump in value on one problem is the two methods'
+# gap), the level search below n = 2000 where K4's n x n DP would pass
+# DP_CELL_CAP, and K7, whose elimination width the DP refuses, on both sides
+# of n = 2000.
 BOUNDARY_SOLVES = {
     "al_at_n_2000": (
         ("--graph", "cycle:3", "--t", "1.3", "--p", "0.05", "--n", "2000"),
-        '{"ensemble_residual": 0.0, "iterations": 510, "normalized": 0.014430930862891015, '
-        '"notes": [], "residuals": [9.197433938901156e-07], '
-        '"seed_provenance": "plant_clique_delta_x8", "value": 432.3120532338896}\n'),
+        '{"blockspec": {"sizes": [97, 1903], "values": [[0.05459693430297592, '
+        '0.05459693430297592], [0.05459693430297592, 0.05459693430297592]]}, '
+        '"ensemble_residual": 0.0, "iterations": 510, "normalized": 0.014430930862890204, '
+        '"notes": [], "residuals": [9.19743400995543e-07], '
+        '"seed_provenance": "plant_clique_delta_x3", "value": 432.3120532338653}\n'),
     "level_search_at_n_2001": (
         ("--graph", "cycle:3", "--t", "1.3", "--p", "0.05", "--n", "2001"),
         '{"blockspec": {"sizes": [1, 2000], "values": [[1.0, 1.0], [1.0, 0.05]]}, '
@@ -761,7 +764,7 @@ def test_solve_regular_pendant_tree_solves_as_its_core(capsys):
                                   "--d", "18", "--t", "1.3", "--graph", pattern)
         assert code == 0, err
         docs.append(json.loads(out))
-    assert docs[0]["value"] == docs[1]["value"] == 229.54985821858656
+    assert docs[0]["value"] == docs[1]["value"] == 229.54985821858654
     assert docs[0]["normalized"] == docs[1]["normalized"]
     assert docs[0]["residuals"] == [0.0]
 

@@ -282,6 +282,33 @@ def test_regular_past_64_bit_keys_is_refused():
     assert np.array_equal(rng.random(4), ref_rng.random(4))
 
 
+def test_large_regular_stacks_are_simple_and_regular():
+    # the sampler checks its drawn stubs, not the (batch, n, n) stack; the
+    # stack of regular(1000, 3), on 64-bit keys, is simple and 3-regular
+    n, d, batch = 1000, 3, 4
+    a = E._draw_stack(E.regular(n, d), batch, E.rng_stream(31))
+    assert a.shape == (batch, n, n) and a.dtype == np.int8
+    assert ((a == 0) | (a == 1)).all() and (a == a.transpose(0, 2, 1)).all()
+    assert not a[:, range(n), range(n)].any()
+    assert (a.sum(axis=-1) == d).all()
+
+
+@pytest.mark.parametrize("stubs, regular", [
+    ([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0], True),   # a 6-cycle
+    ([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 2], False),  # vertex 2 holds 3 stubs, vertex 0 one
+    ([0, 1, 1, 0, 2, 3, 3, 4, 4, 5, 5, 2], False),  # pair {0, 1} joined twice
+])
+def test_regular_stub_check_refuses_what_a_degree_sum_refuses(monkeypatch, stubs, regular):
+    # stubs handed back unchecked: each wrong stack fails the check on its
+    # stubs, as its degree sum would
+    monkeypatch.setattr(E, "_shuffled_tags", lambda *_a: np.array([stubs], dtype=np.uint32))
+    if regular:
+        assert (E._draw_stack(E.regular(6, 2), 1, None).sum(axis=-1) == 2).all()
+    else:
+        with pytest.raises(AssertionError, match="degree violation"):
+            E._draw_stack(E.regular(6, 2), 1, None)
+
+
 def test_regular_seven_two_triangle_law():
     # the 465 labelled 2-regular graphs on 7 vertices are 360 seven-cycles
     # and 105 triangle-plus-square graphs

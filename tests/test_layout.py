@@ -1,7 +1,8 @@
 """Source layout: every module-level private function or class of the
 package is used somewhere in the package outside its own definition, so
-no dead helper survives a refactor, and the README names every export.
-Standard library only."""
+no dead helper survives a refactor, the README names every export, and
+every name the benchmark's tracer wraps exists.  Sources are read with
+`ast`; only the last test imports the package."""
 
 import ast
 from pathlib import Path
@@ -45,4 +46,58 @@ def test_readme_names_every_export():
     exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     missing = sorted(name for name in exported if f"`{name}`" not in readme)
+    assert not missing, missing
+
+
+def _wrapped_by_tracer():
+    """(owner, attribute) of every layer perfbench/tracer.py's `install`
+    wraps, read from its source: owners as dotted paths from the package,
+    each name of a `for` loop over a tuple of modules taken in turn."""
+    tree = ast.parse((SRC.parents[1] / "perfbench" / "tracer.py").read_text())
+    install = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "install")
+    package = install.args.args[1].arg
+    aliases, wrap = {}, {"tracer.wrap"}
+    for node in ast.walk(install):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                aliases.update((t.id, ast.unparse(v)) for t, v in zip(target.elts, value.elts))
+            elif isinstance(target, ast.Name) and ast.unparse(value) in wrap:
+                wrap.add(target.id)
+
+    def owners(expr, loops):
+        head, *rest = ast.unparse(expr).split(".")
+        for name in loops.get(head, [head]):
+            yield ".".join([aliases.get(name, name), *rest])
+
+    found = []
+
+    def visit(node, loops):
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple):
+            loops = {**loops, node.target.id: [ast.unparse(e) for e in node.iter.elts]}
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in wrap:
+            found.extend((owner, node.args[1].value) for owner in owners(node.args[0], loops))
+        for child in ast.iter_child_nodes(node):
+            visit(child, loops)
+
+    visit(install, {})
+    return package, found
+
+
+def test_tracer_wraps_only_names_the_package_has():
+    """Each layer the benchmark's traced run wraps by name resolves in
+    uptail, so renaming or deleting a wrapped function fails here rather
+    than in the traced run.  The tracer is read, not imported."""
+    import uptail
+
+    package, wrapped = _wrapped_by_tracer()
+    assert ("uptail.solver", "solve_phi") in wrapped and len(wrapped) > 10
+    missing = []
+    for owner, attr in wrapped:
+        obj = uptail
+        for part in owner.split(".")[1:]:
+            obj = getattr(obj, part, None)
+        if owner.split(".")[0] != package or not hasattr(obj, attr):
+            missing.append(f"{owner}.{attr}")
     assert not missing, missing

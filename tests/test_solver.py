@@ -114,7 +114,7 @@ def test_feasibility_and_seed_dominance():
     p = 0.3
     from uptail.homs import hom_normalized
 
-    mats = [B.as_matrix(seed) for _name, seed in seeds]
+    mats = [np.asarray(seed, dtype=float) for _name, seed in seeds]
     feas_vals = [
         0.5 * R.entropy_matrix(x, p)
         for x in mats
@@ -136,11 +136,11 @@ def test_nesting_of_ensembles(monkeypatch):
     m = n * d // 2
     spaces = _run_on(monkeypatch, S._BlockSpace)
     res_d = _solve(K3, 1.3, n, p, ensemble=("row_sums", d))
-    assert set(spaces) == {S._BlockSpace}
+    assert spaces == [S._BlockSpace]
     spaces.clear()
-    res_m = _solve(K3, 1.3, n, p, ensemble=("total_weight", m), seeds=[res_d.x])
-    # the ladder runs on block values, the matrix seed n x n
-    assert set(spaces[:-1]) == {S._BlockSpace} and spaces[-1] is S._DenseSpace
+    res_m = _solve(K3, 1.3, n, p, ensemble=("total_weight", m), seeds=[np.asarray(res_d.x)])
+    # the ladder runs as one stack of block values, the matrix seed n x n
+    assert spaces == [S._BlockSpace, S._DenseSpace]
     res_0 = _solve(K3, 1.3, n, p, seeds=[res_m.x])
     tol_m = 1e-4 * (1 + res_m.value)
     tol_0 = 1e-4 * (1 + res_0.value)
@@ -251,7 +251,7 @@ def test_dp_cap_directs_to_block_path_before_any_seed(monkeypatch):
     def no_al(*_a, **_k):
         raise AssertionError("the AL ran")
 
-    monkeypatch.setattr(S, "_al_single", no_al)
+    monkeypatch.setattr(S, "_al_stack", no_al)
     prob = S.SolveProblem(((G.clique(4), 1.3),), n=2000, base=0.01, ensemble=("row_sums", 20))
     res = S.solve_phi(prob)
     assert isinstance(res.x, B.BlockSpec) and res.seed_provenance == "block_search"
@@ -343,11 +343,14 @@ def test_default_seeds_dedupe_by_construction_not_fingerprint():
     seeds = S.default_seeds(prob)
     names = [name for name, _x in seeds]
     assert "plant_hub_delta_x8" in names and "plant_both_delta_x2" in names
-    mats = [B.as_matrix(seed) for _name, seed in seeds]
+    mats = [np.asarray(seed, dtype=float) for _name, seed in seeds]
     for i, x in enumerate(mats):
         assert not any(np.array_equal(x, y) for y in mats[i + 1:])
     res = S.solve_phi(prob)
-    assert res.value == 37.06758510266653
+    # the BlockSpec winner is measured by its closed forms, one ulp from
+    # the entropy of its materialized matrix
+    assert res.value == 37.067585102666534
+    assert 0.5 * R.entropy_matrix(np.asarray(res.x), prob.base) == 37.06758510266653
     assert res.seed_provenance == "plant_clique_delta_x3"
 
 
@@ -385,12 +388,16 @@ SPACES = (S._BlockSpace, S._DenseSpace)
 
 def _run_on(mp, space):
     """Make every seed of a scalar-base solve run on `space`: the block
-    space takes the BlockSpec seeds as solve_phi picks it, the n x n space is
-    forced.  Returns the list of each `_al_single` run's space class."""
+    space takes the BlockSpec seeds as solve_phi picks them, the n x n space
+    is forced.  Returns the list of each `_al_stack` run's space class."""
     if space is S._DenseSpace:
-        mp.setattr(S, "_space_for",
-                   lambda problem, seed: (S._DenseSpace(problem), B.as_matrix(seed)))
-    return _record_calls(mp, "_al_single", seen=lambda _pr, sp, *_a: type(sp))
+        mp.setattr(S, "_fits_blocks", lambda problem, seed: False)
+    return _record_calls(mp, "_al_stack", seen=lambda _pr, sp, *_a: type(sp))
+
+
+def _alone(prob, space, seed):
+    """A space of `space`'s class holding `seed` alone."""
+    return S._BlockSpace(prob, [seed.sizes]) if space is S._BlockSpace else S._DenseSpace(prob)
 
 
 @pytest.mark.parametrize("h, n, ensemble", [
@@ -400,23 +407,25 @@ def _run_on(mp, space):
 ])
 def test_about_one_hom_value_per_gradient(monkeypatch, h, n, ensemble):
     # spectral steps are mostly accepted at t = 1, and an accepted point's
-    # evaluation is carried into the next step and the next inner call, so
+    # evaluation is carried into the next step and the next inner loop, so
     # each accepted step costs about one evaluation.  Every step projects
-    # once; an inner call's last projection may accept nothing, and each run
-    # projects its seed once, so accepted steps number at least
-    # projections - inner calls - runs.
+    # once; an inner loop's last projection may accept nothing, and each run
+    # projects its seed once, so a seed run alone, one inner loop per
+    # iteration, accepts at least projections - iterations - 1 steps.
     base = 130 / 435 if ensemble else 0.3
+    prob = S.SolveProblem(targets=((h, 1.3),), n=n, base=base, ensemble=ensemble)
     for space in SPACES:
-        with monkeypatch.context() as mp:
-            runs = _run_on(mp, space)
-            evals = _record_calls(mp, "evaluate", owner=space)
-            projections = _record_calls(mp, "project", owner=space)
-            inner_calls = _record_calls(mp, "_inner_pg")
-            S.solve_phi(S.SolveProblem(targets=((h, 1.3),), n=n, base=base, ensemble=ensemble))
-        assert set(runs) == {space}
-        accepted = len(projections) - len(inner_calls) - len(runs)
+        evals = accepted = 0
+        for _name, seed in S.default_seeds(prob):
+            sp = _alone(prob, space, seed)
+            with monkeypatch.context() as mp:
+                evaluations = _record_calls(mp, "evaluate", owner=space)
+                projections = _record_calls(mp, "project", owner=space)
+                _value, _x, iterations = S._al_stack(prob, sp, sp.pack([seed]))
+            evals += len(evaluations)
+            accepted += len(projections) - int(iterations[0]) - 1
         assert accepted > 0
-        assert len(evals) <= 1.5 * accepted
+        assert evals <= 1.5 * accepted
 
 
 def test_inner_loop_stops_at_its_own_fixed_point(monkeypatch):
@@ -426,18 +435,18 @@ def test_inner_loop_stops_at_its_own_fixed_point(monkeypatch):
     h, n = G.clique(4), 20
     prob = S.SolveProblem(targets=((h, 1.3),), n=n, base=0.3)
     targets = np.array([1.3])
-    lam, rho = np.array([10.0]), 10.0
-    for space, seed in ((S._BlockSpace, S.default_seeds(prob)[0][1]),
-                        (S._DenseSpace, prob.base_matrix())):
-        sp, x = S._space_for(prob, seed)
-        assert type(sp) is space
-        ev, step = sp.evaluate(x), 1.0
+    lam, rho, on = np.array([[10.0]]), np.array([10.0]), np.array([True])
+    constant = S.default_seeds(prob)[0][1]
+    for space in SPACES:
+        sp = _alone(prob, space, constant)
+        x = sp.pack([constant])
+        ev, step = sp.evaluate(x), np.ones(1)
         with monkeypatch.context() as mp:
-            calls = _record_calls(mp, "evaluate", owner=type(sp))
-            x, ev, step = S._inner_pg(sp, x, ev, targets, lam, rho, step, max_steps=2000)
+            calls = _record_calls(mp, "evaluate", owner=space)
+            x, ev, step = S._spg(sp, x, ev, targets, lam, rho, step, on, max_steps=2000)
             assert len(calls) < 100  # converged, not out of steps
             calls.clear()
-            S._inner_pg(sp, x, ev, targets, lam, rho, step)
+            S._spg(sp, x, ev, targets, lam, rho, step, on)
             assert len(calls) == 0
 
 
@@ -450,7 +459,9 @@ def test_total_weight_iterates_stay_on_the_constraint(monkeypatch):
             runs = _run_on(mp, space)
             residuals = _record_calls(
                 mp, "evaluate", owner=space,
-                seen=lambda sp, x: S.ensemble_residual(sp.materialize(x), ("total_weight", m)))
+                seen=lambda sp, x: max(S.ensemble_residual(np.asarray(sp.witness(x, row)),
+                                                           ("total_weight", m))
+                                       for row in range(len(x))))
             S.solve_phi(S.SolveProblem(targets=((K3, 1.3),), n=n, base=m / 435,
                                        ensemble=("total_weight", m)))
         assert set(runs) == {space}
@@ -493,19 +504,44 @@ def test_dense_solve_problems_keep_their_results(prob, pinned):
 def test_block_space_runs_match_their_materialized_seeds(prob):
     # the n x n space is the oracle: from every default seed, the AL run on
     # block values ends where the run on the materialized seed ends
-    targets = np.array([t for _h, t in prob.targets])
+    specs = [spec for _name, spec in S.default_seeds(prob)]
+    assert all(S._fits_blocks(prob, spec) for spec in specs)
+    space, dense = S._BlockSpace(prob, [spec.sizes for spec in specs]), S._DenseSpace(prob)
+    values, points, _iterations = S._al_stack(prob, space, space.pack(specs))
     feasible = []
-    for _name, spec in S.default_seeds(prob):
-        space, start = S._space_for(prob, spec)
-        assert type(space) is S._BlockSpace
-        block = S._al_single(prob, space, start, targets)
-        dense = S._al_single(prob, S._DenseSpace(prob), spec.materialize(), targets)
-        assert (block[0] is None) == (dense[0] is None)
-        if dense[0] is not None:
-            feasible.append(dense[0])
-            assert block[0] == pytest.approx(dense[0], rel=1e-9)
-            assert np.abs(space.materialize(block[1]) - dense[1]).max() <= 1e-6
+    for row, spec in enumerate(specs):
+        value, point, _iterations = S._al_stack(prob, dense, dense.pack([spec]))
+        assert np.isfinite(values[row]) == np.isfinite(value[0])
+        if np.isfinite(value[0]):
+            feasible.append(value[0])
+            assert values[row] == pytest.approx(value[0], rel=1e-9)
+            assert np.abs(np.asarray(space.witness(points, row)) - point[0]).max() <= 1e-6
     assert feasible
+
+
+@pytest.mark.parametrize("prob", DENSE_SOLVE_PROBLEMS)
+def test_a_seed_runs_in_the_stack_as_it_runs_alone(prob):
+    # lockstep changes no seed's run: each row of the full stack, padded to
+    # the widest seed, ends at the value, the iteration count and the point
+    # of the same seed run as a stack of one
+    specs = [spec for _name, spec in S.default_seeds(prob)]
+    space = S._BlockSpace(prob, [spec.sizes for spec in specs])
+    assert len(specs) > 1 and not space.live.all()  # some rows are padded
+    values, points, iterations = S._al_stack(prob, space, space.pack(specs))
+    for row, spec in enumerate(specs):
+        alone = S._BlockSpace(prob, [spec.sizes])
+        value, point, iters = S._al_stack(prob, alone, alone.pack([spec]))
+        assert iters[0] == iterations[row]
+        assert value[0] == pytest.approx(values[row], rel=1e-12)
+        assert np.array_equal(point[0], points[row, :point.shape[1]])
+
+
+def _blow_up(sizes, rows):
+    """Each row of packed block-pair values as its n x n matrix."""
+    a, b, _pairs = B.block_pairs(sizes)
+    values = np.zeros((len(rows), len(sizes), len(sizes)))
+    values[:, a, b] = values[:, b, a] = rows[:, :len(a)]
+    return np.stack([B.blow_up(sizes, v) for v in values])
 
 
 def test_block_space_steps_are_the_dense_steps_restricted():
@@ -517,18 +553,18 @@ def test_block_space_steps_are_the_dense_steps_restricted():
     n = sum(sizes)
     for ensemble, base in ((None, 0.3), (("row_sums", 7), 7 / n), (("total_weight", 90), 0.3)):
         prob = S.SolveProblem(((K3, 1.3), (G.cycle(5), 1.2)), n=n, base=base, ensemble=ensemble)
-        blocks, dense = S._BlockSpace(prob, sizes), S._DenseSpace(prob)
-        y = rng.random(9)
-        assert blocks.pairs.sum() == n * (n - 1) / 2 and len(blocks.pairs) == len(y)
-        x = blocks.materialize(y)
+        blocks, dense = S._BlockSpace(prob, [sizes]), S._DenseSpace(prob)
+        y = rng.random((1, 9))
+        assert blocks.pairs.sum() == n * (n - 1) / 2 and blocks.pairs.shape == y.shape
+        x = _blow_up(sizes, y)
         (bv, bg, be, beg), (dv, dg, de, deg) = blocks.evaluate(y), dense.evaluate(x)
         assert bv == pytest.approx(dv, rel=1e-12) and be == pytest.approx(de, rel=1e-12)
         for b, d in zip(bg, dg):
-            assert np.allclose(blocks.materialize(b), d, rtol=1e-12, atol=0)
-        assert np.allclose(blocks.materialize(beg), deg, rtol=1e-12, atol=0)
+            assert np.allclose(_blow_up(sizes, b), d, rtol=1e-12, atol=0)
+        assert np.allclose(_blow_up(sizes, beg), deg, rtol=1e-12, atol=0)
         step = y - 0.4 * beg
-        assert np.allclose(blocks.materialize(blocks.project(step)),
-                           dense.project(blocks.materialize(step)), rtol=0, atol=1e-12)
+        assert np.allclose(_blow_up(sizes, blocks.project(step)),
+                           dense.project(_blow_up(sizes, step)), rtol=0, atol=1e-12)
         assert blocks.dot(y, beg) == pytest.approx(dense.dot(x, deg), rel=1e-12)
         assert blocks.residual(y) == pytest.approx(dense.residual(x), rel=1e-12)
 
@@ -537,7 +573,7 @@ def _assert_shift_clip_kkt(vals, m, weights, tol=1e-9):
     """clip(vals + lam) for one lam, of weighted sum m: every entry strictly
     inside (0, 1) moved by lam, every entry at 0 had v + lam <= 0, every
     entry at 1 had v + lam >= 1."""
-    x = S._shift_clip(vals, m, weights)
+    x = S._shift_clip(vals[None], m, weights[None])[0]
     assert x.min() >= 0.0 and x.max() <= 1.0
     assert abs(float(weights @ x) - m) <= tol * max(1.0, m)
     inner = (x > tol) & (x < 1 - tol)
@@ -568,7 +604,7 @@ def test_shift_clip_meets_the_kkt_conditions(size):
         x = _assert_shift_clip_kkt(np.array([0.9]), m, np.array([10.0]))
         assert x[0] == pytest.approx(m / 10.0, abs=1e-12)
     with pytest.raises(DomainError):
-        S._shift_clip(np.array([0.5]), 10.5, np.array([10.0]))
+        S._shift_clip(np.array([[0.5]]), 10.5, np.array([[10.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +653,12 @@ def test_incumbents_kept_by_measured_residual(monkeypatch, ensemble, shift, kept
     for space in SPACES:
         project = space.project
 
-        def off_the_set(self, x):
-            y = project(self, x) + shift
-            if y.shape == (n, n):  # a matrix keeps its zero diagonal
-                np.fill_diagonal(y, 0.0)
+        def off_the_set(self, x, on=None):
+            y = project(self, x, on) + shift
+            if y.ndim == 3:  # a matrix keeps its zero diagonal
+                y[:, range(n), range(n)] = 0.0
+            else:  # and padding holds no vertex pair
+                y[~self.live] = 0.0
             return y
 
         with monkeypatch.context() as mp:
