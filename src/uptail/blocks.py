@@ -246,21 +246,31 @@ def hom_terms(h: Graph, sizes):
     return packed[pairs[kept]], weights[kept] / s.sum() ** h.vertex_count
 
 
+def _rowsum(a):
+    """Sums along the last axis, added in order (0 over none).  Zeros padded
+    at the end of a row then leave its sum unchanged bit for bit, which a
+    pairwise or BLAS sum does not promise."""
+    return a.cumsum(axis=-1)[..., -1] if a.shape[-1] else np.zeros(a.shape[:-1])[()]
+
+
 def terms_value_and_gradient(terms, values):
-    """The polynomial `hom_terms` and its gradient at the packed `values`."""
+    """The polynomial `hom_terms` and its gradient at the packed `values`.
+    A stack of rows of values takes a stack of terms, whose pairs index the
+    flattened stack and whose padding has weight 0; each row's terms are
+    summed in order (`_rowsum`)."""
     pairs, weights = terms
-    if not pairs.shape[1]:
-        return float(weights.sum()), np.zeros(values.size)
-    factors = values.take(pairs)
+    if not pairs.shape[-1]:  # a pattern with no edges
+        return _rowsum(weights), np.zeros(values.shape)
+    factors = values.ravel().take(pairs)
     # the product of every factor but the j-th, from prefix and suffix products
     before = np.ones_like(factors)
     after = np.ones_like(factors)
-    np.cumprod(factors[:, :-1], axis=1, out=before[:, 1:])
-    np.cumprod(factors[:, :0:-1], axis=1, out=after[:, -2::-1])
-    value = float(weights @ (before[:, -1] * factors[:, -1]))
-    grad = np.bincount(pairs.ravel(), (weights[:, None] * before * after).ravel(),
+    np.cumprod(factors[..., :-1], axis=-1, out=before[..., 1:])
+    np.cumprod(factors[..., :0:-1], axis=-1, out=after[..., -2::-1])
+    value = _rowsum(weights * (before[..., -1] * factors[..., -1]))
+    grad = np.bincount(pairs.ravel(), (weights[..., None] * before * after).ravel(),
                        minlength=values.size)
-    return value, grad
+    return value, grad.reshape(values.shape)
 
 
 def blow_up(sizes, values) -> np.ndarray:

@@ -33,6 +33,7 @@ import numpy as np
 
 from .blocks import (
     BlockSpec,
+    _rowsum,
     block_pairs,
     blow_up,
     build_clique_block,
@@ -145,13 +146,6 @@ class SolveResult:
 def _unit(x):
     """x clipped into [0, 1]: `np.clip` without its Python wrappers."""
     return np.minimum(np.maximum(x, 0.0), 1.0)
-
-
-def _rowsum(a):
-    """Sums along the last axis, added in order.  Zeros padded at the end of
-    a row then leave its sum unchanged bit for bit, which a pairwise or BLAS
-    sum does not promise."""
-    return a.cumsum(axis=-1)[..., -1]
 
 
 def _rows_of(v, like):
@@ -475,30 +469,15 @@ class _BlockSpace:
 
     def evaluate(self, y):
         """`_DenseSpace.evaluate` at the blow-up of each row: hom values from
-        the compiled independent-group expansion (the product of a term's
-        factors, and each factor's gradient from prefix and suffix products),
-        the entropy and its log-odds gradient from one pair of logs, kept off
-        0 and 1 (where 0 log 0 = 0)."""
+        the compiled independent-group expansion, the entropy and its log-odds
+        gradient from one pair of logs, kept off 0 and 1 (where 0 log 0 = 0)."""
         p, base = self.problem.hom_p(), float(self.problem.base)
-        scaled = (y / p).ravel()
-        vals, grads = [], []
-        for index, weights in self.terms:
-            if not index.shape[-1]:  # a pattern with no edges
-                vals.append(_rowsum(weights))
-                grads.append(np.zeros_like(y))
-                continue
-            factors = scaled.take(index)
-            before, after = np.ones_like(factors), np.ones_like(factors)
-            np.cumprod(factors[..., :-1], axis=-1, out=before[..., 1:])
-            np.cumprod(factors[..., :0:-1], axis=-1, out=after[..., -2::-1])
-            vals.append(_rowsum(weights * (before[..., -1] * factors[..., -1])))
-            grads.append(np.bincount(index.ravel(), (weights[..., None] * before * after).ravel(),
-                                     minlength=y.size).reshape(y.shape) * self.share)
+        vals, grads = zip(*(terms_value_and_gradient(terms, y / p) for terms in self.terms))
         q = 1.0 - y
         up = np.log(np.maximum(y, EPS) / base)
         down = np.log(np.maximum(q, EPS) / (1 - base))
-        return (np.stack(vals, axis=1), grads, _rowsum(self.pairs * (y * up + q * down)),
-                (up - down) * self.live)
+        return (np.stack(vals, axis=1), [g * self.share for g in grads],
+                _rowsum(self.pairs * (y * up + q * down)), (up - down) * self.live)
 
     def _row_sums(self, y):
         return _rowsum(self.rows_op * y[:, None, :])
