@@ -190,12 +190,13 @@ def _pair_bits(q, batch, rng) -> np.ndarray:
 
 @functools.lru_cache(maxsize=2)
 def _pair_index(n) -> np.ndarray:
-    """`_symmetric_stack`'s gather index, built once per n (8 n^2 bytes):
-    cell (u, v) reads pair {u, v}, and the diagonal reads the last column."""
+    """`_symmetric_stack`'s gather index, built once per n (8 n^2 bytes) and
+    shared, so never written to: cell (u, v) reads pair {u, v}, and the
+    diagonal reads the last column.  It stays writeable because `take`
+    copies a read-only index on every call (measured 2x slower at n = 4000)."""
     iu = np.triu_indices(n, 1)
     index = np.full((n, n), iu[0].size)
     index[iu] = index[iu[::-1]] = np.arange(iu[0].size)
-    index.flags.writeable = False
     return index
 
 
