@@ -35,7 +35,6 @@ from .blocks import (
     BlockSpec,
     _rowsum,
     block_pairs,
-    blow_up,
     build_clique_block,
     build_cycle_blocks,
     build_plant,
