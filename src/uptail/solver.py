@@ -386,11 +386,12 @@ class _DenseSpace:
         DP pass per orbit."""
         problem = self.problem
         p = problem.hom_p()
-        vals, grads = zip(*(hom_value_and_gradient(h, xi, p)
-                            for xi in x for h, _t in problem.targets))
-        k = len(problem.targets)
-        return (np.reshape(vals, (len(x), k)), [np.stack(grads[j::k]) for j in range(k)],
-                np.array([_entropy_value(xi, problem.base) for xi in x]),
+        vals, grads = [], []
+        for h, _t in problem.targets:
+            v, g = zip(*(hom_value_and_gradient(h, xi, p) for xi in x))
+            vals.append(v)
+            grads.append(g[0][None] if len(g) == 1 else np.stack(g))  # one row: no copy
+        return (np.array(vals).T, grads, np.array([_entropy_value(xi, problem.base) for xi in x]),
                 _entropy_grad(x, problem.base))
 
     def project(self, x, on=None):
@@ -780,17 +781,20 @@ def _spg(space, x, ev, targets, lam, rho, step, on, max_steps=60):
 
     def take(rows, new, old):
         """`new` on `rows`, `old` elsewhere, through nested tuples and lists."""
+        if rows.all():
+            return new
         if isinstance(new, (tuple, list)):
             return type(new)(take(rows, a, b) for a, b in zip(new, old))
         return np.where(_rows_of(rows, new), new, old)
 
     f, pen = al_value(ev)
-    recent = np.full((len(x), 10), -math.inf)  # each row's last 10 values, a ring
+    # each row's last 10 values, a ring; a row out of the loop never returns
+    # to it, so the rows still in it share one write position
+    recent = np.full((len(x), 10), -math.inf)
     recent[:, 0] = f
-    count = np.ones(len(x), dtype=int)
     grad = al_grad(ev, pen)
     inner = on.copy()
-    for _ in range(max_steps):
+    for k in range(1, max_steps + 1):
         d = space.project(x - _rows_of(step, x) * grad, inner) - x
         # both gradients are per unordered pair; each pair sits twice in d
         slope = 0.5 * space.dot(grad, d)
@@ -815,7 +819,7 @@ def _spg(space, x, ev, targets, lam, rho, step, on, max_steps=60):
             search &= ~ok
             if not search.any():
                 break
-            t = np.where(search, t * 0.5, t)
+            t *= 0.5  # read only on the rows still searching
         if search.any():  # a row that found no decrease in 40 halvings stops
             inner &= ~search
             xn, ev_n, fn, pen_n = take(search, (x, ev, f, pen), (xn, ev_n, fn, pen_n))
@@ -825,6 +829,5 @@ def _spg(space, x, ev, targets, lam, rho, step, on, max_steps=60):
         bb = np.minimum(np.maximum(space.dot(s, s) / np.where(sy > 0, sy, 1.0), 1e-10), 1e3)
         step = np.where(inner, np.where(sy > 0, bb, 1e3), step)
         x, ev, f, pen, grad = xn, ev_n, fn, pen_n, grad_n
-        recent[inner, count[inner] % 10] = f[inner]
-        count += inner
+        recent[:, k % 10] = f
     return x, ev, step
