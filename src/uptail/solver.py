@@ -765,16 +765,17 @@ def _spg(space, x, ev, targets, lam, rho, step, on, max_steps=60):
     1e-12 * (1 + |f|): no step along d could then be seen to decrease f.
     Returns (x, ev, step).
     """
-    lam_rho = lam / rho[:, None]
-    lam_rho_sq = lam_rho ** 2
+    rho_col = rho[:, None]
+    lam_rho = lam / rho_col
+    lam_rho_sq, half_rho = lam_rho ** 2, 0.5 * rho
 
     def al_value(ev):
         pen = np.maximum(0.0, lam_rho + (targets - ev[0]))
-        return ev[2] + 0.5 * rho * (pen ** 2 - lam_rho_sq).sum(axis=1), pen
+        return ev[2] + half_rho * (pen ** 2 - lam_rho_sq).sum(axis=1), pen
 
     def al_grad(ev, pen):
         grad = ev[3]
-        for m, gh in zip((rho[:, None] * pen).T, ev[1]):
+        for m, gh in zip((rho_col * pen).T, ev[1]):
             if m.any():
                 grad = grad - _rows_of(m, gh) * gh
         return grad
@@ -805,10 +806,10 @@ def _spg(space, x, ev, targets, lam, rho, step, on, max_steps=60):
         # point, which evaluates to its own values bit for bit
         d = take(inner, d, 0.0)
         f_ref = recent.max(axis=1)
-        t = np.ones(len(x))
+        t = 1.0  # halved for every row, read only on the rows still searching
         search = inner.copy()
         for bt in range(40):
-            xt = x + _rows_of(t, x) * d
+            xt = x + t * d
             ev_t = space.evaluate(xt)
             ft, pen_t = al_value(ev_t)
             ok = search & (ft <= f_ref + 1e-4 * t * slope)
@@ -819,15 +820,16 @@ def _spg(space, x, ev, targets, lam, rho, step, on, max_steps=60):
             search &= ~ok
             if not search.any():
                 break
-            t *= 0.5  # read only on the rows still searching
+            t *= 0.5
         if search.any():  # a row that found no decrease in 40 halvings stops
             inner &= ~search
             xn, ev_n, fn, pen_n = take(search, (x, ev, f, pen), (xn, ev_n, fn, pen_n))
         grad_n = al_grad(ev_n, pen_n)
         s, y = xn - x, grad_n - grad
         sy = space.dot(s, y)
-        bb = np.minimum(np.maximum(space.dot(s, s) / np.where(sy > 0, sy, 1.0), 1e-10), 1e3)
-        step = np.where(inner, np.where(sy > 0, bb, 1e3), step)
+        curved = sy > 0
+        bb = np.minimum(np.maximum(space.dot(s, s) / np.where(curved, sy, 1.0), 1e-10), 1e3)
+        step = np.where(inner, np.where(curved, bb, 1e3), step)
         x, ev, f, pen, grad = xn, ev_n, fn, pen_n, grad_n
         recent[:, k % 10] = f
     return x, ev, step
