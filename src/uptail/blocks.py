@@ -9,6 +9,7 @@ k x k grid of block pairs; materialization is only needed for modest n.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import json
 import math
@@ -42,7 +43,7 @@ class BlockSpec:
         if len(self.values) != k or any(len(row) != k for row in self.values):
             raise DomainError("values must be k x k for k blocks")
         for a in range(k):
-            for b in range(k):
+            for b in range(a, k):  # a pair below the diagonal equals its mirror
                 val = self.values[a][b]
                 if val != self.values[b][a]:
                     raise DomainError("block values must be symmetric")
@@ -125,20 +126,16 @@ class BlockSpec:
         Equal parts (the whole cliques of the row-sum builders) are counted
         once, and each runs the independent-group expansion (`hom_terms`)
         on its own blocks only."""
-        parts = collections.Counter(self.parts())
+        parts = [(count, part, block_pairs(part.sizes))
+                 for part, count in collections.Counter(self.parts()).items()]
         density = 1.0
         for vertices in h.components():
             c = h.induced(vertices)
             density *= sum(
                 count * (part.n / self.n) ** c.vertex_count * terms_value_and_gradient(
-                    hom_terms(c, part.sizes), part.packed_values())[0]
-                for part, count in parts.items())
+                    hom_terms(c, part.sizes, live), part.value_matrix()[live[0], live[1]])[0]
+                for count, part, live in parts)
         return density
-
-    def packed_values(self) -> np.ndarray:
-        """The values of the live block pairs, in `block_pairs` order."""
-        a, b, _pairs = block_pairs(self.sizes)
-        return self.value_matrix()[a, b]
 
     def hom_normalized(self, h: Graph, p: float) -> float:
         if not (0 < p < 1):
@@ -215,35 +212,40 @@ def _hom_table(h: Graph, k: int):
     return table
 
 
+# the upper triangle's indices, built once per block count and never written to
+_triu_indices = functools.cache(np.triu_indices)
+
+
 def block_pairs(sizes):
     """The unordered block pairs a <= b that hold a vertex pair, row by row:
     (a, b, pairs), pairs being s_a s_b, or s_a (s_a - 1) / 2 within a block
     (so a one-vertex block's own pair is left out)."""
     s = np.asarray(sizes, dtype=float)
-    a, b = np.triu_indices(len(s))
+    a, b = _triu_indices(len(s))
     pairs = s[a] * s[b] - (a == b) * 0.5 * s[a] * (s[a] + 1)
     live = pairs > 0
     return a[live], b[live], pairs[live]
 
 
-def hom_terms(h: Graph, sizes):
-    """`_hom_table` on these block sizes, on the `block_pairs` values packed
-    in one vector: (pairs, weights), each term weighted by its multiplicity
-    times the falling factorials (s_a)_(groups in a) over n^v, so that
-    sum(weights * prod(values[pairs])) = t(h, .).  Terms of weight 0 (every
-    one with an edge inside a one-vertex block among them) are dropped."""
-    pairs, counts, mult = _hom_table(h, len(sizes))
+def hom_terms(h: Graph, sizes, live):
+    """`_hom_table` on these block sizes, on the values of their `live` =
+    `block_pairs(sizes)` packed in one vector: (pairs, weights), each term
+    weighted by its multiplicity times the falling factorials (s_a)_(groups
+    in a) over n^v, so that sum(weights * prod(values[pairs])) = t(h, .).
+    Terms of weight 0 (every one with an edge inside a one-vertex block
+    among them) are dropped."""
+    table, counts, mult = _hom_table(h, len(sizes))
     s = np.asarray(sizes, dtype=float)
     k = len(s)
     # falling[a, c] = s_a (s_a - 1) ... (s_a - c + 1)
     falling = np.cumprod(np.hstack([np.ones((k, 1)),
                                     s[:, None] - np.arange(h.vertex_count)]), axis=1)
     weights = mult * falling[np.arange(k), counts].prod(axis=1)
-    a, b, _pairs = block_pairs(sizes)
+    a, b, _pairs = live
     packed = np.zeros(k * k, dtype=np.intp)
     packed[a * k + b] = np.arange(len(a))
     kept = weights > 0
-    return packed[pairs[kept]], weights[kept] / s.sum() ** h.vertex_count
+    return packed[table[kept]], weights[kept] / s.sum() ** h.vertex_count
 
 
 def _rowsum(a):
@@ -259,17 +261,23 @@ def terms_value_and_gradient(terms, values):
     flattened stack and whose padding has weight 0; each row's terms are
     summed in order (`_rowsum`)."""
     pairs, weights = terms
-    if not pairs.shape[-1]:  # a pattern with no edges
+    edges = pairs.shape[-1]
+    if not edges:  # a pattern with no edges
         return _rowsum(weights), np.zeros(values.shape)
     factors = values.ravel().take(pairs)
-    # the product of every factor but the j-th, from prefix and suffix products
-    before = np.ones_like(factors)
-    after = np.ones_like(factors)
-    np.cumprod(factors[..., :-1], axis=-1, out=before[..., 1:])
-    np.cumprod(factors[..., :0:-1], axis=-1, out=after[..., -2::-1])
-    value = _rowsum(weights * (before[..., -1] * factors[..., -1]))
-    grad = np.bincount(pairs.ravel(), (weights[..., None] * before * after).ravel(),
-                       minlength=values.size)
+    f = [factors[..., j] for j in range(edges)]
+    # the product of every factor but the j-th, from prefix and suffix
+    # products edge column by column, in cumprod's order; None stands for 1
+    before, after = [None] * edges, [None] * edges
+    for j in range(1, edges):
+        before[j] = f[0] if j == 1 else before[j - 1] * f[j - 1]
+        after[-1 - j] = f[-1] if j == 1 else after[-j] * f[-j]
+    part = np.empty_like(factors)
+    for j in range(edges):
+        w = weights if before[j] is None else weights * before[j]
+        part[..., j] = w if after[j] is None else w * after[j]
+    value = _rowsum(weights * (f[-1] if edges == 1 else before[-1] * f[-1]))
+    grad = np.bincount(pairs.ravel(), part.ravel(), minlength=values.size)
     return value, grad.reshape(values.shape)
 
 

@@ -188,7 +188,6 @@ def _require_delta(delta):
 
 def theta_root(h: Graph, delta: float) -> float:
     """Unique positive root of P_{H*}(theta) = 1 + delta (bisection)."""
-    _require_delta(delta)
     return theta_root_from_poly(independence_polynomial(h_star(h)), delta)
 
 
@@ -329,7 +328,11 @@ def c_joint(h_list, delta_list) -> RateReport:
 
 
 def theta_root_from_poly(poly, delta: float) -> float:
-    if delta <= 0:
+    """The positive root of poly = 1 + delta by bisection, as its upper end.
+    Once the midpoint rounds to an end, no step can move either end (poly(lo)
+    < 1 + delta <= poly(hi) throughout), so the loop stops there."""
+    _require_delta(delta)
+    if delta == 0:
         return 0.0
     target = 1.0 + delta
     lo, hi = 0.0, 1.0
@@ -339,6 +342,8 @@ def theta_root_from_poly(poly, delta: float) -> float:
             raise DomainError("no positive root found")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if poly(mid) < target:
             lo = mid
         else:

@@ -45,7 +45,7 @@ from .blocks import (
     terms_value_and_gradient,
 )
 from .errors import ConstructionError, DomainError, ResourceError
-from .graphs import Graph
+from .graphs import Graph, h_star, independence_polynomial
 # hom_gradient stays bound: perfbench's traced run patches it here by name
 from .homs import (  # noqa: F401
     BATCH_CELLS,
@@ -55,7 +55,7 @@ from .homs import (  # noqa: F401
     hom_normalized,
     hom_value_and_gradient,
 )
-from .rates import entropy_matrix, rate_scale, scale_pattern, theta_root
+from .rates import entropy_matrix, rate_scale, scale_pattern, theta_root_from_poly
 
 EPS = 1e-12
 
@@ -277,49 +277,52 @@ def project_ensemble(x, constraint):
 # seeds
 # ---------------------------------------------------------------------------
 
-def ladder(problem: SolveProblem, delta: float):
-    """The planted constructions at excess level delta, as (tag, BlockSpec)
-    pairs: under row sums, for each pattern's 2-core, degree-exact cycle
-    blocks if it is a cycle, and if it is another regular graph one clique
-    block and the whole (d+1)-cliques sized by its exact hom; otherwise hub,
-    clique and both planted on the constant-p background, per pattern.
-    With two or more targets, each tag ends in the position of the pattern
-    it was built for (`_h1` for the first), so that every seed of
-    `default_seeds` has its own name."""
+def ladder(problem: SolveProblem, deltas):
+    """The planted constructions at each excess level of `deltas`, as one
+    list of (tag, BlockSpec) pairs per level: under row sums, for each
+    pattern's 2-core, degree-exact cycle blocks if it is a cycle, and if it
+    is another regular graph one clique block and the whole (d+1)-cliques
+    sized by its exact hom; otherwise hub, clique and both planted on the
+    constant-p background, per pattern, the hub's independence polynomial
+    built once for every level.  With two or more targets, each tag ends in
+    the position of the pattern it was built for (`_h1` for the first), so
+    that every seed of `default_seeds` has its own name."""
     n, p = problem.n, problem.hom_p()
     kind = problem.ensemble[0] if problem.ensemble else None
-    out = []
+    out = [[] for _ in deltas]
     for i, (h, _t) in enumerate(problem.targets, 1):
         pos = f"_h{i}" if len(problem.targets) > 1 else ""
-        try:
-            if kind == "row_sums":
-                d = int(round(problem.ensemble[1]))
-                core = scale_pattern(h, regular=True)
-                if core.max_degree() == 2:
-                    builders = [("cycle_blocks", build_cycle_blocks, core.vertex_count)]
-                elif core.is_regular():
-                    builders = [("clique_block", build_clique_block, core),
-                                ("whole_cliques", build_whole_cliques, core)]
-                else:
-                    continue
-                for tag, build, shape in builders:
-                    try:
-                        out.append((f"{tag}{pos}", build(n, d, delta, shape)))
-                    except ConstructionError:
-                        pass
+        if kind == "row_sums":
+            d = int(round(problem.ensemble[1]))
+            core = scale_pattern(h, regular=True)
+            if core.max_degree() == 2:
+                builders = [("cycle_blocks", build_cycle_blocks, core.vertex_count)]
+            elif core.is_regular():
+                builders = [("clique_block", build_clique_block, core),
+                            ("whole_cliques", build_whole_cliques, core)]
+            else:
                 continue
-            xh = theta_root(h, delta)
-        except (ConstructionError, DomainError):
-            continue
-        plants = [("hub", xh, 0.0)]
-        if h.is_regular():
-            yc = delta ** (1.0 / h.vertex_count)
-            plants += [("clique", 0.0, yc), ("both", xh, yc)]
-        for tag, x, y in plants:
-            try:
-                out.append((f"plant_{tag}{pos}", build_plant(n, p, x, y, h.max_degree())))
-            except ConstructionError:
-                pass
+        else:
+            poly = independence_polynomial(h_star(h))
+        for level, delta in zip(out, deltas):
+            if kind == "row_sums":
+                rungs = [(tag, build, (n, d, delta, shape)) for tag, build, shape in builders]
+            else:
+                try:
+                    xh = theta_root_from_poly(poly, delta)
+                except DomainError:
+                    continue
+                plants = [("hub", xh, 0.0)]
+                if h.is_regular():
+                    yc = delta ** (1.0 / h.vertex_count)
+                    plants += [("clique", 0.0, yc), ("both", xh, yc)]
+                rungs = [(f"plant_{tag}", build_plant, (n, p, x, y, h.max_degree()))
+                         for tag, x, y in plants]
+            for tag, build, args in rungs:
+                try:
+                    level.append((f"{tag}{pos}", build(*args)))
+                except (ConstructionError, DomainError):
+                    pass
     return out
 
 
@@ -337,13 +340,12 @@ def default_seeds(problem: SolveProblem):
     tmax = max(t for _, t in problem.targets)
     if tmax <= 1:
         return seeds
-    seen = set()
-    for mult in (1.0, 1.5, 2.0, 3.0, 5.0, 8.0):
-        for tag, spec in ladder(problem, (tmax - 1.0) * mult):
-            if spec not in seen:
-                seen.add(spec)
-                seeds.append((f"{tag}_delta_x{mult:g}", spec))
-    return seeds
+    named = {}
+    mults = (1.0, 1.5, 2.0, 3.0, 5.0, 8.0)
+    for mult, level in zip(mults, ladder(problem, [(tmax - 1.0) * m for m in mults])):
+        for tag, spec in level:
+            named.setdefault(spec, f"{tag}_delta_x{mult:g}")
+    return seeds + [(name, spec) for spec, name in named.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +362,6 @@ def _entropy_grad(x, base):
     xc = np.clip(x, EPS, 1 - EPS)
     pm = np.clip(np.asarray(base, dtype=float), EPS, 1 - EPS)  # scalar or matrix
     return _zero_diagonal(np.log(xc * (1 - pm)) - np.log(pm * (1 - xc)))
-
-
-def _hom_vals(problem, x):
-    p = problem.hom_p()
-    return np.array([hom_normalized(h, x, p) for h, _t in problem.targets])
 
 
 class _DenseSpace:
@@ -429,43 +426,36 @@ class _BlockSpace:
 
     def __init__(self, problem, sizes):
         self.problem, self.n, self.sizes = problem, problem.n, list(sizes)
-        packs = [block_pairs(s) for s in self.sizes]
-        rows, k, width = len(packs), max(map(len, self.sizes)), max(len(a) for a, _b, _c in packs)
-        self.pairs, self.s = np.zeros((rows, width)), np.zeros((rows, k))
-        self.rows_op, self.incidence = np.zeros((2, rows, k, width))
-        for i, (a, b, pairs) in enumerate(packs):
-            s = np.asarray(self.sizes[i], dtype=float)
-            in_a, in_b = np.arange(len(s))[:, None] == a, np.arange(len(s))[:, None] == b
-            # the row sum of a vertex in block a: sum_b s_b y_ab - y_aa
-            self.rows_op[i, :len(s), :len(a)] = in_a * (s[b] - (a == b)) + in_b * s[a] * (a != b)
-            self.incidence[i, :len(s), :len(a)] = in_a + in_b * 1.0
-            self.pairs[i, :len(a)], self.s[i, :len(s)] = pairs, s
+        # each seed's block pairs, built once for every use below
+        self.packs = [block_pairs(s) for s in self.sizes]
+        self.pairs, self.s = _padded([c for _a, _b, c in self.packs]), _padded(self.sizes)
         self.live, self.blocks = self.pairs > 0, self.s > 0
+        # the row sum of a vertex in block a: sum_b s_b y_ab - y_aa
+        a, b, _pairs = map(np.concatenate, zip(*self.packs))
+        row, col = np.nonzero(self.live)
+        own, cross = a == b, a != b
+        self.rows_op, self.incidence = np.zeros((2,) + self.s.shape + self.pairs.shape[1:])
+        self.rows_op[row, a, col] = self.s[row, b] - own
+        self.rows_op[row[cross], b[cross], col[cross]] = self.s[row, a][cross]
+        self.incidence[row, a, col] = 1.0 + own
+        self.incidence[row[cross], b[cross], col[cross]] = 1.0
         # a pair's hom gradient in y / p, shared out over its vertex pairs, is
         # one vertex pair's gradient in x
         self.share = np.divide(1.0, problem.hom_p() * self.pairs,
                                out=np.zeros_like(self.pairs), where=self.live)
-        self.terms = [self._stack_terms([hom_terms(h, s) for s in self.sizes])
+        self.terms = [self._stack_terms([hom_terms(h, s, live)
+                                         for s, live in zip(self.sizes, self.packs)])
                       for h, _t in problem.targets]
 
     def _stack_terms(self, terms):
         """One pattern's terms of every seed, padded to the most terms: (flat
         value index into the whole stack, weights), the index (seeds, terms,
         edges)."""
-        rows, width = self.pairs.shape
-        most = max(1, max(len(w) for _p, w in terms))
-        index = np.zeros((rows, most, terms[0][0].shape[1]), dtype=np.intp)
-        weights = np.zeros((rows, most))
-        for i, (pairs, w) in enumerate(terms):
-            index[i, :len(w)], weights[i, :len(w)] = pairs, w
-        return index + width * np.arange(rows)[:, None, None], weights
+        index, weights = (_padded(x) for x in zip(*terms))
+        return index + self.pairs.shape[1] * np.arange(len(index))[:, None, None], weights
 
     def pack(self, specs):
-        y = np.zeros(self.pairs.shape)
-        for i, spec in enumerate(specs):
-            values = spec.packed_values()
-            y[i, :values.size] = values
-        return y
+        return _padded([spec.value_matrix()[a, b] for spec, (a, b, _c) in zip(specs, self.packs)])
 
     def evaluate(self, y):
         """`_DenseSpace.evaluate` at the blow-up of each row: hom values from
@@ -520,10 +510,19 @@ class _BlockSpace:
         pair, is 0."""
         sizes = self.sizes[row]
         values = [[Fraction(0)] * len(sizes) for _ in sizes]
-        a, b, _pairs = block_pairs(sizes)
+        a, b, _pairs = self.packs[row]
         for i, j, v in zip(a.tolist(), b.tolist(), _unit(y[row]).tolist()):
             values[i][j] = values[j][i] = Fraction(v)
         return BlockSpec(tuple(sizes), tuple(map(tuple, values)))
+
+
+def _padded(rows):
+    """Arrays (or sequences) as the rows of one array, each zero-padded
+    along its first axis to the longest, at least 1: a stack's rows."""
+    rows = [np.asarray(r) for r in rows]
+    out = np.zeros((len(rows), max(1, max(map(len, rows)))) + rows[0].shape[1:], rows[0].dtype)
+    out[np.arange(out.shape[1]) < np.array([len(r) for r in rows])[:, None]] = np.concatenate(rows)
+    return out
 
 
 def _fits_blocks(problem, seed):
@@ -539,17 +538,22 @@ def _fits_blocks(problem, seed):
 
 
 def _refuse_trees(problem):
-    """`solve_phi`'s first step, before either method: under row sums d a
-    forest's count is n^c d^(v-c) on every matrix, normalized 1 at base d/n,
-    so no target above 1 can be met."""
-    if problem.ensemble and problem.ensemble[0] == "row_sums" and any(
-            t > 1 and scale_pattern(h, regular=True).vertex_count == 0
-            for h, t in problem.targets):
-        raise DomainError("pattern is a tree: its 2-core is empty, so under "
-                          "row sums its normalized count is 1, below t")
+    """`solve_phi`'s first step, before either method: no target above 1 can
+    be met by a pattern whose normalized count is 1 on every matrix.  An
+    edgeless pattern's count is n^v on any matrix, and under row sums d a
+    forest's is n^c d^(v-c), normalized 1 at base d/n."""
+    row_sums = problem.ensemble and problem.ensemble[0] == "row_sums"
+    for h, t in problem.targets:
+        if t > 1 and row_sums and scale_pattern(h, regular=True).vertex_count == 0:
+            raise DomainError("pattern is a tree: its 2-core is empty, so under "
+                              "row sums its normalized count is 1, below t")
+        if t > 1 and h.edge_count == 0:
+            raise DomainError("pattern has no edges: its normalized count is 1 "
+                              "on every matrix, below t")
 
 
 DENSE_N_CAP = 2000
+TIE_RTOL = 1e-9
 CONSTANT_NOTE = "targets <= 1: constant base accepted with O(1/n) slack"
 
 
@@ -569,8 +573,9 @@ def solve_phi(problem: SolveProblem) -> SolveResult:
 
     Where `_dense_witness` allows, a multi-start AL.  The seeds that
     `_fits_blocks` run in lockstep as one stack of block values, every other
-    seed as a stack of its own n x n matrix; they reduce by minimum value,
-    the first seed winning ties.  A block-value winner is the BlockSpec of
+    seed as a stack of its own n x n matrix.  The first seed within
+    TIE_RTOL of the least value wins, so that seeds which end at one point
+    are not ranked by roundoff.  A block-value winner is the BlockSpec of
     its seed's blocks, with the Fractions of its float values, measured
     by its closed forms; an n x n winner is measured on its matrix.
     Elsewhere the witness is `_level_search`'s BlockSpec, measured
@@ -593,33 +598,31 @@ def solve_phi(problem: SolveProblem) -> SolveResult:
     stacks = [(_BlockSpace(problem, [seeds[i][1].sizes for i in block]), block)] if block else []
     stacks += [(_DenseSpace(problem), [i]) for i, on_blocks in enumerate(fits) if not on_blocks]
 
-    best = None  # (value, seed index, space, points, row)
+    ends = []  # (value, seed index, space, points, row) of every feasible run
     iterations = 0
     for space, index in stacks:
         values, points, iters = _al_stack(problem, space, space.pack([seeds[i][1] for i in index]))
         iterations += int(iters.sum())
-        for row, i in enumerate(index):
-            if values[row] < math.inf and (best is None or (values[row], i) < best[:2]):
-                best = (values[row], i, space, points, row)
-    if best is None:
-        raise ResourceError(
-            "no feasible point found within budget from any seed"
-        )
-    _value, i, space, points, row = best
+        ends += [(values[row], i, space, points, row)
+                 for row, i in enumerate(index) if values[row] < math.inf]
+    if not ends:
+        raise ResourceError("no feasible point found within budget from any seed")
+    least = min(end[0] for end in ends)
+    _value, i, space, points, row = min(
+        (end for end in ends if end[0] - least <= TIE_RTOL * abs(least)), key=lambda end: end[1])
     return _result(problem, space.witness(points, row), seeds[i][0], iterations, [])
 
 
 def _result(problem, x, provenance, iterations, notes):
     """The SolveResult for witness x, a matrix or (measured by its exact
     closed forms) a BlockSpec; `normalized` takes Delta >= 2."""
+    p, hs = problem.hom_p(), [h for h, _t in problem.targets]
     if isinstance(x, BlockSpec):
-        p = problem.hom_p()
-        value, vals = 0.5 * x.entropy(p), [x.hom_normalized(h, p) for h, _t in problem.targets]
+        value, vals = 0.5 * x.entropy(p), [x.hom_normalized(h, p) for h in hs]
     else:
-        value, vals = _entropy_value(x, problem.base), _hom_vals(problem, x)
+        value, vals = _entropy_value(x, problem.base), [hom_normalized(h, x, p) for h in hs]
     kind, _ = problem.ensemble or (None, None)
-    a_np = rate_scale(problem.n, problem.hom_p(), [h for h, _t in problem.targets],
-                      kind == "row_sums", delta_floor=2)
+    a_np = rate_scale(problem.n, p, hs, kind == "row_sums", delta_floor=2)
     return SolveResult(
         x=x,
         value=value,
@@ -664,8 +667,8 @@ def _level_search(problem: SolveProblem) -> SolveResult:
     evaluations = 0
     levels = [(tmax - 1.0) * m for m in (1.0, 1.25, 1.6, 2.0, 3.0, 5.0, 8.0)]
     for _round in range(3):
-        for delta in levels:
-            for _tag, spec in ladder(problem, delta):
+        for delta, level in zip(levels, ladder(problem, levels)):
+            for _tag, spec in level:
                 if kind == "total_weight":
                     try:
                         spec = fill_total_weight(spec, val)

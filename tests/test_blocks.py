@@ -363,8 +363,8 @@ def _ladder_specs():
         total = S.SolveProblem(((h, 1.3),), n=30, base=130 / 435,
                                ensemble=("total_weight", 130))
         for delta in (0.3, 0.6, 1.5, 2.4):
-            out += [(spec, E.regular(120, 12)) for _t, spec in S.ladder(rows, delta)]
-            for _t, spec in S.ladder(total, delta):
+            out += [(spec, E.regular(120, 12)) for _t, spec in S.ladder(rows, [delta])[0]]
+            for _t, spec in S.ladder(total, [delta])[0]:
                 out.append((spec, E.uniform(30, 130)))
                 try:
                     out.append((B.fill_total_weight(spec, 130), E.uniform(30, 130)))

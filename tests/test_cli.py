@@ -452,11 +452,10 @@ def test_solve_regular_k4_past_the_dense_dp_cap(capsys):
 BOUNDARY_SOLVES = {
     "al_at_n_2000": (
         ("--graph", "cycle:3", "--t", "1.3", "--p", "0.05", "--n", "2000"),
-        '{"blockspec": {"sizes": [97, 1903], "values": [[0.05459693430297592, '
-        '0.05459693430297592], [0.05459693430297592, 0.05459693430297592]]}, '
-        '"ensemble_residual": 0.0, "iterations": 510, "normalized": 0.014430930862890204, '
-        '"notes": [], "residuals": [9.19743400995543e-07], '
-        '"seed_provenance": "plant_clique_delta_x3", "value": 432.3120532338653}\n'),
+        '{"blockspec": {"sizes": [2000], "values": [[0.054596934302975964]]}, '
+        '"ensemble_residual": 0.0, "iterations": 510, "normalized": 0.014430930862893446, '
+        '"notes": [], "residuals": [9.197433978869185e-07], '
+        '"seed_provenance": "constant", "value": 432.31205323396244}\n'),
     "level_search_at_n_2001": (
         ("--graph", "cycle:3", "--t", "1.3", "--p", "0.05", "--n", "2001"),
         '{"blockspec": {"sizes": [1, 2000], "values": [[1.0, 1.0], [1.0, 0.05]]}, '
@@ -877,6 +876,20 @@ def test_solve_regular_tree_above_one_exits_1(n, d, capsys):
     code, out, err = run_main(capsys, "solve", "--model", "regular", "--n", n, "--d", d,
                               "--graph", "star:3", "--t", "1.3")
     assert code == 1 and "pattern is a tree: its 2-core is empty" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "--graph path:1 --t 1.3 --n 40 --p 0.3",
+    "--graph path:1 --t 1.3 --n 3000 --p 0.3",
+    "--graph clique:1 --t 1.3 --n 30 --model uniform --m 100",
+    "--graph clique:1 --t 1.3 --model block --n 30 --p 0.2 --alpha 0.5,0.5 --kernel [[2,1],[1,2]]",
+    "--graph cycle:3 --graph path:1 --t 1.3 --t 1.3 --n 40 --p 0.3",
+])
+def test_solve_edgeless_pattern_above_one_exits_1(argv, capsys):
+    # an edgeless pattern's normalized count is 1 on every matrix, so no
+    # budget, seed or method can reach t > 1
+    code, out, err = run_main(capsys, "solve", *argv.split())
+    assert code == 1 and "pattern has no edges" in err and out == ""
 
 
 def test_threads_above_the_cap_exits_1_without_a_thread(monkeypatch, capsys):

@@ -114,6 +114,40 @@ def test_theta_root_random_deltas():
             assert poly(th) == pytest.approx(1 + delta, abs=1e-10)
 
 
+def _theta_root_200_steps(poly, delta):
+    """The bisection as it ran before it stopped early: always 200 steps."""
+    if delta <= 0:
+        return 0.0
+    target = 1.0 + delta
+    lo, hi = 0.0, 1.0
+    while poly(hi) < target:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if poly(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def test_theta_root_stops_early_at_the_same_root(monkeypatch):
+    # once the midpoint rounds to an end, no further step moves either end,
+    # so stopping there returns the 200-step root bit for bit
+    deltas = [0.0] + list(np.logspace(-6, 3, 37)) + [1.0, 2.5, 10.0]
+    for h in (K3, G.clique(4), G.cycle(5), G.star(3)):
+        poly = G.independence_polynomial(G.h_star(h))
+        for delta in deltas:
+            evaluations = []
+            root = R.theta_root_from_poly(lambda x: evaluations.append(x) or poly(x), delta)
+            assert root == _theta_root_200_steps(poly, delta), (h, delta)
+            assert len(evaluations) <= 80
+    hs, ds = [K3, K12], [10.0, 1.0]
+    early = R.c_joint(hs, ds)
+    monkeypatch.setattr(R, "theta_root_from_poly", _theta_root_200_steps)
+    assert R.c_joint(hs, ds) == early
+
+
 # ---------------------------------------------------------------------------
 # c_er / c_reg
 # ---------------------------------------------------------------------------
