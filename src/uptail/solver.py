@@ -443,8 +443,8 @@ class _BlockSpace:
         # one vertex pair's gradient in x
         self.share = np.divide(1.0, problem.hom_p() * self.pairs,
                                out=np.zeros_like(self.pairs), where=self.live)
-        self.terms = [self._stack_terms([hom_terms(h, s, live)
-                                         for s, live in zip(self.sizes, self.packs)])
+        self.terms = [self._stack_terms([hom_terms(h, s, pack)
+                                         for s, pack in zip(self.sizes, self.packs)])
                       for h, _t in problem.targets]
 
     def _stack_terms(self, terms):
