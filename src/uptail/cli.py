@@ -33,10 +33,15 @@ def _load_matrix_csv(path: str) -> np.ndarray:
 
 
 def _seed(args) -> int:
+    """--seed, else UPTAIL_SEED, else 0; `ensembles.rng_stream` refuses a
+    seed outside [0, 2^64)."""
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("UPTAIL_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise DomainError(f"UPTAIL_SEED must be an integer in [0, 2^64), got {env!r}") from None
 
 
 def _emit(doc: dict, fmt: str):

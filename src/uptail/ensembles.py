@@ -16,12 +16,22 @@ chunks from the counter-based stream (master_seed, w), on a thread pool when
 there is more than one worker, and results reduce in (worker, chunk) order.
 So an estimate is reproducible for a fixed worker count, and an importance
 run with tilt == base consumes the stream identically to direct Monte Carlo.
+
+With fewer workers than CPUs, each chunk of an independent-edge draw (er,
+block, planted) splits across the idle CPUs into parts of consecutive graphs.
+Such a graph reads exactly C(n, 2) words of its stream, and Philox reaches any
+word directly, so each part draws from the stream positioned at its first
+graph's word, and the parts' per-graph outputs join before the chunk is
+scored.  An estimate therefore depends on the worker count (--threads) but not
+on the CPU count.  Scaling was measured only up to 2 CPUs.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,11 +47,45 @@ from .rates import BlockModelParams, b_h, rate_scale
 CONFIG_MODEL_RETRY_CAP = 20_000
 MAX_WORKERS = 64  # Monte Carlo worker threads, one per worker
 CHUNK = 4096      # most graphs drawn and scored at once by one worker
+# fewest graphs in a part of a chunk split across CPUs; past 1, as a one-graph
+# stack would sum its importance log-weight in another order
+MIN_PART = 256
+INDEPENDENT_EDGE = ("er", "block", "planted")  # kinds whose graphs read C(n, 2) words
+
+
+def _key_word(value, what) -> int:
+    """A Philox key word: an integer in [0, 2^64), else DomainError."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer in [0, 2^64), got {value!r}") from None
+    if not 0 <= value < 1 << 64:
+        raise DomainError(f"{what} must be an integer in [0, 2^64), got {value}")
+    return value
 
 
 def rng_stream(seed: int, worker: int = 0) -> np.random.Generator:
-    """Independent counter-based stream for (master seed, worker index)."""
-    return np.random.Generator(np.random.Philox(key=(int(seed), int(worker))))
+    """Independent counter-based stream for (master seed, worker index): the
+    Philox key is the two as exact uint64 words, so each seed in [0, 2^64)
+    has its own streams; any other seed raises DomainError."""
+    key = np.array([_key_word(seed, "seed"), _key_word(worker, "stream index")], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _stream_at(seed, worker, word) -> np.random.Generator:
+    """rng_stream(seed, worker) positioned at its word `word`, without drawing
+    the words before it: `advance` skips blocks of 4 words."""
+    rng = rng_stream(seed, worker)
+    rng.bit_generator.advance(word // 4)
+    rng.bit_generator.random_raw(word % 4)
+    return rng
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +216,26 @@ def _pair_bits(q, batch, rng) -> np.ndarray:
     """Independent-edge draws for vertex pairs of probabilities q: a
     (batch, pairs + 1) bool array whose entry (g, i) is rng.random() < q[i]
     over the stream's doubles in (graph, pair) order.  `random` makes its
-    double from a raw word w as (w >> 11) * 2^-53, so w >> 11 < ceil(q * 2^53)
-    gives its edges and leaves the stream where `random` would; the words are
-    read in pieces of at most BATCH_CELLS.  The last column is False: the
-    diagonal's entry in `_symmetric_stack`."""
+    double from a raw word w as (w >> 11) * 2^-53, so w >> 11 < L = ceil(q *
+    2^53), that is w < L * 2^11, gives its edges and leaves the stream where
+    `random` would; the words are read in pieces of at most BATCH_CELLS.  At
+    q = 1, L * 2^11 = 2^64 wraps to 0, so those pairs are set after.  The last
+    column is False: the diagonal's entry in `_symmetric_stack`.  With no pair
+    (n = 1) a graph reads no word."""
     pairs = q.size
     limit = np.ceil(q * 2.0 ** 53).astype(np.uint64)
+    sure = np.flatnonzero(limit >> 53)
+    limit <<= 11
     bits = np.zeros((batch, pairs + 1), dtype=bool)
+    if not pairs:
+        return bits
     rows, cols = max(1, BATCH_CELLS // pairs), min(pairs, BATCH_CELLS)
     for g in range(0, batch, rows):
         for c in range(0, pairs, cols):
             w = rng.bit_generator.random_raw((min(rows, batch - g), min(cols, pairs - c)))
-            w >>= 11
             np.less(w, limit[c:c + w.shape[1]], out=bits[g:g + w.shape[0], c:c + w.shape[1]])
+    if sure.size:
+        bits[:, sure] = True
     return bits
 
 
@@ -393,31 +444,57 @@ def _worker_counts(num_samples, workers):
     return [base + (w < extra) for w in range(workers)]
 
 
-def _run_workers(n, num_samples, seed, workers, score, report=None, stream=0):
+def _run_workers(spec, num_samples, seed, workers, draw, reduce, report=None, stream=0):
     """The Monte Carlo worker loop.  Worker w draws its share of num_samples
-    from rng_stream(seed, stream + w) in `_chunk_sizes` chunks, passing each
-    chunk size and the stream to score(b, rng).  Returns the chunk scores in
-    (worker, chunk) order; several workers run on a thread pool.
+    from rng_stream(seed, stream + w) in `_chunk_sizes` chunks of `spec`'s
+    graphs: draw(b, rng) returns a tuple of per-graph arrays for the next b
+    graphs of rng, and reduce(outputs) scores a chunk.  Returns the chunk
+    scores in (worker, chunk) order; several workers run on a thread pool.
     report(done, scores so far) follows every chunk of a single worker, or
-    every nonempty worker, in worker order."""
+    every nonempty worker, in worker order.
+
+    An independent-edge graph reads exactly C(n, 2) words.  So while workers
+    leave CPUs idle, each chunk splits into up to `_available_cpus() //
+    workers` parts of consecutive graphs, of at least MIN_PART each.  Each part
+    draws from the stream positioned at its first graph's word, the first
+    part on the worker's thread and the others on the pool, and the parts'
+    outputs are concatenated before `reduce`.  So every score is that of the
+    one sequential stream, and one chunk per worker is in flight."""
     counts = _worker_counts(num_samples, workers)
+    words = spec.n * (spec.n - 1) // 2
+    parts = _available_cpus() // workers if spec.kind in INDEPENDENT_EDGE else 1
+    split = parts > 1 and next(_chunk_sizes(spec.n, counts[0]), 0) >= 2 * MIN_PART
+    pool = None
+
+    def drawn_in_parts(w, first, b):
+        """draw's outputs for graphs first .. first + b - 1 of worker w's stream."""
+        k = max(1, min(parts, b // MIN_PART))
+        at = [first + b * j // k for j in range(k + 1)]
+        jobs = [(hi - lo, _stream_at(seed, stream + w, lo * words)) for lo, hi in zip(at, at[1:])]
+        rest = [pool.submit(draw, *job) for job in jobs[1:]]
+        outs = [draw(*jobs[0])] + [f.result() for f in rest]
+        return outs[0] if k == 1 else tuple(np.concatenate(col) for col in zip(*outs))
 
     def run(w, count, report_chunks=None):
         rng = rng_stream(seed, stream + w)
         scores, done = [], 0
-        for b in _chunk_sizes(n, count):
-            scores.append(score(b, rng))
+        for b in _chunk_sizes(spec.n, count):
+            scores.append(reduce(drawn_in_parts(w, done, b) if split else draw(b, rng)))
             done += b
             if report_chunks:
                 report_chunks(done, scores)
         return scores
 
-    if workers == 1:
+    # several workers take a pool thread each, and a split chunk parts - 1 more
+    threads = (workers if workers > 1 else 0) + (workers * (parts - 1) if split else 0)
+    if not threads:
         return run(0, num_samples, report)
     from concurrent.futures import ThreadPoolExecutor
 
     out, done = [], 0
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        if workers == 1:
+            return run(0, num_samples, report)
         for scores, count in zip(pool.map(run, range(workers), counts), counts):
             out += scores
             done += count
@@ -493,11 +570,11 @@ def mc_upper_tail(
     def report(done, scores):
         progress(done, sum(scores) / done)
 
-    hits = sum(_run_workers(
-        spec.n, num_samples, seed, workers,
-        lambda b, rng: _count_hits(spec, h_list, thresholds, b, rng, p),
-        report if progress else None,
-    ))
+    def draw(b, rng):
+        return (_hom_hits_for_batch(_draw_stack(spec, b, rng), h_list, thresholds, p),)
+
+    hits = sum(_run_workers(spec, num_samples, seed, workers, draw,
+                            lambda out: int(out[0].sum()), report if progress else None))
     point = hits / num_samples
     ci_low, ci_high = _wilson_interval(hits, num_samples)
     est = TailEstimate(
@@ -517,20 +594,17 @@ def mc_upper_tail(
     return est
 
 
-def _count_hits(spec, h_list, thresholds, b, rng, p):
-    """Hits among `b` fresh draws from the ensemble."""
-    a = _draw_stack(spec, b, rng)
-    return int(_hom_hits_for_batch(a, h_list, thresholds, p).sum())
-
-
 def _empirical_hom_means(spec, h_list, p, num_samples, seed, workers):
-    def chunk_sums(b, rng):
+    def draw(b, rng):
         a = _draw_stack(spec, b, rng)
-        return [batched_hom_normalized(h, a, p).sum() for h in h_list]
+        return tuple(batched_hom_normalized(h, a, p) for h in h_list)
 
     sums = np.zeros(len(h_list))
-    # a separate pass on separate streams; sums add in (worker, chunk) order
-    for s in _run_workers(spec.n, num_samples, seed, workers, chunk_sums, stream=10_000):
+    # a separate pass on separate streams; each chunk sums its values whole
+    # (summing parts and adding the sums would round differently), and the
+    # sums add in (worker, chunk) order
+    for s in _run_workers(spec, num_samples, seed, workers, draw,
+                          lambda out: [v.sum() for v in out], stream=10_000):
         sums += s
     return sums / num_samples
 
@@ -595,7 +669,7 @@ def importance_tail(
         lw_noedge = np.log1p(-bp) - np.log1p(-tp)
     lw_noedge = np.where(tp >= 1.0, 0.0, lw_noedge)  # never sampled
 
-    def score(b, rng):
+    def draw(b, rng):
         # `_draw_stack(tilted, b, rng)`, keeping the pair bits for the weights.
         # In Fortran order each graph's log-weight sums one pair at a time in
         # pair order, not by pairwise summation: the order the pinned
@@ -612,7 +686,7 @@ def importance_tail(
         progress(done, _weighted_point(*stacked(scores)))
 
     logw, hits = stacked(_run_workers(
-        spec.n, num_samples, seed, workers, score, report if progress else None,
+        tilted, num_samples, seed, workers, draw, lambda out: out, report if progress else None,
     ))
     shift = _log_shift(logw)
     wts = np.exp(logw - shift)

@@ -927,3 +927,56 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
         code, out, err = run_main(capsys, *argv)
         assert code == 0, (argv, err)
         json.loads(out)
+
+
+# ---------------------------------------------------------------------------
+# one-vertex independent-edge draws, and seeds outside 64 bits
+# ---------------------------------------------------------------------------
+
+ONE_VERTEX = {
+    "er": ["--p", "0.35"],
+    "block": ["--p", "0.2", "--alpha", "0.5,0.5", "--kernel", "[[2,1],[1,2]]"],
+}
+
+
+@pytest.mark.parametrize("model", list(ONE_VERTEX))
+def test_one_vertex_draws_are_edgeless(model, capsys, monkeypatch):
+    # C(1, 2) = 0 pairs: each graph reads no word and has no edge
+    monkeypatch.delenv("UPTAIL_SEED", raising=False)
+    code, out, err = run_main(capsys, "sample", "--model", model, "--n", "1",
+                              *ONE_VERTEX[model])
+    assert code == 0, err
+    assert json.loads(out) == {"n": 1, "edge_count": 0, "edges": [], "seed": 0}
+    code, out, err = run_main(capsys, "tail-mc", "--model", model, "--n", "1",
+                              *ONE_VERTEX[model], "--graph", "cycle:3", "--t", "1.5",
+                              "--samples", "10")
+    assert code == 0, err
+    doc = json.loads(out)
+    check_schema(doc, "tail")
+    assert (doc["hits"], doc["samples"], doc["zero_hits"]) == (0.0, 10, True)
+
+
+SAMPLE_ER = ("sample", "--model", "er", "--n", "12", "--p", "0.4")
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "-9223372036854775809"])
+def test_seed_outside_64_bits_exits_1(seed):
+    for proc in (run_cli(*SAMPLE_ER, "--seed", seed), run_cli(*SAMPLE_ER, env_seed=seed),
+                 run_cli("tail-mc", "--model", "er", "--n", "12", "--p", "0.4", "--graph",
+                         "cycle:3", "--t", "1.2", "--samples", "50", "--seed", seed)):
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"error: seed must be an integer in [0, 2^64), got {seed}\n"
+
+
+def test_env_seed_not_an_integer_exits_1():
+    proc = run_cli(*SAMPLE_ER, env_seed="abc")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: UPTAIL_SEED must be an integer in [0, 2^64), got 'abc'\n"
+
+
+def test_seeds_past_63_bits_draw_their_own_graphs():
+    # 2^63, 2^63 + 1 and 2^64 - 1 once shared the streams of 2^63 or of 0
+    outs = [run_cli(*SAMPLE_ER, "--seed", str(s)) for s in
+            (0, 1 << 63, (1 << 63) + 1, (1 << 64) - 1)]
+    assert all(p.returncode == 0 and p.stderr == "" for p in outs)
+    assert len({json.dumps(json.loads(p.stdout)["edges"]) for p in outs}) == 4

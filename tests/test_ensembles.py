@@ -1,6 +1,7 @@
 """Samplers, Monte Carlo tails, importance sampling, Pittel comparison."""
 
 import math
+import sys
 import types
 from collections import Counter
 
@@ -388,8 +389,11 @@ def test_mc_zero_hits_flag():
 
 def test_mc_wilson_interval(monkeypatch):
     # one hit in 1000 samples: the Wald interval's lower end would be
-    # negative; the Wilson score interval stays above zero
-    monkeypatch.setattr(E, "_count_hits", lambda *a, **k: 1)
+    # negative; the Wilson score interval stays above zero.  The 1000 graphs
+    # are one chunk, drawn in one part on one CPU, and only its first is a hit
+    monkeypatch.setattr(E, "_available_cpus", lambda: 1)
+    monkeypatch.setattr(E, "_hom_hits_for_batch",
+                        lambda a, *rest: np.arange(a.shape[0]) == 0)
     est = E.mc_upper_tail(E.er(10, 0.1), [K3], [5.0], 1000, seed=3)
     n, z, p = 1000, 1.96, 0.001
     center = (p + z * z / (2 * n)) / (1 + z * z / n)
@@ -819,3 +823,170 @@ def test_worker_count_capped():
     for workers in (0, E.MAX_WORKERS + 1):
         with pytest.raises(DomainError, match="--threads"):
             E._worker_counts(100, workers)
+
+
+# ---------------------------------------------------------------------------
+# seeds, positioned streams, and chunks split across CPUs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [-1, -(1 << 63), 1 << 64, 1.0, "7", None])
+def test_seed_outside_64_bits_is_refused(seed):
+    with pytest.raises(DomainError, match=r"seed must be an integer in \[0, 2\^64\)"):
+        E.rng_stream(seed)
+
+
+def test_each_64_bit_seed_has_its_own_stream():
+    # the key is the seed's exact 64-bit word: no two of these share a stream,
+    # and seeds below 2^63 keep the streams they always had
+    seeds = [0, 5, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, (1 << 64) - 1]
+    words = [tuple(E.rng_stream(s, 3).bit_generator.random_raw(4)) for s in seeds]
+    assert len(set(words)) == len(seeds)
+    for s in seeds[:3]:
+        old = np.random.Philox(key=(s, 3)).random_raw(4)
+        assert np.array_equal(E.rng_stream(s, 3).bit_generator.random_raw(4), old)
+    assert list(E.rng_stream((1 << 64) - 1, 3).bit_generator.state["state"]["key"]) == \
+        [(1 << 64) - 1, 3]
+
+
+def test_positioned_stream_starts_at_its_word():
+    words = E.rng_stream(11, 4).bit_generator.random_raw(5 * 153 + 20)
+    offsets = [*range(10), *(4 * k + d for k in (1, 2, 25) for d in (-1, 1)),
+               *(g * 153 for g in (1, 2, 5))]
+    for word in offsets:
+        got = E._stream_at(11, 4, word).bit_generator.random_raw(11)
+        assert np.array_equal(got, words[word:word + 11]), word
+
+
+@pytest.mark.parametrize("q", [0.0, 2.0 ** -53, 0.35, 1 - 2.0 ** -53, 1.0])
+def test_pair_bits_are_doubles_below_q(q):
+    # a 428 x 153 piece against rng.random() < q on the same stream; at the
+    # two ends of [0, 1] the word bound is 0 or wraps, and near them a stream
+    # has no such word, so the boundary words are also fed in directly
+    qs = np.full(153, q)
+    bits = E._pair_bits(qs, 428, E.rng_stream(13))
+    want = E.rng_stream(13).random((428, 153)) < q
+    assert np.array_equal(bits[:, :-1], want) and not bits[:, -1].any()
+    edge = np.array([0, (1 << 11) - 1, 1 << 11, (1 << 64) - (1 << 12), (1 << 64) - (1 << 11) - 1,
+                     (1 << 64) - (1 << 11), (1 << 64) - 1], dtype=np.uint64)
+    fixed = types.SimpleNamespace(bit_generator=types.SimpleNamespace(
+        random_raw=lambda size: np.resize(edge, size)))
+    got = E._pair_bits(np.full(edge.size, q), 1, fixed)[0, :-1]
+    assert list(got) == [(int(w) >> 11) * 2.0 ** -53 < q for w in edge]
+
+
+def _split_runs():
+    er18 = E.er(18, 0.35)
+    block = E.block_model(16, R.BlockModelParams((0.5, 0.5), ((2.0, 1.0), (1.0, 0.5)), 0.2))
+    hub = _hub_tilt(er18, 2, 0.5)
+    return {
+        "er-k3": lambda w, pr: E.mc_upper_tail(er18, [K3], [1.5], 1001, seed=5, workers=w,
+                                               progress=pr),
+        "er-k3k4": lambda w, pr: E.mc_upper_tail(er18, [K3, K4], [1.2, 1.3], 999, seed=6,
+                                                 workers=w, progress=pr),
+        "empirical": lambda w, pr: E.mc_upper_tail(er18, [K3, K4], [1.1, 1.1], 1000, seed=6,
+                                                   threshold="empirical", workers=w,
+                                                   progress=pr),
+        "block": lambda w, pr: E.mc_upper_tail(block, [K3], [1.2], 700, seed=7, workers=w,
+                                               progress=pr),
+        "planted": lambda w, pr: E.mc_upper_tail(E.planted(hub), [K3], [1.2], 700, seed=7,
+                                                 workers=w, progress=pr),
+        "is-hub": lambda w, pr: E.importance_tail(er18, hub, [K3], [1.8], 1001, seed=8,
+                                                  workers=w, progress=pr),
+        "is-forced": lambda w, pr: E.importance_tail(E.er(12, 0.4), _FORCED, [K3], [1.3], 777,
+                                                     seed=9, workers=w, progress=pr),
+    }
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", list(_split_runs()))
+def test_split_chunks_give_the_sequential_estimate(name, workers, monkeypatch):
+    # chunks of 128 graphs in parts of at least 5: ragged parts, parts that
+    # start inside a Philox block, and short last chunks; 1, 2 and 3 parts
+    # per chunk give the same estimate and the same progress reports
+    monkeypatch.setattr(E, "CHUNK", 128)
+    monkeypatch.setattr(E, "MIN_PART", 5)
+    run = _split_runs()[name]
+    outs = []
+    for parts in (1, 2, 3):
+        monkeypatch.setattr(E, "_available_cpus", lambda parts=parts: parts * workers)
+        seen = []
+        est = run(workers, lambda done, val: seen.append((done, val)))
+        outs.append((est.to_json(), seen))
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+    assert len(outs[0][1]) > 1
+
+
+def test_split_chunks_under_thread_switching_stress(monkeypatch):
+    # three workers of four parts each, on more threads than this host has
+    # CPUs, switching threads every microsecond: the parts share no state,
+    # so the estimate is the one of three sequential workers
+    monkeypatch.setattr(E, "CHUNK", 128)
+    monkeypatch.setattr(E, "MIN_PART", 5)
+    run = _split_runs()["is-hub"]
+    monkeypatch.setattr(E, "_available_cpus", lambda: 3)
+    want = run(3, None).to_json()
+    monkeypatch.setattr(E, "_available_cpus", lambda: 12)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [run(3, None).to_json() for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 3
+
+
+def test_empirical_means_sum_each_chunk_whole(monkeypatch):
+    # the mean itself, not only the hits it thresholds: summing each part and
+    # adding the sums would round differently
+    monkeypatch.setattr(E, "CHUNK", 128)
+    monkeypatch.setattr(E, "MIN_PART", 5)
+    spec, hs = E.er(18, 0.35), [K3, K4, G.cycle(5)]
+    means = []
+    for parts in (1, 2, 3):
+        monkeypatch.setattr(E, "_available_cpus", lambda parts=parts: parts)
+        means.append(E._empirical_hom_means(spec, hs, 0.35, 1000, 6, 1).tolist())
+    assert means[1] == means[0] and means[2] == means[0]
+
+
+def test_one_chunk_in_flight_and_pools_only_where_cpus_idle(monkeypatch):
+    # graphs drawn and not yet reduced, counted around the worker loop's draw
+    # and reduce: at most one chunk, whatever the part count
+    import concurrent.futures
+
+    live, peaks, pools = [0], [], []
+    run_workers = E._run_workers
+
+    def counted(spec, num_samples, seed, workers, draw, reduce, *args, **kwargs):
+        def draw_counted(b, rng):
+            live[0] += b
+            peaks[-1] = max(peaks[-1], live[0])
+            return draw(b, rng)
+
+        def reduce_counted(out):
+            live[0] -= len(out[0])
+            return reduce(out)
+        return run_workers(spec, num_samples, seed, workers, draw_counted, reduce_counted,
+                           *args, **kwargs)
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(E, "_run_workers", counted)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    spec = E.er(18, 0.35)
+    for parts in (1, 2, 3):
+        monkeypatch.setattr(E, "_available_cpus", lambda parts=parts: parts)
+        peaks.append(0)
+        E.mc_upper_tail(spec, [K3], [1.5], 8192, seed=1)
+        assert peaks[-1] == E.CHUNK and live[0] == 0
+        assert pools == ([parts - 1] if parts > 1 else [])
+        pools.clear()
+    # no pool where the draw is sequential or the workers fill the CPUs
+    monkeypatch.setattr(E, "_available_cpus", lambda: 2)
+    E.mc_upper_tail(E.uniform(18, 50), [K3], [1.5], 1200, seed=1)
+    E.mc_upper_tail(E.regular(18, 4), [K3], [1.5], 1200, seed=1)
+    assert pools == []
+    E.mc_upper_tail(spec, [K3], [1.5], 1200, seed=1, workers=2)
+    assert pools == [2]
