@@ -878,22 +878,20 @@ def _split_runs():
     er18 = E.er(18, 0.35)
     block = E.block_model(16, R.BlockModelParams((0.5, 0.5), ((2.0, 1.0), (1.0, 0.5)), 0.2))
     hub = _hub_tilt(er18, 2, 0.5)
+    mc, imp = E.mc_upper_tail, E.importance_tail
     return {
-        "er-k3": lambda w, pr: E.mc_upper_tail(er18, [K3], [1.5], 1001, seed=5, workers=w,
-                                               progress=pr),
-        "er-k3k4": lambda w, pr: E.mc_upper_tail(er18, [K3, K4], [1.2, 1.3], 999, seed=6,
-                                                 workers=w, progress=pr),
-        "empirical": lambda w, pr: E.mc_upper_tail(er18, [K3, K4], [1.1, 1.1], 1000, seed=6,
-                                                   threshold="empirical", workers=w,
-                                                   progress=pr),
-        "block": lambda w, pr: E.mc_upper_tail(block, [K3], [1.2], 700, seed=7, workers=w,
-                                               progress=pr),
-        "planted": lambda w, pr: E.mc_upper_tail(E.planted(hub), [K3], [1.2], 700, seed=7,
-                                                 workers=w, progress=pr),
-        "is-hub": lambda w, pr: E.importance_tail(er18, hub, [K3], [1.8], 1001, seed=8,
-                                                  workers=w, progress=pr),
-        "is-forced": lambda w, pr: E.importance_tail(E.er(12, 0.4), _FORCED, [K3], [1.3], 777,
-                                                     seed=9, workers=w, progress=pr),
+        "er-k3": lambda w, on: mc(er18, [K3], [1.5], 1001, seed=5, workers=w, progress=on),
+        "er-k3k4": lambda w, on: mc(er18, [K3, K4], [1.2, 1.3], 999, seed=6, workers=w,
+                                    progress=on),
+        "empirical": lambda w, on: mc(er18, [K3, K4], [1.1, 1.1], 1000, seed=6,
+                                      threshold="empirical", workers=w, progress=on),
+        "block": lambda w, on: mc(block, [K3], [1.2], 700, seed=7, workers=w, progress=on),
+        "planted": lambda w, on: mc(E.planted(hub), [K3], [1.2], 700, seed=7, workers=w,
+                                    progress=on),
+        "is-hub": lambda w, on: imp(er18, hub, [K3], [1.8], 1001, seed=8, workers=w,
+                                    progress=on),
+        "is-forced": lambda w, on: imp(E.er(12, 0.4), _FORCED, [K3], [1.3], 777, seed=9,
+                                       workers=w, progress=on),
     }
 
 
