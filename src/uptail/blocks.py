@@ -93,14 +93,25 @@ class BlockSpec:
         ) - sum(Fraction(self.sizes[a]) * self.values[a][a] for a in range(self.num_blocks))
         return ordered / 2
 
-    def entropy(self, p: float) -> float:
-        """I_p over ordered pairs, computed blockwise (any n)."""
+    def entropy(self, base) -> float:
+        """I over ordered pairs against a p or a k x k base, blockwise (any n)."""
+        base = np.broadcast_to(np.asarray(base, dtype=float), (self.num_blocks,) * 2).tolist()
         total = 0.0
         for a in range(self.num_blocks):
             for b in range(self.num_blocks):
                 pairs = self.sizes[a] * self.sizes[b] - (self.sizes[a] if a == b else 0)
-                total += pairs * entropy_ip(float(self.values[a][b]), p)
+                total += pairs * entropy_ip(float(self.values[a][b]), base[a][b])
         return total
+
+    def refined(self, sizes):
+        """This matrix on its blocks cut also where blocks of `sizes` end."""
+        ends = list(itertools.accumulate(self.sizes))
+        cuts = sorted(set(ends).union(itertools.accumulate(sizes)))
+        if len(cuts) == len(ends):
+            return self
+        owner = [sum(end < cut for end in ends) for cut in cuts]  # the block each lies in
+        return BlockSpec(tuple(b - a for a, b in zip([0] + cuts, cuts)),
+                         tuple(tuple(self.values[a][b] for b in owner) for a in owner))
 
     def parts(self):
         """The blocks split into groups that no nonzero value joins, each

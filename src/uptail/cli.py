@@ -237,14 +237,12 @@ def cmd_solve(args):
     if len(args.t) != len(hs):
         raise DomainError("need one --t per --graph")
     spec = _ensemble_from_args(args)
-    base, hom_scale = spec.solve_base()
     problem = solver.SolveProblem(
         targets=tuple((h, t * spec.threshold_unit(h)) for h, t in zip(hs, args.t)),
         n=args.n,
-        base=base,
+        base=spec.solve_base(),
         ensemble=spec.constraint(),
         budget=args.budget,
-        hom_scale=hom_scale,
     )
     if args.matrix_out and args.n > MATRIX_CSV_N_CAP:
         raise ResourceError(f"matrix CSV output capped at n = {MATRIX_CSV_N_CAP}")

@@ -168,11 +168,8 @@ class EnsembleSpec:
         return b_h(h, self.block) if self.kind == "block" else 1.0
 
     def solve_base(self):
-        """(base, hom_scale) of `SolveProblem` for this ensemble: the block
-        model's probability matrix and p, else the scalar sparsity and None."""
-        if self.kind == "block":
-            return self.probability_matrix(), self.block.p
-        return self.sparsity(), None
+        """`SolveProblem`'s base: the block model's `BlockModelParams`, else the sparsity."""
+        return self.block if self.kind == "block" else self.sparsity()
 
     def constraint(self):
         """The matrix constraint of this ensemble, as the solver and

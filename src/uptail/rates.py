@@ -157,13 +157,17 @@ class BlockModelParams:
     def num_blocks(self):
         return len(self.alpha)
 
+    def block_values(self, n: int):
+        """The nonempty blocks of n vertices (`block_sizes`), kernel * p on each pair."""
+        sizes = block_sizes(self.alpha, n)
+        kept = [a for a, size in enumerate(sizes) if size]
+        return [sizes[a] for a in kept], [[self.kernel[a][b] * self.p for b in kept] for a in kept]
+
     def edge_probability_matrix(self, n: int) -> np.ndarray:
         """Per-pair probability matrix on n vertices (blocks of near-equal size)."""
-        labels = np.repeat(np.arange(self.num_blocks), block_sizes(self.alpha, n))
-        ker = np.asarray(self.kernel, dtype=float)
-        pm = ker[labels[:, None], labels[None, :]] * self.p
-        np.fill_diagonal(pm, 0.0)
-        return pm
+        from .blocks import blow_up  # blocks imports this module
+
+        return blow_up(*self.block_values(n))
 
 
 def block_sizes(alpha, n: int):

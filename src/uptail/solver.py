@@ -11,15 +11,16 @@ are certified upper bounds with witnesses; no global-optimality claim is made.
 
 The AL runs its seeds as a stack, one seed to a row, in lockstep
 (`_al_stack`), in one of two spaces with the same operations (evaluate,
-project, inner product, ensemble residual, witness), each row by row.
-Under a scalar base, the constant seed, every `ladder` seed and a BlockSpec
-user seed run together as one stack of their live block-pair values, with
-hom values from `blocks`' compiled independent-group expansion; every step
-of the n x n solver keeps a block-constant matrix block-constant, so this
-is the same run at the cost of a few values.  Matrix bases, ndarray user
-seeds and a BlockSpec whose expansion passes a compile-size cap
-(`_fits_blocks`) run on the n x n matrix, one seed to a stack; that space
-is also the tests' oracle.  A block-value winner stays a BlockSpec.
+project, inner product, ensemble residual, witness), each row by row.  The
+constant seed (the base: p or a block model's), every `ladder` seed and a
+BlockSpec user seed, each on blocks that refine the base's, run together as
+one stack of their live block-pair values, with hom values from `blocks`'
+compiled independent-group expansion; every step of the n x n solver keeps
+such a matrix block-constant, so this is the same run at the cost of a few
+values.  Ndarray user seeds and a BlockSpec whose expansion passes a
+compile-size cap (`_fits_blocks`) run on the n x n matrix, one seed to a
+stack; that space is also the tests' oracle.  A block-value winner stays a
+BlockSpec.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .homs import (  # noqa: F401
     hom_normalized,
     hom_value_and_gradient,
 )
-from .rates import entropy_matrix, rate_scale, scale_pattern, theta_root_from_poly
+from .rates import BlockModelParams, entropy_matrix, rate_scale, scale_pattern, theta_root_from_poly
 
 EPS = 1e-12
 
@@ -64,13 +65,11 @@ EPS = 1e-12
 class SolveProblem:
     targets: tuple                    # ((Graph, t), ...)
     n: int
-    base: object                      # scalar p or (n, n) matrix
+    base: object                      # scalar p or rates.BlockModelParams
     ensemble: tuple | None = None     # None, ("total_weight", m), ("row_sums", d)
     seeds: tuple = ()                 # extra starting points (ndarray or BlockSpec)
     feasibility_tol: ClassVar[float] = 1e-6
     budget: int = 500
-    hom_scale: float | None = None    # sparsity p for hom normalization when
-                                      # base is a matrix (block model)
 
     def __post_init__(self):
         if not self.targets:
@@ -86,17 +85,16 @@ class SolveProblem:
             raise DomainError(f"budget must be >= 0, got {self.budget}")
         if self.ensemble is not None and self.ensemble[0] not in ("total_weight", "row_sums"):
             raise DomainError(f"unknown ensemble constraint {self.ensemble!r}")
-        if self.hom_scale is not None and not (0 < self.hom_scale < 1):
-            raise DomainError("hom_scale must be in (0,1)")
         sizes = {seed.n if isinstance(seed, BlockSpec) else np.shape(seed) for seed in self.seeds}
         if not sizes <= {self.n, (self.n, self.n)}:
             raise DomainError(f"every seed must be an n x n matrix or a BlockSpec of n = {self.n}")
-        if np.ndim(self.base) > 0 and self.hom_scale is None:
-            raise DomainError("matrix base needs hom_scale (the block model's p)")
-        if np.ndim(self.base) == 0:
+        if isinstance(self.base, BlockModelParams):
+            if not all(0 < v < 1 for row in self.base.block_values(self.n)[1] for v in row):
+                raise DomainError("block-model base probabilities kernel * p must lie in (0,1)")
+        elif np.ndim(self.base) > 0 or not (0 < float(self.base) < 1):
+            raise DomainError("base must be a p in (0,1) or a BlockModelParams")
+        else:
             p = float(self.base)
-            if not (0 < p < 1):
-                raise DomainError("base p must be in (0,1)")
             # the regular ensemble's base is d/n, which `_refuse_trees` and
             # the row-sum ladder take for granted
             if self.ensemble and self.ensemble[0] == "row_sums" and not (
@@ -104,20 +102,18 @@ class SolveProblem:
                 raise DomainError(f"row sums {self.ensemble[1]} fix the base at d/n = "
                                   f"{self.ensemble[1] / self.n:.17g}, got {p!r}")
 
-    def base_matrix(self) -> np.ndarray:
-        if np.ndim(self.base) == 0:
-            x = np.full((self.n, self.n), float(self.base))
-        else:
-            x = np.asarray(self.base, dtype=float).copy()
-            if x.shape != (self.n, self.n):
-                raise DomainError("base matrix shape must be (n, n)")
-        np.fill_diagonal(x, 0.0)
-        return x
+    def base_spec(self) -> BlockSpec:
+        """The base as a BlockSpec: one block of p, or the block model's
+        `block_values`, which materialize to its `edge_probability_matrix`."""
+        if not isinstance(self.base, BlockModelParams):
+            return BlockSpec((self.n,), ((Fraction(float(self.base)),),))
+        sizes, values = self.base.block_values(self.n)
+        return BlockSpec(tuple(sizes), tuple(tuple(map(Fraction, row)) for row in values))
 
     def hom_p(self) -> float:
         """Scalar p used inside hom normalization (block model keeps its base p)."""
-        if self.hom_scale is not None:
-            return self.hom_scale
+        if isinstance(self.base, BlockModelParams):
+            return self.base.p
         return float(self.base)
 
 
@@ -327,16 +323,10 @@ def ladder(problem: SolveProblem, deltas):
 
 
 def default_seeds(problem: SolveProblem):
-    """Constant base plus the ladder at inflated delta levels, as (name,
-    seed) pairs, each distinct BlockSpec once, under the tag of its first
-    level.  Under a scalar base the constant is a one-block BlockSpec,
-    under a matrix base the base matrix itself (`np.asarray` gives every
-    seed as a matrix)."""
-    if np.ndim(problem.base) == 0:
-        constant = BlockSpec((problem.n,), ((Fraction(float(problem.base)),),))
-    else:
-        constant = problem.base_matrix()
-    seeds = [("constant", constant)]
+    """The base (`SolveProblem.base_spec`) plus the ladder at inflated delta
+    levels, as (name, BlockSpec) pairs, each distinct BlockSpec once, under
+    the tag of its first level."""
+    seeds = [("constant", problem.base_spec())]
     tmax = max(t for _, t in problem.targets)
     if tmax <= 1:
         return seeds
@@ -352,10 +342,6 @@ def default_seeds(problem: SolveProblem):
 # the two spaces the AL runs in
 # ---------------------------------------------------------------------------
 
-def _entropy_value(x, base):
-    return 0.5 * entropy_matrix(x, base)
-
-
 def _entropy_grad(x, base):
     """d/dx_uv of sum_{u<v} I(x_uv): the log-odds ratio
     log(x (1 - p) / (p (1 - x))), entrywise, x kept off 0 and 1."""
@@ -365,13 +351,13 @@ def _entropy_grad(x, base):
 
 
 class _DenseSpace:
-    """The AL on a stack of n x n matrices: any seed, any base.  Gradients
-    are per unordered vertex pair, laid out symmetric, so sums run over
-    ordered pairs.  `solve_phi` gives it one seed at a time, so that a stack
-    holds no more matrices than a single run does."""
+    """The AL on a stack of n x n matrices: any seed, any base, as its
+    matrix.  Gradients are per unordered vertex pair, laid out symmetric, so
+    sums run over ordered pairs.  `solve_phi` gives it one seed at a time, so
+    that a stack holds no more matrices than a single run does."""
 
     def __init__(self, problem):
-        self.problem = problem
+        self.problem, self.base = problem, np.asarray(problem.base_spec())
 
     @staticmethod
     def pack(seeds):
@@ -388,8 +374,8 @@ class _DenseSpace:
             v, g = zip(*(hom_value_and_gradient(h, xi, p) for xi in x))
             vals.append(v)
             grads.append(g[0][None] if len(g) == 1 else np.stack(g))  # one row: no copy
-        return (np.array(vals).T, grads, np.array([_entropy_value(xi, problem.base) for xi in x]),
-                _entropy_grad(x, problem.base))
+        entropy = [0.5 * entropy_matrix(xi, self.base) for xi in x]
+        return np.array(vals).T, grads, np.array(entropy), _entropy_grad(x, self.base)
 
     def project(self, x, on=None):
         return _project(x, self.problem.ensemble, on)
@@ -407,10 +393,11 @@ class _DenseSpace:
 
 
 class _BlockSpace:
-    """The AL on a stack of block seeds under a scalar base, one row each of
-    the seed's live unordered block-pair values (`blocks.block_pairs`).  Each
-    dense step (hom and entropy gradients, box, total-weight shift, row-sum
-    Dykstra) maps a block-constant matrix to a block-constant one, so from a
+    """The AL on a stack of block seeds, one row each of the seed's live
+    unordered block-pair values (`blocks.block_pairs`) on its blocks cut also
+    where the base's end, so that each has one base value.  Each dense step
+    (hom and entropy gradients, box, total-weight shift, row-sum Dykstra)
+    maps a block-constant matrix to a block-constant one, so from a
     block-constant seed this space takes the dense steps at the cost of a few
     values.  A value stands for its c unordered vertex pairs: entropy, total
     weight and shift-and-clip weigh it by c, the inner product (over ordered
@@ -420,13 +407,15 @@ class _BlockSpace:
 
     Seeds differ in their numbers of blocks, values and hom terms, so every
     per-seed array is padded to the widest seed: a padded value has weight,
-    incidence and gradient 0 and stays 0, a padded term has weight 0, and a
-    padded block is left out of the row sums' residual.  Sums over a row run
-    in order (`_rowsum`), so a seed's row takes the same steps in any stack."""
+    incidence and gradient 0, base 1/2 (0 would make 0 * inf = NaN), and
+    stays 0, a padded term has weight 0, and a padded block is left out of
+    the row sums' residual.  Sums over a row run in order (`_rowsum`), so a
+    seed's row takes the same steps in any stack."""
 
     def __init__(self, problem, sizes):
-        self.problem, self.n, self.sizes = problem, problem.n, list(sizes)
-        # each seed's block pairs, built once for every use below
+        # the base on each seed's blocks, cut also where the base's end; their block pairs
+        bases = list(map(problem.base_spec().refined, sizes))
+        self.problem, self.n, self.sizes = problem, problem.n, [b.sizes for b in bases]
         self.packs = [block_pairs(s) for s in self.sizes]
         self.pairs, self.s = _padded([c for _a, _b, c in self.packs]), _padded(self.sizes)
         self.live, self.blocks = self.pairs > 0, self.s > 0
@@ -443,6 +432,7 @@ class _BlockSpace:
         # one vertex pair's gradient in x
         self.share = np.divide(1.0, problem.hom_p() * self.pairs,
                                out=np.zeros_like(self.pairs), where=self.live)
+        self.base = np.where(self.live, self.pack(bases), 0.5)
         self.terms = [self._stack_terms([hom_terms(h, s, pack)
                                          for s, pack in zip(self.sizes, self.packs)])
                       for h, _t in problem.targets]
@@ -455,17 +445,18 @@ class _BlockSpace:
         return index + self.pairs.shape[1] * np.arange(len(index))[:, None, None], weights
 
     def pack(self, specs):
-        return _padded([spec.value_matrix()[a, b] for spec, (a, b, _c) in zip(specs, self.packs)])
+        return _padded([spec.refined(s).value_matrix()[a, b]
+                        for spec, s, (a, b, _c) in zip(specs, self.sizes, self.packs)])
 
     def evaluate(self, y):
         """`_DenseSpace.evaluate` at the blow-up of each row: hom values from
         the compiled independent-group expansion, the entropy and its log-odds
         gradient from one pair of logs, kept off 0 and 1 (where 0 log 0 = 0)."""
-        p, base = self.problem.hom_p(), float(self.problem.base)
+        p = self.problem.hom_p()
         vals, grads = zip(*(terms_value_and_gradient(terms, y / p) for terms in self.terms))
         q = 1.0 - y
-        up = np.log(np.maximum(y, EPS) / base)
-        down = np.log(np.maximum(q, EPS) / (1 - base))
+        up = np.log(np.maximum(y, EPS) / self.base)
+        down = np.log(np.maximum(q, EPS) / (1.0 - self.base))
         return (np.stack(vals, axis=1), [g * self.share for g in grads],
                 _rowsum(self.pairs * (y * up + q * down)), (up - down) * self.live)
 
@@ -526,15 +517,13 @@ def _padded(rows):
 
 
 def _fits_blocks(problem, seed):
-    """Whether a seed runs on block values: a BlockSpec of n vertices under a
-    scalar base; every other seed runs on its n x n matrix.  BATCH_CELLS
-    caps the size of the compiled expansion; it is not a measured crossover
-    of the two spaces' costs.  A pattern of v vertices on k blocks compiles
-    about k^v placements in Python, so a seed past k^v = BATCH_CELLS runs
-    n x n."""
-    return (isinstance(seed, BlockSpec) and np.ndim(problem.base) == 0
-            and all(seed.num_blocks ** h.vertex_count <= BATCH_CELLS
-                    for h, _t in problem.targets))
+    """Whether a seed runs on block values: a BlockSpec of n vertices; every
+    other seed runs on its n x n matrix.  BATCH_CELLS caps the size of the
+    compiled expansion; it is not a measured crossover of the two spaces'
+    costs.  A pattern of v vertices on k blocks compiles about k^v
+    placements in Python, so a seed past k^v = BATCH_CELLS runs n x n."""
+    return isinstance(seed, BlockSpec) and all(
+        seed.num_blocks ** h.vertex_count <= BATCH_CELLS for h, _t in problem.targets)
 
 
 def _refuse_trees(problem):
@@ -571,26 +560,33 @@ def _dense_witness(problem):
 def solve_phi(problem: SolveProblem) -> SolveResult:
     """The best feasible point found, a certified upper bound on the infimum.
 
-    Where `_dense_witness` allows, a multi-start AL.  The seeds that
-    `_fits_blocks` run in lockstep as one stack of block values, every other
-    seed as a stack of its own n x n matrix.  The first seed within
-    TIE_RTOL of the least value wins, so that seeds which end at one point
-    are not ranked by roundoff.  A block-value winner is the BlockSpec of
-    its seed's blocks, with the Fractions of its float values, measured
-    by its closed forms; an n x n winner is measured on its matrix.
-    Elsewhere the witness is `_level_search`'s BlockSpec, measured
-    blockwise; a block-model base has none."""
+    Targets all <= 1 get one constant BlockSpec witness at any n, with no
+    n x n work: p (which meets them up to O(1/n)), d/(n-1) under row sums,
+    the exact total weight under it, or a block-model base where its own
+    counts meet them.  Otherwise, where `_dense_witness` allows, a
+    multi-start AL: the seeds that `_fits_blocks` run in lockstep as one
+    stack of block values, every other seed as a stack of its own n x n
+    matrix, and the first seed within TIE_RTOL of the least value wins, so
+    that seeds which end at one point are not ranked by roundoff.  A
+    block-value winner is the BlockSpec of its seed's blocks, with the
+    Fractions of its float values, measured by its closed forms; an n x n
+    winner is measured on its matrix.  Elsewhere the witness is
+    `_level_search`'s BlockSpec; a block-model base has none."""
     _refuse_trees(problem)
+    if all(t <= 1.0 for _h, t in problem.targets):
+        kind, val = problem.ensemble or (None, None)
+        constant = problem.base_spec()
+        if kind:  # a constant of row sums d has total weight n d / 2
+            m = Fraction(val) * problem.n / 2 if kind == "row_sums" else val
+            constant = fill_total_weight(constant, m)
+        res = _result(problem, constant, "constant", 0, [CONSTANT_NOTE])
+        if not isinstance(problem.base, BlockModelParams) or (
+                max(res.residuals) <= problem.feasibility_tol):
+            return res
     if not _dense_witness(problem):
-        if np.ndim(problem.base) > 0 and problem.n <= DENSE_N_CAP:
+        if isinstance(problem.base, BlockModelParams) and problem.n <= DENSE_N_CAP:
             raise ResourceError(f"block-model base: its hom DP at n = {problem.n} passes the cap")
         return _level_search(problem)
-    if all(t <= 1.0 for _h, t in problem.targets):
-        # a constant base meets targets <= 1 up to O(1/n); a matrix base only if measured
-        x0 = project_ensemble(problem.base_matrix(), problem.ensemble)
-        constant = _result(problem, x0, "constant", 0, [CONSTANT_NOTE])
-        if np.ndim(problem.base) == 0 or max(constant.residuals) <= problem.feasibility_tol:
-            return constant
 
     seeds = default_seeds(problem) + [(f"user_{i}", seed) for i, seed in enumerate(problem.seeds)]
     fits = [_fits_blocks(problem, seed) for _name, seed in seeds]
@@ -618,9 +614,11 @@ def _result(problem, x, provenance, iterations, notes):
     closed forms) a BlockSpec; `normalized` takes Delta >= 2."""
     p, hs = problem.hom_p(), [h for h, _t in problem.targets]
     if isinstance(x, BlockSpec):
-        value, vals = 0.5 * x.entropy(p), [x.hom_normalized(h, p) for h in hs]
+        base = problem.base_spec().refined(x.sizes).value_matrix()
+        value, vals = 0.5 * x.entropy(base), [x.hom_normalized(h, p) for h in hs]
     else:
-        value, vals = _entropy_value(x, problem.base), [hom_normalized(h, x, p) for h in hs]
+        value = 0.5 * entropy_matrix(x, np.asarray(problem.base_spec()))
+        vals = [hom_normalized(h, x, p) for h in hs]
     kind, _ = problem.ensemble or (None, None)
     a_np = rate_scale(problem.n, p, hs, kind == "row_sums", delta_floor=2)
     return SolveResult(
@@ -644,24 +642,16 @@ def _level_search(problem: SolveProblem) -> SolveResult:
     planted excess level on a coarse-to-fine ladder, keep the cheapest
     feasible candidate.  Entropy and homomorphism values use the exact
     blockwise closed forms, so n can reach construction scale (10^5+).
-    The constructions plant on a constant-p background, so a matrix base
-    (the block model) is refused rather than scored against the wrong p.
-    Targets <= 1 get the constant witness, as on the n x n path: p,
-    d/(n-1) under row sums, or the exact total weight."""
-    if np.ndim(problem.base) > 0:
+    The constructions plant on a constant-p background, so a block-model
+    base is refused rather than scored against the wrong p."""
+    if isinstance(problem.base, BlockModelParams):
         raise DomainError("block solve needs a scalar base p; a block-model base "
-                          f"is only solved densely, at n <= {DENSE_N_CAP}")
+                          f"is only solved by the AL, at n <= {DENSE_N_CAP}")
     if problem.seeds:
         raise DomainError("seeds start the n x n solve only; the level search takes none")
     p = problem.hom_p()
     tmax = max(t for _, t in problem.targets)
     kind, val = problem.ensemble or (None, None)
-
-    if tmax <= 1.0:
-        level = Fraction(val) / (problem.n - 1) if kind == "row_sums" else Fraction(p)
-        spec = BlockSpec((problem.n,), ((level,),))
-        spec = fill_total_weight(spec, val) if kind == "total_weight" else spec
-        return _result(problem, spec, "constant", 0, [CONSTANT_NOTE])
 
     best = (math.inf, None, None)  # (value, spec, delta)
     evaluations = 0

@@ -90,6 +90,25 @@ def test_block_entropy_matches_materialized():
     spec = B.build_cycle_blocks(300, 30, 2.5, 3)
     x = spec.materialize()
     assert spec.entropy(0.1) == pytest.approx(R.entropy_matrix(x, 0.1), rel=1e-9)
+    # one base value per block pair: a block-model base on the same blocks
+    params = R.BlockModelParams((0.5, 0.5), ((2.0, 1.0), (1.0, 0.5)), 0.1)
+    base = B.BlockSpec(tuple(R.block_sizes(params.alpha, 300)), tuple(
+        tuple(Fraction(c * 0.1) for c in row) for row in params.kernel)).refined(spec.sizes)
+    spec = spec.refined(base.sizes)
+    assert spec.entropy(base.value_matrix()) == pytest.approx(
+        R.entropy_matrix(x, params.edge_probability_matrix(300)), rel=1e-9)
+    assert spec.entropy(np.full((spec.num_blocks,) * 2, 0.1)) == spec.entropy(0.1)
+
+
+def test_refined_is_the_same_matrix_on_both_cut_points():
+    spec = B.build_plant(40, 0.3, 1.0, 1.0, 2)  # blocks of 4, 12 and 24 vertices
+    for cuts in ((20, 20), (1, 39), (3, 4, 33), (40,), (4, 12, 24)):
+        fine = spec.refined(cuts)
+        assert np.array_equal(np.asarray(fine), np.asarray(spec))
+        ends = set(np.cumsum(fine.sizes).tolist())
+        assert ends == set(np.cumsum(spec.sizes).tolist()) | set(np.cumsum(cuts).tolist())
+        assert fine.refined(spec.sizes) == fine.refined(cuts) == fine
+    assert spec.refined(spec.sizes) is spec
 
 
 # ---------------------------------------------------------------------------

@@ -395,6 +395,18 @@ def test_solve_block_base_meets_its_scaled_target(capsys):
     assert doc["residuals"][0] <= 1e-6 and doc["value"] > 0
 
 
+@pytest.mark.parametrize("argv", ["--graph cycle:3 --t 1.3 --n 60 --p 0.3",
+                                  "--graph clique:4 --t 1.3 --n 30 --p 0.3"])
+def test_one_block_kernel_solves_as_er(argv, capsys):
+    # a one-block model with kernel 1 is G(n, p): the same stdout, byte for byte
+    code, er_out, err = run_main(capsys, "solve", *argv.split())
+    assert code == 0, err
+    code, out, err = run_main(capsys, "solve", *argv.split(), "--model", "block",
+                              "--alpha", "1", "--kernel", "[[1]]")
+    assert code == 0, err
+    assert out == er_out
+
+
 def test_solve_uniform_model():
     proc = run_cli(
         "solve", "--graph", "cycle:3", "--t", "1.2", "--n", "40",

@@ -167,11 +167,13 @@ def test_blockspec_user_seed_runs_on_block_values(monkeypatch):
     assert spaces[-1] is S._DenseSpace
     assert res.value == pytest.approx(dense.value, rel=1e-9)
     assert res.seed_provenance == dense.seed_provenance
-    # under a matrix base a BlockSpec seed runs n x n
-    pm = np.full((n, n), p)
-    np.fill_diagonal(pm, 0.0)
-    S.solve_phi(S.SolveProblem(((K3, 1.2),), n=n, base=pm, hom_scale=p, seeds=(spec,)))
-    assert spaces[-1] is S._DenseSpace
+    # under a block-model base it is refined onto the base's blocks, cut at
+    # 20, and runs on block values in the one stack
+    params = R.BlockModelParams((0.5, 0.5), ((2.0, 1.0), (1.0, 0.5)), p)
+    sizes = _record_calls(monkeypatch, "_al_stack", seen=lambda _pr, sp, *_a: sp.sizes)
+    spaces.clear()
+    S.solve_phi(S.SolveProblem(((K3, 1.2),), n=n, base=params, seeds=(spec,)))
+    assert spaces == [S._BlockSpace] and sizes[-1][-1] == (5, 15, 20)
 
 
 def test_normalized_scale():
@@ -208,34 +210,42 @@ def test_seeds_must_have_n_vertices():
     S.SolveProblem(((K3, 1.2),), n=20, base=0.3, seeds=(small, spec))
 
 
-def test_block_model_base_with_hom_scale():
+def test_block_model_base_takes_its_params():
     params = R.BlockModelParams((0.5, 0.5), ((2.0, 1.0), (1.0, 0.5)), 0.2)
     n = 30
-    pm = params.edge_probability_matrix(n)
     target = 1.1 * R.b_h(K3, params)
-    prob = S.SolveProblem(targets=((K3, target),), n=n, base=pm, hom_scale=0.2)
+    prob = S.SolveProblem(targets=((K3, target),), n=n, base=params)
+    assert prob.hom_p() == 0.2
+    # the base BlockSpec is the block model's probability matrix
+    assert np.array_equal(np.asarray(prob.base_spec()), params.edge_probability_matrix(n))
     res = S.solve_phi(prob)
     assert res.residuals[0] <= 1e-6
     assert res.value > 0
-    with pytest.raises(DomainError):
-        S.SolveProblem(targets=((K3, 1.0),), n=n, base=pm)  # missing hom_scale
+    assert isinstance(res.x, B.BlockSpec)
+    for base in (params.edge_probability_matrix(n), [0.2] * n):
+        with pytest.raises(DomainError, match=r"a p in \(0,1\) or a BlockModelParams"):
+            S.SolveProblem(targets=((K3, 1.0),), n=n, base=base)
+    # a base probability of 0 or 1 has no finite entropy against it
+    for kernel in (((1.0, 0.0), (0.0, 1.0)), ((5.0, 1.0), (1.0, 1.0))):
+        with pytest.raises(DomainError, match=r"kernel \* p must lie in \(0,1\)"):
+            S.SolveProblem(targets=((K3, 1.0),), n=n,
+                           base=R.BlockModelParams((0.5, 0.5), kernel, 0.2))
     with pytest.raises(DomainError, match="scalar base"):
         S._level_search(prob)  # plants on constant p, not on the block base
 
 
-def test_matrix_base_below_its_targets_is_solved():
-    # targets <= 1 in units of p^e: a matrix base's own hom value is not near
-    # 1, so the constant-base shortcut must not accept it unmeasured
+def test_block_base_below_its_targets_is_solved():
+    # targets <= 1 in units of p^e: a block base's own hom value is not near
+    # 1, so the constant witness must not accept it unmeasured
     params = R.BlockModelParams((0.5, 0.5), ((1.0, 0.5), (0.5, 1.0)), 0.3)
     n = 12
-    pm = params.edge_probability_matrix(n)
     target = 1.3 * R.b_h(K3, params)
     assert target <= 1
-    res = S.solve_phi(S.SolveProblem(targets=((K3, target),), n=n, base=pm, hom_scale=0.3))
+    res = S.solve_phi(S.SolveProblem(targets=((K3, target),), n=n, base=params))
     assert res.residuals[0] <= 1e-6 and res.value > 0 and not res.notes
-    # a matrix base that meets its targets is still accepted as it stands
+    # a block base that meets its targets is still accepted as it stands
     low = 0.5 * R.b_h(K3, params)
-    res = S.solve_phi(S.SolveProblem(targets=((K3, low),), n=n, base=pm, hom_scale=0.3))
+    res = S.solve_phi(S.SolveProblem(targets=((K3, low),), n=n, base=params))
     assert res.value == 0.0 and res.residuals[0] == 0.0 and res.iterations == 0
 
 
@@ -259,8 +269,7 @@ def test_dp_cap_directs_to_block_path_before_any_seed(monkeypatch):
     # a block-model base has no block witness: refused before any seed
     monkeypatch.setattr(S, "default_seeds", no_al)
     params = R.BlockModelParams((0.5, 0.5), ((1.0, 0.5), (0.5, 1.0)), 0.1)
-    prob = S.SolveProblem(((G.clique(4), 1.3),), n=520, base=params.edge_probability_matrix(520),
-                          hom_scale=0.1)
+    prob = S.SolveProblem(((G.clique(4), 1.3),), n=520, base=params)
     with pytest.raises(ResourceError, match="hom DP"):
         S.solve_phi(prob)
 
@@ -287,8 +296,7 @@ def test_pattern_past_the_dp_width_cap_does_not_fit_at_any_n(monkeypatch):
     assert res.value == 1246.111852477344
     # a block-model base has no block witness: refused before any seed
     params = R.BlockModelParams((0.5, 0.5), ((1.0, 0.5), (0.5, 1.0)), 0.1)
-    prob = S.SolveProblem(((G.clique(7), 1.3),), n=600, base=params.edge_probability_matrix(600),
-                          hom_scale=0.1)
+    prob = S.SolveProblem(((G.clique(7), 1.3),), n=600, base=params)
     with pytest.raises(ResourceError, match="block-model base"):
         S.solve_phi(prob)
 
@@ -520,6 +528,42 @@ def test_block_space_runs_match_their_materialized_seeds(prob):
     assert feasible
 
 
+# the README's block-model solve, and its K3 target at t = 1.5
+BLOCK_PARAMS = R.BlockModelParams((0.5, 0.5), ((2.0, 1.0), (1.0, 0.5)), 0.05)
+
+
+def _block_model_problem(n):
+    return S.SolveProblem(((K3, 1.5 * R.b_h(K3, BLOCK_PARAMS)),), n=n, base=BLOCK_PARAMS)
+
+
+@pytest.mark.parametrize("n, names", [(40, None), (200, ("plant_hub_delta_x2",))])
+def test_block_base_runs_match_their_materialized_seeds(n, names):
+    # under a block-model base too the n x n space is the oracle: each seed,
+    # run alone on block values (every default seed at n = 40, the winner at
+    # n = 200), takes as many iterations as on its materialized matrix and
+    # ends at its value within the AL's stop tolerance (1.4e-7 at most here)
+    prob = _block_model_problem(n)
+    seeds = [spec for name, spec in S.default_seeds(prob) if names is None or name in names]
+    assert seeds
+    for spec in seeds:
+        assert S._fits_blocks(prob, spec)
+        (values, _x, iterations), (dense, _xd, dense_iterations) = (
+            S._al_stack(prob, space, space.pack([spec]))
+            for space in (S._BlockSpace(prob, [spec.sizes]), S._DenseSpace(prob)))
+        assert iterations[0] == dense_iterations[0]
+        assert values[0] == pytest.approx(dense[0], rel=1e-6)
+
+
+def test_block_model_solve_at_n_1000_takes_no_dense_step(monkeypatch):
+    def no_dense(*_a, **_k):
+        raise AssertionError("an n x n step ran")
+
+    monkeypatch.setattr(S._DenseSpace, "evaluate", no_dense)
+    res = S.solve_phi(_block_model_problem(1000))
+    assert isinstance(res.x, B.BlockSpec) and res.x.refined((500, 500)) == res.x
+    assert res.residuals[0] <= 1e-6 and res.ensemble_residual == 0.0
+
+
 @pytest.mark.parametrize("prob", DENSE_SOLVE_PROBLEMS)
 def test_a_seed_runs_in_the_stack_as_it_runs_alone(prob):
     # lockstep changes no seed's run: each row of the full stack, padded to
@@ -593,13 +637,16 @@ def _blow_up(sizes, rows):
 
 
 def test_block_space_steps_are_the_dense_steps_restricted():
-    # evaluate, project, dot and residual on the packed block-pair values
-    # agree with the n x n space on the blow-up, for every ensemble; the
-    # one-vertex block's own pair holds no vertex pair and is not stored
+    # evaluate, project, dot, residual and witness on the packed block-pair
+    # values agree with the n x n space on the blow-up, for every ensemble
+    # and for a block-model base, whose blocks (12, 12) these sizes refine;
+    # the one-vertex block's own pair holds no vertex pair and is not stored
     rng = np.random.default_rng(5)
     sizes = (1, 4, 7, 12)
     n = sum(sizes)
-    for ensemble, base in ((None, 0.3), (("row_sums", 7), 7 / n), (("total_weight", 90), 0.3)):
+    params = R.BlockModelParams((0.5, 0.5), ((2.0, 1.0), (1.0, 0.5)), 0.2)
+    for ensemble, base in ((None, 0.3), (("row_sums", 7), 7 / n), (("total_weight", 90), 0.3),
+                           (None, params)):
         prob = S.SolveProblem(((K3, 1.3), (G.cycle(5), 1.2)), n=n, base=base, ensemble=ensemble)
         blocks, dense = S._BlockSpace(prob, [sizes]), S._DenseSpace(prob)
         y = rng.random((1, 9))
@@ -615,6 +662,9 @@ def test_block_space_steps_are_the_dense_steps_restricted():
                            dense.project(_blow_up(sizes, step)), rtol=0, atol=1e-12)
         assert blocks.dot(y, beg) == pytest.approx(dense.dot(x, deg), rel=1e-12)
         assert blocks.residual(y) == pytest.approx(dense.residual(x), rel=1e-12)
+        witness = blocks.witness(y, 0)
+        assert witness.sizes == sizes
+        assert np.array_equal(np.asarray(witness), dense.witness(x, 0))
 
 
 def _assert_shift_clip_kkt(vals, m, weights, tol=1e-9):
@@ -827,13 +877,34 @@ def test_block_solve_targets_at_most_one_give_the_constant_witness(ensemble, lev
 
 
 @pytest.mark.parametrize("ensemble", [None, ("row_sums", 18), ("total_weight", 531)])
-def test_both_paths_answer_targets_at_most_one_alike(ensemble):
+def test_both_paths_answer_targets_at_most_one_alike(ensemble, monkeypatch):
+    # one constant witness, taken before routing: whichever method the
+    # problem routes to, the same BlockSpec and the same result, with no
+    # hom DP on an n x n matrix
+    def no_dp(*_a, **_k):
+        raise AssertionError("the n x n hom DP ran")
+
+    monkeypatch.setattr(H, "_dp_sum", no_dp)
     prob = S.SolveProblem(((K3, 1.0),), n=60, base=0.3, ensemble=ensemble)
-    dense, block = S.solve_phi(prob), S._level_search(prob)
-    assert (dense.seed_provenance, dense.iterations, dense.notes) == (
-        block.seed_provenance, block.iterations, block.notes)
-    assert block.value == pytest.approx(dense.value, rel=1e-9, abs=1e-12)
-    assert block.residuals == pytest.approx(dense.residuals, rel=1e-9)
+    results = []
+    for dense in (True, False):
+        monkeypatch.setattr(S, "_dense_witness", lambda _prob, dense=dense: dense)
+        res = S.solve_phi(prob)
+        results.append((res.x, res.to_json()))
+    assert results[0] == results[1]
+    assert results[0][0].sizes == (60,) and results[0][1]["ensemble_residual"] == 0.0
+
+
+def test_k4_below_one_is_one_constant_block_without_the_dp(monkeypatch):
+    # the constant witness is measured by its closed forms, not on a 500 x 500 matrix
+    def no_dp(*_a, **_k):
+        raise AssertionError("the n x n hom DP ran")
+
+    monkeypatch.setattr(H, "_dp_sum", no_dp)
+    res = S.solve_phi(S.SolveProblem(((G.clique(4), 0.9),), n=500, base=0.1))
+    assert res.x == B.BlockSpec((500,), ((Fraction(0.1),),))
+    assert (res.value, res.seed_provenance, res.iterations) == (0.0, "constant", 0)
+    assert res.residuals == [0.0] and res.notes == [S.CONSTANT_NOTE]
 
 
 def test_block_solve_refuses_seeds():
