@@ -105,13 +105,10 @@ class BlockSpec:
 
     def refined(self, sizes):
         """This matrix on its blocks cut also where blocks of `sizes` end."""
-        ends = list(itertools.accumulate(self.sizes))
-        cuts = sorted(set(ends).union(itertools.accumulate(sizes)))
-        if len(cuts) == len(ends):
+        cut, owner = refinement(self.sizes, sizes)
+        if len(cut) == self.num_blocks:
             return self
-        owner = [sum(end < cut for end in ends) for cut in cuts]  # the block each lies in
-        return BlockSpec(tuple(b - a for a, b in zip([0] + cuts, cuts)),
-                         tuple(tuple(self.values[a][b] for b in owner) for a in owner))
+        return BlockSpec(cut, tuple(tuple(self.values[a][b] for b in owner) for a in owner))
 
     def parts(self):
         """The blocks split into groups that no nonzero value joins, each
@@ -168,6 +165,15 @@ class BlockSpec:
             for row in obj["values"]
         )
         return BlockSpec(tuple(int(s) for s in obj["sizes"]), values)
+
+
+def refinement(sizes, other):
+    """The blocks of `sizes` cut also where blocks of `other` end, and the
+    owner of each: the index of the block of `sizes` it lies in."""
+    ends = list(itertools.accumulate(sizes))
+    cuts = sorted(set(ends).union(itertools.accumulate(other)))
+    owner = [sum(end < cut for end in ends) for cut in cuts]
+    return tuple(b - a for a, b in zip([0] + cuts, cuts)), owner
 
 
 def _independent_group_partitions(h: Graph):
@@ -266,30 +272,41 @@ def _rowsum(a):
     return a.cumsum(axis=-1)[..., -1] if a.shape[-1] else np.zeros(a.shape[:-1])[()]
 
 
+# products (rows x terms) per edge past 3 up to which two cumprods beat edge
+# columns in `terms_value_and_gradient` (timeit, K3 to K5 stacks, 2 CPUs)
+CUMPROD_PRODUCTS = 32
+
+
 def terms_value_and_gradient(terms, values):
     """The polynomial `hom_terms` and its gradient at the packed `values`.
     A stack of rows of values takes a stack of terms, whose pairs index the
     flattened stack and whose padding has weight 0; each row's terms are
-    summed in order (`_rowsum`)."""
+    summed in order (`_rowsum`).  Every factor but the j-th multiplies in
+    cumprod's order: by cumprods, or edge column by column, to the same bits."""
     pairs, weights = terms
     edges = pairs.shape[-1]
     if not edges:  # a pattern with no edges
         return _rowsum(weights), np.zeros(values.shape)
     factors = values.ravel().take(pairs)
-    f = [factors[..., j] for j in range(edges)]
-    # the product of every factor but the j-th, from prefix and suffix
-    # products edge column by column, in cumprod's order; None stands for 1
-    before, after = [None] * edges, [None] * edges
-    for j in range(1, edges):
-        before[j] = f[0] if j == 1 else before[j - 1] * f[j - 1]
-        after[-1 - j] = f[-1] if j == 1 else after[-j] * f[-j]
-    part = np.empty_like(factors)
-    for j in range(edges):
-        w = weights if before[j] is None else weights * before[j]
-        part[..., j] = w if after[j] is None else w * after[j]
-    value = _rowsum(weights * (f[-1] if edges == 1 else before[-1] * f[-1]))
+    if weights.size <= CUMPROD_PRODUCTS * (edges - 3):
+        before, after = np.ones_like(factors), np.ones_like(factors)
+        np.cumprod(factors[..., :-1], axis=-1, out=before[..., 1:])
+        np.cumprod(factors[..., :0:-1], axis=-1, out=after[..., -2::-1])
+        part = weights[..., None] * before * after
+        full = before[..., -1] * factors[..., -1]
+    else:
+        f = [factors[..., j] for j in range(edges)]
+        before, after = [None] * edges, [None] * edges  # None stands for 1
+        for j in range(1, edges):
+            before[j] = f[0] if j == 1 else before[j - 1] * f[j - 1]
+            after[-1 - j] = f[-1] if j == 1 else after[-j] * f[-j]
+        part = np.empty_like(factors)
+        for j in range(edges):
+            w = weights if before[j] is None else weights * before[j]
+            part[..., j] = w if after[j] is None else w * after[j]
+        full = f[-1] if edges == 1 else before[-1] * f[-1]
     grad = np.bincount(pairs.ravel(), part.ravel(), minlength=values.size)
-    return value, grad.reshape(values.shape)
+    return _rowsum(weights * full), grad.reshape(values.shape)
 
 
 def blow_up(sizes, values) -> np.ndarray:

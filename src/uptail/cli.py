@@ -222,6 +222,20 @@ def _ensemble_from_args(args, strict=True):
     return ensembles.block_model(args.n, rates.BlockModelParams(alpha, kernel, args.p))
 
 
+def _dense_ensemble(args):
+    """`_ensemble_from_args` for solve, tail-mc and tail-is, which normalize
+    counts at the edge density p: p = 0 or 1 is refused, naming its flag,
+    before any seed or draw."""
+    spec = _ensemble_from_args(args)
+    # (edges, pairs), er's edges expected per pair; no division, as one vertex has no pair
+    count = {"er": (spec.p, 1), "uniform": (spec.m, spec.n * (spec.n - 1) // 2)}.get(spec.kind)
+    if count and count[0] in (0, count[1]):
+        flag = f"--p {args.p:g}" if spec.kind == "er" else f"--m {args.m}"
+        raise DomainError(f"{flag}: {'no' if count[0] == 0 else 'every'} pair is an edge; "
+                          f"{args.command} needs an edge density in (0, 1)")
+    return spec
+
+
 def _load_tilt(path, n):
     if path.endswith(".json"):
         with open(path) as fh:
@@ -236,7 +250,7 @@ def cmd_solve(args):
     hs = [_load_graph(s) for s in args.graph]
     if len(args.t) != len(hs):
         raise DomainError("need one --t per --graph")
-    spec = _ensemble_from_args(args)
+    spec = _dense_ensemble(args)
     problem = solver.SolveProblem(
         targets=tuple((h, t * spec.threshold_unit(h)) for h, t in zip(hs, args.t)),
         n=args.n,
@@ -276,7 +290,7 @@ def _progress_printer(total):
 
 
 def cmd_tail_mc(args):
-    spec = _ensemble_from_args(args)
+    spec = _dense_ensemble(args)
     hs = [_load_graph(s) for s in args.graph]
     est = ensembles.mc_upper_tail(
         spec, hs, args.t, args.samples,
@@ -289,7 +303,7 @@ def cmd_tail_mc(args):
 
 
 def cmd_tail_is(args):
-    spec = _ensemble_from_args(args)
+    spec = _dense_ensemble(args)
     hs = [_load_graph(s) for s in args.graph]
     tilt = _load_tilt(args.tilt_file, args.n)
     if args.tilt_blend is not None:

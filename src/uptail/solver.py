@@ -43,6 +43,7 @@ from .blocks import (
     ensemble_residual,
     fill_total_weight,
     hom_terms,
+    refinement,
     terms_value_and_gradient,
 )
 from .errors import ConstructionError, DomainError, ResourceError
@@ -85,6 +86,8 @@ class SolveProblem:
             raise DomainError(f"budget must be >= 0, got {self.budget}")
         if self.ensemble is not None and self.ensemble[0] not in ("total_weight", "row_sums"):
             raise DomainError(f"unknown ensemble constraint {self.ensemble!r}")
+        if self.ensemble and self.ensemble[0] == "total_weight":
+            _check_total_weight(self.ensemble[1], self.n)
         sizes = {seed.n if isinstance(seed, BlockSpec) else np.shape(seed) for seed in self.seeds}
         if not sizes <= {self.n, (self.n, self.n)}:
             raise DomainError(f"every seed must be an n x n matrix or a BlockSpec of n = {self.n}")
@@ -143,6 +146,9 @@ def _unit(x):
     return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
+_count = np.count_nonzero  # a mask's any() (and all()) at a third of the cost on small stacks
+
+
 def _rows_of(v, like):
     """Per-row values `v` shaped to broadcast over a stack like `like`."""
     return v.reshape((-1,) + (1,) * (like.ndim - 1))
@@ -159,51 +165,61 @@ def _box(x):
     return _zero_diagonal(0.5 * (y + np.swapaxes(y, -1, -2)))
 
 
-def _shift_clip(vals, m, weights):
+def _shift_clip(vals, m, weights, live, rows):
     """Row by row, the exact solve of sum weights * clip(v + lam, 0, 1) = m
     for rows of values in [0, 1]: the projection onto a weighted sum within
     the box, in the metric those weights define (each value stands for
-    `weights` pairs).  A value of weight 0 is padding: it comes back 0.
+    `weights` pairs, `live` = weights > 0).  A value of weight 0 is padding:
+    it comes back 0.  `rows` is each row's index, a column.
 
     total(lam) is piecewise linear and nondecreasing.  No entry reaches 1
     below lam = 0, and none sits at 0 above it, so with a row sorted in
     decreasing order (stably) and W_j, V_j the sums of w and w v through the
     j-th, total(-v_j) = V_j - v_j W_j and total(1 - v_j) = W - v_j (W - W_j)
-    + V - V_j.  These breakpoints, on m's side of total(0) = V, bracket m;
-    the bracket's two ends are evaluated exactly and interpolated.  Padding
-    sorts last, and its breakpoints repeat the last one's total (V below, W
-    above), so it moves no row's bracket."""
-    weights = np.broadcast_to(weights, vals.shape)
-    if not (0 <= m <= _rowsum(weights).min()):
-        raise DomainError("total weight target outside [0, n(n-1)/2]")
-    order = (-vals).argsort(axis=-1, kind="stable")
-    v, w = np.take_along_axis(vals, order, -1), np.take_along_axis(weights, order, -1)
+    + V - V_j.  These breakpoints, and 0, on m's side of total(0) = V,
+    bracket m; the bracket's two ends are evaluated exactly and interpolated.
+    Padding sorts last, and its breakpoints repeat the last one's total (V
+    below, W above), so it moves no row's bracket."""
+    width = vals.shape[-1]
+    order = (-vals).argsort(axis=-1, kind="stable") + rows * width
+    v, w = vals.take(order), weights.take(order)
     cw, cwv = w.cumsum(-1), (w * v).cumsum(-1)
-    big, heavy, zero = cwv[:, -1:], cw[:, -1:], np.zeros_like(cwv[:, :1])
+    big, heavy = cwv[:, -1:], cw[:, -1:]
     low = m <= big
-    bps = np.where(low, np.hstack([-v, zero]), np.hstack([zero, 1.0 - v]))
-    totals = np.where(low, np.hstack([cwv - v * cw, big]),
-                      np.hstack([big, heavy - v * (heavy - cw) + (big - cwv)]))
-    i = np.clip((totals < m).sum(-1, keepdims=True), 1, bps.shape[-1] - 1)
-    lo, hi = np.take_along_axis(bps, i - 1, -1), np.take_along_axis(bps, i, -1)
-    t_lo, t_hi = (_rowsum(weights * _unit(vals + lam))[:, None] for lam in (lo, hi))
+    totals = np.where(low, cwv - v * cw, heavy - v * (heavy - cw) + (big - cwv))
+    # the bracket's upper end, i: the number of totals below m, that of the
+    # breakpoint 0 (V) among them, which is the last below total(0) and the
+    # first above it
+    i = np.minimum(np.maximum((totals < m).sum(-1, keepdims=True) + (big < m), 1), width)
+    bps = np.zeros((len(vals), width + 2))  # 0, breakpoints, 0; read one further on below
+    bps[:, 1:-1] = np.where(low, -v, 1.0 - v)
+    ends = bps.take(i + low + rows * (width + 2) + np.array([-1, 0]))
+    lo, hi = ends[:, :1], ends[:, 1:]
+    t = _rowsum(weights[:, None] * _unit(vals[:, None] + ends[..., None]))
+    t_lo, t_hi = t[:, :1], t[:, 1:]
     span = np.where(t_hi > t_lo, t_hi - t_lo, 1.0)
     lam0 = np.where(m <= t_lo, lo, np.where(m >= t_hi, hi, lo + (m - t_lo) * (hi - lo) / span))
     clipped = _unit(vals + lam0)
     # absorb float residue on strictly interior entries
     r = m - _rowsum(weights * clipped)
-    interior = (clipped > 1e-9) & (clipped < 1 - 1e-9) & (weights > 0)
+    interior = (clipped > 1e-9) & (clipped < 1 - 1e-9) & live
     w_in = _rowsum(np.where(interior, weights, 0.0))
     clipped = np.where(interior, clipped + (r / np.where(w_in > 0, w_in, 1.0))[:, None], clipped)
-    return np.where(weights > 0, _unit(clipped), 0.0)
+    return np.where(live, _unit(clipped), 0.0)
+
+
+def _check_total_weight(m, n):
+    if not (0 <= m <= n * (n - 1) / 2):
+        raise DomainError("total weight target outside [0, n(n-1)/2]")
 
 
 def _project_total_weight(x, m):
     """Projection of a stack of matrices onto {sum_{i<j} x = m} within the
     box: shift and clip."""
+    _check_total_weight(m, x.shape[-1])
     iu = np.triu_indices(x.shape[-1], 1)
-    out = np.zeros_like(x)
-    out[..., iu[0], iu[1]] = _shift_clip(x[..., iu[0], iu[1]], m, np.ones(iu[0].size))
+    out, ones, rows = np.zeros_like(x), np.ones((len(x), iu[0].size)), np.arange(len(x))[:, None]
+    out[..., iu[0], iu[1]] = _shift_clip(x[..., iu[0], iu[1]], m, ones, ones > 0, rows)
     return out + np.swapaxes(out, -1, -2)
 
 
@@ -225,7 +241,8 @@ def _dykstra(x, d, n, box, affine, deviation, on=None, tol=1e-11, max_iter=5000)
     """Dykstra's alternating projections between `box` and `affine(., d)`,
     the set where every row sum is d, row by row on a stack: a row stops once
     its iterate is within tol of both (`deviation` gives each row's largest
-    row-sum deviation), and rows outside `on` never start.
+    row-sum deviation), and rows outside `on` never start.  The increments
+    start at 0 and are built only for a pass that some row still takes.
 
     Returns the box-clipped last iterates; the row residual is certified by
     the caller, on the point it keeps.
@@ -233,22 +250,26 @@ def _dykstra(x, d, n, box, affine, deviation, on=None, tol=1e-11, max_iter=5000)
     if not (0 < d <= n - 1):
         raise DomainError("row-sum target must be in (0, n-1]")
     run = np.ones(len(x), dtype=bool) if on is None else on.copy()
-    y = x.copy()
-    inc_box = np.zeros_like(y)
-    inc_aff = np.zeros_like(y)
+    if not _count(run):
+        return box(x)
+    y, inc_box, inc_aff = x, 0.0, 0.0
     for _it in range(max_iter):
-        if not run.any():
-            break
-        z = box(y + inc_box)
-        y2 = affine(z + inc_aff, d)
-        new_box, new_aff = (y + inc_box) - z, (z + inc_aff) - y2
+        y_box = y + inc_box
+        z = box(y_box)
+        z_aff = z + inc_aff
+        y2 = affine(z_aff, d)
         stopped = ~run
-        if stopped.any():
+        if _count(stopped):
             y2[stopped] = y[stopped]
-            new_box[stopped], new_aff[stopped] = inc_box[stopped], inc_aff[stopped]
-        y, inc_box, inc_aff = y2, new_box, new_aff
+        y = y2
         flat = y.reshape(len(y), -1)
-        run &= (flat.min(axis=1) < -tol) | (flat.max(axis=1) > 1 + tol) | (deviation(y, d) >= tol)
+        outside = (flat.min(axis=1) < -tol) | (flat.max(axis=1) > 1 + tol)
+        # the row sums are measured only where they decide a row's stop
+        run &= outside | (deviation(y, d) >= tol) if _count(run & ~outside) else outside
+        if not _count(run):
+            break
+        kept = _rows_of(stopped, y)
+        inc_box, inc_aff = np.where(kept, inc_box, y_box - z), np.where(kept, inc_aff, z_aff - y)
     return box(y)
 
 
@@ -365,17 +386,18 @@ class _DenseSpace:
 
     def evaluate(self, x):
         """(hom values, hom gradients, entropy values, entropy gradients) of
-        each matrix: all the inner loop needs, each hom pair from one pinned
-        DP pass per orbit."""
+        each matrix, each an array with a row per matrix (the hom gradients
+        rows x targets x n x n): all the inner loop needs, each hom pair from
+        one pinned DP pass per orbit."""
         problem = self.problem
         p = problem.hom_p()
-        vals, grads = [], []
-        for h, _t in problem.targets:
-            v, g = zip(*(hom_value_and_gradient(h, xi, p) for xi in x))
-            vals.append(v)
-            grads.append(g[0][None] if len(g) == 1 else np.stack(g))  # one row: no copy
+        vals, grads = zip(*(hom_value_and_gradient(h, xi, p)
+                            for xi in x for h, _t in problem.targets))
+        grads = (np.stack(grads) if len(grads) > 1 else grads[0][None]).reshape(
+            (len(x), len(problem.targets)) + x.shape[1:])  # one gradient: no copy
         entropy = [0.5 * entropy_matrix(xi, self.base) for xi in x]
-        return np.array(vals).T, grads, np.array(entropy), _entropy_grad(x, self.base)
+        return (np.array(vals).reshape(len(x), -1), grads, np.array(entropy),
+                _entropy_grad(x, self.base))
 
     def project(self, x, on=None):
         return _project(x, self.problem.ensemble, on)
@@ -413,12 +435,18 @@ class _BlockSpace:
     seed's row takes the same steps in any stack."""
 
     def __init__(self, problem, sizes):
-        # the base on each seed's blocks, cut also where the base's end; their block pairs
-        bases = list(map(problem.base_spec().refined, sizes))
-        self.problem, self.n, self.sizes = problem, problem.n, [b.sizes for b in bases]
+        # each seed's blocks cut also where the base's end, their owners in
+        # the base and their block pairs
+        base = problem.base_spec()
+        self.problem, self.n, self.p = problem, problem.n, problem.hom_p()
+        self.sizes, owners = zip(*(refinement(base.sizes, s) for s in sizes))
         self.packs = [block_pairs(s) for s in self.sizes]
         self.pairs, self.s = _padded([c for _a, _b, c in self.packs]), _padded(self.sizes)
         self.live, self.blocks = self.pairs > 0, self.s > 0
+        # the mask as a (cheaper) factor, the inner product's weights, row indices
+        self.ones, self.pairs2 = 1.0 * self.live, 2.0 * self.pairs
+        self.rows = np.arange(len(self.pairs))[:, None]
+        self.kind, self.bound = problem.ensemble or (None, None)
         # the row sum of a vertex in block a: sum_b s_b y_ab - y_aa
         a, b, _pairs = map(np.concatenate, zip(*self.packs))
         row, col = np.nonzero(self.live)
@@ -430,9 +458,11 @@ class _BlockSpace:
         self.incidence[row[cross], b[cross], col[cross]] = 1.0
         # a pair's hom gradient in y / p, shared out over its vertex pairs, is
         # one vertex pair's gradient in x
-        self.share = np.divide(1.0, problem.hom_p() * self.pairs,
+        self.share = np.divide(1.0, self.p * self.pairs,
                                out=np.zeros_like(self.pairs), where=self.live)
-        self.base = np.where(self.live, self.pack(bases), 0.5)
+        values = [base.value_matrix()] * len(owners)
+        self.base = np.where(self.live, self._by_owner(values, owners), 0.5)
+        self.base_q = 1.0 - self.base
         self.terms = [self._stack_terms([hom_terms(h, s, pack)
                                          for s, pack in zip(self.sizes, self.packs)])
                       for h, _t in problem.targets]
@@ -444,21 +474,29 @@ class _BlockSpace:
         index, weights = (_padded(x) for x in zip(*terms))
         return index + self.pairs.shape[1] * np.arange(len(index))[:, None, None], weights
 
+    def _by_owner(self, values, owners):
+        """Each row's k x k `values` at its live block pairs, a pair's value
+        that of the two blocks its blocks lie in (their `owners`)."""
+        return _padded([v[o[a], o[b]] for v, o, (a, b, _c) in zip(values, map(np.array, owners),
+                                                                  self.packs)])
+
     def pack(self, specs):
-        return _padded([spec.refined(s).value_matrix()[a, b]
-                        for spec, s, (a, b, _c) in zip(specs, self.sizes, self.packs)])
+        return self._by_owner([spec.value_matrix() for spec in specs],
+                              [refinement(spec.sizes, s)[1] for spec, s in zip(specs, self.sizes)])
 
     def evaluate(self, y):
         """`_DenseSpace.evaluate` at the blow-up of each row: hom values from
         the compiled independent-group expansion, the entropy and its log-odds
         gradient from one pair of logs, kept off 0 and 1 (where 0 log 0 = 0)."""
-        p = self.problem.hom_p()
-        vals, grads = zip(*(terms_value_and_gradient(terms, y / p) for terms in self.terms))
+        yp, vals = y / self.p, np.empty((len(y), len(self.terms)))
+        grads = np.empty(vals.shape + y.shape[1:])
+        for j, terms in enumerate(self.terms):
+            vals[:, j], g = terms_value_and_gradient(terms, yp)
+            np.multiply(g, self.share, out=grads[:, j])
         q = 1.0 - y
         up = np.log(np.maximum(y, EPS) / self.base)
-        down = np.log(np.maximum(q, EPS) / (1.0 - self.base))
-        return (np.stack(vals, axis=1), [g * self.share for g in grads],
-                _rowsum(self.pairs * (y * up + q * down)), (up - down) * self.live)
+        down = np.log(np.maximum(q, EPS) / self.base_q)
+        return vals, grads, _rowsum(self.pairs * (y * up + q * down)), (up - down) * self.ones
 
     def _row_sums(self, y):
         return _rowsum(self.rows_op * y[:, None, :])
@@ -476,22 +514,20 @@ class _BlockSpace:
     def project(self, y, on=None):
         """`project_ensemble` on the blow-up of each row; a row-sum
         projection iterates only the rows in `on`."""
-        kind, val = self.problem.ensemble or (None, None)
-        if kind == "total_weight":
-            return _shift_clip(_unit(y), val, self.pairs)
-        if kind == "row_sums":
-            return _dykstra(y, val, self.n, _unit, self._rows_affine, self._deviation, on)
+        if self.kind == "total_weight":
+            return _shift_clip(_unit(y), self.bound, self.pairs, self.live, self.rows)
+        if self.kind == "row_sums":
+            return _dykstra(y, self.bound, self.n, _unit, self._rows_affine, self._deviation, on)
         return _unit(y)
 
     def dot(self, a, b):
-        return 2.0 * _rowsum(self.pairs * (a * b))
+        return (self.pairs2 * (a * b)).cumsum(1)[:, -1]  # `_rowsum`, inline
 
     def residual(self, y):
-        kind, val = self.problem.ensemble or (None, None)
-        if kind == "row_sums":
-            return self._deviation(y, val)
-        if kind == "total_weight":
-            return np.abs(_rowsum(self.pairs * y) - val)
+        if self.kind == "row_sums":
+            return self._deviation(y, self.bound)
+        if self.kind == "total_weight":
+            return np.abs(_rowsum(self.pairs * y) - self.bound)
         return np.zeros(len(y))
 
     def witness(self, y, row):
@@ -688,58 +724,66 @@ def _al_stack(problem, space, x0):
     # certificate tolerance on the ensemble residual of a kept point
     ens_tol = max(1e-10, 1e-9 * max(1.0, bound)) if kind == "total_weight" else 1e-10
     targets = np.array([t for _h, t in problem.targets], dtype=float)
+    floor = targets - feas_tol
     x = space.project(np.asarray(x0, dtype=float))
     lam = np.zeros((len(x), len(targets)))
     rho = np.full(len(x), 10.0)
     step = np.ones(len(x))  # spectral steps, carried from one inner loop to the next
     best_val, best_x = np.full(len(x), math.inf), x.copy()
+    residual_of = np.full(len(x), math.inf)  # each row's ensemble residual, once measured
 
-    def consider(x, ev):
+    def consider(x, ev, moved):
         """Keep each row of x as its incumbent if it is feasible, within
         ens_tol of the ensemble's set and cheaper; `ev` is its `space.evaluate`
-        tuple.  A row that has stopped offers the point it stopped at again,
-        which changes nothing."""
+        tuple.  Only a row that `moved` can newly pass the first two tests:
+        one that did not offers its point again, whose residual is known."""
         vals, _, val, _ = ev
-        keep = ((space.residual(x) <= ens_tol) & (vals >= targets - feas_tol).all(axis=1)
-                & (val < best_val))
-        best_val[keep] = val[keep]
-        best_x[keep] = x[keep]
+        keep = (vals >= floor).all(axis=1) & (val < best_val)
+        if _count(keep & moved):
+            residual_of[:] = space.residual(x)
+        keep &= residual_of <= ens_tol
+        if _count(keep):
+            best_val[keep] = val[keep]
+            best_x[keep] = x[keep]
 
-    ev = space.evaluate(x)
-    consider(x, ev)
-    res_history = [np.maximum(targets - ev[0], 0.0).max(axis=1)]
-    history = []  # incumbent values, inf before the first
     running = np.ones(len(x), dtype=bool)
+    ev = space.evaluate(x)
+    consider(x, ev, running)
+    # rings of the last 30 incumbents (after update j, at j % 30) and the last
+    # 31 residuals (before update j, at j % 31); the incumbent only falls, so
+    # the last five spread from the oldest to the newest
+    history, res_history = np.empty((30, len(x))), np.empty((31, len(x)))
+    res_history[0] = np.maximum(targets - ev[0], 0.0).max(axis=1)
     iterations = np.zeros(len(x), dtype=int)
 
-    for _outer in range(problem.budget):
+    for outer in range(problem.budget):
         x, ev, step = _spg(space, x, ev, targets, lam, rho, step, running)
-        vals = ev[0]
-        residual = np.maximum(targets - vals, 0.0).max(axis=1)
-        consider(x, ev)
-        lam = np.maximum(0.0, lam + rho[:, None] * (targets - vals))
-        rho = np.where((residual > 0.7 * res_history[-1]) & (residual > feas_tol),
+        gap = targets - ev[0]
+        residual = np.maximum(gap, 0.0).max(axis=1)
+        consider(x, ev, running)
+        lam = np.maximum(0.0, lam + rho[:, None] * gap)
+        rho = np.where((residual > 0.7 * res_history[outer % 31]) & (residual > feas_tol),
                        np.minimum(rho * 2.0, 1e12), rho)
-        history.append(best_val.copy())
-        res_history.append(residual)
+        history[outer % 30] = best_val
+        res_history[(outer + 1) % 31] = residual
         iterations += running
-        stop = np.zeros(len(x), dtype=bool)
-        if len(history) >= 5:
-            recent = np.array(history[-5:])
-            with np.errstate(invalid="ignore"):  # inf - inf before an incumbent
-                spread = (recent.max(axis=0) - recent.min(axis=0)) / (1.0 + np.abs(recent[-1]))
-            stop |= (residual <= feas_tol) & np.isfinite(recent).all(axis=0) & (spread <= 1e-6)
-        # bail out of a stalled run: neither the residual nor the incumbent
-        # value moved over the last 30 multiplier updates
-        if len(res_history) > 30:
-            v_old, v_new = history[-30], history[-1]
-            seen = np.isfinite(v_old)  # then v_new is finite too
-            with np.errstate(invalid="ignore"):
-                kept = np.abs(v_old - v_new) <= 1e-6 * (1.0 + np.abs(v_new))
-            val_stuck = seen & kept | ~seen & ~np.isfinite(v_new)
-            stop |= (residual > feas_tol) & (residual > 0.99 * res_history[-31]) & val_stuck
+        if outer < 4:
+            continue
+        v_old = history[(outer - 4) % 30]
+        with np.errstate(invalid="ignore"):  # inf - inf before an incumbent
+            spread = (v_old - best_val) / (1.0 + np.abs(best_val))
+            stop = (residual <= feas_tol) & np.isfinite(v_old) & (spread <= 1e-6)
+            # bail out of a stalled run: neither the residual nor the
+            # incumbent value moved over the last 30 multiplier updates
+            if outer >= 29:
+                v_old = history[(outer - 29) % 30]
+                seen = np.isfinite(v_old)  # then best_val is finite too
+                kept = np.abs(v_old - best_val) <= 1e-6 * (1.0 + np.abs(best_val))
+                val_stuck = seen & kept | ~seen & ~np.isfinite(best_val)
+                stalled = residual > 0.99 * res_history[(outer - 29) % 31]
+                stop |= (residual > feas_tol) & stalled & val_stuck
         running &= ~stop
-        if not running.any():
+        if not _count(running):
             break
     return best_val, best_x, iterations
 
@@ -762,67 +806,62 @@ def _spg(space, x, ev, targets, lam, rho, step, on, max_steps=60):
     lam_rho = lam / rho_col
     lam_rho_sq, half_rho = lam_rho ** 2, 0.5 * rho
 
-    def al_value(ev):
-        pen = np.maximum(0.0, lam_rho + (targets - ev[0]))
-        return ev[2] + half_rho * (pen ** 2 - lam_rho_sq).sum(axis=1), pen
-
-    def al_grad(ev, pen):
-        grad = ev[3]
-        for m, gh in zip((rho_col * pen).T, ev[1]):
-            if m.any():
-                grad = grad - _rows_of(m, gh) * gh
-        return grad
+    def al(ev):
+        """Each row's AL value and gradient at the point of `ev`."""
+        vals, hom_grads, entropy, grad = ev
+        pen = np.maximum(0.0, lam_rho + (targets - vals))
+        for j, m in enumerate((rho_col * pen).T):
+            if _count(m):
+                grad = grad - _rows_of(m, grad) * hom_grads[:, j]
+        return entropy + half_rho * (pen ** 2 - lam_rho_sq).sum(axis=1), grad
 
     def take(rows, new, old):
-        """`new` on `rows`, `old` elsewhere, through nested tuples and lists."""
-        if rows.all():
-            return new
-        if isinstance(new, (tuple, list)):
-            return type(new)(take(rows, a, b) for a, b in zip(new, old))
-        return np.where(_rows_of(rows, new), new, old)
+        """`new` on `rows`, `old` elsewhere, array by array."""
+        return tuple(np.where(_rows_of(rows, a), a, b) for a, b in zip(new, old))
 
-    f, pen = al_value(ev)
+    f, grad = al(ev)
     # each row's last 10 values, a ring; a row out of the loop never returns
     # to it, so the rows still in it share one write position
-    recent = np.full((len(x), 10), -math.inf)
-    recent[:, 0] = f
-    grad = al_grad(ev, pen)
+    recent = np.empty((len(x), 10))
+    recent[:, 0], recent[:, 1:] = f, -math.inf
     inner = on.copy()
     for k in range(1, max_steps + 1):
         d = space.project(x - _rows_of(step, x) * grad, inner) - x
         # both gradients are per unordered pair; each pair sits twice in d
         slope = 0.5 * space.dot(grad, d)
         inner &= slope < -1e-12 * (1.0 + np.abs(f))
-        if not inner.any():
+        live = _count(inner)
+        if not live:
             break
         # a row out of the loop takes the zero step: its trial point is its
         # point, which evaluates to its own values bit for bit
-        d = take(inner, d, 0.0)
+        if live < len(inner):
+            d = np.where(_rows_of(inner, d), d, 0.0)
         f_ref = recent.max(axis=1)
         t = 1.0  # halved for every row, read only on the rows still searching
-        search = inner.copy()
+        search = inner
         for bt in range(40):
-            xt = x + t * d
+            xt = x + t * d if bt else x + d
             ev_t = space.evaluate(xt)
-            ft, pen_t = al_value(ev_t)
-            ok = search & (ft <= f_ref + 1e-4 * t * slope)
+            trial = (xt, *ev_t, *al(ev_t))
+            ok = trial[-2] <= f_ref + 1e-4 * t * slope
             if bt == 0:  # rows that backtrack are replaced when they accept
-                xn, ev_n, fn, pen_n = xt, ev_t, ft, pen_t
-            elif ok.any():
-                xn, ev_n, fn, pen_n = take(ok, (xt, ev_t, ft, pen_t), (xn, ev_n, fn, pen_n))
-            search &= ~ok
-            if not search.any():
+                new = trial
+            elif _count(search & ok):
+                new = take(search & ok, trial, new)
+            search = search & ~ok
+            if not _count(search):
                 break
             t *= 0.5
-        if search.any():  # a row that found no decrease in 40 halvings stops
+        else:  # a row that found no decrease in 40 halvings stops
             inner &= ~search
-            xn, ev_n, fn, pen_n = take(search, (x, ev, f, pen), (xn, ev_n, fn, pen_n))
-        grad_n = al_grad(ev_n, pen_n)
+            new = take(search, (x, *ev, f, grad), new)
+        xn, ev_n, fn, grad_n = new[0], new[1:-2], new[-2], new[-1]
         s, y = xn - x, grad_n - grad
         sy = space.dot(s, y)
         curved = sy > 0
         bb = np.minimum(np.maximum(space.dot(s, s) / np.where(curved, sy, 1.0), 1e-10), 1e3)
         step = np.where(inner, np.where(curved, bb, 1e3), step)
-        x, ev, f, pen, grad = xn, ev_n, fn, pen_n, grad_n
+        x, ev, f, grad = xn, ev_n, fn, grad_n
         recent[:, k % 10] = f
     return x, ev, step

@@ -86,6 +86,60 @@ def test_whole_cliques_expand_one_part_at_a_time(monkeypatch):
     assert max(k for _v, _e, k in B._TERM_CACHE) <= 2
 
 
+def _terms_value_and_gradient_reference(terms, values):
+    """`terms_value_and_gradient` with its products formed edge column by
+    column at any size: the oracle that both of its forms match bit for bit."""
+    pairs, weights = terms
+    edges = pairs.shape[-1]
+    factors = values.ravel().take(pairs)
+    f = [factors[..., j] for j in range(edges)]
+    before, after = [None] * edges, [None] * edges
+    for j in range(1, edges):
+        before[j] = f[0] if j == 1 else before[j - 1] * f[j - 1]
+        after[-1 - j] = f[-1] if j == 1 else after[-j] * f[-j]
+    part = np.empty_like(factors)
+    for j in range(edges):
+        w = weights if before[j] is None else weights * before[j]
+        part[..., j] = w if after[j] is None else w * after[j]
+    value = B._rowsum(weights * (f[-1] if edges == 1 else before[-1] * f[-1]))
+    grad = np.bincount(pairs.ravel(), part.ravel(), minlength=values.size)
+    return value, grad.reshape(values.shape)
+
+
+@pytest.mark.parametrize("h, n, seeds", [(K3, 60, None), (K3, 60, 1), (G.cycle(5), 40, None),
+                                         (G.cycle(5), 40, 1), (K4, 30, None), (K4, 40, None),
+                                         (G.cycle(6), 40, None), (G.clique(5), 30, None)])
+def test_term_products_are_the_column_form_bit_for_bit(h, n, seeds):
+    # stacks of a solve's seeds, padded to the widest seed (or its first seed
+    # alone), at random values with entries at exactly 0 and 1; the cumprod
+    # form serves few products of many edges, the column form the rest
+    prob = S.SolveProblem(((h, 1.3),), n=n, base=0.3)
+    specs = [spec for _name, spec in S.default_seeds(prob)][:seeds]
+    space = S._BlockSpace(prob, [spec.sizes for spec in specs])
+    terms = space.terms[0]
+    rng = np.random.default_rng(n + h.edge_count)
+    for _ in range(5):
+        y = rng.random(space.pairs.shape)
+        y[rng.random(y.shape) < 0.2] = 0.0
+        y[rng.random(y.shape) < 0.2] = 1.0
+        for got, want in zip(B.terms_value_and_gradient(terms, y),
+                             _terms_value_and_gradient_reference(terms, y)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_both_term_product_forms_are_taken():
+    # which form a stack takes: (pattern, n, seeds) -> cumprod form?
+    def cumprod_form(h, n, seeds=None):
+        prob = S.SolveProblem(((h, 1.3),), n=n, base=0.3)
+        specs = [spec for _name, spec in S.default_seeds(prob)][:seeds]
+        pairs, weights = S._BlockSpace(prob, [spec.sizes for spec in specs]).terms[0]
+        return weights.size <= B.CUMPROD_PRODUCTS * (pairs.shape[-1] - 3)
+
+    assert not cumprod_form(K3, 60) and not cumprod_form(K3, 60, 1)
+    assert not cumprod_form(G.cycle(5), 40) and cumprod_form(G.cycle(5), 40, 1)
+    assert cumprod_form(K4, 30) and not cumprod_form(G.cycle(6), 40)
+
+
 def test_block_entropy_matches_materialized():
     spec = B.build_cycle_blocks(300, 30, 2.5, 3)
     x = spec.materialize()

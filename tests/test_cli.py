@@ -679,6 +679,42 @@ def test_regular_model_rejected_alike(sub, n, d, message, capsys):
     assert code == 1 and message in err and out == ""
 
 
+DEGENERATE_MODELS = ("uniform --n 10 --m 45", "uniform --n 10 --m 0", "uniform --n 60 --m 1770",
+                     "uniform --n 1 --m 0", "er --n 10 --p 1")
+
+
+@pytest.mark.parametrize("sub, model", [(sub, model) for sub in ("solve", "tail-mc")
+                                        for model in DEGENERATE_MODELS]
+                         + [("tail-is", "er --n 12 --p 1")])
+def test_edge_density_zero_or_one_exits_1_before_any_seed_or_draw(sub, model, smoke_files,
+                                                                   monkeypatch, capsys):
+    # every pair an edge, or none: no p to normalize counts at.  The refusal
+    # names the flag and comes before any solver seed or Monte Carlo draw
+    # (before, tail-mc drew its first chunk and then failed on p = 1, and one
+    # vertex ended in a ZeroDivisionError)
+    from uptail import ensembles, solver
+
+    def no_work(*_a, **_k):
+        raise AssertionError("a seed or a draw ran")
+
+    for owner, name in ((solver, "default_seeds"), (ensembles, "_draw_stack"),
+                        (ensembles, "sample")):
+        monkeypatch.setattr(owner, name, no_work)
+    argv = {"solve": ["solve", "--t", "1.3"], "tail-mc": ["tail-mc", "--t", "1.3", "--samples", "50"],
+            "tail-is": ["tail-is", "--t", "1.3", "--samples", "50",
+                        "--tilt-file", str(smoke_files["tilt_csv"])]}[sub]
+    model = ["--model"] + model.split()
+    code, out, err = run_main(capsys, *argv, "--graph", "cycle:3", *model)
+    assert code == 1 and out == ""
+    assert model[-2] in err and "pair is an edge" in err
+
+
+@pytest.mark.parametrize("model", [m for m in DEGENERATE_MODELS if "--n 10" in m])
+def test_sample_still_draws_edge_density_zero_or_one(model, capsys):
+    code, out, _err = run_main(capsys, "sample", "--model", *model.split())
+    assert code == 0 and json.loads(out)["edge_count"] == (0 if model.endswith("--m 0") else 45)
+
+
 @pytest.mark.parametrize("model,flag", [("uniform", "--m"), ("regular", "--d")])
 def test_solve_fixed_count_model_needs_its_flag(model, flag, capsys):
     # --p sets the base but not the constraint: before, this ended in a TypeError

@@ -1,6 +1,7 @@
 """Variational solver: projections, feasibility contracts, nesting, trends."""
 
 import dataclasses
+import math
 import re
 from fractions import Fraction
 
@@ -509,6 +510,41 @@ def test_dense_solve_problems_keep_their_results(prob, pinned):
     assert (res.iterations, res.seed_provenance) == (iterations, provenance)
 
 
+# each problem's default seeds run as one `_al_stack` stack: every row's
+# outer iterations and final value (inf where the row keeps no feasible
+# point).  A change in how a step is computed, not in what it solves, keeps
+# every row, not only the sum and the winner
+DENSE_SOLVE_ROWS = [
+    ([27] * 17, [4.499572893578216, 4.4995728935788435, 4.499572893579089, 4.499572893580476,
+                 4.499572893579481, 4.499572893580464, 4.499572893579826, 4.499572893580477,
+                 4.4995728935805985, 4.499572893580353, 4.499572893580747, 4.499572893580734,
+                 4.499572893580477, 4.499572893580604, 4.499572893580856, 4.499572893580746,
+                 4.499572893580722]),
+    ([30] * 5, [math.inf] * 3 + [229.54985821858654, 340.2255108716102]),
+    ([30] * 13, [math.inf] * 5 + [55.05968429434329, 37.067585102666534, 61.42536881124167,
+                                  45.026965407579276, 68.315482978242, 55.05968429434329,
+                                  62.20455237299775, 102.2171489130456]),
+    ([13] + [11] * 3, [0.6114452942023847, 0.6114453421411181, 0.6114453443701917,
+                       0.6114453442342435]),
+    ([19] + [14] * 10, [1.0778294268768538, 1.0778281950009574, 1.0778281949944033,
+                        1.0778281950130895, 1.0778281950101956, 1.0778281949676276,
+                        1.0778281950151167, 1.0778281949841226, 1.077828195015692,
+                        1.0778281950037332, 1.077828195016048]),
+]
+
+
+@pytest.mark.parametrize("prob, pinned", zip(DENSE_SOLVE_PROBLEMS, DENSE_SOLVE_ROWS))
+def test_dense_solve_problems_keep_every_row(prob, pinned):
+    specs = [spec for _name, spec in S.default_seeds(prob)]
+    space = S._BlockSpace(prob, [spec.sizes for spec in specs])
+    values, _points, iterations = S._al_stack(prob, space, space.pack(specs))
+    pinned_iterations, pinned_values = pinned
+    assert iterations.tolist() == pinned_iterations
+    assert np.isinf(values).tolist() == [math.isinf(v) for v in pinned_values]
+    finite = np.isfinite(values)
+    assert values[finite] == pytest.approx(np.array(pinned_values)[finite], rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("prob", DENSE_SOLVE_PROBLEMS)
 def test_block_space_runs_match_their_materialized_seeds(prob):
     # the n x n space is the oracle: from every default seed, the AL run on
@@ -552,6 +588,22 @@ def test_block_base_runs_match_their_materialized_seeds(n, names):
             for space in (S._BlockSpace(prob, [spec.sizes]), S._DenseSpace(prob)))
         assert iterations[0] == dense_iterations[0]
         assert values[0] == pytest.approx(dense[0], rel=1e-6)
+
+
+@pytest.mark.parametrize("prob", DENSE_SOLVE_PROBLEMS + [_block_model_problem(40),
+                                                    _block_model_problem(200)])
+def test_block_space_takes_base_and_seed_values_by_owner(prob):
+    # each seed's blocks are cut also where the base's end; the base value
+    # and the seed value of each live block pair, taken through the blocks
+    # they lie in, are those of the base and the seed refined onto them
+    specs = [spec for _name, spec in S.default_seeds(prob)]
+    space = S._BlockSpace(prob, [spec.sizes for spec in specs])
+    packed = space.pack(specs)
+    for row, (spec, sizes, (a, b, _c)) in enumerate(zip(specs, space.sizes, space.packs)):
+        base = prob.base_spec().refined(spec.sizes)
+        assert base.sizes == sizes == spec.refined(base.sizes).sizes
+        assert np.array_equal(space.base[row, :len(a)], base.value_matrix()[a, b])
+        assert np.array_equal(packed[row, :len(a)], spec.refined(sizes).value_matrix()[a, b])
 
 
 def test_block_model_solve_at_n_1000_takes_no_dense_step(monkeypatch):
@@ -671,7 +723,7 @@ def _assert_shift_clip_kkt(vals, m, weights, tol=1e-9):
     """clip(vals + lam) for one lam, of weighted sum m: every entry strictly
     inside (0, 1) moved by lam, every entry at 0 had v + lam <= 0, every
     entry at 1 had v + lam >= 1."""
-    x = S._shift_clip(vals[None], m, weights[None])[0]
+    x = S._shift_clip(vals[None], m, weights[None], weights[None] > 0, np.zeros((1, 1), int))[0]
     assert x.min() >= 0.0 and x.max() <= 1.0
     assert abs(float(weights @ x) - m) <= tol * max(1.0, m)
     inner = (x > tol) & (x < 1 - tol)
@@ -701,8 +753,124 @@ def test_shift_clip_meets_the_kkt_conditions(size):
     for m in (0.0, 7.0, 10.0):
         x = _assert_shift_clip_kkt(np.array([0.9]), m, np.array([10.0]))
         assert x[0] == pytest.approx(m / 10.0, abs=1e-12)
-    with pytest.raises(DomainError):
-        S._shift_clip(np.array([[0.5]]), 10.5, np.array([[10.0]]))
+    # a target past the total weight is refused once per projection call
+    # and once per problem, not by every shift and clip
+    with pytest.raises(DomainError, match="total weight target"):
+        S.project_ensemble(np.full((5, 5), 0.5), ("total_weight", 10.5))
+    with pytest.raises(DomainError, match="total weight target"):
+        S.SolveProblem(((K3, 1.3),), n=5, base=0.5, ensemble=("total_weight", 10.5))
+
+
+def _shift_clip_reference(vals, m, weights):
+    """`_shift_clip` in its first form, with `take_along_axis`, `hstack` and
+    `np.clip` and its range check left to the callers: the oracle that the
+    fast form matches bit for bit."""
+    weights = np.broadcast_to(weights, vals.shape)
+    order = (-vals).argsort(axis=-1, kind="stable")
+    v, w = np.take_along_axis(vals, order, -1), np.take_along_axis(weights, order, -1)
+    cw, cwv = w.cumsum(-1), (w * v).cumsum(-1)
+    big, heavy, zero = cwv[:, -1:], cw[:, -1:], np.zeros_like(cwv[:, :1])
+    low = m <= big
+    bps = np.where(low, np.hstack([-v, zero]), np.hstack([zero, 1.0 - v]))
+    totals = np.where(low, np.hstack([cwv - v * cw, big]),
+                      np.hstack([big, heavy - v * (heavy - cw) + (big - cwv)]))
+    i = np.clip((totals < m).sum(-1, keepdims=True), 1, bps.shape[-1] - 1)
+    lo, hi = np.take_along_axis(bps, i - 1, -1), np.take_along_axis(bps, i, -1)
+    t_lo, t_hi = (B._rowsum(weights * S._unit(vals + lam))[:, None] for lam in (lo, hi))
+    span = np.where(t_hi > t_lo, t_hi - t_lo, 1.0)
+    lam0 = np.where(m <= t_lo, lo, np.where(m >= t_hi, hi, lo + (m - t_lo) * (hi - lo) / span))
+    clipped = S._unit(vals + lam0)
+    r = m - B._rowsum(weights * clipped)
+    interior = (clipped > 1e-9) & (clipped < 1 - 1e-9) & (weights > 0)
+    w_in = B._rowsum(np.where(interior, weights, 0.0))
+    clipped = np.where(interior, clipped + (r / np.where(w_in > 0, w_in, 1.0))[:, None], clipped)
+    return np.where(weights > 0, S._unit(clipped), 0.0)
+
+
+def _dykstra_reference(x, d, box, affine, deviation, on=None, tol=1e-11, max_iter=5000):
+    """`_dykstra` in its first form, every increment built on every pass:
+    the oracle that the fast form matches bit for bit."""
+    run = np.ones(len(x), dtype=bool) if on is None else on.copy()
+    y = x.copy()
+    inc_box = np.zeros_like(y)
+    inc_aff = np.zeros_like(y)
+    for _it in range(max_iter):
+        if not run.any():
+            break
+        z = box(y + inc_box)
+        y2 = affine(z + inc_aff, d)
+        new_box, new_aff = (y + inc_box) - z, (z + inc_aff) - y2
+        stopped = ~run
+        if stopped.any():
+            y2[stopped] = y[stopped]
+            new_box[stopped], new_aff[stopped] = inc_box[stopped], inc_aff[stopped]
+        y, inc_box, inc_aff = y2, new_box, new_aff
+        flat = y.reshape(len(y), -1)
+        run &= (flat.min(axis=1) < -tol) | (flat.max(axis=1) > 1 + tol) | (deviation(y, d) >= tol)
+    return box(y)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _random_rows(rng, rows, width):
+    """Rows of values in [0, 1] with ties and entries at exactly 0 and 1."""
+    vals = rng.random((rows, width))
+    vals[rng.random(vals.shape) < 0.2] = 0.0
+    vals[rng.random(vals.shape) < 0.2] = 1.0
+    vals[:, 1::3] = vals[:, :1]  # ties
+    return vals
+
+
+def test_shift_clip_is_its_reference_bit_for_bit():
+    # padded stacks of pair-count weights, every row's summing to n(n-1)/2 as
+    # in the block space (padding of weight 0, which must come back 0
+    # whatever its value), and the n x n space's unit weights, at m = 0, at
+    # the row total, and between
+    rng = np.random.default_rng(25)
+    for trial in range(60):
+        rows, width = int(rng.integers(1, 14)), int(rng.integers(1, 12))
+        if trial % 4 == 3:
+            n = int(rng.integers(3, 12))
+            width, total = n * (n - 1) // 2, n * (n - 1) / 2
+            weights = np.ones((rows, width))
+        else:
+            total = 435.0
+            weights = np.zeros((rows, width))
+            for r in range(rows):
+                live = int(rng.integers(1, width + 1))
+                weights[r, :live - 1] = rng.integers(1, 435 // width, live - 1)
+                weights[r, live - 1] = total - weights[r].sum()
+        vals = _random_rows(rng, rows, width)
+        for m in (0.0, total, rng.uniform(0, total), float((weights * vals).sum(axis=1).min())):
+            fast = S._shift_clip(vals, m, weights, weights > 0, np.arange(rows)[:, None])
+            assert _same_bits(fast, _shift_clip_reference(vals, m, weights))
+
+
+def test_dykstra_is_its_reference_bit_for_bit():
+    # the block space's row-sum operators on a padded stack of seeds and the
+    # n x n space, from points inside and outside the box, with rows outside
+    # `on`; some rows stop after one pass, others take many
+    rng = np.random.default_rng(26)
+    prob = S.SolveProblem(((K3, 1.3),), n=60, base=0.3, ensemble=("row_sums", 18))
+    specs = [spec for _name, spec in S.default_seeds(prob)]
+    space = S._BlockSpace(prob, [spec.sizes for spec in specs])
+    packed = space.pack(specs)
+    for trial in range(20):
+        on = rng.random(len(packed)) < 0.7
+        on[trial % len(on)] = True
+        step = rng.normal(0.0, (0.0, 1e-1, 1e-3, 1e-5)[trial % 4], packed.shape)
+        y = packed + np.where(space.live, step, 0.0)
+        for on_rows in (None, on):
+            fast = S._dykstra(y, 18, 60, S._unit, space._rows_affine, space._deviation, on_rows)
+            ref = _dykstra_reference(y, 18, S._unit, space._rows_affine, space._deviation, on_rows)
+            assert _same_bits(fast, ref)
+        x = S._box(_random_rows(rng, 2 * 9, 9).reshape(2, 9, 9) + rng.normal(0, 0.05, (2, 9, 9)))
+        for on_rows in (None, np.array([True, trial % 2 == 0]), np.zeros(2, bool)):
+            fast = S._dykstra(x, 4, 9, S._box, S._project_rows_affine, S._row_deviation, on_rows)
+            ref = _dykstra_reference(x, 4, S._box, S._project_rows_affine, S._row_deviation, on_rows)
+            assert _same_bits(fast, ref)
 
 
 # ---------------------------------------------------------------------------
