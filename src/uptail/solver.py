@@ -10,17 +10,16 @@ elsewhere a scan of the ladder's excess level (`_level_search`).  Results
 are certified upper bounds with witnesses; no global-optimality claim is made.
 
 The AL runs its seeds as a stack, one seed to a row, in lockstep
-(`_al_stack`), in one of two spaces with the same operations (evaluate,
-project, inner product, ensemble residual, witness), each row by row.  The
-constant seed (the base: p or a block model's), every `ladder` seed and a
-BlockSpec user seed, each on blocks that refine the base's, run together as
-one stack of their live block-pair values, with hom values from `blocks`'
-compiled independent-group expansion; every step of the n x n solver keeps
-such a matrix block-constant, so this is the same run at the cost of a few
-values.  Ndarray user seeds and a BlockSpec whose expansion passes a
-compile-size cap (`_fits_blocks`) run on the n x n matrix, one seed to a
-stack; that space is also the tests' oracle.  A block-value winner stays a
-BlockSpec.
+(`_al_stack`), on block values (`_BlockSpace`): each row holds its seed's
+live block-pair values, on blocks that refine the base's, and every step of
+the n x n solver keeps a block-constant matrix block-constant, so this is
+the same run at the cost of a few values.  The constant seed (the base: p
+or a block model's), every `ladder` seed and a BlockSpec user seed within a
+compile-size cap (`_fits_blocks`) run together as one stack, with hom
+values from `blocks`' compiled independent-group expansion.  A BlockSpec
+past the cap keeps its blocks and a matrix seed runs on n one-vertex
+blocks, each alone in its stack, with hom values from the DP on its
+blow-up.  The winner stays a BlockSpec, or a matrix for a matrix seed.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from .blocks import (
     build_cycle_blocks,
     build_plant,
     build_whole_cliques,
+    blow_up,
     ensemble_residual,
     fill_total_weight,
     hom_terms,
@@ -122,9 +122,9 @@ class SolveProblem:
 
 @dataclass
 class SolveResult:
-    x: object                 # BlockSpec witness (a block-value run or the level
-                              # search) or ndarray (an n x n run); np.asarray(x)
-                              # is the n x n matrix of either
+    x: object                 # ndarray where the winning seed was one, else a
+                              # BlockSpec (an AL run or the level search);
+                              # np.asarray(x) is the n x n matrix of either
     value: float
     normalized: float
     residuals: list
@@ -152,17 +152,6 @@ _count = np.count_nonzero  # a mask's any() (and all()) at a third of the cost o
 def _rows_of(v, like):
     """Per-row values `v` shaped to broadcast over a stack like `like`."""
     return v.reshape((-1,) + (1,) * (like.ndim - 1))
-
-
-def _zero_diagonal(x):
-    i = np.arange(x.shape[-1])
-    x[..., i, i] = 0.0
-    return x
-
-
-def _box(x):
-    y = _unit(x)
-    return _zero_diagonal(0.5 * (y + np.swapaxes(y, -1, -2)))
 
 
 def _shift_clip(vals, m, weights, live, rows):
@@ -213,30 +202,6 @@ def _check_total_weight(m, n):
         raise DomainError("total weight target outside [0, n(n-1)/2]")
 
 
-def _project_total_weight(x, m):
-    """Projection of a stack of matrices onto {sum_{i<j} x = m} within the
-    box: shift and clip."""
-    _check_total_weight(m, x.shape[-1])
-    iu = np.triu_indices(x.shape[-1], 1)
-    out, ones, rows = np.zeros_like(x), np.ones((len(x), iu[0].size)), np.arange(len(x))[:, None]
-    out[..., iu[0], iu[1]] = _shift_clip(x[..., iu[0], iu[1]], m, ones, ones > 0, rows)
-    return out + np.swapaxes(out, -1, -2)
-
-
-def _project_rows_affine(x, d):
-    """Euclidean projection of a stack of matrices onto {X sym, zero diag,
-    row sums = d} (no box)."""
-    n = x.shape[-1]
-    r = x.sum(axis=-1)
-    s = (n * d - r.sum(axis=-1)) / (2.0 * (n - 1))
-    mu = (d - r - s[..., None]) / (n - 2.0)
-    return _zero_diagonal(x + mu[..., :, None] + mu[..., None, :])
-
-
-def _row_deviation(x, d):
-    return np.abs(x.sum(axis=-1) - d).max(axis=-1)
-
-
 def _dykstra(x, d, n, box, affine, deviation, on=None, tol=1e-11, max_iter=5000):
     """Dykstra's alternating projections between `box` and `affine(., d)`,
     the set where every row sum is d, row by row on a stack: a row stops once
@@ -273,21 +238,97 @@ def _dykstra(x, d, n, box, affine, deviation, on=None, tol=1e-11, max_iter=5000)
     return box(y)
 
 
-def _project(x, constraint, on=None):
-    """`project_ensemble` on a stack of matrices."""
-    if constraint is None:
-        return _box(x)
-    kind, val = constraint
-    if kind == "total_weight":
-        return _project_total_weight(_box(x), val)
-    if kind == "row_sums":
-        return _dykstra(x, val, x.shape[-1], _box, _project_rows_affine, _row_deviation, on)
-    raise DomainError(f"unknown constraint {kind!r}")
+class _RowSums:
+    """The row sums of a stack of block-pair values, rows of blocks of sizes
+    `s` (padded with 0) and `packs` (`blocks.block_pairs` per row) over `n`
+    vertices: a vertex in block a has row sum sum_b s_b y_ab - y_aa.  They
+    are index lists into the stack, sorted by (row, block, value), so that
+    `np.bincount` adds each block's terms in value order; the affine step
+    adds to each value the shifts of its two blocks (twice its own block's).
+    A padded block is left out of the residual, and a padded value stays 0.
+
+    A block of more than RUN terms (n one-vertex blocks have n - 1 each)
+    sums them in runs of RUN, then the runs' sums in order: an in-order sum
+    of 999 terms at n = 1000, d = 100 was off by 1.5e-11, past Dykstra's
+    tol, and never stopped.  A block of at most RUN terms, every block of
+    the compiled stacks (k <= 40 blocks), sums as one run."""
+
+    RUN = 64
+
+    def __init__(self, n, s, packs, live):
+        self.n, self.s, self.blocks, self.ones = n, s, s > 0, 1.0 * live
+        k, width = s.shape[1], live.shape[1]
+        a, b, _pairs = map(np.concatenate, zip(*packs))
+        row, col = np.nonzero(live)
+        cross = a != b
+        block = np.concatenate([row * k + a, (row * k + b)[cross]])
+        value = np.concatenate([row * width + col, (row * width + col)[cross]])
+        coef = np.concatenate([s[row, b] - (a == b), s[row, a][cross]])
+        order = np.lexsort((value, block))
+        block, self.value, self.coef = block[order], value[order], coef[order]
+        first = np.flatnonzero(np.diff(block, prepend=-1))  # each block's first term
+        starts = np.arange(len(block)) - np.repeat(first, np.diff(first, append=len(block)))
+        starts = starts % self.RUN == 0  # each run's first term
+        self.index, self.runs = np.cumsum(starts) - 1, block[starts]
+        if len(self.runs) == len(first):
+            self.index, self.runs = block, None
+        self.ends = np.zeros((2,) + live.shape, dtype=np.intp)
+        self.ends[:, row, col] = row * k + a, row * k + b
+
+    def __call__(self, y):
+        sums = np.bincount(self.index, self.coef * y.take(self.value),
+                           minlength=0 if self.runs is not None else self.s.size)
+        if self.runs is not None:
+            sums = np.bincount(self.runs, sums, minlength=self.s.size)
+        return sums.reshape(self.s.shape)
+
+    def deviation(self, y, d):
+        return np.where(self.blocks, np.abs(self(y) - d), 0.0).max(axis=1)
+
+    def affine(self, y, d):
+        """The Euclidean projection of each row's blow-up onto the matrices
+        of row sums d (no box): the blow-up plus mu_u + mu_v on each pair."""
+        n, r = self.n, self(y)
+        shift = (n * d - _runsum(self.s * r, self.RUN)) / (2.0 * (n - 1))
+        mu = (d - r - shift[:, None]) / (n - 2.0)
+        return y + (mu.take(self.ends[0]) + mu.take(self.ends[1])) * self.ones
+
+
+def _runsum(a, run):
+    """`_rowsum` of each run of `run` terms along the last axis, then of the
+    runs' sums: the same bits up to `run` terms, and past them an error that
+    grows with run + terms / run rather than with the number of terms."""
+    width = a.shape[-1]
+    if width <= run:
+        return _rowsum(a)
+    runs = np.zeros(a.shape[:-1] + (-(-width // run) * run,))
+    runs[..., :width] = a
+    return _rowsum(_rowsum(runs.reshape(a.shape[:-1] + (-1, run))))
 
 
 def project_ensemble(x, constraint):
-    """Project onto the box intersected with the ensemble's affine set."""
-    return _project(np.asarray(x, dtype=float)[None], constraint)[0]
+    """Project onto the box intersected with the ensemble's affine set: the
+    symmetrized x as its upper triangle, the values of n one-vertex blocks,
+    by the AL's own projections; clip(sym(x)) without a constraint."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    pack = block_pairs((1,) * n)
+    a, b, pairs = pack
+    y, live = (0.5 * (x[a, b] + x[b, a]))[None], np.ones((1, len(a)), dtype=bool)
+    kind, val = constraint or (None, None)
+    if kind == "total_weight":
+        _check_total_weight(val, n)
+        y = _shift_clip(_unit(y), val, pairs[None], live, np.zeros((1, 1), dtype=np.intp))
+    elif kind == "row_sums":
+        sums = _RowSums(n, np.ones((1, n)), [pack], live)
+        y = _dykstra(y, val, n, _unit, sums.affine, sums.deviation)
+    elif kind is None:
+        y = _unit(y)
+    else:
+        raise DomainError(f"unknown constraint {kind!r}")
+    out = np.zeros((n, n))
+    out[a, b] = y[0]
+    return out + out.T
 
 
 # ---------------------------------------------------------------------------
@@ -360,112 +401,68 @@ def default_seeds(problem: SolveProblem):
 
 
 # ---------------------------------------------------------------------------
-# the two spaces the AL runs in
+# the space the AL runs in
 # ---------------------------------------------------------------------------
 
-def _entropy_grad(x, base):
-    """d/dx_uv of sum_{u<v} I(x_uv): the log-odds ratio
-    log(x (1 - p) / (p (1 - x))), entrywise, x kept off 0 and 1."""
-    xc = np.clip(x, EPS, 1 - EPS)
-    pm = np.clip(np.asarray(base, dtype=float), EPS, 1 - EPS)  # scalar or matrix
-    return _zero_diagonal(np.log(xc * (1 - pm)) - np.log(pm * (1 - xc)))
-
-
-class _DenseSpace:
-    """The AL on a stack of n x n matrices: any seed, any base, as its
-    matrix.  Gradients are per unordered vertex pair, laid out symmetric, so
-    sums run over ordered pairs.  `solve_phi` gives it one seed at a time, so
-    that a stack holds no more matrices than a single run does."""
-
-    def __init__(self, problem):
-        self.problem, self.base = problem, np.asarray(problem.base_spec())
-
-    @staticmethod
-    def pack(seeds):
-        return np.stack([np.asarray(seed, dtype=float) for seed in seeds])
-
-    def evaluate(self, x):
-        """(hom values, hom gradients, entropy values, entropy gradients) of
-        each matrix, each an array with a row per matrix (the hom gradients
-        rows x targets x n x n): all the inner loop needs, each hom pair from
-        one pinned DP pass per orbit."""
-        problem = self.problem
-        p = problem.hom_p()
-        vals, grads = zip(*(hom_value_and_gradient(h, xi, p)
-                            for xi in x for h, _t in problem.targets))
-        grads = (np.stack(grads) if len(grads) > 1 else grads[0][None]).reshape(
-            (len(x), len(problem.targets)) + x.shape[1:])  # one gradient: no copy
-        entropy = [0.5 * entropy_matrix(xi, self.base) for xi in x]
-        return (np.array(vals).reshape(len(x), -1), grads, np.array(entropy),
-                _entropy_grad(x, self.base))
-
-    def project(self, x, on=None):
-        return _project(x, self.problem.ensemble, on)
-
-    @staticmethod
-    def dot(a, b):
-        return (a * b).sum(axis=(-2, -1))
-
-    def residual(self, x):
-        return np.array([ensemble_residual(xi, self.problem.ensemble) for xi in x])
-
-    @staticmethod
-    def witness(x, row):
-        return x[row]
-
-
 class _BlockSpace:
-    """The AL on a stack of block seeds, one row each of the seed's live
-    unordered block-pair values (`blocks.block_pairs`) on its blocks cut also
-    where the base's end, so that each has one base value.  Each dense step
-    (hom and entropy gradients, box, total-weight shift, row-sum Dykstra)
-    maps a block-constant matrix to a block-constant one, so from a
-    block-constant seed this space takes the dense steps at the cost of a few
-    values.  A value stands for its c unordered vertex pairs: entropy, total
-    weight and shift-and-clip weigh it by c, the inner product (over ordered
-    pairs) by 2c, and a gradient stays one vertex pair's.  Row sums are a
-    blocks x values operator per seed; Dykstra's affine step adds the shifts
-    of a pair's two blocks through their incidence (2 on a block's own pair).
+    """The AL on a stack of seeds, one row each of the seed's live unordered
+    block-pair values (`blocks.block_pairs`) on its blocks cut also where the
+    base's end, so that each has one base value; a matrix seed is the
+    BlockSpec of n one-vertex blocks.  Each n x n step (hom and entropy
+    gradients, box, total-weight shift, row-sum Dykstra) maps a
+    block-constant matrix to a block-constant one, so from a block-constant
+    seed this space takes the n x n steps at the cost of a few values.  A
+    value stands for its c unordered vertex pairs: entropy, total weight and
+    shift-and-clip weigh it by c, the inner product (over ordered pairs) by
+    2c, and a gradient stays one vertex pair's.  Row sums are `_RowSums`.
+
+    Hom values come from `blocks`' compiled independent-group expansion
+    where every seed's blocks fit `_fits_blocks`' cap.  Otherwise the stack
+    holds one seed, a matrix or a BlockSpec past the cap, and they come from
+    the hom DP on the row's blow-up (`homs.hom_value_and_gradient`), each
+    block pair's gradient read at one of its vertex pairs: the first vertex
+    of each block, or the first two for a block's own pair.
 
     Seeds differ in their numbers of blocks, values and hom terms, so every
-    per-seed array is padded to the widest seed: a padded value has weight,
-    incidence and gradient 0, base 1/2 (0 would make 0 * inf = NaN), and
-    stays 0, a padded term has weight 0, and a padded block is left out of
-    the row sums' residual.  Sums over a row run in order (`_rowsum`), so a
-    seed's row takes the same steps in any stack."""
+    per-seed array is padded to the widest seed: a padded value has weight
+    and gradient 0, base 1/2 (0 would make 0 * inf = NaN), and stays 0, a
+    padded term has weight 0, and a padded block is left out of the row
+    sums' residual.  Sums over a row run in order (`_rowsum`; past
+    `_RowSums.RUN` terms, which no compiled stack has, in runs), so a seed's
+    row takes the same steps in any stack."""
 
     def __init__(self, problem, sizes):
-        # each seed's blocks cut also where the base's end, their owners in
-        # the base and their block pairs
+        # `sizes`: each seed's block sizes, None for a matrix seed; each
+        # seed's blocks cut also where the base's end, their owners in the
+        # base and their block pairs
         base = problem.base_spec()
         self.problem, self.n, self.p = problem, problem.n, problem.hom_p()
-        self.sizes, owners = zip(*(refinement(base.sizes, s) for s in sizes))
+        self.matrix = sizes[0] is None  # a matrix seed runs alone
+        self.sizes, owners = zip(*(refinement(base.sizes, (1,) * self.n if s is None else s)
+                                   for s in sizes))
         self.packs = [block_pairs(s) for s in self.sizes]
         self.pairs, self.s = _padded([c for _a, _b, c in self.packs]), _padded(self.sizes)
-        self.live, self.blocks = self.pairs > 0, self.s > 0
+        self.live = self.pairs > 0
         # the mask as a (cheaper) factor, the inner product's weights, row indices
         self.ones, self.pairs2 = 1.0 * self.live, 2.0 * self.pairs
         self.rows = np.arange(len(self.pairs))[:, None]
         self.kind, self.bound = problem.ensemble or (None, None)
-        # the row sum of a vertex in block a: sum_b s_b y_ab - y_aa
-        a, b, _pairs = map(np.concatenate, zip(*self.packs))
-        row, col = np.nonzero(self.live)
-        own, cross = a == b, a != b
-        self.rows_op, self.incidence = np.zeros((2,) + self.s.shape + self.pairs.shape[1:])
-        self.rows_op[row, a, col] = self.s[row, b] - own
-        self.rows_op[row[cross], b[cross], col[cross]] = self.s[row, a][cross]
-        self.incidence[row, a, col] = 1.0 + own
-        self.incidence[row[cross], b[cross], col[cross]] = 1.0
-        # a pair's hom gradient in y / p, shared out over its vertex pairs, is
-        # one vertex pair's gradient in x
-        self.share = np.divide(1.0, self.p * self.pairs,
-                               out=np.zeros_like(self.pairs), where=self.live)
+        if self.kind == "row_sums":
+            self.row_sums = _RowSums(self.n, self.s, self.packs, self.live)
         values = [base.value_matrix()] * len(owners)
         self.base = np.where(self.live, self._by_owner(values, owners), 0.5)
         self.base_q = 1.0 - self.base
-        self.terms = [self._stack_terms([hom_terms(h, s, pack)
-                                         for s, pack in zip(self.sizes, self.packs)])
-                      for h, _t in problem.targets]
+        if all(_fits_blocks(problem, s) for s in sizes):
+            # a pair's hom gradient in y / p, shared out over its vertex
+            # pairs, is one vertex pair's gradient in x
+            self.share = np.divide(1.0, self.p * self.pairs,
+                                   out=np.zeros_like(self.pairs), where=self.live)
+            self.terms = [self._stack_terms([hom_terms(h, s, pack)
+                                             for s, pack in zip(self.sizes, self.packs)])
+                          for h, _t in problem.targets]
+        else:  # one seed: the vertex pair each block pair's gradient is read at
+            (a, b, _pairs), first = self.packs[0], np.cumsum(self.sizes[0]) - self.sizes[0]
+            self.terms, self.probe = None, (first[a], first[b] + (a == b))
 
     def _stack_terms(self, terms):
         """One pattern's terms of every seed, padded to the most terms: (flat
@@ -480,36 +477,45 @@ class _BlockSpace:
         return _padded([v[o[a], o[b]] for v, o, (a, b, _c) in zip(values, map(np.array, owners),
                                                                   self.packs)])
 
-    def pack(self, specs):
-        return self._by_owner([spec.value_matrix() for spec in specs],
-                              [refinement(spec.sizes, s)[1] for spec, s in zip(specs, self.sizes)])
+    def pack(self, seeds):
+        """The seeds' rows: a BlockSpec's values by owner, a matrix's
+        symmetrized upper triangle."""
+        if self.matrix:
+            x = np.asarray(seeds[0], dtype=float)
+            a, b, _pairs = self.packs[0]
+            return (0.5 * (x[a, b] + x[b, a]))[None]
+        return self._by_owner([spec.value_matrix() for spec in seeds],
+                              [refinement(spec.sizes, s)[1] for spec, s in zip(seeds, self.sizes)])
+
+    def _blow_up(self, y):
+        """The values `y` of a stack of one seed as its n x n matrix."""
+        (a, b, _pairs), z = self.packs[0], np.zeros((len(self.sizes[0]),) * 2)
+        z[a, b] = z[b, a] = y
+        return blow_up(self.sizes[0], z)
 
     def evaluate(self, y):
-        """`_DenseSpace.evaluate` at the blow-up of each row: hom values from
-        the compiled independent-group expansion, the entropy and its log-odds
-        gradient from one pair of logs, kept off 0 and 1 (where 0 log 0 = 0)."""
-        yp, vals = y / self.p, np.empty((len(y), len(self.terms)))
+        """(hom values, hom gradients, entropy values, entropy gradients) of
+        each row, each an array with a row per row of y (the hom gradients
+        rows x targets x values): all the inner loop needs.  The entropy and
+        its log-odds gradient come from one pair of logs, kept off 0 and 1
+        (where 0 log 0 = 0)."""
+        targets = self.problem.targets
+        vals = np.empty((len(y), len(targets)))
         grads = np.empty(vals.shape + y.shape[1:])
-        for j, terms in enumerate(self.terms):
-            vals[:, j], g = terms_value_and_gradient(terms, yp)
-            np.multiply(g, self.share, out=grads[:, j])
+        if self.terms is None:
+            x = self._blow_up(y[0])
+            for j, (h, _t) in enumerate(targets):
+                vals[0, j], g = hom_value_and_gradient(h, x, self.p)
+                grads[0, j] = g[self.probe]
+        else:
+            yp = y / self.p
+            for j, terms in enumerate(self.terms):
+                vals[:, j], g = terms_value_and_gradient(terms, yp)
+                np.multiply(g, self.share, out=grads[:, j])
         q = 1.0 - y
         up = np.log(np.maximum(y, EPS) / self.base)
         down = np.log(np.maximum(q, EPS) / self.base_q)
         return vals, grads, _rowsum(self.pairs * (y * up + q * down)), (up - down) * self.ones
-
-    def _row_sums(self, y):
-        return _rowsum(self.rows_op * y[:, None, :])
-
-    def _deviation(self, y, d):
-        return np.where(self.blocks, np.abs(self._row_sums(y) - d), 0.0).max(axis=1)
-
-    def _rows_affine(self, y, d):
-        """`_project_rows_affine` on the blow-up of each row."""
-        n, r = self.n, self._row_sums(y)
-        shift = (n * d - _rowsum(self.s * r)) / (2.0 * (n - 1))
-        mu = (d - r - shift[:, None]) / (n - 2.0)
-        return y + np.matmul(mu[:, None, :], self.incidence)[:, 0]
 
     def project(self, y, on=None):
         """`project_ensemble` on the blow-up of each row; a row-sum
@@ -517,7 +523,8 @@ class _BlockSpace:
         if self.kind == "total_weight":
             return _shift_clip(_unit(y), self.bound, self.pairs, self.live, self.rows)
         if self.kind == "row_sums":
-            return _dykstra(y, self.bound, self.n, _unit, self._rows_affine, self._deviation, on)
+            sums = self.row_sums
+            return _dykstra(y, self.bound, self.n, _unit, sums.affine, sums.deviation, on)
         return _unit(y)
 
     def dot(self, a, b):
@@ -525,16 +532,18 @@ class _BlockSpace:
 
     def residual(self, y):
         if self.kind == "row_sums":
-            return self._deviation(y, self.bound)
+            return self.row_sums.deviation(y, self.bound)
         if self.kind == "total_weight":
             return np.abs(_rowsum(self.pairs * y) - self.bound)
         return np.zeros(len(y))
 
     def witness(self, y, row):
-        """Row `row` as its seed's BlockSpec, each value the Fraction of its
-        float, which a step keeps in [0, 1] (clipped, should roundoff ever
-        leave it); a one-vertex block's own pair, which holds no vertex
-        pair, is 0."""
+        """Row `row` as its n x n matrix for a matrix seed, else as its
+        seed's BlockSpec, each value the Fraction of its float; a step keeps
+        values in [0, 1] (clipped, should roundoff ever leave it), and a
+        one-vertex block's own pair, which holds no vertex pair, is 0."""
+        if self.matrix:
+            return self._blow_up(_unit(y[row]))
         sizes = self.sizes[row]
         values = [[Fraction(0)] * len(sizes) for _ in sizes]
         a, b, _pairs = self.packs[row]
@@ -552,14 +561,16 @@ def _padded(rows):
     return out
 
 
-def _fits_blocks(problem, seed):
-    """Whether a seed runs on block values: a BlockSpec of n vertices; every
-    other seed runs on its n x n matrix.  BATCH_CELLS caps the size of the
-    compiled expansion; it is not a measured crossover of the two spaces'
-    costs.  A pattern of v vertices on k blocks compiles about k^v
-    placements in Python, so a seed past k^v = BATCH_CELLS runs n x n."""
-    return isinstance(seed, BlockSpec) and all(
-        seed.num_blocks ** h.vertex_count <= BATCH_CELLS for h, _t in problem.targets)
+def _fits_blocks(problem, sizes):
+    """Whether a seed on blocks of `sizes` (None for a matrix seed) takes its
+    hom values from `blocks`' compiled independent-group expansion, and so
+    runs in the one lockstep stack.  A pattern of v vertices on k blocks
+    compiles about k^v placements in Python, so BATCH_CELLS caps k^v; it is
+    not a measured crossover of the two engines' costs.  A seed past the cap
+    keeps its blocks and runs alone, its hom values from the DP on its
+    blow-up, and so does a matrix seed, on n one-vertex blocks."""
+    return sizes is not None and all(
+        len(sizes) ** h.vertex_count <= BATCH_CELLS for h, _t in problem.targets)
 
 
 def _refuse_trees(problem):
@@ -600,14 +611,15 @@ def solve_phi(problem: SolveProblem) -> SolveResult:
     n x n work: p (which meets them up to O(1/n)), d/(n-1) under row sums,
     the exact total weight under it, or a block-model base where its own
     counts meet them.  Otherwise, where `_dense_witness` allows, a
-    multi-start AL: the seeds that `_fits_blocks` run in lockstep as one
-    stack of block values, every other seed as a stack of its own n x n
-    matrix, and the first seed within TIE_RTOL of the least value wins, so
-    that seeds which end at one point are not ranked by roundoff.  A
-    block-value winner is the BlockSpec of its seed's blocks, with the
-    Fractions of its float values, measured by its closed forms; an n x n
-    winner is measured on its matrix.  Elsewhere the witness is
-    `_level_search`'s BlockSpec; a block-model base has none."""
+    multi-start AL on block values: the seeds that `_fits_blocks` run in
+    lockstep as one stack, every other seed as a stack of its own, and the
+    first seed within TIE_RTOL of the least value wins, so that seeds which
+    end at one point are not ranked by roundoff.  The winner is the BlockSpec
+    of its seed's blocks, with the Fractions of its float values, or the
+    matrix of a matrix seed, measured by the hom engine its row ran on
+    (`_result`).  Where no run keeps a feasible point, a scalar-base problem
+    without user seeds takes `_level_search`'s answer, as it does where the
+    witness cannot be n x n; a block-model base has none."""
     _refuse_trees(problem)
     if all(t <= 1.0 for _h, t in problem.targets):
         kind, val = problem.ensemble or (None, None)
@@ -625,36 +637,44 @@ def solve_phi(problem: SolveProblem) -> SolveResult:
         return _level_search(problem)
 
     seeds = default_seeds(problem) + [(f"user_{i}", seed) for i, seed in enumerate(problem.seeds)]
-    fits = [_fits_blocks(problem, seed) for _name, seed in seeds]
-    block = [i for i, on_blocks in enumerate(fits) if on_blocks]
-    stacks = [(_BlockSpace(problem, [seeds[i][1].sizes for i in block]), block)] if block else []
-    stacks += [(_DenseSpace(problem), [i]) for i, on_blocks in enumerate(fits) if not on_blocks]
+    sizes = [seed.sizes if isinstance(seed, BlockSpec) else None for _name, seed in seeds]
+    block = [i for i, s in enumerate(sizes) if _fits_blocks(problem, s)]
+    stacks = ([block] if block else []) + [[i] for i in range(len(seeds)) if i not in block]
 
     ends = []  # (value, seed index, space, points, row) of every feasible run
     iterations = 0
-    for space, index in stacks:
+    for index in stacks:
+        space = _BlockSpace(problem, [sizes[i] for i in index])
         values, points, iters = _al_stack(problem, space, space.pack([seeds[i][1] for i in index]))
         iterations += int(iters.sum())
         ends += [(values[row], i, space, points, row)
                  for row, i in enumerate(index) if values[row] < math.inf]
     if not ends:
+        if not isinstance(problem.base, BlockModelParams) and not problem.seeds:
+            try:
+                return _level_search(problem)
+            except ResourceError:
+                pass
         raise ResourceError("no feasible point found within budget from any seed")
     least = min(end[0] for end in ends)
     _value, i, space, points, row = min(
         (end for end in ends if end[0] - least <= TIE_RTOL * abs(least)), key=lambda end: end[1])
-    return _result(problem, space.witness(points, row), seeds[i][0], iterations, [])
+    return _result(problem, space.witness(points, row), seeds[i][0], iterations, [],
+                   space.terms is not None)
 
 
-def _result(problem, x, provenance, iterations, notes):
-    """The SolveResult for witness x, a matrix or (measured by its exact
-    closed forms) a BlockSpec; `normalized` takes Delta >= 2."""
+def _result(problem, x, provenance, iterations, notes, compiled=True):
+    """The SolveResult for witness x, a BlockSpec, whose entropy is its
+    exact closed form, or a matrix.  Hom values come from the engine its AL
+    row ran on: the BlockSpec's closed forms where `compiled`, else the DP on
+    the n x n matrix; `normalized` takes Delta >= 2."""
     p, hs = problem.hom_p(), [h for h, _t in problem.targets]
     if isinstance(x, BlockSpec):
-        base = problem.base_spec().refined(x.sizes).value_matrix()
-        value, vals = 0.5 * x.entropy(base), [x.hom_normalized(h, p) for h in hs]
+        value = 0.5 * x.entropy(problem.base_spec().refined(x.sizes).value_matrix())
     else:
         value = 0.5 * entropy_matrix(x, np.asarray(problem.base_spec()))
-        vals = [hom_normalized(h, x, p) for h in hs]
+    vals = [x.hom_normalized(h, p) if compiled else hom_normalized(h, np.asarray(x), p)
+            for h in hs]
     kind, _ = problem.ensemble or (None, None)
     a_np = rate_scale(problem.n, p, hs, kind == "row_sums", delta_floor=2)
     return SolveResult(

@@ -532,6 +532,43 @@ def test_solve_matrix_out_on_the_level_search(tmp_path, capsys):
     assert 0.5 * rates.entropy_matrix(x, 0.1) == pytest.approx(doc["value"], rel=1e-12)
 
 
+# solves whose AL runs all end infeasible while the level search meets t,
+# with its value: the x1 row-sum cycle seed reaches 3.9977 < 4 by
+# integrality, and no higher rung fits in n/2
+LEVEL_SEARCH_FALLBACKS = [
+    ("--graph cycle:5 --t 4 --n 60 --model regular --d 6", 273.22183956797517),
+    ("--graph cycle:3 --t 4 --n 60 --model uniform --m 531", 736.0628622927244),
+    ("--graph cycle:3 --t 4 --n 120 --model regular --d 12", 1016.2668857615605),
+]
+
+
+@pytest.mark.parametrize("argv, value", LEVEL_SEARCH_FALLBACKS)
+def test_solve_takes_the_level_search_answer_where_no_al_run_is_feasible(argv, value, capsys):
+    # these exited 3, "no feasible point found within budget from any seed"
+    code, out, err = run_main(capsys, "solve", *argv.split())
+    assert code == 0, err
+    doc = json.loads(out)
+    check_schema(doc, "solve")
+    assert doc["seed_provenance"] == "block_search" and "blockspec" in doc
+    assert doc["value"] == pytest.approx(value, rel=1e-12)
+    assert doc["residuals"] == [0.0] and doc["ensemble_residual"] == 0.0
+
+
+def test_solve_seed_past_the_compile_cap_prints_its_blockspec(capsys):
+    # the x1 cycle-blocks seed of C6 has 8 blocks, past 8^6 > BATCH_CELLS:
+    # it runs on its own block values, with the DP's hom values, and wins as
+    # its BlockSpec where it used to win as an n x n matrix, at 107.0455698
+    code, out, err = run_main(capsys, "solve", "--model", "regular", "--graph", "cycle:6",
+                              "--t", "8", "--n", "60", "--d", "2")
+    assert code == 0, err
+    doc = json.loads(out)
+    check_schema(doc, "solve")
+    assert doc["seed_provenance"] == "cycle_blocks_delta_x1"
+    assert doc["blockspec"]["sizes"] == [3] * 7 + [39]
+    assert doc["value"] == pytest.approx(107.04556979658315, rel=1e-6)
+    assert doc["residuals"] == [0.0] and doc["ensemble_residual"] <= 1e-10
+
+
 def test_block_model_solve_past_dense_cap_exits_1():
     # the block search plants on a constant-p background, not the block base
     proc = run_cli(

@@ -87,6 +87,37 @@ def test_project_row_sums_random():
         assert np.allclose(y, y.T) and np.allclose(np.diag(y), 0.0)
 
 
+def test_project_ensemble_symmetrizes_before_it_clips():
+    # the symmetric matrices' box is projected onto exactly by clipping the
+    # symmetrized matrix: (1.6 + 0.2) / 2 = 0.9, where clipping first would
+    # give (1 + 0.2) / 2 = 0.6
+    x = np.array([[0.0, 1.6, -0.4], [0.2, 0.7, 0.5], [0.6, 0.9, 0.0]])
+    expect = np.clip(0.5 * (x + x.T), 0.0, 1.0)
+    np.fill_diagonal(expect, 0.0)
+    assert np.array_equal(S.project_ensemble(x, None), expect)
+    assert S.project_ensemble(x, None)[0, 1] == 0.9
+
+
+def test_row_sums_of_one_vertex_blocks_stay_accurate_at_n_1000():
+    # 999 terms per row sum, and 1000 rows in the affine step's total, are
+    # summed in runs: each row sum, and each exact row sum after the affine
+    # step, within 1.5e-13 of its exact value (in one run each they were off
+    # by up to 3e-13 and 4e-13 here, and by 1.5e-11 at a point of an AL run,
+    # past Dykstra's tol, where its projection never stopped)
+    n, d = 1000, 100
+    a, b, pairs = B.block_pairs((1,) * n)
+    y = np.random.default_rng(n).uniform(0.0, 0.2, (1, len(a)))
+    sums = S._RowSums(n, np.ones((1, n)), [(a, b, pairs)], y > -1)
+
+    def exact_row_sums(values):
+        x = np.zeros((n, n))
+        x[a, b] = values[0]
+        return np.array([math.fsum(row) for row in x + x.T])
+
+    assert np.abs(sums(y)[0] - exact_row_sums(y)).max() <= 1.5e-13
+    assert np.abs(exact_row_sums(sums.affine(y, d)) - d).max() <= 1.5e-13
+
+
 # ---------------------------------------------------------------------------
 # solve contracts
 # ---------------------------------------------------------------------------
@@ -140,8 +171,9 @@ def test_nesting_of_ensembles(monkeypatch):
     assert spaces == [S._BlockSpace]
     spaces.clear()
     res_m = _solve(K3, 1.3, n, p, ensemble=("total_weight", m), seeds=[np.asarray(res_d.x)])
-    # the ladder runs as one stack of block values, the matrix seed n x n
-    assert spaces == [S._BlockSpace, S._DenseSpace]
+    # the ladder runs as one stack of block values, the matrix seed alone, on
+    # one-vertex blocks
+    assert spaces == [S._BlockSpace, S._BlockSpace]
     res_0 = _solve(K3, 1.3, n, p, seeds=[res_m.x])
     tol_m = 1e-4 * (1 + res_m.value)
     tol_0 = 1e-4 * (1 + res_0.value)
@@ -164,17 +196,80 @@ def test_blockspec_user_seed_runs_on_block_values(monkeypatch):
     spaces = _run_on(monkeypatch, S._BlockSpace)
     res = _solve(K3, 1.2, n, p, seeds=[spec])
     assert spaces[-1] is S._BlockSpace
+    sizes = _record_calls(monkeypatch, "_al_stack", seen=lambda _pr, sp, *_a: sp.sizes)
     dense = _solve(K3, 1.2, n, p, seeds=[spec.materialize()])
-    assert spaces[-1] is S._DenseSpace
+    assert spaces[-1] is S._BlockSpace and sizes[-1] == ((1,) * n,)
     assert res.value == pytest.approx(dense.value, rel=1e-9)
     assert res.seed_provenance == dense.seed_provenance
     # under a block-model base it is refined onto the base's blocks, cut at
     # 20, and runs on block values in the one stack
     params = R.BlockModelParams((0.5, 0.5), ((2.0, 1.0), (1.0, 0.5)), p)
-    sizes = _record_calls(monkeypatch, "_al_stack", seen=lambda _pr, sp, *_a: sp.sizes)
     spaces.clear()
     S.solve_phi(S.SolveProblem(((K3, 1.2),), n=n, base=params, seeds=(spec,)))
     assert spaces == [S._BlockSpace] and sizes[-1][-1] == (5, 15, 20)
+
+
+# a matrix seed per pattern and ensemble at n = 30: a default seed of that
+# problem, materialized and moved off its blocks by symmetric noise, which
+# ends feasible
+MATRIX_SEEDS = [(h, ensemble, name) for h, names in (
+    (K3, ("constant", "plant_both_delta_x2", "cycle_blocks_delta_x2")),
+    (G.cycle(5), ("constant", "plant_clique_delta_x3", "cycle_blocks_delta_x3")),
+    (G.clique(4), ("constant", "plant_clique_delta_x8", "whole_cliques_delta_x1")))
+    for ensemble, name in zip((None, ("total_weight", 130), ("row_sums", 9)), names)]
+
+
+@pytest.mark.parametrize("h, ensemble, name", MATRIX_SEEDS)
+def test_matrix_seed_runs_on_one_vertex_blocks_as_on_its_matrix(h, ensemble, name):
+    # a matrix seed is the BlockSpec of n one-vertex blocks: its run takes
+    # the n x n oracle's iterations and ends at its value and point
+    n = 30
+    base = 130 / 435 if ensemble and ensemble[0] == "total_weight" else 0.3
+    prob = S.SolveProblem(((h, 1.3),), n=n, base=base, ensemble=ensemble)
+    noise = np.random.default_rng(11).normal(0.0, 0.02, (n, n))
+    x = np.clip(np.asarray(dict(S.default_seeds(prob))[name]) + noise + noise.T, 0.0, 1.0)
+    np.fill_diagonal(x, 0.0)
+    space, dense = S._BlockSpace(prob, [None]), _DenseSpace(prob)
+    assert space.sizes == ((1,) * n,) and space.terms is None
+    (value, point, iterations), (oracle, oracle_point, oracle_iterations) = (
+        S._al_stack(prob, sp, sp.pack([x])) for sp in (space, dense))
+    assert np.isfinite(oracle[0]) and iterations[0] == oracle_iterations[0]
+    assert value[0] == pytest.approx(oracle[0], rel=1e-9)
+    witness = space.witness(point, 0)
+    assert isinstance(witness, np.ndarray) and np.abs(witness - oracle_point[0]).max() <= 1e-9
+
+
+def test_seed_past_the_compile_cap_keeps_its_blocks(monkeypatch):
+    # 10 blocks put C5 past k^5 = BATCH_CELLS: the seed runs alone on its own
+    # block values, its hom values from the DP on its blow-up, and nothing
+    # compiles the expansion on 10 blocks, not even the winner's measure
+    n, c5 = 40, G.cycle(5)
+    rng = np.random.default_rng(4)
+    values = np.triu(rng.integers(1, 9, (10, 10)) / 10)
+    values = [[Fraction(v) for v in row] for row in values + np.triu(values, 1).T]
+    spec = B.BlockSpec((4,) * 10, tuple(map(tuple, values)))
+    prob = S.SolveProblem(((c5, 8.0),), n=n, base=0.3, seeds=(spec,))
+    assert not S._fits_blocks(prob, spec.sizes) and S._fits_blocks(prob, (4,) * 9)
+    hom_table = B._hom_table
+
+    def no_compile(h, k):
+        assert k < 10, "the expansion compiled on 10 blocks"
+        return hom_table(h, k)
+
+    monkeypatch.setattr(B, "_hom_table", no_compile)
+    space, dense = S._BlockSpace(prob, [spec.sizes]), _DenseSpace(prob)
+    assert space.terms is None
+    (value, point, _iterations), (oracle, _x, _it) = (
+        S._al_stack(prob, sp, sp.pack([spec])) for sp in (space, dense))
+    assert np.isfinite(oracle[0]) and value[0] == pytest.approx(oracle[0], rel=1e-6)
+    assert space.witness(point, 0).sizes == spec.sizes
+    # in a solve it is a stack of its own, and wins as its BlockSpec,
+    # measured by the DP on its matrix
+    sizes = _record_calls(monkeypatch, "_al_stack", seen=lambda _pr, sp, *_a: sp.sizes)
+    res = S.solve_phi(prob)
+    assert sizes[-1] == (spec.sizes,) and len(sizes) == 2
+    assert res.seed_provenance == "user_0" and res.x.sizes == spec.sizes
+    assert res.value == pytest.approx(value[0], rel=1e-12) and res.residuals[0] <= 1e-6
 
 
 def test_normalized_scale():
@@ -392,21 +487,119 @@ def _record_calls(monkeypatch, name, seen=None, owner=S):
     return calls
 
 
-SPACES = (S._BlockSpace, S._DenseSpace)
+# ---------------------------------------------------------------------------
+# the n x n oracle: the AL's space on whole matrices, sharing only
+# `_shift_clip` and `_dykstra` with the solver
+# ---------------------------------------------------------------------------
+
+def _zero_diagonal(x):
+    i = np.arange(x.shape[-1])
+    x[..., i, i] = 0.0
+    return x
+
+
+def _box(x):
+    y = S._unit(x)
+    return _zero_diagonal(0.5 * (y + np.swapaxes(y, -1, -2)))
+
+
+def _project_total_weight(x, m):
+    """Projection of a stack of matrices onto {sum_{i<j} x = m} within the
+    box: shift and clip."""
+    iu = np.triu_indices(x.shape[-1], 1)
+    out, ones, rows = np.zeros_like(x), np.ones((len(x), iu[0].size)), np.arange(len(x))[:, None]
+    out[..., iu[0], iu[1]] = S._shift_clip(x[..., iu[0], iu[1]], m, ones, ones > 0, rows)
+    return out + np.swapaxes(out, -1, -2)
+
+
+def _project_rows_affine(x, d):
+    """Euclidean projection of a stack of matrices onto {X sym, zero diag,
+    row sums = d} (no box)."""
+    n = x.shape[-1]
+    r = x.sum(axis=-1)
+    s = (n * d - r.sum(axis=-1)) / (2.0 * (n - 1))
+    mu = (d - r - s[..., None]) / (n - 2.0)
+    return _zero_diagonal(x + mu[..., :, None] + mu[..., None, :])
+
+
+def _row_deviation(x, d):
+    return np.abs(x.sum(axis=-1) - d).max(axis=-1)
+
+
+def _project(x, constraint, on=None):
+    """The ensemble projection of a stack of matrices."""
+    if constraint is None:
+        return _box(x)
+    kind, val = constraint
+    if kind == "total_weight":
+        return _project_total_weight(_box(x), val)
+    return S._dykstra(x, val, x.shape[-1], _box, _project_rows_affine, _row_deviation, on)
+
+
+def _entropy_grad(x, base):
+    """d/dx_uv of sum_{u<v} I(x_uv): the log-odds ratio
+    log(x (1 - p) / (p (1 - x))), entrywise, x kept off 0 and 1."""
+    xc = np.clip(x, S.EPS, 1 - S.EPS)
+    pm = np.clip(np.asarray(base, dtype=float), S.EPS, 1 - S.EPS)  # scalar or matrix
+    return _zero_diagonal(np.log(xc * (1 - pm)) - np.log(pm * (1 - xc)))
+
+
+class _DenseSpace:
+    """The AL on a stack of n x n matrices: any seed, any base, as its
+    matrix.  Gradients are per unordered vertex pair, laid out symmetric, so
+    sums run over ordered pairs.  Its witness is a matrix, measured by the
+    DP (`terms` None, as for `S._BlockSpace` off the compiled expansion)."""
+
+    terms = None
+
+    def __init__(self, problem):
+        self.problem, self.base = problem, np.asarray(problem.base_spec())
+
+    @staticmethod
+    def pack(seeds):
+        return np.stack([np.asarray(seed, dtype=float) for seed in seeds])
+
+    def evaluate(self, x):
+        problem = self.problem
+        p = problem.hom_p()
+        vals, grads = zip(*(H.hom_value_and_gradient(h, xi, p)
+                            for xi in x for h, _t in problem.targets))
+        grads = np.stack(grads).reshape((len(x), len(problem.targets)) + x.shape[1:])
+        entropy = [0.5 * R.entropy_matrix(xi, self.base) for xi in x]
+        return (np.array(vals).reshape(len(x), -1), grads, np.array(entropy),
+                _entropy_grad(x, self.base))
+
+    def project(self, x, on=None):
+        return _project(x, self.problem.ensemble, on)
+
+    @staticmethod
+    def dot(a, b):
+        return (a * b).sum(axis=(-2, -1))
+
+    def residual(self, x):
+        return np.array([B.ensemble_residual(xi, self.problem.ensemble) for xi in x])
+
+    @staticmethod
+    def witness(x, row):
+        return x[row]
+
+
+SPACES = (S._BlockSpace, _DenseSpace)
 
 
 def _run_on(mp, space):
     """Make every seed of a scalar-base solve run on `space`: the block
-    space takes the BlockSpec seeds as solve_phi picks them, the n x n space
-    is forced.  Returns the list of each `_al_stack` run's space class."""
-    if space is S._DenseSpace:
-        mp.setattr(S, "_fits_blocks", lambda problem, seed: False)
+    space takes the seeds as solve_phi picks them, the n x n oracle stands in
+    for it in every stack.  Returns the list of each `_al_stack` run's space
+    class."""
+    if space is _DenseSpace:
+        mp.setattr(S, "_BlockSpace", lambda problem, _sizes: _DenseSpace(problem))
     return _record_calls(mp, "_al_stack", seen=lambda _pr, sp, *_a: type(sp))
 
 
 def _alone(prob, space, seed):
     """A space of `space`'s class holding `seed` alone."""
-    return S._BlockSpace(prob, [seed.sizes]) if space is S._BlockSpace else S._DenseSpace(prob)
+    return S._BlockSpace(prob, [seed.sizes]) if space is S._BlockSpace else _DenseSpace(prob)
 
 
 @pytest.mark.parametrize("h, n, ensemble", [
@@ -545,13 +738,28 @@ def test_dense_solve_problems_keep_every_row(prob, pinned):
     assert values[finite] == pytest.approx(np.array(pinned_values)[finite], rel=1e-12, abs=0)
 
 
+def test_stall_rule_ends_a_row_whose_residual_stops_falling():
+    # row-sum K4 at n = 20, t = 2: the clique block's row never becomes
+    # feasible, so only the 30-update stall rule can end it before its
+    # budget.  Over the 30 updates to its 30th outer iteration its residual
+    # falls by between 1% and 2%, which the rule does not call a stall, and
+    # by less than 1% to its 31st, which it does
+    prob = S.SolveProblem(((G.clique(4), 2.0),), n=20, base=6 / 20, ensemble=("row_sums", 6))
+    names, specs = zip(*S.default_seeds(prob))
+    assert names[1] == "clique_block_delta_x1"
+    space = S._BlockSpace(prob, [spec.sizes for spec in specs])
+    values, _points, iterations = S._al_stack(prob, space, space.pack(specs))
+    assert iterations.tolist() == [30, 31, 30, 30, 30]
+    assert np.isinf(values[:2]).all() and np.isfinite(values[2:]).all()
+
+
 @pytest.mark.parametrize("prob", DENSE_SOLVE_PROBLEMS)
 def test_block_space_runs_match_their_materialized_seeds(prob):
     # the n x n space is the oracle: from every default seed, the AL run on
     # block values ends where the run on the materialized seed ends
     specs = [spec for _name, spec in S.default_seeds(prob)]
-    assert all(S._fits_blocks(prob, spec) for spec in specs)
-    space, dense = S._BlockSpace(prob, [spec.sizes for spec in specs]), S._DenseSpace(prob)
+    assert all(S._fits_blocks(prob, spec.sizes) for spec in specs)
+    space, dense = S._BlockSpace(prob, [spec.sizes for spec in specs]), _DenseSpace(prob)
     values, points, _iterations = S._al_stack(prob, space, space.pack(specs))
     feasible = []
     for row, spec in enumerate(specs):
@@ -582,10 +790,10 @@ def test_block_base_runs_match_their_materialized_seeds(n, names):
     seeds = [spec for name, spec in S.default_seeds(prob) if names is None or name in names]
     assert seeds
     for spec in seeds:
-        assert S._fits_blocks(prob, spec)
+        assert S._fits_blocks(prob, spec.sizes)
         (values, _x, iterations), (dense, _xd, dense_iterations) = (
             S._al_stack(prob, space, space.pack([spec]))
-            for space in (S._BlockSpace(prob, [spec.sizes]), S._DenseSpace(prob)))
+            for space in (S._BlockSpace(prob, [spec.sizes]), _DenseSpace(prob)))
         assert iterations[0] == dense_iterations[0]
         assert values[0] == pytest.approx(dense[0], rel=1e-6)
 
@@ -610,7 +818,7 @@ def test_block_model_solve_at_n_1000_takes_no_dense_step(monkeypatch):
     def no_dense(*_a, **_k):
         raise AssertionError("an n x n step ran")
 
-    monkeypatch.setattr(S._DenseSpace, "evaluate", no_dense)
+    monkeypatch.setattr(H, "_dp_sum", no_dense)
     res = S.solve_phi(_block_model_problem(1000))
     assert isinstance(res.x, B.BlockSpec) and res.x.refined((500, 500)) == res.x
     assert res.residuals[0] <= 1e-6 and res.ensemble_residual == 0.0
@@ -700,7 +908,7 @@ def test_block_space_steps_are_the_dense_steps_restricted():
     for ensemble, base in ((None, 0.3), (("row_sums", 7), 7 / n), (("total_weight", 90), 0.3),
                            (None, params)):
         prob = S.SolveProblem(((K3, 1.3), (G.cycle(5), 1.2)), n=n, base=base, ensemble=ensemble)
-        blocks, dense = S._BlockSpace(prob, [sizes]), S._DenseSpace(prob)
+        blocks, dense = S._BlockSpace(prob, [sizes]), _DenseSpace(prob)
         y = rng.random((1, 9))
         assert blocks.pairs.sum() == n * (n - 1) / 2 and blocks.pairs.shape == y.shape
         x = _blow_up(sizes, y)
@@ -856,20 +1064,20 @@ def test_dykstra_is_its_reference_bit_for_bit():
     prob = S.SolveProblem(((K3, 1.3),), n=60, base=0.3, ensemble=("row_sums", 18))
     specs = [spec for _name, spec in S.default_seeds(prob)]
     space = S._BlockSpace(prob, [spec.sizes for spec in specs])
-    packed = space.pack(specs)
+    packed, sums = space.pack(specs), space.row_sums
     for trial in range(20):
         on = rng.random(len(packed)) < 0.7
         on[trial % len(on)] = True
         step = rng.normal(0.0, (0.0, 1e-1, 1e-3, 1e-5)[trial % 4], packed.shape)
         y = packed + np.where(space.live, step, 0.0)
         for on_rows in (None, on):
-            fast = S._dykstra(y, 18, 60, S._unit, space._rows_affine, space._deviation, on_rows)
-            ref = _dykstra_reference(y, 18, S._unit, space._rows_affine, space._deviation, on_rows)
+            fast = S._dykstra(y, 18, 60, S._unit, sums.affine, sums.deviation, on_rows)
+            ref = _dykstra_reference(y, 18, S._unit, sums.affine, sums.deviation, on_rows)
             assert _same_bits(fast, ref)
-        x = S._box(_random_rows(rng, 2 * 9, 9).reshape(2, 9, 9) + rng.normal(0, 0.05, (2, 9, 9)))
+        x = _box(_random_rows(rng, 2 * 9, 9).reshape(2, 9, 9) + rng.normal(0, 0.05, (2, 9, 9)))
         for on_rows in (None, np.array([True, trial % 2 == 0]), np.zeros(2, bool)):
-            fast = S._dykstra(x, 4, 9, S._box, S._project_rows_affine, S._row_deviation, on_rows)
-            ref = _dykstra_reference(x, 4, S._box, S._project_rows_affine, S._row_deviation, on_rows)
+            fast = S._dykstra(x, 4, 9, _box, _project_rows_affine, _row_deviation, on_rows)
+            ref = _dykstra_reference(x, 4, _box, _project_rows_affine, _row_deviation, on_rows)
             assert _same_bits(fast, ref)
 
 
@@ -934,10 +1142,15 @@ def test_incumbents_kept_by_measured_residual(monkeypatch, ensemble, shift, kept
                 res = S.solve_phi(prob)
                 assert res.residuals[0] <= 1e-6
                 assert 0 < res.ensemble_residual <= 1.3e-7
-            else:
-                with pytest.raises(ResourceError):
+            else:  # no AL run keeps a point, and the level search is not asked
+                mp.setattr(S, "_level_search", _no_level_search)
+                with pytest.raises(ResourceError, match="no feasible point"):
                     S.solve_phi(prob)
         assert set(runs) == {space}
+
+
+def _no_level_search(_problem):
+    raise ResourceError("the level search ran")
 
 
 @pytest.mark.parametrize("ensemble", [None, ("row_sums", 9)])
@@ -1110,8 +1323,8 @@ def test_entropy_grad_one_formula_for_scalar_and_matrix_bases():
     xc = np.clip(x, S.EPS, 1 - S.EPS)
     expect = np.log(xc * (1 - p)) - np.log(p * (1 - xc))
     np.fill_diagonal(expect, 0.0)
-    assert np.array_equal(S._entropy_grad(x, p), expect)
-    assert np.array_equal(S._entropy_grad(x, np.full((8, 8), p)), expect)
+    assert np.array_equal(_entropy_grad(x, p), expect)
+    assert np.array_equal(_entropy_grad(x, np.full((8, 8), p)), expect)
 
 
 def test_feasibility_tol_is_a_constant():
