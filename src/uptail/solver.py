@@ -239,19 +239,13 @@ def _dykstra(x, d, n, box, affine, deviation, on=None, tol=1e-11, max_iter=5000)
 
 
 class _RowSums:
-    """The row sums of a stack of block-pair values, rows of blocks of sizes
-    `s` (padded with 0) and `packs` (`blocks.block_pairs` per row) over `n`
-    vertices: a vertex in block a has row sum sum_b s_b y_ab - y_aa.  They
-    are index lists into the stack, sorted by (row, block, value), so that
-    `np.bincount` adds each block's terms in value order; the affine step
-    adds to each value the shifts of its two blocks (twice its own block's).
-    A padded block is left out of the residual, and a padded value stays 0.
-
-    A block of more than RUN terms (n one-vertex blocks have n - 1 each)
-    sums them in runs of RUN, then the runs' sums in order: an in-order sum
-    of 999 terms at n = 1000, d = 100 was off by 1.5e-11, past Dykstra's
-    tol, and never stopped.  A block of at most RUN terms, every block of
-    the compiled stacks (k <= 40 blocks), sums as one run."""
+    """Row sums of a stack of block-pair values (blocks of sizes `s`, padded
+    with 0, and pairs `packs`): a vertex in block a has row sum
+    sum_b s_b y_ab - y_aa.  Each block's terms are laid out in value order,
+    one block to a row, and summed in order (`_runsum`), in runs of RUN past
+    RUN terms: n one-vertex blocks have n - 1 each, and in one run 999 terms
+    at n = 1000 summed 1.5e-11 off, past Dykstra's tol, so it never stopped.
+    A padded block is left out of the residual; a padded value stays 0."""
 
     RUN = 64
 
@@ -267,20 +261,15 @@ class _RowSums:
         order = np.lexsort((value, block))
         block, self.value, self.coef = block[order], value[order], coef[order]
         first = np.flatnonzero(np.diff(block, prepend=-1))  # each block's first term
-        starts = np.arange(len(block)) - np.repeat(first, np.diff(first, append=len(block)))
-        starts = starts % self.RUN == 0  # each run's first term
-        self.index, self.runs = np.cumsum(starts) - 1, block[starts]
-        if len(self.runs) == len(first):
-            self.index, self.runs = block, None
+        self.at = block, np.arange(len(block)) - np.repeat(first, np.diff(first, append=len(block)))
+        self.terms = (s.size, self.at[1].max(initial=0) + 1)
         self.ends = np.zeros((2,) + live.shape, dtype=np.intp)
         self.ends[:, row, col] = row * k + a, row * k + b
 
     def __call__(self, y):
-        sums = np.bincount(self.index, self.coef * y.take(self.value),
-                           minlength=0 if self.runs is not None else self.s.size)
-        if self.runs is not None:
-            sums = np.bincount(self.runs, sums, minlength=self.s.size)
-        return sums.reshape(self.s.shape)
+        terms = np.zeros(self.terms)
+        terms[self.at] = self.coef * y.take(self.value)
+        return _runsum(terms, self.RUN).reshape(self.s.shape)
 
     def deviation(self, y, d):
         return np.where(self.blocks, np.abs(self(y) - d), 0.0).max(axis=1)
@@ -296,13 +285,11 @@ class _RowSums:
 
 def _runsum(a, run):
     """`_rowsum` of each run of `run` terms along the last axis, then of the
-    runs' sums: the same bits up to `run` terms, and past them an error that
-    grows with run + terms / run rather than with the number of terms."""
-    width = a.shape[-1]
-    if width <= run:
+    runs' sums: the same bits up to `run` terms."""
+    if a.shape[-1] <= run:
         return _rowsum(a)
-    runs = np.zeros(a.shape[:-1] + (-(-width // run) * run,))
-    runs[..., :width] = a
+    runs = np.zeros(a.shape[:-1] + (-(-a.shape[-1] // run) * run,))
+    runs[..., :a.shape[-1]] = a
     return _rowsum(_rowsum(runs.reshape(a.shape[:-1] + (-1, run))))
 
 
@@ -312,9 +299,8 @@ def project_ensemble(x, constraint):
     by the AL's own projections; clip(sym(x)) without a constraint."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    pack = block_pairs((1,) * n)
-    a, b, pairs = pack
-    y, live = (0.5 * (x[a, b] + x[b, a]))[None], np.ones((1, len(a)), dtype=bool)
+    a, b, pairs = pack = block_pairs((1,) * n)
+    y, live = (0.5 * (x[a, b] + x[b, a]))[None], pairs[None] > 0
     kind, val = constraint or (None, None)
     if kind == "total_weight":
         _check_total_weight(val, n)
@@ -407,28 +393,22 @@ def default_seeds(problem: SolveProblem):
 class _BlockSpace:
     """The AL on a stack of seeds, one row each of the seed's live unordered
     block-pair values (`blocks.block_pairs`) on its blocks cut also where the
-    base's end, so that each has one base value; a matrix seed is the
-    BlockSpec of n one-vertex blocks.  Each n x n step (hom and entropy
-    gradients, box, total-weight shift, row-sum Dykstra) maps a
-    block-constant matrix to a block-constant one, so from a block-constant
-    seed this space takes the n x n steps at the cost of a few values.  A
-    value stands for its c unordered vertex pairs: entropy, total weight and
-    shift-and-clip weigh it by c, the inner product (over ordered pairs) by
-    2c, and a gradient stays one vertex pair's.  Row sums are `_RowSums`.
+    base's end, so that each has one base value; a matrix seed is n
+    one-vertex blocks.  Each n x n step (hom and entropy gradients, box,
+    total-weight shift, row-sum Dykstra) maps a block-constant matrix to a
+    block-constant one, so this space takes them at the cost of a few
+    values.  A value stands for its c unordered vertex pairs: entropy, total
+    weight and shift-and-clip weigh it by c, the inner product (over ordered
+    pairs) by 2c, and a gradient stays one vertex pair's.  Hom values come
+    from `blocks`' compiled expansion where every seed fits `_fits_blocks`;
+    otherwise the stack holds one seed and they come from the DP on its
+    blow-up (`homs.hom_value_and_gradient`), a block pair's gradient read at
+    the first vertices of its blocks (the first two for a block's own pair).
 
-    Hom values come from `blocks`' compiled independent-group expansion
-    where every seed's blocks fit `_fits_blocks`' cap.  Otherwise the stack
-    holds one seed, a matrix or a BlockSpec past the cap, and they come from
-    the hom DP on the row's blow-up (`homs.hom_value_and_gradient`), each
-    block pair's gradient read at one of its vertex pairs: the first vertex
-    of each block, or the first two for a block's own pair.
-
-    Seeds differ in their numbers of blocks, values and hom terms, so every
-    per-seed array is padded to the widest seed: a padded value has weight
-    and gradient 0, base 1/2 (0 would make 0 * inf = NaN), and stays 0, a
-    padded term has weight 0, and a padded block is left out of the row
-    sums' residual.  Sums over a row run in order (`_rowsum`; past
-    `_RowSums.RUN` terms, which no compiled stack has, in runs), so a seed's
+    Every per-seed array is padded to the widest seed: a padded value has
+    weight and gradient 0, base 1/2 (0 would make 0 * inf = NaN), and stays
+    0, a padded term has weight 0, and a padded block is left out of the row
+    sums' residual.  Sums over a row run in order (`_rowsum`), so a seed's
     row takes the same steps in any stack."""
 
     def __init__(self, problem, sizes):
@@ -563,12 +543,11 @@ def _padded(rows):
 
 def _fits_blocks(problem, sizes):
     """Whether a seed on blocks of `sizes` (None for a matrix seed) takes its
-    hom values from `blocks`' compiled independent-group expansion, and so
-    runs in the one lockstep stack.  A pattern of v vertices on k blocks
-    compiles about k^v placements in Python, so BATCH_CELLS caps k^v; it is
-    not a measured crossover of the two engines' costs.  A seed past the cap
-    keeps its blocks and runs alone, its hom values from the DP on its
-    blow-up, and so does a matrix seed, on n one-vertex blocks."""
+    hom values from `blocks`' compiled independent-group expansion, in the
+    one lockstep stack; any other seed runs alone, with the DP on its
+    blow-up.  A pattern of v vertices on k blocks compiles about k^v
+    placements in Python, so BATCH_CELLS caps k^v; it is not a measured
+    crossover of the two engines' costs."""
     return sizes is not None and all(
         len(sizes) ** h.vertex_count <= BATCH_CELLS for h, _t in problem.targets)
 
@@ -650,12 +629,9 @@ def solve_phi(problem: SolveProblem) -> SolveResult:
         ends += [(values[row], i, space, points, row)
                  for row, i in enumerate(index) if values[row] < math.inf]
     if not ends:
-        if not isinstance(problem.base, BlockModelParams) and not problem.seeds:
-            try:
-                return _level_search(problem)
-            except ResourceError:
-                pass
-        raise ResourceError("no feasible point found within budget from any seed")
+        if isinstance(problem.base, BlockModelParams) or problem.seeds:
+            raise ResourceError("no feasible point found within budget from any seed")
+        return _level_search(problem)
     least = min(end[0] for end in ends)
     _value, i, space, points, row = min(
         (end for end in ends if end[0] - least <= TIE_RTOL * abs(least)), key=lambda end: end[1])
@@ -664,10 +640,9 @@ def solve_phi(problem: SolveProblem) -> SolveResult:
 
 
 def _result(problem, x, provenance, iterations, notes, compiled=True):
-    """The SolveResult for witness x, a BlockSpec, whose entropy is its
-    exact closed form, or a matrix.  Hom values come from the engine its AL
-    row ran on: the BlockSpec's closed forms where `compiled`, else the DP on
-    the n x n matrix; `normalized` takes Delta >= 2."""
+    """The SolveResult for witness x, a BlockSpec (its entropy in closed
+    form) or a matrix, its hom values from the engine its AL row ran on: the
+    closed forms where `compiled`, else the DP; `normalized` takes Delta >= 2."""
     p, hs = problem.hom_p(), [h for h, _t in problem.targets]
     if isinstance(x, BlockSpec):
         value = 0.5 * x.entropy(problem.base_spec().refined(x.sizes).value_matrix())

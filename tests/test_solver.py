@@ -1142,15 +1142,15 @@ def test_incumbents_kept_by_measured_residual(monkeypatch, ensemble, shift, kept
                 res = S.solve_phi(prob)
                 assert res.residuals[0] <= 1e-6
                 assert 0 < res.ensemble_residual <= 1.3e-7
-            else:  # no AL run keeps a point, and the level search is not asked
+            else:  # no AL run keeps a point, so the solve asks the level search
                 mp.setattr(S, "_level_search", _no_level_search)
-                with pytest.raises(ResourceError, match="no feasible point"):
+                with pytest.raises(ResourceError, match="the level search was asked"):
                     S.solve_phi(prob)
         assert set(runs) == {space}
 
 
 def _no_level_search(_problem):
-    raise ResourceError("the level search ran")
+    raise ResourceError("the level search was asked")
 
 
 @pytest.mark.parametrize("ensemble", [None, ("row_sums", 9)])
