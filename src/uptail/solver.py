@@ -261,14 +261,16 @@ class _RowSums:
         order = np.lexsort((value, block))
         block, self.value, self.coef = block[order], value[order], coef[order]
         first = np.flatnonzero(np.diff(block, prepend=-1))  # each block's first term
-        self.at = block, np.arange(len(block)) - np.repeat(first, np.diff(first, append=len(block)))
-        self.terms = (s.size, self.at[1].max(initial=0) + 1)
+        at = np.arange(len(block)) - np.repeat(first, np.diff(first, append=len(block)))
+        most = at.max(initial=0) + 1  # terms of the longest block, in whole runs past RUN
+        most += -most % self.RUN if most > self.RUN else 0
+        self.at, self.layout = block * most + at, (s.size, most)
         self.ends = np.zeros((2,) + live.shape, dtype=np.intp)
         self.ends[:, row, col] = row * k + a, row * k + b
 
     def __call__(self, y):
-        terms = np.zeros(self.terms)
-        terms[self.at] = self.coef * y.take(self.value)
+        terms = np.zeros(self.layout)
+        terms.ravel()[self.at] = self.coef * y.take(self.value)
         return _runsum(terms, self.RUN).reshape(self.s.shape)
 
     def deviation(self, y, d):
@@ -288,9 +290,9 @@ def _runsum(a, run):
     runs' sums: the same bits up to `run` terms."""
     if a.shape[-1] <= run:
         return _rowsum(a)
-    runs = np.zeros(a.shape[:-1] + (-(-a.shape[-1] // run) * run,))
-    runs[..., :a.shape[-1]] = a
-    return _rowsum(_rowsum(runs.reshape(a.shape[:-1] + (-1, run))))
+    if a.shape[-1] % run:
+        a = np.concatenate([a, np.zeros(a.shape[:-1] + (-a.shape[-1] % run,))], -1)
+    return _rowsum(_rowsum(a.reshape(a.shape[:-1] + (-1, run))))
 
 
 def project_ensemble(x, constraint):
