@@ -190,7 +190,8 @@ def test_user_seed_provenance():
 
 
 def test_blockspec_user_seed_runs_on_block_values(monkeypatch):
-    # a BlockSpec seed runs on its k x k values, and wins as it would n x n
+    # a BlockSpec seed runs on its k x k values, and wins as its matrix does
+    # on n one-vertex blocks
     n, p = 40, 0.3
     spec = B.BlockSpec((5, 35), ((Fraction(1), Fraction(3, 10)), (Fraction(3, 10), Fraction(3, 10))))
     spaces = _run_on(monkeypatch, S._BlockSpace)
