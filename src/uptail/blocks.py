@@ -229,6 +229,13 @@ def _hom_table(h: Graph, k: int):
     return table
 
 
+def complete_density(h: Graph, n: int) -> float:
+    """t(h, J - I) on n vertices: P_h(n) / n^v, the chromatic polynomial
+    P_h(n) a sum of (n)_g over independent-group partitions (`_hom_table`)."""
+    _pairs, groups, mult = _hom_table(h, 1)
+    return sum(int(c) * math.perm(n, int(g)) for g, c in zip(groups[:, 0], mult)) / n**h.vertex_count
+
+
 # the upper triangle's indices, built once per block count and never written to
 _triu_indices = functools.cache(np.triu_indices)
 

@@ -2,24 +2,13 @@
 
 Minimize half the relative entropy over symmetric [0,1] matrices with zero
 diagonal, subject to normalized homomorphism counts meeting their targets,
-optionally restricted to fixed total weight or fixed row sums.  `solve_phi`
-picks its method (`_dense_witness`): where the witness can be n x n, a
+optionally restricted to fixed total weight or fixed row sums, by a
 multi-start augmented Lagrangian (AL) with a spectral projected gradient
-inner loop (SPG2 of Birgin, Martinez & Raydan, SIAM J. Optim. 10, 2000),
-elsewhere a scan of the ladder's excess level (`_level_search`).  Results
-are certified upper bounds with witnesses; no global-optimality claim is made.
-
-The AL runs its seeds as a stack, one seed to a row, in lockstep
-(`_al_stack`), on block values (`_BlockSpace`): each row holds its seed's
-live block-pair values, on blocks that refine the base's, and every step of
-the n x n solver keeps a block-constant matrix block-constant, so this is
-the same run at the cost of a few values.  The constant seed (the base: p
-or a block model's), every `ladder` seed and a BlockSpec user seed within a
-compile-size cap (`_fits_blocks`) run together as one stack, with hom
-values from `blocks`' compiled independent-group expansion.  A BlockSpec
-past the cap keeps its blocks and a matrix seed runs on n one-vertex
-blocks, each alone in its stack, with hom values from the DP on its
-blow-up.  The winner stays a BlockSpec, or a matrix for a matrix seed.
+inner loop (SPG2 of Birgin, Martinez & Raydan, SIAM J. Optim. 10, 2000), or
+a scan of the ladder's excess level (`_level_search`; see `solve_phi`).
+Results are certified upper bounds with witnesses; no global-optimality
+claim is made.  The AL runs its seeds as a stack, one seed to a row, in
+lockstep (`_al_stack`), on the values of their blocks (`_BlockSpace`).
 """
 
 from __future__ import annotations
@@ -40,6 +29,7 @@ from .blocks import (
     build_plant,
     build_whole_cliques,
     blow_up,
+    complete_density,
     ensemble_residual,
     fill_total_weight,
     hom_terms,
@@ -98,7 +88,7 @@ class SolveProblem:
             raise DomainError("base must be a p in (0,1) or a BlockModelParams")
         else:
             p = float(self.base)
-            # the regular ensemble's base is d/n, which `_refuse_trees` and
+            # the regular ensemble's base is d/n, which `_refuse_unreachable` and
             # the row-sum ladder take for granted
             if self.ensemble and self.ensemble[0] == "row_sums" and not (
                     abs(p - self.ensemble[1] / self.n) <= 1e-12 * self.ensemble[1] / self.n):
@@ -115,16 +105,13 @@ class SolveProblem:
 
     def hom_p(self) -> float:
         """Scalar p used inside hom normalization (block model keeps its base p)."""
-        if isinstance(self.base, BlockModelParams):
-            return self.base.p
-        return float(self.base)
+        return self.base.p if isinstance(self.base, BlockModelParams) else float(self.base)
 
 
 @dataclass
 class SolveResult:
     x: object                 # ndarray where the winning seed was one, else a
-                              # BlockSpec (an AL run or the level search);
-                              # np.asarray(x) is the n x n matrix of either
+                              # BlockSpec; np.asarray(x) is the n x n matrix
     value: float
     normalized: float
     residuals: list
@@ -546,19 +533,19 @@ def _padded(rows):
 def _fits_blocks(problem, sizes):
     """Whether a seed on blocks of `sizes` (None for a matrix seed) takes its
     hom values from `blocks`' compiled independent-group expansion, in the
-    one lockstep stack; any other seed runs alone, with the DP on its
-    blow-up.  A pattern of v vertices on k blocks compiles about k^v
-    placements in Python, so BATCH_CELLS caps k^v; it is not a measured
-    crossover of the two engines' costs."""
+    one lockstep stack.  That compiles about k^v placements in Python for a
+    pattern of v vertices on k blocks, so BATCH_CELLS caps k^v; it is not a
+    measured crossover with the DP on a blow-up."""
     return sizes is not None and all(
         len(sizes) ** h.vertex_count <= BATCH_CELLS for h, _t in problem.targets)
 
 
-def _refuse_trees(problem):
-    """`solve_phi`'s first step, before either method: no target above 1 can
-    be met by a pattern whose normalized count is 1 on every matrix.  An
-    edgeless pattern's count is n^v on any matrix, and under row sums d a
-    forest's is n^c d^(v-c), normalized 1 at base d/n."""
+def _refuse_unreachable(problem):
+    """`solve_phi`'s first step, before any seed: counts grow with every
+    entry, so no target past the count on J - I (`complete_density`) is met;
+    nor is a target above 1 of a pattern whose normalized count is 1 on
+    every matrix: an edgeless one (n^v), or under row sums d a forest
+    (n^c d^(v-c), normalized 1 at base d/n)."""
     row_sums = problem.ensemble and problem.ensemble[0] == "row_sums"
     for h, t in problem.targets:
         if t > 1 and row_sums and scale_pattern(h, regular=True).vertex_count == 0:
@@ -567,6 +554,10 @@ def _refuse_trees(problem):
         if t > 1 and h.edge_count == 0:
             raise DomainError("pattern has no edges: its normalized count is 1 "
                               "on every matrix, below t")
+        top = complete_density(h, problem.n) / problem.hom_p() ** h.edge_count
+        if t - problem.feasibility_tol > top:
+            raise DomainError(f"target {t!r} is past {top!r}, the pattern's normalized "
+                              f"count on the complete graph K_{problem.n}")
 
 
 DENSE_N_CAP = 2000
@@ -575,9 +566,9 @@ CONSTANT_NOTE = "targets <= 1: constant base accepted with O(1/n) slack"
 
 
 def _dense_witness(problem):
-    """`solve_phi`'s one routing rule: can the witness be an n x n matrix?
-    Yes while n <= DENSE_N_CAP and every target's hom DP fits in DP_CELL_CAP;
-    a pattern past the DP's width cap, which `dp_cells` refuses, fits at no n."""
+    """Asked only of seeds past `_fits_blocks`' cap: can one run on the DP of
+    its n x n blow-up?  Yes while n <= DENSE_N_CAP and every target's hom DP
+    fits in DP_CELL_CAP; a pattern past the DP's width cap fits at no n."""
     n = problem.n
     try:
         return n <= DENSE_N_CAP and all(dp_cells(h, n) <= DP_CELL_CAP for h, _t in problem.targets)
@@ -591,17 +582,16 @@ def solve_phi(problem: SolveProblem) -> SolveResult:
     Targets all <= 1 get one constant BlockSpec witness at any n, with no
     n x n work: p (which meets them up to O(1/n)), d/(n-1) under row sums,
     the exact total weight under it, or a block-model base where its own
-    counts meet them.  Otherwise, where `_dense_witness` allows, a
-    multi-start AL on block values: the seeds that `_fits_blocks` run in
-    lockstep as one stack, every other seed as a stack of its own, and the
-    first seed within TIE_RTOL of the least value wins, so that seeds which
-    end at one point are not ranked by roundoff.  The winner is the BlockSpec
-    of its seed's blocks, with the Fractions of its float values, or the
-    matrix of a matrix seed, measured by the hom engine its row ran on
-    (`_result`).  Where no run keeps a feasible point, a scalar-base problem
-    without user seeds takes `_level_search`'s answer, as it does where the
-    witness cannot be n x n; a block-model base has none."""
-    _refuse_trees(problem)
+    counts meet them.  A seedless scalar-base solve past DENSE_N_CAP takes
+    `_level_search`'s answer.  Any other runs the AL from the seeds that
+    `_fits_blocks`, as one stack, and each other seed alone where
+    `_dense_witness` (past both, a ladder seed is left out and a user seed
+    refused).  The first seed within TIE_RTOL of the least value wins, so
+    that seeds which end at one point are not ranked by roundoff, measured
+    by the hom engine its row ran on (`_result`).  Where no run keeps a
+    feasible point, a scalar-base problem without user seeds takes
+    `_level_search`'s answer, with the AL's iterations added and noted."""
+    _refuse_unreachable(problem)
     if all(t <= 1.0 for _h, t in problem.targets):
         kind, val = problem.ensemble or (None, None)
         constant = problem.base_spec()
@@ -612,28 +602,36 @@ def solve_phi(problem: SolveProblem) -> SolveResult:
         if not isinstance(problem.base, BlockModelParams) or (
                 max(res.residuals) <= problem.feasibility_tol):
             return res
-    if not _dense_witness(problem):
-        if isinstance(problem.base, BlockModelParams) and problem.n <= DENSE_N_CAP:
-            raise ResourceError(f"block-model base: its hom DP at n = {problem.n} passes the cap")
+    scalar = not isinstance(problem.base, BlockModelParams)
+    if problem.n > DENSE_N_CAP and scalar and not problem.seeds:
         return _level_search(problem)
 
     seeds = default_seeds(problem) + [(f"user_{i}", seed) for i, seed in enumerate(problem.seeds)]
     sizes = [seed.sizes if isinstance(seed, BlockSpec) else None for _name, seed in seeds]
     block = [i for i, s in enumerate(sizes) if _fits_blocks(problem, s)]
-    stacks = ([block] if block else []) + [[i] for i in range(len(seeds)) if i not in block]
+    alone = [i for i in range(len(seeds)) if i not in block]
+    if alone and not _dense_witness(problem):
+        user = [f"seed {seeds[i][0]}" for i in alone if seeds[i][0].startswith("user_")]
+        if user or not block:
+            raise ResourceError(f"{(user or ['every seed'])[0]} is past the compiled block homs' "
+                                f"cap and, at n = {problem.n}, the hom DP's")
+        alone = []
 
     ends = []  # (value, seed index, space, points, row) of every feasible run
     iterations = 0
-    for index in stacks:
+    for index in ([block] if block else []) + [[i] for i in alone]:
         space = _BlockSpace(problem, [sizes[i] for i in index])
         values, points, iters = _al_stack(problem, space, space.pack([seeds[i][1] for i in index]))
         iterations += int(iters.sum())
         ends += [(values[row], i, space, points, row)
                  for row, i in enumerate(index) if values[row] < math.inf]
     if not ends:
-        if isinstance(problem.base, BlockModelParams) or problem.seeds:
+        if not scalar or problem.seeds:
             raise ResourceError("no feasible point found within budget from any seed")
-        return _level_search(problem)
+        res = _level_search(problem)
+        res.iterations += iterations
+        res.notes.append(f"fallback: the AL's {iterations} outer iterations kept no feasible point")
+        return res
     least = min(end[0] for end in ends)
     _value, i, space, points, row = min(
         (end for end in ends if end[0] - least <= TIE_RTOL * abs(least)), key=lambda end: end[1])
@@ -667,21 +665,15 @@ def _result(problem, x, provenance, iterations, notes, compiled=True):
 
 
 # ---------------------------------------------------------------------------
-# level search: the method where the witness cannot be n x n
+# level search: seedless scalar-base solves past DENSE_N_CAP, and a fallback
 # ---------------------------------------------------------------------------
 
 def _level_search(problem: SolveProblem) -> SolveResult:
     """Coordinate search over construction-shaped block matrices: scan the
     planted excess level on a coarse-to-fine ladder, keep the cheapest
-    feasible candidate.  Entropy and homomorphism values use the exact
-    blockwise closed forms, so n can reach construction scale (10^5+).
-    The constructions plant on a constant-p background, so a block-model
-    base is refused rather than scored against the wrong p."""
-    if isinstance(problem.base, BlockModelParams):
-        raise DomainError("block solve needs a scalar base p; a block-model base "
-                          f"is only solved by the AL, at n <= {DENSE_N_CAP}")
-    if problem.seeds:
-        raise DomainError("seeds start the n x n solve only; the level search takes none")
+    feasible candidate, by the exact blockwise closed forms, so n can reach
+    construction scale (10^5+).  Its constructions plant on a constant-p
+    background: `solve_phi` asks it only without a block base or seeds."""
     p = problem.hom_p()
     tmax = max(t for _, t in problem.targets)
     kind, val = problem.ensemble or (None, None)

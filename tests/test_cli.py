@@ -13,7 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from uptail import cli, rates
+from uptail import cli, graphs, homs, rates, solver
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMAS = REPO / "schemas"
@@ -446,7 +446,8 @@ def test_solve_regular_k4_at_construction_scale():
 
 def test_solve_regular_k4_past_the_dense_dp_cap(capsys):
     # below DENSE_N_CAP, but the n x n K4 witness would need an n^3 DP
-    # intermediate past DP_CELL_CAP, so solve_phi takes the level search
+    # intermediate past DP_CELL_CAP: the seeds past the compile cap are left
+    # out, and the rest run on block values
     code, out, err = run_main(capsys, "solve", "--graph", "clique:4", "--t", "1.3",
                               "--n", "2000", "--model", "regular", "--d", "20")
     assert code == 0, err
@@ -455,12 +456,42 @@ def test_solve_regular_k4_past_the_dense_dp_cap(capsys):
     assert "blockspec" in doc and doc["residuals"] == [0.0]
 
 
-# Each side of solve_phi's routing boundaries, pinned byte for byte: the AL
-# up to n = 2000 (its block-value winner printed as `blockspec`), level
+@pytest.mark.parametrize("t, value, dropped", [("4", 48.18020624215107, []),
+                                                ("1e5", 15574.922599126236, [18, 24, 35])])
+def test_solve_past_the_dp_cap_leaves_out_seeds_past_the_compile_cap(t, value, dropped,
+                                                                     monkeypatch, capsys):
+    # K4's DP at n = 2000 passes DP_CELL_CAP, so a seed past the compile cap
+    # (k^4 > BATCH_CELLS, k >= 17 blocks) is left out and no n x n DP runs.
+    # At t = 4 every seed fits, and the AL prints the level search's former
+    # value; at t = 1e5 the 13-block whole_cliques seed wins, below the level
+    # search's 15605.67
+    def no_dp(*_a, **_k):
+        raise AssertionError("the n x n hom DP ran")
+
+    seen = []
+
+    def seeds(problem):
+        out = default_seeds(problem)
+        seen.extend(spec.num_blocks for _name, spec in out)
+        return out
+
+    default_seeds = solver.default_seeds
+    monkeypatch.setattr(solver, "default_seeds", seeds)
+    monkeypatch.setattr(homs, "_dp_sum", no_dp)
+    code, out, err = run_main(capsys, "solve", "--graph", "clique:4", "--t", t, "--n", "2000",
+                              "--model", "regular", "--d", "20")
+    assert code == 0, err
+    assert [k for k in seen if k >= 17] == dropped
+    doc = json.loads(out)
+    assert doc["value"] == value and doc["seed_provenance"].startswith("whole_cliques_delta_x1")
+
+
+# Each side of solve_phi's routing boundary, pinned byte for byte: the AL up
+# to n = 2000 (its block-value winner printed as `blockspec`), the level
 # search past it (the 14x jump in value on one problem is the two methods'
-# gap), the level search below n = 2000 where K4's n x n DP would pass
-# DP_CELL_CAP, and K7, whose elimination width the DP refuses, on both sides
-# of n = 2000.
+# gap), and the AL where an n x n DP would pass DP_CELL_CAP (K4 at n = 520)
+# or the DP's width cap (K7), whose seeds all fit the compiled block homs;
+# K7 past n = 2000 takes the level search.
 BOUNDARY_SOLVES = {
     "al_at_n_2000": (
         ("--graph", "cycle:3", "--t", "1.3", "--p", "0.05", "--n", "2000"),
@@ -474,18 +505,18 @@ BOUNDARY_SOLVES = {
         '"ensemble_residual": 0.0, "iterations": 43, "normalized": 0.19980014990006242, '
         '"notes": ["block-parameterized search: witness is a BlockSpec"], "residuals": [0.0], '
         '"seed_provenance": "block_search", "value": 5991.464547107982}\n'),
-    "level_search_past_dp_cap": (
+    "al_past_dp_cap": (
         ("--graph", "clique:4", "--t", "1.3", "--n", "520", "--p", "0.1"),
-        '{"blockspec": {"sizes": [13, 507], "values": [[1.0, 0.1], [0.1, 0.1]]}, '
-        '"ensemble_residual": 0.0, "iterations": 17, "normalized": 0.2884615384615384, '
-        '"notes": ["block-parameterized search: witness is a BlockSpec"], "residuals": [0.0], '
-        '"seed_provenance": "block_search", "value": 179.60163725353559}\n'),
-    "level_search_past_dp_width_cap_at_n_2000": (
+        '{"blockspec": {"sizes": [520], "values": [[0.1046712897252061]]}, '
+        '"ensemble_residual": 0.0, "iterations": 210, "normalized": 0.02591831961921985, '
+        '"notes": [], "residuals": [8.079572895169918e-07], '
+        '"seed_provenance": "constant", "value": 16.137238480037375}\n'),
+    "al_past_dp_width_cap_at_n_2000": (
         ("--graph", "clique:7", "--t", "1.3", "--n", "2000", "--p", "0.3"),
-        '{"blockspec": {"sizes": [46, 1954], "values": [[1.0, 0.3], [0.3, 0.3]]}, '
-        '"ensemble_residual": 0.0, "iterations": 17, "normalized": 0.35493827160493835, '
-        '"notes": ["block-parameterized search: witness is a BlockSpec"], "residuals": [0.0], '
-        '"seed_provenance": "block_search", "value": 1246.111852477344}\n'),
+        '{"blockspec": {"sizes": [2000], "values": [[0.3039236535633735]]}, '
+        '"ensemble_residual": 0.0, "iterations": 238, "normalized": 0.020819325511415222, '
+        '"notes": [], "residuals": [6.369511906800795e-07], '
+        '"seed_provenance": "constant", "value": 73.0921694159664}\n'),
     "level_search_past_dp_width_cap": (
         ("--graph", "clique:7", "--t", "1.5", "--n", "3000", "--p", "0.3"),
         '{"blockspec": {"sizes": [73, 2927], "values": [[1.0, 0.3], [0.3, 0.3]]}, '
@@ -503,48 +534,63 @@ def test_solve_routing_boundaries_keep_their_stdout(case, capsys):
     assert out == stdout
 
 
-def test_pattern_past_the_dp_width_cap_gets_the_level_search_answer(capsys):
-    # K7 at n <= 2000 exited 3 on the DP's width error; the level search now
-    # answers, here with its own refusal (no ladder clique reaches 7 vertices
-    # at n p^3 = 2), and a block-model base gets its refusal
+def test_solve_answers_alike_across_the_old_dp_boundaries(capsys):
+    # K4 at n = 519 and 520 and K5 at n = 108 and 109 lie on either side of
+    # DP_CELL_CAP; the level search answered past it, 11x higher for K4, and
+    # not at all for K5
+    values = []
+    for argv in ("--graph clique:4 --t 1.3 --n 519 --p 0.1", "--graph clique:4 --t 1.3 --n 520 --p 0.1",
+                 "--graph clique:5 --t 2 --n 108 --p 0.1", "--graph clique:5 --t 2 --n 109 --p 0.1"):
+        code, out, err = run_main(capsys, "solve", *argv.split())
+        assert code == 0, err
+        values.append(json.loads(out)["value"])
+    assert values[1] == pytest.approx(values[0], rel=0.01)
+
+
+def test_pattern_past_the_dp_width_cap_gets_the_al_answer(capsys):
+    # K7 at n = 2000 exited 3 on the level search's refusal (no ladder clique
+    # reaches 7 vertices at n p^3 = 2); the AL's seeds all fit the compiled
+    # block homs, and its constant seed meets t
     code, out, err = run_main(capsys, "solve", "--graph", "clique:7", "--t", "1.3",
                               "--n", "2000", "--p", "0.1")
-    assert code == 3 and out == ""
-    assert "no feasible block construction found on the ladder" in err
-    code, out, err = run_main(capsys, "solve", "--model", "block", "--n", "600",
-                              "--alpha", "0.5,0.5", "--kernel", "[[2,1],[1,0.5]]",
-                              "--p", "0.05", "--graph", "clique:7", "--t", "1.5")
-    assert code == 3 and out == ""
-    assert "block-model base" in err and "width" not in err
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["seed_provenance"] == "constant" and doc["residuals"][0] <= 1e-6
 
 
 def test_solve_matrix_out_on_the_level_search(tmp_path, capsys):
-    # the level search's BlockSpec witness is written materialized
+    # the level search's BlockSpec witness, here the fallback's, is written
+    # materialized
     path = tmp_path / "x.csv"
-    argv, stdout = BOUNDARY_SOLVES["level_search_past_dp_cap"]
+    argv = "--graph cycle:5 --t 4 --n 60 --model regular --d 6".split()
+    code, stdout, err = run_main(capsys, "solve", *argv)
+    assert code == 0, err
     code, out, err = run_main(capsys, "solve", *argv, "--matrix-out", path)
     assert code == 0, err
     doc = json.loads(out)
     assert doc.pop("matrix_out") == str(path)
-    assert doc == json.loads(stdout)
+    assert doc == json.loads(stdout) and doc["seed_provenance"] == "block_search"
     x = np.loadtxt(path, delimiter=",")
-    assert x.shape == (520, 520)
+    assert x.shape == (60, 60)
     assert 0.5 * rates.entropy_matrix(x, 0.1) == pytest.approx(doc["value"], rel=1e-12)
 
 
 # solves whose AL runs all end infeasible while the level search meets t,
-# with its value: the x1 row-sum cycle seed reaches 3.9977 < 4 by
-# integrality, and no higher rung fits in n/2
-LEVEL_SEARCH_FALLBACKS = [
-    ("--graph cycle:5 --t 4 --n 60 --model regular --d 6", 273.22183956797517),
-    ("--graph cycle:3 --t 4 --n 60 --model uniform --m 531", 736.0628622927244),
-    ("--graph cycle:3 --t 4 --n 120 --model regular --d 12", 1016.2668857615605),
-]
+# with its value, its evaluations and the AL's outer iterations: the x1
+# row-sum cycle seed reaches 3.9977 < 4 by integrality, and no higher rung
+# fits in n/2
+LEVEL_SEARCH_FALLBACKS = [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in [
+    ("--graph cycle:5 --t 4 --n 60 --model regular --d 6", 273.22183956797517, 10, 60),
+    ("--graph cycle:3 --t 4 --n 60 --model uniform --m 531", 736.0628622927244, 25, 510),
+    ("--graph cycle:3 --t 4 --n 120 --model regular --d 12", 1016.2668857615605, 11, 60),
+]]
 
 
-@pytest.mark.parametrize("argv, value", LEVEL_SEARCH_FALLBACKS)
-def test_solve_takes_the_level_search_answer_where_no_al_run_is_feasible(argv, value, capsys):
-    # these exited 3, "no feasible point found within budget from any seed"
+@pytest.mark.parametrize("argv, value, evaluations, al", LEVEL_SEARCH_FALLBACKS)
+def test_solve_takes_the_level_search_answer_where_no_al_run_is_feasible(argv, value, evaluations,
+                                                                         al, capsys):
+    # these exited 3, "no feasible point found within budget from any seed";
+    # `iterations` counts the AL's outer iterations with the evaluations
     code, out, err = run_main(capsys, "solve", *argv.split())
     assert code == 0, err
     doc = json.loads(out)
@@ -552,6 +598,9 @@ def test_solve_takes_the_level_search_answer_where_no_al_run_is_feasible(argv, v
     assert doc["seed_provenance"] == "block_search" and "blockspec" in doc
     assert doc["value"] == pytest.approx(value, rel=1e-12)
     assert doc["residuals"] == [0.0] and doc["ensemble_residual"] == 0.0
+    assert doc["iterations"] == evaluations + al
+    assert doc["notes"] == ["block-parameterized search: witness is a BlockSpec",
+                            f"fallback: the AL's {al} outer iterations kept no feasible point"]
 
 
 def test_solve_seed_past_the_compile_cap_prints_its_blockspec(capsys):
@@ -569,24 +618,49 @@ def test_solve_seed_past_the_compile_cap_prints_its_blockspec(capsys):
     assert doc["residuals"] == [0.0] and doc["ensemble_residual"] <= 1e-10
 
 
-def test_block_model_solve_past_dense_cap_exits_1():
-    # the block search plants on a constant-p background, not the block base
-    proc = run_cli(
-        "solve", "--model", "block", "--n", "2001", "--alpha", "0.5,0.5",
-        "--kernel", "[[2,1],[1,0.5]]", "--p", "0.05", "--graph", "cycle:3", "--t", "1.5",
-    )
-    assert proc.returncode == 1
-    assert "scalar base" in proc.stderr and proc.stdout == ""
+BLOCK_MODEL = ("--model", "block", "--alpha", "0.5,0.5", "--kernel", "[[2,1],[1,0.5]]",
+               "--p", "0.05")
 
 
-def test_block_model_solve_past_dense_cap_exits_1_whatever_the_pattern(capsys):
-    # past n = 2000 the DP's width cap is not consulted: K7 is refused for its
-    # block-model base, as cycle:3 is
-    code, out, err = run_main(capsys, "solve", "--model", "block", "--n", "2001",
-                              "--alpha", "0.5,0.5", "--kernel", "[[2,1],[1,0.5]]",
-                              "--p", "0.05", "--graph", "clique:7", "--t", "1.5")
-    assert code == 1
-    assert "scalar base" in err and out == ""
+def test_block_model_solve_past_dense_cap_runs_the_al(capsys):
+    # past n = 2000 a block-model base exited 1: the level search plants on
+    # a constant-p background; the AL runs on the block base's values
+    code, out, err = run_main(capsys, "solve", *BLOCK_MODEL, "--n", "2001",
+                              "--graph", "cycle:3", "--t", "1.5")
+    assert code == 0, err
+    doc = json.loads(out)
+    check_schema(doc, "solve")
+    assert doc["blockspec"]["sizes"] == [1001, 1000] and doc["residuals"][0] <= 1e-6
+
+
+@pytest.mark.parametrize("argv", ["--n 520 --graph clique:4", "--n 600 --graph clique:7"])
+def test_block_model_solve_past_the_dp_caps_runs_the_al(argv, capsys):
+    # these exited 3, "block-model base: its hom DP passes the cap" (K4 past
+    # DP_CELL_CAP, K7 past the DP's width cap); their seeds all fit the
+    # compiled block homs
+    code, out, err = run_main(capsys, "solve", *BLOCK_MODEL, *argv.split(), "--t", "1.5")
+    assert code == 0, err
+    doc = json.loads(out)
+    check_schema(doc, "solve")
+    assert "blockspec" in doc and doc["residuals"][0] <= 1e-6
+
+
+@pytest.mark.parametrize("argv, bound", [
+    ("--t 1.5 --model uniform --m 434", 0.908),
+    ("--t 1e9 --p 0.3", 33.4),
+    ("--t 1.5 --model regular --d 28", 1.110),
+])
+def test_solve_target_past_the_complete_graph_exits_1(argv, bound, monkeypatch, capsys):
+    # no matrix's count passes J - I's; these ran every seed and the level
+    # search, then exited 3
+    def no_seed(*_a, **_k):
+        raise AssertionError("a seed was built")
+
+    monkeypatch.setattr(solver, "default_seeds", no_seed)
+    code, out, err = run_main(capsys, "solve", "--graph", "cycle:3", "--n", "30", *argv.split())
+    assert code == 1 and out == ""
+    assert "complete graph K_30" in err
+    assert float(err.split(" is past ")[1].split(",")[0]) == pytest.approx(bound, rel=1e-3)
 
 
 def test_solve_matrix_out_past_cap_exits_3(tmp_path):

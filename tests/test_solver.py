@@ -327,8 +327,6 @@ def test_block_model_base_takes_its_params():
         with pytest.raises(DomainError, match=r"kernel \* p must lie in \(0,1\)"):
             S.SolveProblem(targets=((K3, 1.0),), n=n,
                            base=R.BlockModelParams((0.5, 0.5), kernel, 0.2))
-    with pytest.raises(DomainError, match="scalar base"):
-        S._level_search(prob)  # plants on constant p, not on the block base
 
 
 def test_block_base_below_its_targets_is_solved():
@@ -352,22 +350,35 @@ def test_dense_cap_directs_to_block_path():
     assert res.seed_provenance == "block_search"
 
 
+def _must_not_run(*_a, **_k):
+    raise AssertionError("a step that must not run ran")
+
+
 def test_dp_cap_directs_to_block_path_before_any_seed(monkeypatch):
     # n <= DENSE_N_CAP, but K4's n x n DP would hold n^3 entries, past
-    # DP_CELL_CAP: the level search answers, as `uptail solve` does
-    def no_al(*_a, **_k):
-        raise AssertionError("the AL ran")
-
-    monkeypatch.setattr(S, "_al_stack", no_al)
+    # DP_CELL_CAP: the seeds past the compile cap are left out before any
+    # run, and the rest run on compiled block values, as `uptail solve` does
+    monkeypatch.setattr(H, "_dp_sum", _must_not_run)
     prob = S.SolveProblem(((G.clique(4), 1.3),), n=2000, base=0.01, ensemble=("row_sums", 20))
     res = S.solve_phi(prob)
-    assert isinstance(res.x, B.BlockSpec) and res.seed_provenance == "block_search"
+    assert isinstance(res.x, B.BlockSpec) and res.seed_provenance.startswith("whole_cliques")
     assert res.value == 28.571144731629513
-    # a block-model base has no block witness: refused before any seed
-    monkeypatch.setattr(S, "default_seeds", no_al)
+    # a block-model base, refused here before any seed, solves alike
     params = R.BlockModelParams((0.5, 0.5), ((1.0, 0.5), (0.5, 1.0)), 0.1)
-    prob = S.SolveProblem(((G.clique(4), 1.3),), n=520, base=params)
-    with pytest.raises(ResourceError, match="hom DP"):
+    res = S.solve_phi(S.SolveProblem(((G.clique(4), 1.3),), n=520, base=params))
+    assert isinstance(res.x, B.BlockSpec) and res.residuals[0] <= 1e-6
+
+
+def test_solve_with_no_seed_that_fits_is_refused_before_any_run(monkeypatch):
+    # a target <= 1 that the 17-block base misses has the constant seed
+    # alone: K4 on it compiles 17^4 > BATCH_CELLS placements, and K4's DP at
+    # n = 520 passes DP_CELL_CAP
+    monkeypatch.setattr(S, "_al_stack", _must_not_run)
+    params = R.BlockModelParams((1 / 17,) * 17, tuple(tuple(0.5 + 0.5 * (i == j) for j in range(17))
+                                                      for i in range(17)), 0.1)
+    prob = S.SolveProblem(((G.clique(4), 0.9),), n=520, base=params)
+    assert [name for name, _seed in S.default_seeds(prob)] == ["constant"]
+    with pytest.raises(ResourceError, match="every seed is past"):
         S.solve_phi(prob)
 
 
@@ -382,20 +393,15 @@ def test_pattern_past_the_dp_width_cap_reaches_the_level_search():
 
 
 def test_pattern_past_the_dp_width_cap_does_not_fit_at_any_n(monkeypatch):
-    # at n <= DENSE_N_CAP too, a pattern the DP refuses for its width routes
-    # to the level search instead of raising the DP's width error
-    def no_al(*_a, **_k):
-        raise AssertionError("the AL ran")
-
-    monkeypatch.setattr(S, "default_seeds", no_al)
-    res = S.solve_phi(S.SolveProblem(((G.clique(7), 1.3),), n=2000, base=0.3))
-    assert isinstance(res.x, B.BlockSpec) and res.seed_provenance == "block_search"
-    assert res.value == 1246.111852477344
-    # a block-model base has no block witness: refused before any seed
-    params = R.BlockModelParams((0.5, 0.5), ((1.0, 0.5), (0.5, 1.0)), 0.1)
-    prob = S.SolveProblem(((G.clique(7), 1.3),), n=600, base=params)
-    with pytest.raises(ResourceError, match="block-model base"):
-        S.solve_phi(prob)
+    # at n <= DENSE_N_CAP too, a pattern the DP refuses for its width fits
+    # no n x n DP; its seeds all fit the compiled block homs, so the AL
+    # answers without asking the DP, where the level search answered
+    prob = S.SolveProblem(((G.clique(7), 1.3),), n=2000, base=0.3)
+    assert not S._dense_witness(prob)
+    monkeypatch.setattr(H, "_dp_sum", _must_not_run)
+    res = S.solve_phi(prob)
+    assert isinstance(res.x, B.BlockSpec) and res.seed_provenance == "constant"
+    assert res.value == 73.0921694159664
 
 
 def test_block_solve_row_sums_large_n():
@@ -1289,12 +1295,36 @@ def test_k4_below_one_is_one_constant_block_without_the_dp(monkeypatch):
     assert res.residuals == [0.0] and res.notes == [S.CONSTANT_NOTE]
 
 
-def test_block_solve_refuses_seeds():
+def test_block_solve_refuses_seeds(monkeypatch):
+    # a user seed that fits neither the compiled block homs nor an n x n DP
+    # is refused before any run: a matrix at K4, n = 600, past DP_CELL_CAP
+    seed = np.full((600, 600), 0.1) - np.diag(np.full(600, 0.1))
+    with monkeypatch.context() as mp:
+        mp.setattr(S, "_al_stack", _must_not_run)
+        with pytest.raises(ResourceError, match="seed user_0 is past"):
+            S.solve_phi(S.SolveProblem(((G.clique(4), 1.3),), n=600, base=0.1, seeds=(seed,)))
+    # a one-block seed past DENSE_N_CAP, which the level search refused, runs
+    # on the AL with the ladder
     seed = B.BlockSpec((3000,), ((Fraction(1, 50),),))
-    prob = S.SolveProblem(((K3, 2.0),), n=3000, base=0.02, seeds=(seed,))
-    for solve in (S.solve_phi, S._level_search):
-        with pytest.raises(DomainError, match="seeds"):
-            solve(prob)
+    res = S.solve_phi(S.SolveProblem(((K3, 2.0),), n=3000, base=0.02, seeds=(seed,)))
+    assert isinstance(res.x, B.BlockSpec) and res.residuals[0] <= 1e-6
+    assert res.seed_provenance != "block_search"
+
+
+def test_target_past_the_complete_graph_is_refused_before_any_seed(monkeypatch):
+    # no matrix's count passes that of J - I, P_H(n) / n^v normalized: K3 at
+    # n = 30, p = 0.3 reads 30 * 29 * 28 / (27000 * 0.027) = 33.4156...
+    monkeypatch.setattr(S, "default_seeds", _must_not_run)
+    bound = 30 * 29 * 28 / 30 ** 3 / 0.3 ** 3
+    assert B.complete_density(K3, 30) * 0.3 ** -3 == pytest.approx(bound, rel=1e-15)
+    tol = S.SolveProblem.feasibility_tol
+    with pytest.raises(DomainError, match="complete graph K_30"):
+        S.solve_phi(S.SolveProblem(((K3, bound + 2 * tol),), n=30, base=0.3))
+    S._refuse_unreachable(S.SolveProblem(((K3, bound + 0.5 * tol),), n=30, base=0.3))
+    # the bound is J - I's count, by the DP too, on C5 and K4
+    for h in (G.cycle(5), G.clique(4)):
+        x = np.ones((9, 9)) - np.eye(9)
+        assert B.complete_density(h, 9) == pytest.approx(H.hom_density_t(h, x), rel=1e-14)
 
 
 @pytest.mark.parametrize("n,d", [pytest.param(60, 18, id="solve_phi"),
