@@ -363,23 +363,19 @@ def test_dp_cap_directs_to_block_path_before_any_seed(monkeypatch):
     res = S.solve_phi(prob)
     assert isinstance(res.x, B.BlockSpec) and res.seed_provenance.startswith("whole_cliques")
     assert res.value == 28.571144731629513
-    # a block-model base, refused here before any seed, solves alike
+    # a block-model base solves alike
     params = R.BlockModelParams((0.5, 0.5), ((1.0, 0.5), (0.5, 1.0)), 0.1)
     res = S.solve_phi(S.SolveProblem(((G.clique(4), 1.3),), n=520, base=params))
     assert isinstance(res.x, B.BlockSpec) and res.residuals[0] <= 1e-6
 
 
 def test_solve_with_no_seed_that_fits_is_refused_before_any_run(monkeypatch):
-    # a target <= 1 that the 17-block base misses has the constant seed
-    # alone: K4 on it compiles 17^4 > BATCH_CELLS placements, and K4's DP at
-    # n = 520 passes DP_CELL_CAP
+    # with no block count within the compile cap, every seed of K4 at n = 520
+    # needs the n x n DP, which passes DP_CELL_CAP there
+    monkeypatch.setattr(S, "BATCH_CELLS", 0)
     monkeypatch.setattr(S, "_al_stack", _must_not_run)
-    params = R.BlockModelParams((1 / 17,) * 17, tuple(tuple(0.5 + 0.5 * (i == j) for j in range(17))
-                                                      for i in range(17)), 0.1)
-    prob = S.SolveProblem(((G.clique(4), 0.9),), n=520, base=params)
-    assert [name for name, _seed in S.default_seeds(prob)] == ["constant"]
     with pytest.raises(ResourceError, match="every seed is past"):
-        S.solve_phi(prob)
+        S.solve_phi(S.SolveProblem(((G.clique(4), 1.3),), n=520, base=0.1))
 
 
 def test_pattern_past_the_dp_width_cap_reaches_the_level_search():
@@ -395,7 +391,7 @@ def test_pattern_past_the_dp_width_cap_reaches_the_level_search():
 def test_pattern_past_the_dp_width_cap_does_not_fit_at_any_n(monkeypatch):
     # at n <= DENSE_N_CAP too, a pattern the DP refuses for its width fits
     # no n x n DP; its seeds all fit the compiled block homs, so the AL
-    # answers without asking the DP, where the level search answered
+    # answers without asking the DP
     prob = S.SolveProblem(((G.clique(7), 1.3),), n=2000, base=0.3)
     assert not S._dense_witness(prob)
     monkeypatch.setattr(H, "_dp_sum", _must_not_run)
@@ -1303,8 +1299,7 @@ def test_block_solve_refuses_seeds(monkeypatch):
         mp.setattr(S, "_al_stack", _must_not_run)
         with pytest.raises(ResourceError, match="seed user_0 is past"):
             S.solve_phi(S.SolveProblem(((G.clique(4), 1.3),), n=600, base=0.1, seeds=(seed,)))
-    # a one-block seed past DENSE_N_CAP, which the level search refused, runs
-    # on the AL with the ladder
+    # a one-block seed past DENSE_N_CAP runs on the AL with the ladder
     seed = B.BlockSpec((3000,), ((Fraction(1, 50),),))
     res = S.solve_phi(S.SolveProblem(((K3, 2.0),), n=3000, base=0.02, seeds=(seed,)))
     assert isinstance(res.x, B.BlockSpec) and res.residuals[0] <= 1e-6
@@ -1322,8 +1317,8 @@ def test_target_past_the_complete_graph_is_refused_before_any_seed(monkeypatch):
         S.solve_phi(S.SolveProblem(((K3, bound + 2 * tol),), n=30, base=0.3))
     S._refuse_unreachable(S.SolveProblem(((K3, bound + 0.5 * tol),), n=30, base=0.3))
     # the bound is J - I's count, by the DP too, on C5 and K4
+    x = np.ones((9, 9)) - np.eye(9)
     for h in (G.cycle(5), G.clique(4)):
-        x = np.ones((9, 9)) - np.eye(9)
         assert B.complete_density(h, 9) == pytest.approx(H.hom_density_t(h, x), rel=1e-14)
 
 
