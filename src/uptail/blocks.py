@@ -196,9 +196,12 @@ def _independent_group_partitions(h: Graph):
     yield from rec(0, [])
 
 
-_TERM_CACHE = {}
+# the k^v placements `_hom_table` may compile for a solve's seed of k blocks and
+# a pattern of v vertices (`solver._fits_blocks`); not a measured crossover
+COMPILE_CAP = 1 << 16
 
 
+@functools.cache
 def _hom_table(h: Graph, k: int):
     """t(h, .) on k blocks as a polynomial in the block values, compiled once
     per (pattern, k).  On a zero diagonal, a map of V(h) counts only when the
@@ -209,24 +212,19 @@ def _hom_table(h: Graph, k: int):
     Returns (pairs, counts, mult): per term, the flat index a * k + b
     (a <= b) of each edge's block pair, the number of groups in each block,
     and how many placements it merges."""
-    key = (h.vertex_count, h.edges, k)
-    table = _TERM_CACHE.get(key)
-    if table is None:
-        terms = {}
-        for groups in _independent_group_partitions(h):
-            gindex = {u: gi for gi, g in enumerate(groups) for u in g}
-            qedges = [(gindex[a], gindex[b]) for a, b in h.edges]
-            for assign in itertools.product(range(k), repeat=len(groups)):
-                pairs = tuple(sorted(min(assign[ga], assign[gb]) * k + max(assign[ga], assign[gb])
-                                     for ga, gb in qedges))
-                counts = tuple(assign.count(a) for a in range(k))
-                terms[pairs, counts] = terms.get((pairs, counts), 0) + 1
-        table = (np.array([pairs for pairs, _c in terms], dtype=np.intp).reshape(
-                     len(terms), h.edge_count),
-                 np.array([counts for _p, counts in terms], dtype=np.intp).reshape(len(terms), k),
-                 np.array(list(terms.values()), dtype=float))
-        _TERM_CACHE[key] = table
-    return table
+    terms = {}
+    for groups in _independent_group_partitions(h):
+        gindex = {u: gi for gi, g in enumerate(groups) for u in g}
+        qedges = [(gindex[a], gindex[b]) for a, b in h.edges]
+        for assign in itertools.product(range(k), repeat=len(groups)):
+            pairs = tuple(sorted(min(assign[ga], assign[gb]) * k + max(assign[ga], assign[gb])
+                                 for ga, gb in qedges))
+            counts = tuple(assign.count(a) for a in range(k))
+            terms[pairs, counts] = terms.get((pairs, counts), 0) + 1
+    return (np.array([pairs for pairs, _c in terms], dtype=np.intp).reshape(
+                len(terms), h.edge_count),
+            np.array([counts for _p, counts in terms], dtype=np.intp).reshape(len(terms), k),
+            np.array(list(terms.values()), dtype=float))
 
 
 def complete_density(h: Graph, n: int) -> float:
@@ -279,39 +277,27 @@ def _rowsum(a):
     return a.cumsum(axis=-1)[..., -1] if a.shape[-1] else np.zeros(a.shape[:-1])[()]
 
 
-# products (rows x terms) per edge past 3 up to which two cumprods beat edge
-# columns in `terms_value_and_gradient` (timeit, K3 to K5 stacks, 2 CPUs)
-CUMPROD_PRODUCTS = 32
-
-
 def terms_value_and_gradient(terms, values):
     """The polynomial `hom_terms` and its gradient at the packed `values`.
     A stack of rows of values takes a stack of terms, whose pairs index the
     flattened stack and whose padding has weight 0; each row's terms are
     summed in order (`_rowsum`).  Every factor but the j-th multiplies in
-    cumprod's order: by cumprods, or edge column by column, to the same bits."""
+    cumprod's order, edge column by column."""
     pairs, weights = terms
     edges = pairs.shape[-1]
     if not edges:  # a pattern with no edges
         return _rowsum(weights), np.zeros(values.shape)
     factors = values.ravel().take(pairs)
-    if weights.size <= CUMPROD_PRODUCTS * (edges - 3):
-        before, after = np.ones_like(factors), np.ones_like(factors)
-        np.cumprod(factors[..., :-1], axis=-1, out=before[..., 1:])
-        np.cumprod(factors[..., :0:-1], axis=-1, out=after[..., -2::-1])
-        part = weights[..., None] * before * after
-        full = before[..., -1] * factors[..., -1]
-    else:
-        f = [factors[..., j] for j in range(edges)]
-        before, after = [None] * edges, [None] * edges  # None stands for 1
-        for j in range(1, edges):
-            before[j] = f[0] if j == 1 else before[j - 1] * f[j - 1]
-            after[-1 - j] = f[-1] if j == 1 else after[-j] * f[-j]
-        part = np.empty_like(factors)
-        for j in range(edges):
-            w = weights if before[j] is None else weights * before[j]
-            part[..., j] = w if after[j] is None else w * after[j]
-        full = f[-1] if edges == 1 else before[-1] * f[-1]
+    f = [factors[..., j] for j in range(edges)]
+    before, after = [None] * edges, [None] * edges  # None stands for 1
+    for j in range(1, edges):
+        before[j] = f[0] if j == 1 else before[j - 1] * f[j - 1]
+        after[-1 - j] = f[-1] if j == 1 else after[-j] * f[-j]
+    part = np.empty_like(factors)
+    for j in range(edges):
+        w = weights if before[j] is None else weights * before[j]
+        part[..., j] = w if after[j] is None else w * after[j]
+    full = f[-1] if edges == 1 else before[-1] * f[-1]
     grad = np.bincount(pairs.ravel(), part.ravel(), minlength=values.size)
     return _rowsum(weights * full), grad.reshape(values.shape)
 

@@ -17,6 +17,7 @@ otherwise, so its counts are exact either way.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import string
@@ -92,6 +93,7 @@ def _elimination_order(h: Graph):
     return order, width
 
 
+@functools.cache
 def _build_plan(h: Graph, pinned, batch_prefix):
     """Symbolic contraction plan for the elimination DP (n-independent).
 
@@ -103,8 +105,8 @@ def _build_plan(h: Graph, pinned, batch_prefix):
     einsum `optimize` setting, and the operand swaps of a matmul step (None
     for an einsum step; only batched plans have matmul steps, see
     `_matmul_order`).
-    Cached per (pattern, pinned, prefix) so repeated evaluations skip all the
-    plan building.
+    Cached per (pattern, sorted pins, prefix), so repeated evaluations skip
+    all the plan building; a width-cap refusal is raised anew each time.
     """
     order, width = _elimination_order(h)
     if width > WIDTH_CAP:
@@ -177,17 +179,8 @@ def _matmul_order(touching, v):
     return min(arrange(*touching), arrange(*touching[::-1]), key=lambda c: c[0])[1]
 
 
-_PLAN_CACHE = {}
-
-
 def _get_plan(h: Graph, pinned, batched=False):
-    batch_prefix = "..." if batched else ""
-    key = (h.vertex_count, h.edges, tuple(sorted(pinned)), batch_prefix)
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        plan = _build_plan(h, pinned, batch_prefix)
-        _PLAN_CACHE[key] = plan
-    return plan
+    return _build_plan(h, tuple(sorted(pinned)), "..." if batched else "")
 
 
 def _dp_sum(h: Graph, w: np.ndarray, pinned=()):
@@ -278,27 +271,21 @@ def _extends_to_automorphism(adj, deg, forced):
     return False
 
 
-_ORBIT_CACHE = {}
-
-
+@functools.cache
 def _edge_orbits(h: Graph):
     """The edge orbits of Aut(h) as [(representative edge, orbit size)], in
     order of each orbit's first edge.  Each remaining edge is compared with
     the representative by searching for one automorphism that maps the
     representative onto it; the group itself is never listed.  Cached per
-    pattern, keyed like `_PLAN_CACHE`."""
-    key = (h.vertex_count, h.edges)
-    orbits = _ORBIT_CACHE.get(key)
-    if orbits is None:
-        adj, deg = h.neighbors(), h.degrees()
-        orbits, rest = [], list(h.edges)
-        while rest:
-            (a, b), others = rest[0], rest[1:]
-            rest = [e for e in others if not any(
-                _extends_to_automorphism(adj, deg, {a: c, b: d}) for c, d in (e, e[::-1])
-            )]
-            orbits.append(((a, b), len(others) - len(rest) + 1))
-        _ORBIT_CACHE[key] = orbits
+    pattern."""
+    adj, deg = h.neighbors(), h.degrees()
+    orbits, rest = [], list(h.edges)
+    while rest:
+        (a, b), others = rest[0], rest[1:]
+        rest = [e for e in others if not any(
+            _extends_to_automorphism(adj, deg, {a: c, b: d}) for c, d in (e, e[::-1])
+        )]
+        orbits.append(((a, b), len(others) - len(rest) + 1))
     return orbits
 
 

@@ -21,6 +21,7 @@ from typing import ClassVar
 import numpy as np
 
 from .blocks import (
+    COMPILE_CAP,
     BlockSpec,
     _rowsum,
     block_pairs,
@@ -40,7 +41,6 @@ from .errors import ConstructionError, DomainError, ResourceError
 from .graphs import Graph, h_star, independence_polynomial
 # hom_gradient stays bound: perfbench's traced run patches it here by name
 from .homs import (  # noqa: F401
-    BATCH_CELLS,
     DP_CELL_CAP,
     dp_cells,
     hom_gradient,
@@ -533,11 +533,10 @@ def _padded(rows):
 def _fits_blocks(problem, sizes):
     """Whether a seed on blocks of `sizes` (None for a matrix seed) takes its
     hom values from `blocks`' compiled independent-group expansion, in the
-    one lockstep stack.  That compiles about k^v placements in Python for a
-    pattern of v vertices on k blocks, so BATCH_CELLS caps k^v; it is not a
-    measured crossover with the DP on a blow-up."""
+    one lockstep stack: while k^v <= `blocks.COMPILE_CAP` for a pattern of v
+    vertices on its k blocks."""
     return sizes is not None and all(
-        len(sizes) ** h.vertex_count <= BATCH_CELLS for h, _t in problem.targets)
+        len(sizes) ** h.vertex_count <= COMPILE_CAP for h, _t in problem.targets)
 
 
 def _refuse_unreachable(problem):
@@ -563,6 +562,7 @@ def _refuse_unreachable(problem):
 DENSE_N_CAP = 2000
 TIE_RTOL = 1e-9
 CONSTANT_NOTE = "targets <= 1: constant base accepted with O(1/n) slack"
+BASE_NOTE = "block-model base: its own counts meet every target"
 
 
 def _dense_witness(problem):
@@ -581,28 +581,30 @@ def solve_phi(problem: SolveProblem) -> SolveResult:
 
     Targets all <= 1 get one constant BlockSpec witness at any n, with no
     n x n work: p (which meets them up to O(1/n)), d/(n-1) under row sums,
-    the exact total weight under it, or a block-model base where its own
-    counts meet them.  A seedless scalar-base solve past DENSE_N_CAP takes
-    `_level_search`'s answer.  Any other runs the AL from the seeds that
-    `_fits_blocks`, as one stack, and each other seed alone where
-    `_dense_witness` (past both, a ladder seed is left out and a user seed
-    refused).  The first seed within TIE_RTOL of the least value wins, so
+    or the exact total weight under it.  A block-model base whose own counts
+    meet every target, at any t, is its own witness.  A seedless scalar-base
+    solve past DENSE_N_CAP takes `_level_search`'s answer.  Any other runs
+    the AL from the seeds that `_fits_blocks`, as one stack, and each other
+    seed alone where `_dense_witness` (past both, a ladder seed is left out
+    and a user seed refused).  The first seed within TIE_RTOL of the least value wins, so
     that seeds which end at one point are not ranked by roundoff, measured
     by the hom engine its row ran on (`_result`).  Where no run keeps a
     feasible point, a scalar-base problem without user seeds takes
     `_level_search`'s answer, with the AL's iterations added and noted."""
     _refuse_unreachable(problem)
-    if all(t <= 1.0 for _h, t in problem.targets):
+    scalar = not isinstance(problem.base, BlockModelParams)
+    low = all(t <= 1.0 for _h, t in problem.targets)
+    constant = problem.base_spec()
+    # a block-model base can meet targets past 1 too: it is measured at any
+    # t where its own seed would compile anyway
+    if low or not scalar and _fits_blocks(problem, constant.sizes):
         kind, val = problem.ensemble or (None, None)
-        constant = problem.base_spec()
         if kind:  # a constant of row sums d has total weight n d / 2
             m = Fraction(val) * problem.n / 2 if kind == "row_sums" else val
             constant = fill_total_weight(constant, m)
-        res = _result(problem, constant, "constant", 0, [CONSTANT_NOTE])
-        if not isinstance(problem.base, BlockModelParams) or (
-                max(res.residuals) <= problem.feasibility_tol):
+        res = _result(problem, constant, "constant", 0, [CONSTANT_NOTE if low else BASE_NOTE])
+        if scalar or max(res.residuals) <= problem.feasibility_tol:
             return res
-    scalar = not isinstance(problem.base, BlockModelParams)
     if problem.n > DENSE_N_CAP and scalar and not problem.seeds:
         return _level_search(problem)
 
@@ -642,12 +644,14 @@ def solve_phi(problem: SolveProblem) -> SolveResult:
 def _result(problem, x, provenance, iterations, notes, compiled=True):
     """The SolveResult for witness x, a BlockSpec (its entropy in closed
     form) or a matrix, its hom values from the engine its AL row ran on: the
-    closed forms where `compiled`, else the DP; `normalized` takes Delta >= 2."""
+    closed forms where `compiled`, else the DP; `normalized` takes Delta >= 2.
+    `value` is at least 0, which roundoff in the entropy can undercut."""
     p, hs = problem.hom_p(), [h for h, _t in problem.targets]
     if isinstance(x, BlockSpec):
         value = 0.5 * x.entropy(problem.base_spec().refined(x.sizes).value_matrix())
     else:
         value = 0.5 * entropy_matrix(x, np.asarray(problem.base_spec()))
+    value = max(0.0, value)
     vals = [x.hom_normalized(h, p) if compiled else hom_normalized(h, np.asarray(x), p)
             for h in hs]
     kind, _ = problem.ensemble or (None, None)

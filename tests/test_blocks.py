@@ -75,7 +75,13 @@ def test_whole_cliques_expand_one_part_at_a_time(monkeypatch):
     # up to 49 whole cliques and a last one at n = 100000, d = 1000: each
     # expansion runs on one clique or on the last clique and the background,
     # never on all 51 blocks
-    monkeypatch.setattr(B, "_TERM_CACHE", {})
+    hom_table, blocks_compiled = B._hom_table, []
+
+    def recording(h, k):
+        blocks_compiled.append(k)
+        return hom_table(h, k)
+
+    monkeypatch.setattr(B, "_hom_table", recording)
     spec = B._whole_cliques(100_000, 1000, 49, 0)
     assert spec.num_blocks == 50
     assert spec.hom_normalized(K4, 0.01) == pytest.approx(
@@ -84,7 +90,7 @@ def test_whole_cliques_expand_one_part_at_a_time(monkeypatch):
         * (spec.sizes[-1] / 100_000) ** 4 / 0.01 ** 6, rel=1e-12)
     for h in (K4, G.complete_bipartite(3, 3)):
         B.build_whole_cliques(100_000, 1000, 0.3, h)
-    assert max(k for _v, _e, k in B._TERM_CACHE) <= 2
+    assert max(blocks_compiled) <= 2
 
 
 def _mobius(h):
@@ -163,7 +169,7 @@ def test_block_homs_are_their_quotient_sums(h):
 
 def _terms_value_and_gradient_reference(terms, values):
     """`terms_value_and_gradient` with its products formed edge column by
-    column at any size: the oracle that both of its forms match bit for bit."""
+    column, written out apart from it: the oracle it matches bit for bit."""
     pairs, weights = terms
     edges = pairs.shape[-1]
     factors = values.ravel().take(pairs)
@@ -186,8 +192,7 @@ def _terms_value_and_gradient_reference(terms, values):
                                          (G.cycle(6), 40, None), (G.clique(5), 30, None)])
 def test_term_products_are_the_column_form_bit_for_bit(h, n, seeds):
     # stacks of a solve's seeds, padded to the widest seed (or its first seed
-    # alone), at random values with entries at exactly 0 and 1; the cumprod
-    # form serves few products of many edges, the column form the rest
+    # alone), at random values with entries at exactly 0 and 1
     prob = S.SolveProblem(((h, 1.3),), n=n, base=0.3)
     specs = [spec for _name, spec in S.default_seeds(prob)][:seeds]
     space = S._BlockSpace(prob, [spec.sizes for spec in specs])
@@ -200,19 +205,6 @@ def test_term_products_are_the_column_form_bit_for_bit(h, n, seeds):
         for got, want in zip(B.terms_value_and_gradient(terms, y),
                              _terms_value_and_gradient_reference(terms, y)):
             assert got.tobytes() == want.tobytes()
-
-
-def test_both_term_product_forms_are_taken():
-    # which form a stack takes: (pattern, n, seeds) -> cumprod form?
-    def cumprod_form(h, n, seeds=None):
-        prob = S.SolveProblem(((h, 1.3),), n=n, base=0.3)
-        specs = [spec for _name, spec in S.default_seeds(prob)][:seeds]
-        pairs, weights = S._BlockSpace(prob, [spec.sizes for spec in specs]).terms[0]
-        return weights.size <= B.CUMPROD_PRODUCTS * (pairs.shape[-1] - 3)
-
-    assert not cumprod_form(K3, 60) and not cumprod_form(K3, 60, 1)
-    assert not cumprod_form(G.cycle(5), 40) and cumprod_form(G.cycle(5), 40, 1)
-    assert cumprod_form(K4, 30) and not cumprod_form(G.cycle(6), 40)
 
 
 def test_block_entropy_matches_materialized():

@@ -461,7 +461,7 @@ def test_solve_regular_k4_past_the_dense_dp_cap(capsys):
 def test_solve_past_the_dp_cap_leaves_out_seeds_past_the_compile_cap(t, value, dropped,
                                                                      monkeypatch, capsys):
     # K4's DP at n = 2000 passes DP_CELL_CAP, so a seed past the compile cap
-    # (k^4 > BATCH_CELLS, k >= 17 blocks) is left out and no n x n DP runs.
+    # (k^4 > COMPILE_CAP, k >= 17 blocks) is left out and no n x n DP runs.
     # At t = 4 every seed fits, and the AL prints the level search's former
     # value; at t = 1e5 the 13-block whole_cliques seed wins, below the level
     # search's 15605.67
@@ -603,8 +603,18 @@ def test_solve_takes_the_level_search_answer_where_no_al_run_is_feasible(argv, v
                             f"fallback: the AL's {al} outer iterations kept no feasible point"]
 
 
+def test_solve_with_no_feasible_run_and_no_feasible_rung_exits_3(capsys):
+    # K5 on uniform(120, 357): no AL run keeps a feasible point, and the
+    # level search it falls back on finds none on its ladder, whose clique
+    # rung rounds below 2 vertices
+    argv = "--graph clique:5 --t 1.3 --n 120 --model uniform --m 357".split()
+    code, out, err = run_main(capsys, "solve", *argv)
+    assert (code, out) == (3, "")
+    assert err == "error: no feasible block construction found on the ladder\n"
+
+
 def test_solve_seed_past_the_compile_cap_prints_its_blockspec(capsys):
-    # the x1 cycle-blocks seed of C6 has 8 blocks, past 8^6 > BATCH_CELLS:
+    # the x1 cycle-blocks seed of C6 has 8 blocks, past 8^6 > COMPILE_CAP:
     # it runs on its own block values, with the DP's hom values, and wins as
     # its BlockSpec where it used to win as an n x n matrix, at 107.0455698
     code, out, err = run_main(capsys, "solve", "--model", "regular", "--graph", "cycle:6",

@@ -1,8 +1,9 @@
 """Source layout: every module-level private function or class of the
 package is used somewhere in the package outside its own definition, so
-no dead helper survives a refactor, the README names every export, and
-every name the benchmark's tracer wraps exists.  Sources are read with
-`ast`; only the last test imports the package."""
+no dead helper survives a refactor, no module keeps a hand-rolled cache,
+the README names every export, and every name the benchmark's tracer
+wraps exists.  Sources are read with `ast`; only the last test imports the
+package."""
 
 import ast
 from pathlib import Path
@@ -36,6 +37,19 @@ def test_every_private_helper_is_referenced():
                    for _m, other in statements if other is not node):
             unused.append(f"{module}:{node.lineno} {node.name}")
     assert not unused, unused
+
+
+def test_no_module_keeps_a_hand_rolled_cache():
+    """No module-level name is bound to an empty dict or list, which a
+    function then fills: caches are `functools.cache`."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+            if (isinstance(value, ast.Dict) and not value.keys
+                    or isinstance(value, ast.List) and not value.elts):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
 
 
 def test_readme_names_every_export():

@@ -203,10 +203,11 @@ def test_blockspec_user_seed_runs_on_block_values(monkeypatch):
     assert res.value == pytest.approx(dense.value, rel=1e-9)
     assert res.seed_provenance == dense.seed_provenance
     # under a block-model base it is refined onto the base's blocks, cut at
-    # 20, and runs on block values in the one stack
+    # 20, and runs on block values in the one stack; the target is past the
+    # base's own count, 1.759, which would otherwise be the witness
     params = R.BlockModelParams((0.5, 0.5), ((2.0, 1.0), (1.0, 0.5)), p)
     spaces.clear()
-    S.solve_phi(S.SolveProblem(((K3, 1.2),), n=n, base=params, seeds=(spec,)))
+    S.solve_phi(S.SolveProblem(((K3, 2.0),), n=n, base=params, seeds=(spec,)))
     assert spaces == [S._BlockSpace] and sizes[-1][-1] == (5, 15, 20)
 
 
@@ -241,7 +242,7 @@ def test_matrix_seed_runs_on_one_vertex_blocks_as_on_its_matrix(h, ensemble, nam
 
 
 def test_seed_past_the_compile_cap_keeps_its_blocks(monkeypatch):
-    # 10 blocks put C5 past k^5 = BATCH_CELLS: the seed runs alone on its own
+    # 10 blocks put C5 past k^5 = COMPILE_CAP: the seed runs alone on its own
     # block values, its hom values from the DP on its blow-up, and nothing
     # compiles the expansion on 10 blocks, not even the winner's measure
     n, c5 = 40, G.cycle(5)
@@ -372,10 +373,29 @@ def test_dp_cap_directs_to_block_path_before_any_seed(monkeypatch):
 def test_solve_with_no_seed_that_fits_is_refused_before_any_run(monkeypatch):
     # with no block count within the compile cap, every seed of K4 at n = 520
     # needs the n x n DP, which passes DP_CELL_CAP there
-    monkeypatch.setattr(S, "BATCH_CELLS", 0)
+    monkeypatch.setattr(S, "COMPILE_CAP", 0)
     monkeypatch.setattr(S, "_al_stack", _must_not_run)
     with pytest.raises(ResourceError, match="every seed is past"):
         S.solve_phi(S.SolveProblem(((G.clique(4), 1.3),), n=520, base=0.1))
+
+
+def test_block_base_with_no_feasible_run_is_refused():
+    # a block-model base has no level search to fall back on: with no outer
+    # iteration, no seed at n = 6 meets t = 1.05
+    params = R.BlockModelParams((0.5, 0.5), ((2, 1), (1, 0.5)), 0.2)
+    prob = S.SolveProblem(((K3, 1.05),), n=6, base=params, budget=0)
+    with pytest.raises(ResourceError, match="no feasible point found within budget from any seed"):
+        S.solve_phi(prob)
+
+
+def test_block_base_that_meets_its_targets_is_the_witness_at_any_t(monkeypatch):
+    # the base's own K3 count is 1.945, past t = 1.5: it is the witness, at
+    # value 0, before any run, where the AL could end below 0 by roundoff
+    monkeypatch.setattr(S, "_al_stack", _must_not_run)
+    params = R.BlockModelParams((0.5, 0.5), ((2, 1), (1, 0.5)), 0.05)
+    res = S.solve_phi(S.SolveProblem(((K3, 1.5),), n=1000, base=params))
+    assert (res.value, res.normalized, res.residuals) == (0.0, 0.0, [0.0])
+    assert (res.seed_provenance, res.iterations, res.notes) == ("constant", 0, [S.BASE_NOTE])
 
 
 def test_pattern_past_the_dp_width_cap_reaches_the_level_search():
@@ -653,6 +673,40 @@ def test_inner_loop_stops_at_its_own_fixed_point(monkeypatch):
             calls.clear()
             S._spg(sp, x, ev, targets, lam, rho, step, on)
             assert len(calls) == 0
+
+
+class _OnlyItsStart:
+    """`space` with row 0's entropy raised by 1e6 at every point but
+    `start`."""
+
+    def __init__(self, space, start):
+        self.space, self.start = space, start
+
+    def __getattr__(self, name):
+        return getattr(self.space, name)
+
+    def evaluate(self, y):
+        vals, hom_grads, entropy, grad = self.space.evaluate(y)
+        away = np.zeros(len(y))
+        away[0] = not np.array_equal(y[0], self.start)
+        return vals, hom_grads, entropy + 1e6 * away, grad
+
+
+def test_inner_loop_row_with_no_decrease_stays_at_its_point():
+    # row 0 finds no decrease in 40 halvings, so it leaves the loop at its
+    # own point, with its own values and step; row 1, the same seed without
+    # the penalty, moves on
+    prob = S.SolveProblem(targets=((K3, 1.3),), n=12, base=0.3)
+    targets, lam, rho = np.array([1.3]), np.zeros((2, 1)), np.full(2, 10.0)
+    constant = S.default_seeds(prob)[0][1]
+    block = S._BlockSpace(prob, [constant.sizes] * 2)
+    x = block.pack([constant] * 2)
+    space = _OnlyItsStart(block, x[0].copy())
+    ev = space.evaluate(x)
+    x_out, ev_out, step = S._spg(space, x, ev, targets, lam, rho, np.ones(2), np.ones(2, bool))
+    assert x_out[0].tobytes() == x[0].tobytes() and step[0] == 1.0
+    assert all(new[0].tobytes() == old[0].tobytes() for new, old in zip(ev_out, ev))
+    assert not np.array_equal(x_out[1], x[1])
 
 
 def test_total_weight_iterates_stay_on_the_constraint(monkeypatch):
