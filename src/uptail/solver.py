@@ -582,21 +582,21 @@ def solve_phi(problem: SolveProblem) -> SolveResult:
     Targets all <= 1 get one constant BlockSpec witness at any n, with no
     n x n work: p (which meets them up to O(1/n)), d/(n-1) under row sums,
     or the exact total weight under it.  A block-model base whose own counts
-    meet every target, at any t, is its own witness.  A seedless scalar-base
-    solve past DENSE_N_CAP takes `_level_search`'s answer.  Any other runs
-    the AL from the seeds that `_fits_blocks`, as one stack, and each other
-    seed alone where `_dense_witness` (past both, a ladder seed is left out
-    and a user seed refused).  The first seed within TIE_RTOL of the least value wins, so
-    that seeds which end at one point are not ranked by roundoff, measured
-    by the hom engine its row ran on (`_result`).  Where no run keeps a
-    feasible point, a scalar-base problem without user seeds takes
-    `_level_search`'s answer, with the AL's iterations added and noted."""
+    meet every target is its own witness at any t, where its seed
+    `_fits_blocks` (so the check compiles nothing the AL would not).  A
+    seedless scalar-base solve past DENSE_N_CAP takes `_level_search`'s
+    answer.  Any other runs the AL from the seeds that `_fits_blocks`, as
+    one stack, and each other seed alone where `_dense_witness` (past both,
+    a ladder seed is left out and a user seed refused).  The first seed
+    within TIE_RTOL of the least value wins, so that seeds which end at one
+    point are not ranked by roundoff, measured by the hom engine its row ran
+    on (`_result`).  Where no run keeps a feasible point, a scalar-base
+    problem without user seeds takes `_level_search`'s answer, with the AL's
+    iterations added and noted."""
     _refuse_unreachable(problem)
     scalar = not isinstance(problem.base, BlockModelParams)
     low = all(t <= 1.0 for _h, t in problem.targets)
     constant = problem.base_spec()
-    # a block-model base can meet targets past 1 too: it is measured at any
-    # t where its own seed would compile anyway
     if low or not scalar and _fits_blocks(problem, constant.sizes):
         kind, val = problem.ensemble or (None, None)
         if kind:  # a constant of row sums d has total weight n d / 2

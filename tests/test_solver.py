@@ -398,6 +398,16 @@ def test_block_base_that_meets_its_targets_is_the_witness_at_any_t(monkeypatch):
     assert (res.seed_provenance, res.iterations, res.notes) == ("constant", 0, [S.BASE_NOTE])
 
 
+def test_result_value_is_never_below_zero():
+    # a witness 2 ulps above p: its relative entropy, about 1e-31, rounds to
+    # -7.8e-17 a pair by cancellation
+    p = 0.1
+    x = B.BlockSpec((30,), ((Fraction(p + 2 * np.spacing(p)),),))
+    assert x.entropy(p) < 0
+    res = S._result(S.SolveProblem(((K3, 0.5),), n=30, base=p), x, "near_p", 0, [])
+    assert (res.value, res.normalized) == (0.0, 0.0)
+
+
 def test_pattern_past_the_dp_width_cap_reaches_the_level_search():
     # K7's elimination width is past the hom DP's WIDTH_CAP; past DENSE_N_CAP
     # no DP plan is built, so the level search answers from its closed forms
