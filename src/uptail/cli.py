@@ -237,12 +237,16 @@ def _dense_ensemble(args):
 
 
 def _load_tilt(path, n):
+    """A tilt file: a BlockSpec (.json) or an n x n matrix (CSV), of n vertices."""
     if path.endswith(".json"):
         with open(path) as fh:
-            return blocks.BlockSpec.from_json(fh.read())
-    x = _load_matrix_csv(path)
-    if x.shape != (n, n):
-        raise DomainError(f"tilt matrix shape {x.shape} does not match n={n}")
+            x = blocks.BlockSpec.from_json(fh.read())
+        shape = (x.n, x.n)  # checked before anything is materialized
+    else:
+        x = _load_matrix_csv(path)
+        shape = x.shape
+    if shape != (n, n):
+        raise DomainError(f"tilt matrix shape {shape} does not match n={n}")
     return x
 
 

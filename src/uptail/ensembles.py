@@ -72,12 +72,23 @@ def rng_stream(seed: int, worker: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _seek(bits, state, words) -> None:
+    """Put the Philox bit generator `bits` `words` raw words past `state`, a
+    state it saved, without drawing the words between: Philox makes its words
+    4 at a time from a 256-bit counter, so the counter moves on by whole
+    blocks and only the landing block's first words (at most 3) are drawn.
+    The rest of `state`, such as its buffered 32-bit half-word, is kept."""
+    blocks, r = divmod(state["buffer_pos"] + words, 4)
+    counter = sum(int(v) << 64 * i for i, v in enumerate(state["state"]["counter"])) + blocks - 1
+    counter = np.array([counter >> 64 * i & (1 << 64) - 1 for i in range(4)], dtype=np.uint64)
+    bits.state = {**state, "state": {**state["state"], "counter": counter}, "buffer_pos": 4}
+    bits.random_raw(r)
+
+
 def _stream_at(seed, worker, word) -> np.random.Generator:
-    """rng_stream(seed, worker) positioned at its word `word`, without drawing
-    the words before it: `advance` skips blocks of 4 words."""
+    """rng_stream(seed, worker) positioned at its word `word`."""
     rng = rng_stream(seed, worker)
-    rng.bit_generator.advance(word // 4)
-    rng.bit_generator.random_raw(word % 4)
+    _seek(rng.bit_generator, rng.bit_generator.state, word)
     return rng
 
 
@@ -281,9 +292,8 @@ def _shuffled_tags(tags, batch, rng, accept, failure) -> np.ndarray:
     out = np.empty((batch, size), dtype=dtype)
     got, drawn, failed_run, t = 0, 0, 0, min(batch, cap)
 
-    def skip(rows):
-        rng.bit_generator.state = state
-        rng.bit_generator.random_raw(rows * words)
+    def skip(rows):  # the stream ends after trial `rows` of the block drawn from `state`
+        _seek(rng.bit_generator, state, rows * words)
 
     while got < batch:
         state = rng.bit_generator.state
@@ -646,6 +656,12 @@ def importance_tail(
     (0,1) wherever the base probability does; a tilt entry of exactly 1 is
     allowed (clique planting) and then the estimate covers only outcomes
     containing those forced edges.
+
+    A graph's log-weight sums, in pair order, only the pairs whose tilt
+    differs from the base (a planted hub or clique moves O(s n) of them).
+    Every other pair weighs exactly zero whether or not it is drawn, so the
+    sum, and with it every estimate, interval and ESS, is bit for bit the
+    sum over all pairs.
     """
     if spec.kind not in ("er", "block"):
         raise DomainError("importance sampling supports er and block bases")
@@ -665,15 +681,22 @@ def importance_tail(
         lw_edge = np.log(bp) - np.log(tp)
         lw_noedge = np.log1p(-bp) - np.log1p(-tp)
     lw_noedge = np.where(tp >= 1.0, 0.0, lw_noedge)  # never sampled
+    # a pair the tilt leaves at its base realizes a zero term (x - x, or the
+    # forced 0.0 above), and a moved pair never realizes -0.0; so no partial
+    # sum in pair order is -0.0, and dropping the zeros leaves each one
+    # unchanged, bit for bit
+    moved, every = np.flatnonzero(tp != bp), np.arange(tp.size)
 
     def draw(b, rng):
         # `_draw_stack(tilted, b, rng)`, keeping the pair bits for the weights.
         # In Fortran order each graph's log-weight sums one pair at a time in
         # pair order, not by pairwise summation: the order the pinned
-        # estimates (tests/test_ensembles.py) hold
+        # estimates (tests/test_ensembles.py) hold.  A one-graph stack is
+        # summed pairwise, which the dropped zeros would regroup, so it keeps
+        # every pair
         bits = _pair_bits(tp, b, rng)
-        hit_pairs = np.asfortranarray(bits[:, :-1])
-        return (np.where(hit_pairs, lw_edge, lw_noedge).sum(axis=1),
+        cols = moved if b > 1 else every
+        return (np.where(bits.T[cols].T, lw_edge[cols], lw_noedge[cols]).sum(axis=1),
                 _hom_hits_for_batch(_symmetric_stack(bits, spec.n), h_list, t_list, p))
 
     def stacked(scores):

@@ -957,6 +957,22 @@ def test_sample_planted_bad_tilt_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    "tail-is --model er --n 18 --p 0.35 --graph cycle:3 --t 1.5 --samples 100 "
+    "--tilt-file {tilt} --tilt-blend 0.5",
+    "sample --model planted --n 18 --tilt-file {tilt} --seed 1",
+], ids=["tail-is", "sample"])
+def test_json_tilt_of_another_n_exits_1(argv, tmp_path, capsys):
+    # a 10-vertex BlockSpec tilt under --n 18: refused as a CSV tilt of that
+    # shape is, where tail-is used to end in a broadcast traceback and sample
+    # drew a 10-vertex graph
+    tilt = tmp_path / "tilt.json"
+    tilt.write_text(json.dumps({"sizes": [4, 6], "values": [[1, 0.3], [0.3, 0.3]]}))
+    code, out, err = run_main(capsys, *argv.format(tilt=tilt).split())
+    assert code == 1 and out == ""
+    assert "tilt matrix shape (10, 10) does not match n=18" in err
+
+
+@pytest.mark.parametrize("argv", [
     "rate --graph cycle:3 --delta 1 --delta 5",
     "construct --type cycle-blocks --n 200 --d 20 --delta 1 --delta 2 --l 3",
 ])

@@ -207,24 +207,28 @@ def test_regular_retry_budget(monkeypatch):
 
 
 class _ZeroedWords:
-    """A bit generator giving the words of `inner`, except that the first
-    `zeroed` words of its stream are 0, so every key drawn from them ties."""
+    """A bit generator giving the words of `inner`, a Philox stream from its
+    start, except that the first `zeroed` words of the stream are 0, so every
+    key drawn from them ties.  A word's place in the stream is read off the
+    Philox counter (block c holds words 4(c - 1) .. 4c - 1), so the stream
+    can be repositioned through `state` as Philox's own can."""
 
     def __init__(self, inner, zeroed):
-        self.inner, self.zeroed, self.pos = inner, zeroed, 0
+        self.inner, self.zeroed = inner, zeroed
 
     @property
     def state(self):
-        return self.inner.state, self.pos
+        return self.inner.state
 
     @state.setter
     def state(self, value):
-        self.inner.state, self.pos = value
+        self.inner.state = value
 
     def random_raw(self, size):
+        state = self.inner.state
+        pos = 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
         words = self.inner.random_raw(size)
-        words.reshape(-1)[:max(0, self.zeroed - self.pos)] = 0
-        self.pos += words.size
+        words.reshape(-1)[:max(0, self.zeroed - pos)] = 0
         return words
 
 
@@ -857,6 +861,41 @@ def test_positioned_stream_starts_at_its_word():
         assert np.array_equal(got, words[word:word + 11]), word
 
 
+def _redrawn(bits, state, words):
+    """`_seek` as drawing every word: restore `state`, then read `words` words."""
+    bits.state = state
+    bits.random_raw(words)
+
+
+@pytest.mark.parametrize("spec", [
+    E.uniform(40, 300), E.uniform(10, 20), E.regular(40, 4), E.regular(40, 5), E.regular(40, 6),
+    E.regular(20, 3), E.regular(12, 6), E.regular(24, 6),
+], ids=["uniform-40-300", "uniform-10-20", "regular-40-4", "regular-40-5", "regular-40-6",
+        "regular-20-3", "regular-12-6", "regular-24-6"])
+def test_fixed_count_draws_seek_as_redrawing_would(spec, monkeypatch):
+    # a fixed-count draw ends its stream after its last used trial by counter
+    # arithmetic; redrawing every word up to it gives the same stacks, the
+    # same errors (regular(24, 6) fails every draw) and the same next words,
+    # also from a stream holding a buffered 32-bit half-word
+    def draws():
+        out = []
+        for seed in (1, 2):
+            for batch in (1, 3, 40):
+                rng = E.rng_stream(seed, 2)
+                if batch == 3:
+                    rng.random(dtype=np.float32)
+                try:
+                    out.append(E._draw_stack(spec, batch, rng).tobytes())
+                except SamplingError as exc:
+                    out.append(str(exc))
+                out.append((rng.bit_generator.random_raw(9).tolist(),
+                            rng.random(3, dtype=np.float32).tolist()))
+        return out
+    got = draws()
+    monkeypatch.setattr(E, "_seek", _redrawn)
+    assert got == draws()
+
+
 @pytest.mark.parametrize("q", [0.0, 2.0 ** -53, 0.35, 1 - 2.0 ** -53, 1.0])
 def test_pair_bits_are_doubles_below_q(q):
     # a 428 x 153 piece against rng.random() < q on the same stream; at the
@@ -988,3 +1027,94 @@ def test_one_chunk_in_flight_and_pools_only_where_cpus_idle(monkeypatch):
     assert pools == []
     E.mc_upper_tail(spec, [K3], [1.5], 1200, seed=1, workers=2)
     assert pools == [2]
+
+
+# ---------------------------------------------------------------------------
+# importance log-weights over the pairs a tilt moves
+# ---------------------------------------------------------------------------
+
+def _all_pairs_log_weights(spec, tilt, bits):
+    """The oracle: each graph's log-weight over its pair bits, summed over
+    every pair in pair order (in Fortran order, so one pair at a time), with
+    the pairs the tilt leaves at its base included."""
+    iu = np.triu_indices(spec.n, 1)
+    bp, tp = spec.probability_matrix()[iu], E.planted(tilt).probability_matrix()[iu]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lw_edge = np.log(bp) - np.log(tp)
+        lw_noedge = np.where(tp >= 1.0, 0.0, np.log1p(-bp) - np.log1p(-tp))
+    return np.where(np.asfortranarray(bits[:, :-1]), lw_edge, lw_noedge).sum(axis=1)
+
+
+def _oracle_checked(monkeypatch, spec, tilt, logws):
+    """Patch `_run_workers` so that every importance chunk's log-weights are
+    checked, bit for bit, against the oracle on the chunk's own pair bits, and
+    appended to `logws`."""
+    import copy
+
+    tp = E.planted(tilt).probability_matrix()[np.triu_indices(spec.n, 1)]
+    run_workers = E._run_workers
+
+    def checked(tilted, num_samples, seed, workers, draw, *args, **kwargs):
+        def draw_checked(b, rng):
+            want = _all_pairs_log_weights(spec, tilt, E._pair_bits(tp, b, copy.deepcopy(rng)))
+            logw, hits = draw(b, rng)
+            assert np.array_equal(logw.view(np.uint64), want.view(np.uint64))
+            logws.append(logw)
+            return logw, hits
+        return run_workers(tilted, num_samples, seed, workers, draw_checked, *args, **kwargs)
+    monkeypatch.setattr(E, "_run_workers", checked)
+
+
+def _block_tilt():
+    """A block base with zero kernel entries (tp = bp = 0 across the blocks),
+    tilted up inside the first block."""
+    spec = E.block_model(12, R.BlockModelParams((0.5, 0.5), ((1.0, 0.0), (0.0, 1.0)), 0.4))
+    tilt = spec.probability_matrix()
+    tilt[:6, :6] = np.where(tilt[:6, :6] > 0, 0.7, 0.0)
+    return spec, tilt
+
+
+# one ulp off the base on every pair, up and down by turns
+_ULP = np.nextafter(_ER18.probability_matrix(), np.add.outer(np.arange(18), np.arange(18)) % 2)
+np.fill_diagonal(_ULP, 0.0)
+_MOVED_TILTS = {  # (base, tilt, pattern threshold, pairs moved)
+    "hub": (_ER18, _hub_tilt(_ER18, 2, 0.5), 1.8, 33),
+    "forced": (E.er(12, 0.4), _FORCED, 1.3, 6),
+    "base": (_ER18, _ER18.probability_matrix(), 1.5, 0),
+    "block-zeros": (*_block_tilt(), 0.1, 15),
+    "ulp": (_ER18, _ULP, 1.5, 153),
+}
+
+
+@pytest.mark.parametrize("name", list(_MOVED_TILTS))
+def test_is_log_weights_over_moved_pairs_are_the_all_pairs_sum(name, monkeypatch):
+    # chunks of 128 graphs in parts of at least 5, with a last chunk of one
+    # graph at one worker: every chunk's log-weights are the oracle's bit for
+    # bit, and 1 and 2 parts give the same estimate at 1 and 2 workers
+    spec, tilt, t, _moved = _MOVED_TILTS[name]
+    monkeypatch.setattr(E, "CHUNK", 128)
+    monkeypatch.setattr(E, "MIN_PART", 5)
+    direct = E.mc_upper_tail(spec, [K3], [t], 641, seed=3)
+    logws = []
+    _oracle_checked(monkeypatch, spec, tilt, logws)
+    for workers in (1, 2):
+        outs = []
+        for parts in (1, 2):
+            monkeypatch.setattr(E, "_available_cpus", lambda parts=parts: parts * workers)
+            outs.append(E.importance_tail(spec, tilt, [K3], [t], 641, seed=3,
+                                          workers=workers).to_json())
+        assert outs[1] == outs[0]
+    assert sum(w.size for w in logws) == 4 * 641
+    if name == "base":  # no pair moves: every weight is 1, as in direct MC
+        assert not np.concatenate(logws).any()
+        assert E.importance_tail(spec, tilt, [K3], [t], 641, seed=3).point == direct.point
+
+
+@pytest.mark.parametrize("name", list(_MOVED_TILTS))
+def test_is_tilts_move_the_pairs_they_change(name):
+    # the pairs whose tilt differs from the base, as the sampler reads both:
+    # the mc-batched hub tilt (2 rows at blend 0.5, n = 18) moves 33 of 153
+    spec, tilt, _t, moved = _MOVED_TILTS[name]
+    iu = np.triu_indices(spec.n, 1)
+    tp = E.planted(tilt).probability_matrix()[iu]
+    assert np.count_nonzero(tp != spec.probability_matrix()[iu]) == moved
