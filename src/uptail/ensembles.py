@@ -292,7 +292,7 @@ def _shuffled_tags(tags, batch, rng, accept, failure) -> np.ndarray:
     out = np.empty((batch, size), dtype=dtype)
     got, drawn, failed_run, t = 0, 0, 0, min(batch, cap)
 
-    def skip(rows):  # the stream ends after trial `rows` of the block drawn from `state`
+    def skip(rows):  # end the stream after the block's first `rows` trials
         _seek(rng.bit_generator, state, rows * words)
 
     while got < batch:

@@ -1,5 +1,6 @@
 """Samplers, Monte Carlo tails, importance sampling, Pittel comparison."""
 
+import copy
 import math
 import sys
 import types
@@ -1049,8 +1050,6 @@ def _oracle_checked(monkeypatch, spec, tilt, logws):
     """Patch `_run_workers` so that every importance chunk's log-weights are
     checked, bit for bit, against the oracle on the chunk's own pair bits, and
     appended to `logws`."""
-    import copy
-
     tp = E.planted(tilt).probability_matrix()[np.triu_indices(spec.n, 1)]
     run_workers = E._run_workers
 
@@ -1094,7 +1093,7 @@ def test_is_log_weights_over_moved_pairs_are_the_all_pairs_sum(name, monkeypatch
     spec, tilt, t, _moved = _MOVED_TILTS[name]
     monkeypatch.setattr(E, "CHUNK", 128)
     monkeypatch.setattr(E, "MIN_PART", 5)
-    direct = E.mc_upper_tail(spec, [K3], [t], 641, seed=3)
+    direct = E.mc_upper_tail(spec, [K3], [t], 641, seed=3)  # before the patch below
     logws = []
     _oracle_checked(monkeypatch, spec, tilt, logws)
     for workers in (1, 2):
