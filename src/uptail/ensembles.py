@@ -72,23 +72,12 @@ def rng_stream(seed: int, worker: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _seek(bits, state, words) -> None:
-    """Put the Philox bit generator `bits` `words` raw words past `state`, a
-    state it saved, without drawing the words between: Philox makes its words
-    4 at a time from a 256-bit counter, so the counter moves on by whole
-    blocks and only the landing block's first words (at most 3) are drawn.
-    The rest of `state`, such as its buffered 32-bit half-word, is kept."""
-    blocks, r = divmod(state["buffer_pos"] + words, 4)
-    counter = sum(int(v) << 64 * i for i, v in enumerate(state["state"]["counter"])) + blocks - 1
-    counter = np.array([counter >> 64 * i & (1 << 64) - 1 for i in range(4)], dtype=np.uint64)
-    bits.state = {**state, "state": {**state["state"], "counter": counter}, "buffer_pos": 4}
-    bits.random_raw(r)
-
-
 def _stream_at(seed, worker, word) -> np.random.Generator:
-    """rng_stream(seed, worker) positioned at its word `word`."""
+    """rng_stream(seed, worker) positioned at its word `word`, without drawing
+    the words before it: `advance` skips blocks of 4 words."""
     rng = rng_stream(seed, worker)
-    _seek(rng.bit_generator, rng.bit_generator.state, word)
+    rng.bit_generator.advance(word // 4)
+    rng.bit_generator.random_raw(word % 4)
     return rng
 
 
@@ -292,8 +281,9 @@ def _shuffled_tags(tags, batch, rng, accept, failure) -> np.ndarray:
     out = np.empty((batch, size), dtype=dtype)
     got, drawn, failed_run, t = 0, 0, 0, min(batch, cap)
 
-    def skip(rows):  # end the stream after the block's first `rows` trials
-        _seek(rng.bit_generator, state, rows * words)
+    def skip(rows):
+        rng.bit_generator.state = state
+        rng.bit_generator.random_raw(rows * words)
 
     while got < batch:
         state = rng.bit_generator.state

@@ -208,28 +208,24 @@ def test_regular_retry_budget(monkeypatch):
 
 
 class _ZeroedWords:
-    """A bit generator giving the words of `inner`, a Philox stream from its
-    start, except that the first `zeroed` words of the stream are 0, so every
-    key drawn from them ties.  A word's place in the stream is read off the
-    Philox counter (block c holds words 4(c - 1) .. 4c - 1), so the stream
-    can be repositioned through `state` as Philox's own can."""
+    """A bit generator giving the words of `inner`, except that the first
+    `zeroed` words of its stream are 0, so every key drawn from them ties."""
 
     def __init__(self, inner, zeroed):
-        self.inner, self.zeroed = inner, zeroed
+        self.inner, self.zeroed, self.pos = inner, zeroed, 0
 
     @property
     def state(self):
-        return self.inner.state
+        return self.inner.state, self.pos
 
     @state.setter
     def state(self, value):
-        self.inner.state = value
+        self.inner.state, self.pos = value
 
     def random_raw(self, size):
-        state = self.inner.state
-        pos = 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
         words = self.inner.random_raw(size)
-        words.reshape(-1)[:max(0, self.zeroed - pos)] = 0
+        words.reshape(-1)[:max(0, self.zeroed - self.pos)] = 0
+        self.pos += words.size
         return words
 
 
@@ -862,39 +858,24 @@ def test_positioned_stream_starts_at_its_word():
         assert np.array_equal(got, words[word:word + 11]), word
 
 
-def _redrawn(bits, state, words):
-    """`_seek` as drawing every word: restore `state`, then read `words` words."""
-    bits.state = state
-    bits.random_raw(words)
-
-
-@pytest.mark.parametrize("spec", [
-    E.uniform(40, 300), E.uniform(10, 20), E.regular(40, 4), E.regular(40, 5), E.regular(40, 6),
-    E.regular(20, 3), E.regular(12, 6), E.regular(24, 6),
-], ids=["uniform-40-300", "uniform-10-20", "regular-40-4", "regular-40-5", "regular-40-6",
-        "regular-20-3", "regular-12-6", "regular-24-6"])
-def test_fixed_count_draws_seek_as_redrawing_would(spec, monkeypatch):
-    # a fixed-count draw ends its stream after its last used trial by counter
-    # arithmetic; redrawing every word up to it gives the same stacks, the
-    # same errors (regular(24, 6) fails every draw) and the same next words,
-    # also from a stream holding a buffered 32-bit half-word
-    def draws():
-        out = []
-        for seed in (1, 2):
-            for batch in (1, 3, 40):
-                rng = E.rng_stream(seed, 2)
-                if batch == 3:
-                    rng.random(dtype=np.float32)
-                try:
-                    out.append(E._draw_stack(spec, batch, rng).tobytes())
-                except SamplingError as exc:
-                    out.append(str(exc))
-                out.append((rng.bit_generator.random_raw(9).tolist(),
-                            rng.random(3, dtype=np.float32).tolist()))
-        return out
-    got = draws()
-    monkeypatch.setattr(E, "_seek", _redrawn)
-    assert got == draws()
+@pytest.mark.parametrize("spec", [E.uniform(40, 300), E.regular(40, 4), E.regular(20, 3)],
+                         ids=["uniform-40-300", "regular-40-4", "regular-20-3"])
+def test_sample_takes_any_numpy_generator(spec, monkeypatch):
+    # fixed-count draws that accept before their block's last trial, or run
+    # out of retries (a budget of 5 at d = 6), reposition the stream through
+    # the bit generator's own state and raw words, so any numpy generator whose
+    # raw words hold 64 random bits serves, not only Philox
+    for make in (np.random.default_rng, lambda s: np.random.Generator(np.random.SFC64(s))):
+        rng = make(5)
+        for _ in range(30):
+            deg = Counter(v for e in E.sample(spec, rng).edges for v in e)
+            if spec.kind == "regular":
+                assert set(deg.values()) == {spec.d} and len(deg) == spec.n
+            else:
+                assert sum(deg.values()) == 2 * spec.m
+        with monkeypatch.context() as patch, pytest.raises(SamplingError, match="in 5 trials"):
+            patch.setattr(E, "CONFIG_MODEL_RETRY_CAP", 5)
+            E.sample(E.regular(40, 6), rng)
 
 
 @pytest.mark.parametrize("q", [0.0, 2.0 ** -53, 0.35, 1 - 2.0 ** -53, 1.0])
