@@ -314,7 +314,10 @@ def cmd_tail_is(args):
         rho = args.tilt_blend
         if not (0 <= rho <= 1):
             raise DomainError(f"--tilt-blend must be in [0, 1], got {rho}")
-        tilt = rho * np.asarray(tilt, dtype=float) + (1 - rho) * spec.probability_matrix()
+        # a pair the tilt leaves at the base stays there exactly, so that
+        # importance_tail's log-weights read only the pairs it moves
+        tilt, base = np.asarray(tilt, dtype=float), spec.probability_matrix()
+        tilt = np.where(tilt == base, base, rho * tilt + (1 - rho) * base)
         np.fill_diagonal(tilt, 0.0)
     est = ensembles.importance_tail(
         spec, tilt, hs, args.t, args.samples,

@@ -131,8 +131,6 @@ def _build_plan(h: Graph, pinned, batch_prefix):
         if v in pinned:
             continue
         touching = [f for f in factors if v in f[0]]
-        if not touching:
-            continue
         factors = [f for f in factors if v not in f[0]]
         all_vars = sorted(set(itertools.chain.from_iterable(f[0] for f in touching)))
         out_vars = tuple(u for u in all_vars if u != v)

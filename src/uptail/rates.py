@@ -355,16 +355,6 @@ def theta_root_from_poly(poly, delta: float) -> float:
     return hi  # poly(hi) >= target, so the returned point is always feasible
 
 
-def joint_feasibility_residuals(h_list, delta_list, x: float, y: float):
-    """Constraint slacks at (x, y); all must be >= -tol for feasibility."""
-    entries = _joint_setup(h_list, delta_list)
-    out = []
-    for poly, v, regular, delta in entries:
-        lhs = poly(x) + (y ** v if regular else 0.0)
-        out.append(lhs - (1.0 + delta))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # block-model constant, regular-graph count, floor bound
 # ---------------------------------------------------------------------------

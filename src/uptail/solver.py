@@ -228,11 +228,15 @@ def _dykstra(x, d, n, box, affine, deviation, on=None, tol=1e-11, max_iter=5000)
 class _RowSums:
     """Row sums of a stack of block-pair values (blocks of sizes `s`, padded
     with 0, and pairs `packs`): a vertex in block a has row sum
-    sum_b s_b y_ab - y_aa.  Each block's terms are laid out in value order,
-    one block to a row, and summed in order (`_runsum`), in runs of RUN past
-    RUN terms: n one-vertex blocks have n - 1 each, and in one run 999 terms
-    at n = 1000 summed 1.5e-11 off, past Dykstra's tol, so it never stopped.
-    A padded block is left out of the residual; a padded value stays 0."""
+    sum_b s_b y_ab - y_aa.  Term b of block a's sum sits at its partner's
+    place, column b of the row's k x k block matrix, so a block's terms run
+    in the order of b; a one-vertex block's own cell and a padded block's
+    cells hold 0.  The cells are listed in memory order, so that each call
+    scatters in order.  Each sum runs in order (`_runsum`), in runs of RUN
+    past RUN columns: n one-vertex blocks have n - 1 terms each, and in one
+    run 999 terms at n = 1000 summed 1.5e-11 off, past Dykstra's tol, so it
+    never stopped.  A padded block is left out of the residual; a padded
+    value stays 0."""
 
     RUN = 64
 
@@ -241,23 +245,19 @@ class _RowSums:
         k, width = s.shape[1], live.shape[1]
         a, b, _pairs = map(np.concatenate, zip(*packs))
         row, col = np.nonzero(live)
-        cross = a != b
-        block = np.concatenate([row * k + a, (row * k + b)[cross]])
-        value = np.concatenate([row * width + col, (row * width + col)[cross]])
-        coef = np.concatenate([s[row, b] - (a == b), s[row, a][cross]])
-        order = np.lexsort((value, block))
-        block, self.value, self.coef = block[order], value[order], coef[order]
-        first = np.flatnonzero(np.diff(block, prepend=-1))  # each block's first term
-        at = np.arange(len(block)) - np.repeat(first, np.diff(first, append=len(block)))
-        most = at.max(initial=0) + 1  # terms of the longest block, in whole runs past RUN
-        most += -most % self.RUN if most > self.RUN else 0
-        self.at, self.layout = block * most + at, (s.size, most)
+        cols = k + (-k % self.RUN if k > self.RUN else 0)  # whole runs past RUN
+        index, coef = np.zeros((len(s), k, cols), dtype=np.intp), np.zeros((len(s), k, cols))
+        for i, j in ((a, b), (b, a)):
+            index[row, i, j], coef[row, i, j] = row * width + col, s[row, j] - (i == j)
+        self.cell = np.flatnonzero(coef)  # each term's coefficient is at least 1
+        self.value, self.coef = index.take(self.cell), coef.take(self.cell)
+        self.layout = (s.size, cols)
         self.ends = np.zeros((2,) + live.shape, dtype=np.intp)
         self.ends[:, row, col] = row * k + a, row * k + b
 
     def __call__(self, y):
         terms = np.zeros(self.layout)
-        terms.ravel()[self.at] = self.coef * y.take(self.value)
+        terms.ravel()[self.cell] = self.coef * y.take(self.value)
         return _runsum(terms, self.RUN).reshape(self.s.shape)
 
     def deviation(self, y, d):
@@ -456,11 +456,16 @@ class _BlockSpace:
         return self._by_owner([spec.value_matrix() for spec in seeds],
                               [refinement(spec.sizes, s)[1] for spec, s in zip(seeds, self.sizes)])
 
+    def _block_matrix(self, y, row):
+        """Row `row`'s values `y` (padded or not) at (a, b) and (b, a) of its
+        seed's k x k matrix, 0 at a one-vertex block's own pair."""
+        (a, b, _pairs), z = self.packs[row], np.zeros((len(self.sizes[row]),) * 2)
+        z[a, b] = z[b, a] = y[:len(a)]
+        return z
+
     def _blow_up(self, y):
         """The values `y` of a stack of one seed as its n x n matrix."""
-        (a, b, _pairs), z = self.packs[0], np.zeros((len(self.sizes[0]),) * 2)
-        z[a, b] = z[b, a] = y
-        return blow_up(self.sizes[0], z)
+        return blow_up(self.sizes[0], self._block_matrix(y, 0))
 
     def evaluate(self, y):
         """(hom values, hom gradients, entropy values, entropy gradients) of
@@ -513,12 +518,8 @@ class _BlockSpace:
         one-vertex block's own pair, which holds no vertex pair, is 0."""
         if self.matrix:
             return self._blow_up(_unit(y[row]))
-        sizes = self.sizes[row]
-        values = [[Fraction(0)] * len(sizes) for _ in sizes]
-        a, b, _pairs = self.packs[row]
-        for i, j, v in zip(a.tolist(), b.tolist(), _unit(y[row]).tolist()):
-            values[i][j] = values[j][i] = Fraction(v)
-        return BlockSpec(tuple(sizes), tuple(map(tuple, values)))
+        values = self._block_matrix(_unit(y[row]), row).tolist()
+        return BlockSpec(tuple(self.sizes[row]), tuple(tuple(map(Fraction, r)) for r in values))
 
 
 def _padded(rows):

@@ -162,6 +162,37 @@ def test_tail_is_with_blend(tmp_path):
     assert doc["hits"] > 0
 
 
+def test_tail_is_blend_keeps_unmoved_pairs_at_the_base(tmp_path, capsys, monkeypatch):
+    # at p = 0.1 and rho = 0.3, 0.3 * p + 0.7 * p is one ulp off p, so a
+    # plain blend would move every background pair and importance_tail's
+    # log-weights would read all of them; the pairs the tilt file leaves at
+    # the base stay there exactly, and the hub's pairs take the blend
+    assert 0.3 * 0.1 + (1 - 0.3) * 0.1 != 0.1
+    tilt = np.full((10, 10), 0.1)
+    tilt[:3, :] = tilt[:, :3] = 0.9
+    np.fill_diagonal(tilt, 0.0)
+    tf = tmp_path / "tilt.csv"
+    np.savetxt(tf, tilt, delimiter=",")
+    seen = []
+
+    def importance_tail(spec, tilt, *args, **kwargs):
+        seen.append(tilt)
+        return importance(spec, tilt, *args, **kwargs)
+
+    importance = cli.ensembles.importance_tail
+    monkeypatch.setattr(cli.ensembles, "importance_tail", importance_tail)
+    code, _out, err = run_main(capsys, "tail-is", "--model", "er", "--n", "10", "--p", "0.1",
+                               "--graph", "cycle:3", "--t", "1.2", "--samples", "50",
+                               "--tilt-file", tf, "--tilt-blend", "0.3", "--seed", "7")
+    assert code == 0, err
+    off = ~np.eye(10, dtype=bool)
+    hub = np.zeros((10, 10), dtype=bool)
+    hub[:3, :] = hub[:, :3] = True
+    assert (seen[0][off & ~hub] == 0.1).all()
+    assert (seen[0][off & hub] == 0.3 * 0.9 + (1 - 0.3) * 0.1).all()
+    assert (np.diag(seen[0]) == 0.0).all()
+
+
 def test_solve_schema():
     proc = run_cli(
         "solve", "--graph", "cycle:3", "--t", "1.2", "--n", "30", "--p", "0.3",

@@ -1,6 +1,7 @@
 """Source layout: every module-level private function or class of the
-package is used somewhere in the package outside its own definition, so
-no dead helper survives a refactor, no module keeps a hand-rolled cache,
+package is used somewhere in the package outside its own definition, and
+every public one is also exported or used there, so no dead helper
+survives a refactor, no module keeps a hand-rolled cache,
 the README names every export, and every name the benchmark's tracer
 wraps exists.  Sources are read with `ast`; only the last test imports the
 package."""
@@ -24,18 +25,33 @@ def _names_used(node):
     return out
 
 
-def test_every_private_helper_is_referenced():
+def _unreferenced(private):
+    """Module-level functions and classes, private or public, that no other
+    statement of the package names (an export in `__init__.py` names its
+    public ones)."""
     statements = [(path.name, node) for path in sorted(SRC.glob("*.py"))
                   for node in ast.parse(path.read_text()).body]
     unused = []
     for module, node in statements:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
-        if not node.name.startswith("_") or node.name.startswith("__"):
+        if node.name.startswith("__") or node.name.startswith("_") != private:
             continue
         if not any(node.name in _names_used(other)
                    for _m, other in statements if other is not node):
             unused.append(f"{module}:{node.lineno} {node.name}")
+    return unused
+
+
+def test_every_private_helper_is_referenced():
+    unused = _unreferenced(private=True)
+    assert not unused, unused
+
+
+def test_every_public_name_is_exported_or_used():
+    """A public function or class that the package neither exports nor
+    calls serves only the tests, which keep such helpers themselves."""
+    unused = _unreferenced(private=False)
     assert not unused, unused
 
 

@@ -245,6 +245,13 @@ def test_c_joint_single_matches_c_er(h, delta):
     )
 
 
+def _joint_feasibility_residuals(h_list, delta_list, x, y):
+    """Constraint slacks of `c_joint`'s problem at (x, y); all must be >= -tol
+    for feasibility."""
+    return [poly(x) + (y ** v if regular else 0.0) - (1.0 + delta)
+            for poly, v, regular, delta in R._joint_setup(h_list, delta_list)]
+
+
 def test_c_joint_witness_feasible():
     for hs, ds in (
         ([K3, K12], [10.0, 1.0]),
@@ -253,7 +260,7 @@ def test_c_joint_witness_feasible():
         ([G.cycle(5)], [4.2]),
     ):
         rep = R.c_joint(hs, ds)
-        slacks = R.joint_feasibility_residuals(hs, ds, rep.witness[0], rep.witness[1])
+        slacks = _joint_feasibility_residuals(hs, ds, rep.witness[0], rep.witness[1])
         assert all(s >= -1e-9 for s in slacks)
 
 
@@ -395,8 +402,8 @@ def test_rate_scale_none_below_delta_2_or_outside_unit_p():
 
 def test_joint_residuals_follow_caller_order():
     hs, ds = [G.path(3), K3], [1.0, 10.0]
-    slacks = R.joint_feasibility_residuals(hs, ds, 1.0, 2.0)
-    assert slacks == R.joint_feasibility_residuals(hs[::-1], ds[::-1], 1.0, 2.0)[::-1]
+    slacks = _joint_feasibility_residuals(hs, ds, 1.0, 2.0)
+    assert slacks == _joint_feasibility_residuals(hs[::-1], ds[::-1], 1.0, 2.0)[::-1]
     p3 = G.independence_polynomial(G.h_star(G.path(3)))
     assert slacks[0] == p3(1.0) - 2.0
     assert R.c_joint(hs, ds) == R.c_joint(hs[::-1], ds[::-1])
