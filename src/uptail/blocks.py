@@ -8,6 +8,7 @@ k x k grid of block pairs; materialization is only needed for modest n.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import functools
 import itertools
@@ -172,7 +173,7 @@ def refinement(sizes, other):
     owner of each: the index of the block of `sizes` it lies in."""
     ends = list(itertools.accumulate(sizes))
     cuts = sorted(set(ends).union(itertools.accumulate(other)))
-    owner = [sum(end < cut for end in ends) for cut in cuts]
+    owner = [bisect.bisect_left(ends, cut) for cut in cuts]  # the ends below each cut
     return tuple(b - a for a, b in zip([0] + cuts, cuts)), owner
 
 

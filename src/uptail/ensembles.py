@@ -1,14 +1,16 @@
 """Random-graph ensembles, tail-probability Monte Carlo, and the tilted
 (planted) importance sampler.
 
-Every ensemble draws through one stack routine, `_draw_stack`, which returns
-a (batch, n, n) 0/1 adjacency stack and consumes the stream exactly as drawing
-one graph after another would.  Monte Carlo counts hits on these stacks with
-the batched hom and reports a Wilson score interval; `sample` is row 0 of a
-one-graph stack.
+Every ensemble draws through one routine, `_draw_bits`, which returns a
+(batch, pairs + 1) array of pair bits and consumes the stream exactly as
+drawing one graph after another would.  Monte Carlo counts hits on their
+(batch, n, n) adjacency stacks (`_symmetric_stack`) with the batched hom and
+reports a Wilson score interval; importance sampling also weighs each graph by
+its bits; `sample` is the edges of a one-graph draw.
 
 Uniform and regular graphs order their pairs or stubs exactly by sorting
-tagged random keys, `_shuffled_tags`; large uniform(n, m) draws `choice`s.
+tagged random keys, `_shuffled_tags`; large uniform(n, m) draws `choice`s of
+pairs, and a regular graph's stub pairs become pairs through `_pair_index`.
 
 Direct Monte Carlo, its empirical-mean pass and importance sampling share
 one worker loop, `_run_workers`: worker w draws its share of the samples in
@@ -238,10 +240,11 @@ def _pair_bits(q, batch, rng) -> np.ndarray:
 
 @functools.lru_cache(maxsize=2)
 def _pair_index(n) -> np.ndarray:
-    """`_symmetric_stack`'s gather index, built once per n (8 n^2 bytes) and
-    shared, so never written to: cell (u, v) reads pair {u, v}, and the
-    diagonal reads the last column.  It stays writeable because `take`
-    copies a read-only index on every call (measured 2x slower at n = 4000)."""
+    """Cell (u, v) holds the index of pair {u, v}, and the diagonal that of
+    the last column: `_symmetric_stack`'s gather index, and the pair of a
+    regular graph's stub pair.  Built once per n (8 n^2 bytes) and shared, so
+    never written to; it stays writeable because `take` copies a read-only
+    index on every call (measured 2x slower at n = 4000)."""
     iu = np.triu_indices(n, 1)
     index = np.full((n, n), iu[0].size)
     index[iu] = index[iu[::-1]] = np.arange(iu[0].size)
@@ -323,40 +326,40 @@ def _simple(trials, n) -> np.ndarray:
     return simple
 
 
-def _draw_stack(spec: EnsembleSpec, batch: int, rng) -> np.ndarray:
-    """`batch` graphs from the ensemble as a (batch, n, n) 0/1 int8 stack, in
-    the stream order of drawing them one at a time.  uniform(n, m) keeps the
-    first m pairs of a uniform order, or takes a `choice` of m where pair keys
-    would need 64 bits (measured faster); regular(n, d) is the configuration
-    model (Bollobás 1980): stubs 2i, 2i + 1 of an order with no loop or repeat join."""
-    n, pairs = spec.n, spec.n * (spec.n - 1) // 2
+def _draw_bits(spec: EnsembleSpec, batch: int, rng) -> np.ndarray:
+    """`batch` graphs from the ensemble as (batch, pairs + 1) pair bits, the
+    last column False as in `_pair_bits`, in the stream order of drawing them
+    one at a time.  uniform(n, m) sets the first m pairs of a uniform order,
+    or a `choice` of m where pair keys would need 64 bits (measured faster);
+    regular(n, d) is the configuration model (Bollobás 1980): stubs 2i,
+    2i + 1 of an order with no loop or repeat join set their pair."""
+    n, pairs, rows = spec.n, spec.n * (spec.n - 1) // 2, np.arange(batch)[:, None]
+    if spec.kind in INDEPENDENT_EDGE:
+        return _pair_bits(spec.probability_matrix()[np.triu_indices(n, 1)], batch, rng)
     if spec.kind == "uniform" and _few_ties(pairs, (pairs - 1).bit_length(), 32):
         order = _shuffled_tags(np.arange(pairs), batch, rng, None,
                                f"uniform sampler for n={n}, m={spec.m} drew no untied order")
-        bits = np.zeros((batch, pairs + 1), dtype=bool)
-        np.put_along_axis(bits, order[:, :spec.m], True, axis=1)
-        return _symmetric_stack(bits, n)
-    if spec.kind == "uniform":  # the n x n gather would cost more than m scattered edges
-        iu = np.triu_indices(n, 1)
+        picks = order[:, :spec.m]
+    elif spec.kind == "uniform":
         picks = np.array([rng.choice(pairs, spec.m, replace=False) for _ in range(batch)])
-        u, v = iu[0][picks], iu[1][picks]
-    elif spec.kind == "regular":
+    else:
         stubs = _shuffled_tags(np.repeat(np.arange(n), spec.d), batch, rng, lambda t: _simple(t, n),
                                f"configuration model for n={n}, d={spec.d} drew no simple graph")
-        u, v = stubs[:, 0::2], stubs[:, 1::2]
-    else:
-        q = spec.probability_matrix()[np.triu_indices(n, 1)]
-        return _symmetric_stack(_pair_bits(q, batch, rng), n)
-    rows, a = np.arange(batch)[:, None], np.zeros((batch, n, n), dtype=np.int8)
-    a[rows, u, v] = a[rows, v, u] = 1
-    if spec.kind == "regular":
-        # every row d-regular, checked on its stubs in O(n d) rather than on
-        # its n x n cells: each vertex holds d stubs, and no pair of them is
-        # a loop or joins a pair twice
+        # every row d-regular, checked on its stubs in O(n d): each vertex
+        # holds d stubs, and no pair of them is a loop or joins a pair twice
         held = np.bincount((stubs.astype(np.intp) + n * rows).ravel(), minlength=batch * n)
         assert (held == spec.d).all() and _simple(stubs, n).all(), \
             "regular sampler degree violation"
-    return a
+        picks = _pair_index(n)[stubs[:, 0::2], stubs[:, 1::2]]
+    bits = np.zeros((batch, pairs + 1), dtype=bool)
+    bits[rows, picks] = True
+    return bits
+
+
+def _draw_stack(spec: EnsembleSpec, batch: int, rng) -> np.ndarray:
+    """`batch` graphs from the ensemble as a (batch, n, n) 0/1 int8 stack:
+    `_symmetric_stack` of `_draw_bits`."""
+    return _symmetric_stack(_draw_bits(spec, batch, rng), spec.n)
 
 
 def _chunk_sizes(n, count):
@@ -368,9 +371,9 @@ def _chunk_sizes(n, count):
 
 
 def sample(spec: EnsembleSpec, rng) -> Graph:
-    """One graph from the ensemble; regular output is asserted d-regular."""
-    u, v = np.nonzero(np.triu(_draw_stack(spec, 1, rng)[0], 1))
-    return Graph(spec.n, tuple(zip(u.tolist(), v.tolist())))
+    """One graph from the ensemble, edges in pair order; regular output is asserted d-regular."""
+    edge, (u, v) = _draw_bits(spec, 1, rng)[0, :-1], np.triu_indices(spec.n, 1)
+    return Graph(spec.n, tuple(zip(u[edge].tolist(), v[edge].tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -678,13 +681,12 @@ def importance_tail(
     moved, every = np.flatnonzero(tp != bp), np.arange(tp.size)
 
     def draw(b, rng):
-        # `_draw_stack(tilted, b, rng)`, keeping the pair bits for the weights.
         # In Fortran order each graph's log-weight sums one pair at a time in
         # pair order, not by pairwise summation: the order the pinned
         # estimates (tests/test_ensembles.py) hold.  A one-graph stack is
         # summed pairwise, which the dropped zeros would regroup, so it keeps
         # every pair
-        bits = _pair_bits(tp, b, rng)
+        bits = _draw_bits(tilted, b, rng)
         cols = moved if b > 1 else every
         return (np.where(bits.T[cols].T, lw_edge[cols], lw_noedge[cols]).sum(axis=1),
                 _hom_hits_for_batch(_symmetric_stack(bits, spec.n), h_list, t_list, p))

@@ -74,10 +74,7 @@ class SolveProblem:
                 raise DomainError("n must be at least the pattern order")
         if self.budget < 0:
             raise DomainError(f"budget must be >= 0, got {self.budget}")
-        if self.ensemble is not None and self.ensemble[0] not in ("total_weight", "row_sums"):
-            raise DomainError(f"unknown ensemble constraint {self.ensemble!r}")
-        if self.ensemble and self.ensemble[0] == "total_weight":
-            _check_total_weight(self.ensemble[1], self.n)
+        _check_constraint(self.ensemble, self.n)
         sizes = {seed.n if isinstance(seed, BlockSpec) else np.shape(seed) for seed in self.seeds}
         if not sizes <= {self.n, (self.n, self.n)}:
             raise DomainError(f"every seed must be an n x n matrix or a BlockSpec of n = {self.n}")
@@ -94,6 +91,10 @@ class SolveProblem:
                     abs(p - self.ensemble[1] / self.n) <= 1e-12 * self.ensemble[1] / self.n):
                 raise DomainError(f"row sums {self.ensemble[1]} fix the base at d/n = "
                                   f"{self.ensemble[1] / self.n:.17g}, got {p!r}")
+        for h, _t in self.targets:  # normalized counts divide by p^e
+            if self.hom_p() ** h.edge_count == 0.0:
+                raise DomainError(f"base p = {self.hom_p()!r} is too small: p ** {h.edge_count} "
+                                  f"(the pattern's edge count) underflows to 0")
 
     def base_spec(self) -> BlockSpec:
         """The base as a BlockSpec: one block of p, or the block model's
@@ -184,45 +185,17 @@ def _shift_clip(vals, m, weights, live, rows):
     return np.where(live, _unit(clipped), 0.0)
 
 
-def _check_total_weight(m, n):
-    if not (0 <= m <= n * (n - 1) / 2):
+def _check_constraint(constraint, n):
+    """Refuse, once per problem or projection call, a constraint no matrix on
+    n vertices meets: a total weight outside [0, n(n-1)/2], row sums outside
+    (0, n-1], or an unknown kind."""
+    kind, val = constraint or (None, None)
+    if kind == "total_weight" and not (0 <= val <= n * (n - 1) / 2):
         raise DomainError("total weight target outside [0, n(n-1)/2]")
-
-
-def _dykstra(x, d, n, box, affine, deviation, on=None, tol=1e-11, max_iter=5000):
-    """Dykstra's alternating projections between `box` and `affine(., d)`,
-    the set where every row sum is d, row by row on a stack: a row stops once
-    its iterate is within tol of both (`deviation` gives each row's largest
-    row-sum deviation), and rows outside `on` never start.  The increments
-    start at 0 and are built only for a pass that some row still takes.
-
-    Returns the box-clipped last iterates; the row residual is certified by
-    the caller, on the point it keeps.
-    """
-    if not (0 < d <= n - 1):
+    if kind == "row_sums" and not (0 < val <= n - 1):
         raise DomainError("row-sum target must be in (0, n-1]")
-    run = np.ones(len(x), dtype=bool) if on is None else on.copy()
-    if not _count(run):
-        return box(x)
-    y, inc_box, inc_aff = x, 0.0, 0.0
-    for _it in range(max_iter):
-        y_box = y + inc_box
-        z = box(y_box)
-        z_aff = z + inc_aff
-        y2 = affine(z_aff, d)
-        stopped = ~run
-        if _count(stopped):
-            y2[stopped] = y[stopped]
-        y = y2
-        flat = y.reshape(len(y), -1)
-        outside = (flat.min(axis=1) < -tol) | (flat.max(axis=1) > 1 + tol)
-        # the row sums are measured only where they decide a row's stop
-        run &= outside | (deviation(y, d) >= tol) if _count(run & ~outside) else outside
-        if not _count(run):
-            break
-        kept = _rows_of(stopped, y)
-        inc_box, inc_aff = np.where(kept, inc_box, y_box - z), np.where(kept, inc_aff, z_aff - y)
-    return box(y)
+    if kind not in (None, "total_weight", "row_sums"):
+        raise DomainError(f"unknown ensemble constraint {constraint!r}")
 
 
 class _RowSums:
@@ -271,6 +244,35 @@ class _RowSums:
         mu = (d - r - shift[:, None]) / (n - 2.0)
         return y + (mu.take(self.ends[0]) + mu.take(self.ends[1])) * self.ones
 
+    def project(self, x, d, on=None, tol=1e-11, max_iter=5000):
+        """The projection onto the box [0, 1] and row sums d: Dykstra's
+        alternating projections between the box and `affine(., d)`, row by
+        row on a stack.  A row stops once its iterate is within tol of both,
+        and rows outside `on` never start.  The increments start at 0 and are
+        built only for a pass that some row still takes.  Returns the
+        box-clipped last iterates; the caller certifies the point it keeps."""
+        run = np.ones(len(x), dtype=bool) if on is None else on.copy()
+        if not _count(run):
+            return _unit(x)
+        y, inc_box, inc_aff = x, 0.0, 0.0
+        for _it in range(max_iter):
+            y_box = y + inc_box
+            z = _unit(y_box)
+            z_aff = z + inc_aff
+            y2 = self.affine(z_aff, d)
+            stopped = ~run
+            if _count(stopped):
+                y2[stopped] = y[stopped]
+            y = y2
+            outside = (y.min(axis=1) < -tol) | (y.max(axis=1) > 1 + tol)
+            # the row sums are measured only where they decide a row's stop
+            run &= outside | (self.deviation(y, d) >= tol) if _count(run & ~outside) else outside
+            if not _count(run):
+                break
+            kept = stopped[:, None]
+            inc_box, inc_aff = np.where(kept, inc_box, y_box - z), np.where(kept, inc_aff, z_aff - y)
+        return _unit(y)
+
 
 def _runsum(a, run):
     """`_rowsum` of each run of `run` terms along the last axis, then of the
@@ -284,25 +286,14 @@ def _runsum(a, run):
 
 def project_ensemble(x, constraint):
     """Project onto the box intersected with the ensemble's affine set: the
-    symmetrized x as its upper triangle, the values of n one-vertex blocks,
-    by the AL's own projections; clip(sym(x)) without a constraint."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    a, b, pairs = pack = block_pairs((1,) * n)
-    y, live = (0.5 * (x[a, b] + x[b, a]))[None], pairs[None] > 0
-    kind, val = constraint or (None, None)
-    if kind == "total_weight":
-        _check_total_weight(val, n)
-        y = _shift_clip(_unit(y), val, pairs[None], live, np.zeros((1, 1), dtype=np.intp))
-    elif kind == "row_sums":
-        sums = _RowSums(n, np.ones((1, n)), [pack], live)
-        y = _dykstra(y, val, n, _unit, sums.affine, sums.deviation)
-    elif kind is None:
-        y = _unit(y)
-    else:
-        raise DomainError(f"unknown constraint {kind!r}")
+    symmetrized x on n one-vertex blocks (`_Feasible`), by the AL's own
+    projections; clip(sym(x)) without a constraint."""
+    n = np.shape(x)[-1]
+    _check_constraint(constraint, n)
+    space = _Feasible(n, ((1,) * n,), constraint)
+    a, b, _pairs = space.packs[0]
     out = np.zeros((n, n))
-    out[a, b] = y[0]
+    out[a, b] = space.project(space.pack([x]))[0]
     return out + out.T
 
 
@@ -379,17 +370,64 @@ def default_seeds(problem: SolveProblem):
 # the space the AL runs in
 # ---------------------------------------------------------------------------
 
-class _BlockSpace:
-    """The AL on a stack of seeds, one row each of the seed's live unordered
-    block-pair values (`blocks.block_pairs`) on its blocks cut also where the
-    base's end, so that each has one base value; a matrix seed is n
-    one-vertex blocks.  Each n x n step (hom and entropy gradients, box,
-    total-weight shift, row-sum Dykstra) maps a block-constant matrix to a
-    block-constant one, so this space takes them at the cost of a few
-    values.  A value stands for its c unordered vertex pairs: entropy, total
-    weight and shift-and-clip weigh it by c, the inner product (over ordered
-    pairs) by 2c, and a gradient stays one vertex pair's.  Hom values come
-    from `blocks`' compiled expansion where every seed fits `_fits_blocks`;
+class _Feasible:
+    """The feasible set of a stack of points, one row each of the live
+    unordered block-pair values (`blocks.block_pairs`) on blocks of `sizes`:
+    a value stands for its c unordered vertex pairs (`pairs`), rows are
+    padded to the widest (`live` marks a row's values), and `rows` is each
+    row's index, a column.  The constraint chooses, once, the projection of
+    the rows' blow-ups (`project`: clip into [0, 1], shift and clip onto a
+    total weight, or `_RowSums.project` onto row sums), the residual and its
+    certificate tolerance `tol` for a point the AL keeps."""
+
+    def __init__(self, n, sizes, constraint):
+        self.n, self.sizes = n, sizes
+        self.packs = [block_pairs(s) for s in sizes]
+        self.pairs, self.s = _padded([c for _a, _b, c in self.packs]), _padded(sizes)
+        self.live = self.pairs > 0
+        self.rows = np.arange(len(self.pairs))[:, None]
+        kind, bound = constraint or (None, None)
+        self.tol = max(1e-10, 1e-9 * max(1.0, bound)) if kind == "total_weight" else 1e-10
+        if kind == "row_sums":
+            sums = _RowSums(n, self.s, self.packs, self.live)
+            self._project = lambda y, on: sums.project(y, bound, on)
+            self.residual = lambda y: sums.deviation(y, bound)
+        elif kind == "total_weight":
+            self._project = lambda y, _on: _shift_clip(_unit(y), bound, self.pairs, self.live,
+                                                       self.rows)
+            self.residual = lambda y: np.abs(_rowsum(self.pairs * y) - bound)
+        else:
+            self._project = lambda y, _on: _unit(y)
+            self.residual = lambda y: np.zeros(len(y))
+
+    def project(self, y, on=None):
+        """The rows' projection; a row-sum projection iterates only rows in `on`."""
+        return self._project(y, on)
+
+    def _by_owner(self, values, owners):
+        """Each row's k x k `values`, symmetrized, at its live block pairs: a
+        pair's value that of the two blocks its blocks lie in (their
+        `owners`).  Symmetric values come back bit for bit."""
+        return _padded([0.5 * (v[o[a], o[b]] + v[o[b], o[a]]) for v, o, (a, b, _c)
+                        in zip(values, map(np.array, owners), self.packs)])
+
+    def pack(self, seeds):
+        """The seeds' rows, each seed's values by owner: a BlockSpec's, or a
+        matrix's on n one-vertex blocks."""
+        values, sizes = zip(*((seed.value_matrix(), seed.sizes) if isinstance(seed, BlockSpec)
+                              else (np.asarray(seed, float), (1,) * self.n) for seed in seeds))
+        return self._by_owner(values, [refinement(s, t)[1] for s, t in zip(sizes, self.sizes)])
+
+
+class _BlockSpace(_Feasible):
+    """The AL on a stack of seeds, each a row of `_Feasible` values on its
+    blocks cut also where the base's end, so that each has one base value; a
+    matrix seed is n one-vertex blocks.  Each n x n step (hom and entropy
+    gradients, projection) maps a block-constant matrix to a block-constant
+    one, so this space takes them at the cost of a few values.  The entropy
+    weighs a value by its c pairs, the inner product (over ordered pairs) by
+    2c, and a gradient stays one vertex pair's.  Hom values come from
+    `blocks`' compiled expansion where every seed fits `_fits_blocks`;
     otherwise the stack holds one seed and they come from the DP on its
     blow-up (`homs.hom_value_and_gradient`), a block pair's gradient read at
     the first vertices of its blocks (the first two for a block's own pair).
@@ -401,23 +439,16 @@ class _BlockSpace:
     row takes the same steps in any stack."""
 
     def __init__(self, problem, sizes):
-        # `sizes`: each seed's block sizes, None for a matrix seed; each
-        # seed's blocks cut also where the base's end, their owners in the
-        # base and their block pairs
+        # `sizes`: each seed's block sizes, None for a matrix seed; `cut`:
+        # them cut also where the base's blocks end, `owners` in the base
         base = problem.base_spec()
-        self.problem, self.n, self.p = problem, problem.n, problem.hom_p()
         self.matrix = sizes[0] is None  # a matrix seed runs alone
-        self.sizes, owners = zip(*(refinement(base.sizes, (1,) * self.n if s is None else s)
-                                   for s in sizes))
-        self.packs = [block_pairs(s) for s in self.sizes]
-        self.pairs, self.s = _padded([c for _a, _b, c in self.packs]), _padded(self.sizes)
-        self.live = self.pairs > 0
-        # the mask as a (cheaper) factor, the inner product's weights, row indices
+        cut, owners = zip(*(refinement(base.sizes, (1,) * problem.n if s is None else s)
+                            for s in sizes))
+        super().__init__(problem.n, cut, problem.ensemble)
+        self.problem, self.p = problem, problem.hom_p()
+        # the mask as a (cheaper) factor, the inner product's weights
         self.ones, self.pairs2 = 1.0 * self.live, 2.0 * self.pairs
-        self.rows = np.arange(len(self.pairs))[:, None]
-        self.kind, self.bound = problem.ensemble or (None, None)
-        if self.kind == "row_sums":
-            self.row_sums = _RowSums(self.n, self.s, self.packs, self.live)
         values = [base.value_matrix()] * len(owners)
         self.base = np.where(self.live, self._by_owner(values, owners), 0.5)
         self.base_q = 1.0 - self.base
@@ -439,22 +470,6 @@ class _BlockSpace:
         edges)."""
         index, weights = (_padded(x) for x in zip(*terms))
         return index + self.pairs.shape[1] * np.arange(len(index))[:, None, None], weights
-
-    def _by_owner(self, values, owners):
-        """Each row's k x k `values` at its live block pairs, a pair's value
-        that of the two blocks its blocks lie in (their `owners`)."""
-        return _padded([v[o[a], o[b]] for v, o, (a, b, _c) in zip(values, map(np.array, owners),
-                                                                  self.packs)])
-
-    def pack(self, seeds):
-        """The seeds' rows: a BlockSpec's values by owner, a matrix's
-        symmetrized upper triangle."""
-        if self.matrix:
-            x = np.asarray(seeds[0], dtype=float)
-            a, b, _pairs = self.packs[0]
-            return (0.5 * (x[a, b] + x[b, a]))[None]
-        return self._by_owner([spec.value_matrix() for spec in seeds],
-                              [refinement(spec.sizes, s)[1] for spec, s in zip(seeds, self.sizes)])
 
     def _block_matrix(self, y, row):
         """Row `row`'s values `y` (padded or not) at (a, b) and (b, a) of its
@@ -491,25 +506,8 @@ class _BlockSpace:
         down = np.log(np.maximum(q, EPS) / self.base_q)
         return vals, grads, _rowsum(self.pairs * (y * up + q * down)), (up - down) * self.ones
 
-    def project(self, y, on=None):
-        """`project_ensemble` on the blow-up of each row; a row-sum
-        projection iterates only the rows in `on`."""
-        if self.kind == "total_weight":
-            return _shift_clip(_unit(y), self.bound, self.pairs, self.live, self.rows)
-        if self.kind == "row_sums":
-            sums = self.row_sums
-            return _dykstra(y, self.bound, self.n, _unit, sums.affine, sums.deviation, on)
-        return _unit(y)
-
     def dot(self, a, b):
         return (self.pairs2 * (a * b)).cumsum(1)[:, -1]  # `_rowsum`, inline
-
-    def residual(self, y):
-        if self.kind == "row_sums":
-            return self.row_sums.deviation(y, self.bound)
-        if self.kind == "total_weight":
-            return np.abs(_rowsum(self.pairs * y) - self.bound)
-        return np.zeros(len(y))
 
     def witness(self, y, row):
         """Row `row` as its n x n matrix for a matrix seed, else as its
@@ -714,9 +712,6 @@ def _al_stack(problem, space, x0):
     Returns (best values, best points, outer iterations), one per row, the
     value inf where a row kept no feasible point."""
     feas_tol = problem.feasibility_tol
-    kind, bound = problem.ensemble or (None, 0.0)
-    # certificate tolerance on the ensemble residual of a kept point
-    ens_tol = max(1e-10, 1e-9 * max(1.0, bound)) if kind == "total_weight" else 1e-10
     targets = np.array([t for _h, t in problem.targets], dtype=float)
     floor = targets - feas_tol
     x = space.project(np.asarray(x0, dtype=float))
@@ -728,14 +723,15 @@ def _al_stack(problem, space, x0):
 
     def consider(x, ev, moved):
         """Keep each row of x as its incumbent if it is feasible, within
-        ens_tol of the ensemble's set and cheaper; `ev` is its `space.evaluate`
-        tuple.  Only a row that `moved` can newly pass the first two tests:
-        one that did not offers its point again, whose residual is known."""
+        `space.tol` of the ensemble's set and cheaper; `ev` is its
+        `space.evaluate` tuple.  Only a row that `moved` can newly pass the
+        first two tests: one that did not offers its point again, whose
+        residual is known."""
         vals, _, val, _ = ev
         keep = (vals >= floor).all(axis=1) & (val < best_val)
         if _count(keep & moved):
             residual_of[:] = space.residual(x)
-        keep &= residual_of <= ens_tol
+        keep &= residual_of <= space.tol
         if _count(keep):
             best_val[keep] = val[keep]
             best_x[keep] = x[keep]

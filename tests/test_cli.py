@@ -704,6 +704,25 @@ def test_solve_target_past_the_complete_graph_exits_1(argv, bound, monkeypatch, 
     assert float(err.split(" is past ")[1].split(",")[0]) == pytest.approx(bound, rel=1e-3)
 
 
+@pytest.mark.parametrize("argv, code", [
+    ("--t 1.2 --p 1e-300", 1),
+    ("--t 0.9 --p 1e-300", 1),
+    ("--t 1.2 --model block --alpha 1 --kernel [[1]] --p 1e-300", 1),
+    ("--t 1.2 --p 1e-108", 1),
+    ("--t 1.2 --p 1e-107", 3),
+])
+def test_solve_p_whose_power_underflows_exits_1(argv, code, capsys):
+    # every normalized count divides by p^3, which underflows to 0.0 from
+    # p = 1e-108: these ended in a ZeroDivisionError traceback.  At 1e-107
+    # p^3 is subnormal, and the solve still runs and exits 3
+    got, out, err = run_main(capsys, "solve", "--n", "6", "--graph", "cycle:3", *argv.split())
+    assert got == code and out == ""
+    if code == 1:
+        assert f"p = {argv.split()[-1]} is too small: p ** 3" in err
+    else:
+        assert "no feasible block construction found on the ladder" in err
+
+
 def test_solve_matrix_out_past_cap_exits_3(tmp_path):
     out = tmp_path / "x.csv"
     proc = run_cli(
@@ -849,8 +868,7 @@ def test_edge_density_zero_or_one_exits_1_before_any_seed_or_draw(sub, model, sm
     def no_work(*_a, **_k):
         raise AssertionError("a seed or a draw ran")
 
-    for owner, name in ((solver, "default_seeds"), (ensembles, "_draw_stack"),
-                        (ensembles, "sample")):
+    for owner, name in ((solver, "default_seeds"), (ensembles, "_draw_bits")):
         monkeypatch.setattr(owner, name, no_work)
     argv = {"solve": ["solve", "--t", "1.3"], "tail-mc": ["tail-mc", "--t", "1.3", "--samples", "50"],
             "tail-is": ["tail-is", "--t", "1.3", "--samples", "50",

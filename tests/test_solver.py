@@ -547,7 +547,7 @@ def _record_calls(monkeypatch, name, seen=None, owner=S):
 
 # ---------------------------------------------------------------------------
 # the n x n oracle: the AL's space on whole matrices, sharing only
-# `_shift_clip` and `_dykstra` with the solver
+# `_shift_clip` with the solver
 # ---------------------------------------------------------------------------
 
 def _zero_diagonal(x):
@@ -591,7 +591,7 @@ def _project(x, constraint, on=None):
     kind, val = constraint
     if kind == "total_weight":
         return _project_total_weight(_box(x), val)
-    return S._dykstra(x, val, x.shape[-1], _box, _project_rows_affine, _row_deviation, on)
+    return _dykstra_reference(x, val, _box, _project_rows_affine, _row_deviation, on)
 
 
 def _entropy_grad(x, base):
@@ -612,6 +612,9 @@ class _DenseSpace:
 
     def __init__(self, problem):
         self.problem, self.base = problem, np.asarray(problem.base_spec())
+        # the certificate tolerance on a kept point's ensemble residual
+        kind, bound = problem.ensemble or (None, 0.0)
+        self.tol = max(1e-10, 1e-9 * max(1.0, bound)) if kind == "total_weight" else 1e-10
 
     @staticmethod
     def pack(seeds):
@@ -1061,6 +1064,17 @@ def test_shift_clip_meets_the_kkt_conditions(size):
         S.SolveProblem(((K3, 1.3),), n=5, base=0.5, ensemble=("total_weight", 10.5))
 
 
+def test_row_sums_past_n_minus_1_are_refused_by_the_problem_and_the_projection():
+    # d in (n - 1, n) passes the base check (base d / n = 0.95), but no row
+    # of a matrix on 10 vertices sums to 9.5: refused once per problem and
+    # once per projection call, not by each projection
+    message = re.escape("row-sum target must be in (0, n-1]")
+    with pytest.raises(DomainError, match=message):
+        S.SolveProblem(((K3, 1.3),), n=10, base=0.95, ensemble=("row_sums", 9.5))
+    with pytest.raises(DomainError, match=message):
+        S.project_ensemble(np.full((10, 10), 0.5), ("row_sums", 9.5))
+
+
 def _shift_clip_reference(vals, m, weights):
     """`_shift_clip` in its first form, with `take_along_axis`, `hstack` and
     `np.clip` and its range check left to the callers: the oracle that the
@@ -1149,27 +1163,22 @@ def test_shift_clip_is_its_reference_bit_for_bit():
 
 
 def test_dykstra_is_its_reference_bit_for_bit():
-    # the block space's row-sum operators on a padded stack of seeds and the
-    # n x n space, from points inside and outside the box, with rows outside
-    # `on`; some rows stop after one pass, others take many
+    # the block space's row-sum projection on a padded stack of seeds, from
+    # points inside and outside the box, with rows outside `on`; some rows
+    # stop after one pass, others take many
     rng = np.random.default_rng(26)
     prob = S.SolveProblem(((K3, 1.3),), n=60, base=0.3, ensemble=("row_sums", 18))
     specs = [spec for _name, spec in S.default_seeds(prob)]
     space = S._BlockSpace(prob, [spec.sizes for spec in specs])
-    packed, sums = space.pack(specs), space.row_sums
+    packed, sums = space.pack(specs), S._RowSums(60, space.s, space.packs, space.live)
     for trial in range(20):
         on = rng.random(len(packed)) < 0.7
         on[trial % len(on)] = True
         step = rng.normal(0.0, (0.0, 1e-1, 1e-3, 1e-5)[trial % 4], packed.shape)
         y = packed + np.where(space.live, step, 0.0)
-        for on_rows in (None, on):
-            fast = S._dykstra(y, 18, 60, S._unit, sums.affine, sums.deviation, on_rows)
+        for on_rows in (None, on, np.zeros(len(on), bool)):
+            fast = space.project(y, on_rows)
             ref = _dykstra_reference(y, 18, S._unit, sums.affine, sums.deviation, on_rows)
-            assert _same_bits(fast, ref)
-        x = _box(_random_rows(rng, 2 * 9, 9).reshape(2, 9, 9) + rng.normal(0, 0.05, (2, 9, 9)))
-        for on_rows in (None, np.array([True, trial % 2 == 0]), np.zeros(2, bool)):
-            fast = S._dykstra(x, 4, 9, _box, _project_rows_affine, _row_deviation, on_rows)
-            ref = _dykstra_reference(x, 4, _box, _project_rows_affine, _row_deviation, on_rows)
             assert _same_bits(fast, ref)
 
 
