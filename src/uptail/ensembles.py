@@ -333,9 +333,10 @@ def _draw_bits(spec: EnsembleSpec, batch: int, rng) -> np.ndarray:
     or a `choice` of m where pair keys would need 64 bits (measured faster);
     regular(n, d) is the configuration model (Bollobás 1980): stubs 2i,
     2i + 1 of an order with no loop or repeat join set their pair."""
-    n, pairs, rows = spec.n, spec.n * (spec.n - 1) // 2, np.arange(batch)[:, None]
+    n, pairs = spec.n, spec.n * (spec.n - 1) // 2
     if spec.kind in INDEPENDENT_EDGE:
         return _pair_bits(spec.probability_matrix()[np.triu_indices(n, 1)], batch, rng)
+    rows = np.arange(batch)[:, None]
     if spec.kind == "uniform" and _few_ties(pairs, (pairs - 1).bit_length(), 32):
         order = _shuffled_tags(np.arange(pairs), batch, rng, None,
                                f"uniform sampler for n={n}, m={spec.m} drew no untied order")
@@ -357,8 +358,7 @@ def _draw_bits(spec: EnsembleSpec, batch: int, rng) -> np.ndarray:
 
 
 def _draw_stack(spec: EnsembleSpec, batch: int, rng) -> np.ndarray:
-    """`batch` graphs from the ensemble as a (batch, n, n) 0/1 int8 stack:
-    `_symmetric_stack` of `_draw_bits`."""
+    """`batch` graphs as a (batch, n, n) 0/1 int8 stack: `_symmetric_stack` of `_draw_bits`."""
     return _symmetric_stack(_draw_bits(spec, batch, rng), spec.n)
 
 

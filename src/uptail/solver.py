@@ -8,7 +8,8 @@ inner loop (SPG2 of Birgin, Martinez & Raydan, SIAM J. Optim. 10, 2000), or
 a scan of the ladder's excess level (`_level_search`; see `solve_phi`).
 Results are certified upper bounds with witnesses; no global-optimality
 claim is made.  The AL runs its seeds as a stack, one seed to a row, in
-lockstep (`_al_stack`), on the values of their blocks (`_BlockSpace`).
+lockstep (`_al_stack`), on the values of their blocks (`_BlockSpace`); the
+constraint chooses its projection once (`_Feasible`, as `project_ensemble`).
 """
 
 from __future__ import annotations
@@ -200,16 +201,15 @@ def _check_constraint(constraint, n):
 
 class _RowSums:
     """Row sums of a stack of block-pair values (blocks of sizes `s`, padded
-    with 0, and pairs `packs`): a vertex in block a has row sum
-    sum_b s_b y_ab - y_aa.  Term b of block a's sum sits at its partner's
-    place, column b of the row's k x k block matrix, so a block's terms run
-    in the order of b; a one-vertex block's own cell and a padded block's
-    cells hold 0.  The cells are listed in memory order, so that each call
-    scatters in order.  Each sum runs in order (`_runsum`), in runs of RUN
-    past RUN columns: n one-vertex blocks have n - 1 terms each, and in one
-    run 999 terms at n = 1000 summed 1.5e-11 off, past Dykstra's tol, so it
-    never stopped.  A padded block is left out of the residual; a padded
-    value stays 0."""
+    with 0, and pairs `packs`), and the projection onto them (`project`): a
+    vertex in block a has row sum sum_b s_b y_ab - y_aa.  Term b of block a's
+    sum sits at column b of the row's k x k block matrix, so a block's terms
+    run in the order of b; a one-vertex block's own cell and a padded
+    block's cells hold 0.  The cells are listed in memory order, so that each
+    call scatters in order.  Each sum runs in order (`_runsum`), in runs of
+    RUN past RUN columns: in one run the 999 terms of n = 1000 one-vertex
+    blocks summed 1.5e-11 off, past Dykstra's tol, so it never stopped.  A
+    padded block is left out of the residual; a padded value stays 0."""
 
     RUN = 64
 
