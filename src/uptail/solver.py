@@ -92,10 +92,10 @@ class SolveProblem:
                     abs(p - self.ensemble[1] / self.n) <= 1e-12 * self.ensemble[1] / self.n):
                 raise DomainError(f"row sums {self.ensemble[1]} fix the base at d/n = "
                                   f"{self.ensemble[1] / self.n:.17g}, got {p!r}")
-        for h, _t in self.targets:  # normalized counts divide by p^e
-            if self.hom_p() ** h.edge_count == 0.0:
+        for h, _t in self.targets:  # normalized counts divide by p^e, past float range below it
+            if self.hom_p() ** h.edge_count < np.finfo(float).tiny:
                 raise DomainError(f"base p = {self.hom_p()!r} is too small: p ** {h.edge_count} "
-                                  f"(the pattern's edge count) underflows to 0")
+                                  f"(the pattern's edge count) is below the smallest normal float")
 
     def base_spec(self) -> BlockSpec:
         """The base as a BlockSpec: one block of p, or the block model's
@@ -202,36 +202,44 @@ def _check_constraint(constraint, n):
 class _RowSums:
     """Row sums of a stack of block-pair values (blocks of sizes `s`, padded
     with 0, and pairs `packs`), and the projection onto them (`project`): a
-    vertex in block a has row sum sum_b s_b y_ab - y_aa.  Term b of block a's
-    sum sits at column b of the row's k x k block matrix, so a block's terms
-    run in the order of b; a one-vertex block's own cell and a padded
-    block's cells hold 0.  The cells are listed in memory order, so that each
-    call scatters in order.  Each sum runs in order (`_runsum`), in runs of
-    RUN past RUN columns: in one run the 999 terms of n = 1000 one-vertex
-    blocks summed 1.5e-11 off, past Dykstra's tol, so it never stopped.  A
-    padded block is left out of the residual; a padded value stays 0."""
+    vertex in block a has row sum sum_b s_b y_ab - y_aa, one term for each
+    partner b (none for a one-vertex block's own pair).  One `np.bincount`
+    adds each block's terms in partner order, into runs of RUN partners, and
+    `_rowsum` adds a block's runs in order.  The runs are for accuracy: in
+    one run the 999 terms of n = 1000 one-vertex blocks summed up to 3e-13
+    off.  A padded block is left out of the residual; a padded value stays 0."""
 
     RUN = 64
 
     def __init__(self, n, s, packs, live):
         self.n, self.s, self.blocks, self.ones = n, s, s > 0, 1.0 * live
         k, width = s.shape[1], live.shape[1]
+        self.runs = -(-k // self.RUN)
         a, b, _pairs = map(np.concatenate, zip(*packs))
         row, col = np.nonzero(live)
-        cols = k + (-k % self.RUN if k > self.RUN else 0)  # whole runs past RUN
-        index, coef = np.zeros((len(s), k, cols), dtype=np.intp), np.zeros((len(s), k, cols))
-        for i, j in ((a, b), (b, a)):
-            index[row, i, j], coef[row, i, j] = row * width + col, s[row, j] - (i == j)
-        self.cell = np.flatnonzero(coef)  # each term's coefficient is at least 1
-        self.value, self.coef = index.take(self.cell), coef.take(self.cell)
-        self.layout = (s.size, cols)
         self.ends = np.zeros((2,) + live.shape, dtype=np.intp)
-        self.ends[:, row, col] = row * k + a, row * k + b
+        self.ends[:, row, col] = ends = row * k + a, row * k + b  # flat indices into s
+        # a term (block, partner) for (a, b), and for (b, a) off the diagonal,
+        # in partner order; its coefficient, the partner's size less 1 within
+        # a block, is 0 only for a one-vertex block's own pair, which has no term
+        off, value = a != b, row * width + col
+        mine, partner = (np.concatenate([u, v[off]]) for u, v in (ends, ends[::-1]))
+        order = np.lexsort((partner, mine))
+        coef = s.ravel().take(partner) - (mine == partner)
+        order = order[coef.take(order) > 0]
+        self.value = np.concatenate([value, value[off]]).take(order)
+        self.coef = coef.take(order)
+        self.bins = (mine * self.runs + partner % k // self.RUN).take(order)
+        self.block_bins = (self.runs * np.arange(len(s))[:, None] + np.arange(k) // self.RUN).ravel()
+
+    def _add(self, bins, terms, shape):
+        """Sums of `shape`: the terms added in order into their bins (runs),
+        then each sum's runs in order."""
+        runs = np.bincount(bins, terms, math.prod(shape) * self.runs)
+        return _rowsum(runs.reshape(shape + (self.runs,)))
 
     def __call__(self, y):
-        terms = np.zeros(self.layout)
-        terms.ravel()[self.cell] = self.coef * y.take(self.value)
-        return _runsum(terms, self.RUN).reshape(self.s.shape)
+        return self._add(self.bins, self.coef * y.take(self.value), self.s.shape)
 
     def deviation(self, y, d):
         return np.where(self.blocks, np.abs(self(y) - d), 0.0).max(axis=1)
@@ -240,17 +248,19 @@ class _RowSums:
         """The Euclidean projection of each row's blow-up onto the matrices
         of row sums d (no box): the blow-up plus mu_u + mu_v on each pair."""
         n, r = self.n, self(y)
-        shift = (n * d - _runsum(self.s * r, self.RUN)) / (2.0 * (n - 1))
+        total = self._add(self.block_bins, (self.s * r).ravel(), r.shape[:1])
+        shift = (n * d - total) / (2.0 * (n - 1))
         mu = (d - r - shift[:, None]) / (n - 2.0)
         return y + (mu.take(self.ends[0]) + mu.take(self.ends[1])) * self.ones
 
-    def project(self, x, d, on=None, tol=1e-11, max_iter=5000):
+    def project(self, x, d, tol, on=None, max_iter=5000):
         """The projection onto the box [0, 1] and row sums d: Dykstra's
         alternating projections between the box and `affine(., d)`, row by
-        row on a stack.  A row stops once its iterate is within tol of both,
-        and rows outside `on` never start.  The increments start at 0 and are
-        built only for a pass that some row still takes.  Returns the
-        box-clipped last iterates; the caller certifies the point it keeps."""
+        row on a stack.  A row stops once the point it would return, its
+        iterate clipped into the box, has row sums within tol of d (the test
+        the AL certifies a point by), or after max_iter passes; rows outside
+        `on` never start.  The increments start at 0 and are built only for
+        a pass that some row still takes."""
         run = np.ones(len(x), dtype=bool) if on is None else on.copy()
         if not _count(run):
             return _unit(x)
@@ -264,24 +274,12 @@ class _RowSums:
             if _count(stopped):
                 y2[stopped] = y[stopped]
             y = y2
-            outside = (y.min(axis=1) < -tol) | (y.max(axis=1) > 1 + tol)
-            # the row sums are measured only where they decide a row's stop
-            run &= outside | (self.deviation(y, d) >= tol) if _count(run & ~outside) else outside
+            run &= self.deviation(_unit(y), d) > tol
             if not _count(run):
                 break
             kept = stopped[:, None]
             inc_box, inc_aff = np.where(kept, inc_box, y_box - z), np.where(kept, inc_aff, z_aff - y)
         return _unit(y)
-
-
-def _runsum(a, run):
-    """`_rowsum` of each run of `run` terms along the last axis, then of the
-    runs' sums: the same bits up to `run` terms."""
-    if a.shape[-1] <= run:
-        return _rowsum(a)
-    if a.shape[-1] % run:
-        a = np.concatenate([a, np.zeros(a.shape[:-1] + (-a.shape[-1] % run,))], -1)
-    return _rowsum(_rowsum(a.reshape(a.shape[:-1] + (-1, run))))
 
 
 def project_ensemble(x, constraint):
@@ -390,7 +388,7 @@ class _Feasible:
         self.tol = max(1e-10, 1e-9 * max(1.0, bound)) if kind == "total_weight" else 1e-10
         if kind == "row_sums":
             sums = _RowSums(n, self.s, self.packs, self.live)
-            self._project = lambda y, on: sums.project(y, bound, on)
+            self._project = lambda y, on: sums.project(y, bound, self.tol, on)
             self.residual = lambda y: sums.deviation(y, bound)
         elif kind == "total_weight":
             self._project = lambda y, _on: _shift_clip(_unit(y), bound, self.pairs, self.live,

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -488,7 +489,7 @@ def test_solve_regular_k4_past_the_dense_dp_cap(capsys):
 
 
 @pytest.mark.parametrize("t, value, dropped", [("4", 48.18020624215107, []),
-                                                ("1e5", 15574.922599126236, [18, 24, 35])])
+                                                ("1e5", 15574.92064144634, [18, 24, 35])])
 def test_solve_past_the_dp_cap_leaves_out_seeds_past_the_compile_cap(t, value, dropped,
                                                                      monkeypatch, capsys):
     # K4's DP at n = 2000 passes DP_CELL_CAP, so a seed past the compile cap
@@ -647,7 +648,8 @@ def test_solve_with_no_feasible_run_and_no_feasible_rung_exits_3(capsys):
 def test_solve_seed_past_the_compile_cap_prints_its_blockspec(capsys):
     # the x1 cycle-blocks seed of C6 has 8 blocks, past 8^6 > COMPILE_CAP:
     # it runs on its own block values, with the DP's hom values, and wins as
-    # its BlockSpec where it used to win as an n x n matrix, at 107.0455698
+    # its BlockSpec where it used to win as an n x n matrix.  Its witness
+    # meets t to 1.45e-7, within the solver's feasibility_tol
     code, out, err = run_main(capsys, "solve", "--model", "regular", "--graph", "cycle:6",
                               "--t", "8", "--n", "60", "--d", "2")
     assert code == 0, err
@@ -655,8 +657,8 @@ def test_solve_seed_past_the_compile_cap_prints_its_blockspec(capsys):
     check_schema(doc, "solve")
     assert doc["seed_provenance"] == "cycle_blocks_delta_x1"
     assert doc["blockspec"]["sizes"] == [3] * 7 + [39]
-    assert doc["value"] == pytest.approx(107.04556979658315, rel=1e-6)
-    assert doc["residuals"] == [0.0] and doc["ensemble_residual"] <= 1e-10
+    assert doc["value"] == 107.04555046992012 and doc["iterations"] == 42
+    assert doc["residuals"] == [1.453647406890468e-07] and doc["ensemble_residual"] <= 1e-10
 
 
 BLOCK_MODEL = ("--model", "block", "--alpha", "0.5,0.5", "--kernel", "[[2,1],[1,0.5]]",
@@ -709,14 +711,22 @@ def test_solve_target_past_the_complete_graph_exits_1(argv, bound, monkeypatch, 
     ("--t 0.9 --p 1e-300", 1),
     ("--t 1.2 --model block --alpha 1 --kernel [[1]] --p 1e-300", 1),
     ("--t 1.2 --p 1e-108", 1),
-    ("--t 1.2 --p 1e-107", 3),
+    ("--t 1.2 --p 1e-107", 1),
+    ("--t 1.2 --p 1e-103", 1),
+    ("--t 1.2 --p 1e-102", 3),
 ])
 def test_solve_p_whose_power_underflows_exits_1(argv, code, capsys):
     # every normalized count divides by p^3, which underflows to 0.0 from
-    # p = 1e-108: these ended in a ZeroDivisionError traceback.  At 1e-107
-    # p^3 is subnormal, and the solve still runs and exits 3
-    got, out, err = run_main(capsys, "solve", "--n", "6", "--graph", "cycle:3", *argv.split())
+    # p = 1e-108: these ended in a ZeroDivisionError traceback.  From 1e-103
+    # to 1e-107 p^3 is subnormal, and the solve ran every seed on values that
+    # overflowed (numpy's RuntimeWarning) before it exited 3.  At 1e-102 p^3
+    # is a normal float: the solve runs, without a warning, and exits 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, out, err = run_main(capsys, "solve", "--n", "6", "--graph", "cycle:3",
+                                 *argv.split())
     assert got == code and out == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if code == 1:
         assert f"p = {argv.split()[-1]} is too small: p ** 3" in err
     else:

@@ -102,8 +102,7 @@ def test_row_sums_of_one_vertex_blocks_stay_accurate_at_n_1000():
     # 999 terms per row sum, and 1000 rows in the affine step's total, are
     # summed in runs: each row sum, and each exact row sum after the affine
     # step, within 1.5e-13 of its exact value (in one run each they were off
-    # by up to 3e-13 and 4e-13 here, and by 1.5e-11 at a point of an AL run,
-    # past Dykstra's tol, where its projection never stopped)
+    # by up to 3e-13 and 4e-13 here, and by 1.5e-11 at a point of an AL run)
     n, d = 1000, 100
     a, b, pairs = B.block_pairs((1,) * n)
     y = np.random.default_rng(n).uniform(0.0, 0.2, (1, len(a)))
@@ -591,7 +590,7 @@ def _project(x, constraint, on=None):
     kind, val = constraint
     if kind == "total_weight":
         return _project_total_weight(_box(x), val)
-    return _dykstra_reference(x, val, _box, _project_rows_affine, _row_deviation, on)
+    return _dykstra_reference(x, val, _box, _project_rows_affine, _row_deviation, 1e-10, on)
 
 
 def _entropy_grad(x, base):
@@ -1101,9 +1100,10 @@ def _shift_clip_reference(vals, m, weights):
     return np.where(weights > 0, S._unit(clipped), 0.0)
 
 
-def _dykstra_reference(x, d, box, affine, deviation, on=None, tol=1e-11, max_iter=5000):
-    """`_dykstra` in its first form, every increment built on every pass:
-    the oracle that the fast form matches bit for bit."""
+def _dykstra_reference(x, d, box, affine, deviation, tol, on=None, max_iter=5000):
+    """`_RowSums.project` in its first form, every increment built on every
+    pass: the oracle that the fast form matches bit for bit.  A row stops
+    once its boxed iterate is within tol of the row sums."""
     run = np.ones(len(x), dtype=bool) if on is None else on.copy()
     y = x.copy()
     inc_box = np.zeros_like(y)
@@ -1119,8 +1119,7 @@ def _dykstra_reference(x, d, box, affine, deviation, on=None, tol=1e-11, max_ite
             y2[stopped] = y[stopped]
             new_box[stopped], new_aff[stopped] = inc_box[stopped], inc_aff[stopped]
         y, inc_box, inc_aff = y2, new_box, new_aff
-        flat = y.reshape(len(y), -1)
-        run &= (flat.min(axis=1) < -tol) | (flat.max(axis=1) > 1 + tol) | (deviation(y, d) >= tol)
+        run &= deviation(box(y), d) > tol
     return box(y)
 
 
@@ -1178,8 +1177,47 @@ def test_dykstra_is_its_reference_bit_for_bit():
         y = packed + np.where(space.live, step, 0.0)
         for on_rows in (None, on, np.zeros(len(on), bool)):
             fast = space.project(y, on_rows)
-            ref = _dykstra_reference(y, 18, S._unit, sums.affine, sums.deviation, on_rows)
+            ref = _dykstra_reference(y, 18, S._unit, sums.affine, sums.deviation, space.tol,
+                                     on_rows)
             assert _same_bits(fast, ref)
+
+
+def test_row_sum_projection_at_n_1000_meets_the_certificate():
+    # the projection stops on the point it returns: its row sums, measured as
+    # the AL certifies a point, lie within the feasible set's tol (the
+    # iterate's own stop left 1.45e-10 here)
+    n, d = 1000, 100
+    x = np.random.default_rng(n).uniform(0.0, 0.3, (n, n))
+    space = S._Feasible(n, ((1,) * n,), ("row_sums", d))
+    assert space.residual(space.pack([S.project_ensemble(x, ("row_sums", d))]))[0] <= space.tol
+
+
+def test_row_sum_projection_stops_only_on_the_certificate_at_regime_scale(monkeypatch):
+    # row-sum K3 at n = 1e5, d = 1000: the ladder's block stack, projected,
+    # and moved along the AL's first gradient (lam = 0, rho = 10) by a step,
+    # as an SPG trial point, then projected one row at a time.  A value
+    # stands for up to 1e5 entries of a row, so an iterate within 1e-11 of
+    # the box could stop up to 1.6e-8 off the row sums once clipped.  At
+    # these steps each row stops before the 5,000-pass cap, on the certificate
+    prob = S.SolveProblem(((K3, 2.5),), n=100000, base=0.01, ensemble=("row_sums", 1000))
+    specs = [spec for _name, spec in S.default_seeds(prob)]
+    space = S._BlockSpace(prob, [spec.sizes for spec in specs])
+    x = space.project(space.pack(specs))
+    vals, hom_grads, _entropy, grad = space.evaluate(x)
+    grad = grad - 10.0 * np.maximum(0.0, 2.5 - vals) * hom_grads[:, 0]
+    passes, affine = [], S._RowSums.affine
+
+    def counted(self, y, d):
+        passes[-1] += 1
+        return affine(self, y, d)
+
+    monkeypatch.setattr(S._RowSums, "affine", counted)
+    for step in (0.1, 0.01):
+        y = x - step * grad
+        for row in range(len(y)):
+            passes.append(0)
+            out = space.project(y, np.arange(len(y)) == row)
+            assert passes[-1] < 5000 and space.residual(out)[row] <= space.tol
 
 
 # ---------------------------------------------------------------------------
