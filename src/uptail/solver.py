@@ -201,13 +201,14 @@ def _check_constraint(constraint, n):
 
 class _RowSums:
     """Row sums of a stack of block-pair values (blocks of sizes `s`, padded
-    with 0, and pairs `packs`), and the projection onto them (`project`): a
-    vertex in block a has row sum sum_b s_b y_ab - y_aa, one term for each
-    partner b (none for a one-vertex block's own pair).  One `np.bincount`
-    adds each block's terms in partner order, into runs of RUN partners, and
-    `_rowsum` adds a block's runs in order.  The runs are for accuracy: in
-    one run the 999 terms of n = 1000 one-vertex blocks summed up to 3e-13
-    off.  A padded block is left out of the residual; a padded value stays 0."""
+    with 0, and pairs `packs`), and the projection onto them (`project`,
+    which stops a row on the point it returns): a vertex in block a has row
+    sum sum_b s_b y_ab - y_aa, one term for each partner b (none for a
+    one-vertex block's own pair).  One `np.bincount` adds each block's terms
+    in partner order, into runs of RUN partners, and `_rowsum` adds a
+    block's runs in order.  The runs are for accuracy: in one run the 999
+    terms of n = 1000 one-vertex blocks summed up to 3e-13 off.  A padded
+    block is left out of the residual; a padded value stays 0."""
 
     RUN = 64
 
@@ -236,7 +237,7 @@ class _RowSums:
         """Sums of `shape`: the terms added in order into their bins (runs),
         then each sum's runs in order."""
         runs = np.bincount(bins, terms, math.prod(shape) * self.runs)
-        return _rowsum(runs.reshape(shape + (self.runs,)))
+        return runs.reshape(shape) if self.runs == 1 else _rowsum(runs.reshape(shape + (-1,)))
 
     def __call__(self, y):
         return self._add(self.bins, self.coef * y.take(self.value), self.s.shape)
