@@ -92,7 +92,7 @@ class SolveProblem:
                     abs(p - self.ensemble[1] / self.n) <= 1e-12 * self.ensemble[1] / self.n):
                 raise DomainError(f"row sums {self.ensemble[1]} fix the base at d/n = "
                                   f"{self.ensemble[1] / self.n:.17g}, got {p!r}")
-        for h, _t in self.targets:  # normalized counts divide by p^e, past float range below it
+        for h, _t in self.targets:  # normalized counts divide by p^e: below normal, they overflow
             if self.hom_p() ** h.edge_count < np.finfo(float).tiny:
                 raise DomainError(f"base p = {self.hom_p()!r} is too small: p ** {h.edge_count} "
                                   f"(the pattern's edge count) is below the smallest normal float")

@@ -1197,7 +1197,7 @@ def test_row_sum_projection_stops_only_on_the_certificate_at_regime_scale(monkey
     # and moved along the AL's first gradient (lam = 0, rho = 10) by a step,
     # as an SPG trial point, then projected one row at a time.  A value
     # stands for up to 1e5 entries of a row, so an iterate within 1e-11 of
-    # the box could stop up to 1.6e-8 off the row sums once clipped.  At
+    # the box could stop up to 1e-7 off the row sums once clipped.  At
     # these steps each row stops before the 5,000-pass cap, on the certificate
     prob = S.SolveProblem(((K3, 2.5),), n=100000, base=0.01, ensemble=("row_sums", 1000))
     specs = [spec for _name, spec in S.default_seeds(prob)]
