@@ -10,9 +10,9 @@ step that is one matrix product per graph (two factors sharing only the
 eliminated vertex, as every step along a cycle) runs as a batched `np.matmul`
 on BLAS, and the other two-factor steps run einsum unoptimized; single
 matrices, and so the dense solver, run einsum on every step.  A stack of
-integer or bool 0/1 entries contracts in float32 while n^v <= 2^24 (every
-partial count is then an integer float32 holds exactly) and in float64
-otherwise, so its counts are exact either way.
+integer or bool 0/1 entries contracts in float32, and each step whose
+partial counts may pass 2^24 (the last integer float32 holds exactly) runs
+in float64, so its counts are exact either way.
 """
 
 from __future__ import annotations
@@ -102,9 +102,11 @@ def _build_plan(h: Graph, pinned, batch_prefix):
     `batch_prefix`: '' for a single matrix, '...' for a (..., n, n) stack
     (einsum parses an ellipsis more slowly, so single matrices skip it).
     Each step also records its number of distinct indices, which picks its
-    einsum `optimize` setting, and the operand swaps of a matmul step (None
-    for an einsum step; only batched plans have matmul steps, see
-    `_matmul_order`).
+    einsum `optimize` setting; how many pattern vertices it and the steps
+    below it eliminate (on 0/1 entries each of its values counts partial
+    maps of those vertices, so it is at most n to that power); and the
+    operand swaps of a matmul step (None for an einsum step; only batched
+    plans have matmul steps, see `_matmul_order`).
     Cached per (pattern, sorted pins, prefix), so repeated evaluations skip
     all the plan building; a width-cap refusal is raised anew each time.
     """
@@ -126,7 +128,7 @@ def _build_plan(h: Graph, pinned, batch_prefix):
         sub = ",".join(batch_prefix + "".join(sym[u] for u in f[0]) for f in facs)
         return f"{sub}->{batch_prefix}" + "".join(sym[u] for u in out_vars)
 
-    steps = []  # (subscript, slots, out arity, distinct indices, matmul swaps)
+    steps = []  # (subscript, slots, out arity, distinct indices, eliminated, matmul swaps)
     for v in order:
         if v in pinned:
             continue
@@ -140,8 +142,10 @@ def _build_plan(h: Graph, pinned, batch_prefix):
             touching, swaps = matmul
             out_vars = tuple(u for f in touching for u in f[0] if u != v)
         sym = {u: letters[i] for i, u in enumerate(all_vars)}
-        steps.append((subscript(touching, sym, out_vars), tuple(f[1] for f in touching),
-                      len(out_vars), len(all_vars), swaps))
+        slots = tuple(f[1] for f in touching)
+        below = 1 + sum(steps[s][4] for s in slots if isinstance(s, int))
+        steps.append((subscript(touching, sym, out_vars), slots, len(out_vars), len(all_vars),
+                      below, swaps))
         if out_vars:
             factors.append((out_vars, len(steps) - 1))
 
@@ -184,7 +188,11 @@ def _get_plan(h: Graph, pinned, batched=False):
 def _dp_sum(h: Graph, w: np.ndarray, pinned=()):
     """Elimination-order DP over w of shape (..., n, n).  Returns one value
     per matrix, or an array over the pinned pattern vertices (trailing axes
-    in sorted pin order) when `pinned` is nonempty."""
+    in sorted pin order) when `pinned` is nonempty.  On a float32 w, a step
+    whose values may pass 2^24 (n to the power of the vertices it and the
+    steps below it eliminate) casts its operands to float64, and the
+    components' values multiply in float64; on 0/1 entries every count then
+    stays exact."""
     n = w.shape[-1]
     batch = w.shape[:-2]
     graphs = math.prod(batch)
@@ -192,8 +200,10 @@ def _dp_sum(h: Graph, w: np.ndarray, pinned=()):
     ones = np.ones(n, dtype=w.dtype)
     results = []
 
-    def contract(sub, slots, indices, swaps=None):
+    def contract(sub, slots, indices, wide=False, swaps=None):
         ops = [w if s == "W" else ones if s == "ONES" else results[s] for s in slots]
+        if wide:
+            ops = [x.astype(np.float64, copy=False) for x in ops]
         if swaps is not None:
             return np.matmul(*(x.swapaxes(-1, -2) if s else x for x, s in zip(ops, swaps)))
         # one operand is a plain axis sum; a stack's two-operand step, and a
@@ -205,13 +215,14 @@ def _dp_sum(h: Graph, w: np.ndarray, pinned=()):
             opt = len(slots) > 1 and (indices > 3 or n >= 128)
         return np.einsum(sub, *ops, optimize=opt)
 
-    scalar = w.dtype.type(1)
-    for sub, slots, out_arity, indices, swaps in steps:
+    narrow = w.dtype == np.float32
+    scalar = np.float64(1) if narrow else w.dtype.type(1)
+    for sub, slots, out_arity, indices, below, swaps in steps:
         if graphs * n ** out_arity > DP_CELL_CAP:
             raise ResourceError(
                 f"DP intermediate of {graphs} x n^{out_arity} entries exceeds memory cap"
             )
-        merged = contract(sub, slots, indices, swaps)
+        merged = contract(sub, slots, indices, narrow and n ** below > 1 << 24, swaps)
         results.append(merged)
         if out_arity == 0:
             scalar = scalar * merged
@@ -375,16 +386,16 @@ def batched_hom_normalized(h: Graph, a_stack: np.ndarray, p: float) -> np.ndarra
     `_dp_sum`), or graph by graph on the single-matrix plan where one graph
     fills a sub-batch.  BLAS and einsum add in different orders, but on 0/1
     entries every partial sum is a count of partial maps, an integer of at
-    most n^v.  A stack of integer or bool dtype contracts in float32 while
-    n^v <= 2^24, where float32 holds every such integer exactly; any other
-    stack contracts in float64, exact while n^v <= 2^53.  So each count is
-    the same in any order, and only the final scaling, in float64, rounds."""
+    most n^v.  A stack of integer or bool dtype contracts in float32, each
+    step whose partial counts may pass 2^24 (where float32 stops holding
+    every integer) in float64 (`_dp_sum`); any other stack contracts in
+    float64.  Both are exact while n^v <= 2^53, so each count is the same in
+    any order, and only the final scaling, in float64, rounds."""
     if not (0 < p < 1):
         raise DomainError(f"p must be in (0,1), got {p}")
     b, n, _ = a_stack.shape
     size = max(1, BATCH_CELLS // dp_cells(h, n))
-    exact32 = a_stack.dtype.kind in "biu" and n ** h.vertex_count <= 1 << 24
-    dtype = np.float32 if exact32 else np.float64
+    dtype = np.float32 if a_stack.dtype.kind in "biu" else np.float64
     counts = np.empty(b)
     for lo in range(0, b, size):
         batch = a_stack[lo:lo + size] if size > 1 else a_stack[lo]

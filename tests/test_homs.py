@@ -445,20 +445,49 @@ def test_batched_matches_single(monkeypatch):
     assert set(dtypes) == {np.dtype(np.float64)}
     assert np.array_equal(as_float, H.batched_hom_normalized(K4, stack, 0.35))
 
-    # counts are exact on both sides of float32's n^v <= 2^24: K3 on the
-    # complete graph is n(n-1)(n-2), scaled by n^3 / 8 at p = 1/2
-    for n, dtype in ((256, np.float32), (257, np.float64)):
+    # a 0/1 stack contracts in float32 on both sides of n^v = 2^24, and its
+    # counts stay exact: K3 on the complete graph is n(n-1)(n-2), scaled by
+    # n^3 / 8 at p = 1/2 (which steps widen to float64 is checked below)
+    for n in (256, 257):
         dtypes.clear()
         complete = (1 - np.eye(n, dtype=np.int8))[None]
         count = H.batched_hom_normalized(K3, complete, 0.5)[0]
         assert count == n * (n - 1) * (n - 2) / (float(n) ** 3 * 0.5 ** 3)
-        assert dtypes == [dtype]
+        assert dtypes == [np.dtype(np.float32)]
 
     # K4 at n = 18 (float32), against the flat grid's count
     stack = _random_stack(rng, 40, 18, 0.35)
     counts = [H._hom_sum(K4, a.astype(float), engine="brute") for a in stack]
     assert np.array_equal(H.batched_hom_normalized(K4, stack, 0.35),
                           np.array(counts) / (18.0 ** 4 * 0.35 ** 6))
+
+
+# C5 and a triangle: the cycle's last step, in the middle of the plan, counts
+# maps of 5 vertices and the triangle's steps at most 3
+C5_AND_K3 = G.Graph(8, tuple(G.cycle(5).edges) + ((5, 6), (5, 7), (6, 7)))
+
+
+@pytest.mark.parametrize("h, n, p, wide, past", [
+    (G.cycle(5), 40, 0.9, [4], True),
+    (G.cycle(6), 40, 0.9, [4, 5], True),
+    (G.clique(5), 30, 0.99, [4], False),
+    (C5_AND_K3, 40, 0.9, [4], True),
+    (G.Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))), 40, 0.9, [], True),
+], ids=["C5-n40", "C6-n40", "K5-n30", "C5+K3-n40", "2K3-n40"])
+def test_batched_steps_widen_to_float64_only_past_2_24(h, n, p, wide, past):
+    # a step's counts are at most n^(vertices it and the steps below it
+    # eliminate): exactly the steps where that passes 2^24 run in float64,
+    # the others in float32, and the components multiply in float64 (two
+    # triangles: no step widens, but their product passes 2^24).  Each
+    # count equals the all-float64 plan's (a float stack) bit for bit; on
+    # these dense graphs the counts pass 2^24, except K5's (K5 maps into
+    # K30 about 1.7e7 times, so only a complete graph's count would)
+    steps = H._get_plan(h, (), batched=True)[0]
+    assert [i for i, step in enumerate(steps) if n ** step[4] > 1 << 24] == wide
+    stack = _random_stack(np.random.default_rng(5), 12, n, p)
+    got = H.batched_hom_normalized(h, stack, 0.5)
+    assert (got * float(n) ** h.vertex_count * 0.5 ** h.edge_count > 1 << 24).all() == past
+    assert np.array_equal(got, H.batched_hom_normalized(h, stack.astype(float), 0.5))
 
 
 # a pattern whose batched plan multiplies two stored intermediates that both
