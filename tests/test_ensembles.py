@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import copy
+import functools
 import math
 import sys
 import threading
@@ -244,13 +245,11 @@ def test_regular_retry_budget(monkeypatch, helpers):
     for _ in range(5):
         _trial(stubs, ref_rng)
     after = ref_rng.random(4)
-    for trials in (0, 1):
+    ahead = functools.partial(_drawn_ahead, monkeypatch=monkeypatch, trials=1)
+    for draw in (E._draw_stack, ahead):
         rng = E.rng_stream(4)
         with pytest.raises(SamplingError, match=r"n=40, d=6 .* in 5 trials"):
-            if trials:
-                _drawn_ahead(E.regular(40, 6), 3, rng, monkeypatch, trials)
-            else:
-                E._draw_stack(E.regular(40, 6), 3, rng)
+            draw(E.regular(40, 6), 3, rng)
         assert np.array_equal(rng.random(4), after)
     assert helpers == [1]
 
@@ -284,23 +283,19 @@ class _ZeroedWords:
 ], ids=["uniform", "regular"])
 def test_tied_keys_are_rejected(spec, failure, monkeypatch, helpers):
     # drawn serially, and reading ahead on a helper in blocks of 1 trial
-    def draw(rng, trials):
-        if trials:
-            return _drawn_ahead(spec, 3, rng, monkeypatch, trials)
-        return E._draw_stack(spec, 3, rng)
-
-    for trials in (0, 1):
+    ahead = functools.partial(_drawn_ahead, monkeypatch=monkeypatch, trials=1)
+    for draw in (E._draw_stack, ahead):
         # every key ties: the draw fails after the budget, 7 trials into the stream
         bits = _ZeroedWords(E.rng_stream(6).bit_generator, 1 << 62)
         with monkeypatch.context() as patch, pytest.raises(SamplingError, match=failure):
             patch.setattr(E, "CONFIG_MODEL_RETRY_CAP", 7)
-            draw(types.SimpleNamespace(bit_generator=bits), trials)
+            draw(spec, 3, types.SimpleNamespace(bit_generator=bits))
         ref = E.rng_stream(6).bit_generator
         ref.random_raw(7 * 5)
         assert np.array_equal(bits.inner.random_raw(4), ref.random_raw(4))
         # only the first trial ties: the stack starts at the second trial
         bits = _ZeroedWords(E.rng_stream(6).bit_generator, 5)
-        stack = draw(types.SimpleNamespace(bit_generator=bits), trials)
+        stack = draw(spec, 3, types.SimpleNamespace(bit_generator=bits))
         ref_rng = E.rng_stream(6)
         ref_rng.bit_generator.random_raw(5)
         assert np.array_equal(stack, _reference_stack(spec, 3, ref_rng))
