@@ -307,7 +307,7 @@ def _shuffled_tags(tags, batch, rng, accept, failure, ahead=False) -> np.ndarray
     serial loop's, bit for bit, and any numpy generator serves.  The helper
     is bound to the CPUs other than this thread's: on the 2-CPU host this was
     measured on, the kernel otherwise ran both threads on one CPU, and the
-    draw took 14% longer than the serial loop."""
+    draw took 14–19% longer than the serial loop."""
     size, bits = tags.size, int(tags.max(initial=0)).bit_length()
     if not _few_ties(size, bits, 64):
         raise SamplingError(f"{failure}: its {size} keys would tie too often even at 64 bits")
