@@ -11,7 +11,6 @@ its bits; `sample` is the edges of a one-graph draw.
 Uniform and regular graphs order their pairs or stubs exactly by sorting
 tagged random keys, `_shuffled_tags`; large uniform(n, m) draws `choice`s of
 pairs, and a regular graph's stub pairs become pairs through `_pair_index`.
-Such a fixed-count graph reads as many words as its rejected trials take.
 
 Direct Monte Carlo, its empirical-mean pass and importance sampling share
 one worker loop, `_run_workers`: worker w draws its share of the samples in
@@ -20,16 +19,13 @@ there is more than one worker, and results reduce in (worker, chunk) order.
 So an estimate is reproducible for a fixed worker count, and an importance
 run with tilt == base consumes the stream identically to direct Monte Carlo.
 
-With fewer workers than CPUs, the draws also use the idle CPUs.  Each chunk
-of an independent-edge draw (er, block, planted) splits into parts of
-consecutive graphs: such a graph reads exactly C(n, 2) words of its stream,
-and Philox reaches any word directly, so each part draws from the stream
-positioned at its first graph's word, and the parts' per-graph outputs join
-before the chunk is scored.  A fixed-count draw (uniform, regular) reads its
-stream ahead instead: one helper thread per worker reads and tags the next
-blocks of trials while the worker sorts and tests the current one, in the
-stream's own order.  An estimate therefore depends on the worker count
-(--threads) but not on the CPU count.  Scaling was measured only up to 2 CPUs.
+With fewer workers than CPUs, each chunk of an independent-edge draw (er,
+block, planted) splits across the idle CPUs into parts of consecutive graphs.
+Such a graph reads exactly C(n, 2) words of its stream, and Philox reaches any
+word directly, so each part draws from the stream positioned at its first
+graph's word, and the parts' per-graph outputs join before the chunk is
+scored.  An estimate therefore depends on the worker count (--threads) but not
+on the CPU count.  Scaling was measured only up to 2 CPUs.
 """
 
 from __future__ import annotations
@@ -57,7 +53,6 @@ CHUNK = 4096      # most graphs drawn and scored at once by one worker
 # stack would sum its importance log-weight in another order
 MIN_PART = 256
 INDEPENDENT_EDGE = ("er", "block", "planted")  # kinds whose graphs read C(n, 2) words
-AHEAD = 2         # blocks of fixed-count trials a helper thread reads ahead
 
 
 def _key_word(value, what) -> int:
@@ -93,21 +88,6 @@ def _available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _other_cpus():
-    """The CPUs this thread may run on other than the one it runs on now; None
-    where the platform cannot say (no affinity calls or no `sched_getcpu`)."""
-    if not hasattr(os, "sched_getaffinity"):
-        return None
-    import ctypes
-
-    try:
-        here = ctypes.CDLL(None).sched_getcpu
-    except AttributeError:
-        return None
-    here.restype, here.argtypes = ctypes.c_int, []
-    return os.sched_getaffinity(0) - {here()} or None
 
 
 # ---------------------------------------------------------------------------
@@ -284,131 +264,104 @@ def _few_ties(size, bits, width) -> bool:
     return size * (size - 1) << bits <= 1 << width
 
 
-def _shuffled_tags(tags, batch, rng, accept, failure, ahead=False) -> np.ndarray:
-    """`batch` accepted trials: rows of `tags` in uniform random order.  A
-    trial reads a key per tag from a fixed number of raw words, writes the tag
-    into the key's low b = bit_length(max tag) bits and sorts the row; it is
-    rejected if two keys share their random part, so an accepted order is
-    exactly uniform.  Keys are 32 bits, two to a word, while `_few_ties` holds
-    (past it 64-bit keys, one word each, were measured faster); tags too many
-    for 64 bits are refused.  A trial `accept` refuses is rejected too, and
-    CONFIG_MODEL_RETRY_CAP rejections in a row raise SamplingError.  Blocks of
-    at most BATCH_CELLS keys are sized by the acceptance so far; the stream
-    ends after the words of the last trial used.
-
-    With `ahead` (an idle CPU), once the acceptance so far leaves more than
-    two full blocks to draw, one helper thread reads up to AHEAD blocks ahead:
-    it saves the stream's state, reads a block's words and writes their tags,
-    while this thread sorts and tests the block before.  It reads the same
-    stream in the same order, so every trial is the serial loop's.  Once the
-    batch is full or the retries run out (or `accept` raises), the helper is
-    joined, and the stream is set back to the last block's state and reads
-    its used words again.  So stacks, errors and the stream's end are the
-    serial loop's, bit for bit, and any numpy generator serves.  The helper
-    is bound to the CPUs other than this thread's: on the 2-CPU host this was
-    measured on, the kernel otherwise ran both threads on one CPU, and the
-    draw took 14–19% longer than the serial loop."""
+def _shuffled_tags(tags, batch, rng, accept, failure, keep=None) -> np.ndarray:
+    """`batch` accepted trials: rows of `tags` in uniform random order, cut
+    to their first `keep` tags (default all).  A trial reads a key per tag
+    from a fixed number of raw words, writes the tag into the key's low
+    b = bit_length(max tag) bits and sorts the row; it is rejected if two
+    keys share their random part, so an accepted order is exactly uniform.
+    Keys are 32 bits, two to a word, while `_few_ties` holds (past it 64-bit
+    keys, one word each, were measured faster); tags too many for 64 bits are
+    refused.  A trial is rejected too if accept(sorted keys, tag mask) refuses
+    it, and CONFIG_MODEL_RETRY_CAP rejections in a row raise SamplingError.
+    Blocks of at most BATCH_CELLS keys are sized by the acceptance so far; the
+    stream ends after the words of the last trial used."""
     size, bits = tags.size, int(tags.max(initial=0)).bit_length()
     if not _few_ties(size, bits, 64):
         raise SamplingError(f"{failure}: its {size} keys would tie too often even at 64 bits")
     dtype, words = (np.uint32, (size + 1) // 2) if _few_ties(size, bits, 32) else (np.uint64, size)
     mask, tags = dtype((1 << bits) - 1), tags.astype(dtype)
     cap = max(1, BATCH_CELLS // max(size, 1))
-    out = np.empty((batch, size), dtype=dtype)
+    out = np.empty((batch, size if keep is None else keep), dtype=dtype)
     got, drawn, failed_run, t = 0, 0, 0, min(batch, cap)
-    helper, blocks, used = None, None, None
 
-    def read(t):
+    def skip(rows):
+        rng.bit_generator.state = state
+        rng.bit_generator.random_raw(rows * words)
+
+    while got < batch:
         state = rng.bit_generator.state
         keys = rng.bit_generator.random_raw((t, words)).view(dtype)[:, :size]
         keys &= ~mask
         keys |= tags
-        return state, keys
-
-    try:
-        while got < batch:
-            if helper is None:
-                state, keys = read(t)
-            else:
-                state, keys = blocks.pop(0).result()
-                blocks.append(helper.submit(read, cap))
-            # started after a block is read, so that its first reads overlap that block's test
-            if ahead and helper is None and (batch - got) * drawn > 2 * cap * max(got, 1):
-                from concurrent.futures import ThreadPoolExecutor
-
-                others = _other_cpus()
-                helper = ThreadPoolExecutor(1, initializer=others and os.sched_setaffinity,
-                                            initargs=(0, others))
-                blocks = [helper.submit(read, cap) for _ in range(AHEAD)]
-            t = keys.shape[0]
-            keys.sort(axis=1)
-            # ties are checked last, on the orders `accept` keeps (gathered only then)
-            ok = np.arange(t) if accept is None else np.flatnonzero(accept(keys & mask))
-            kept = keys if accept is None else keys[ok]
-            ok = ok[((kept[:, 1:] ^ kept[:, :-1]) > mask).all(axis=1)][:batch - got]
-            # rows that end a run of rejected trials: each accepted row, and the
-            # block's end while trials are still missing
+        keys.sort(axis=1)
+        # ties are checked last, on the orders `accept` keeps (gathered only then)
+        ok = np.arange(t) if accept is None else np.flatnonzero(accept(keys, mask))
+        kept = keys if accept is None else keys[ok]
+        ok = ok[((kept[:, 1:] ^ kept[:, :-1]) > mask).all(axis=1)][:batch - got]
+        # runs of rejected trials end at each accepted row, and at the
+        # block's end while trials are still missing; one can reach the cap
+        # only if the run so far and the block together do
+        if failed_run + t >= CONFIG_MODEL_RETRY_CAP:
             ends = ok if got + ok.size == batch else np.append(ok, t)
             starts = np.concatenate(([-failed_run - 1], ends[:-1]))
             over = np.flatnonzero(ends - starts - 1 >= CONFIG_MODEL_RETRY_CAP)
             if over.size:
-                used = int(starts[over[0]]) + CONFIG_MODEL_RETRY_CAP + 1
-                break
-            out[got:got + ok.size] = keys[ok] & mask
+                skip(int(starts[over[0]]) + CONFIG_MODEL_RETRY_CAP + 1)
+                raise SamplingError(f"{failure} in {CONFIG_MODEL_RETRY_CAP} trials")
+        if ok.size:
+            rows = out[got:got + ok.size]
+            np.take(keys[:, :rows.shape[1]], ok, axis=0, out=rows)
+            rows &= mask
             got += ok.size
-            if got == batch and (helper is not None or ok[-1] + 1 < t):
-                used = int(ok[-1]) + 1
-            failed_run = t - 1 - int(starts[-1])
-            drawn += t
-            t = min(cap, 2 * t if not got else -(-(batch - got) * drawn // got))
-    finally:
-        if helper is not None:
-            helper.shutdown(cancel_futures=True)
-    if used is not None:
-        rng.bit_generator.state = state
-        rng.bit_generator.random_raw(used * words)
-    if got < batch:
-        raise SamplingError(f"{failure} in {CONFIG_MODEL_RETRY_CAP} trials")
+            failed_run = t - 1 - int(ok[-1])
+        else:
+            failed_run += t
+        if got == batch and ok[-1] + 1 < t:
+            skip(int(ok[-1]) + 1)
+        drawn += t
+        t = min(cap, 2 * t if not got else -(-(batch - got) * drawn // got))
     return out
 
 
-def _simple(trials, n) -> np.ndarray:
-    """Which stub-pair rows are simple; loops fail most, so only loop-free ones are sorted."""
-    u, v = trials[:, 0::2], trials[:, 1::2]
-    simple = ~(u == v).any(axis=1)
-    u, v = u[simple], v[simple]
-    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v), axis=1)
-    simple[simple] = ~(keys[:, 1:] == keys[:, :-1]).any(axis=1)
+def _simple(keys, n, mask) -> np.ndarray:
+    """Which rows of stub pairs are simple, the stubs held in the low bits
+    `mask` of `keys`; loops fail most, so only loop-free rows are sorted."""
+    loops = keys[:, 0::2] ^ keys[:, 1::2]
+    loops &= mask
+    simple = loops.all(axis=1)
+    stubs = keys[simple] & mask
+    u, v = stubs[:, 0::2], stubs[:, 1::2]
+    pairs = np.sort(np.minimum(u, v) * n + np.maximum(u, v), axis=1)
+    simple[simple] = (pairs[:, 1:] != pairs[:, :-1]).all(axis=1)
     return simple
 
 
-def _draw_bits(spec: EnsembleSpec, batch: int, rng, ahead=False) -> np.ndarray:
+def _draw_bits(spec: EnsembleSpec, batch: int, rng) -> np.ndarray:
     """`batch` graphs from the ensemble as (batch, pairs + 1) pair bits, the
     last column False as in `_pair_bits`, in the stream order of drawing them
     one at a time.  uniform(n, m) sets the first m pairs of a uniform order,
     or a `choice` of m where pair keys would need 64 bits (measured faster);
     regular(n, d) is the configuration model (Bollobás 1980): stubs 2i,
-    2i + 1 of an order with no loop or repeat join set their pair.  `ahead`
-    lets an order's trials be read ahead on a helper thread
-    (`_shuffled_tags`); the graphs and the stream's end do not change."""
+    2i + 1 of an order with no loop or repeat join set their pair."""
     n, pairs = spec.n, spec.n * (spec.n - 1) // 2
     if spec.kind in INDEPENDENT_EDGE:
         return _pair_bits(spec.probability_matrix()[np.triu_indices(n, 1)], batch, rng)
     rows = np.arange(batch)[:, None]
     if spec.kind == "uniform" and _few_ties(pairs, (pairs - 1).bit_length(), 32):
-        order = _shuffled_tags(np.arange(pairs), batch, rng, None,
-                               f"uniform sampler for n={n}, m={spec.m} drew no untied order", ahead)
-        picks = order[:, :spec.m]
+        picks = _shuffled_tags(np.arange(pairs), batch, rng, None,
+                               f"uniform sampler for n={n}, m={spec.m} drew no untied order",
+                               spec.m)
     elif spec.kind == "uniform":
         picks = np.array([rng.choice(pairs, spec.m, replace=False) for _ in range(batch)])
     else:
-        stubs = _shuffled_tags(np.repeat(np.arange(n), spec.d), batch, rng, lambda t: _simple(t, n),
-                               f"configuration model for n={n}, d={spec.d} drew no simple graph",
-                               ahead)
+        stubs = _shuffled_tags(np.repeat(np.arange(n), spec.d), batch, rng,
+                               lambda keys, mask: _simple(keys, n, mask),
+                               f"configuration model for n={n}, d={spec.d} drew no simple graph")
         # every row d-regular, checked on its stubs in O(n d): each vertex
         # holds d stubs, and no pair of them is a loop or joins a pair twice
         held = np.bincount((stubs.astype(np.intp) + n * rows).ravel(), minlength=batch * n)
-        assert (held == spec.d).all() and _simple(stubs, n).all(), \
+        assert (held == spec.d).all() and _simple(stubs, n, ~stubs.dtype.type(0)).all(), \
             "regular sampler degree violation"
         picks = _pair_index(n)[stubs[:, 0::2], stubs[:, 1::2]]
     bits = np.zeros((batch, pairs + 1), dtype=bool)
@@ -416,9 +369,9 @@ def _draw_bits(spec: EnsembleSpec, batch: int, rng, ahead=False) -> np.ndarray:
     return bits
 
 
-def _draw_stack(spec: EnsembleSpec, batch: int, rng, ahead=False) -> np.ndarray:
+def _draw_stack(spec: EnsembleSpec, batch: int, rng) -> np.ndarray:
     """`batch` graphs as a (batch, n, n) 0/1 int8 stack: `_symmetric_stack` of `_draw_bits`."""
-    return _symmetric_stack(_draw_bits(spec, batch, rng, ahead), spec.n)
+    return _symmetric_stack(_draw_bits(spec, batch, rng), spec.n)
 
 
 def _chunk_sizes(n, count):
@@ -506,29 +459,22 @@ def _worker_counts(num_samples, workers):
 def _run_workers(spec, num_samples, seed, workers, draw, reduce, report=None, stream=0):
     """The Monte Carlo worker loop.  Worker w draws its share of num_samples
     from rng_stream(seed, stream + w) in `_chunk_sizes` chunks of `spec`'s
-    graphs: draw(b, rng, ahead) returns a tuple of per-graph arrays for the
-    next b graphs of rng, and reduce(outputs) scores a chunk.  Returns the
-    chunk scores in (worker, chunk) order; several workers run on a thread
-    pool.  report(done, scores so far) follows every chunk of a single worker,
-    or every nonempty worker, in worker order.
+    graphs: draw(b, rng) returns a tuple of per-graph arrays for the next b
+    graphs of rng, and reduce(outputs) scores a chunk.  Returns the chunk
+    scores in (worker, chunk) order; several workers run on a thread pool.
+    report(done, scores so far) follows every chunk of a single worker, or
+    every nonempty worker, in worker order.
 
-    While workers leave CPUs idle, each chunk's draw also uses them.  An
-    independent-edge graph reads exactly C(n, 2) words, so its chunk splits
-    into up to `_available_cpus() // workers` parts of consecutive graphs, of
-    at least MIN_PART each.  Each part draws from the stream positioned at its
-    first graph's word, the first part on the worker's thread and the others
-    on the pool, and the parts' outputs are concatenated before `reduce`.  A
-    fixed-count graph reads as many words as its rejected trials take, so its
-    draw is passed `ahead` instead: one helper thread per worker reads the
-    worker's stream ahead (`_shuffled_tags`).  Either way every score is that
-    of the one sequential stream, so it does not depend on the CPU count
-    (scaling was measured only up to 2 CPUs), and one chunk per worker is in
-    flight."""
+    An independent-edge graph reads exactly C(n, 2) words.  So while workers
+    leave CPUs idle, each chunk splits into up to `_available_cpus() //
+    workers` parts of consecutive graphs, of at least MIN_PART each.  Each part
+    draws from the stream positioned at its first graph's word, the first
+    part on the worker's thread and the others on the pool, and the parts'
+    outputs are concatenated before `reduce`.  So every score is that of the
+    one sequential stream, and one chunk per worker is in flight."""
     counts = _worker_counts(num_samples, workers)
     words = spec.n * (spec.n - 1) // 2
-    cpus = _available_cpus()
-    parts = cpus // workers if spec.kind in INDEPENDENT_EDGE else 1
-    ahead = spec.kind not in INDEPENDENT_EDGE and cpus > workers
+    parts = _available_cpus() // workers if spec.kind in INDEPENDENT_EDGE else 1
     split = parts > 1 and next(_chunk_sizes(spec.n, counts[0]), 0) >= 2 * MIN_PART
     pool = None
 
@@ -537,15 +483,15 @@ def _run_workers(spec, num_samples, seed, workers, draw, reduce, report=None, st
         k = max(1, min(parts, b // MIN_PART))
         at = [first + b * j // k for j in range(k + 1)]
         jobs = [(hi - lo, _stream_at(seed, stream + w, lo * words)) for lo, hi in zip(at, at[1:])]
-        rest = [pool.submit(draw, *job, False) for job in jobs[1:]]
-        outs = [draw(*jobs[0], False)] + [f.result() for f in rest]
+        rest = [pool.submit(draw, *job) for job in jobs[1:]]
+        outs = [draw(*jobs[0])] + [f.result() for f in rest]
         return outs[0] if k == 1 else tuple(np.concatenate(col) for col in zip(*outs))
 
     def run(w, count, report_chunks=None):
         rng = rng_stream(seed, stream + w)
         scores, done = [], 0
         for b in _chunk_sizes(spec.n, count):
-            scores.append(reduce(drawn_in_parts(w, done, b) if split else draw(b, rng, ahead)))
+            scores.append(reduce(drawn_in_parts(w, done, b) if split else draw(b, rng)))
             done += b
             if report_chunks:
                 report_chunks(done, scores)
@@ -636,8 +582,8 @@ def mc_upper_tail(
     def report(done, scores):
         progress(done, sum(scores) / done)
 
-    def draw(b, rng, ahead):
-        return (_hom_hits_for_batch(_draw_stack(spec, b, rng, ahead), h_list, thresholds, p),)
+    def draw(b, rng):
+        return (_hom_hits_for_batch(_draw_stack(spec, b, rng), h_list, thresholds, p),)
 
     hits = sum(_run_workers(spec, num_samples, seed, workers, draw,
                             lambda out: int(out[0].sum()), report if progress else None))
@@ -661,8 +607,8 @@ def mc_upper_tail(
 
 
 def _empirical_hom_means(spec, h_list, p, num_samples, seed, workers):
-    def draw(b, rng, ahead):
-        a = _draw_stack(spec, b, rng, ahead)
+    def draw(b, rng):
+        a = _draw_stack(spec, b, rng)
         return tuple(batched_hom_normalized(h, a, p) for h in h_list)
 
     sums = np.zeros(len(h_list))
@@ -746,13 +692,13 @@ def importance_tail(
     # unchanged, bit for bit
     moved, every = np.flatnonzero(tp != bp), np.arange(tp.size)
 
-    def draw(b, rng, ahead):
+    def draw(b, rng):
         # In Fortran order each graph's log-weight sums one pair at a time in
         # pair order, not by pairwise summation: the order the pinned
         # estimates (tests/test_ensembles.py) hold.  A one-graph stack is
         # summed pairwise, which the dropped zeros would regroup, so it keeps
         # every pair
-        bits = _draw_bits(tilted, b, rng, ahead)
+        bits = _draw_bits(tilted, b, rng)
         cols = moved if b > 1 else every
         return (np.where(bits.T[cols].T, lw_edge[cols], lw_noedge[cols]).sum(axis=1),
                 _hom_hits_for_batch(_symmetric_stack(bits, spec.n), h_list, t_list, p))
