@@ -209,7 +209,6 @@ def test_regular_retry_budget(monkeypatch):
         assert np.array_equal(rng.random(4), ref_rng.random(4))
 
 
-
 def test_regular_retry_budget_spans_blocks(monkeypatch):
     # at d = 4 about 2.4% of trials are simple: a budget of 150 runs out
     # after 12 of 90 graphs, in a run of rejections that starts in one block
@@ -228,6 +227,7 @@ def test_regular_retry_budget_spans_blocks(monkeypatch):
         run, drawn = 0 if simple else run + 1, drawn + simple
     assert drawn == 12
     assert np.array_equal(rng.random(4), ref_rng.random(4))
+
 
 class _ZeroedWords:
     """A bit generator giving the words of `inner`, except that the first
