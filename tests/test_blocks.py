@@ -187,6 +187,23 @@ def _terms_value_and_gradient_reference(terms, values):
     return value, grad.reshape(values.shape)
 
 
+def test_rowsum_adds_each_row_in_order():
+    # against cumsum's last column, which adds a row's entries one by one:
+    # a 1-D row and a one-row stack (where numpy's own reduce sums pairwise),
+    # many rows, rows padded with zeros at their end, a 3-D stack, and none
+    rng = np.random.default_rng(11)
+    pairwise = 0
+    for shape in [(300,), (1, 300), (1, 9), (2, 9), (17, 40), (5, 1000), (3, 2, 50), (6, 1)]:
+        a = rng.random(shape) * 10.0 ** rng.integers(-8, 9, shape) * rng.choice([-1, 1], shape)
+        a[..., -a.shape[-1] // 3:] *= rng.random(shape[:-1] + (1,)) < 0.5  # padded rows
+        in_order = a.cumsum(axis=-1)[..., -1]
+        assert np.shape(B._rowsum(a)) == in_order.shape
+        assert B._rowsum(a).tobytes() == in_order.tobytes(), shape
+        pairwise += a.sum(axis=-1).tobytes() != in_order.tobytes()
+    assert pairwise  # the test can tell the two orders apart
+    assert B._rowsum(np.zeros((4, 0))).tolist() == [0.0] * 4 and B._rowsum(np.zeros(0)) == 0.0
+
+
 @pytest.mark.parametrize("h, n, seeds", [(K3, 60, None), (K3, 60, 1), (G.cycle(5), 40, None),
                                          (G.cycle(5), 40, 1), (K4, 30, None), (K4, 40, None),
                                          (G.cycle(6), 40, None), (G.clique(5), 30, None)])

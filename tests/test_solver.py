@@ -1,6 +1,7 @@
 """Variational solver: projections, feasibility contracts, nesting, trends."""
 
 import dataclasses
+import hashlib
 import math
 import re
 from fractions import Fraction
@@ -780,43 +781,49 @@ DENSE_SOLVE_PROBLEMS = [
 # solves, keeps them.  C5's seeds end within 1e-9 of each other, so the
 # first of them wins (`TIE_RTOL`)
 DENSE_SOLVE_RESULTS = [
-    (4.499572893578081, 459, "constant"),
-    (229.54985821858656, 150, "cycle_blocks_delta_x2"),
-    (37.06758510266653, 390, "plant_clique_delta_x3"),
-    (0.6114452942024133, 46, "constant"),
+    (4.499572893578216, 459, "constant"),
+    (229.54985821858654, 150, "cycle_blocks_delta_x2"),
+    (37.067585102666534, 390, "plant_clique_delta_x3"),
+    (0.6114452942023847, 46, "constant"),
     (1.0778281950009574, 159, "plant_clique_delta_x1"),
 ]
 
 
 @pytest.mark.parametrize("prob, pinned", zip(DENSE_SOLVE_PROBLEMS, DENSE_SOLVE_RESULTS))
 def test_dense_solve_problems_keep_their_results(prob, pinned):
-    # the value to roundoff, every iteration and the winning seed
+    # the value bit for bit, every iteration and the winning seed
     res = S.solve_phi(prob)
     value, iterations, provenance = pinned
-    assert res.value == pytest.approx(value, rel=1e-12, abs=0)
+    assert res.value == value
     assert (res.iterations, res.seed_provenance) == (iterations, provenance)
 
 
 # each problem's default seeds run as one `_al_stack` stack: every row's
 # outer iterations and final value (inf where the row keeps no feasible
-# point).  A change in how a step is computed, not in what it solves, keeps
-# every row, not only the sum and the winner
+# point), and the sha256 of the final points' bytes.  A change in how a step
+# is computed, not in what it solves, keeps every row bit for bit, not only
+# the sum and the winner
 DENSE_SOLVE_ROWS = [
     ([27] * 17, [4.499572893578216, 4.4995728935788435, 4.499572893579089, 4.499572893580476,
                  4.499572893579481, 4.499572893580464, 4.499572893579826, 4.499572893580477,
                  4.4995728935805985, 4.499572893580353, 4.499572893580747, 4.499572893580734,
                  4.499572893580477, 4.499572893580604, 4.499572893580856, 4.499572893580746,
-                 4.499572893580722]),
-    ([30] * 5, [math.inf] * 3 + [229.54985821858654, 340.2255108716102]),
+                 4.499572893580722],
+     "3942a2198a7c80617a8a3a83636f4b92f4507634316ad36692acafd9b6c77644"),
+    ([30] * 5, [math.inf] * 3 + [229.54985821858654, 340.2255108716102],
+     "c1775edf2ad70fa522c60516175187a7a9553150f5efa79e07385a2ccb92dea6"),
     ([30] * 13, [math.inf] * 5 + [55.05968429434329, 37.067585102666534, 61.42536881124167,
                                   45.026965407579276, 68.315482978242, 55.05968429434329,
-                                  62.20455237299775, 102.2171489130456]),
+                                  62.20455237299775, 102.2171489130456],
+     "9d0739f1b4394e51e84db4bdb9307c0f7000e187947908d5ab8ea10bd5dc2c04"),
     ([13] + [11] * 3, [0.6114452942023847, 0.6114453421411181, 0.6114453443701917,
-                       0.6114453442342435]),
+                       0.6114453442342435],
+     "95de8d84fe3b1895c4ed4cd4d05e120c43243d598de2acb5cc7757999ba1a13a"),
     ([19] + [14] * 10, [1.0778294268768538, 1.0778281950009574, 1.0778281949944033,
                         1.0778281950130895, 1.0778281950101956, 1.0778281949676276,
                         1.0778281950151167, 1.0778281949841226, 1.077828195015692,
-                        1.0778281950037332, 1.077828195016048]),
+                        1.0778281950037332, 1.077828195016048],
+     "7e6e7990c3dcfda5220731e2520565d0267f4f5163051a6f65a53bcccf6e81ca"),
 ]
 
 
@@ -824,12 +831,11 @@ DENSE_SOLVE_ROWS = [
 def test_dense_solve_problems_keep_every_row(prob, pinned):
     specs = [spec for _name, spec in S.default_seeds(prob)]
     space = S._BlockSpace(prob, [spec.sizes for spec in specs])
-    values, _points, iterations = S._al_stack(prob, space, space.pack(specs))
-    pinned_iterations, pinned_values = pinned
+    values, points, iterations = S._al_stack(prob, space, space.pack(specs))
+    pinned_iterations, pinned_values, pinned_points = pinned
     assert iterations.tolist() == pinned_iterations
-    assert np.isinf(values).tolist() == [math.isinf(v) for v in pinned_values]
-    finite = np.isfinite(values)
-    assert values[finite] == pytest.approx(np.array(pinned_values)[finite], rel=1e-12, abs=0)
+    assert values.tolist() == pinned_values
+    assert hashlib.sha256(points.tobytes()).hexdigest() == pinned_points
 
 
 def test_stall_rule_ends_a_row_whose_residual_stops_falling():
