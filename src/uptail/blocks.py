@@ -38,18 +38,26 @@ class BlockSpec:
     values: tuple         # tuple of tuples of Fraction, symmetric, in [0,1]
 
     def __post_init__(self):
+        """Exact checks, on numerators and denominators (a Fraction's is
+        positive): the rows against the columns, which compares two values
+        only where they are not one object, and each value within [0, 1]."""
         k = len(self.sizes)
         if any(s <= 0 for s in self.sizes):
             raise DomainError("block sizes must be positive")
         if len(self.values) != k or any(len(row) != k for row in self.values):
             raise DomainError("values must be k x k for k blocks")
-        for a in range(k):
-            for b in range(a, k):  # a pair below the diagonal equals its mirror
-                val = self.values[a][b]
-                if val != self.values[b][a]:
-                    raise DomainError("block values must be symmetric")
-                if not (0 <= val <= 1):
+        if tuple(zip(*self.values)) != tuple(map(tuple, self.values)):
+            raise DomainError("block values must be symmetric")
+        for row in self.values:
+            for val in row:
+                if not 0 <= val.numerator <= val.denominator:
                     raise DomainError(f"block value {float(val)} outside [0,1]")
+
+    def __hash__(self):
+        # equal Fractions have equal numerators and denominators, whose
+        # hashes cost less than the Fractions' own
+        return hash((self.sizes, tuple((v.numerator, v.denominator)
+                                       for row in self.values for v in row)))
 
     @property
     def n(self):
@@ -60,7 +68,8 @@ class BlockSpec:
         return len(self.sizes)
 
     def value_matrix(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.values])
+        # float(v) of a Fraction is this division, correctly rounded
+        return np.array([[v.numerator / v.denominator for v in row] for row in self.values])
 
     def materialize(self) -> np.ndarray:
         if self.n > MATERIALIZE_CAP:
@@ -120,9 +129,11 @@ class BlockSpec:
             part = [min(left)]
             left.discard(part[0])
             for a in part:  # grows as blocks joined to it are found
-                joined = sorted(b for b in left if self.values[a][b] != 0)
+                joined = sorted(b for b in left if self.values[a][b].numerator)
                 left.difference_update(joined)
                 part.extend(joined)
+            if len(part) == self.num_blocks:
+                return [self]
             part.sort()
             out.append(BlockSpec(tuple(self.sizes[a] for a in part),
                                  tuple(tuple(self.values[a][b] for b in part) for a in part)))
@@ -142,7 +153,7 @@ class BlockSpec:
             c = h.induced(vertices)
             density *= sum(
                 count * (part.n / self.n) ** c.vertex_count * terms_value_and_gradient(
-                    hom_terms(c, part.sizes, live), part.value_matrix()[live[0], live[1]])[0]
+                    hom_terms(c, part.sizes), part.value_matrix()[live[0], live[1]])[0]
                 for count, part, live in parts)
         return density
 
@@ -239,43 +250,124 @@ def complete_density(h: Graph, n: int) -> float:
 _triu_indices = functools.cache(np.triu_indices)
 
 
+@functools.cache
+def _triu_place(k):
+    """Each block pair's flat index a * k + b (a <= b) mapped to its place
+    among the upper triangle's pairs, row by row."""
+    a, b = _triu_indices(k)
+    place = np.zeros(k * k, dtype=np.intp)
+    place[a * k + b] = np.arange(len(a))
+    return place
+
+
+def _by_block_count(stack):
+    """The positions in `stack` of its sizes of each block count, and those
+    sizes as the rows of one float array: (positions, sizes) in order of
+    first appearance."""
+    groups = {}
+    for i, sizes in enumerate(stack):
+        groups.setdefault(len(sizes), []).append(i)
+    return [(rows, np.array([stack[i] for i in rows], dtype=float).reshape(len(rows), k))
+            for k, rows in groups.items()]
+
+
+def _left_packed(count, groups):
+    """Stacks of `count` rows built from groups (positions, keep, arrays):
+    the entries a row of each array keeps (along its second axis), in order
+    at the start of the stack's row at its position, then zeros, to the
+    most kept in a row (at least one)."""
+    width = max(1, max(int(keep.sum(axis=1).max()) for _rows, keep, _arrays in groups))
+    outs = [np.zeros((count, width) + x.shape[2:], x.dtype) for x in groups[0][2]]
+    for rows, keep, arrays in groups:
+        at = np.array(rows)[np.nonzero(keep)[0]], (keep.cumsum(axis=1) - 1)[keep]
+        for out, x in zip(outs, arrays):
+            out[at] = x[keep]
+    return outs
+
+
+def _pair_counts(s):
+    """(a, b, pairs) over the upper triangle's block pairs, for block sizes
+    s, or pairs a row for each row of them (all of one block count)."""
+    a, b = _triu_indices(s.shape[-1])
+    sa = s.take(a, axis=-1)
+    return a, b, sa * s.take(b, axis=-1) - (a == b) * 0.5 * sa * (sa + 1)
+
+
 def block_pairs(sizes):
     """The unordered block pairs a <= b that hold a vertex pair, row by row:
     (a, b, pairs), pairs being s_a s_b, or s_a (s_a - 1) / 2 within a block
     (so a one-vertex block's own pair is left out)."""
-    s = np.asarray(sizes, dtype=float)
-    a, b = _triu_indices(len(s))
-    pairs = s[a] * s[b] - (a == b) * 0.5 * s[a] * (s[a] + 1)
+    a, b, pairs = _pair_counts(np.asarray(sizes, dtype=float))
     live = pairs > 0
     return a[live], b[live], pairs[live]
 
 
-def hom_terms(h: Graph, sizes, live):
-    """`_hom_table` on these block sizes, on the values of their `live` =
-    `block_pairs(sizes)` packed in one vector: (pairs, weights), each term
+def stacked_block_pairs(stack):
+    """`block_pairs` of each block sizes in `stack`, as the rows of three
+    arrays (a, b, pairs), zero-padded (`_left_packed`); the arithmetic runs
+    once per block count."""
+    groups = []
+    for rows, s in _by_block_count(stack):
+        a, b, pairs = _pair_counts(s)
+        groups.append((rows, pairs > 0, (a[None].repeat(len(s), 0), b[None].repeat(len(s), 0),
+                                         pairs)))
+    return _left_packed(len(stack), groups)
+
+
+def _term_weights(h: Graph, s):
+    """`_hom_table`'s terms for block sizes s, or a row of terms for each
+    row of them (all of one block count): each edge's index among the live
+    pairs, and each term's weight, its multiplicity times the falling
+    factorials (s_a)_(groups in a) over n^v.  A one-vertex block's own pair
+    is not live, and every term with an edge on it has weight 0."""
+    k, v = s.shape[-1], h.vertex_count
+    table, counts, mult = _hom_table(h, k)
+    # falling[..., a, c] = s_a (s_a - 1) ... (s_a - c + 1)
+    falling = np.cumprod(np.concatenate([np.ones(s.shape + (1,)), s[..., None] - np.arange(v)],
+                                        axis=-1), axis=-1)
+    weights = mult * falling[..., np.arange(k), counts].prod(axis=-1)
+    a, b = _triu_indices(k)
+    place = ((a != b) | (s.take(a, axis=-1) > 1)).cumsum(axis=-1) - 1  # among the live pairs
+    n = s.sum(axis=-1).max()  # every row's
+    return place[..., _triu_place(k)[table]], weights / n ** v
+
+
+def hom_terms(h: Graph, sizes):
+    """`_hom_table` on these block sizes, on the values of their live pairs
+    (`block_pairs(sizes)`) packed in one vector: (pairs, weights), each term
     weighted by its multiplicity times the falling factorials (s_a)_(groups
     in a) over n^v, so that sum(weights * prod(values[pairs])) = t(h, .).
     Terms of weight 0 (every one with an edge inside a one-vertex block
     among them) are dropped."""
-    table, counts, mult = _hom_table(h, len(sizes))
-    s = np.asarray(sizes, dtype=float)
-    k = len(s)
-    # falling[a, c] = s_a (s_a - 1) ... (s_a - c + 1)
-    falling = np.cumprod(np.hstack([np.ones((k, 1)),
-                                    s[:, None] - np.arange(h.vertex_count)]), axis=1)
-    weights = mult * falling[np.arange(k), counts].prod(axis=1)
-    a, b, _pairs = live
-    packed = np.zeros(k * k, dtype=np.intp)
-    packed[a * k + b] = np.arange(len(a))
+    pairs, weights = _term_weights(h, np.asarray(sizes, dtype=float))
     kept = weights > 0
-    return packed[table[kept]], weights[kept] / s.sum() ** h.vertex_count
+    return pairs[kept], weights[kept]
+
+
+def stacked_hom_terms(h: Graph, stack):
+    """`hom_terms` of h on each block sizes in `stack`, as the rows of two
+    arrays (pairs, weights), zero-padded (`_left_packed`); the arithmetic
+    runs once per block count."""
+    groups = []
+    for rows, s in _by_block_count(stack):
+        pairs, weights = _term_weights(h, s)
+        groups.append((rows, weights > 0, (pairs, weights)))
+    return _left_packed(len(stack), groups)
 
 
 def _rowsum(a):
     """Sums along the last axis, added in order (0 over none).  Zeros padded
     at the end of a row then leave its sum unchanged bit for bit, which a
-    pairwise or BLAS sum does not promise."""
-    return a.cumsum(axis=-1)[..., -1] if a.shape[-1] else np.zeros(a.shape[:-1])[()]
+    pairwise or BLAS sum does not promise.  numpy's reduce adds in order
+    along an axis it does not run innermost, as in a Fortran-ordered copy of
+    two or more rows.  It starts at -0.0, which leaves the first term as it
+    is, so a row of -0.0 sums to -0.0 as when added one by one.  A lone row
+    it would sum pairwise, so there the last partial sum is read instead."""
+    if not a.shape[-1]:
+        return np.zeros(a.shape[:-1])[()]
+    if math.prod(a.shape[:-1]) > 1:
+        return np.add.reduce(np.asfortranarray(a), axis=-1, initial=-0.0)
+    return a.cumsum(axis=-1)[..., -1]
 
 
 def terms_value_and_gradient(terms, values):

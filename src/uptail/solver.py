@@ -25,7 +25,6 @@ from .blocks import (
     COMPILE_CAP,
     BlockSpec,
     _rowsum,
-    block_pairs,
     build_clique_block,
     build_cycle_blocks,
     build_plant,
@@ -34,8 +33,9 @@ from .blocks import (
     complete_density,
     ensemble_residual,
     fill_total_weight,
-    hom_terms,
     refinement,
+    stacked_block_pairs,
+    stacked_hom_terms,
     terms_value_and_gradient,
 )
 from .errors import ConstructionError, DomainError, ResourceError
@@ -201,7 +201,8 @@ def _check_constraint(constraint, n):
 
 class _RowSums:
     """Row sums of a stack of block-pair values (blocks of sizes `s`, padded
-    with 0, and pairs `packs`), and the projection onto them (`project`,
+    with 0, and pairs of blocks `a`, `b` where `live`), and the projection
+    onto them (`project`,
     which stops a row on the point it returns): a vertex in block a has row
     sum sum_b s_b y_ab - y_aa, one term for each partner b (none for a
     one-vertex block's own pair).  One `np.bincount` adds each block's terms
@@ -212,11 +213,11 @@ class _RowSums:
 
     RUN = 64
 
-    def __init__(self, n, s, packs, live):
+    def __init__(self, n, s, a, b, live):
         self.n, self.s, self.blocks, self.ones = n, s, s > 0, 1.0 * live
         k, width = s.shape[1], live.shape[1]
         self.runs = -(-k // self.RUN)
-        a, b, _pairs = map(np.concatenate, zip(*packs))
+        a, b = a[live], b[live]
         row, col = np.nonzero(live)
         self.ends = np.zeros((2,) + live.shape, dtype=np.intp)
         self.ends[:, row, col] = ends = row * k + a, row * k + b  # flat indices into s
@@ -290,7 +291,7 @@ def project_ensemble(x, constraint):
     n = np.shape(x)[-1]
     _check_constraint(constraint, n)
     space = _Feasible(n, ((1,) * n,), constraint)
-    a, b, _pairs = space.packs[0]
+    a, b = space.a[0], space.b[0]  # every pair of n one-vertex blocks is live
     out = np.zeros((n, n))
     out[a, b] = space.project(space.pack([x]))[0]
     return out + out.T
@@ -372,23 +373,23 @@ def default_seeds(problem: SolveProblem):
 class _Feasible:
     """The feasible set of a stack of points, one row each of the live
     unordered block-pair values (`blocks.block_pairs`) on blocks of `sizes`:
-    a value stands for its c unordered vertex pairs (`pairs`), rows are
-    padded to the widest (`live` marks a row's values), and `rows` is each
-    row's index, a column.  The constraint chooses, once, the projection of
+    a value stands for its c unordered vertex pairs (`pairs`) of blocks a
+    and b (`a`, `b`), rows are padded to the widest (`live` marks a row's
+    values), and `rows` is each row's index, a column.  The constraint chooses, once, the projection of
     the rows' blow-ups (`project`: clip into [0, 1], shift and clip onto a
     total weight, or `_RowSums.project` onto row sums), the residual and its
     certificate tolerance `tol` for a point the AL keeps."""
 
     def __init__(self, n, sizes, constraint):
         self.n, self.sizes = n, sizes
-        self.packs = [block_pairs(s) for s in sizes]
-        self.pairs, self.s = _padded([c for _a, _b, c in self.packs]), _padded(sizes)
+        self.a, self.b, self.pairs = stacked_block_pairs(sizes)
+        self.s = _padded(sizes)
         self.live = self.pairs > 0
         self.rows = np.arange(len(self.pairs))[:, None]
         kind, bound = constraint or (None, None)
         self.tol = max(1e-10, 1e-9 * max(1.0, bound)) if kind == "total_weight" else 1e-10
         if kind == "row_sums":
-            sums = _RowSums(n, self.s, self.packs, self.live)
+            sums = _RowSums(n, self.s, self.a, self.b, self.live)
             self._project = lambda y, on: sums.project(y, bound, self.tol, on)
             self.residual = lambda y: sums.deviation(y, bound)
         elif kind == "total_weight":
@@ -403,19 +404,29 @@ class _Feasible:
         """The rows' projection; a row-sum projection iterates only rows in `on`."""
         return self._project(y, on)
 
+    def pairs_of(self, row):
+        """Row `row`'s live block pairs (a, b), as `blocks.block_pairs`."""
+        live = self.live[row]
+        return self.a[row, live], self.b[row, live]
+
     def _by_owner(self, values, owners):
-        """Each row's k x k `values`, symmetrized, at its live block pairs: a
-        pair's value that of the two blocks its blocks lie in (their
-        `owners`).  Symmetric values come back bit for bit."""
-        return _padded([0.5 * (v[o[a], o[b]] + v[o[b], o[a]]) for v, o, (a, b, _c)
-                        in zip(values, map(np.array, owners), self.packs)])
+        """Each row's k x k `values` (a stack, zero-padded to the largest k),
+        symmetrized, at its live block pairs: a pair's value that of the two
+        blocks its blocks lie in (their `owners`, a padded row each).
+        Symmetric values come back bit for bit."""
+        rows = self.rows
+        oa, ob = owners[rows, self.a], owners[rows, self.b]
+        return np.where(self.live, 0.5 * (values[rows, oa, ob] + values[rows, ob, oa]), 0.0)
 
     def pack(self, seeds):
         """The seeds' rows, each seed's values by owner: a BlockSpec's, or a
         matrix's on n one-vertex blocks."""
         values, sizes = zip(*((seed.value_matrix(), seed.sizes) if isinstance(seed, BlockSpec)
                               else (np.asarray(seed, float), (1,) * self.n) for seed in seeds))
-        return self._by_owner(values, [refinement(s, t)[1] for s, t in zip(sizes, self.sizes)])
+        stack = np.zeros((len(values),) + (max(map(len, values)),) * 2)
+        for row, v in zip(stack, values):
+            row[:len(v), :len(v)] = v
+        return self._by_owner(stack, _padded([refinement(s, t)[1] for s, t in zip(sizes, self.sizes)]))
 
 
 class _BlockSpace(_Feasible):
@@ -448,32 +459,31 @@ class _BlockSpace(_Feasible):
         self.problem, self.p = problem, problem.hom_p()
         # the mask as a (cheaper) factor, the inner product's weights
         self.ones, self.pairs2 = 1.0 * self.live, 2.0 * self.pairs
-        values = [base.value_matrix()] * len(owners)
-        self.base = np.where(self.live, self._by_owner(values, owners), 0.5)
+        values = np.broadcast_to(base.value_matrix(), (len(owners),) + (base.num_blocks,) * 2)
+        self.base = np.where(self.live, self._by_owner(values, _padded(owners)), 0.5)
         self.base_q = 1.0 - self.base
         if all(_fits_blocks(problem, s) for s in sizes):
             # a pair's hom gradient in y / p, shared out over its vertex
             # pairs, is one vertex pair's gradient in x
             self.share = np.divide(1.0, self.p * self.pairs,
                                    out=np.zeros_like(self.pairs), where=self.live)
-            self.terms = [self._stack_terms([hom_terms(h, s, pack)
-                                             for s, pack in zip(self.sizes, self.packs)])
+            self.terms = [self._stack_terms(stacked_hom_terms(h, self.sizes))
                           for h, _t in problem.targets]
         else:  # one seed: the vertex pair each block pair's gradient is read at
-            (a, b, _pairs), first = self.packs[0], np.cumsum(self.sizes[0]) - self.sizes[0]
+            (a, b), first = self.pairs_of(0), np.cumsum(self.sizes[0]) - self.sizes[0]
             self.terms, self.probe = None, (first[a], first[b] + (a == b))
 
     def _stack_terms(self, terms):
-        """One pattern's terms of every seed, padded to the most terms: (flat
-        value index into the whole stack, weights), the index (seeds, terms,
-        edges)."""
-        index, weights = (_padded(x) for x in zip(*terms))
+        """One pattern's terms of every seed (`blocks.stacked_hom_terms`),
+        each index made a flat value index into the whole stack: (index,
+        weights), the index (seeds, terms, edges)."""
+        index, weights = terms
         return index + self.pairs.shape[1] * np.arange(len(index))[:, None, None], weights
 
     def _block_matrix(self, y, row):
         """Row `row`'s values `y` (padded or not) at (a, b) and (b, a) of its
         seed's k x k matrix, 0 at a one-vertex block's own pair."""
-        (a, b, _pairs), z = self.packs[row], np.zeros((len(self.sizes[row]),) * 2)
+        (a, b), z = self.pairs_of(row), np.zeros((len(self.sizes[row]),) * 2)
         z[a, b] = z[b, a] = y[:len(a)]
         return z
 
@@ -506,7 +516,7 @@ class _BlockSpace(_Feasible):
         return vals, grads, _rowsum(self.pairs * (y * up + q * down)), (up - down) * self.ones
 
     def dot(self, a, b):
-        return (self.pairs2 * (a * b)).cumsum(1)[:, -1]  # `_rowsum`, inline
+        return _rowsum(self.pairs2 * (a * b))
 
     def witness(self, y, row):
         """Row `row` as its n x n matrix for a matrix seed, else as its

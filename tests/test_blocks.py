@@ -157,7 +157,7 @@ def test_block_homs_are_their_quotient_sums(h):
         z = rng.random((4, k, k))
         z = np.round(z + np.swapaxes(z, 1, 2), 12) / 2  # symmetric, exactly
         live = B.block_pairs(sizes)
-        terms = B.hom_terms(h, sizes, live)
+        terms = B.hom_terms(h, sizes)
         stacked = B.terms_value_and_gradient(
             (terms[0] + len(live[0]) * np.arange(4)[:, None, None],
              np.broadcast_to(terms[1], (4,) + terms[1].shape)), z[:, live[0], live[1]])[0]

@@ -107,7 +107,7 @@ def test_row_sums_of_one_vertex_blocks_stay_accurate_at_n_1000():
     n, d = 1000, 100
     a, b, pairs = B.block_pairs((1,) * n)
     y = np.random.default_rng(n).uniform(0.0, 0.2, (1, len(a)))
-    sums = S._RowSums(n, np.ones((1, n)), [(a, b, pairs)], y > -1)
+    sums = S._RowSums(n, np.ones((1, n)), a[None], b[None], y > -1)
 
     def exact_row_sums(values):
         x = np.zeros((n, n))
@@ -126,13 +126,14 @@ def test_row_sums_of_a_row_are_its_bits_alone_in_any_stack():
     n, d = 140, 20.0
     sizes = [(2,) * 70, (1,) * 60 + (2,) * 40, (1,) * 4 + (34,) * 4, (1,) * 140, (70, 70)]
     packs = [B.block_pairs(s) for s in sizes]
-    live = S._padded([pairs for _a, _b, pairs in packs]) > 0
+    ends_a, ends_b, live = (S._padded(x) for x in zip(*packs))
+    live = live > 0
     y = np.where(live, np.random.default_rng(14).uniform(0.0, 0.3, live.shape), 0.0)
-    stack = S._RowSums(n, S._padded(sizes), packs, live)
+    stack = S._RowSums(n, S._padded(sizes), ends_a, ends_b, live)
     sums, deviation, affine = stack(y), stack.deviation(y, d), stack.affine(y, d)
     for row, (size, (a, b, pairs)) in enumerate(zip(sizes, packs)):
         k, width = len(size), len(pairs)
-        alone = S._RowSums(n, np.array([size]), [(a, b, pairs)], live[row:row + 1, :width])
+        alone = S._RowSums(n, np.array([size]), a[None], b[None], live[row:row + 1, :width])
         one = y[row:row + 1, :width]
         assert _same_bits(alone(one)[0], sums[row, :k])
         assert _same_bits(alone.deviation(one, d), deviation[row:row + 1])
@@ -907,7 +908,8 @@ def test_block_space_takes_base_and_seed_values_by_owner(prob):
     specs = [spec for _name, spec in S.default_seeds(prob)]
     space = S._BlockSpace(prob, [spec.sizes for spec in specs])
     packed = space.pack(specs)
-    for row, (spec, sizes, (a, b, _c)) in enumerate(zip(specs, space.sizes, space.packs)):
+    for row, (spec, sizes) in enumerate(zip(specs, space.sizes)):
+        a, b = space.pairs_of(row)
         base = prob.base_spec().refined(spec.sizes)
         assert base.sizes == sizes == spec.refined(base.sizes).sizes
         assert np.array_equal(space.base[row, :len(a)], base.value_matrix()[a, b])
@@ -945,9 +947,10 @@ def test_seed_structure_is_built_once_per_solve(monkeypatch):
     # counts, not timings: per solve, each pattern's independence polynomial
     # is built once for every ladder level, a root takes at most 80
     # evaluations (200 and more before bisection stopped early), and each
-    # seed's block pairs are built once, plus once for the winner's one part
+    # seed's block pairs are built once, in the stack's one call, plus once
+    # for the winner's one part
     prob = S.SolveProblem(((K3, 1.3),), n=60, base=0.3)
-    counts = dict.fromkeys(("polynomials", "evaluations", "roots", "block_pairs"), 0)
+    counts = dict.fromkeys(("polynomials", "evaluations", "roots"), 0)
 
     def counted(key, fn):
         def call(*args):
@@ -962,11 +965,20 @@ def test_seed_structure_is_built_once_per_solve(monkeypatch):
     seeds = S.default_seeds(prob)
     assert counts["polynomials"] == 1 and counts["roots"] == 6
     assert counts["evaluations"] <= 80 * counts["roots"]
-    block_pairs = counted("block_pairs", B.block_pairs)
-    monkeypatch.setattr(S, "block_pairs", block_pairs)
-    monkeypatch.setattr(B, "block_pairs", block_pairs)
+    stacks, stacked_block_pairs, block_pairs = [], B.stacked_block_pairs, B.block_pairs
+
+    def counted_stack(stack):
+        stacks.append(len(stack))
+        return stacked_block_pairs(stack)
+
+    def counted_one(sizes):
+        stacks.append(1)
+        return block_pairs(sizes)
+
+    monkeypatch.setattr(S, "stacked_block_pairs", counted_stack)
+    monkeypatch.setattr(B, "block_pairs", counted_one)
     res = S.solve_phi(prob)
-    assert res.x.num_blocks == 1 and counts["block_pairs"] <= len(seeds) + 1
+    assert res.x.num_blocks == 1 and stacks == [len(seeds), 1]
 
 
 def test_seed_ties_within_tolerance_go_to_the_first_seed(monkeypatch):
@@ -1175,7 +1187,7 @@ def test_dykstra_is_its_reference_bit_for_bit():
     prob = S.SolveProblem(((K3, 1.3),), n=60, base=0.3, ensemble=("row_sums", 18))
     specs = [spec for _name, spec in S.default_seeds(prob)]
     space = S._BlockSpace(prob, [spec.sizes for spec in specs])
-    packed, sums = space.pack(specs), S._RowSums(60, space.s, space.packs, space.live)
+    packed, sums = space.pack(specs), S._RowSums(60, space.s, space.a, space.b, space.live)
     for trial in range(20):
         on = rng.random(len(packed)) < 0.7
         on[trial % len(on)] = True
