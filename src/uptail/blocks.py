@@ -83,25 +83,24 @@ class BlockSpec:
         x = self.materialize()
         return x if dtype is None else x.astype(dtype, copy=False)
 
+    def _numerators(self):
+        """The values over their least common denominator D: (numerators, D)."""
+        den = math.lcm(*(v.denominator for row in self.values for v in row))
+        return [[v.numerator * (den // v.denominator) for v in row] for row in self.values], den
+
     def row_sums_exact(self):
-        """Row sum per block, as Fractions (one value per block by symmetry)."""
-        out = []
-        for a in range(self.num_blocks):
-            total = sum(
-                Fraction(self.sizes[b]) * self.values[a][b]
-                for b in range(self.num_blocks)
-            ) - self.values[a][a]
-            out.append(total)
-        return out
+        """Row sum per block, as Fractions (one value per block by symmetry),
+        summed in integers over the values' common denominator."""
+        num, den = self._numerators()
+        return [Fraction(sum(s * x for s, x in zip(self.sizes, row)) - row[a], den)
+                for a, row in enumerate(num)]
 
     def total_weight_exact(self) -> Fraction:
-        """Sum over unordered pairs i < j."""
-        ordered = sum(
-            Fraction(self.sizes[a]) * self.sizes[b] * self.values[a][b]
-            for a in range(self.num_blocks)
-            for b in range(self.num_blocks)
-        ) - sum(Fraction(self.sizes[a]) * self.values[a][a] for a in range(self.num_blocks))
-        return ordered / 2
+        """Sum over unordered pairs i < j, in integers as `row_sums_exact`."""
+        num, den = self._numerators()
+        ordered = sum(sa * (sum(s * x for s, x in zip(self.sizes, row)) - row[a])
+                      for a, (sa, row) in enumerate(zip(self.sizes, num)))
+        return Fraction(ordered, 2 * den)
 
     def entropy(self, base) -> float:
         """I over ordered pairs against a p or a k x k base, blockwise (any n)."""
@@ -150,7 +149,7 @@ class BlockSpec:
                  for part, count in collections.Counter(self.parts()).items()]
         density = 1.0
         for vertices in h.components():
-            c = h.induced(vertices)
+            c = h if len(vertices) == h.vertex_count else h.induced(vertices)
             density *= sum(
                 count * (part.n / self.n) ** c.vertex_count * terms_value_and_gradient(
                     hom_terms(c, part.sizes), part.value_matrix()[live[0], live[1]])[0]
@@ -208,8 +207,51 @@ def _independent_group_partitions(h: Graph):
     yield from rec(0, [])
 
 
-# the k^v placements `_hom_table` may compile for a solve's seed of k blocks and
-# a pattern of v vertices (`solver._fits_blocks`); not a measured crossover
+@functools.cache
+def _partition_counts(h: Graph):
+    """a[g]: how many partitions of V(h) into g independent groups there
+    are, counted vertex by vertex rather than listed.  A group bears on the
+    vertices still to come only through those of them it is joined to, so
+    partial partitions are merged by their groups' such sets: the empty
+    ones (free groups, any later vertex may join one) as a number, the
+    others as a sorted tuple of bit masks."""
+    joined_to = [0] * h.vertex_count
+    for u, v in h.edges:
+        joined_to[u] |= 1 << v
+        joined_to[v] |= 1 << u
+    states = {(0, ()): 1}
+    for v in range(h.vertex_count):
+        later = -1 << (v + 1)
+        own = joined_to[v] & later
+        merged = collections.Counter()
+        for (free, masks), count in states.items():
+            rest = [m & later for m in masks]
+            # v opens a group, joins one of the free groups, or joins a group
+            # that no edge ties it to
+            options = [(free, rest + [own], count), (free - 1, rest + [own], count * free)]
+            options += [(free, rest[:i] + [rest[i] | own] + rest[i + 1:], count)
+                        for i, m in enumerate(masks) if not m >> v & 1]
+            for free_now, groups, ways in options:
+                if ways:
+                    tied = sorted(m for m in groups if m)
+                    merged[free_now + len(groups) - len(tied), tuple(tied)] += ways
+        states = merged
+    counts = [0] * (h.vertex_count + 1)
+    for (free, _masks), count in states.items():
+        counts[free] += count
+    return tuple(counts)
+
+
+@functools.cache
+def placements(h: Graph, k: int) -> int:
+    """The placements of groups in blocks `_hom_table(h, k)` enumerates:
+    a_g k^g summed over the partitions' group counts g (`_partition_counts`)."""
+    return sum(a * k ** g for g, a in enumerate(_partition_counts(h)))
+
+
+# the placements (`placements`) `_hom_table` may enumerate for a solve's seed
+# of k blocks (`solver._fits_blocks`), at least k^v for a pattern of v
+# vertices; not a measured crossover
 COMPILE_CAP = 1 << 16
 
 
@@ -241,9 +283,9 @@ def _hom_table(h: Graph, k: int):
 
 def complete_density(h: Graph, n: int) -> float:
     """t(h, J - I) on n vertices: P_h(n) / n^v, the chromatic polynomial
-    P_h(n) a sum of (n)_g over independent-group partitions (`_hom_table`)."""
-    _pairs, groups, mult = _hom_table(h, 1)
-    return sum(int(c) * math.perm(n, int(g)) for g, c in zip(groups[:, 0], mult)) / n**h.vertex_count
+    P_h(n) the sum of a_g (n)_g over the independent-group partitions'
+    group counts g (`_partition_counts`), an exact integer."""
+    return sum(a * math.perm(n, g) for g, a in enumerate(_partition_counts(h))) / n**h.vertex_count
 
 
 # the upper triangle's indices, built once per block count and never written to
@@ -363,11 +405,9 @@ def _rowsum(a):
     two or more rows.  It starts at -0.0, which leaves the first term as it
     is, so a row of -0.0 sums to -0.0 as when added one by one.  A lone row
     it would sum pairwise, so there the last partial sum is read instead."""
-    if not a.shape[-1]:
-        return np.zeros(a.shape[:-1])[()]
-    if math.prod(a.shape[:-1]) > 1:
+    if a.size > a.shape[-1]:
         return np.add.reduce(np.asfortranarray(a), axis=-1, initial=-0.0)
-    return a.cumsum(axis=-1)[..., -1]
+    return a.cumsum(axis=-1)[..., -1] if a.size else np.zeros(a.shape[:-1])[()]
 
 
 def terms_value_and_gradient(terms, values):

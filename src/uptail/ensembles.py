@@ -35,6 +35,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -43,7 +44,13 @@ from .errors import DomainError, SamplingError
 from .graphs import Graph
 # hom_normalized is unused here but stays bound: perfbench's traced run
 # patches uptail.ensembles.hom_normalized by name
-from .homs import BATCH_CELLS, DP_CELL_CAP, batched_hom_normalized, hom_normalized  # noqa: F401
+from .homs import (  # noqa: F401
+    BATCH_CELLS,
+    DP_CELL_CAP,
+    batched_hom_normalized,
+    count_scale,
+    hom_normalized,
+)
 from .rates import BlockModelParams, b_h, rate_scale
 
 CONFIG_MODEL_RETRY_CAP = 20_000
@@ -533,11 +540,38 @@ def _hom_hits_for_batch(a_batch, h_list, t_list, p):
     return hits
 
 
+def _decimal(x) -> Fraction:
+    """A float as the shortest decimal that gives it back: 0.2 is 1/5."""
+    return Fraction(repr(float(x)))
+
+
+def _count_threshold(spec, h, t):
+    """The threshold on `batched_hom_normalized` values that decides
+    hom(h, G) >= t * `threshold_unit` exactly, with no tie lost to rounding.
+    The least count that meets t, C = ceil(t * unit * n^v * p^e), is taken
+    in rational arithmetic, each float as its `_decimal` (t, the unit and
+    p; uniform's and regular's p as m / C(n, 2) and d / n), kept within
+    [0, n^v + 1] (every graph, or none, meets a C outside), and divided as a
+    count is (`count_scale`).  Division keeps the order of counts and, below
+    2^51, tells consecutive ones apart, so a graph's value reaches the
+    threshold exactly when its count reaches C."""
+    n, v = spec.n, h.vertex_count
+    if spec.kind == "uniform":
+        p = Fraction(spec.m, n * (n - 1) // 2)
+    elif spec.kind == "regular":
+        p = Fraction(spec.d, n)
+    else:
+        p = _decimal(spec.sparsity())
+    least = math.ceil(_decimal(t) * _decimal(spec.threshold_unit(h)) * n ** v * p ** h.edge_count)
+    return min(max(least, 0), n ** v + 1) / count_scale(h, n, spec.sparsity())
+
+
 def _tail_setup(spec, h_list, t_list, num_samples, in_units=True):
     """Check a tail estimate's inputs (at least one sample and one pattern,
     one finite threshold per pattern); return the patterns and the thresholds
-    as lists, each threshold times its `threshold_unit` when `in_units`, the
-    sparsity p and a_{n,p} (None where the ensemble has no scale)."""
+    as lists, each threshold in its `threshold_unit` made the exact count
+    threshold `_count_threshold` when `in_units`, the sparsity p and a_{n,p}
+    (None where the ensemble has no scale)."""
     if num_samples < 1:
         raise DomainError("num_samples must be >= 1")
     h_list, t_list = list(h_list), [float(t) for t in t_list]
@@ -549,7 +583,7 @@ def _tail_setup(spec, h_list, t_list, num_samples, in_units=True):
     if not h_list:
         raise DomainError("need at least one pattern")
     if in_units:
-        t_list = [t * spec.threshold_unit(h) for h, t in zip(h_list, t_list)]
+        t_list = [_count_threshold(spec, h, t) for h, t in zip(h_list, t_list)]
     p = spec.sparsity()
     return h_list, t_list, p, rate_scale(spec.n, p, h_list, spec.kind == "regular")
 
@@ -660,7 +694,8 @@ def importance_tail(
     Unbiased for the base-measure probability when tilt entries stay inside
     (0,1) wherever the base probability does; a tilt entry of exactly 1 is
     allowed (clique planting) and then the estimate covers only outcomes
-    containing those forced edges.
+    containing those forced edges, so it is a lower bound on P, which a note
+    says.
 
     A graph's log-weight sums, in pair order, only the pairs whose tilt
     differs from the base (a planted hub or clique moves O(s n) of them).
@@ -691,6 +726,7 @@ def importance_tail(
     # sum in pair order is -0.0, and dropping the zeros leaves each one
     # unchanged, bit for bit
     moved, every = np.flatnonzero(tp != bp), np.arange(tp.size)
+    forced = int(((tp >= 1.0) & (bp < 1.0)).sum())
 
     def draw(b, rng):
         # In Fortran order each graph's log-weight sums one pair at a time in
@@ -719,7 +755,7 @@ def importance_tail(
     se = contrib.std(ddof=1) / math.sqrt(num_samples) if num_samples > 1 else 0.0
     point = _unshift(mean, shift)
     ess = float(wts.sum() ** 2 / (wts ** 2).sum()) if wts.sum() > 0 else 0.0
-    return TailEstimate(
+    est = TailEstimate(
         point=point,
         ci_low=_unshift(mean - 1.96 * se, shift),
         ci_high=_unshift(mean + 1.96 * se, shift),
@@ -730,6 +766,9 @@ def importance_tail(
         neg_log_normalized=_neg_log(point) / a_np if a_np else None,
         zero_hits=not bool(hits.any()),
     )
+    if forced:
+        est.notes.append(f"tilt forces {forced} pairs: a lower bound on P")
+    return est
 
 
 def pittel_check(n, m, event, num_samples, seed: int = 0):

@@ -400,4 +400,9 @@ def batched_hom_normalized(h: Graph, a_stack: np.ndarray, p: float) -> np.ndarra
     for lo in range(0, b, size):
         batch = a_stack[lo:lo + size] if size > 1 else a_stack[lo]
         counts[lo:lo + size] = _dp_sum(h, batch.astype(dtype))
-    return counts / (float(n) ** h.vertex_count * p ** h.edge_count)
+    return counts / count_scale(h, n, p)
+
+
+def count_scale(h: Graph, n: int, p: float) -> float:
+    """n^v p^e, the float by which `batched_hom_normalized` divides a count."""
+    return float(n) ** h.vertex_count * p ** h.edge_count

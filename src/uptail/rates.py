@@ -334,7 +334,11 @@ def c_joint(h_list, delta_list) -> RateReport:
 def theta_root_from_poly(poly, delta: float) -> float:
     """The positive root of poly = 1 + delta by bisection, as its upper end.
     Once the midpoint rounds to an end, no step can move either end (poly(lo)
-    < 1 + delta <= poly(hi) throughout), so the loop stops there."""
+    < 1 + delta <= poly(hi) throughout), so the loop stops there, where the
+    ends are adjacent floats.  A polynomial of nonnegative coefficients, by
+    Horner's rule, does not decrease on x >= 0 even in floats, so that upper
+    end is the least float at which poly reaches 1 + delta, from whatever
+    bracket the bisection starts: `_narrowed` first takes it to a few ulps."""
     _require_delta(delta)
     if delta == 0:
         return 0.0
@@ -344,6 +348,7 @@ def theta_root_from_poly(poly, delta: float) -> float:
         hi *= 2.0
         if hi > 1e18:
             raise DomainError("no positive root found")
+    lo, hi = _narrowed(poly, target, lo, hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
@@ -353,6 +358,32 @@ def theta_root_from_poly(poly, delta: float) -> float:
         else:
             hi = mid
     return hi  # poly(hi) >= target, so the returned point is always feasible
+
+
+def _narrowed(poly, target, lo, hi):
+    """The bracket poly(lo) < target <= poly(hi) narrowed by false-position
+    steps, an end's excess halved once the other end has moved twice in a
+    row (the Illinois rule), a step that would land within 2 ulps of an end
+    taken 2 ulps inside it, at most 8 of them, until the ends lie within 4
+    ulps.  Left as it is where poly(lo) already reaches target (1 + delta
+    rounds to 1: bisection then runs its 200 steps) or poly(hi) overflows."""
+    f_lo, f_hi = poly(lo) - target, poly(hi) - target
+    if f_lo >= 0 or f_hi == math.inf:
+        return lo, hi
+    side = 0
+    for _ in range(8):
+        if hi - lo <= 4 * math.ulp(hi):
+            break
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        x = min(max(x, lo + 2 * math.ulp(lo)), hi - 2 * math.ulp(hi))
+        f_x = poly(x) - target
+        if f_x < 0:
+            lo, f_lo, f_hi = x, f_x, f_hi * (0.5 if side < 0 else 1.0)
+            side = -1
+        else:
+            hi, f_hi, f_lo = x, f_x, f_lo * (0.5 if side > 0 else 1.0)
+            side = 1
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

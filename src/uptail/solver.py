@@ -33,6 +33,7 @@ from .blocks import (
     complete_density,
     ensemble_residual,
     fill_total_weight,
+    placements,
     refinement,
     stacked_block_pairs,
     stacked_hom_terms,
@@ -219,8 +220,9 @@ class _RowSums:
         self.runs = -(-k // self.RUN)
         a, b = a[live], b[live]
         row, col = np.nonzero(live)
-        self.ends = np.zeros((2,) + live.shape, dtype=np.intp)
-        self.ends[:, row, col] = ends = row * k + a, row * k + b  # flat indices into s
+        self.ends_a, self.ends_b = np.zeros((2,) + live.shape, dtype=np.intp)
+        ends = row * k + a, row * k + b  # flat indices into s
+        self.ends_a[row, col], self.ends_b[row, col] = ends
         # a term (block, partner) for (a, b), and for (b, a) off the diagonal,
         # in partner order; its coefficient, the partner's size less 1 within
         # a block, is 0 only for a one-vertex block's own pair, which has no term
@@ -253,7 +255,7 @@ class _RowSums:
         total = self._add(self.block_bins, (self.s * r).ravel(), r.shape[:1])
         shift = (n * d - total) / (2.0 * (n - 1))
         mu = (d - r - shift[:, None]) / (n - 2.0)
-        return y + (mu.take(self.ends[0]) + mu.take(self.ends[1])) * self.ones
+        return y + (mu.take(self.ends_a) + mu.take(self.ends_b)) * self.ones
 
     def project(self, x, d, tol, on=None, max_iter=5000):
         """The projection onto the box [0, 1] and row sums d: Dykstra's
@@ -275,13 +277,13 @@ class _RowSums:
             stopped = ~run
             if _count(stopped):
                 y2[stopped] = y[stopped]
-            y = y2
-            run &= self.deviation(_unit(y), d) > tol
+            y, out = y2, _unit(y2)
+            run &= self.deviation(out, d) > tol
             if not _count(run):
                 break
             kept = stopped[:, None]
             inc_box, inc_aff = np.where(kept, inc_box, y_box - z), np.where(kept, inc_aff, z_aff - y)
-        return _unit(y)
+        return out
 
 
 def project_ensemble(x, constraint):
@@ -328,6 +330,7 @@ def ladder(problem: SolveProblem, deltas):
                 continue
         else:
             poly = independence_polynomial(h_star(h))
+            regular, top = h.is_regular(), h.max_degree()
         for level, delta in zip(out, deltas):
             if kind == "row_sums":
                 rungs = [(tag, build, (n, d, delta, shape)) for tag, build, shape in builders]
@@ -337,11 +340,10 @@ def ladder(problem: SolveProblem, deltas):
                 except DomainError:
                     continue
                 plants = [("hub", xh, 0.0)]
-                if h.is_regular():
+                if regular:
                     yc = delta ** (1.0 / h.vertex_count)
                     plants += [("clique", 0.0, yc), ("both", xh, yc)]
-                rungs = [(f"plant_{tag}", build_plant, (n, p, x, y, h.max_degree()))
-                         for tag, x, y in plants]
+                rungs = [(f"plant_{tag}", build_plant, (n, p, x, y, top)) for tag, x, y in plants]
             for tag, build, args in rungs:
                 try:
                     level.append((f"{tag}{pos}", build(*args)))
@@ -541,10 +543,11 @@ def _padded(rows):
 def _fits_blocks(problem, sizes):
     """Whether a seed on blocks of `sizes` (None for a matrix seed) takes its
     hom values from `blocks`' compiled independent-group expansion, in the
-    one lockstep stack: while k^v <= `blocks.COMPILE_CAP` for a pattern of v
-    vertices on its k blocks."""
+    one lockstep stack: while the placements its compile enumerates on the
+    seed's k blocks (`blocks.placements`, at least k^v for a pattern of v
+    vertices) are at most `blocks.COMPILE_CAP`, for every pattern."""
     return sizes is not None and all(
-        len(sizes) ** h.vertex_count <= COMPILE_CAP for h, _t in problem.targets)
+        placements(h, len(sizes)) <= COMPILE_CAP for h, _t in problem.targets)
 
 
 def _refuse_unreachable(problem):

@@ -1,5 +1,6 @@
 """Block-matrix constructions: exact membership, planted hom mass, entropy."""
 
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -69,6 +70,32 @@ def test_block_hom_sums_over_parts_and_multiplies_over_components():
     x = spec.materialize()
     for h in (K3, K4, G.cycle(5), two_triangles, G.Graph(3, ((0, 1),)), G.Graph(2, ())):
         assert spec.hom_density(h) == pytest.approx(H.hom_density_t(h, x), rel=1e-12)
+
+
+def test_partition_counts_are_the_enumerated_partitions():
+    # a[g] counted vertex by vertex is the number of independent-group
+    # partitions with g groups that `_hom_table` lists; P_H(n) from them is
+    # the chromatic polynomial ((n - 1)^l + (-1)^l (n - 1) on a cycle), and
+    # the placements are those `_hom_table` enumerates on k blocks
+    rng = np.random.default_rng(30)
+    patterns = [K3, K4, G.cycle(5), G.cycle(8), G.star(3), G.path(5), G.clique(6),
+                G.complete_bipartite(3, 3), TRIANGLE_AND_POINT, G.Graph(0, ()), G.Graph(3, ())]
+    for _ in range(30):
+        v = int(rng.integers(1, 9))
+        patterns.append(G.Graph(v, tuple((a, b) for a in range(v) for b in range(a + 1, v)
+                                         if rng.random() < 0.4)))
+    for h in patterns:
+        listed = collections.Counter(len(groups) for groups in B._independent_group_partitions(h))
+        assert B._partition_counts(h) == tuple(listed[g] for g in range(h.vertex_count + 1))
+        assert B.placements(h, 3) == sum(c * 3 ** g for g, c in listed.items())
+        for n in (9, 31):
+            chromatic = sum(c * math.perm(n, g) for g, c in listed.items())
+            assert B.complete_density(h, n) == chromatic / n ** h.vertex_count
+    for l in (10, 12):
+        n = 30
+        assert B.complete_density(G.cycle(l), n) == ((n - 1) ** l + (-1) ** l * (n - 1)) / n ** l
+    assert sum(B._partition_counts(G.cycle(12))) == 580_317
+    assert B.placements(G.clique(4), 16) == 16 ** 4 and B.placements(G.cycle(5), 9) == 95_499
 
 
 def test_whole_cliques_expand_one_part_at_a_time(monkeypatch):

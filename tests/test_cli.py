@@ -6,6 +6,7 @@ import json
 import math
 import os
 import subprocess
+import time
 import sys
 import warnings
 from pathlib import Path
@@ -659,6 +660,22 @@ def test_solve_seed_past_the_compile_cap_prints_its_blockspec(capsys):
     assert doc["blockspec"]["sizes"] == [3] * 7 + [39]
     assert doc["value"] == 107.04555046992012 and doc["iterations"] == 42
     assert doc["residuals"] == [1.453647406890468e-07] and doc["ensemble_residual"] <= 1e-10
+
+
+def test_solve_on_a_long_cycle_ends():
+    # C12 has 580,317 independent-group partitions: enumerating them, to
+    # count the complete graph or to compile 2-block seeds, did not end in
+    # 120 s.  The complete graph's count and the compile's placements now
+    # come from the partitions' counts, and no seed of C12 fits the compile,
+    # so each runs alone on the DP of its blow-up
+    start = time.perf_counter()
+    proc = run_cli("solve", "--graph", "cycle:12", "--t", "1.3", "--n", "30", "--p", "0.3")
+    assert time.perf_counter() - start < 10.0
+    assert proc.returncode in (0, 3), proc.stderr
+    if proc.returncode == 0:
+        doc = json.loads(proc.stdout)
+        check_schema(doc, "solve")
+        assert doc["residuals"][0] <= 1e-6
 
 
 BLOCK_MODEL = ("--model", "block", "--alpha", "0.5,0.5", "--kernel", "[[2,1],[1,0.5]]",

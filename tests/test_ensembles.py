@@ -725,7 +725,8 @@ _PINNED_RUNS = {
 }
 # `to_json()` of each run, at chunks of 64 graphs; a change to how stacks are
 # drawn or counted must leave every one of them byte-identical.  The hub tilt
-# is the mc-batched benchmark's; the forced tilt has entries of 1.
+# is the mc-batched benchmark's; the forced tilt has entries of 1, so its
+# estimate is a lower bound on P and says so.
 _PINNED = {
     ("er-k3", 1): {
         "point": 0.03, "ci_low": 0.021093603189697094, "ci_high": 0.04250368148151,
@@ -789,6 +790,7 @@ _PINNED = {
         "method": "importance", "neg_log_point": 6.341714461539459,
         "neg_log_ci_low": 6.2535175469326765, "neg_log_ci_high": 6.438449144240038,
         "zero_hits": False, "neg_log_normalized": 0.3003937657879963,
+        "notes": ["tilt forces 6 pairs: a lower bound on P"],
     },
     ("is-forced", 2): {
         "point": 0.0017476266666666678, "ci_low": 0.0015853894220931052,
@@ -796,6 +798,7 @@ _PINNED = {
         "method": "importance", "neg_log_point": 6.349496601981514,
         "neg_log_ci_low": 6.2607232901216125, "neg_log_ci_high": 6.446925209657966,
         "zero_hits": False, "neg_log_normalized": 0.3007623895233375,
+        "notes": ["tilt forces 6 pairs: a lower bound on P"],
     },
 }
 
@@ -805,6 +808,49 @@ _PINNED = {
 def test_estimates_pinned(name, workers, monkeypatch):
     monkeypatch.setattr(E, "CHUNK", 64)
     assert _PINNED_RUNS[name](workers).to_json() == _PINNED[(name, workers)]
+
+
+def test_direct_mc_counts_a_graph_that_meets_t_exactly():
+    # er(20, 0.2) and t = 3 on K3: hom(K3, G) >= 3 * 20^3 * (1/5)^3 = 192,
+    # i.e. at least 32 triangles.  Of the 20,000 draws of stream (9, 0), 24
+    # have that many, 2 of them exactly 32, whose batched value 192 / 64.00..01
+    # rounds below 3; the single-graph count, which scales each entry by 1/p
+    # first, returns 3.0 for them.  Both paths decide every graph alike
+    spec, samples = E.er(20, 0.2), 20_000
+    assert E.mc_upper_tail(spec, [K3], [3.0], samples, seed=9).hits == 24
+    rng, threshold = E.rng_stream(9, 0), E._count_threshold(spec, K3, 3.0)
+    ties = 0
+    for lo in range(0, samples, E.CHUNK):
+        stack = E._draw_stack(spec, min(E.CHUNK, samples - lo), rng)
+        batched = E._hom_hits_for_batch(stack, [K3], [threshold], 0.2)
+        single = [H.hom_normalized(K3, a.astype(float), 0.2) >= 3.0 for a in stack]
+        assert batched.tolist() == single
+        ties += int((np.einsum("bij,bjk,bki->b", *[stack.astype(float)] * 3) == 192).sum())
+    assert ties == 2
+
+
+def test_count_thresholds_take_the_decimals_typed():
+    # uniform and regular take p as m / C(n, 2) and d / n, a float as the
+    # shortest decimal that gives it back; past every count or below zero,
+    # no graph or every graph meets the threshold
+    n = 20
+    for spec, p in ((E.er(n, 0.2), 0.2), (E.uniform(n, 38), 0.2), (E.regular(n, 4), 0.2)):
+        assert E._count_threshold(spec, K3, 3.0) == 192 / H.count_scale(K3, n, spec.sparsity())
+        assert spec.sparsity() == pytest.approx(p)
+    spec = E.er(n, 0.2)
+    assert E._count_threshold(spec, K3, 3.0000001) == 193 / H.count_scale(K3, n, 0.2)
+    assert E._count_threshold(spec, K3, 1e300) == (n ** 3 + 1) / H.count_scale(K3, n, 0.2)
+    assert E._count_threshold(spec, K3, -5.0) == 0.0
+
+
+def test_a_tilt_that_forces_pairs_says_its_estimate_is_a_lower_bound():
+    # a hub tilt with rows of 1 counts only the graphs that hold the hub's
+    # 2 * 17 - 1 = 33 pairs; blended with the base it forces none
+    forced = E.importance_tail(_ER18, _hub_tilt(_ER18, 2, 1.0), [K3], [1.8], 200, seed=8)
+    assert forced.notes == ["tilt forces 33 pairs: a lower bound on P"]
+    assert forced.to_json()["notes"] == forced.notes
+    blended = E.importance_tail(_ER18, _hub_tilt(_ER18, 2, 0.5), [K3], [1.8], 200, seed=8)
+    assert blended.notes == [] and "notes" not in blended.to_json()
 
 
 def test_regular_neg_log_normalized_uses_two_core():

@@ -268,16 +268,18 @@ def test_matrix_seed_runs_on_one_vertex_blocks_as_on_its_matrix(h, ensemble, nam
 
 
 def test_seed_past_the_compile_cap_keeps_its_blocks(monkeypatch):
-    # 10 blocks put C5 past k^5 = COMPILE_CAP: the seed runs alone on its own
-    # block values, its hom values from the DP on its blow-up, and nothing
-    # compiles the expansion on 10 blocks, not even the winner's measure
+    # 10 blocks put C5's placements past COMPILE_CAP (9 already do, 8 do
+    # not): the seed runs alone on its own block values, its hom values from
+    # the DP on its blow-up, and nothing compiles the expansion on 10 blocks,
+    # not even the winner's measure
     n, c5 = 40, G.cycle(5)
     rng = np.random.default_rng(4)
     values = np.triu(rng.integers(1, 9, (10, 10)) / 10)
     values = [[Fraction(v) for v in row] for row in values + np.triu(values, 1).T]
     spec = B.BlockSpec((4,) * 10, tuple(map(tuple, values)))
     prob = S.SolveProblem(((c5, 8.0),), n=n, base=0.3, seeds=(spec,))
-    assert not S._fits_blocks(prob, spec.sizes) and S._fits_blocks(prob, (4,) * 9)
+    assert not S._fits_blocks(prob, spec.sizes) and not S._fits_blocks(prob, (4,) * 9)
+    assert S._fits_blocks(prob, (5,) * 8)
     hom_table = B._hom_table
 
     def no_compile(h, k):
