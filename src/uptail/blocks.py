@@ -181,6 +181,8 @@ class BlockSpec:
 def refinement(sizes, other):
     """The blocks of `sizes` cut also where blocks of `other` end, and the
     owner of each: the index of the block of `sizes` it lies in."""
+    if len(sizes) == 1 and sum(other) == sizes[0]:  # one block: `other` itself
+        return tuple(other), [0] * len(other)
     ends = list(itertools.accumulate(sizes))
     cuts = sorted(set(ends).union(itertools.accumulate(other)))
     owner = [bisect.bisect_left(ends, cut) for cut in cuts]  # the ends below each cut

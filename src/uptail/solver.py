@@ -144,6 +144,9 @@ def _rows_of(v, like):
     return v.reshape((-1,) + (1,) * (like.ndim - 1))
 
 
+_BRACKET = np.array([-1, 0])  # a bracket's two ends, from its upper end's place
+
+
 def _shift_clip(vals, m, weights, live, rows):
     """Row by row, the exact solve of sum weights * clip(v + lam, 0, 1) = m
     for rows of values in [0, 1]: the projection onto a weighted sum within
@@ -172,7 +175,7 @@ def _shift_clip(vals, m, weights, live, rows):
     i = np.minimum(np.maximum((totals < m).sum(-1, keepdims=True) + (big < m), 1), width)
     bps = np.zeros((len(vals), width + 2))  # 0, breakpoints, 0; read one further on below
     bps[:, 1:-1] = np.where(low, -v, 1.0 - v)
-    ends = bps.take(i + low + rows * (width + 2) + np.array([-1, 0]))
+    ends = bps.take(i + low + rows * (width + 2) + _BRACKET)
     lo, hi = ends[:, :1], ends[:, 1:]
     t = _rowsum(weights[:, None] * _unit(vals[:, None] + ends[..., None]))
     t_lo, t_hi = t[:, :1], t[:, 1:]
@@ -201,16 +204,16 @@ def _check_constraint(constraint, n):
 
 
 class _RowSums:
-    """Row sums of a stack of block-pair values (blocks of sizes `s`, padded
-    with 0, and pairs of blocks `a`, `b` where `live`), and the projection
-    onto them (`project`,
-    which stops a row on the point it returns): a vertex in block a has row
-    sum sum_b s_b y_ab - y_aa, one term for each partner b (none for a
-    one-vertex block's own pair).  One `np.bincount` adds each block's terms
-    in partner order, into runs of RUN partners, and `_rowsum` adds a
-    block's runs in order.  The runs are for accuracy: in one run the 999
-    terms of n = 1000 one-vertex blocks summed up to 3e-13 off.  A padded
-    block is left out of the residual; a padded value stays 0."""
+    """Row sums of a stack of block-pair values (blocks of sizes `s`,
+    padded with 0, and pairs of blocks `a`, `b` where `live`), and the
+    projection onto them (`project`, which stops a row on the point it
+    returns): a vertex in block a has row sum sum_b s_b y_ab - y_aa, one
+    term for each partner b (none for a one-vertex block's own pair).  One
+    `np.bincount` adds each block's terms in partner order, into runs of
+    RUN partners, and `_rowsum` adds a block's runs in order.  The runs are
+    for accuracy: in one run the 999 terms of n = 1000 one-vertex blocks
+    summed up to 3e-13 off.  A padded block is left out of the residual; a
+    padded value stays 0."""
 
     RUN = 64
 
@@ -377,10 +380,11 @@ class _Feasible:
     unordered block-pair values (`blocks.block_pairs`) on blocks of `sizes`:
     a value stands for its c unordered vertex pairs (`pairs`) of blocks a
     and b (`a`, `b`), rows are padded to the widest (`live` marks a row's
-    values), and `rows` is each row's index, a column.  The constraint chooses, once, the projection of
-    the rows' blow-ups (`project`: clip into [0, 1], shift and clip onto a
-    total weight, or `_RowSums.project` onto row sums), the residual and its
-    certificate tolerance `tol` for a point the AL keeps."""
+    values), and `rows` is each row's index, a column.  The constraint
+    chooses, once, the projection of the rows' blow-ups (`project`: clip
+    into [0, 1], shift and clip onto a total weight, or `_RowSums.project`
+    onto row sums), the residual and its certificate tolerance `tol` for a
+    point the AL keeps."""
 
     def __init__(self, n, sizes, constraint):
         self.n, self.sizes = n, sizes
@@ -822,10 +826,6 @@ def _spg(space, x, ev, targets, lam, rho, step, on, max_steps=60):
         return tuple(np.where(_rows_of(rows, a), a, b) for a, b in zip(new, old))
 
     f, grad = al(ev)
-    # each row's last 10 values, a ring; a row out of the loop never returns
-    # to it, so the rows still in it share one write position
-    recent = np.empty((len(x), 10))
-    recent[:, 0], recent[:, 1:] = f, -math.inf
     inner = on.copy()
     for k in range(1, max_steps + 1):
         d = space.project(x - _rows_of(step, x) * grad, inner) - x
@@ -835,6 +835,11 @@ def _spg(space, x, ev, targets, lam, rho, step, on, max_steps=60):
         live = _count(inner)
         if not live:
             break
+        if k == 1:
+            # each row's last 10 values, a ring; a row out of the loop never
+            # returns to it, so the rows still in it share one write position
+            recent = np.empty((len(x), 10))
+            recent[:, 0], recent[:, 1:] = f, -math.inf
         # a row out of the loop takes the zero step: its trial point is its
         # point, which evaluates to its own values bit for bit
         if live < len(inner):
