@@ -372,7 +372,7 @@ def _term_weights(h: Graph, s):
     weights = mult * falling[..., np.arange(k), counts].prod(axis=-1)
     a, b = _triu_indices(k)
     place = ((a != b) | (s.take(a, axis=-1) > 1)).cumsum(axis=-1) - 1  # among the live pairs
-    n = s.sum(axis=-1).max()  # every row's
+    n = s.sum(axis=-1).max()  # every row's n, a numpy float: n ** v is numpy's scalar power
     return place[..., _triu_place(k)[table]], weights / n ** v
 
 

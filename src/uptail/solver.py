@@ -763,10 +763,12 @@ def _al_stack(problem, space, x0):
     iterations = np.zeros(len(x), dtype=int)
 
     for outer in range(problem.budget):
+        x_in = x
         x, ev, step = _spg(space, x, ev, targets, lam, rho, step, running)
         gap = targets - ev[0]
         residual = np.maximum(gap, 0.0).max(axis=1)
-        consider(x, ev, running)
+        if x is not x_in:  # with no step taken, x is the point `consider` last saw
+            consider(x, ev, running)
         lam = np.maximum(0.0, lam + rho[:, None] * gap)
         rho = np.where((residual > 0.7 * res_history[outer % 31]) & (residual > feas_tol),
                        np.minimum(rho * 2.0, 1e12), rho)
