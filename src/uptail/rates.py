@@ -376,6 +376,8 @@ def _narrowed(poly, target, lo, hi):
             break
         x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         x = min(max(x, lo + 2 * math.ulp(lo)), hi - 2 * math.ulp(hi))
+        if not lo < x < hi:  # NaN, from an overflowed product
+            break
         f_x = poly(x) - target
         if f_x < 0:
             lo, f_lo, f_hi = x, f_x, f_hi * (0.5 if side < 0 else 1.0)

@@ -133,9 +133,11 @@ def _theta_root_200_steps(poly, delta):
 
 def test_theta_root_stops_early_at_the_same_root(monkeypatch):
     # once the midpoint rounds to an end, no further step moves either end,
-    # so stopping there returns the 200-step root bit for bit
+    # so stopping there returns the 200-step root bit for bit; nor does a
+    # bracket narrowed by false-position steps first move it (polynomials of
+    # degree 1 to 4 here)
     deltas = [0.0] + list(np.logspace(-6, 3, 37)) + [1.0, 2.5, 10.0]
-    for h in (K3, G.clique(4), G.cycle(5), G.star(3)):
+    for h in (K3, G.clique(4), G.cycle(5), G.star(3), G.cycle(8), G.complete_bipartite(3, 3)):
         poly = G.independence_polynomial(G.h_star(h))
         for delta in deltas:
             evaluations = []
