@@ -126,10 +126,10 @@ def test_row_sums_of_a_row_are_its_bits_alone_in_any_stack():
     n, d = 140, 20.0
     sizes = [(2,) * 70, (1,) * 60 + (2,) * 40, (1,) * 4 + (34,) * 4, (1,) * 140, (70, 70)]
     packs = [B.block_pairs(s) for s in sizes]
-    ends_a, ends_b, live = (S._padded(x) for x in zip(*packs))
-    live = live > 0
+    a_rows, b_rows, pair_rows = (S._padded(x) for x in zip(*packs))
+    live = pair_rows > 0
     y = np.where(live, np.random.default_rng(14).uniform(0.0, 0.3, live.shape), 0.0)
-    stack = S._RowSums(n, S._padded(sizes), ends_a, ends_b, live)
+    stack = S._RowSums(n, S._padded(sizes), a_rows, b_rows, live)
     sums, deviation, affine = stack(y), stack.deviation(y, d), stack.affine(y, d)
     for row, (size, (a, b, pairs)) in enumerate(zip(sizes, packs)):
         k, width = len(size), len(pairs)
