@@ -445,7 +445,7 @@ def build_parser():
     p.add_argument("--t", type=float, action="append", required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--threshold", choices=("analytic", "empirical"), default="analytic")
-    p.add_argument("--threads", type=int, default=1)  # Monte Carlo workers
+    p.add_argument("--threads", type=int, default=None)  # cap; default every CPU
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_tail_mc)
 
@@ -456,7 +456,7 @@ def build_parser():
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--tilt-file", required=True)
     p.add_argument("--tilt-blend", type=float, default=None)
-    p.add_argument("--threads", type=int, default=1)  # Monte Carlo workers
+    p.add_argument("--threads", type=int, default=None)  # cap; default every CPU
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_tail_is)
 

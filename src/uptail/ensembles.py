@@ -13,24 +13,22 @@ tagged random keys, `_shuffled_tags`; large uniform(n, m) draws `choice`s of
 pairs, and a regular graph's stub pairs become pairs through `_pair_index`.
 
 Direct Monte Carlo, its empirical-mean pass and importance sampling share
-one worker loop, `_run_workers`: worker w draws its share of the samples in
-chunks from the counter-based stream (master_seed, w), on a thread pool when
-there is more than one worker, and results reduce in (worker, chunk) order.
-So an estimate is reproducible for a fixed worker count, and an importance
-run with tilt == base consumes the stream identically to direct Monte Carlo.
-
-With fewer workers than CPUs, each chunk of an independent-edge draw (er,
-block, planted) splits across the idle CPUs into parts of consecutive graphs.
-Such a graph reads exactly C(n, 2) words of its stream, and Philox reaches any
-word directly, so each part draws from the stream positioned at its first
-graph's word, and the parts' per-graph outputs join before the chunk is
-scored.  An estimate therefore depends on the worker count (--threads) but not
-on the CPU count.  Scaling was measured only up to 2 CPUs.
+one chunk loop, `_run_chunks`.  A run is cut into fixed chunks (`_chunk_sizes`),
+and each chunk reads a counter-based Philox stream of its own position: an
+independent-edge graph (er, block, planted) reads exactly C(n, 2) words, so
+chunk c reads the one stream (seed, stream) from its first graph's word on;
+a uniform or regular chunk reads the key (seed, stream + c).  Chunks run on
+up to as many threads as there are CPUs, and their scores reduce in chunk
+order.  So an estimate depends on the seed alone, never on --threads or the
+CPU count, and an importance run with tilt == base consumes the stream
+identically to direct Monte Carlo.  Scaling was measured only up to 2 CPUs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import math
 import operator
 import os
@@ -54,11 +52,10 @@ from .homs import (  # noqa: F401
 from .rates import BlockModelParams, b_h, rate_scale
 
 CONFIG_MODEL_RETRY_CAP = 20_000
-MAX_WORKERS = 64  # Monte Carlo worker threads, one per worker
-CHUNK = 4096      # most graphs drawn and scored at once by one worker
-# fewest graphs in a part of a chunk split across CPUs; past 1, as a one-graph
-# stack would sum its importance log-weight in another order
-MIN_PART = 256
+MAX_WORKERS = 64    # most Monte Carlo threads that --threads (workers) may ask for
+CHUNK = 2048        # graphs of an independent-edge chunk, drawn and scored at once
+FIXED_CHUNK = 512   # graphs of a uniform or regular chunk, each on a key of its own
+EMPIRICAL_STREAM = 1 << 63  # the empirical-mean pass's stream keys start here
 INDEPENDENT_EDGE = ("er", "block", "planted")  # kinds whose graphs read C(n, 2) words
 
 
@@ -73,18 +70,18 @@ def _key_word(value, what) -> int:
     return value
 
 
-def rng_stream(seed: int, worker: int = 0) -> np.random.Generator:
-    """Independent counter-based stream for (master seed, worker index): the
+def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
+    """Independent counter-based stream for (master seed, stream index): the
     Philox key is the two as exact uint64 words, so each seed in [0, 2^64)
     has its own streams; any other seed raises DomainError."""
-    key = np.array([_key_word(seed, "seed"), _key_word(worker, "stream index")], dtype=np.uint64)
+    key = np.array([_key_word(seed, "seed"), _key_word(stream, "stream index")], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _stream_at(seed, worker, word) -> np.random.Generator:
-    """rng_stream(seed, worker) positioned at its word `word`, without drawing
+def _stream_at(seed, stream, word) -> np.random.Generator:
+    """rng_stream(seed, stream) positioned at its word `word`, without drawing
     the words before it: `advance` skips blocks of 4 words."""
-    rng = rng_stream(seed, worker)
+    rng = rng_stream(seed, stream)
     rng.bit_generator.advance(word // 4)
     rng.bit_generator.random_raw(word % 4)
     return rng
@@ -381,10 +378,14 @@ def _draw_stack(spec: EnsembleSpec, batch: int, rng) -> np.ndarray:
     return _symmetric_stack(_draw_bits(spec, batch, rng), spec.n)
 
 
-def _chunk_sizes(n, count):
-    """Split `count` draws into chunks of at most CHUNK graphs and at most
-    DP_CELL_CAP adjacency cells."""
-    size = max(1, min(CHUNK, DP_CELL_CAP // (n * n)))
+def _chunk_sizes(spec, count):
+    """Split `count` draws of `spec` into chunks of CHUNK graphs for an
+    independent-edge kind, FIXED_CHUNK for uniform and regular, and at most
+    DP_CELL_CAP adjacency cells each; only the last chunk may be shorter.
+    The sizes depend on the kind and n alone, so every chunk, and with it
+    every estimate, is the same whatever the thread count."""
+    most = CHUNK if spec.kind in INDEPENDENT_EDGE else FIXED_CHUNK
+    size = max(1, min(most, DP_CELL_CAP // (spec.n * spec.n)))
     for lo in range(0, count, size):
         yield min(size, count - lo)
 
@@ -455,71 +456,46 @@ def _wilson_interval(hits, n, z=1.96):
     return center - half, center + half
 
 
-def _worker_counts(num_samples, workers):
-    """num_samples split into `workers` shares, the first ones larger by 1."""
-    if not (1 <= workers <= MAX_WORKERS):
+def _run_chunks(spec, num_samples, seed, workers, draw, reduce, report=None, stream=0):
+    """The Monte Carlo chunk loop: reduce(draw(b, rng)) of every
+    `_chunk_sizes` chunk of num_samples graphs of `spec`, in chunk order.
+    draw(b, rng) returns a tuple of per-graph arrays for the next b graphs of
+    rng.  An independent-edge chunk reads rng_stream(seed, stream) positioned
+    at its first graph's word, and chunk c of a uniform or regular run reads
+    rng_stream(seed, stream + c).  report(done, scores so far) follows every
+    chunk, in order.
+
+    The chunks run in groups of min(workers, `_available_cpus()`, chunks)
+    threads, workers None taking every CPU: the calling thread draws a
+    group's first chunk and a pool the others.  No chunk reads another's
+    words, so no score depends on the thread count, and at most one chunk per
+    thread is drawn and not yet reduced.  A chunk's error is raised once the
+    chunks before it are reported, as in a serial run."""
+    if workers is not None and not 1 <= workers <= MAX_WORKERS:
         raise DomainError(f"--threads (workers) must be in [1, {MAX_WORKERS}], got {workers}")
-    base, extra = divmod(num_samples, workers)
-    return [base + (w < extra) for w in range(workers)]
+    sizes = list(_chunk_sizes(spec, num_samples))
+    ends = list(itertools.accumulate(sizes))
+    words = spec.n * (spec.n - 1) // 2 if spec.kind in INDEPENDENT_EDGE else None
 
+    def chunk(c):
+        b = sizes[c]
+        if words is None:
+            return reduce(draw(b, rng_stream(seed, stream + c)))
+        return reduce(draw(b, _stream_at(seed, stream, (ends[c] - b) * words)))
 
-def _run_workers(spec, num_samples, seed, workers, draw, reduce, report=None, stream=0):
-    """The Monte Carlo worker loop.  Worker w draws its share of num_samples
-    from rng_stream(seed, stream + w) in `_chunk_sizes` chunks of `spec`'s
-    graphs: draw(b, rng) returns a tuple of per-graph arrays for the next b
-    graphs of rng, and reduce(outputs) scores a chunk.  Returns the chunk
-    scores in (worker, chunk) order; several workers run on a thread pool.
-    report(done, scores so far) follows every chunk of a single worker, or
-    every nonempty worker, in worker order.
-
-    An independent-edge graph reads exactly C(n, 2) words.  So while workers
-    leave CPUs idle, each chunk splits into up to `_available_cpus() //
-    workers` parts of consecutive graphs, of at least MIN_PART each.  Each part
-    draws from the stream positioned at its first graph's word, the first
-    part on the worker's thread and the others on the pool, and the parts'
-    outputs are concatenated before `reduce`.  So every score is that of the
-    one sequential stream, and one chunk per worker is in flight."""
-    counts = _worker_counts(num_samples, workers)
-    words = spec.n * (spec.n - 1) // 2
-    parts = _available_cpus() // workers if spec.kind in INDEPENDENT_EDGE else 1
-    split = parts > 1 and next(_chunk_sizes(spec.n, counts[0]), 0) >= 2 * MIN_PART
-    pool = None
-
-    def drawn_in_parts(w, first, b):
-        """draw's outputs for graphs first .. first + b - 1 of worker w's stream."""
-        k = max(1, min(parts, b // MIN_PART))
-        at = [first + b * j // k for j in range(k + 1)]
-        jobs = [(hi - lo, _stream_at(seed, stream + w, lo * words)) for lo, hi in zip(at, at[1:])]
-        rest = [pool.submit(draw, *job) for job in jobs[1:]]
-        outs = [draw(*jobs[0])] + [f.result() for f in rest]
-        return outs[0] if k == 1 else tuple(np.concatenate(col) for col in zip(*outs))
-
-    def run(w, count, report_chunks=None):
-        rng = rng_stream(seed, stream + w)
-        scores, done = [], 0
-        for b in _chunk_sizes(spec.n, count):
-            scores.append(reduce(drawn_in_parts(w, done, b) if split else draw(b, rng)))
-            done += b
-            if report_chunks:
-                report_chunks(done, scores)
-        return scores
-
-    # several workers take a pool thread each, and a split chunk parts - 1 more
-    threads = (workers if workers > 1 else 0) + (workers * (parts - 1) if split else 0)
-    if not threads:
-        return run(0, num_samples, report)
+    cpus = _available_cpus()
+    threads = min(workers or cpus, cpus, len(sizes))
     from concurrent.futures import ThreadPoolExecutor
 
-    out, done = [], 0
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        if workers == 1:
-            return run(0, num_samples, report)
-        for scores, count in zip(pool.map(run, range(workers), counts), counts):
-            out += scores
-            done += count
-            if report and count:
-                report(done, out)
-    return out
+    scores = []
+    with ThreadPoolExecutor(threads - 1) if threads > 1 else contextlib.nullcontext() as pool:
+        for first in range(0, len(sizes), threads):
+            rest = [pool.submit(chunk, c) for c in range(first + 1, min(first + threads, len(sizes)))]
+            for score in itertools.chain([chunk(first)], (f.result() for f in rest)):
+                scores.append(score)
+                if report:
+                    report(ends[len(scores) - 1], scores)
+    return scores
 
 
 def _hom_hits_for_batch(a_batch, h_list, t_list, p):
@@ -595,7 +571,7 @@ def mc_upper_tail(
     num_samples: int,
     seed: int = 0,
     threshold: str = "analytic",
-    workers: int = 1,
+    workers: int | None = None,
     progress=None,
 ) -> TailEstimate:
     """Direct Monte Carlo estimate of P(all hom(H_i, G) >= t_i).
@@ -603,7 +579,8 @@ def mc_upper_tail(
     threshold="analytic" compares normalized counts against t_i in the
     ensemble's `threshold_unit`; "empirical" runs two passes and thresholds
     raw counts against t_i * (empirical mean of Hom).  `progress(done,
-    estimate)` is invoked as worker batches complete.
+    estimate)` is invoked after each chunk, in chunk order.  `workers` caps
+    the threads (default: every CPU) and never changes the estimate.
     """
     if threshold not in ("analytic", "empirical"):
         raise DomainError("threshold mode must be 'analytic' or 'empirical'")
@@ -619,8 +596,8 @@ def mc_upper_tail(
     def draw(b, rng):
         return (_hom_hits_for_batch(_draw_stack(spec, b, rng), h_list, thresholds, p),)
 
-    hits = sum(_run_workers(spec, num_samples, seed, workers, draw,
-                            lambda out: int(out[0].sum()), report if progress else None))
+    hits = sum(_run_chunks(spec, num_samples, seed, workers, draw,
+                           lambda out: int(out[0].sum()), report if progress else None))
     point = hits / num_samples
     ci_low, ci_high = _wilson_interval(hits, num_samples)
     est = TailEstimate(
@@ -646,11 +623,11 @@ def _empirical_hom_means(spec, h_list, p, num_samples, seed, workers):
         return tuple(batched_hom_normalized(h, a, p) for h in h_list)
 
     sums = np.zeros(len(h_list))
-    # a separate pass on separate streams; each chunk sums its values whole
-    # (summing parts and adding the sums would round differently), and the
-    # sums add in (worker, chunk) order
-    for s in _run_workers(spec, num_samples, seed, workers, draw,
-                          lambda out: [v.sum() for v in out], stream=10_000):
+    # a separate pass on keys from EMPIRICAL_STREAM on, which no chunk of
+    # the main pass reads; each chunk sums its values whole, and the sums add
+    # in chunk order
+    for s in _run_chunks(spec, num_samples, seed, workers, draw,
+                         lambda out: [v.sum() for v in out], stream=EMPIRICAL_STREAM):
         sums += s
     return sums / num_samples
 
@@ -684,7 +661,7 @@ def importance_tail(
     t_list,
     num_samples: int,
     seed: int = 0,
-    workers: int = 1,
+    workers: int | None = None,
     progress=None,
 ) -> TailEstimate:
     """Importance-sampled tail estimate of P(all hom(H_i, G) >= t_i), t_i in
@@ -745,7 +722,7 @@ def importance_tail(
     def report(done, scores):
         progress(done, _weighted_point(*stacked(scores)))
 
-    logw, hits = stacked(_run_workers(
+    logw, hits = stacked(_run_chunks(
         tilted, num_samples, seed, workers, draw, lambda out: out, report if progress else None,
     ))
     shift = _log_shift(logw)

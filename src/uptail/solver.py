@@ -691,13 +691,19 @@ def _level_search(problem: SolveProblem) -> SolveResult:
     """Coordinate search over construction-shaped block matrices: scan the
     planted excess level on a coarse-to-fine ladder, keep the cheapest
     feasible candidate, by the exact blockwise closed forms, so n can reach
-    construction scale (10^5+).  Its constructions plant on a constant-p
+    construction scale (10^5+).  A candidate whose blocks are past
+    `_fits_blocks` is measured on the DP of its blow-up where
+    `_dense_witness`, else left out.  Its constructions plant on a constant-p
     background: `solve_phi` asks it only without a block base or seeds."""
     p = problem.hom_p()
     tmax = max(t for _, t in problem.targets)
     kind, val = problem.ensemble or (None, None)
+    dense = _dense_witness(problem)
 
-    best = (math.inf, None, None)  # (value, spec, delta)
+    def count(spec, h, compiled):
+        return spec.hom_normalized(h, p) if compiled else hom_normalized(h, np.asarray(spec), p)
+
+    best = (math.inf, None, None, True)  # (value, spec, delta, compiled)
     evaluations = 0
     levels = [(tmax - 1.0) * m for m in (1.0, 1.25, 1.6, 2.0, 3.0, 5.0, 8.0)]
     for _round in range(3):
@@ -708,16 +714,19 @@ def _level_search(problem: SolveProblem) -> SolveResult:
                         spec = fill_total_weight(spec, val)
                     except ConstructionError:
                         continue
+                compiled = _fits_blocks(problem, spec.sizes)
+                if not (compiled or dense):
+                    continue
                 evaluations += 1
                 v = 0.5 * spec.entropy(p)
-                if v < best[0] and all(spec.hom_normalized(h, p) >= t - problem.feasibility_tol
+                if v < best[0] and all(count(spec, h, compiled) >= t - problem.feasibility_tol
                                        for h, t in problem.targets):
-                    best = (v, spec, delta)
+                    best = (v, spec, delta, compiled)
         if best[1] is None:
             raise ResourceError("no feasible block construction found on the ladder")
         levels = [best[2] * f for f in (0.85, 0.93, 1.0, 1.08, 1.18)]
     return _result(problem, best[1], "block_search", evaluations,
-                   ["block-parameterized search: witness is a BlockSpec"])
+                   ["block-parameterized search: witness is a BlockSpec"], best[3])
 
 
 def _al_stack(problem, space, x0):

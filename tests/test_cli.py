@@ -646,6 +646,19 @@ def test_solve_with_no_feasible_run_and_no_feasible_rung_exits_3(capsys):
     assert err == "error: no feasible block construction found on the ladder\n"
 
 
+@pytest.mark.parametrize("cycle", ["cycle:11", "cycle:12"])
+def test_long_cycle_level_search_ends_without_compiling(cycle):
+    # no AL run keeps a feasible point, and the level search measures its
+    # ladder specs past the compile cap on the DP of their 40 x 40 blow-ups
+    # (C11 took 46 s, C12 did not end, while they compiled every partition)
+    start = time.perf_counter()
+    proc = run_cli("solve", "--graph", cycle, "--t", "1.3", "--n", "40", "--model", "regular",
+                   "--d", "12")
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 3 and "Traceback" not in proc.stderr
+    assert proc.stderr == "error: no feasible block construction found on the ladder\n"
+
+
 def test_solve_seed_past_the_compile_cap_prints_its_blockspec(capsys):
     # the x1 cycle-blocks seed of C6 has 8 blocks, past 8^6 > COMPILE_CAP:
     # it runs on its own block values, with the DP's hom values, and wins as
@@ -1072,14 +1085,14 @@ BLOCK_B = ("--model block --n 30 --p 0.2 --alpha 0.5,0.5 --kernel [[2,0.5],[0.5,
 
 
 def _block_b_hits_on_stream():
-    """Samples of the stream (seed 1, worker 0) with hom(K3, G) >= b_H n^3 p^3,
+    """Samples of the stream (seed 1, 0) with hom(K3, G) >= b_H n^3 p^3,
     counted with the trace of A^3; b_H(K3) = 2.375 under BLOCK_B."""
     from uptail import ensembles, graphs, rates
     params = rates.BlockModelParams((0.5, 0.5), ((2.0, 0.5), (0.5, 2.0)), 0.2)
     spec = ensembles.block_model(30, params)
     assert rates.b_h(graphs.clique(3), params) == 2.375
     rng, hits = ensembles.rng_stream(1, 0), 0
-    for b in ensembles._chunk_sizes(30, 2000):
+    for b in ensembles._chunk_sizes(spec, 2000):
         a = ensembles._draw_stack(spec, b, rng).astype(float)
         hom = np.einsum("bij,bjk,bki->b", a, a, a)
         hits += int((hom >= 2.375 * 30 ** 3 * 0.2 ** 3).sum())
@@ -1164,6 +1177,33 @@ def test_threads_above_the_cap_exits_1_without_a_thread(monkeypatch, capsys):
                               "--graph", "cycle:3", "--t", "1.2", "--samples", "100",
                               "--threads", "65")
     assert code == 1 and "--threads" in err and out == ""
+
+
+@pytest.mark.parametrize("seed, reports", [(6, 0), (5, 2), (1, 3)])
+def test_sampling_error_in_a_pool_chunk_surfaces_as_in_a_serial_run(seed, reports, monkeypatch,
+                                                                      capsys):
+    # regular(40, 6) at a retry budget of 4000, one graph per chunk: the first
+    # chunk to run out of trials is chunk 0 (on the calling thread, while the
+    # pool draws chunk 1), 2 (the calling thread) or 3 (the pool).  On 2 CPUs
+    # the run prints what one CPU prints: the reports of the chunks before it,
+    # none after, and the sampler's error, exit 3 (a budget error)
+    from uptail import ensembles
+    monkeypatch.setattr(ensembles, "CONFIG_MODEL_RETRY_CAP", 4000)
+    monkeypatch.setattr(ensembles, "FIXED_CHUNK", 1)
+    outs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(ensembles, "_available_cpus", lambda cpus=cpus: cpus)
+        outs.append(run_main(capsys, "tail-mc", "--model", "regular", "--n", "40", "--d", "6",
+                             "--graph", "cycle:3", "--t", "1.0", "--samples", "6",
+                             "--seed", seed))
+    assert outs[1] == outs[0]
+    code, out, err = outs[0]
+    lines = err.splitlines()
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert [line.split(",")[0] for line in lines[:-1]] == \
+        [f"progress: {k}/6 samples" for k in range(1, reports + 1)]
+    assert lines[-1] == ("error: configuration model for n=40, d=6 drew no simple graph "
+                         "in 4000 trials")
 
 
 def _readme_commands():

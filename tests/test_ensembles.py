@@ -413,8 +413,7 @@ def test_mc_zero_hits_flag():
 def test_mc_wilson_interval(monkeypatch):
     # one hit in 1000 samples: the Wald interval's lower end would be
     # negative; the Wilson score interval stays above zero.  The 1000 graphs
-    # are one chunk, drawn in one part on one CPU, and only its first is a hit
-    monkeypatch.setattr(E, "_available_cpus", lambda: 1)
+    # are one chunk, and only its first is a hit
     monkeypatch.setattr(E, "_hom_hits_for_batch",
                         lambda a, *rest: np.arange(a.shape[0]) == 0)
     est = E.mc_upper_tail(E.er(10, 0.1), [K3], [5.0], 1000, seed=3)
@@ -433,12 +432,14 @@ def test_mc_workers_deterministic_reduction():
     assert a.point == b.point
 
 
-def test_progress_per_chunk_or_per_worker(monkeypatch):
-    # one worker reports after every chunk, several after each worker in order;
-    # the last report is the final estimate
+def test_progress_follows_every_chunk_in_order(monkeypatch):
+    # a report after every chunk, in chunk order, whatever the thread cap and
+    # CPU count; the last report is the final estimate
     monkeypatch.setattr(E, "CHUNK", 64)
-    spec, n = E.er(12, 0.3), 300
-    for workers, dones in ((1, [64, 128, 192, 256, 300]), (3, [100, 200, 300])):
+    monkeypatch.setattr(E, "FIXED_CHUNK", 64)
+    monkeypatch.setattr(E, "_available_cpus", lambda: 3)
+    spec, n, dones = E.er(12, 0.3), 300, [64, 128, 192, 256, 300]
+    for workers in (1, 3, None):
         seen = []
         est = E.mc_upper_tail(spec, [K3], [1.3], n, seed=9, workers=workers,
                               progress=lambda done, val: seen.append((done, val)))
@@ -447,6 +448,10 @@ def test_progress_per_chunk_or_per_worker(monkeypatch):
         est = E.importance_tail(spec, spec.probability_matrix(), [K3], [1.3], n, seed=9,
                                 workers=workers,
                                 progress=lambda done, val: seen.append((done, val)))
+        assert [d for d, _ in seen] == dones and seen[-1][1] == est.point
+        seen = []
+        est = E.mc_upper_tail(E.regular(12, 4), [K3], [1.3], n, seed=9, workers=workers,
+                              progress=lambda done, val: seen.append((done, val)))
         assert [d for d, _ in seen] == dones and seen[-1][1] == est.point
 
 
@@ -467,21 +472,21 @@ def test_mc_regular_base():
 ])
 def test_mc_fixed_count_matches_per_sample_loop(spec, thresholds, monkeypatch):
     # the stack path must count the same hits as drawing one graph at a time
-    # from each worker's stream and evaluating each with the single-matrix hom;
-    # three workers run on the thread pool
+    # from each chunk's own stream (seed, c) and evaluating each with the
+    # single-matrix hom; at 3 threads two chunks of each group run on the pool
     hs, samples, seed = [K3, G.cycle(4)], 300, 3
     p = spec.sparsity()
-    monkeypatch.setattr(E, "CHUNK", 64)
-    for shares in ([300], [100, 100, 100]):
-        est = E.mc_upper_tail(spec, hs, thresholds, samples, seed=seed,
-                              workers=len(shares))
-        hits = 0
-        for w, share in enumerate(shares):
-            rng = E.rng_stream(seed, w)
-            for _ in range(share):
-                a = E.sample(spec, rng).adjacency().astype(float)
-                hits += all(H.hom_normalized(h, a, p) >= t for h, t in zip(hs, thresholds))
-        assert 0 < hits < samples
+    monkeypatch.setattr(E, "FIXED_CHUNK", 64)
+    monkeypatch.setattr(E, "_available_cpus", lambda: 3)
+    hits = 0
+    for c, lo in enumerate(range(0, samples, 64)):
+        rng = E.rng_stream(seed, c)
+        for _ in range(min(64, samples - lo)):
+            a = E.sample(spec, rng).adjacency().astype(float)
+            hits += all(H.hom_normalized(h, a, p) >= t for h, t in zip(hs, thresholds))
+    assert 0 < hits < samples
+    for workers in (1, 3):
+        est = E.mc_upper_tail(spec, hs, thresholds, samples, seed=seed, workers=workers)
         assert est.hits == hits
 
 
@@ -723,81 +728,45 @@ _PINNED_RUNS = {
     "is-forced": lambda w: E.importance_tail(E.er(12, 0.4), _FORCED, [K3], [1.3], 600,
                                              seed=9, workers=w),
 }
-# `to_json()` of each run, at chunks of 64 graphs; a change to how stacks are
-# drawn or counted must leave every one of them byte-identical.  The hub tilt
-# is the mc-batched benchmark's; the forced tilt has entries of 1, so its
-# estimate is a lower bound on P and says so.
+# `to_json()` of each run, at chunks of 64 graphs, at 1 and at 2 threads; a
+# change to how stacks are drawn or counted must leave every one of them
+# byte-identical.  The hub tilt is the mc-batched benchmark's; the forced tilt
+# has entries of 1, so its estimate is a lower bound on P and says so.
 _PINNED = {
-    ("er-k3", 1): {
+    "er-k3": {
         "point": 0.03, "ci_low": 0.021093603189697094, "ci_high": 0.04250368148151,
         "samples": 1000, "hits": 30.0, "method": "direct_mc[analytic]",
         "neg_log_point": 3.506557897319982, "neg_log_ci_low": 3.1581645837089765,
         "neg_log_ci_high": 3.8587854508293953, "zero_hits": False,
         "neg_log_normalized": 0.08415582735842328,
     },
-    ("er-k3", 2): {
-        "point": 0.022, "ci_low": 0.014572598673771597, "ci_high": 0.03308591637481774,
-        "samples": 1000, "hits": 22.0, "method": "direct_mc[analytic]",
-        "neg_log_point": 3.816712825623821, "neg_log_ci_low": 3.408647574310096,
-        "neg_log_ci_high": 4.228612316835956, "zero_hits": False,
-        "neg_log_normalized": 0.09159940746318955,
-    },
-    ("er-k3k4", 1): {
+    "er-k3k4": {
         "point": 0.07666666666666666, "ci_low": 0.05162723750301175,
         "ci_high": 0.11241086656173778, "samples": 300, "hits": 23.0,
         "method": "direct_mc[analytic]", "neg_log_point": 2.5682882587270512,
         "neg_log_ci_low": 2.185594668599992, "neg_log_ci_high": 2.963705887177457,
         "zero_hits": False, "neg_log_normalized": 0.06163777403284561,
     },
-    ("er-k3k4", 2): {
-        "point": 0.07666666666666666, "ci_low": 0.05162723750301175,
-        "ci_high": 0.11241086656173778, "samples": 300, "hits": 23.0,
-        "method": "direct_mc[analytic]", "neg_log_point": 2.5682882587270512,
-        "neg_log_ci_low": 2.185594668599992, "neg_log_ci_high": 2.963705887177457,
-        "zero_hits": False, "neg_log_normalized": 0.06163777403284561,
-    },
-    ("block-k3", 1): {
+    "block-k3": {
         "point": 0.15666666666666668, "ci_low": 0.12977647813148935,
         "ci_high": 0.187925382753882, "samples": 600, "hits": 94.0,
         "method": "direct_mc[analytic]", "neg_log_point": 1.8536348729461425,
         "neg_log_ci_low": 1.671710295183246, "neg_log_ci_high": 2.0419417073780988,
         "zero_hits": False, "neg_log_normalized": 0.11247344750775447,
     },
-    ("block-k3", 2): {
-        "point": 0.16833333333333333, "ci_low": 0.14052506464395745,
-        "ci_high": 0.2003616844637556, "samples": 600, "hits": 101.0,
-        "method": "direct_mc[analytic]", "neg_log_point": 1.7818091383748869,
-        "neg_log_ci_low": 1.6076311233422178, "neg_log_ci_high": 1.9623694100766165,
-        "zero_hits": False, "neg_log_normalized": 0.10811526019432408,
-    },
-    ("is-hub", 1): {
+    "is-hub": {
         "point": 0.0052196109162649836, "ci_low": 0.0, "ci_high": 0.01231289194883234,
         "samples": 1000, "hits": 2.861998178188273, "method": "importance",
         "neg_log_point": 5.2553324169796065, "neg_log_ci_low": 4.397108439582899,
         "neg_log_ci_high": math.inf, "zero_hits": False,
         "neg_log_normalized": 0.12612563674835658,
     },
-    ("is-hub", 2): {
-        "point": 0.002015635869870924, "ci_low": 0.0008355131025232533,
-        "ci_high": 0.003195758637218595, "samples": 1000, "hits": 7.147127979309597,
-        "method": "importance", "neg_log_point": 6.206820565190498,
-        "neg_log_ci_low": 5.745930774199434, "neg_log_ci_high": 7.0874645277977475,
-        "zero_hits": False, "neg_log_normalized": 0.14896092841589778,
-    },
-    ("is-forced", 1): {
+    "is-forced": {
         "point": 0.001761280000000001, "ci_low": 0.0015988843979025758,
         "ci_high": 0.0019236756020974263, "samples": 600, "hits": 600.0,
         "method": "importance", "neg_log_point": 6.341714461539459,
         "neg_log_ci_low": 6.2535175469326765, "neg_log_ci_high": 6.438449144240038,
         "zero_hits": False, "neg_log_normalized": 0.3003937657879963,
-        "notes": ["tilt forces 6 pairs: a lower bound on P"],
-    },
-    ("is-forced", 2): {
-        "point": 0.0017476266666666678, "ci_low": 0.0015853894220931052,
-        "ci_high": 0.0019098639112402303, "samples": 600, "hits": 600.0,
-        "method": "importance", "neg_log_point": 6.349496601981514,
-        "neg_log_ci_low": 6.2607232901216125, "neg_log_ci_high": 6.446925209657966,
-        "zero_hits": False, "neg_log_normalized": 0.3007623895233375,
         "notes": ["tilt forces 6 pairs: a lower bound on P"],
     },
 }
@@ -807,7 +776,8 @@ _PINNED = {
 @pytest.mark.parametrize("name", list(_PINNED_RUNS))
 def test_estimates_pinned(name, workers, monkeypatch):
     monkeypatch.setattr(E, "CHUNK", 64)
-    assert _PINNED_RUNS[name](workers).to_json() == _PINNED[(name, workers)]
+    monkeypatch.setattr(E, "_available_cpus", lambda: 2)
+    assert _PINNED_RUNS[name](workers).to_json() == _PINNED[name]
 
 
 def test_direct_mc_counts_a_graph_that_meets_t_exactly():
@@ -887,15 +857,20 @@ def test_block_analytic_threshold_in_units_of_b_h_empirical_unchanged(monkeypatc
     assert empirical == empirical_unitless  # the sample mean is that mode's unit
 
 
-def test_worker_count_capped():
-    assert len(E._worker_counts(100, E.MAX_WORKERS)) == E.MAX_WORKERS == 64
+def test_worker_count_capped(monkeypatch):
+    # --threads (workers) takes 1 to 64, whatever the CPU count, and refuses
+    # any other count before a graph is drawn
+    monkeypatch.setattr(E, "_draw_bits", None)
     for workers in (0, E.MAX_WORKERS + 1):
         with pytest.raises(DomainError, match="--threads"):
-            E._worker_counts(100, workers)
+            E.mc_upper_tail(E.er(12, 0.3), [K3], [1.3], 100, workers=workers)
+    monkeypatch.undo()
+    assert E.MAX_WORKERS == 64
+    assert E.mc_upper_tail(E.er(12, 0.3), [K3], [1.3], 100, workers=64).samples == 100
 
 
 # ---------------------------------------------------------------------------
-# seeds, positioned streams, and chunks split across CPUs
+# seeds, positioned streams, and chunks on threads
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", [-1, -(1 << 63), 1 << 64, 1.0, "7", None])
@@ -977,6 +952,12 @@ def _split_runs():
         "block": lambda w, on: mc(block, [K3], [1.2], 700, seed=7, workers=w, progress=on),
         "planted": lambda w, on: mc(E.planted(hub), [K3], [1.2], 700, seed=7, workers=w,
                                     progress=on),
+        "uniform": lambda w, on: mc(E.uniform(18, 50), [K3], [1.1], 300, seed=7, workers=w,
+                                    progress=on),
+        "regular": lambda w, on: mc(E.regular(18, 4), [K3], [1.0], 300, seed=7, workers=w,
+                                    progress=on),
+        "empirical-regular": lambda w, on: mc(E.regular(18, 4), [K3], [1.1], 300, seed=8,
+                                              threshold="empirical", workers=w, progress=on),
         "is-hub": lambda w, on: imp(er18, hub, [K3], [1.8], 1001, seed=8, workers=w,
                                     progress=on),
         "is-forced": lambda w, on: imp(E.er(12, 0.4), _FORCED, [K3], [1.3], 777, seed=9,
@@ -984,99 +965,137 @@ def _split_runs():
     }
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+def _small_chunks(monkeypatch):
+    """Chunks of 128 independent-edge and 32 fixed-count graphs: ragged last
+    chunks, chunks that start inside a Philox block, and several groups of
+    chunks at every thread count."""
+    monkeypatch.setattr(E, "CHUNK", 128)
+    monkeypatch.setattr(E, "FIXED_CHUNK", 32)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, None])
 @pytest.mark.parametrize("name", list(_split_runs()))
 def test_split_chunks_give_the_sequential_estimate(name, workers, monkeypatch):
-    # chunks of 128 graphs in parts of at least 5: ragged parts, parts that
-    # start inside a Philox block, and short last chunks; 1, 2 and 3 parts
-    # per chunk give the same estimate and the same progress reports
-    monkeypatch.setattr(E, "CHUNK", 128)
-    monkeypatch.setattr(E, "MIN_PART", 5)
+    # chunks split across 1, 2 and 3 CPUs, at a thread cap of 1, 2, 3 or
+    # every CPU, give the estimate and the progress reports of one thread
+    _small_chunks(monkeypatch)
     run = _split_runs()[name]
     outs = []
-    for parts in (1, 2, 3):
-        monkeypatch.setattr(E, "_available_cpus", lambda parts=parts: parts * workers)
+    for cpus, cap in ((1, 1), (1, workers), (2, workers), (3, workers)):
+        monkeypatch.setattr(E, "_available_cpus", lambda cpus=cpus: cpus)
         seen = []
-        est = run(workers, lambda done, val: seen.append((done, val)))
+        est = run(cap, lambda done, val: seen.append((done, val)))
         outs.append((est.to_json(), seen))
-    assert outs[1] == outs[0] and outs[2] == outs[0]
+    assert outs[1:] == [outs[0]] * 3
     assert len(outs[0][1]) > 1
 
 
 def test_split_chunks_under_thread_switching_stress(monkeypatch):
-    # three workers of four parts each, on more threads than this host has
-    # CPUs, switching threads every microsecond: the parts share no state,
-    # so the estimate is the one of three sequential workers
-    monkeypatch.setattr(E, "CHUNK", 128)
-    monkeypatch.setattr(E, "MIN_PART", 5)
-    run = _split_runs()["is-hub"]
-    monkeypatch.setattr(E, "_available_cpus", lambda: 3)
-    want = run(3, None).to_json()
+    # three threads, and every CPU of twelve, switching threads every
+    # microsecond: the chunks share no state, so each estimate is the one of
+    # a single thread
+    _small_chunks(monkeypatch)
+    runs = _split_runs()
+    monkeypatch.setattr(E, "_available_cpus", lambda: 1)
+    want = {name: runs[name](1, None).to_json() for name in ("is-hub", "regular", "empirical")}
     monkeypatch.setattr(E, "_available_cpus", lambda: 12)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = [run(3, None).to_json() for _ in range(3)]
+        got = [{name: runs[name](workers, None).to_json() for name in want}
+               for workers in (3, None, None)]
     finally:
         sys.setswitchinterval(interval)
     assert got == [want] * 3
 
 
 def test_empirical_means_sum_each_chunk_whole(monkeypatch):
-    # the mean itself, not only the hits it thresholds: summing each part and
-    # adding the sums would round differently
-    monkeypatch.setattr(E, "CHUNK", 128)
-    monkeypatch.setattr(E, "MIN_PART", 5)
-    spec, hs = E.er(18, 0.35), [K3, K4, G.cycle(5)]
-    means = []
-    for parts in (1, 2, 3):
-        monkeypatch.setattr(E, "_available_cpus", lambda parts=parts: parts)
-        means.append(E._empirical_hom_means(spec, hs, 0.35, 1000, 6, 1).tolist())
-    assert means[1] == means[0] and means[2] == means[0]
+    # the mean itself, not only the hits it thresholds: each chunk's values
+    # are summed whole, from the chunk's own stream on the empirical pass's
+    # keys, and the sums added in chunk order, at every CPU count
+    _small_chunks(monkeypatch)
+    hs, samples, seed = [K3, K4, G.cycle(5)], 1000, 6
+    for spec in (E.er(18, 0.35), E.regular(18, 4)):
+        p, sums = spec.sparsity(), np.zeros(3)
+        rng = E.rng_stream(seed, E.EMPIRICAL_STREAM)
+        for c, b in enumerate(E._chunk_sizes(spec, samples)):
+            if spec.kind == "regular":
+                rng = E.rng_stream(seed, E.EMPIRICAL_STREAM + c)
+            a = E._draw_stack(spec, b, rng)
+            sums += [H.batched_hom_normalized(h, a, p).sum() for h in hs]
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(E, "_available_cpus", lambda cpus=cpus: cpus)
+            means = E._empirical_hom_means(spec, hs, p, samples, seed, None)
+            assert means.tolist() == (sums / samples).tolist()
 
 
-def test_one_chunk_in_flight_and_pools_only_where_cpus_idle(monkeypatch):
-    # graphs drawn and not yet reduced, counted around the worker loop's draw
-    # and reduce: at most one chunk, whatever the part count
+def test_a_chunk_per_thread_in_flight_and_no_pool_for_one_chunk(monkeypatch):
+    # graphs drawn and not yet reduced, counted around the chunk loop's draw
+    # and reduce: at most one chunk per thread, and a pool of one thread
+    # fewer than the chunks of a group
     import concurrent.futures
+    import threading
 
-    live, peaks, pools = [0], [], []
-    run_workers = E._run_workers
+    lock, live, peaks, pools = threading.Lock(), [0], [], []
+    run_chunks = E._run_chunks
 
     def counted(spec, num_samples, seed, workers, draw, reduce, *args, **kwargs):
         def draw_counted(b, rng):
-            live[0] += b
-            peaks[-1] = max(peaks[-1], live[0])
+            with lock:
+                live[0] += b
+                peaks[-1] = max(peaks[-1], live[0])
             return draw(b, rng)
 
         def reduce_counted(out):
-            live[0] -= len(out[0])
+            with lock:
+                live[0] -= len(out[0])
             return reduce(out)
-        return run_workers(spec, num_samples, seed, workers, draw_counted, reduce_counted,
-                           *args, **kwargs)
+        return run_chunks(spec, num_samples, seed, workers, draw_counted, reduce_counted,
+                          *args, **kwargs)
 
     class Pool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(E, "_run_workers", counted)
+    monkeypatch.setattr(E, "_run_chunks", counted)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
     spec = E.er(18, 0.35)
-    for parts in (1, 2, 3):
-        monkeypatch.setattr(E, "_available_cpus", lambda parts=parts: parts)
-        peaks.append(0)
-        E.mc_upper_tail(spec, [K3], [1.5], 8192, seed=1)
-        assert peaks[-1] == E.CHUNK and live[0] == 0
-        assert pools == ([parts - 1] if parts > 1 else [])
-        pools.clear()
-    # no pool where the draw is sequential or the workers fill the CPUs
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(E, "_available_cpus", lambda cpus=cpus: cpus)
+        for workers in (1, 2, None):
+            threads = min(workers or cpus, cpus)
+            peaks.append(0)
+            E.mc_upper_tail(spec, [K3], [1.5], 4 * E.CHUNK, seed=1, workers=workers)
+            assert E.CHUNK <= peaks[-1] <= threads * E.CHUNK and live[0] == 0
+            assert pools == ([threads - 1] if threads > 1 else [])
+            pools.clear()
+    # no pool for a run of one chunk, whatever the kind
     monkeypatch.setattr(E, "_available_cpus", lambda: 2)
-    E.mc_upper_tail(E.uniform(18, 50), [K3], [1.5], 1200, seed=1)
-    E.mc_upper_tail(E.regular(18, 4), [K3], [1.5], 1200, seed=1)
+    E.mc_upper_tail(spec, [K3], [1.5], E.CHUNK, seed=1)
+    E.mc_upper_tail(E.uniform(18, 50), [K3], [1.5], E.FIXED_CHUNK, seed=1)
+    E.mc_upper_tail(E.regular(18, 4), [K3], [1.5], 150, seed=1)
+    E.importance_tail(spec, _hub_tilt(spec, 2, 0.5), [K3], [1.8], 96, seed=1)
     assert pools == []
-    E.mc_upper_tail(spec, [K3], [1.5], 1200, seed=1, workers=2)
-    assert pools == [2]
+    E.mc_upper_tail(E.regular(18, 4), [K3], [1.5], E.FIXED_CHUNK + 1, seed=1)
+    assert pools == [1]
+
+
+def test_fixed_count_keys_never_meet_across_the_two_passes(monkeypatch):
+    # one graph per chunk and 10,001 chunks: the main pass reads keys 0 to
+    # 10,000 and the empirical pass keys from EMPIRICAL_STREAM on, so no key
+    # is read twice
+    monkeypatch.setattr(E, "FIXED_CHUNK", 1)
+    monkeypatch.setattr(E, "_available_cpus", lambda: 1)
+    keys, rng_stream = [], E.rng_stream
+
+    def recorded(seed, stream=0):
+        keys.append((seed, stream))
+        return rng_stream(seed, stream)
+    monkeypatch.setattr(E, "rng_stream", recorded)
+    E.mc_upper_tail(E.uniform(4, 2), [K3], [1.0], 10_001, seed=3, threshold="empirical")
+    assert len(keys) == 20_002 and len(set(keys)) == 20_002
+    assert keys[-1] == (3, 10_000) and keys[10_000] == (3, E.EMPIRICAL_STREAM + 10_000)
 
 
 # ---------------------------------------------------------------------------
@@ -1096,11 +1115,11 @@ def _all_pairs_log_weights(spec, tilt, bits):
 
 
 def _oracle_checked(monkeypatch, spec, tilt, logws):
-    """Patch `_run_workers` so that every importance chunk's log-weights are
+    """Patch `_run_chunks` so that every importance chunk's log-weights are
     checked, bit for bit, against the oracle on the chunk's own pair bits, and
     appended to `logws`."""
     tp = E.planted(tilt).probability_matrix()[np.triu_indices(spec.n, 1)]
-    run_workers = E._run_workers
+    run_chunks = E._run_chunks
 
     def checked(tilted, num_samples, seed, workers, draw, *args, **kwargs):
         def draw_checked(b, rng):
@@ -1109,8 +1128,8 @@ def _oracle_checked(monkeypatch, spec, tilt, logws):
             assert np.array_equal(logw.view(np.uint64), want.view(np.uint64))
             logws.append(logw)
             return logw, hits
-        return run_workers(tilted, num_samples, seed, workers, draw_checked, *args, **kwargs)
-    monkeypatch.setattr(E, "_run_workers", checked)
+        return run_chunks(tilted, num_samples, seed, workers, draw_checked, *args, **kwargs)
+    monkeypatch.setattr(E, "_run_chunks", checked)
 
 
 def _block_tilt():
@@ -1136,22 +1155,21 @@ _MOVED_TILTS = {  # (base, tilt, pattern threshold, pairs moved)
 
 @pytest.mark.parametrize("name", list(_MOVED_TILTS))
 def test_is_log_weights_over_moved_pairs_are_the_all_pairs_sum(name, monkeypatch):
-    # chunks of 128 graphs in parts of at least 5, with a last chunk of one
-    # graph at one worker: every chunk's log-weights are the oracle's bit for
-    # bit, and 1 and 2 parts give the same estimate at 1 and 2 workers
+    # chunks of 128 graphs, the last of one graph: every chunk's log-weights
+    # are the oracle's bit for bit, and 1 and 2 CPUs give the same estimate
+    # at a cap of 1 and 2 threads
     spec, tilt, t, _moved = _MOVED_TILTS[name]
     monkeypatch.setattr(E, "CHUNK", 128)
-    monkeypatch.setattr(E, "MIN_PART", 5)
     direct = E.mc_upper_tail(spec, [K3], [t], 641, seed=3)  # before the patch below
     logws = []
     _oracle_checked(monkeypatch, spec, tilt, logws)
+    outs = []
     for workers in (1, 2):
-        outs = []
-        for parts in (1, 2):
-            monkeypatch.setattr(E, "_available_cpus", lambda parts=parts: parts * workers)
+        for cpus in (1, 2):
+            monkeypatch.setattr(E, "_available_cpus", lambda cpus=cpus: cpus)
             outs.append(E.importance_tail(spec, tilt, [K3], [t], 641, seed=3,
                                           workers=workers).to_json())
-        assert outs[1] == outs[0]
+    assert outs[1:] == [outs[0]] * 3
     assert sum(w.size for w in logws) == 4 * 641
     if name == "base":  # no pair moves: every weight is 1, as in direct MC
         assert not np.concatenate(logws).any()

@@ -458,6 +458,23 @@ def test_pattern_past_the_dp_width_cap_does_not_fit_at_any_n(monkeypatch):
     assert res.value == 73.0921694159664
 
 
+def test_level_search_measures_specs_past_the_compile_cap_on_the_dp(monkeypatch):
+    # with COMPILE_CAP at 0 every ladder spec is past `_fits_blocks`: at
+    # n <= DENSE_N_CAP each is measured on the DP of its blow-up, nothing
+    # compiles, and the search ends where the compiled one does; past
+    # DENSE_N_CAP each is left out, so no rung is feasible
+    prob = S.SolveProblem(((G.cycle(5), 4.0),), n=60, base=0.1, ensemble=("row_sums", 6))
+    want = S._level_search(prob)
+    monkeypatch.setattr(S, "COMPILE_CAP", 0)
+    monkeypatch.setattr(B, "_hom_table", _must_not_run)
+    got = S._level_search(prob)
+    assert got.x == want.x and got.value == want.value == 273.22183956797517
+    assert got.iterations == want.iterations == 10 and got.residuals == [0.0]
+    monkeypatch.setattr(H, "_dp_sum", _must_not_run)
+    with pytest.raises(ResourceError, match="no feasible block construction"):
+        S._level_search(S.SolveProblem(((K3, 1.5),), n=3000, base=0.1))
+
+
 def test_block_solve_row_sums_large_n():
     prob = S.SolveProblem(
         targets=((K3, 2.5),), n=100_000, base=0.01, ensemble=("row_sums", 1000)
