@@ -581,8 +581,8 @@ BASE_NOTE = "block-model base: its own counts meet every target"
 
 
 def _dense_witness(problem):
-    """Asked only of seeds past `_fits_blocks`' cap: can one run on the DP of
-    its n x n blow-up?  Yes while n <= DENSE_N_CAP and every target's hom DP
+    """Asked for seeds and ladder specs past `_fits_blocks`' cap: can one run
+    on the DP of its n x n blow-up?  Yes while n <= DENSE_N_CAP and every target's hom DP
     fits in DP_CELL_CAP; a pattern past the DP's width cap fits at no n."""
     n = problem.n
     try:
