@@ -976,7 +976,7 @@ def _small_chunks(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2, 3, None])
 @pytest.mark.parametrize("name", list(_split_runs()))
 def test_split_chunks_give_the_sequential_estimate(name, workers, monkeypatch):
-    # chunks split across 1, 2 and 3 CPUs, at a thread cap of 1, 2, 3 or
+    # chunks on 1, 2 and 3 CPUs, at a thread cap of 1, 2, 3 or
     # every CPU, give the estimate and the progress reports of one thread
     _small_chunks(monkeypatch)
     run = _split_runs()[name]
