@@ -216,6 +216,7 @@ class _RowSums:
     padded value stays 0."""
 
     RUN = 64
+    MAX_PASSES = 5000
 
     def __init__(self, n, s, a, b, live):
         self.n, self.s, self.blocks, self.ones = n, s, s > 0, 1.0 * live
@@ -260,23 +261,25 @@ class _RowSums:
         mu = (d - r - shift[:, None]) / (n - 2.0)
         return y + (mu.take(self.ends_a) + mu.take(self.ends_b)) * self.ones
 
-    def project(self, x, d, tol, on=None, max_iter=5000):
+    def project(self, x, d, tol, on=None):
         """The projection onto the box [0, 1] and row sums d: Dykstra's
         alternating projections between the box and `affine(., d)`, row by
-        row on a stack.  A row stops once the point it would return, its
-        iterate clipped into the box, has row sums within tol of d (the test
-        the AL certifies a point by), or after max_iter passes; rows outside
-        `on` never start.  The increments start at 0 and are built only for
-        a pass that some row still takes."""
+        row on a stack, with an increment for the box alone.  The affine
+        set's increment is normal to that set, so the next affine projection
+        cancels it: leaving it out gives the same projection in exact
+        arithmetic, and spares its roundoff.  A row stops once the point it
+        would return, its iterate clipped into the box, has row sums within
+        tol of d (the test the AL certifies a point by), or after MAX_PASSES
+        passes; rows outside `on` never start.  The increment starts at 0
+        and is built only for a pass that some row still takes."""
         run = np.ones(len(x), dtype=bool) if on is None else on.copy()
         if not _count(run):
             return _unit(x)
-        y, inc_box, inc_aff = x, 0.0, 0.0
-        for _it in range(max_iter):
+        y, inc_box = x, 0.0
+        for _it in range(self.MAX_PASSES):
             y_box = y + inc_box
             z = _unit(y_box)
-            z_aff = z + inc_aff
-            y2 = self.affine(z_aff, d)
+            y2 = self.affine(z, d)
             stopped = ~run
             if _count(stopped):
                 y2[stopped] = y[stopped]
@@ -284,8 +287,7 @@ class _RowSums:
             run &= self.deviation(out, d) > tol
             if not _count(run):
                 break
-            kept = stopped[:, None]
-            inc_box, inc_aff = np.where(kept, inc_box, y_box - z), np.where(kept, inc_aff, z_aff - y)
+            inc_box = np.where(stopped[:, None], inc_box, y_box - z)
         return out
 
 
@@ -383,8 +385,8 @@ class _Feasible:
     values), and `rows` is each row's index, a column.  The constraint
     chooses, once, the projection of the rows' blow-ups (`project`: clip
     into [0, 1], shift and clip onto a total weight, or `_RowSums.project`
-    onto row sums), the residual and its certificate tolerance `tol` for a
-    point the AL keeps."""
+    onto row sums, which iterates only rows in `on`), the residual and its
+    certificate tolerance `tol` for a point the AL keeps."""
 
     def __init__(self, n, sizes, constraint):
         self.n, self.sizes = n, sizes
@@ -396,19 +398,15 @@ class _Feasible:
         self.tol = max(1e-10, 1e-9 * max(1.0, bound)) if kind == "total_weight" else 1e-10
         if kind == "row_sums":
             sums = _RowSums(n, self.s, self.a, self.b, self.live)
-            self._project = lambda y, on: sums.project(y, bound, self.tol, on)
+            self.project = lambda y, on=None: sums.project(y, bound, self.tol, on)
             self.residual = lambda y: sums.deviation(y, bound)
         elif kind == "total_weight":
-            self._project = lambda y, _on: _shift_clip(_unit(y), bound, self.pairs, self.live,
-                                                       self.rows)
+            self.project = lambda y, _on=None: _shift_clip(_unit(y), bound, self.pairs, self.live,
+                                                           self.rows)
             self.residual = lambda y: np.abs(_rowsum(self.pairs * y) - bound)
         else:
-            self._project = lambda y, _on: _unit(y)
+            self.project = lambda y, _on=None: _unit(y)
             self.residual = lambda y: np.zeros(len(y))
-
-    def project(self, y, on=None):
-        """The rows' projection; a row-sum projection iterates only rows in `on`."""
-        return self._project(y, on)
 
     def pairs_of(self, row):
         """Row `row`'s live block pairs (a, b), as `blocks.block_pairs`."""

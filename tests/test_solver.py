@@ -703,7 +703,7 @@ def test_about_one_hom_value_per_gradient(monkeypatch, h, n, ensemble):
             sp = _alone(prob, space, seed)
             with monkeypatch.context() as mp:
                 evaluations = _record_calls(mp, "evaluate", owner=space)
-                projections = _record_calls(mp, "project", owner=space)
+                projections = _record_calls(mp, "project", owner=sp)
                 _value, _x, iterations = S._al_stack(prob, sp, sp.pack([seed]))
             evals += len(evaluations)
             accepted += len(projections) - int(iterations[0]) - 1
@@ -1137,10 +1137,13 @@ def _shift_clip_reference(vals, m, weights):
     return np.where(weights > 0, S._unit(clipped), 0.0)
 
 
-def _dykstra_reference(x, d, box, affine, deviation, tol, on=None, max_iter=5000):
-    """`_RowSums.project` in its first form, every increment built on every
-    pass: the oracle that the fast form matches bit for bit.  A row stops
-    once its boxed iterate is within tol of the row sums."""
+def _dykstra_reference(x, d, box, affine, deviation, tol, on=None, affine_increment=True,
+                       max_iter=S._RowSums.MAX_PASSES):
+    """Dykstra's passes between the box and the affine set, every increment
+    built on every pass; without `affine_increment`, the box's alone, as
+    `_RowSums.project` takes them: the oracle that the fast form matches bit
+    for bit.  A row stops once its boxed iterate is within tol of the row
+    sums."""
     run = np.ones(len(x), dtype=bool) if on is None else on.copy()
     y = x.copy()
     inc_box = np.zeros_like(y)
@@ -1149,8 +1152,9 @@ def _dykstra_reference(x, d, box, affine, deviation, tol, on=None, max_iter=5000
         if not run.any():
             break
         z = box(y + inc_box)
-        y2 = affine(z + inc_aff, d)
-        new_box, new_aff = (y + inc_box) - z, (z + inc_aff) - y2
+        z_aff = z + inc_aff if affine_increment else z
+        y2 = affine(z_aff, d)
+        new_box, new_aff = (y + inc_box) - z, z_aff - y2
         stopped = ~run
         if stopped.any():
             y2[stopped] = y[stopped]
@@ -1201,7 +1205,10 @@ def test_shift_clip_is_its_reference_bit_for_bit():
 def test_dykstra_is_its_reference_bit_for_bit():
     # the block space's row-sum projection on a padded stack of seeds, from
     # points inside and outside the box, with rows outside `on`; some rows
-    # stop after one pass, others take many
+    # stop after one pass, others take many.  It is the reference without the
+    # affine set's increment bit for bit, and within 1e-15 of the reference
+    # with it: that increment is normal to the affine set, so it changes
+    # only the roundoff
     rng = np.random.default_rng(26)
     prob = S.SolveProblem(((K3, 1.3),), n=60, base=0.3, ensemble=("row_sums", 18))
     specs = [spec for _name, spec in S.default_seeds(prob)]
@@ -1214,9 +1221,9 @@ def test_dykstra_is_its_reference_bit_for_bit():
         y = packed + np.where(space.live, step, 0.0)
         for on_rows in (None, on, np.zeros(len(on), bool)):
             fast = space.project(y, on_rows)
-            ref = _dykstra_reference(y, 18, S._unit, sums.affine, sums.deviation, space.tol,
-                                     on_rows)
-            assert _same_bits(fast, ref)
+            args = y, 18, S._unit, sums.affine, sums.deviation, space.tol, on_rows
+            assert _same_bits(fast, _dykstra_reference(*args, affine_increment=False))
+            assert np.abs(fast - _dykstra_reference(*args)).max() <= 1e-15
 
 
 def test_row_sum_projection_at_n_1000_meets_the_certificate():
@@ -1230,31 +1237,31 @@ def test_row_sum_projection_at_n_1000_meets_the_certificate():
 
 
 def test_row_sum_projection_stops_only_on_the_certificate_at_regime_scale(monkeypatch):
-    # row-sum K3 at n = 1e5, d = 1000: the ladder's block stack, projected,
-    # and moved along the AL's first gradient (lam = 0, rho = 10) by a step,
-    # as an SPG trial point, then projected one row at a time.  A value
-    # stands for up to 1e5 entries of a row, so an iterate within 1e-11 of
-    # the box could stop up to 1e-7 off the row sums once clipped.  At
-    # these steps each row stops before the 5,000-pass cap, on the certificate
-    prob = S.SolveProblem(((K3, 2.5),), n=100000, base=0.01, ensemble=("row_sums", 1000))
-    specs = [spec for _name, spec in S.default_seeds(prob)]
-    space = S._BlockSpace(prob, [spec.sizes for spec in specs])
-    x = space.project(space.pack(specs))
-    vals, hom_grads, _entropy, grad = space.evaluate(x)
-    grad = grad - 10.0 * np.maximum(0.0, 2.5 - vals) * hom_grads[:, 0]
-    passes, affine = [], S._RowSums.affine
+    # row-sum K3 at n = 1e5, d = 1000, its whole AL solve (DENSE_N_CAP raised
+    # so that the AL runs, not the level search).  A value stands for up to
+    # 1e5 entries of a row, so an iterate within 1e-11 of the box could stop
+    # up to 1e-7 off the row sums once clipped.  Every projection call stops
+    # each row it runs before the pass cap, on the certificate
+    monkeypatch.setattr(S, "DENSE_N_CAP", 10 ** 6)
+    passes, affine, project = [], S._RowSums.affine, S._RowSums.project
 
     def counted(self, y, d):
         passes[-1] += 1
         return affine(self, y, d)
 
+    def checked(self, x, d, tol, on=None):
+        passes.append(0)
+        out = project(self, x, d, tol, on)
+        rows = np.ones(len(x), dtype=bool) if on is None else on
+        assert passes[-1] < self.MAX_PASSES and (self.deviation(out, d)[rows] <= tol).all()
+        return out
+
     monkeypatch.setattr(S._RowSums, "affine", counted)
-    for step in (0.1, 0.01):
-        y = x - step * grad
-        for row in range(len(y)):
-            passes.append(0)
-            out = space.project(y, np.arange(len(y)) == row)
-            assert passes[-1] < 5000 and space.residual(out)[row] <= space.tol
+    monkeypatch.setattr(S._RowSums, "project", checked)
+    res = S.solve_phi(S.SolveProblem(((K3, 2.5),), n=100000, base=0.01,
+                                     ensemble=("row_sums", 1000)))
+    assert passes and res.value == 7673782.43311489
+    assert res.seed_provenance == "cycle_blocks_delta_x1.5"
 
 
 # ---------------------------------------------------------------------------
@@ -1301,19 +1308,25 @@ def test_incumbents_kept_by_measured_residual(monkeypatch, ensemble, shift, kept
     base = 130 / 435 if ensemble[0] == "total_weight" else 0.3
     prob = S.SolveProblem(targets=((K3, 1.3),), n=n, base=base, ensemble=ensemble)
     for space in SPACES:
-        project = space.project
-
-        def off_the_set(self, x, on=None):
-            y = project(self, x, on) + shift
-            if y.ndim == 3:  # a matrix keeps its zero diagonal
-                y[:, range(n), range(n)] = 0.0
-            else:  # and padding holds no vertex pair
-                y[~self.live] = 0.0
-            return y
-
         with monkeypatch.context() as mp:
             runs = _run_on(mp, space)
-            mp.setattr(space, "project", off_the_set)
+            al_stack = S._al_stack
+
+            def off_the_set(problem, sp, x0):
+                project = sp.project
+
+                def shifted(x, on=None):
+                    y = project(x, on) + shift
+                    if y.ndim == 3:  # a matrix keeps its zero diagonal
+                        y[:, range(n), range(n)] = 0.0
+                    else:  # and padding holds no vertex pair
+                        y[~sp.live] = 0.0
+                    return y
+
+                mp.setattr(sp, "project", shifted)
+                return al_stack(problem, sp, x0)
+
+            mp.setattr(S, "_al_stack", off_the_set)
             if kept:
                 res = S.solve_phi(prob)
                 assert res.residuals[0] <= 1e-6
